@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import exp1, logsumexp
 
-from uclab.constants import EULER, ModelParams, carleman_constants
+from uclab.constants import EULER, ModelParams, carleman_constants, mu_one
 from uclab.discretization import apply_operator
-from uclab.fields import constant_spd_field
+from uclab.fields import constant_spd_field, periodic_centered_diff
 
 __all__ = [
     "ein",
@@ -37,46 +37,32 @@ __all__ = [
     "mu_one",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_SERIES_CUT = 1e-4
+# Taylor coefficients (-1)^(k+1) / (k k!) of Ein, used up to the cut
+_EIN_CUT = 1.0
+_EIN_SERIES = np.array(
+    [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 26)]
+)
 
 
 def ein(x: np.ndarray | float) -> np.ndarray | float:
     """Entire integral of (1 - exp(-t))/t from 0 to x, vectorized.
 
-    Series below the cut (removable singularity), adaptive composite
-    Gauss-Legendre above it; absolute error well under 1e-12.
+    Closed form: the power series (25 terms by Horner) for x <= 1, and
+    ``euler_gamma + log(x) + exp1(x)`` above; absolute error below 1e-15 and
+    relative error about 2e-16 for x > 0.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("ein is evaluated on x >= 0 only")
     out = np.empty_like(x_arr)
-    small = x_arr <= _SERIES_CUT
+    small = x_arr <= _EIN_CUT
     xs = x_arr[small]
-    out[small] = xs * (1.0 - xs / 4.0 + xs * xs / 18.0)
+    acc = np.full_like(xs, _EIN_SERIES[-1])
+    for coeff in _EIN_SERIES[-2::-1]:
+        acc = acc * xs + coeff
+    out[small] = xs * acc
     xb = x_arr[~small]
-    if xb.size:
-        head = _SERIES_CUT * (1.0 - _SERIES_CUT / 4.0 + _SERIES_CUT**2 / 18.0)
-        panels = 4
-        prev = None
-        while True:
-            edges = _SERIES_CUT + (xb - _SERIES_CUT)[:, None] * (
-                np.arange(panels + 1) / panels
-            )
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            t = mid[:, :, None] + half[:, :, None] * _GL_NODES
-            vals = -np.expm1(-t) / t
-            integral = (half[:, :, None] * vals * _GL_WEIGHTS).sum(axis=(1, 2))
-            if prev is not None and np.max(np.abs(integral - prev)) <= 1e-13 * (
-                1.0 + np.max(np.abs(integral))
-            ):
-                break
-            if panels >= 256:
-                break
-            prev = integral
-            panels *= 2
-        out[~small] = head + integral
+    out[~small] = np.euler_gamma + np.log(xb) + exp1(xb)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -94,13 +80,6 @@ def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
         return np.log(r) - ein(mu * r)
-
-
-def mu_one(theta1: float, mu: float) -> float:
-    """Profile distortion bound: exp(sqrt(theta1)*mu) below the knee,
-    e*sqrt(theta1)*mu above it."""
-    root = math.sqrt(theta1) * mu
-    return math.exp(root) if root <= 1.0 else EULER * root
 
 
 @dataclass(frozen=True)
@@ -452,7 +431,7 @@ def check_carleman_inequality(
     if np.any(np.abs(u[edge]) > support_tol):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    grad = np.stack([_roll_diff_local(u, axd, h) for axd in range(d)], axis=-1)
+    grad = np.stack([periodic_centered_diff(u, axd, h) for axd in range(d)], axis=-1)
     grad_energy = np.real(
         np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad)
     )
@@ -473,10 +452,6 @@ def check_carleman_inequality(
     ) + math.log(carleman_C * rho**4) + log_cell
     ratio = math.exp(lhs_log - rhs_log) if math.isfinite(rhs_log) else 0.0
     return CarlemanCheck(lhs_log, rhs_log, ratio, h, alpha)
-
-
-def _roll_diff_local(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
 
 
 def annular_bump(

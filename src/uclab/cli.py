@@ -54,7 +54,7 @@ class ExperimentConfig:
     energy: float = 0.0
     rho: Optional[float] = None
     mu: Optional[float] = None
-    alpha_mult: float = 1.0
+    alpha_mult: Optional[float] = None
     trials: int = 4
     grids: tuple[float, ...] = (1 / 64,)
     emit_plot_data: bool = False
@@ -240,8 +240,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
-    from uclab.verifier import write_records_jsonl  # noqa: F401  (layout parity)
     from uclab.carleman import carleman_trial
+    from uclab.verifier import write_rows_jsonl
 
     rows = []
     worst_by_h: dict[float, float] = {}
@@ -250,18 +250,11 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
             for d in cfg.ds:
                 rec = carleman_trial(
                     cfg.seeds[0] + i, d, h,
-                    rho=cfg.rho, mu=cfg.mu,
-                    alpha_mult=cfg.alpha_mult if cfg.alpha_mult != 1.0 else None,
+                    rho=cfg.rho, mu=cfg.mu, alpha_mult=cfg.alpha_mult,
                 )
                 rows.append(rec)
                 worst_by_h[h] = max(worst_by_h.get(h, 0.0), rec["ratio"])
-    with open(out / "records.jsonl", "w") as fh:
-        import time as _time
-
-        fh.write(json.dumps({"created_at": _time.strftime("%Y-%m-%dT%H:%M:%S"),
-                             "config": cfg.to_dict()}, sort_keys=True) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_rows_jsonl(out / "records.jsonl", rows, config=cfg.to_dict())
     with open(out / "summary.csv", "w") as fh:
         fh.write("h,worst_ratio,allowed\n")
         for h in sorted(worst_by_h, reverse=True):

@@ -21,7 +21,7 @@ only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict
 from typing import Literal, Optional
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "admissibility_epsilon",
     "side_length_T",
     "carleman_mu_rho",
+    "mu_one",
     "carleman_constants",
     "cacciopoli_prefactor",
     "alpha_star",
@@ -50,6 +51,14 @@ __all__ = [
 EULER = math.e
 
 EpsilonContext = Literal["qUC", "sampling_unit", "sampling_G"]
+
+
+def _require_finite(obj) -> None:
+    """Reject NaN and +/-inf in any set dataclass field, naming the field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError("dimension must be a positive integer")
         if self.theta1 < 1.0:
@@ -117,6 +127,7 @@ class FreeConstants:
     Cprime: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("K1", "K2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -126,28 +137,22 @@ class FreeConstants:
             raise ValueError("Cacciopoli constant Cprime must be >= 1")
 
 
+def _margin(d: int, R: float, theta1: float, t2: float) -> float:
+    """1 - 33 e d R theta1^6 t2, shared by every admissibility margin."""
+    return 1.0 - 33.0 * EULER * d * R * theta1**6 * t2
+
+
 def admissibility_epsilon(p: ModelParams, context: EpsilonContext) -> float:
     """Admissibility margin; <= 0 is a legal flagged return, not an error."""
     if context == "qUC":
         if p.R is None:
             raise ValueError("qUC context needs the annulus radius R")
-        return 1.0 - 33.0 * EULER * p.d * p.R * p.theta1**6 * p.theta2
+        return _margin(p.d, p.R, p.theta1, p.theta2)
     if context == "sampling_unit":
-        return (
-            1.0
-            - 33.0 * EULER * p.d * (math.sqrt(p.d) + 2.0) * p.theta1**6 * p.theta2
-        )
+        return _margin(p.d, math.sqrt(p.d) + 2.0, p.theta1, p.theta2)
     if context == "sampling_G":
         # G enters only via the product G*theta2 (scaling canonical form).
-        return (
-            1.0
-            - 33.0
-            * EULER
-            * p.d
-            * (math.sqrt(p.d) + 2.0)
-            * p.theta1**6
-            * (p.G * p.theta2)
-        )
+        return _margin(p.d, math.sqrt(p.d) + 2.0, p.theta1, p.G * p.theta2)
     raise ValueError(f"unknown epsilon context {context!r}")
 
 
@@ -168,9 +173,14 @@ def carleman_mu_rho(p: ModelParams, eps0: float) -> tuple[float, float, float]:
     mu = 33.0 * p.d * rho * p.theta1**5.5 * p.theta2 + rho * eps0 / (
         2.0 * EULER * p.R * math.sqrt(p.theta1)
     )
-    root = math.sqrt(p.theta1) * mu
-    mu1 = math.exp(root) if root <= 1.0 else EULER * root
-    return mu, mu1, rho
+    return mu, mu_one(p.theta1, mu), rho
+
+
+def mu_one(theta1: float, mu: float) -> float:
+    """Profile distortion bound: exp(sqrt(theta1)*mu) below the knee,
+    e*sqrt(theta1)*mu above it."""
+    root = math.sqrt(theta1) * mu
+    return math.exp(root) if root <= 1.0 else EULER * root
 
 
 def carleman_constants(
@@ -355,10 +365,7 @@ def c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
 def _sfuc_pieces(p: ModelParams, fc: FreeConstants) -> tuple[float, float, float, float]:
     """(eps2, log_D1, D2, D3) in the G-canonical arithmetic."""
     g_t2 = p.G * p.theta2
-    eps2 = (
-        1.0
-        - 33.0 * EULER * p.d * (math.sqrt(p.d) + 2.0) * p.theta1**6 * g_t2
-    )
+    eps2 = admissibility_epsilon(p, "sampling_G")
     log_D1 = (
         math.log(fc.K2)
         + (-15.5 - p.d) * math.log(p.theta1)

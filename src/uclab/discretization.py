@@ -32,7 +32,12 @@ from typing import Literal, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from uclab.fields import CoefficientField, check_boundary_conditions, divergence_centered
+from uclab.fields import (
+    CoefficientField,
+    check_boundary_conditions,
+    divergence_centered,
+    periodic_centered_diff,
+)
 from uclab.geometry import CubeDomain
 
 __all__ = [
@@ -213,10 +218,6 @@ def assemble(field: CoefficientField, domain: Optional[CubeDomain] = None) -> Di
     return DiscreteOperator(matrix=H, domain=domain, field=field, bc=bc)
 
 
-def _roll_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
-
-
 def apply_operator(
     A: np.ndarray,
     b: Optional[np.ndarray],
@@ -251,13 +252,14 @@ def apply_operator(
         for j in range(d):
             if i == j or not np.any(A[..., i, j]):
                 continue
-            F = A[..., i, j] * _roll_diff(u, j, h)
-            out = out - _roll_diff(F, i, h)
+            F = A[..., i, j] * periodic_centered_diff(u, j, h)
+            out = out - periodic_centered_diff(F, i, h)
     if b is not None and np.any(b):
         for ax in range(d):
             bcomp = b[..., ax]
             out = out + 0.5 * (
-                bcomp * _roll_diff(u, ax, h) + _roll_diff(bcomp * u, ax, h)
+                bcomp * periodic_centered_diff(u, ax, h)
+                + periodic_centered_diff(bcomp * u, ax, h)
             )
         out = out - 0.5 * divergence_centered(b, h, "periodic") * u
     if c is not None:

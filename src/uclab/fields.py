@@ -19,6 +19,7 @@ __all__ = [
     "CoefficientField",
     "estimate_ellipticity",
     "estimate_lipschitz",
+    "periodic_centered_diff",
     "divergence_centered",
     "make_self_adjoint",
     "check_boundary_conditions",
@@ -99,6 +100,11 @@ def estimate_lipschitz(A: np.ndarray, h: float) -> float:
     return worst / h
 
 
+def periodic_centered_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(u[i+1] - u[i-1]) / (2h) along ``axis`` with periodic wrapping."""
+    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
+
+
 def divergence_centered(
     bgrid: np.ndarray, h: float, bc: Literal["dirichlet", "periodic"]
 ) -> np.ndarray:
@@ -113,7 +119,7 @@ def divergence_centered(
     for ax in range(d):
         comp = bgrid[..., ax]
         if bc == "periodic":
-            der = (np.roll(comp, -1, axis=ax) - np.roll(comp, 1, axis=ax)) / (2 * h)
+            der = periodic_centered_diff(comp, ax, h)
         else:
             der = np.empty_like(comp)
             sl = [slice(None)] * comp.ndim

@@ -17,6 +17,8 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from uclab.constants import EULER, side_length_T
+
 __all__ = [
     "CubeDomain",
     "EquidistributedSequence",
@@ -30,8 +32,6 @@ __all__ = [
     "feasible_window_side",
     "tiling_identity_defect",
 ]
-
-EULER = math.e
 
 BoundaryCondition = Literal["dirichlet", "periodic"]
 
@@ -213,7 +213,7 @@ class SiteDecomposition:
         return float(self.unit_mass.sum())
 
 
-def _window_sums(dens_ext: np.ndarray, cells: int, n_ext: int, starts: np.ndarray,
+def _window_sums(dens_ext: np.ndarray, cells: int, starts: np.ndarray,
                  d: int) -> np.ndarray:
     """Sums of ``dens_ext`` over all d-dim windows of ``cells`` cells per axis
     anchored at the given start indices (one start array per axis)."""
@@ -224,18 +224,13 @@ def _window_sums(dens_ext: np.ndarray, cells: int, n_ext: int, starts: np.ndarra
         pad = [(0, 0)] * d
         pad[ax] = (1, 0)
         sat = np.pad(sat, pad)
-    m = len(starts)
-    out = np.zeros((m,) * d)
     lo = starts
     hi = starts + cells
-    for idx in np.ndindex(*(m,) * d):
-        corners = 0.0
-        for signs in np.ndindex(*(2,) * d):
-            corner = tuple(
-                (hi[idx[ax]] if signs[ax] == 0 else lo[idx[ax]]) for ax in range(d)
-            )
-            corners += (-1) ** sum(signs) * sat[corner]
-        out[idx] = corners
+    # inclusion-exclusion over the 2^d window corners, all windows at once
+    out = np.zeros((len(starts),) * d)
+    for signs in np.ndindex(*(2,) * d):
+        corner = [hi if sign == 0 else lo for sign in signs]
+        out += (-1) ** sum(signs) * sat[np.ix_(*corner)]
     return out
 
 
@@ -275,7 +270,6 @@ def classify_sites(
         raise ValueError("window side T exceeds the 3L extension")
 
     dens = (np.abs(psi_ext) ** 2) * h**d
-    m = L
     # site k runs over integers -(L-1)/2 .. (L-1)/2; in extended grid indices
     # the unit cube at site k starts at (k + 3L/2 - 1/2) * cells_per_unit
     k0 = -(L - 1) // 2
@@ -286,8 +280,8 @@ def classify_sites(
     win_starts_r = np.round(win_starts).astype(int)
     if np.max(np.abs(win_starts - win_starts_r)) > 1e-9:
         raise ValueError("T-window faces must align with the grid")
-    unit_mass = _window_sums(dens, cells_per_unit, n_ext, unit_starts, d)
-    window_mass = _window_sums(dens, T * cells_per_unit, n_ext, win_starts_r, d)
+    unit_mass = _window_sums(dens, cells_per_unit, unit_starts, d)
+    window_mass = _window_sums(dens, T * cells_per_unit, win_starts_r, d)
     dominating = unit_mass >= window_mass / (2.0 * float(T) ** d)
     sites = np.stack(
         np.meshgrid(*([site_vals.astype(float)] * d), indexing="ij"), axis=-1
@@ -308,6 +302,15 @@ def near_neighbor(k: tuple, L: Optional[int] = None) -> tuple:
     return (first,) + k[1:]
 
 
+def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:
+    """Worst-case reach of the shifted ball (see
+    :func:`window_containment_margin`); the offset defaults to sqrt(d)/2."""
+    if center_offset is None:
+        center_offset = math.sqrt(d) / 2.0
+    R = math.sqrt(d) + 2.0
+    return 2.0 + center_offset + (2.0 * EULER * theta1 + 1.0) * R
+
+
 def window_containment_margin(
     d: int, theta1: float, T: Optional[int] = None, center_offset: Optional[float] = None
 ) -> float:
@@ -320,22 +323,14 @@ def window_containment_margin(
     printed side is too small for the containment as stated, which
     :func:`feasible_window_side` repairs.
     """
-    from uclab.constants import side_length_T
-
     if T is None:
         T = side_length_T(d, theta1)
-    if center_offset is None:
-        center_offset = math.sqrt(d) / 2.0
-    R = math.sqrt(d) + 2.0
-    reach = 2.0 + center_offset + (2.0 * EULER * theta1 + 1.0) * R
-    return T / 2.0 - reach
+    return T / 2.0 - _window_reach(d, theta1, center_offset)
 
 
 def feasible_window_side(d: int, theta1: float) -> int:
     """Smallest integer window side making the containment margin >= 0."""
-    R = math.sqrt(d) + 2.0
-    reach = 2.0 + math.sqrt(d) / 2.0 + (2.0 * EULER * theta1 + 1.0) * R
-    return math.ceil(2.0 * reach)
+    return math.ceil(2.0 * _window_reach(d, theta1))
 
 
 def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> float:
@@ -345,7 +340,6 @@ def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> flo
     dec = classify_sites(psi_ext, T, L, h)
     lhs = float(dec.window_mass.sum())
     cells_per_unit = round(1.0 / h)
-    n_ext = 3 * L * cells_per_unit
     lo = L * cells_per_unit
     hi = 2 * L * cells_per_unit
     sl = tuple(slice(lo, hi) for _ in range(d))

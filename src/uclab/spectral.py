@@ -54,8 +54,7 @@ class SpectrumSlice:
 
 def _gershgorin_floor(matrix) -> float:
     diag = matrix.diagonal()
-    absrow = np.abs(matrix).sum(axis=1).A1 if hasattr(np.abs(matrix).sum(axis=1), "A1") \
-        else np.asarray(np.abs(matrix).sum(axis=1)).ravel()
+    absrow = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
     return float((diag.real - (absrow - np.abs(diag))).min())
 
 

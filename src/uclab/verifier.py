@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from uclab.constants import (
     log_gamma_window,
 )
 from uclab.discretization import assemble, residual_inequality_check
-from uclab.fields import CoefficientField, constant_spd_field
+from uclab.fields import CoefficientField, constant_spd_field, periodic_centered_diff
 from uclab.geometry import CubeDomain, EquidistributedSequence, generate_sequence, mask
 from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
 
@@ -50,6 +51,7 @@ __all__ = [
     "L_independence",
     "scaling_identity",
     "cacciopoli_check",
+    "write_rows_jsonl",
     "write_records_jsonl",
     "write_summary_csv",
 ]
@@ -275,8 +277,9 @@ def run_trial(
         shape=sl.shape,
     )
     psi2 = projector_sample(sub, coefficients=coeff)
-    zeta2 = H.apply(psi2) - E * psi2
-    viol2 = residual_inequality_check(psi2, E, np.abs(zeta2), H.apply(psi2))
+    op_psi2 = H.apply(psi2)
+    zeta2 = op_psi2 - E * psi2
+    viol2 = residual_inequality_check(psi2, E, np.abs(zeta2), op_psi2)
     log_bound2 = log_c_sfuc(p, fc, energy=E) - math.log(2.0)
     rec2 = _record(tc, fc, "projector_sample", psi2, zeta2, E, idx, tc.norm_V,
                    log_bound2, seq, dom, fld.declared_theta1, viol2,
@@ -314,46 +317,19 @@ def verify_equidistribution(
     configs: Iterable[TrialConfig],
     fc: FreeConstants = FreeConstants(),
     dump_dir=None,
-    workers: int = 1,
 ) -> list[ObservabilityRecord]:
-    """Run every config, reusing eigensolves across delta values.
+    """Run every config in order, reusing eigensolves across delta values.
 
-    Trials are independent jobs; with ``workers > 1`` they execute on a
-    thread pool grouped by shared field (each group keeps its own cache), and
-    records are assembled in configuration order, so the output is identical
-    to the serial run.  ``dump_dir`` enables the eigenpair dump: one CSV/NPY
-    pair per distinct field in the suite.
+    Records come out in configuration order and are reproducible bit for bit.
+    ``dump_dir`` enables the eigenpair dump: one ``eigenpairs_NNN`` CSV/NPY
+    pair per distinct field, numbered in order of first appearance.
     """
-    configs = list(configs)
     cache: dict = {}
-    if workers <= 1:
-        records: list[ObservabilityRecord] = []
-        for tc in configs:
-            records.extend(run_trial(tc, fc, cache=cache))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        groups: dict[tuple, list[int]] = {}
-        for i, tc in enumerate(configs):
-            groups.setdefault(tc.field_key(), []).append(i)
-
-        def run_group(indices: list[int]) -> dict[int, list[ObservabilityRecord]]:
-            local_cache: dict = {}
-            out = {}
-            for i in indices:
-                out[i] = run_trial(configs[i], fc, cache=local_cache)
-            cache.update(local_cache)
-            return out
-
-        by_index: dict[int, list[ObservabilityRecord]] = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_group, groups.values()):
-                by_index.update(chunk)
-        records = [r for i in range(len(configs)) for r in by_index[i]]
+    records: list[ObservabilityRecord] = []
+    for tc in configs:
+        records.extend(run_trial(tc, fc, cache=cache))
     if dump_dir is not None:
-        from pathlib import Path as _Path
-
-        base = _Path(dump_dir)
+        base = Path(dump_dir)
         base.mkdir(parents=True, exist_ok=True)
         for i, (_, _, sl) in enumerate(cache.values()):
             sl.dump(base / f"eigenpairs_{i:03d}")
@@ -517,11 +493,7 @@ def cacciopoli_check(
     S = (s > r1) & (s < r2)
     S_plus = (s > max(r1 - r, 0.0)) & (s < r2 + r)
     grad = np.stack(
-        [
-            (np.roll(psi, -1, axis=ax) - np.roll(psi, 1, axis=ax)) / (2.0 * dom.h)
-            for ax in range(dom.d)
-        ],
-        axis=-1,
+        [periodic_centered_diff(psi, ax, dom.h) for ax in range(dom.d)], axis=-1
     )
     energy = np.real(np.einsum("...i,...ij,...j->...", np.conj(grad), fld.A, grad))
     lhs = dom.cell_volume * float(energy[S].sum())
@@ -597,16 +569,22 @@ def dominating_site_report(
     }
 
 
-def write_records_jsonl(path, records: Sequence[ObservabilityRecord],
-                        config: Optional[dict] = None) -> None:
+def write_rows_jsonl(path, rows: Iterable[dict],
+                     config: Optional[dict] = None) -> None:
     """Header line carries the timestamp (and config echo); every other line
-    is one record, key-sorted for byte stability."""
+    is one row, key-sorted for byte stability."""
     with open(path, "w") as fh:
         header = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                   "config": config or {}}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def write_records_jsonl(path, records: Sequence[ObservabilityRecord],
+                        config: Optional[dict] = None) -> None:
+    """:func:`write_rows_jsonl` of the records' flat dictionaries."""
+    write_rows_jsonl(path, (rec.to_dict() for rec in records), config)
 
 
 def write_summary_csv(path, records: Sequence[ObservabilityRecord]) -> None:

@@ -220,16 +220,21 @@ def weight_profile(r, mu):
     return r * mp.exp(-integral)
 
 
+def ein(x):
+    """Ein(x) = euler_gamma + log(x) + E1(x); Ein(0) = 0."""
+    x = mp.mpf(x)
+    if x == 0:
+        return mp.mpf(0)
+    return mp.euler + mp.log(x) + mp.e1(x)
+
+
 def weight_profile_closed_form(r, mu):
     """Same profile via the exponential-integral identity (second route)."""
     r = mp.mpf(r)
     mu = mp.mpf(mu)
     if r == 0:
         return mp.mpf(0)
-    # Ein(x) = euler_gamma + log(x) + E1(x)
-    x = mu * r
-    ein = mp.euler + mp.log(x) + mp.e1(x)
-    return r * mp.exp(-ein)
+    return r * mp.exp(-ein(mu * r))
 
 
 def canonical_sampling_values():

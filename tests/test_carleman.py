@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from uclab.carleman import (
+    _EIN_CUT,
     CarlemanCheck,
     WeightFunction,
     annular_bump,
@@ -63,6 +64,24 @@ class TestProfile:
         got = phi(1.0, 1.0)
         ref = float(oracles.weight_profile(1.0, 1.0))
         assert abs(got - ref) < 1e-12
+
+    def test_ein_against_extended_precision(self):
+        assert ein(0.0) == 0.0 and isinstance(ein(0.5), float)
+        cut = _EIN_CUT
+        xs = np.concatenate([
+            np.logspace(-8.0, math.log10(60.0), 3000),
+            [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
+        ])
+        got = ein(xs)
+        assert got.shape == xs.shape
+        abs_err = rel_err = 0.0
+        for x, g in zip(xs, got):
+            ref = oracles.ein(x)
+            err = abs(oracles.mp.mpf(float(g)) - ref)
+            abs_err = max(abs_err, float(err))
+            rel_err = max(rel_err, float(err / ref))
+        assert abs_err <= 2e-15
+        assert rel_err <= 1e-15
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):

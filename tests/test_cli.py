@@ -207,3 +207,13 @@ class TestCarlemanFlags:
         rows = [json.loads(ln) for ln in body]
         assert all(r["rho"] == 1.0 and r["mu"] == 0.08 for r in rows)
         assert all(abs(r["alpha"] / r["alpha0"] - 1.2) < 1e-12 for r in rows)
+
+    def test_alpha_mult_one_pins_alpha_at_floor(self, tmp_path):
+        out = tmp_path / "out"
+        assert main([
+            "carleman-check", "--out", str(out), "--d", "1",
+            "--grid", "0.015625", "--alpha-mult", "1.0", "--trials", "3",
+        ]) == 0
+        body = (out / "records.jsonl").read_text().splitlines()[1:]
+        rows = [json.loads(ln) for ln in body]
+        assert len(rows) == 3 and all(r["alpha"] == r["alpha0"] for r in rows)

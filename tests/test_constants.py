@@ -102,6 +102,21 @@ class TestAdmissibility:
         )
 
 
+class TestFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name", [
+        *((ModelParams, f) for f in (
+            "d", "theta1", "theta2", "norm_V", "norm_b", "norm_c", "G",
+            "delta", "L", "R", "D0", "K_V", "beta",
+        )),
+        *((FreeConstants, f) for f in ("K1", "K2", "M", "Cprime")),
+    ])
+    def test_non_finite_rejected_naming_the_field(self, cls, name, bad):
+        required = {"d": 2} if cls is ModelParams else {}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            cls(**{**required, name: bad})
+
+
 class TestSideLength:
     def test_hand_values(self):
         assert side_length_T(1, 1.0) == 39

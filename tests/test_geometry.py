@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uclab.geometry import (
     CubeDomain,
+    _window_sums,
     classify_sites,
     feasible_window_side,
     generate_sequence,
@@ -177,6 +178,26 @@ class TestSites:
         ext = extend_dirichlet_reflection(psi, fld)
         for T in (2, 3, 5):
             assert tiling_identity_defect(ext.psi, T, L, h) < 1e-10
+
+    def test_window_sums_match_per_site_loop(self):
+        # per-window loop over the 2^d corners in the same order: bit-identical
+        rng = np.random.default_rng(3)
+        dens = rng.random((12, 12, 12))
+        starts = np.array([0, 3, 5, 7])
+        cells = 4
+        sat = dens
+        for ax in range(3):
+            sat = np.pad(np.cumsum(sat, axis=ax), [(1, 0) if a == ax else (0, 0)
+                                                  for a in range(3)])
+        ref = np.zeros((4,) * 3)
+        for idx in np.ndindex(*ref.shape):
+            acc = 0.0
+            for signs in np.ndindex(2, 2, 2):
+                corner = tuple(starts[i] + (cells if s == 0 else 0)
+                               for i, s in zip(idx, signs))
+                acc += (-1) ** sum(signs) * sat[corner]
+            ref[idx] = acc
+        assert np.array_equal(_window_sums(dens, cells, starts, 3), ref)
 
     def test_window_exceeding_extension_rejected(self):
         L, h = 3, 1 / 4

@@ -338,14 +338,32 @@ class TestDominatingSiteReport:
             assert site["window_mass"] >= site["unit_mass"] - 1e-12
 
 
-class TestWorkQueue:
-    def test_parallel_records_identical_to_serial(self):
+class TestSuiteDeterminism:
+    def test_records_and_eigenpair_dump_repeat(self, tmp_path):
+        # field keys first appear in an order that differs from sorted order
         cfgs = [
-            TrialConfig(d=1, bc=bc, L_over_G=3, norm_V=nv, delta_over_G=dg,
+            TrialConfig(d=1, bc=bc, L_over_G=3, norm_V=1.0, delta_over_G=dg,
                         seed=s, h_per_G=16)
-            for bc in ("dirichlet", "periodic") for nv in (0.0, 1.0)
-            for dg in (0.125, 0.25) for s in (0, 1)
+            for dg in (0.125, 0.25) for s in (1, 0)
+            for bc in ("periodic", "dirichlet")
         ]
-        serial = [r.to_dict() for r in verify_equidistribution(cfgs)]
-        parallel = [r.to_dict() for r in verify_equidistribution(cfgs, workers=4)]
-        assert serial == parallel
+        a, b = tmp_path / "a", tmp_path / "b"
+        recs_a = [r.to_dict() for r in verify_equidistribution(cfgs, dump_dir=a)]
+        recs_b = [r.to_dict() for r in verify_equidistribution(cfgs, dump_dir=b)]
+        assert recs_a == recs_b
+        firsts: dict = {}
+        for tc in cfgs:
+            firsts.setdefault(tc.field_key(), tc)
+        assert list(firsts) != sorted(firsts)
+        names = [f"eigenpairs_{i:03d}.{ext}"
+                 for i in range(len(firsts)) for ext in ("csv", "npy")]
+        assert sorted(p.name for p in a.iterdir()) == names
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for i, tc in enumerate(firsts.values()):
+            cache: dict = {}
+            run_trial(tc, cache=cache)
+            (_, _, sl), = cache.values()
+            dumped = np.load(a / f"eigenpairs_{i:03d}.npy")
+            assert np.array_equal(dumped, sl.eigenvectors)
