@@ -5,7 +5,9 @@ Conventions: the cube of side ``L`` is centered at the origin; grids are
 cell-centered with spacing ``h`` (``L/h`` an integer) and discrete norms are
 ``h^d * sum(|psi|^2)`` over cell centers.  One ball of radius ``delta`` sits
 in each cell of the ``G``-lattice, so a grid point can only be covered by the
-ball of its own lattice cell; the mask test is a single distance comparison.
+ball of its own lattice cell.  ``mask`` uses this: it evaluates the distance
+block by block, one block of ``G/h`` cells per axis for each ball, and never
+gathers a center per grid cell.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class CubeDomain:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
+        for name in ("L", "h"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         n = self.L / self.h
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ValueError("L/h must be an integer >= 2")
@@ -79,10 +85,9 @@ class CubeDomain:
         psi = np.asarray(psi)
         if psi.shape != self.shape:
             raise ValueError("grid function shape mismatch")
-        dens = np.abs(psi) ** 2
         if where is not None:
-            dens = dens[where]
-        return self.cell_volume * float(np.sum(dens))
+            psi = psi[where]
+        return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
 @dataclass(frozen=True)
@@ -171,21 +176,31 @@ def generate_sequence(
 
 
 def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
-    """Boolean grid marking cells whose center lies in some delta-ball."""
+    """Boolean grid marking cells whose center lies in some delta-ball.
+
+    The grid is viewed in blocks, shape ``(m, c) * d`` with ``m`` G-cells per
+    axis and ``c = G/h`` grid cells per G-cell, so block index ``j`` names the
+    owning ball.  The squared distance to that ball's center is accumulated
+    one axis at a time, in axis order, by broadcasting the 1-d coordinates
+    against the centers; that is the same sum, in the same order, as reducing
+    the full coordinate difference over its last axis.  A center at exactly
+    distance ``delta`` is outside (strict ``<``).
+    """
     if domain.d != seq.d or abs(domain.L - seq.L) > 1e-12:
         raise ValueError("sequence and domain are incompatible")
-    pts = domain.center_grid()
-    ratio = domain.L / seq.G
-    cells_per_G = round(seq.G / domain.h)
-    if abs(seq.G / domain.h - cells_per_G) > 1e-9:
+    m = seq.cells_per_axis
+    c = round(seq.G / domain.h)
+    if abs(seq.G / domain.h - c) > 1e-9 or m * c != domain.n:
         raise ValueError("grid spacing must divide G")
-    # index of the G-cell owning each grid cell
-    idx = np.minimum(
-        (np.arange(domain.n) // cells_per_G), seq.cells_per_axis - 1
-    )
-    own = seq.centers[np.ix_(*([idx] * domain.d))]
-    dist2 = np.sum((pts - own) ** 2, axis=-1)
-    return dist2 < seq.delta**2
+    d = domain.d
+    x = domain.centers_1d().reshape(m, c)
+    dist2 = 0.0
+    for k in range(d):
+        x_shape = [1] * (2 * d)
+        x_shape[2 * k:2 * k + 2] = (m, c)
+        diff = x.reshape(x_shape) - seq.centers[..., k].reshape([m, 1] * d)
+        dist2 = dist2 + diff**2
+    return (dist2 < seq.delta**2).reshape(domain.shape)
 
 
 @dataclass(frozen=True)

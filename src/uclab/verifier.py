@@ -149,6 +149,8 @@ def observability_ratio(
 ) -> float:
     """Mass fraction of psi captured by the union of delta-balls."""
     total = domain.norm_sq(psi)
+    if not math.isfinite(total):
+        raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
         raise ValueError("zero grid function has no observability ratio")
     return domain.norm_sq(psi, where=mask(seq, domain)) / total
@@ -380,6 +382,8 @@ def delta_sweep(
     """
     if len(deltas) < 4:
         raise ValueError("need at least 4 delta values")
+    if len(seq_seeds) == 0:
+        raise ValueError("need at least one sequence seed")
     ratios = []
     degenerate = False
     for delta in deltas:
@@ -388,7 +392,7 @@ def delta_sweep(
             seq = generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
             vals.append(observability_ratio(psi, seq, domain))
         r = float(np.mean(vals))
-        if r <= 0.0:
+        if not r > 0.0:  # zero, or NaN
             degenerate = True
         ratios.append(r)
     expo = c_sfuc_exponent(p, fc)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uclab.geometry import (
     CubeDomain,
+    EquidistributedSequence,
     _window_sums,
     classify_sites,
     feasible_window_side,
@@ -20,6 +21,15 @@ from uclab.geometry import (
 )
 
 E = math.e
+
+
+class TestCubeDomain:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["L", "h"])
+    def test_non_finite_rejected_naming_the_field(self, name, bad):
+        args = {"d": 2, "L": 3.0, "h": 0.1, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            CubeDomain(**args)
 
 
 class TestSequences:
@@ -55,6 +65,12 @@ class TestSequences:
         assert payload["G"] == 0.5 and len(payload["centers"]) == 9
 
 
+def gather_mask(seq, dom: CubeDomain) -> np.ndarray:
+    idx = np.arange(dom.n) // round(seq.G / dom.h)
+    own = seq.centers[np.ix_(*([idx] * dom.d))]
+    return np.sum((dom.center_grid() - own) ** 2, axis=-1) < seq.delta**2
+
+
 class TestMask:
     def test_1d_fraction_approaches_interval_covering(self):
         # delta -> G/2: the union of intervals covers everything in 1d
@@ -86,6 +102,39 @@ class TestMask:
             inside = ((pts - z) ** 2).sum(axis=-1) < s.delta**2
             covered += int(inside.sum())
         assert covered == int(m.sum())  # no double counting possible
+
+    @pytest.mark.parametrize("h_per_G", [16, 32])
+    @pytest.mark.parametrize("d, L_over_G", [(1, 5), (2, 5), (3, 3)])
+    def test_block_evaluation_matches_gather_reference(self, d, L_over_G, h_per_G):
+        # reference: the owning center gathered per grid cell, reduced over
+        # the coordinate axis; the block evaluation must agree bit for bit
+        G = 1.0
+        dom = CubeDomain(d, L_over_G * G, G / h_per_G, "periodic")
+        for frac in (1e-3, 0.125, 0.3, 0.499):
+            seqs = [generate_sequence(G, frac * G, dom.L, d, "centered")]
+            seqs += [generate_sequence(G, frac * G, dom.L, d, "uniform_random",
+                                       seed=sd) for sd in range(3)]
+            for s in seqs:
+                assert np.array_equal(mask(s, dom), gather_mask(s, dom))
+
+    def test_center_at_exactly_delta_is_excluded(self):
+        # ball centers shifted by h/2 from the lattice points, so the cell
+        # center at offset (6h/2, 8h/2) from its ball center lies at distance
+        # exactly 10h/2 = delta (all values dyadic, hence exact)
+        G, h = 1.0, 1 / 16
+        dom = CubeDomain(2, 3.0, h, "periodic")
+        base = generate_sequence(G, 0.3125, 3.0, 2, "centered")
+        s = EquidistributedSequence(G=G, delta=0.3125, L=3.0, d=2,
+                                    centers=base.centers + h / 2)
+        i, j = 24 + 3, 24 + 4  # cell centers 7h/2 and 9h/2 right of 0
+        x = dom.centers_1d()
+        assert (x[i] - h / 2) ** 2 + (x[j] - h / 2) ** 2 == s.delta**2
+        m = mask(s, dom)
+        assert not m[i, j]
+        assert np.array_equal(m, gather_mask(s, dom))
+        wider = EquidistributedSequence(G=G, delta=math.nextafter(0.3125, 1.0),
+                                        L=3.0, d=2, centers=s.centers)
+        assert mask(wider, dom)[i, j]
 
     def test_mask_fraction_counts_only_own_cell(self):
         dom = CubeDomain(1, 3.0, 1 / 64, "periodic")

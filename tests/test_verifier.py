@@ -48,6 +48,15 @@ class TestObservabilityRatio:
             errs.append(abs(r - target))
         assert errs[-1] < 0.01 and errs[-1] <= errs[0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_psi_rejected(self, bad):
+        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
+        seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
+        psi = np.ones(dom.shape)
+        psi[5] = bad
+        with pytest.raises(ValueError, match="^psi must be finite"):
+            observability_ratio(psi, seq, dom)
+
     def test_zero_function_rejected(self):
         dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
@@ -163,6 +172,31 @@ class TestDeltaSweep:
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         with pytest.raises(ValueError):
             delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3], p)
+
+    def test_empty_seed_list_rejected(self):
+        # the mean over no seeds is NaN, which must not pass as a fit
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+        with pytest.raises(ValueError, match="sequence seed"):
+            delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p,
+                        seq_seeds=())
+
+    def test_nan_function_rejected(self):
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+        with pytest.raises(ValueError, match="^psi must be finite"):
+            delta_sweep(np.full(dom.shape, np.nan), dom, 1.0,
+                        [0.1, 0.2, 0.3, 0.4], p)
+
+    def test_nan_ratio_flagged_degenerate(self, monkeypatch):
+        import uclab.verifier as verifier
+
+        monkeypatch.setattr(verifier, "observability_ratio",
+                            lambda psi, seq, dom: math.nan)
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+        res = delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
+        assert res.degenerate and math.isnan(res.r_squared)
 
     def test_degenerate_flagged(self):
         dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
