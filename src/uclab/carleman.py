@@ -37,6 +37,10 @@ __all__ = [
     "mu_one",
 ]
 
+# largest |u| / max|u| counted as zero by the support checks of
+# check_carleman_inequality
+SUPPORT_TOL = 1e-12
+
 # Taylor coefficients (-1)^(k+1) / (k k!) of Ein, used up to the cut
 _EIN_CUT = 1.0
 _EIN_SERIES = np.array(
@@ -392,7 +396,6 @@ def check_carleman_inequality(
     alpha: float,
     carleman_C: float,
     alpha0: Optional[float] = None,
-    support_tol: float = 1e-12,
 ) -> CarlemanCheck:
     """Compare both sides of the weighted inequality on a cube grid.
 
@@ -418,17 +421,17 @@ def check_carleman_inequality(
         return CarlemanCheck(-math.inf, -math.inf, 0.0, h, alpha)
     u = u / umax  # ratio is scale-invariant; normalize for conditioning
     outside = r >= rho
-    if np.any(np.abs(u[outside]) > support_tol):
+    if np.any(np.abs(u[outside]) > SUPPORT_TOL):
         raise ValueError("u must vanish outside the rho-ball")
     near0 = r <= 2.0 * h
-    if np.any(np.abs(u[near0]) > support_tol):
+    if np.any(np.abs(u[near0]) > SUPPORT_TOL):
         raise ValueError("u must vanish in a punctured neighborhood of the origin")
     edge = np.zeros_like(u, dtype=bool)
     for axd in range(d):
         sl = [slice(None)] * d
         sl[axd] = [0, 1, -2, -1]
         edge[tuple(sl)] = True
-    if np.any(np.abs(u[edge]) > support_tol):
+    if np.any(np.abs(u[edge]) > SUPPORT_TOL):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
     grad = np.stack([periodic_centered_diff(u, axd, h) for axd in range(d)], axis=-1)

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +44,6 @@ class ExperimentConfig:
     model: ModelParams
     free: FreeConstants
     h_per_G: int = 32
-    bc: str = "dirichlet"
     seeds: tuple[int, ...] = (0,)
     ds: tuple[int, ...] = (1,)
     norm_Vs: tuple[float, ...] = (0.0,)
@@ -64,18 +63,12 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for key, val in asdict(self.model).items():
-            out[f"model.{key}"] = val
-        for key, val in asdict(self.free).items():
-            out[f"free.{key}"] = val
-        for key in (
-            "h_per_G", "bc", "seeds", "ds", "norm_Vs", "L_over_Gs",
-            "deltas_over_G", "bcs", "energy", "rho", "mu", "alpha_mult",
-            "trials", "grids", "emit_plot_data", "allow_inadmissible",
-            "dump_eigenpairs", "field_file",
-        ):
-            val = getattr(self, key)
-            out[key] = list(val) if isinstance(val, tuple) else val
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name in ("model", "free"):
+                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()})
+            else:
+                out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
 
     def validate(self, require_admissible: bool = True) -> list[str]:
@@ -446,8 +439,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides: dict = {}
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if args.h is not None:
-        overrides["h_per_G"] = None  # resolved below once model.G is known
     if args.emit_plot_data:
         overrides["emit_plot_data"] = True
     if args.allow_inadmissible:

@@ -12,7 +12,10 @@ for arbitrary coefficients and structurally Hermitian for self-adjoint ones.
 Dirichlet boundaries eliminate ghost cells by odd reflection (the zero sits
 exactly on the face, keeping second-order eigenvalue accuracy); the drift
 term uses a zero ghost, which preserves the skew structure.  Periodic
-boundaries wrap indices.
+boundaries wrap indices.  One shift, ``_shifted_values``, serves both the
+coefficient values and the stencil columns: shifting the flat index grid
+gives each entry's column, and shifting a grid of ones with the ghost sign
+(-1 odd, 0 dropped) gives its sign.
 
 Extensions to the 3L cube follow the mirroring rules: everything periodic in
 the periodic case; in the Dirichlet case the solution reflects oddly, the
@@ -56,12 +59,10 @@ BC = Literal["dirichlet", "periodic"]
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse operator with its grid and coefficient provenance."""
+    """Sparse operator with its grid."""
 
     matrix: sp.csr_matrix
     domain: CubeDomain
-    field: CoefficientField
-    bc: BC
 
     @property
     def n_cells(self) -> int:
@@ -87,97 +88,60 @@ class DiscreteOperator:
                 fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")
 
 
-def _shift_columns(
-    mind: np.ndarray, axis: int, step: int, n: int, bc: BC, fold: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column multi-indices and signs for a one-cell shift.
-
-    ``fold`` picks what happens at a Dirichlet face: ``odd`` maps the ghost
-    onto its mirror cell with a sign flip, ``drop`` zeroes the entry.
-    """
-    out = mind.copy()
-    j = out[:, axis] + step
-    sign = np.ones(len(mind))
-    if bc == "periodic":
-        out[:, axis] = j % n
-        return out, sign
-    low = j < 0
-    high = j > n - 1
-    if fold == "odd":
-        jf = np.where(low, -1 - j, j)
-        jf = np.where(high, 2 * n - 1 - j, jf)
-        sign = np.where(low | high, -sign, sign)
-    elif fold == "drop":
-        jf = np.clip(j, 0, n - 1)
-        sign = np.where(low | high, 0.0, sign)
-    else:
-        raise ValueError(fold)
-    out[:, axis] = jf
-    return out, sign
-
-
 def _shifted_values(arr: np.ndarray, axis: int, step: int, bc: BC, fold_sign: float) -> np.ndarray:
-    """Values of ``arr`` at index + step along ``axis``; Dirichlet ghosts are
-    mirror values times ``fold_sign``."""
-    if bc == "periodic":
-        return np.roll(arr, -step, axis=axis)
+    """Values of ``arr`` at index + step (step = +-1) along ``axis``.
+
+    A Dirichlet ghost takes the value of its mirror cell, which is the face
+    cell itself, times ``fold_sign``.
+    """
     out = np.roll(arr, -step, axis=axis)
-    sl = [slice(None)] * arr.ndim
-    src = [slice(None)] * arr.ndim
-    if step > 0:
-        sl[axis] = slice(-step, None)
-        src[axis] = slice(-step, None)
-        mirror = np.flip(arr[tuple(src)], axis=axis)
-    else:
-        sl[axis] = slice(None, -step)
-        src[axis] = slice(None, -step)
-        mirror = np.flip(arr[tuple(src)], axis=axis)
-    out[tuple(sl)] = fold_sign * mirror
+    if bc == "dirichlet":
+        face = [slice(None)] * arr.ndim
+        face[axis] = -1 if step > 0 else 0
+        out[tuple(face)] = fold_sign * arr[tuple(face)]
     return out
 
 
-def assemble(field: CoefficientField, domain: Optional[CubeDomain] = None) -> DiscreteOperator:
+def assemble(field: CoefficientField) -> DiscreteOperator:
     """Sparse matrix of -div(A grad u) + b.grad u + (c + V) u on the grid."""
-    if domain is None:
-        domain = field.domain
-    if domain != field.domain:
-        raise ValueError("field and domain grids do not match")
+    domain = field.domain
     d, n, h = domain.d, domain.n, domain.h
     bc: BC = domain.bc
     shape = domain.shape
     N = n**d
     dtype = float if field.is_real() else complex
 
-    mind = np.stack(np.unravel_index(np.arange(N), shape), axis=-1)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     arange = np.arange(N)
+    flat = arange.reshape(shape)
+    ones = np.ones(shape)
 
-    def emit(offsets: list[tuple[int, int]], coeff: np.ndarray, fold: str):
-        """Add one stencil entry: ``offsets`` is a list of (axis, step)."""
-        col_mind = mind
-        sign = np.ones(N)
+    def emit(offsets: list[tuple[int, int]], coeff: np.ndarray, ghost_sign: float):
+        """Add one stencil entry: ``offsets`` is a list of (axis, step); a
+        Dirichlet ghost folds onto its mirror cell times ``ghost_sign``."""
+        col, sign = flat, ones
         for axis, step in offsets:
-            col_mind, s = _shift_columns(col_mind, axis, step, n, bc, fold)
-            sign = sign * s
-        keep = sign != 0.0
+            col = _shifted_values(col, axis, step, bc, 1)
+            sign = sign * _shifted_values(ones, axis, step, bc, ghost_sign)
+        keep = (sign != 0.0).reshape(-1)
         rows.append(arange[keep])
-        cols.append(np.ravel_multi_index(tuple(col_mind[keep].T), shape))
-        vals.append((coeff.reshape(-1) * sign)[keep].astype(dtype))
+        cols.append(col.reshape(-1)[keep])
+        vals.append((coeff * sign).reshape(-1)[keep].astype(dtype))
 
     diag = np.zeros(shape, dtype=dtype)
 
-    # flux form of the diagonal second-order part
+    # flux form of the diagonal second-order part (odd ghost)
     for ax in range(d):
         a = field.A[..., ax, ax]
         a_plus = 0.5 * (a + _shifted_values(a, ax, +1, bc, +1.0))
         a_minus = 0.5 * (a + _shifted_values(a, ax, -1, bc, +1.0))
         diag += ((a_plus + a_minus) / h**2).astype(dtype)
-        emit([(ax, +1)], -a_plus / h**2, fold="odd")
-        emit([(ax, -1)], -a_minus / h**2, fold="odd")
+        emit([(ax, +1)], -a_plus / h**2, -1.0)
+        emit([(ax, -1)], -a_minus / h**2, -1.0)
 
-    # mixed second-order terms
+    # mixed second-order terms (odd ghost)
     for i in range(d):
         for j in range(d):
             if i == j:
@@ -188,20 +152,16 @@ def assemble(field: CoefficientField, domain: Optional[CubeDomain] = None) -> Di
             for s1 in (+1, -1):
                 a_sh = _shifted_values(a, i, s1, bc, -1.0)
                 for s2 in (+1, -1):
-                    emit(
-                        [(i, s1), (j, s2)],
-                        -(s1 * s2) * a_sh / (4.0 * h**2),
-                        fold="odd",
-                    )
+                    emit([(i, s1), (j, s2)], -(s1 * s2) * a_sh / (4.0 * h**2), -1.0)
 
-    # skew-symmetrized drift
+    # skew-symmetrized drift (the ghost entry is dropped)
     if np.any(field.b):
         for ax in range(d):
             bcomp = field.b[..., ax]
             b_plus = bcomp + _shifted_values(bcomp, ax, +1, bc, +1.0)
             b_minus = bcomp + _shifted_values(bcomp, ax, -1, bc, +1.0)
-            emit([(ax, +1)], b_plus / (4.0 * h), fold="drop")
-            emit([(ax, -1)], -b_minus / (4.0 * h), fold="drop")
+            emit([(ax, +1)], b_plus / (4.0 * h), 0.0)
+            emit([(ax, -1)], -b_minus / (4.0 * h), 0.0)
         lower = field.c - 0.5 * divergence_centered(field.b, h, bc) + field.V
     else:
         lower = field.c + field.V
@@ -215,7 +175,7 @@ def assemble(field: CoefficientField, domain: Optional[CubeDomain] = None) -> Di
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsr()
-    return DiscreteOperator(matrix=H, domain=domain, field=field, bc=bc)
+    return DiscreteOperator(matrix=H, domain=domain)
 
 
 def apply_operator(

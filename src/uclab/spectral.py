@@ -20,6 +20,7 @@ from uclab.discretization import DiscreteOperator
 __all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
 
 DENSE_CUTOFF = 2048
+HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ def eigensolve(
     op: DiscreteOperator,
     window: Optional[tuple[float, float]] = None,
     count: Optional[int] = None,
-    hermiticity_tol: float = 1e-9,
     seed: int = 0,
 ) -> SpectrumSlice:
     """Eigenpairs of a Hermitian operator, by window or by count (lowest).
@@ -76,7 +76,7 @@ def eigensolve(
     H = op.matrix
     N = H.shape[0]
     scale = float(np.abs(H.data).max()) if H.nnz else 1.0
-    if op.hermiticity_defect() > hermiticity_tol * scale:
+    if op.hermiticity_defect() > HERMITICITY_TOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
 
     if N <= DENSE_CUTOFF:
@@ -101,8 +101,9 @@ def eigensolve(
             while True:
                 k_eff = min(k, N - 2)
                 vals, vecs = spla.eigsh(H, k=k_eff, sigma=center, which="LM", v0=v0)
-                covered = (vals.min() < lo and vals.max() > hi) or k_eff == N - 2
-                if covered:
+                # eigsh returns the k eigenvalues nearest the centre, so once
+                # one lies beyond the half-width every window member is here
+                if np.abs(vals - center).max() > 0.5 * (hi - lo) or k_eff == N - 2:
                     break
                 k *= 2
             keep = (vals >= lo) & (vals <= hi)
@@ -131,13 +132,18 @@ def projector_sample(
     coefficients: Optional[np.ndarray] = None,
     seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Normalized combination of slice members, on the grid."""
+    """Normalized combination of slice members, on the grid.
+
+    The coefficients are given or drawn from ``seed``; one of the two is
+    required, so every sample is reproducible.
+    """
     sl = spectrum_slice
     if len(sl) == 0:
         raise ValueError("empty spectral slice")
     if coefficients is None:
-        rng = np.random.default_rng(seed)
-        coefficients = rng.standard_normal(len(sl))
+        if seed is None:
+            raise ValueError("projector_sample needs coefficients or a seed")
+        coefficients = np.random.default_rng(seed).standard_normal(len(sl))
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(sl),):
         raise ValueError("one coefficient per slice member required")

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _SUITE_ENTROPY = 743829124
+EIGEN_COUNT = 6  # lowest eigenpairs solved per benchmark field
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,6 @@ def run_trial(
     tc: TrialConfig,
     fc: FreeConstants = FreeConstants(),
     cache: Optional[dict] = None,
-    eigen_count: int = 6,
 ) -> list[ObservabilityRecord]:
     """Inequality-path and projector-path records for one configuration."""
     key = tc.field_key()
@@ -230,7 +230,7 @@ def run_trial(
     else:
         fld = benchmark_field(tc)
         H = assemble(fld)
-        sl = eigensolve(H, count=eigen_count, seed=tc.seed)
+        sl = eigensolve(H, count=EIGEN_COUNT, seed=tc.seed)
         if cache is not None:
             cache[key] = (fld, H, sl)
     dom = fld.domain

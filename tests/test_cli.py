@@ -60,6 +60,12 @@ class TestExitCodes:
         path = write_cfg(tmp_path, {"model.delta": 0.9})
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_single_bc_key_is_unknown(self, tmp_path, capsys):
+        # runs read the boundary conditions from "bcs" only
+        path = write_cfg(tmp_path, {"bc": "periodic"})
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown configuration key 'bc'" in capsys.readouterr().err
+
     def test_inadmissible_constants_report_is_success(self, tmp_path):
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
         out = tmp_path / "out"
@@ -80,6 +86,7 @@ class TestCommands:
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["config"]["model.delta"] == 0.25
+        assert rep["config"]["bcs"] == ["dirichlet"] and "bc" not in rep["config"]
         assert rep["report"]["T"] == 39
         assert rep["report"]["epsilon"] == 1.0
 

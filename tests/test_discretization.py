@@ -1,9 +1,11 @@
 """Operator assembly and extension tests against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from uclab.discretization import (
     apply_operator,
@@ -16,6 +18,7 @@ from uclab.discretization import (
 from uclab.fields import (
     CoefficientField,
     constant_spd_field,
+    divergence_centered,
     estimate_ellipticity,
     synthesize_dir_cross_field,
     synthesize_random_field,
@@ -74,12 +77,6 @@ class TestAssembly:
         ref = np.sort((a1 * oned[:, None] + a2 * oned[None, :]).ravel())
         assert np.abs(ev - ref).max() < 1e-9
 
-    def test_shape_mismatch_rejected(self):
-        dom = CubeDomain(1, 3.0, 1 / 8)
-        other = CubeDomain(1, 3.0, 1 / 16)
-        with pytest.raises(ValueError):
-            assemble(laplacian_field(dom), other)
-
     def test_nonsymmetric_A_rejected_at_field_level(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
         A = np.broadcast_to(np.eye(2), dom.shape + (2, 2)).copy()
@@ -106,6 +103,141 @@ class TestAssembly:
         dom = CubeDomain(1, 3.0, 1 / 8)
         H = assemble(laplacian_field(dom))
         assert H.matrix.dtype == np.float64
+
+
+def _reference_shift_columns(mind, axis, step, n, bc, fold):
+    """Column multi-indices and signs of a one-cell shift: ``odd`` maps a
+    Dirichlet ghost onto its mirror cell with a sign flip, ``drop`` zeroes it."""
+    out = mind.copy()
+    j = out[:, axis] + step
+    sign = np.ones(len(mind))
+    if bc == "periodic":
+        out[:, axis] = j % n
+        return out, sign
+    low, high = j < 0, j > n - 1
+    if fold == "odd":
+        jf = np.where(high, 2 * n - 1 - j, np.where(low, -1 - j, j))
+        sign = np.where(low | high, -sign, sign)
+    else:
+        jf = np.clip(j, 0, n - 1)
+        sign = np.where(low | high, 0.0, sign)
+    out[:, axis] = jf
+    return out, sign
+
+
+def _reference_shifted_values(arr, axis, step, bc, fold_sign):
+    out = np.roll(arr, -step, axis=axis)
+    if bc == "dirichlet":
+        sl = [slice(None)] * arr.ndim
+        sl[axis] = slice(-step, None) if step > 0 else slice(None, -step)
+        out[tuple(sl)] = fold_sign * np.flip(arr[tuple(sl)], axis=axis)
+    return out
+
+
+def reference_assemble(field):
+    """Assembly through a multi-index column builder: an N x d index array,
+    a per-axis ghost fold and ``np.ravel_multi_index``."""
+    dom = field.domain
+    d, n, h, bc, shape = dom.d, dom.n, dom.h, dom.bc, dom.shape
+    N = n**d
+    dtype = float if field.is_real() else complex
+    mind = np.stack(np.unravel_index(np.arange(N), shape), axis=-1)
+    rows, cols, vals = [], [], []
+
+    def emit(offsets, coeff, fold):
+        col_mind, sign = mind, np.ones(N)
+        for axis, step in offsets:
+            col_mind, s = _reference_shift_columns(col_mind, axis, step, n, bc, fold)
+            sign = sign * s
+        keep = sign != 0.0
+        rows.append(np.arange(N)[keep])
+        cols.append(np.ravel_multi_index(tuple(col_mind[keep].T), shape))
+        vals.append((coeff.reshape(-1) * sign)[keep].astype(dtype))
+
+    diag = np.zeros(shape, dtype=dtype)
+    for ax in range(d):
+        a = field.A[..., ax, ax]
+        a_plus = 0.5 * (a + _reference_shifted_values(a, ax, +1, bc, +1.0))
+        a_minus = 0.5 * (a + _reference_shifted_values(a, ax, -1, bc, +1.0))
+        diag += ((a_plus + a_minus) / h**2).astype(dtype)
+        emit([(ax, +1)], -a_plus / h**2, "odd")
+        emit([(ax, -1)], -a_minus / h**2, "odd")
+    for i in range(d):
+        for j in range(d):
+            a = field.A[..., i, j]
+            if i == j or not np.any(a):
+                continue
+            for s1 in (+1, -1):
+                a_sh = _reference_shifted_values(a, i, s1, bc, -1.0)
+                for s2 in (+1, -1):
+                    emit([(i, s1), (j, s2)], -(s1 * s2) * a_sh / (4.0 * h**2), "odd")
+    if np.any(field.b):
+        for ax in range(d):
+            bcomp = field.b[..., ax]
+            emit([(ax, +1)], (bcomp + _reference_shifted_values(bcomp, ax, +1, bc, 1.0))
+                 / (4.0 * h), "drop")
+            emit([(ax, -1)], -(bcomp + _reference_shifted_values(bcomp, ax, -1, bc, 1.0))
+                 / (4.0 * h), "drop")
+        lower = field.c - 0.5 * divergence_centered(field.b, h, bc) + field.V
+    else:
+        lower = field.c + field.V
+    diag += (lower.real if dtype is float else lower).astype(dtype)
+    rows.append(np.arange(N))
+    cols.append(np.arange(N))
+    vals.append(diag.reshape(-1))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+    ).tocsr()
+
+
+def mixed_field(seed, dom, complex_drift=True):
+    """Variable rotated A (nonzero mixed entries on every face), drift, c, V."""
+    rng = np.random.default_rng(seed)
+    d = dom.d
+    A = constant_spd_field(seed, dom, 1.5) * (1.0 + 0.2 * rng.random(dom.shape))[..., None, None]
+    b = rng.standard_normal(dom.shape + (d,))
+    c = rng.standard_normal(dom.shape)
+    if complex_drift:
+        b = b + 1j * rng.standard_normal(dom.shape + (d,))
+        c = c + 1j * rng.standard_normal(dom.shape)
+    return CoefficientField(dom, A, b, c, rng.standard_normal(dom.shape), 2.0, 1.0)
+
+
+class TestAssemblyMatchesMultiIndexBuilder:
+    @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_csr_bytes_identical(self, d, h, bc):
+        dom = CubeDomain(d, 3.0, h, bc)
+        flds = [
+            mixed_field(d, dom),
+            mixed_field(d + 5, dom, complex_drift=False),
+            synthesize_random_field(5, dom, 1.3, 0.6, norm_V=0.5, norm_b=0.8,
+                                    norm_c=0.4, bc=bc, sa=True),
+            laplacian_field(dom),
+        ]
+        if d >= 2:
+            flds.append(synthesize_dir_cross_field(2, dom, 1.5, norm_V=0.3))
+        for fld in flds:
+            got, ref = assemble(fld).matrix, reference_assemble(fld)
+            assert got.data.dtype == ref.data.dtype
+            assert got.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+
+
+class TestMatrixFreeOperator:
+    @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
+    def test_apply_operator_matches_assembled_periodic(self, d, h):
+        dom = CubeDomain(d, 3.0, h, "periodic")
+        fld = mixed_field(11 + d, dom)
+        rng = np.random.default_rng(d)
+        # complex V too: c is complex, so the assembled diagonal keeps Im V
+        fld = dataclasses.replace(fld, V=fld.V + 1j * rng.standard_normal(dom.shape))
+        u = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
+        ref = assemble(fld).apply(u)
+        got = apply_operator(fld.A, fld.b, fld.c, fld.V, u, dom.h)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestPeriodicExtension:

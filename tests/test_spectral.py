@@ -95,6 +95,43 @@ class TestEigensolve:
             eigensolve(H, count=2, window=(0.0, 1.0))
 
 
+class TestWindowedLanczos:
+    """The shift-invert window path, forced on a small Dirichlet grid."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+        calls = []
+        eigsh = spectral.spla.eigsh
+
+        def counting_eigsh(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", counting_eigsh)
+        return calls
+
+    @staticmethod
+    def operator():
+        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+        return assemble(synthesize_random_field(4, dom, 1.3, 0.0, norm_V=0.5,
+                                                bc="dirichlet"))
+
+    def test_window_reaching_past_the_bottom_takes_one_call(self, counted):
+        H = self.operator()
+        dense = np.linalg.eigvalsh(H.matrix.toarray())
+        lo, hi = dense[0] - 1.0, 0.5 * (dense[3] + dense[4])
+        sl = eigensolve(H, window=(lo, hi))
+        assert counted == [8]
+        ref = dense[(dense >= lo) & (dense <= hi)]
+        assert len(sl) == len(ref) == 4
+        assert np.abs(sl.eigenvalues - ref).max() <= 1e-8
+
+    def test_empty_window_below_the_spectrum_takes_one_call(self, counted):
+        sl = eigensolve(self.operator(), window=(-3.0, -1.0))
+        assert counted == [8] and len(sl) == 0
+
+
 class TestProjectorSample:
     def test_single_member_residual_only(self):
         H = periodic_laplacian()
@@ -135,6 +172,11 @@ class TestProjectorSample:
             psi = projector_sample(win, seed=seed)
             r = np.linalg.norm(H.matrix @ psi.ravel() - E * psi.ravel())
             assert r <= gamma + 10 * win.residual_bound + 1e-10
+
+    def test_needs_coefficients_or_seed(self):
+        win = eigensolve(periodic_laplacian(), count=3)
+        with pytest.raises(ValueError, match="coefficients or a seed"):
+            projector_sample(win)
 
     def test_empty_slice_rejected(self):
         H = periodic_laplacian()
