@@ -17,6 +17,21 @@ coefficient values and the stencil columns: shifting the flat index grid
 gives each entry's column, and shifting a grid of ones with the ghost sign
 (-1 odd, 0 dropped) gives its sign.
 
+Spectral floor.  When A is positive semidefinite in every cell (checked by
+:class:`~uclab.fields.CoefficientField`), the second-order part P is PSD.
+With D the centered difference (odd ghost at Dirichlet faces, wrapped at
+periodic ones), the mixed terms (i != j) are exactly D_i^T a_ij D_j, so
+P = D^T A D + sum_i (F_i - D_i^T a_ii D_i), where F_i is the flux part along
+axis i.  The first term is a cellwise quadratic form in A.  Each bracket is
+>= 0: |u(+) - u(-)|^2 <= 2(|u(+) - u|^2 + |u - u(-)|^2), and a_{i+-1/2} is
+the face average of a_ii, so summing a_ii |D_i u|^2 over cells gives at most
+the flux form sum over faces of a_f |u' - u|^2 / h^2 (at a Dirichlet face the
+two agree, both giving 2 a_ii |u|^2 / h^2).  By Weyl's inequality the lowest
+eigenvalue of a Hermitian H is then at least that of H - P, which is the
+drift plus the diagonal Re(c + V - div(b)/2); its Gershgorin bound,
+min over cells of Re(c + V - div(b)/2) - sum_axes (|b_+| + |b_-|)/(4h), is
+``DiscreteOperator.spectral_floor``.
+
 Extensions to the 3L cube follow the mirroring rules: everything periodic in
 the periodic case; in the Dirichlet case the solution reflects oddly, the
 diagonal/parallel matrix entries evenly, mixed entries oddly, and the drift
@@ -59,10 +74,16 @@ BC = Literal["dirichlet", "periodic"]
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse operator with its grid."""
+    """Sparse operator with its grid and a lower bound on its spectrum.
+
+    ``spectral_floor`` is set by :func:`assemble`; it bounds the lowest
+    eigenvalue from below whenever the matrix is Hermitian (module
+    docstring).
+    """
 
     matrix: sp.csr_matrix
     domain: CubeDomain
+    spectral_floor: float
 
     @property
     def n_cells(self) -> int:
@@ -154,7 +175,9 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
                 for s2 in (+1, -1):
                     emit([(i, s1), (j, s2)], -(s1 * s2) * a_sh / (4.0 * h**2), -1.0)
 
-    # skew-symmetrized drift (the ghost entry is dropped)
+    # skew-symmetrized drift (the ghost entry is dropped); ``radius`` is the
+    # Gershgorin radius of the drift rows, an overestimate at Dirichlet faces
+    radius = 0.0
     if np.any(field.b):
         for ax in range(d):
             bcomp = field.b[..., ax]
@@ -162,10 +185,12 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
             b_minus = bcomp + _shifted_values(bcomp, ax, -1, bc, +1.0)
             emit([(ax, +1)], b_plus / (4.0 * h), 0.0)
             emit([(ax, -1)], -b_minus / (4.0 * h), 0.0)
+            radius = radius + (np.abs(b_plus) + np.abs(b_minus)) / (4.0 * h)
         lower = field.c - 0.5 * divergence_centered(field.b, h, bc) + field.V
     else:
         lower = field.c + field.V
     diag += (lower.real if dtype is float else lower).astype(dtype)
+    spectral_floor = float(np.min(np.real(lower) - radius))
 
     rows.append(arange)
     cols.append(arange)
@@ -175,7 +200,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsr()
-    return DiscreteOperator(matrix=H, domain=domain)
+    return DiscreteOperator(matrix=H, domain=domain, spectral_floor=spectral_floor)
 
 
 def apply_operator(

@@ -54,6 +54,15 @@ class CoefficientField:
             raise ValueError("c/V grid shape mismatch")
         if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), atol=0.0):
             raise ValueError("A must be exactly symmetric cellwise")
+        # assemble's spectral floor rests on a PSD second-order part
+        scale = float(np.abs(self.A).max())
+        lowest = np.linalg.eigvalsh(self.A)[..., 0]
+        bad = int(np.count_nonzero(lowest < -1e-12 * scale))
+        if bad:
+            raise ValueError(
+                f"A must be positive semidefinite in every cell; {bad} cells "
+                "have a negative eigenvalue"
+            )
 
     @property
     def norm_V(self) -> float:

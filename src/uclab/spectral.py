@@ -1,7 +1,12 @@
 """Eigensolves of the assembled operator and spectral-projector samples.
 
 Dense Hermitian decomposition at desk scale, ARPACK shift-invert for larger
-matrices (deterministic through a seeded start vector).  Slices collect the
+matrices (deterministic through a seeded start vector).  The lowest-count
+path shifts to ``spectral_floor - 1``, the lower bound on the spectrum that
+``discretization.assemble`` computes (Weyl's inequality with a positive
+semidefinite second-order part), so the shift sits just below the bottom of
+the spectrum and the ``count`` lowest eigenvalues are the ones nearest it.
+Windows shift to their centre.  Slices collect the
 eigenpairs inside an energy window; projector samples are normalized linear
 combinations of slice members, which obey the window bound
 ||(H - E) psi|| <= gamma ||psi|| up to solver residuals.
@@ -53,12 +58,6 @@ class SpectrumSlice:
         np.save(f"{prefix}.npy", self.eigenvectors)
 
 
-def _gershgorin_floor(matrix) -> float:
-    diag = matrix.diagonal()
-    absrow = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
-    return float((diag.real - (absrow - np.abs(diag))).min())
-
-
 def eigensolve(
     op: DiscreteOperator,
     window: Optional[tuple[float, float]] = None,
@@ -92,7 +91,7 @@ def eigensolve(
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(N)
         if count is not None:
-            sigma = _gershgorin_floor(H) - 1.0
+            sigma = op.spectral_floor - 1.0
             vals, vecs = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0)
         else:
             lo, hi = window

@@ -20,6 +20,7 @@ from uclab.fields import (
     constant_spd_field,
     divergence_centered,
     estimate_ellipticity,
+    make_self_adjoint,
     synthesize_dir_cross_field,
     synthesize_random_field,
 )
@@ -224,6 +225,50 @@ class TestAssemblyMatchesMultiIndexBuilder:
             assert got.data.tobytes() == ref.data.tobytes()
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.indptr, ref.indptr)
+
+
+def random_spd_field(seed, dom):
+    """Cellwise-random SPD A (no face condition), self-adjoint variable
+    drift and c from ``make_self_adjoint``, and a bounded potential."""
+    rng = np.random.default_rng(seed)
+    d = dom.d
+    G = rng.standard_normal(dom.shape + (d, d))
+    A = G @ np.swapaxes(G, -1, -2) + 0.05 * np.eye(d)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    b, c = make_self_adjoint(rng.standard_normal(dom.shape + (d,)),
+                             rng.standard_normal(dom.shape), dom.h, dom.bc)
+    return CoefficientField(dom, A, b, c, rng.uniform(-1.0, 1.0, dom.shape), 2.0, 1.0)
+
+
+class TestSpectralFloor:
+    """``spectral_floor`` bounds the lowest eigenvalue of the assembled
+    matrix from below (Weyl's inequality with a PSD second-order part)."""
+
+    @pytest.mark.parametrize("d,L,h", [(1, 3.0, 1 / 16), (2, 3.0, 1 / 8), (3, 2.0, 1 / 4)])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_floor_below_dense_lowest_eigenvalue(self, d, L, h, bc):
+        dom = CubeDomain(d, L, h, bc)
+        rng = np.random.default_rng(d)
+        flds = [
+            random_spd_field(10 + d, dom),
+            random_spd_field(20 + d, dom),
+            synthesize_random_field(5, dom, 1.3, 0.0, norm_V=0.5, norm_b=2.0,
+                                    norm_c=0.4, bc=bc, sa=True),
+            laplacian_field(dom, V=rng.uniform(-1.0, 1.0, dom.shape)),
+        ]
+        if d >= 2:
+            flds.append(synthesize_dir_cross_field(3, dom, 1.5, norm_V=0.7))
+        for fld in flds:
+            H = assemble(fld)
+            assert H.hermiticity_defect() <= 1e-13 * np.abs(H.matrix.data).max()
+            lam0 = np.linalg.eigvalsh(H.matrix.toarray())[0]
+            assert math.isfinite(H.spectral_floor)
+            assert H.spectral_floor <= lam0
+
+    def test_floor_is_the_potential_minimum_without_drift(self):
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        V = np.random.default_rng(0).uniform(-1.0, 1.0, dom.shape)
+        assert assemble(laplacian_field(dom, V=V)).spectral_floor == V.min()
 
 
 class TestMatrixFreeOperator:

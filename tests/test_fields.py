@@ -63,6 +63,31 @@ class TestEllipticity:
             estimate_ellipticity(A)
 
 
+class TestPositiveSemidefiniteA:
+    @staticmethod
+    def field(A):
+        dom = CubeDomain(2, 3.0, 1 / 4)
+        return CoefficientField(
+            dom, A, np.zeros(dom.shape + (2,)), np.zeros(dom.shape),
+            np.zeros(dom.shape), 1.0, 0.0,
+        )
+
+    def test_indefinite_cells_rejected_and_counted(self):
+        A = np.broadcast_to(np.eye(2), (12, 12, 2, 2)).copy()
+        A[0, 0] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3, -1
+        A[5, 7] = -np.eye(2)
+        A[11, 3] = np.diag([1.0, -1e-9])
+        with pytest.raises(ValueError, match="3 cells have a negative eigenvalue"):
+            self.field(A)
+
+    def test_semidefinite_and_roundoff_accepted(self):
+        A = np.broadcast_to(np.eye(2), (12, 12, 2, 2)).copy()
+        A[0, 0] = [[1.0, 1.0], [1.0, 1.0]]  # singular, eigenvalues 2, 0
+        A[1, 1] = 0.0
+        A[2, 2] = np.diag([1.0, -1e-13])  # below the roundoff threshold
+        self.field(A)
+
+
 class TestLipschitz:
     def test_constant_field_zero(self):
         dom = CubeDomain(2, 3.0, 1 / 8)

@@ -7,7 +7,7 @@ import pytest
 
 import uclab.spectral as spectral
 from uclab.discretization import assemble
-from uclab.fields import CoefficientField, synthesize_random_field
+from uclab.fields import CoefficientField, constant_spd_field, synthesize_random_field
 from uclab.geometry import CubeDomain
 from uclab.spectral import eigensolve, projector_sample
 
@@ -130,6 +130,38 @@ class TestWindowedLanczos:
     def test_empty_window_below_the_spectrum_takes_one_call(self, counted):
         sl = eigensolve(self.operator(), window=(-3.0, -1.0))
         assert counted == [8] and len(sl) == 0
+
+
+class TestCountPathShift:
+    """The lowest-count Lanczos path, forced on a small periodic grid."""
+
+    def test_shifts_below_the_floor_and_matches_dense_on_degenerate_spectrum(
+        self, monkeypatch
+    ):
+        # rotated constant A, norm_V = 0: the +-k Fourier modes pair up, so
+        # the spectrum above lambda_0 = 0 is degenerate
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        H = assemble(CoefficientField(
+            dom, constant_spd_field(3, dom, 2.0),
+            np.zeros(dom.shape + (2,)), np.zeros(dom.shape), np.zeros(dom.shape),
+            2.0, 0.0,
+        ))
+        dense = np.linalg.eigvalsh(H.matrix.toarray())
+        assert np.abs(np.diff(dense[1:7])).min() < 1e-9  # degenerate pairs present
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+        sigmas = []
+        eigsh = spectral.spla.eigsh
+
+        def spying_eigsh(*args, **kwargs):
+            sigmas.append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", spying_eigsh)
+        sl = eigensolve(H, count=6)
+        assert H.spectral_floor == 0.0
+        assert sigmas == [H.spectral_floor - 1.0]
+        assert np.abs(sl.eigenvalues - dense[:6]).max() <= 1e-8
+        assert sl.residual_bound <= 1e-8
 
 
 class TestProjectorSample:
