@@ -52,6 +52,10 @@ class CoefficientField:
             raise ValueError("b grid shape mismatch")
         if self.c.shape != shape or self.V.shape != shape:
             raise ValueError("c/V grid shape mismatch")
+        for name in ("A", "b", "c", "V"):
+            bad = int(np.count_nonzero(~np.isfinite(getattr(self, name))))
+            if bad:
+                raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
         if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), atol=0.0):
             raise ValueError("A must be exactly symmetric cellwise")
         # assemble's spectral floor rests on a PSD second-order part

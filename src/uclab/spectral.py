@@ -1,15 +1,21 @@
 """Eigensolves of the assembled operator and spectral-projector samples.
 
-Dense Hermitian decomposition at desk scale, ARPACK shift-invert for larger
-matrices (deterministic through a seeded start vector).  The lowest-count
-path shifts to ``spectral_floor - 1``, the lower bound on the spectrum that
-``discretization.assemble`` computes (Weyl's inequality with a positive
-semidefinite second-order part), so the shift sits just below the bottom of
-the spectrum and the ``count`` lowest eigenvalues are the ones nearest it.
-Windows shift to their centre.  Slices collect the
-eigenpairs inside an energy window; projector samples are normalized linear
-combinations of slice members, which obey the window bound
-||(H - E) psi|| <= gamma ||psi|| up to solver residuals.
+Dense Hermitian decomposition at desk scale, ARPACK shift-invert Lanczos for
+the ``count`` lowest eigenpairs of larger matrices (deterministic through a
+seeded start vector).  The shift is ``spectral_floor - 1``, below the lower
+bound on the spectrum that ``discretization.assemble`` computes (Weyl's
+inequality with a positive semidefinite second-order part), so the lowest
+eigenvalues are the ones nearest it.  Because the shift sits below the
+spectrum, M = H - sigma I is Hermitian positive definite: it needs no
+pivoting, and its sparsity pattern is symmetric, so SuperLU factorizes it
+once with the minimum-degree ordering of the pattern of M^T + M
+(``MMD_AT_PLUS_A``), about half the fill of the default column ordering
+(COLAMD), and the factorization is handed to Lanczos as the inverse
+operator.
+
+Slices are sorted eigenpairs; projector samples are normalized linear
+combinations of slice members within an energy window of half-width gamma
+about E, which obey ||(H - E) psi|| <= gamma ||psi|| up to solver residuals.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from uclab.discretization import DiscreteOperator
@@ -30,11 +37,10 @@ HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """Sorted eigenpairs with their window and solver residual bound."""
+    """Sorted eigenpairs with their solver residual bound."""
 
     eigenvalues: np.ndarray     # (k,)
     eigenvectors: np.ndarray    # (N, k), l2-orthonormal columns
-    window: Optional[tuple[float, float]]
     residual_bound: float
     shape: tuple[int, ...]
 
@@ -43,6 +49,16 @@ class SpectrumSlice:
 
     def grid_vector(self, i: int) -> np.ndarray:
         return self.eigenvectors[:, i].reshape(self.shape)
+
+    def select(self, idx) -> "SpectrumSlice":
+        """The members ``idx`` (indices or a boolean mask), same residual
+        bound."""
+        return SpectrumSlice(
+            eigenvalues=self.eigenvalues[idx],
+            eigenvectors=self.eigenvectors[:, idx],
+            residual_bound=self.residual_bound,
+            shape=self.shape,
+        )
 
     def orthonormality_defect(self) -> float:
         g = self.eigenvectors.conj().T @ self.eigenvectors
@@ -54,24 +70,18 @@ class SpectrumSlice:
         with open(f"{prefix}.csv", "w") as fh:
             fh.write("index,eigenvalue\n")
             for i, lam in enumerate(self.eigenvalues):
-                fh.write(f"{i},{lam!r}\n")
+                fh.write(f"{i},{float(lam)!r}\n")
         np.save(f"{prefix}.npy", self.eigenvectors)
 
 
-def eigensolve(
-    op: DiscreteOperator,
-    window: Optional[tuple[float, float]] = None,
-    count: Optional[int] = None,
-    seed: int = 0,
-) -> SpectrumSlice:
-    """Eigenpairs of a Hermitian operator, by window or by count (lowest).
+def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice:
+    """The ``count`` lowest eigenpairs of a Hermitian operator.
 
-    Dense path below DENSE_CUTOFF unknowns, shift-invert Lanczos above it.
-    An empty window is legal and yields an empty slice.  Deterministic for a
-    fixed matrix and seed.
+    Dense path below DENSE_CUTOFF unknowns, shift-invert Lanczos above it
+    (module docstring).  Deterministic for a fixed matrix and seed.
     """
-    if (window is None) == (count is None):
-        raise ValueError("specify exactly one of window or count")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     H = op.matrix
     N = H.shape[0]
     scale = float(np.abs(H.data).max()) if H.nnz else 1.0
@@ -79,48 +89,26 @@ def eigensolve(
         raise ValueError("operator is not Hermitian within tolerance")
 
     if N <= DENSE_CUTOFF:
-        dense = H.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        if count is not None:
-            idx = np.arange(min(count, N))
-        else:
-            lo, hi = window
-            idx = np.nonzero((vals >= lo) & (vals <= hi))[0]
-        vals, vecs = vals[idx], vecs[:, idx]
+        vals, vecs = np.linalg.eigh(H.toarray())
+        vals, vecs = vals[:count], vecs[:, :count]
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(N)
-        if count is not None:
-            sigma = op.spectral_floor - 1.0
-            vals, vecs = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0)
-        else:
-            lo, hi = window
-            center = 0.5 * (lo + hi)
-            k = 8
-            while True:
-                k_eff = min(k, N - 2)
-                vals, vecs = spla.eigsh(H, k=k_eff, sigma=center, which="LM", v0=v0)
-                # eigsh returns the k eigenvalues nearest the centre, so once
-                # one lies beyond the half-width every window member is here
-                if np.abs(vals - center).max() > 0.5 * (hi - lo) or k_eff == N - 2:
-                    break
-                k *= 2
-            keep = (vals >= lo) & (vals <= hi)
-            vals, vecs = vals[keep], vecs[:, keep]
+        sigma = op.spectral_floor - 1.0
+        shifted = (H - sigma * sp.identity(N, dtype=H.dtype, format="csr")).tocsc()
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        inverse = spla.LinearOperator((N, N), matvec=lu.solve, dtype=H.dtype)
+        v0 = np.random.default_rng(seed).standard_normal(N)
+        vals, vecs = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
+                                OPinv=inverse)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    if len(vals):
-        resid = H @ vecs - vecs * vals
-        residual_bound = float(
-            np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0))
-        )
-    else:
-        residual_bound = 0.0
+    resid = H @ vecs - vecs * vals
+    residual_bound = float(
+        np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0))
+    )
     return SpectrumSlice(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,
-        window=window,
         residual_bound=residual_bound,
         shape=op.domain.shape,
     )

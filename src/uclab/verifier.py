@@ -10,7 +10,10 @@ records carry both the float bound (usually 0.0) and its log.  The margin is
 ``ratio - bound`` on the mask mass alone; the residual term
 ``delta^2 G^2 ||zeta||^2`` is computed and reported separately so trials
 where it dominates the left-hand side are distinguishable from genuine mask
-mass.  Records are reproducible bit for bit from (config, seed).
+mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
+the eigenpairs in the trial's energy window, a number that does not depend
+on which orthonormal basis the solver returns inside a degenerate
+eigenspace.  Records are reproducible bit for bit from (config, seed).
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from uclab.constants import (
 from uclab.discretization import assemble, residual_inequality_check
 from uclab.fields import CoefficientField, constant_spd_field, periodic_centered_diff
 from uclab.geometry import CubeDomain, EquidistributedSequence, generate_sequence, mask
-from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
+from uclab.spectral import eigensolve, projector_sample
 
 __all__ = [
     "ObservabilityRecord",
     "TrialConfig",
     "dominating_site_report",
     "observability_ratio",
+    "worst_ratio",
     "benchmark_field",
     "run_trial",
     "benchmark_configs",
@@ -78,6 +82,7 @@ class ObservabilityRecord:
     eigen_index: int
     seed: int
     ratio: float
+    worst_ratio: float
     bound: float
     log_bound: float
     margin: float
@@ -146,15 +151,35 @@ class TrialConfig:
 
 
 def observability_ratio(
-    psi: np.ndarray, seq: EquidistributedSequence, domain: CubeDomain
+    psi: np.ndarray,
+    seq: EquidistributedSequence,
+    domain: CubeDomain,
+    ball_mask: Optional[np.ndarray] = None,
 ) -> float:
-    """Mass fraction of psi captured by the union of delta-balls."""
+    """Mass fraction of psi captured by the union of delta-balls.
+
+    ``ball_mask`` is ``mask(seq, domain)`` when the caller already has it.
+    """
     total = domain.norm_sq(psi)
     if not math.isfinite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
         raise ValueError("zero grid function has no observability ratio")
-    return domain.norm_sq(psi, where=mask(seq, domain)) / total
+    if ball_mask is None:
+        ball_mask = mask(seq, domain)
+    return domain.norm_sq(psi, where=ball_mask) / total
+
+
+def worst_ratio(vectors: np.ndarray, ball_mask: np.ndarray) -> float:
+    """Smallest mass fraction captured by the mask over the span of the
+    l2-orthonormal columns of ``vectors`` (flattened grid functions).
+
+    For psi = V c the fraction is c^* V^* diag(mask) V c / |c|^2, so the
+    minimum is the lowest eigenvalue of the k x k matrix V_S^* V_S, V_S the
+    rows of V inside the mask; it does not depend on the basis of the span.
+    """
+    inside = vectors[ball_mask.reshape(-1)]
+    return float(np.linalg.eigvalsh(inside.conj().T @ inside)[0])
 
 
 def benchmark_field(tc: TrialConfig) -> CoefficientField:
@@ -197,10 +222,12 @@ def _record(
     dom: CubeDomain,
     theta1: float,
     residual_violation: float,
+    window_vectors: np.ndarray,
     log_gamma: float = math.nan,
 ) -> ObservabilityRecord:
     total = dom.norm_sq(psi)
-    ratio = observability_ratio(psi, seq, dom)
+    ball_mask = mask(seq, dom)
+    ratio = observability_ratio(psi, seq, dom, ball_mask)
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     bound = math.exp(log_bound)
@@ -208,7 +235,9 @@ def _record(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
         h=tc.h, theta1=theta1, theta2=0.0, norm_V=norm_V_bound, energy=energy,
         eigen_index=eigen_index, seed=tc.seed,
-        ratio=float(ratio), bound=bound, log_bound=float(log_bound),
+        ratio=float(ratio),
+        worst_ratio=worst_ratio(window_vectors, ball_mask),
+        bound=bound, log_bound=float(log_bound),
         margin=float(ratio - bound),
         zeta_norm_sq=float(zeta_sq), zeta_term=float(zeta_term),
         zeta_dominates=bool(zeta_term > ratio),
@@ -244,48 +273,42 @@ def run_trial(
         tc.G, tc.delta, tc.L, tc.d, "uniform_random", seed=int(rng.integers(2**31))
     )
 
-    records = []
-
-    # inequality path: eigenfunction of H, compared against the potential
+    # the energy window about the drawn eigenvalue: slice members within
+    # the spectral half-width (its float form underflows, so the numerical
+    # degeneracy tolerance provides the working floor)
     idx = int(rng.integers(0, min(4, len(sl))))
-    lam = float(sl.eigenvalues[idx])
-    psi = sl.grid_vector(idx)
-    op_psi = H.apply(psi)
-    zeta = op_psi - fld.V * psi
-    viol = residual_inequality_check(psi, fld.V, np.abs(zeta), op_psi)
+    E = float(sl.eigenvalues[idx])
     p = ModelParams(
         d=tc.d, theta1=fld.declared_theta1, theta2=0.0, norm_V=tc.norm_V,
         G=tc.G, delta=tc.delta, L=tc.L,
     )
+    lg = log_gamma_window(p, fc, E)
+    atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
+    window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
+
+    records = []
+
+    # inequality path: eigenfunction of H, compared against the potential
+    psi = sl.grid_vector(idx)
+    op_psi = H.apply(psi)
+    zeta = op_psi - fld.V * psi
+    viol = residual_inequality_check(psi, fld.V, np.abs(zeta), op_psi)
     records.append(
-        _record(tc, fc, "inequality_pair", psi, zeta, lam, idx, tc.norm_V,
-                log_c_sfuc(p, fc), seq, dom, fld.declared_theta1, viol)
+        _record(tc, fc, "inequality_pair", psi, zeta, E, idx, tc.norm_V,
+                log_c_sfuc(p, fc), seq, dom, fld.declared_theta1, viol,
+                window.eigenvectors)
     )
 
-    # projector path: combination of slice members at E, window from the
-    # spectral half-width (its float form underflows, so the numerical
-    # degeneracy tolerance provides the working floor)
-    E = lam
-    lg = log_gamma_window(p, fc, E)
-    gamma = math.exp(lg)
-    atol = max(gamma, 1e-8 * (1.0 + abs(E)))
-    members = np.nonzero(np.abs(sl.eigenvalues - E) <= atol)[0]
-    coeff = rng.standard_normal(len(members))
-    sub = SpectrumSlice(
-        eigenvalues=sl.eigenvalues[members],
-        eigenvectors=sl.eigenvectors[:, members],
-        window=(E - atol, E + atol),
-        residual_bound=sl.residual_bound,
-        shape=sl.shape,
-    )
-    psi2 = projector_sample(sub, coefficients=coeff)
+    # projector path: random combination of the window members at E
+    coeff = rng.standard_normal(len(window))
+    psi2 = projector_sample(window, coefficients=coeff)
     op_psi2 = H.apply(psi2)
     zeta2 = op_psi2 - E * psi2
     viol2 = residual_inequality_check(psi2, E, np.abs(zeta2), op_psi2)
     log_bound2 = log_c_sfuc(p, fc, energy=E) - math.log(2.0)
     rec2 = _record(tc, fc, "projector_sample", psi2, zeta2, E, idx, tc.norm_V,
                    log_bound2, seq, dom, fld.declared_theta1, viol2,
-                   log_gamma=lg)
+                   window.eigenvectors, log_gamma=lg)
     records.append(rec2)
     return records
 

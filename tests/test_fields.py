@@ -88,6 +88,23 @@ class TestPositiveSemidefiniteA:
         self.field(A)
 
 
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["A", "b", "c", "V"])
+    def test_non_finite_rejected_naming_the_array(self, name, bad):
+        dom = CubeDomain(2, 3.0, 1 / 4, "periodic")
+        arrays = {
+            "A": np.broadcast_to(np.eye(2), dom.shape + (2, 2)).copy(),
+            "b": np.zeros(dom.shape + (2,), complex),
+            "c": np.zeros(dom.shape, complex),
+            "V": np.zeros(dom.shape),
+        }
+        arrays[name][(3, 5)] = bad  # one cell, every component of A and b
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite; {arrays[name][3, 5].size} entries"):
+            CoefficientField(dom, declared_theta1=1.0, declared_theta2=0.0, **arrays)
+
+
 class TestLipschitz:
     def test_constant_field_zero(self):
         dom = CubeDomain(2, 3.0, 1 / 8)

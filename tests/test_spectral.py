@@ -7,9 +7,14 @@ import pytest
 
 import uclab.spectral as spectral
 from uclab.discretization import assemble
-from uclab.fields import CoefficientField, constant_spd_field, synthesize_random_field
+from uclab.fields import (
+    CoefficientField,
+    constant_spd_field,
+    make_self_adjoint,
+    synthesize_random_field,
+)
 from uclab.geometry import CubeDomain
-from uclab.spectral import eigensolve, projector_sample
+from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
 
 
 def periodic_laplacian(L=3.0, h=1 / 32, V=None):
@@ -46,23 +51,6 @@ class TestEigensolve:
         assert sl.orthonormality_defect() <= 1e-8
         assert sl.residual_bound <= 1e-8
 
-    def test_empty_window_is_legal(self):
-        H = periodic_laplacian()
-        sl = eigensolve(H, window=(-3.0, -1.0))
-        assert len(sl) == 0
-
-    def test_window_stable_under_tiny_perturbation(self):
-        H = periodic_laplacian()
-        full = eigensolve(H, count=10)
-        vals = full.eigenvalues
-        gaps = [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] > 1e-3]
-        lo = 0.5 * (vals[gaps[0] - 1] + vals[gaps[0]])  # midpoints of real gaps
-        hi = 0.5 * (vals[gaps[1] - 1] + vals[gaps[1]])
-        n0 = len(eigensolve(H, window=(lo, hi)))
-        n1 = len(eigensolve(H, window=(lo - 1e-10, hi + 1e-10)))
-        n2 = len(eigensolve(H, window=(lo + 1e-10, hi - 1e-10)))
-        assert n0 == n1 == n2 > 0
-
     def test_sparse_path_matches_dense(self):
         dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
         fld = synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0, bc="dirichlet")
@@ -87,56 +75,29 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             eigensolve(H, count=3)
 
-    def test_requires_exactly_one_selector(self):
-        H = periodic_laplacian()
-        with pytest.raises(ValueError):
-            eigensolve(H)
-        with pytest.raises(ValueError):
-            eigensolve(H, count=2, window=(0.0, 1.0))
-
-
-class TestWindowedLanczos:
-    """The shift-invert window path, forced on a small Dirichlet grid."""
+class TestCountPathShift:
+    """The lowest-count Lanczos path, forced on small grids."""
 
     @pytest.fixture
-    def counted(self, monkeypatch):
+    def spies(self, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-        calls = []
-        eigsh = spectral.spla.eigsh
+        calls = {"splu": [], "eigsh": []}
+        splu, eigsh = spectral.spla.splu, spectral.spla.eigsh
 
-        def counting_eigsh(*args, **kwargs):
-            calls.append(kwargs["k"])
+        def spying_splu(*args, **kwargs):
+            calls["splu"].append((args, kwargs))
+            return splu(*args, **kwargs)
+
+        def spying_eigsh(*args, **kwargs):
+            calls["eigsh"].append((args, kwargs))
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.spla, "eigsh", counting_eigsh)
+        monkeypatch.setattr(spectral.spla, "splu", spying_splu)
+        monkeypatch.setattr(spectral.spla, "eigsh", spying_eigsh)
         return calls
 
-    @staticmethod
-    def operator():
-        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
-        return assemble(synthesize_random_field(4, dom, 1.3, 0.0, norm_V=0.5,
-                                                bc="dirichlet"))
-
-    def test_window_reaching_past_the_bottom_takes_one_call(self, counted):
-        H = self.operator()
-        dense = np.linalg.eigvalsh(H.matrix.toarray())
-        lo, hi = dense[0] - 1.0, 0.5 * (dense[3] + dense[4])
-        sl = eigensolve(H, window=(lo, hi))
-        assert counted == [8]
-        ref = dense[(dense >= lo) & (dense <= hi)]
-        assert len(sl) == len(ref) == 4
-        assert np.abs(sl.eigenvalues - ref).max() <= 1e-8
-
-    def test_empty_window_below_the_spectrum_takes_one_call(self, counted):
-        sl = eigensolve(self.operator(), window=(-3.0, -1.0))
-        assert counted == [8] and len(sl) == 0
-
-
-class TestCountPathShift:
-    """The lowest-count Lanczos path, forced on a small periodic grid."""
-
     def test_shifts_below_the_floor_and_matches_dense_on_degenerate_spectrum(
-        self, monkeypatch
+        self, spies
     ):
         # rotated constant A, norm_V = 0: the +-k Fourier modes pair up, so
         # the spectrum above lambda_0 = 0 is degenerate
@@ -148,20 +109,53 @@ class TestCountPathShift:
         ))
         dense = np.linalg.eigvalsh(H.matrix.toarray())
         assert np.abs(np.diff(dense[1:7])).min() < 1e-9  # degenerate pairs present
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-        sigmas = []
-        eigsh = spectral.spla.eigsh
-
-        def spying_eigsh(*args, **kwargs):
-            sigmas.append(kwargs["sigma"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", spying_eigsh)
         sl = eigensolve(H, count=6)
         assert H.spectral_floor == 0.0
-        assert sigmas == [H.spectral_floor - 1.0]
+        sigma = H.spectral_floor - 1.0
+
+        # one factorization of H - sigma I, symmetric ordering, CSC
+        [(args, kwargs)] = spies["splu"]
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+        shifted = args[0]
+        assert shifted.format == "csc" and shifted.dtype == H.matrix.dtype
+        ref = H.matrix.toarray() - sigma * np.eye(H.n_cells)
+        assert np.array_equal(shifted.toarray(), ref)
+
+        # one Lanczos run at that shift, on that factorization
+        [(args, kwargs)] = spies["eigsh"]
+        assert kwargs["sigma"] == sigma
+        assert kwargs["OPinv"] is not None
+
         assert np.abs(sl.eigenvalues - dense[:6]).max() <= 1e-8
         assert sl.residual_bound <= 1e-8
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_complex_hermitian_matches_dense(self, spies, bc):
+        # self-adjoint complex drift: H is complex Hermitian, so H - sigma I
+        # is built and factorized in complex arithmetic
+        dom = CubeDomain(2, 3.0, 1 / 8, bc)
+        rng = np.random.default_rng(17)
+        A = np.zeros(dom.shape + (2, 2))
+        A[..., 0, 0] = rng.uniform(0.8, 1.4, dom.shape)
+        A[..., 1, 1] = rng.uniform(0.8, 1.4, dom.shape)
+        b, c = make_self_adjoint(rng.uniform(-1.0, 1.0, dom.shape + (2,)),
+                                 rng.uniform(-0.5, 0.5, dom.shape), dom.h, bc)
+        H = assemble(CoefficientField(dom, A, b, c, rng.uniform(-1.0, 1.0, dom.shape),
+                                      1.4, 0.0))
+        assert np.iscomplexobj(H.matrix) and np.abs(H.matrix.data.imag).max() > 0.1
+        dense = np.linalg.eigvalsh(H.matrix.toarray())
+        sl = eigensolve(H, count=5)
+        [(args, _)] = spies["splu"]
+        assert args[0].dtype == H.matrix.dtype
+        assert len(spies["eigsh"]) == 1
+        assert np.abs(sl.eigenvalues - dense[:5]).max() <= 1e-8
+        assert sl.residual_bound <= 1e-8
+        assert sl.orthonormality_defect() <= 1e-8
+
+
+def window(sl, lo, hi):
+    """The members of a count slice inside [lo, hi], as run_trial cuts them."""
+    return sl.select((sl.eigenvalues >= lo) & (sl.eigenvalues <= hi))
 
 
 class TestProjectorSample:
@@ -169,7 +163,7 @@ class TestProjectorSample:
         H = periodic_laplacian()
         sl = eigensolve(H, count=3)
         E = float(sl.eigenvalues[1])
-        win = eigensolve(H, window=(E - 1e-9, E + 1e-9))
+        win = window(sl, E - 1e-9, E + 1e-9)
         psi = projector_sample(win, coefficients=np.ones(len(win)))
         r = np.linalg.norm(H.matrix @ psi.ravel() - E * psi.ravel())
         assert r <= 10 * win.residual_bound + 1e-12
@@ -185,7 +179,7 @@ class TestProjectorSample:
         lam0, lam1 = vals[i - 1], vals[i]
         E = 0.5 * (lam0 + lam1)
         gamma = 0.5 * (lam1 - lam0)
-        win = eigensolve(H, window=(lam0 - 1e-9, lam1 + 1e-9))
+        win = window(full, lam0 - 1e-9, lam1 + 1e-9)
         coeff = np.zeros(len(win))
         coeff[np.argmin(np.abs(win.eigenvalues - lam0))] = 1.0
         coeff[np.argmin(np.abs(win.eigenvalues - lam1))] = 1.0
@@ -199,7 +193,8 @@ class TestProjectorSample:
         lo, hi = full.eigenvalues[0], full.eigenvalues[5]
         E = 0.5 * (lo + hi)
         gamma = 0.5 * (hi - lo)
-        win = eigensolve(H, window=(lo - 1e-9, hi + 1e-9))
+        win = window(full, lo - 1e-9, hi + 1e-9)
+        assert len(win) == 7  # the window closes over the pair at hi
         for seed in range(20):
             psi = projector_sample(win, seed=seed)
             r = np.linalg.norm(H.matrix @ psi.ravel() - E * psi.ravel())
@@ -212,8 +207,9 @@ class TestProjectorSample:
 
     def test_empty_slice_rejected(self):
         H = periodic_laplacian()
-        empty = eigensolve(H, window=(-2.0, -1.0))
-        with pytest.raises(ValueError):
+        empty = SpectrumSlice(np.empty(0), np.empty((H.n_cells, 0)), 0.0,
+                              H.domain.shape)
+        with pytest.raises(ValueError, match="empty spectral slice"):
             projector_sample(empty, seed=0)
 
 
@@ -224,5 +220,6 @@ class TestDump:
         rows = (tmp_path / "eig.csv").read_text().splitlines()
         assert rows[0] == "index,eigenvalue"
         assert len(rows) == 5
+        assert [float(r.split(",")[1]) for r in rows[1:]] == sl.eigenvalues.tolist()
         vecs = np.load(tmp_path / "eig.npy")
         assert vecs.shape == sl.eigenvectors.shape

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import uclab.verifier as verifier
 from uclab.constants import FreeConstants, ModelParams, log_c_sfuc
 from uclab.fields import CoefficientField
 from uclab.geometry import CubeDomain, generate_sequence, mask
+from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
     ObservabilityRecord,
     TrialConfig,
@@ -18,6 +21,7 @@ from uclab.verifier import (
     run_trial,
     scaling_identity,
     verify_equidistribution,
+    worst_ratio,
     write_records_jsonl,
     write_summary_csv,
 )
@@ -62,6 +66,57 @@ class TestObservabilityRatio:
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         with pytest.raises(ValueError):
             observability_ratio(np.zeros(dom.shape), seq, dom)
+
+
+class TestWorstRatio:
+    @staticmethod
+    def span_and_mask(k, seed=0, N=300):
+        rng = np.random.default_rng(seed)
+        V, _ = np.linalg.qr(rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k)))
+        return V, rng.random(N) < 0.3
+
+    @staticmethod
+    def fraction(psi, inside):
+        return float((np.abs(psi[inside]) ** 2).sum() / (np.abs(psi) ** 2).sum())
+
+    def test_basis_independent_minimum_over_the_span(self):
+        V, inside = self.span_and_mask(3)
+        w = worst_ratio(V, inside)
+        rng = np.random.default_rng(1)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        assert abs(worst_ratio(V @ Q, inside) - w) <= 1e-13
+        coeffs = rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
+        assert min(self.fraction(V @ c, inside) for c in coeffs) >= w - 1e-13
+        Vin = V[inside]
+        _, vecs = np.linalg.eigh(Vin.conj().T @ Vin)
+        assert abs(self.fraction(V @ vecs[:, 0], inside) - w) <= 1e-13  # attained
+
+    def test_single_member_is_its_ratio(self):
+        V, inside = self.span_and_mask(1)
+        assert abs(worst_ratio(V, inside) - self.fraction(V[:, 0], inside)) <= 1e-15
+
+    def test_degenerate_records_agree_with_default_ordering_reference(self, monkeypatch):
+        # d=2 periodic, norm_V = 0: constant A without potential, degenerate
+        # +-k eigenspaces, in which each solver returns its own basis
+        cfgs = [TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=0.0,
+                            delta_over_G=dg, seed=s)
+                for s in (0, 1) for dg in (0.125, 0.25)]
+        new = verify_equidistribution(cfgs)
+
+        def default_ordering(op, count, seed=0):
+            H = op.matrix
+            v0 = np.random.default_rng(seed).standard_normal(H.shape[0])
+            vals, vecs = spla.eigsh(H, k=count, sigma=op.spectral_floor - 1.0,
+                                    which="LM", v0=v0)
+            order = np.argsort(vals)
+            return SpectrumSlice(vals[order], vecs[:, order], 0.0, op.domain.shape)
+
+        monkeypatch.setattr(verifier, "eigensolve", default_ordering)
+        ref = verify_equidistribution(cfgs)
+        assert len(new) == len(ref) == 8
+        for a, b in zip(new, ref):
+            assert abs(a.energy - b.energy) <= 1e-9
+            assert abs(a.worst_ratio - b.worst_ratio) <= 1e-9
 
 
 class TestTrials:
@@ -132,6 +187,8 @@ class TestTrials:
         assert len(recs) == 2 * len(cfgs)
         assert all(r.margin > 0.0 for r in recs)
         assert all(r.residual_violation <= 1e-10 for r in recs)
+        # both solutions lie in the window's span, so neither beats its minimum
+        assert all(0.0 < r.worst_ratio <= r.ratio + 1e-12 for r in recs)
 
 
 class TestDeltaSweep:
