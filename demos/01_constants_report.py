@@ -4,8 +4,8 @@ The chain starts from the admissibility margin (how far the product of
 lattice scale and Lipschitz constant stays below its critical threshold) and
 ends at two headline quantities: the local mass-fraction constant and the
 scale-free sampling constant.  Both are so small that only their logarithms
-are representable; the report carries the float forms (which underflow to
-zero) alongside the logs.
+are representable (the float forms would underflow to zero), so the report
+carries the logs alone.
 
 Run:  python demos/01_constants_report.py
 """
@@ -30,13 +30,14 @@ print(f"admissible exponent floor alpha0   = {rep.carleman_alpha0:.6e}")
 print(f"exponent budget alpha*             = {rep.alpha_star:.6e}")
 print(f"log local constant  (ln C_qUC)     = {rep.log_c_quc:.6e}")
 print(f"log sampling constant (ln C_sfUC)  = {rep.log_c_sfuc:.6e}")
-print(f"float forms underflow: c_quc = {rep.c_quc}, c_sfuc = {rep.c_sfuc}")
 
 print()
-print("How small is the sampling constant?  Its base-10 exponent is")
+print("How small are the constants?  Their base-10 exponents are")
+print(f"  log10 C_qUC  = {rep.log_c_quc / math.log(10.0):.4e}")
 print(f"  log10 C_sfUC = {rep.log_c_sfuc / math.log(10.0):.4e}")
-print("so the bound is astronomically conservative; the laboratory verifies")
-print("consistency (measured mass fractions always clear it), not sharpness.")
+print("far below the smallest double (about 1e-308).  The bound is")
+print("astronomically conservative; the laboratory verifies consistency")
+print("(measured mass fractions always clear it), not sharpness.")
 
 print()
 print("=" * 70)

@@ -20,8 +20,8 @@ tc = TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
 for rec in run_trial(tc):
     print(f"kind={rec.psi_kind:<17} energy={rec.energy:+.4f} "
           f"ratio={rec.ratio:.4f}")
-    print(f"    log bound = {rec.log_bound:.4e}  margin = {rec.margin:.4f} "
-          f"(positive = bound cleared)")
+    print(f"    log bound = {rec.log_bound:.4e}  margin = {rec.margin:.4e} "
+          f"(log headroom; positive = bound cleared)")
     print(f"    residual term delta^2 G^2 |zeta|^2 = {rec.zeta_term:.3e} "
           f"(dominates: {rec.zeta_dominates})")
 
@@ -45,4 +45,4 @@ tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
 out = L_independence(tc, (3, 5, 7))
 print(f"log bound per L in (3,5,7): {[f'{b:.6e}' for b in out['log_bounds']]}")
 print(f"spread = {out['bound_spread']} (identical), "
-      f"min measured margin = {out['min_margin']:.4f}")
+      f"min measured margin = {out['min_margin']:.4e}")

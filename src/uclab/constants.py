@@ -7,13 +7,13 @@ mass-fraction constant ``C_qUC`` with its exponent budget ``alpha_star``, the
 scale-free sampling constant ``C_sfUC`` and the spectral half-width ``gamma``.
 
 The tiny constants underflow double precision for realistic parameters (their
-natural logs reach -1e9), so each one is computed in log-space and reported
-both ways.  Dimension-dependent prefactors the theory leaves abstract are
+natural logs reach -1e9), so each one is computed and reported only as its
+natural log.  Dimension-dependent prefactors the theory leaves abstract are
 exposed in :class:`FreeConstants`; all claims are relative to a choice of
 those.
 
-``c_sfuc``/``gamma_window`` are written so that the length scale ``G`` enters
-only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
+``log_c_sfuc``/``log_gamma_window`` are written so that the length scale ``G``
+enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 ``G^2*norm_V`` and the ratio ``delta/G``.  Rescaling to unit cell size with
 :func:`scale_parameters` therefore reproduces them bit for bit.
 """
@@ -36,21 +36,17 @@ __all__ = [
     "cacciopoli_prefactor",
     "alpha_star",
     "log_c_quc",
-    "c_quc",
     "log_c_quc_lower_bound",
-    "c_quc_lower_bound",
     "log_c_sfuc",
-    "c_sfuc",
     "c_sfuc_exponent",
     "log_gamma_window",
-    "gamma_window",
     "scale_parameters",
     "sampling_report",
 ]
 
 EULER = math.e
 
-EpsilonContext = Literal["qUC", "sampling_unit", "sampling_G"]
+EpsilonContext = Literal["qUC", "sampling_G"]
 
 
 def _require_finite(obj) -> None:
@@ -148,8 +144,6 @@ def admissibility_epsilon(p: ModelParams, context: EpsilonContext) -> float:
         if p.R is None:
             raise ValueError("qUC context needs the annulus radius R")
         return _margin(p.d, p.R, p.theta1, p.theta2)
-    if context == "sampling_unit":
-        return _margin(p.d, math.sqrt(p.d) + 2.0, p.theta1, p.theta2)
     if context == "sampling_G":
         # G enters only via the product G*theta2 (scaling canonical form).
         return _margin(p.d, math.sqrt(p.d) + 2.0, p.theta1, p.G * p.theta2)
@@ -244,7 +238,6 @@ def alpha_star(
     carleman_C: float,
     alpha0: float,
     mu: float,
-    mu1: float,
     rho: float,
 ) -> tuple[float, float, float]:
     """Exponent budget: returns (alpha1, alpha3, alpha_star).
@@ -282,7 +275,6 @@ def alpha_star(
 def log_c_quc(
     p: ModelParams,
     fc: FreeConstants,
-    mu: float,
     mu1: float,
     rho: float,
     carleman_C: float,
@@ -309,19 +301,6 @@ def log_c_quc(
         - math.log(denom)
     )
     return log_t1 + 2.0 * a_star * math.log(p.delta / (4.0 * mu1 * p.theta1 * p.R))
-
-
-def c_quc(
-    p: ModelParams,
-    fc: FreeConstants,
-    mu: float,
-    mu1: float,
-    rho: float,
-    carleman_C: float,
-    a_star: float,
-) -> float:
-    """Value of the local constant; underflows to 0.0 when the log is < -745."""
-    return math.exp(log_c_quc(p, fc, mu, mu1, rho, carleman_C, a_star))
 
 
 def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
@@ -356,10 +335,6 @@ def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
         + math.log(p.beta)
     )
     return log_C1 + expo * math.log(p.delta / (C2 * p.R))
-
-
-def c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
-    return math.exp(log_c_quc_lower_bound(p, fc))
 
 
 def _sfuc_pieces(p: ModelParams, fc: FreeConstants) -> tuple[float, float, float, float]:
@@ -410,10 +385,6 @@ def log_c_sfuc(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None
     return log_D1 + expo * math.log((p.delta / p.G) / D2)
 
 
-def c_sfuc(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None) -> float:
-    return math.exp(log_c_sfuc(p, fc, energy))
-
-
 def log_gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
     """Natural log of the admissible spectral half-width around ``energy``."""
     if not 0.0 < p.delta < p.G / 2.0:
@@ -426,16 +397,12 @@ def log_gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
     return 0.5 * log_gamma_sq
 
 
-def gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
-    return math.exp(log_gamma_window(p, fc, energy))
-
-
 def scale_parameters(p: ModelParams) -> ModelParams:
     """Rescale to unit cell size; identity when G == 1.
 
     Lengths divide by G, the Lipschitz constant and lower-order norms pick up
     the matching powers of G.  The arithmetic matches the canonical forms in
-    :func:`c_sfuc`, so the sampling constant is reproduced bit for bit.
+    :func:`log_c_sfuc`, so the sampling constant is reproduced bit for bit.
     """
     return replace(
         p,
@@ -454,8 +421,8 @@ def scale_parameters(p: ModelParams) -> ModelParams:
 
 @dataclass(frozen=True)
 class UcConstantReport:
-    """Every intermediate constant of one evaluation, plus log-space values
-    for the ones that underflow doubles."""
+    """Every intermediate constant of one evaluation; the ones that underflow
+    doubles appear only as natural logs (``log_*``)."""
 
     epsilon: float
     T: int
@@ -470,10 +437,6 @@ class UcConstantReport:
     alpha_star: float = math.nan
     cac_delta_half: float = math.nan
     cac_D0_half: float = math.nan
-    c_quc: float = math.nan
-    c_quc_lower: float = math.nan
-    c_sfuc: float = math.nan
-    gamma: float = math.nan
     log_c_quc: float = math.nan
     log_c_quc_lower: float = math.nan
     log_c_sfuc: float = math.nan
@@ -521,11 +484,7 @@ def sampling_report(
     ps = scale_parameters(p).with_sampling_geometry()
     mu, mu1, rho = carleman_mu_rho(ps, eps2)
     C, alpha0 = carleman_constants(ps, rho, mu, mu1)
-    a1, a3, a_star = alpha_star(ps, fc, C, alpha0, mu, mu1, rho)
-    lq = log_c_quc(ps, fc, mu, mu1, rho, C, a_star)
-    lq_lower = log_c_quc_lower_bound(ps, fc) if ps.delta < 2.0 else math.nan
-    ls = log_c_sfuc(p, fc)
-    lg = log_gamma_window(p, fc, energy)
+    a1, a3, a_star = alpha_star(ps, fc, C, alpha0, mu, rho)
     return UcConstantReport(
         mu=mu,
         mu1=mu1,
@@ -541,14 +500,10 @@ def sampling_report(
         cac_D0_half=cacciopoli_prefactor(
             ps.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime
         ),
-        c_quc=math.exp(lq),
-        c_quc_lower=math.exp(lq_lower) if not math.isnan(lq_lower) else math.nan,
-        c_sfuc=math.exp(ls),
-        gamma=math.exp(lg),
-        log_c_quc=lq,
-        log_c_quc_lower=lq_lower,
-        log_c_sfuc=ls,
-        log_gamma=lg,
+        log_c_quc=log_c_quc(ps, fc, mu1, rho, C, a_star),
+        log_c_quc_lower=log_c_quc_lower_bound(ps, fc) if ps.delta < 2.0 else math.nan,
+        log_c_sfuc=log_c_sfuc(p, fc),
+        log_gamma=log_gamma_window(p, fc, energy),
         sfuc_exponent=c_sfuc_exponent(p, fc),
         **base,
     )

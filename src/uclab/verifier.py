@@ -6,8 +6,10 @@ measures the mass fraction captured by the union of delta-balls, and compares
 it against the theoretical lower bound evaluated at the same parameters.
 
 The bounds underflow double precision by design (their logs reach -1e6), so
-records carry both the float bound (usually 0.0) and its log.  The margin is
-``ratio - bound`` on the mask mass alone; the residual term
+records carry only their natural log ``log_bound``.  The margin is the log
+headroom ``log(ratio) - log_bound`` on the mask mass alone (``-inf`` when the
+ratio is zero); it is positive exactly when the ratio clears the bound and
+says by how many e-folds it does.  The residual term
 ``delta^2 G^2 ||zeta||^2`` is computed and reported separately so trials
 where it dominates the left-hand side are distinguishable from genuine mask
 mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
@@ -32,12 +34,21 @@ from uclab.constants import (
     FreeConstants,
     ModelParams,
     c_sfuc_exponent,
+    cacciopoli_prefactor,
     log_c_sfuc,
     log_gamma_window,
+    scale_parameters,
 )
 from uclab.discretization import assemble, residual_inequality_check
 from uclab.fields import CoefficientField, constant_spd_field, periodic_centered_diff
-from uclab.geometry import CubeDomain, EquidistributedSequence, generate_sequence, mask
+from uclab.geometry import (
+    CubeDomain,
+    EquidistributedSequence,
+    classify_sites,
+    generate_sequence,
+    mask,
+    near_neighbor,
+)
 from uclab.spectral import eigensolve, projector_sample
 
 __all__ = [
@@ -83,7 +94,6 @@ class ObservabilityRecord:
     seed: int
     ratio: float
     worst_ratio: float
-    bound: float
     log_bound: float
     margin: float
     zeta_norm_sq: float
@@ -230,15 +240,14 @@ def _record(
     ratio = observability_ratio(psi, seq, dom, ball_mask)
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
-    bound = math.exp(log_bound)
     return ObservabilityRecord(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
         h=tc.h, theta1=theta1, theta2=0.0, norm_V=norm_V_bound, energy=energy,
         eigen_index=eigen_index, seed=tc.seed,
         ratio=float(ratio),
         worst_ratio=worst_ratio(window_vectors, ball_mask),
-        bound=bound, log_bound=float(log_bound),
-        margin=float(ratio - bound),
+        log_bound=float(log_bound),
+        margin=math.log(ratio) - log_bound if ratio > 0.0 else -math.inf,
         zeta_norm_sq=float(zeta_sq), zeta_term=float(zeta_term),
         zeta_dominates=bool(zeta_term > ratio),
         residual_violation=float(residual_violation),
@@ -274,7 +283,7 @@ def run_trial(
     )
 
     # the energy window about the drawn eigenvalue: slice members within
-    # the spectral half-width (its float form underflows, so the numerical
+    # the spectral half-width exp(lg) (it underflows to 0.0, so the numerical
     # degeneracy tolerance provides the working floor)
     idx = int(rng.integers(0, min(4, len(sl))))
     E = float(sl.eigenvalues[idx])
@@ -471,8 +480,6 @@ def scaling_identity(
     """Norm and constant sides of the rescaling identity on commensurate
     grids: the mask is index-identical, so the defect is pure float
     bookkeeping of the cell volumes."""
-    from uclab.constants import scale_parameters
-
     L = L_over_G * G
     h = G / h_per_G
     dom = CubeDomain(d, L, h, "periodic")
@@ -510,8 +517,6 @@ def cacciopoli_check(
     Reports both sides and the smallest constant that would make the
     inequality hold, as a diagnostic for the configured choice.
     """
-    from uclab.constants import cacciopoli_prefactor
-
     dom = fld.domain
     if r2 + r + 2.0 * dom.h >= dom.L / 2.0:
         raise ValueError("fattened annulus must stay inside the cube")
@@ -560,8 +565,6 @@ def dominating_site_report(
     constants too conservative to assert directly; recorded for inspection).
     The assertable pieces are returned as the mass-splitting checks.
     """
-    from uclab.geometry import classify_sites, near_neighbor
-
     d = psi_ext.ndim
     dec = classify_sites(psi_ext, T, L, h)
     cells = round(1.0 / h)
@@ -575,7 +578,7 @@ def dominating_site_report(
     for idx in np.ndindex(*(m,) * d):
         k = tuple(int(k0 + i) for i in idx)
         kp = near_neighbor(k, L=L)
-        z = seq.centers[tuple(int(c - k0) for c in kp)] if seq is not None else np.array(kp, float)
+        z = seq.centers[tuple(int(c - k0) for c in kp)]
         dist2 = sum((g - zc) ** 2 for g, zc in zip(grids, z))
         ball_mass = float(dens[dist2 < seq.delta**2].sum())
         unit = float(dec.unit_mass[idx])

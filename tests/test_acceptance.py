@@ -287,7 +287,8 @@ def test_criterion_07_equidistribution_benchmark(criterion7_run):
     ok &= all(r.margin > 0.0 for r in records)
     ok &= all(r.residual_violation <= 1e-10 for r in records)
     # the worst case over the window's span bounds each sampled solution
-    ok &= all(r.bound < r.worst_ratio <= r.ratio + 1e-12 for r in records)
+    ok &= all(r.log_bound < math.log(r.worst_ratio) and r.worst_ratio <= r.ratio + 1e-12
+              for r in records)
     by_kind = {k: sum(1 for r in records if r.psi_kind == k)
                for k in ("inequality_pair", "projector_sample")}
     ok &= by_kind["inequality_pair"] == by_kind["projector_sample"] == 160

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import uclab.verifier
 from uclab.cli import build_parser, load_config, main
 
 
@@ -77,6 +78,24 @@ class TestExitCodes:
     def test_inadmissible_verify_needs_opt_in(self, tmp_path):
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_verify_exits_one_when_a_margin_fails(self, tmp_path, monkeypatch, capsys):
+        # log_c_sfuc = 0 puts the bounds at 1 and 1/2, far above the mask
+        # fractions of this run (balls of radius G/8 in d = 2)
+        monkeypatch.setattr(uclab.verifier, "log_c_sfuc", lambda *a, **k: 0.0)
+        path = write_cfg(tmp_path, {
+            "ds": [2], "norm_Vs": [1.0], "bcs": ["periodic"],
+            "L_over_Gs": [3], "deltas_over_G": [0.125], "seeds": [0],
+            "h_per_G": 16,
+        })
+        out = tmp_path / "out"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        worst = rep["worst_record"]
+        assert rep["min_margin"] == worst["margin"] < 0
+        err = capsys.readouterr().err
+        assert "FAIL: margin <= 0 for record" in err
+        assert f"kind={worst['psi_kind']}, d=2, bc=periodic" in err
 
 
 class TestCommands:

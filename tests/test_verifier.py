@@ -148,7 +148,7 @@ class TestTrials:
         assert abs(pipeline - direct) < 1e-10
         p = ModelParams(d=1, theta1=1.0, theta2=0.0, G=1.0, delta=0.25, L=L)
         bound_log = log_c_sfuc(p, FreeConstants())
-        assert pipeline - math.exp(bound_log) > 0.0
+        assert math.log(pipeline) > bound_log
 
     def test_trial_margins_positive_with_exact_residual(self):
         tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
@@ -189,6 +189,30 @@ class TestTrials:
         assert all(r.residual_violation <= 1e-10 for r in recs)
         # both solutions lie in the window's span, so neither beats its minimum
         assert all(0.0 < r.worst_ratio <= r.ratio + 1e-12 for r in recs)
+
+    def test_margin_gate_fails_when_bound_exceeds_ratio(self, monkeypatch):
+        # log_c_sfuc = 0 puts the bounds at 1 and 1/2; these mask fractions
+        # (balls of radius G/8 in d = 2) lie far below both
+        monkeypatch.setattr(verifier, "log_c_sfuc", lambda *a, **k: 0.0)
+        tc = TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
+                         delta_over_G=0.125, seed=0, h_per_G=16)
+        recs = run_trial(tc)
+        assert len(recs) == 2
+        assert all(r.margin < 0.0 for r in recs)
+        assert all(r.margin == math.log(r.ratio) - r.log_bound for r in recs)
+
+    def test_zero_ratio_margin_is_minus_infinity(self):
+        tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
+                         delta_over_G=0.25, seed=0, h_per_G=16)
+        dom = CubeDomain(1, tc.L, tc.h, "periodic")
+        seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
+        psi = np.where(mask(seq, dom), 0.0, 1.0)
+        vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
+        rec = verifier._record(tc, FreeConstants(), "inequality_pair", psi,
+                               np.zeros(dom.shape), 0.0, 0, 0.0, -1e6, seq, dom,
+                               1.0, 0.0, vec)
+        assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
+        assert rec.margin == -math.inf
 
 
 class TestDeltaSweep:
