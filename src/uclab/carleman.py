@@ -370,14 +370,6 @@ class CarlemanCheck:
     h: float
     alpha: float
 
-    @property
-    def lhs(self) -> float:
-        return math.exp(self.lhs_log) if math.isfinite(self.lhs_log) else 0.0
-
-    @property
-    def rhs(self) -> float:
-        return math.exp(self.rhs_log) if math.isfinite(self.rhs_log) else 0.0
-
 
 def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
     mask = weights > 0.0

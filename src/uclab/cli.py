@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from uclab.constants import (
     FreeConstants,
     ModelParams,
     admissibility_epsilon,
+    log_c_sfuc,
     sampling_report,
 )
 
@@ -151,24 +152,17 @@ def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.verifier import (
-        TrialConfig,
+        benchmark_configs,
         verify_equidistribution,
         write_records_jsonl,
         write_summary_csv,
     )
 
-    configs = [
-        TrialConfig(
-            d=d, bc=bc, L_over_G=lg, norm_V=nv, delta_over_G=dg, seed=seed,
-            G=cfg.model.G, h_per_G=cfg.h_per_G,
-        )
-        for d in cfg.ds
-        for nv in cfg.norm_Vs
-        for bc in cfg.bcs
-        for lg in cfg.L_over_Gs
-        for dg in cfg.deltas_over_G
-        for seed in cfg.seeds
-    ]
+    configs = benchmark_configs(
+        ds=cfg.ds, norm_Vs=cfg.norm_Vs, bcs=cfg.bcs, L_over_Gs=cfg.L_over_Gs,
+        delta_over_Gs=cfg.deltas_over_G, seeds=cfg.seeds, G=cfg.model.G,
+        h_per_G=cfg.h_per_G,
+    )
     records = verify_equidistribution(
         configs, cfg.free, dump_dir=(out / "eigenpairs") if cfg.dump_eigenpairs else None
     )
@@ -218,8 +212,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.emit_plot_data:
         with open(out / "plot.csv", "w") as fh:
             fh.write("delta,ratio,log_bound\n")
-            from uclab.constants import log_c_sfuc
-            from dataclasses import replace
             for dd, rr in zip(res.deltas, res.ratios):
                 lb = log_c_sfuc(replace(cfg.model, delta=dd), cfg.free)
                 fh.write(f"{dd},{rr},{lb}\n")

@@ -337,8 +337,12 @@ def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
     return log_C1 + expo * math.log(p.delta / (C2 * p.R))
 
 
-def _sfuc_pieces(p: ModelParams, fc: FreeConstants) -> tuple[float, float, float, float]:
-    """(eps2, log_D1, D2, D3) in the G-canonical arithmetic."""
+def _sfuc_log_terms(
+    p: ModelParams, fc: FreeConstants, energy: Optional[float]
+) -> tuple[float, float, float]:
+    """(log_D1, exponent, log((delta/G)/D2)) of the sampling constant in the
+    G-canonical arithmetic; with ``energy`` set, the exponent is the spectral
+    variant that replaces the potential norm by |energy|."""
     g_t2 = p.G * p.theta2
     eps2 = admissibility_epsilon(p, "sampling_G")
     log_D1 = (
@@ -349,19 +353,12 @@ def _sfuc_pieces(p: ModelParams, fc: FreeConstants) -> tuple[float, float, float
     )
     D2 = fc.K2 * p.theta1**2
     D3 = fc.K2 * p.theta1**25 * math.exp(15.0 * p.theta1) * (1.0 + g_t2) ** 2
-    return eps2, log_D1, D2, D3
-
-
-def c_sfuc_exponent(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None) -> float:
-    """Exponent of the sampling constant; with ``energy`` set, the spectral
-    variant that replaces the potential norm by |energy|."""
-    eps2, _, _, D3 = _sfuc_pieces(p, fc)
     if eps2 <= 0.0:
         raise ValueError("inadmissible parameters: eps2 <= 0")
     v_term = (p.G * p.G * p.norm_V) ** (2.0 / 3.0) if energy is None else (
         p.G * p.G * abs(energy)
     ) ** (2.0 / 3.0)
-    return (
+    expo = (
         D3
         / eps2
         * (
@@ -372,28 +369,29 @@ def c_sfuc_exponent(p: ModelParams, fc: FreeConstants, energy: Optional[float] =
         )
         - math.log(eps2)
     )
+    return log_D1, expo, math.log((p.delta / p.G) / D2)
+
+
+def c_sfuc_exponent(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None) -> float:
+    """Exponent of the sampling constant; with ``energy`` set, the spectral
+    variant that replaces the potential norm by |energy|."""
+    return _sfuc_log_terms(p, fc, energy)[1]
 
 
 def log_c_sfuc(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None) -> float:
     """Natural log of the scale-free sampling constant."""
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
-    eps2, log_D1, D2, _ = _sfuc_pieces(p, fc)
-    if eps2 <= 0.0:
-        raise ValueError("inadmissible parameters: eps2 <= 0")
-    expo = c_sfuc_exponent(p, fc, energy)
-    return log_D1 + expo * math.log((p.delta / p.G) / D2)
+    log_D1, expo, log_delta_D2 = _sfuc_log_terms(p, fc, energy)
+    return log_D1 + expo * log_delta_D2
 
 
 def log_gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
     """Natural log of the admissible spectral half-width around ``energy``."""
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
-    eps2, log_D1, D2, _ = _sfuc_pieces(p, fc)
-    if eps2 <= 0.0:
-        raise ValueError("inadmissible parameters: eps2 <= 0")
-    expo = c_sfuc_exponent(p, fc, energy)
-    log_gamma_sq = log_D1 - 4.0 * math.log(p.G) + expo * math.log((p.delta / p.G) / D2)
+    log_D1, expo, log_delta_D2 = _sfuc_log_terms(p, fc, energy)
+    log_gamma_sq = log_D1 - 4.0 * math.log(p.G) + expo * log_delta_D2
     return 0.5 * log_gamma_sq
 
 
@@ -501,7 +499,7 @@ def sampling_report(
             ps.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime
         ),
         log_c_quc=log_c_quc(ps, fc, mu1, rho, C, a_star),
-        log_c_quc_lower=log_c_quc_lower_bound(ps, fc) if ps.delta < 2.0 else math.nan,
+        log_c_quc_lower=log_c_quc_lower_bound(ps, fc),
         log_c_sfuc=log_c_sfuc(p, fc),
         log_gamma=log_gamma_window(p, fc, energy),
         sfuc_exponent=c_sfuc_exponent(p, fc),

@@ -43,7 +43,6 @@ inequality invariant under the reflection.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -290,17 +289,6 @@ class ExtendedObjects:
     c: np.ndarray
     V: np.ndarray
     zeta: Optional[np.ndarray]
-
-    def as_field(self) -> CoefficientField:
-        return CoefficientField(
-            domain=self.domain,
-            A=self.A,
-            b=self.b,
-            c=self.c,
-            V=self.V,
-            declared_theta1=math.nan,
-            declared_theta2=math.nan,
-        )
 
 
 def _triple(arr: np.ndarray, axis: int, make_side) -> np.ndarray:

@@ -16,6 +16,11 @@ mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
 the eigenpairs in the trial's energy window, a number that does not depend
 on which orthonormal basis the solver returns inside a degenerate
 eigenspace.  Records are reproducible bit for bit from (config, seed).
+
+A grid function is checked once, where it enters a record or a delta sweep:
+its squared norm on the whole cube must be finite and nonzero.  That norm,
+the trial's mask and its ``worst_ratio`` are each computed once and shared by
+everything that divides by or sums over them.
 """
 
 from __future__ import annotations
@@ -160,23 +165,24 @@ class TrialConfig:
         )
 
 
-def observability_ratio(
-    psi: np.ndarray,
-    seq: EquidistributedSequence,
-    domain: CubeDomain,
-    ball_mask: Optional[np.ndarray] = None,
-) -> float:
-    """Mass fraction of psi captured by the union of delta-balls.
-
-    ``ball_mask`` is ``mask(seq, domain)`` when the caller already has it.
-    """
+def _total_norm_sq(psi: np.ndarray, domain: CubeDomain) -> float:
+    """Squared norm of psi on the whole cube, checked where psi enters."""
     total = domain.norm_sq(psi)
     if not math.isfinite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
         raise ValueError("zero grid function has no observability ratio")
-    if ball_mask is None:
-        ball_mask = mask(seq, domain)
+    return total
+
+
+def observability_ratio(
+    psi: np.ndarray,
+    ball_mask: np.ndarray,
+    domain: CubeDomain,
+    total: float,
+) -> float:
+    """Mass fraction of psi captured by ``ball_mask`` (a :func:`mask` of the
+    union of delta-balls); ``total`` is psi's squared norm on the whole cube."""
     return domain.norm_sq(psi, where=ball_mask) / total
 
 
@@ -226,26 +232,24 @@ def _record(
     zeta: np.ndarray,
     energy: float,
     eigen_index: int,
-    norm_V_bound: float,
     log_bound: float,
-    seq: EquidistributedSequence,
+    ball_mask: np.ndarray,
     dom: CubeDomain,
     theta1: float,
     residual_violation: float,
-    window_vectors: np.ndarray,
+    window_worst: float,
     log_gamma: float = math.nan,
 ) -> ObservabilityRecord:
-    total = dom.norm_sq(psi)
-    ball_mask = mask(seq, dom)
-    ratio = observability_ratio(psi, seq, dom, ball_mask)
+    total = _total_norm_sq(psi, dom)
+    ratio = observability_ratio(psi, ball_mask, dom, total)
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
-        h=tc.h, theta1=theta1, theta2=0.0, norm_V=norm_V_bound, energy=energy,
+        h=tc.h, theta1=theta1, theta2=0.0, norm_V=tc.norm_V, energy=energy,
         eigen_index=eigen_index, seed=tc.seed,
         ratio=float(ratio),
-        worst_ratio=worst_ratio(window_vectors, ball_mask),
+        worst_ratio=window_worst,
         log_bound=float(log_bound),
         margin=math.log(ratio) - log_bound if ratio > 0.0 else -math.inf,
         zeta_norm_sq=float(zeta_sq), zeta_term=float(zeta_term),
@@ -294,6 +298,8 @@ def run_trial(
     lg = log_gamma_window(p, fc, E)
     atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
     window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
+    ball_mask = mask(seq, dom)
+    window_worst = worst_ratio(window.eigenvectors, ball_mask)
 
     records = []
 
@@ -303,9 +309,9 @@ def run_trial(
     zeta = op_psi - fld.V * psi
     viol = residual_inequality_check(psi, fld.V, np.abs(zeta), op_psi)
     records.append(
-        _record(tc, fc, "inequality_pair", psi, zeta, E, idx, tc.norm_V,
-                log_c_sfuc(p, fc), seq, dom, fld.declared_theta1, viol,
-                window.eigenvectors)
+        _record(tc, fc, "inequality_pair", psi, zeta, E, idx,
+                log_c_sfuc(p, fc), ball_mask, dom, fld.declared_theta1, viol,
+                window_worst)
     )
 
     # projector path: random combination of the window members at E
@@ -315,9 +321,9 @@ def run_trial(
     zeta2 = op_psi2 - E * psi2
     viol2 = residual_inequality_check(psi2, E, np.abs(zeta2), op_psi2)
     log_bound2 = log_c_sfuc(p, fc, energy=E) - math.log(2.0)
-    rec2 = _record(tc, fc, "projector_sample", psi2, zeta2, E, idx, tc.norm_V,
-                   log_bound2, seq, dom, fld.declared_theta1, viol2,
-                   window.eigenvectors, log_gamma=lg)
+    rec2 = _record(tc, fc, "projector_sample", psi2, zeta2, E, idx,
+                   log_bound2, ball_mask, dom, fld.declared_theta1, viol2,
+                   window_worst, log_gamma=lg)
     records.append(rec2)
     return records
 
@@ -416,13 +422,14 @@ def delta_sweep(
         raise ValueError("need at least 4 delta values")
     if len(seq_seeds) == 0:
         raise ValueError("need at least one sequence seed")
+    total = _total_norm_sq(psi, domain)
     ratios = []
     degenerate = False
     for delta in deltas:
         vals = []
         for s in seq_seeds:
             seq = generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
-            vals.append(observability_ratio(psi, seq, domain))
+            vals.append(observability_ratio(psi, mask(seq, domain), domain, total))
         r = float(np.mean(vals))
         if not r > 0.0:  # zero, or NaN
             degenerate = True
@@ -568,19 +575,17 @@ def dominating_site_report(
     d = psi_ext.ndim
     dec = classify_sites(psi_ext, T, L, h)
     cells = round(1.0 / h)
-    n_ext = 3 * L * cells
-    ax = -1.5 * L + (np.arange(n_ext) + 0.5) * h
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    dens = (np.abs(psi_ext) ** 2) * h**d
+    # every ball lies strictly inside its own unit cell of the base cube, the
+    # middle block of the 3L grid, so its mass is one block sum there
+    base = (np.abs(psi_ext[(slice(L * cells, 2 * L * cells),) * d]) ** 2) * h**d
+    inside = np.where(mask(seq, CubeDomain(d, L, h)), base, 0.0)
+    cell_ball_mass = inside.reshape((L, cells) * d).sum(axis=tuple(range(1, 2 * d, 2)))
     sites = []
-    m = L
     k0 = -(L - 1) // 2
-    for idx in np.ndindex(*(m,) * d):
+    for idx in np.ndindex(*(L,) * d):
         k = tuple(int(k0 + i) for i in idx)
         kp = near_neighbor(k, L=L)
-        z = seq.centers[tuple(int(c - k0) for c in kp)]
-        dist2 = sum((g - zc) ** 2 for g, zc in zip(grids, z))
-        ball_mass = float(dens[dist2 < seq.delta**2].sum())
+        ball_mass = float(cell_ball_mass[tuple(int(c - k0) for c in kp)])
         unit = float(dec.unit_mass[idx])
         sites.append({
             "site": list(k),

@@ -8,7 +8,6 @@ import pytest
 import oracles
 from uclab.carleman import (
     _EIN_CUT,
-    CarlemanCheck,
     WeightFunction,
     annular_bump,
     build_radial_cutoff,

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import uclab.verifier as verifier
 from uclab.constants import FreeConstants, ModelParams, log_c_sfuc
 from uclab.fields import CoefficientField
-from uclab.geometry import CubeDomain, generate_sequence, mask
+from uclab.geometry import CubeDomain, generate_sequence, mask, near_neighbor
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
     ObservabilityRecord,
@@ -27,20 +27,41 @@ from uclab.verifier import (
 )
 
 
+def ratio_of(psi, seq, dom):
+    return observability_ratio(psi, mask(seq, dom), dom, dom.norm_sq(psi))
+
+
+def entry_record(psi):
+    """The inequality-pair record of ``psi`` on the d=1, L=3, h=1/16 cube."""
+    tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
+                     delta_over_G=0.25, seed=0, h_per_G=16)
+    dom = CubeDomain(1, tc.L, tc.h, "periodic")
+    seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
+    return verifier._record(tc, FreeConstants(), "inequality_pair", psi,
+                            np.zeros(dom.shape), 0.0, 0, -1e6, mask(seq, dom),
+                            dom, 1.0, 0.0, 0.5)
+
+
+def entry_sweep(psi):
+    dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
+    p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+    return delta_sweep(psi, dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
+
+
 class TestObservabilityRatio:
     def test_support_inside_one_ball_gives_one(self):
         dom = CubeDomain(1, 3.0, 1 / 64, "periodic")
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         x = dom.centers_1d()
         psi = np.where(np.abs(x) < 0.2, 1.0, 0.0)
-        assert observability_ratio(psi, seq, dom) == 1.0
+        assert ratio_of(psi, seq, dom) == 1.0
 
     def test_vanishing_on_mask_gives_zero(self):
         dom = CubeDomain(1, 3.0, 1 / 64, "periodic")
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         m = mask(seq, dom)
         psi = np.where(m, 0.0, 1.0)
-        assert observability_ratio(psi, seq, dom) == 0.0
+        assert ratio_of(psi, seq, dom) == 0.0
 
     def test_constant_function_recovers_area_fraction(self):
         target = math.pi / 16.0
@@ -48,24 +69,23 @@ class TestObservabilityRatio:
         for h in (1 / 32, 1 / 64, 1 / 128):
             dom = CubeDomain(2, 3.0, h, "periodic")
             seq = generate_sequence(1.0, 0.25, 3.0, 2, "centered")
-            r = observability_ratio(np.ones(dom.shape), seq, dom)
+            r = ratio_of(np.ones(dom.shape), seq, dom)
             errs.append(abs(r - target))
         assert errs[-1] < 0.01 and errs[-1] <= errs[0]
 
+    # psi is checked where it enters: in a trial record and in a delta sweep
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_psi_rejected(self, bad):
-        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
-        seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
-        psi = np.ones(dom.shape)
+        psi = np.ones(48)
         psi[5] = bad
-        with pytest.raises(ValueError, match="^psi must be finite"):
-            observability_ratio(psi, seq, dom)
+        for entry in (entry_record, entry_sweep):
+            with pytest.raises(ValueError, match="^psi must be finite"):
+                entry(psi)
 
     def test_zero_function_rejected(self):
-        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
-        seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
-        with pytest.raises(ValueError):
-            observability_ratio(np.zeros(dom.shape), seq, dom)
+        for entry in (entry_record, entry_sweep):
+            with pytest.raises(ValueError, match="^zero grid function"):
+                entry(np.zeros(48))
 
 
 class TestWorstRatio:
@@ -138,7 +158,7 @@ class TestTrials:
         lam = float(sl.eigenvalues[0])
         assert abs(lam - math.pi**2 / L**2) < 5e-3
         seq = generate_sequence(1.0, 0.25, L, 1, "uniform_random", seed=4)
-        pipeline = observability_ratio(psi, seq, dom)
+        pipeline = ratio_of(psi, seq, dom)
         x = dom.centers_1d()
         sine = np.sin(math.pi * (x + L / 2) / L)
         inside = np.zeros(dom.shape, dtype=bool)
@@ -208,9 +228,10 @@ class TestTrials:
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         psi = np.where(mask(seq, dom), 0.0, 1.0)
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
+        m = mask(seq, dom)
         rec = verifier._record(tc, FreeConstants(), "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, 0.0, -1e6, seq, dom,
-                               1.0, 0.0, vec)
+                               np.zeros(dom.shape), 0.0, 0, -1e6, m, dom,
+                               1.0, 0.0, worst_ratio(vec, m))
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
 
@@ -273,7 +294,7 @@ class TestDeltaSweep:
         import uclab.verifier as verifier
 
         monkeypatch.setattr(verifier, "observability_ratio",
-                            lambda psi, seq, dom: math.nan)
+                            lambda psi, ball_mask, domain, total: math.nan)
         dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         res = delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
@@ -301,7 +322,7 @@ class TestLIndependence:
         for L in (3, 5, 7):
             dom = CubeDomain(1, float(L), 1 / 32, "periodic")
             seq = generate_sequence(1.0, 0.25, float(L), 1, "centered")
-            fr.append(observability_ratio(np.ones(dom.shape), seq, dom))
+            fr.append(ratio_of(np.ones(dom.shape), seq, dom))
         assert fr[0] == fr[1] == fr[2]
 
     def test_odd_ratio_enforced(self):
@@ -451,6 +472,82 @@ class TestDominatingSiteReport:
         for site in rep["sites"]:
             assert site["ball_mass"] >= 0.0
             assert site["window_mass"] >= site["unit_mass"] - 1e-12
+
+    @staticmethod
+    def distance_reference(psi_ext, L, h, seq):
+        """Ball mass of each site's neighbor by the distance of every point
+        of the 3L grid to the ball center."""
+        d = psi_ext.ndim
+        ax = -1.5 * L + (np.arange(psi_ext.shape[0]) + 0.5) * h
+        grids = np.meshgrid(*([ax] * d), indexing="ij")
+        dens = (np.abs(psi_ext) ** 2) * h**d
+        k0 = -(L - 1) // 2
+        out = []
+        for idx in np.ndindex(*(L,) * d):
+            kp = near_neighbor(tuple(k0 + i for i in idx), L=L)
+            z = seq.centers[tuple(c - k0 for c in kp)]
+            dist2 = sum((g - zc) ** 2 for g, zc in zip(grids, z))
+            out.append(float(dens[dist2 < seq.delta**2].sum()))
+        return out
+
+    @pytest.mark.parametrize("d,L", [(1, 5), (2, 5), (3, 3)])
+    def test_ball_mass_matches_distance_reference(self, d, L):
+        from uclab.verifier import dominating_site_report
+
+        h, T = 1 / 8, 3
+        rng = np.random.default_rng(d)
+        for _ in range(4):
+            delta = float(rng.uniform(0.05, 0.45))
+            seq = generate_sequence(1.0, delta, float(L), d, "uniform_random",
+                                    seed=int(rng.integers(2**31)))
+            psi = rng.standard_normal((3 * L * 8,) * d)
+            rep = dominating_site_report(psi, T, L, h, seq)
+            ref = self.distance_reference(psi, L, h, seq)
+            assert len(rep["sites"]) == len(ref) == L**d
+            for site, r in zip(rep["sites"], ref):
+                assert abs(site["ball_mass"] - r) <= 1e-12 * r
+
+
+class TestInputsComputedOnce:
+    """Each input of the mass fraction is computed once per trial or sweep."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"mask": 0, "worst_ratio": 0, "norm_sq": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(verifier, "mask", counted("mask", verifier.mask))
+        monkeypatch.setattr(verifier, "worst_ratio",
+                            counted("worst_ratio", verifier.worst_ratio))
+        norm_sq = CubeDomain.norm_sq
+
+        def unmasked_counted(self, psi, where=None):
+            if where is None:
+                calls["norm_sq"] += 1
+            return norm_sq(self, psi, where)
+
+        monkeypatch.setattr(CubeDomain, "norm_sq", unmasked_counted)
+        return calls
+
+    def test_run_trial(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        run_trial(TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
+                              delta_over_G=0.25, seed=0, h_per_G=8))
+        # one norm for psi and one for zeta in each of the two records
+        assert calls == {"mask": 1, "worst_ratio": 1, "norm_sq": 4}
+
+    def test_delta_sweep(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+        delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p,
+                    seq_mode="uniform_random", seq_seeds=range(3))
+        assert calls == {"mask": 12, "worst_ratio": 0, "norm_sq": 1}
 
 
 class TestSuiteDeterminism:
