@@ -1,11 +1,15 @@
-"""Mirror extensions: continuing a Dirichlet problem past its cube.
+"""Extensions to the 3L cube: continuing a problem past its cube.
 
-A Dirichlet solution continues to the neighboring cubes by odd reflection;
-the coefficients follow parity rules that keep the extended function a
-solution of the same differential inequality.  Diagonal and tangential
-entries reflect evenly, mixed entries oddly (they vanish on the faces, which
-is exactly the Dirichlet compatibility condition), and the drift component
-normal to the face flips sign with the orientation.
+``extend`` reads the rule from the domain's boundary condition and returns
+the extended solution, the extended coefficients as a validated
+``CoefficientField`` on the 3L cube, and the extended residual bound.  A
+periodic problem is tiled.  A Dirichlet solution continues to the
+neighboring cubes by odd reflection; the coefficients follow parity rules
+that keep the extended function a solution of the same differential
+inequality.  Diagonal and tangential entries reflect evenly, mixed entries
+oddly (they vanish on the faces, which is exactly the Dirichlet
+compatibility condition), and the drift component normal to the face flips
+sign with the orientation.
 
 Run:  python demos/05_reflections_and_extensions.py
 """
@@ -17,8 +21,7 @@ import numpy as np
 from uclab.discretization import (
     apply_operator,
     assemble,
-    extend_dirichlet_reflection,
-    extend_periodic,
+    extend,
     residual_inequality_check,
 )
 from uclab.fields import CoefficientField, synthesize_dir_cross_field
@@ -37,9 +40,9 @@ fld = CoefficientField(
     dom, np.ones(dom.shape + (1, 1)), np.zeros(dom.shape + (1,)),
     np.zeros(dom.shape), np.zeros(dom.shape), 1.0, 0.0,
 )
-ext = extend_dirichlet_reflection(psi, fld)
-x3 = ext.domain.centers_1d()
-err = np.abs(ext.psi - np.sin(math.pi * (x3 + L / 2) / L)).max()
+psi3, fld3, _ = extend(psi, fld)
+x3 = fld3.domain.centers_1d()
+err = np.abs(psi3 - np.sin(math.pi * (x3 + L / 2) / L)).max()
 print(f"extension vs global sine: max deviation = {err:.2e}")
 
 print()
@@ -53,14 +56,13 @@ sl = eigensolve(H, count=1)
 psi2 = sl.grid_vector(0)
 lam = float(sl.eigenvalues[0])
 zeta = H.apply(psi2) - lam * psi2
-ext2 = extend_dirichlet_reflection(psi2, fld2, zeta=np.abs(zeta))
-sym = np.abs(ext2.A - np.swapaxes(ext2.A, -1, -2)).max()
+psi3, fld3, zeta3 = extend(psi2, fld2, zeta=np.abs(zeta))
+sym = np.abs(fld3.A - np.swapaxes(fld3.A, -1, -2)).max()
 print(f"off-diagonal magnitude in the base block : "
       f"{np.abs(fld2.A[..., 0, 1]).max():.4f}")
 print(f"extended matrix symmetry defect          : {sym}")
-op_ext = apply_operator(ext2.A, None, None, ext2.V, ext2.psi, dom2.h)
-viol = residual_inequality_check(ext2.psi, lam, ext2.zeta, op_ext,
-                                 interior_margin=2)
+op_ext = apply_operator(fld3.A, None, None, fld3.V, psi3, dom2.h)
+viol = residual_inequality_check(psi3, lam, zeta3, op_ext, interior_margin=2)
 print(f"differential-inequality violation on the extension interior: "
       f"{viol:.3e}  (<= 0 means preserved)")
 
@@ -75,9 +77,9 @@ fldp = CoefficientField(
     domp, np.ones(domp.shape + (1, 1)), np.zeros(domp.shape + (1,)),
     np.zeros(domp.shape), np.zeros(domp.shape), 1.0, 0.0,
 )
-extp = extend_periodic(base, fldp)
+psi3, _, _ = extend(base, fldp)
 for T in (2, 3, 7):
-    defect = tiling_identity_defect(extp.psi, T, 5, 1 / 8)
+    defect = tiling_identity_defect(psi3, T, 5, 1 / 8)
     print(f"window side T={T}: relative resummation defect = {defect:.2e}")
 print()
 print("Summing the T-window masses over all integer sites returns exactly")

@@ -20,6 +20,7 @@ from scipy.special import exp1, logsumexp
 from uclab.constants import EULER, ModelParams, carleman_constants, mu_one
 from uclab.discretization import apply_operator
 from uclab.fields import constant_spd_field, periodic_centered_diff
+from uclab.geometry import CubeDomain
 
 __all__ = [
     "ein",
@@ -367,8 +368,6 @@ class CarlemanCheck:
     lhs_log: float
     rhs_log: float
     ratio: float
-    h: float
-    alpha: float
 
 
 def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
@@ -396,7 +395,8 @@ def check_carleman_inequality(
     the origin (radius 2h), and on a margin of two cells at the cube boundary
     (the stencil wraps).  Derivatives are centered, integrals are midpoint
     sums accumulated by log-sum-exp, and the two sides are compared through
-    logs; the ratio is exp(lhs_log - rhs_log).
+    logs; the ratio is exp(lhs_log - rhs_log), and inf when that overflows or
+    the right side vanishes, so a degenerate operator fails the check.
     """
     d = u.ndim
     n = u.shape[0]
@@ -410,7 +410,7 @@ def check_carleman_inequality(
 
     umax = float(np.abs(u).max())
     if umax == 0.0:
-        return CarlemanCheck(-math.inf, -math.inf, 0.0, h, alpha)
+        return CarlemanCheck(-math.inf, -math.inf, 0.0)
     u = u / umax  # ratio is scale-invariant; normalize for conditioning
     outside = r >= rho
     if np.any(np.abs(u[outside]) > SUPPORT_TOL):
@@ -445,8 +445,11 @@ def check_carleman_inequality(
     rhs_log = _logsum(
         (2.0 - 2.0 * alpha) * lw, os_
     ) + math.log(carleman_C * rho**4) + log_cell
-    ratio = math.exp(lhs_log - rhs_log) if math.isfinite(rhs_log) else 0.0
-    return CarlemanCheck(lhs_log, rhs_log, ratio, h, alpha)
+    try:
+        ratio = math.exp(lhs_log - rhs_log)  # inf when rhs_log is -inf
+    except OverflowError:
+        ratio = math.inf
+    return CarlemanCheck(lhs_log, rhs_log, ratio)
 
 
 def annular_bump(
@@ -494,8 +497,6 @@ def carleman_trial(
     n = int(math.ceil(side / h / 2.0)) * 2
     ax = (np.arange(n) + 0.5 - n / 2.0) * h
     pts = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
-
-    from uclab.geometry import CubeDomain
 
     dom = CubeDomain(d, n * h, h, "periodic")
     if variable_A:

@@ -295,9 +295,9 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.discretization import (
-        assemble,
-        extend_dirichlet_reflection,
         apply_operator,
+        assemble,
+        extend,
         residual_inequality_check,
     )
     from uclab.fields import synthesize_dir_cross_field
@@ -324,24 +324,25 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
         psi = sl.grid_vector(0)
         lam = float(sl.eigenvalues[0])
         zeta = H.apply(psi) - lam * psi
-        ext = extend_dirichlet_reflection(psi, fld, zeta=np.abs(zeta))
+        psi3, fld3, zeta3 = extend(psi, fld, zeta=np.abs(zeta))
         worst["symmetry"] = max(
             worst["symmetry"],
-            float(np.abs(ext.A - np.swapaxes(ext.A, -1, -2)).max()),
+            float(np.abs(fld3.A - np.swapaxes(fld3.A, -1, -2)).max()),
         )
         n = dom.n
         grad = max(
             float(np.abs(np.diff(psi, axis=ax)).max()) / dom.h for ax in range(d)
         )
-        jump = float(
-            np.abs(np.take(ext.psi, n - 1, axis=0) - np.take(ext.psi, n, axis=0)).max()
+        jump = max(
+            float(np.abs(np.take(psi3, n - 1, axis=ax) - np.take(psi3, n, axis=ax)).max())
+            for ax in range(d)
         )
         worst["interface_jump_rel"] = max(
             worst["interface_jump_rel"], jump / (10.0 * dom.h * grad)
         )
-        op_ext = apply_operator(ext.A, None, None, ext.V, ext.psi, dom.h)
+        op_ext = apply_operator(fld3.A, None, None, fld3.V, psi3, dom.h)
         viol = residual_inequality_check(
-            ext.psi, lam, ext.zeta, op_ext, interior_margin=2
+            psi3, lam, zeta3, op_ext, interior_margin=2
         )
         worst["residual"] = max(worst["residual"],
                                 viol / max(abs(lam), 1.0))

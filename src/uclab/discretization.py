@@ -32,18 +32,21 @@ drift plus the diagonal Re(c + V - div(b)/2); its Gershgorin bound,
 min over cells of Re(c + V - div(b)/2) - sum_axes (|b_+| + |b_-|)/(4h), is
 ``DiscreteOperator.spectral_floor``.
 
-Extensions to the 3L cube follow the mirroring rules: everything periodic in
-the periodic case; in the Dirichlet case the solution reflects oddly, the
-diagonal/parallel matrix entries evenly, mixed entries oddly, and the drift
-component normal to the face oddly with the tangential components even.  (The
-drift parities are the orientation-consistent ones: the normal component is a
-direction and flips with it, which is exactly what keeps the differential
-inequality invariant under the reflection.)
+One function, :func:`extend`, carries a solution and its coefficients to the
+3L cube; the rule is the domain's boundary condition and the extended
+operator comes back as a validated :class:`~uclab.fields.CoefficientField`
+on the 3L domain.  A periodic domain is tiled; on a Dirichlet domain the
+solution reflects oddly, the diagonal/parallel matrix entries evenly, mixed
+entries oddly, and the drift component normal to the face oddly with the
+tangential components even.  (The drift parities are the
+orientation-consistent ones: the normal component is a direction and flips
+with it, which is exactly what keeps the differential inequality invariant
+under the reflection.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 import numpy as np
@@ -61,9 +64,7 @@ __all__ = [
     "DiscreteOperator",
     "assemble",
     "apply_operator",
-    "extend_periodic",
-    "extend_dirichlet_reflection",
-    "ExtendedObjects",
+    "extend",
     "reflect_block",
     "residual_inequality_check",
 ]
@@ -278,51 +279,6 @@ def reflect_block(arr: np.ndarray, axis: int, kind: str, d: int) -> np.ndarray:
     raise ValueError(kind)
 
 
-@dataclass(frozen=True)
-class ExtendedObjects:
-    """Solution, coefficients and data extended to the 3L cube."""
-
-    domain: CubeDomain
-    psi: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    V: np.ndarray
-    zeta: Optional[np.ndarray]
-
-
-def _triple(arr: np.ndarray, axis: int, make_side) -> np.ndarray:
-    side = make_side(arr)
-    return np.concatenate([side, arr, side], axis=axis)
-
-
-def extend_periodic(
-    psi: np.ndarray,
-    field: CoefficientField,
-    zeta: Optional[np.ndarray] = None,
-    check: bool = True,
-) -> ExtendedObjects:
-    """Tile everything three times per axis; requires periodic-compatible A."""
-    if check:
-        rep = check_boundary_conditions(field, "periodic")
-        if not rep["ok"]:
-            raise ValueError(
-                f"periodic compatibility violated by {rep['worst_violation']:.3g}"
-            )
-    d = field.domain.d
-    reps_scalar = (3,) * d
-    dom3 = CubeDomain(d, 3 * field.domain.L, field.domain.h, "periodic")
-    return ExtendedObjects(
-        domain=dom3,
-        psi=np.tile(psi, reps_scalar),
-        A=np.tile(field.A, reps_scalar + (1, 1)),
-        b=np.tile(field.b, reps_scalar + (1,)),
-        c=np.tile(field.c, reps_scalar),
-        V=np.tile(field.V, reps_scalar),
-        zeta=None if zeta is None else np.tile(zeta, reps_scalar),
-    )
-
-
 def dirichlet_trace_excess(psi: np.ndarray, h: float) -> float:
     """How far the boundary layer of ``psi`` exceeds half the allowed
     interface jump (10*h*|grad psi|_sup); <= 0 means a clean zero trace."""
@@ -338,38 +294,46 @@ def dirichlet_trace_excess(psi: np.ndarray, h: float) -> float:
     return worst - 5.0 * h * grad_sup
 
 
-def extend_dirichlet_reflection(
-    psi: np.ndarray,
-    field: CoefficientField,
-    zeta: Optional[np.ndarray] = None,
-    check: bool = True,
-) -> ExtendedObjects:
-    """Odd/even mirror extension of a Dirichlet solution and its operator."""
+# reflect_block kind of each extended array
+_PARITY = {
+    "psi": "psi", "A": "matrix", "b": "vector", "c": "scalar", "V": "scalar",
+    "zeta": "scalar",
+}
+
+
+def extend(
+    psi: np.ndarray, field: CoefficientField, zeta: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, CoefficientField, Optional[np.ndarray]]:
+    """Extend ``psi``, ``field`` and ``zeta`` to the 3L cube around the domain.
+
+    The rule is the domain's boundary condition: a periodic problem is tiled
+    three times per axis, a Dirichlet one is mirrored with the parities of
+    :func:`reflect_block`.  Returns ``(psi3, field3, zeta3)``, with ``field3``
+    on ``CubeDomain(d, 3L, h, bc)``; ``zeta3`` is None when ``zeta`` is.
+    """
     dom = field.domain
-    d = dom.d
-    if check:
-        rep = check_boundary_conditions(field, "dirichlet")
-        if not rep["ok"]:
-            raise ValueError(
-                f"Dirichlet compatibility violated by {rep['worst_violation']:.3g}"
-            )
+    d, bc = dom.d, dom.bc
+    rep = check_boundary_conditions(field, bc)
+    if not rep["ok"]:
+        name = "periodic" if bc == "periodic" else "Dirichlet"
+        raise ValueError(
+            f"{name} compatibility violated by {rep['worst_violation']:.3g}"
+        )
+    if bc == "dirichlet":
         excess = dirichlet_trace_excess(psi, dom.h)
         if excess > 0.0:
             raise ValueError(f"psi boundary trace too large by {excess:.3g}")
-    psi_e, A_e, b_e, c_e, V_e = psi, field.A, field.b, field.c, field.V
-    zeta_e = zeta
+    parts = {"psi": psi, "A": field.A, "b": field.b, "c": field.c, "V": field.V,
+             "zeta": zeta}
     for ax in range(d):
-        psi_e = _triple(psi_e, ax, lambda a: reflect_block(a, ax, "psi", d))
-        A_e = _triple(A_e, ax, lambda a: reflect_block(a, ax, "matrix", d))
-        b_e = _triple(b_e, ax, lambda a: reflect_block(a, ax, "vector", d))
-        c_e = _triple(c_e, ax, lambda a: reflect_block(a, ax, "scalar", d))
-        V_e = _triple(V_e, ax, lambda a: reflect_block(a, ax, "scalar", d))
-        if zeta_e is not None:
-            zeta_e = _triple(zeta_e, ax, lambda a: reflect_block(a, ax, "scalar", d))
-    dom3 = CubeDomain(d, 3 * dom.L, dom.h, "dirichlet")
-    return ExtendedObjects(
-        domain=dom3, psi=psi_e, A=A_e, b=b_e, c=c_e, V=V_e, zeta=zeta_e
-    )
+        for name, arr in parts.items():
+            if arr is None:
+                continue
+            side = arr if bc == "periodic" else reflect_block(arr, ax, _PARITY[name], d)
+            parts[name] = np.concatenate([side, arr, side], axis=ax)
+    psi3, zeta3 = parts.pop("psi"), parts.pop("zeta")
+    field3 = replace(field, domain=CubeDomain(d, 3 * dom.L, dom.h, bc), **parts)
+    return psi3, field3, zeta3
 
 
 def residual_inequality_check(

@@ -379,7 +379,6 @@ def synthesize_random_field(
                 raise ValueError(
                     f"Lipschitz target {target_theta2} above the frequency cutoff"
                 )
-        lo_val, hi_val = measured(1.0, kbase), measured(0.0, kbase)
         wlo, whi = 0.0, 1.0
         for _ in range(40):
             wmid = 0.5 * (wlo + whi)

@@ -90,6 +90,12 @@ class CubeDomain:
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
+def _lattice(G: float, L: float, d: int, m: int) -> np.ndarray:
+    """Centers of the m**d cells of the G-lattice, shape (m,)*d + (d,)."""
+    ax = -L / 2.0 + (np.arange(m) + 0.5) * G
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
 class EquidistributedSequence:
     """One ball center per cell of the G-lattice inside the cube."""
@@ -116,9 +122,7 @@ class EquidistributedSequence:
 
     def lattice_points(self) -> np.ndarray:
         """Cell centers of the G-lattice, shape (m,)*d + (d,)."""
-        m = self.cells_per_axis
-        ax = -self.L / 2.0 + (np.arange(m) + 0.5) * self.G
-        return np.stack(np.meshgrid(*([ax] * self.d), indexing="ij"), axis=-1)
+        return _lattice(self.G, self.L, self.d, self.cells_per_axis)
 
     def containment_margin(self) -> float:
         """min over cells of G/2 - delta - ||z_j - cell center||_inf; >= 0 by
@@ -157,14 +161,9 @@ def generate_sequence(
     m = L / G
     if abs(m - round(m)) > 1e-9 or round(m) % 2 != 1:
         raise ValueError("L/G must be an odd positive integer")
-    m = round(m)
-    base = EquidistributedSequence(
-        G=G, delta=delta, L=L, d=d,
-        centers=np.zeros((m,) * d + (d,)),
-    )
-    lattice = base.lattice_points()
+    lattice = _lattice(G, L, d, round(m))
     if mode == "centered":
-        centers = lattice.copy()
+        centers = lattice
     elif mode == "uniform_random":
         rng = np.random.default_rng(seed)
         half = G / 2.0 - delta

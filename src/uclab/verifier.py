@@ -455,7 +455,6 @@ def L_independence(
     bounds = []
     min_margin = math.inf
     records = []
-    cache: dict = {}
     mid = 0.5 * (tc_base.theta1_range[0] + tc_base.theta1_range[1])
     for lg in L_over_Gs:
         if lg % 2 != 1:
@@ -463,7 +462,7 @@ def L_independence(
         tc = TrialConfig(**{
             **asdict(tc_base), "L_over_G": lg, "theta1_range": (mid, mid),
         })
-        recs = run_trial(tc, fc, cache=cache)
+        recs = run_trial(tc, fc)
         records.extend(recs)
         bounds.append(recs[0].log_bound)
         min_margin = min(min_margin, min(r.margin for r in recs))

@@ -1,6 +1,7 @@
 """Weight profile, cutoff, and weighted-inequality tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +237,20 @@ class TestCarlemanInequality:
         u, A, wf, C, alpha0, h = self.make_setup()
         res = check_carleman_inequality(0.0 * u, A, None, None, h, wf, alpha0, C)
         assert res.ratio == 0.0
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-200])
+    def test_vanishing_right_side_fails(self, scale):
+        # the operator term underflows to zero: the ratio is inf, not a pass
+        u, A, wf, C, alpha0, h = self.make_setup()
+        res = check_carleman_inequality(u, scale * A, None, None, h, wf, alpha0, C)
+        assert res.rhs_log == -math.inf and res.ratio == math.inf
+
+    def test_unrepresentable_ratio_is_inf(self):
+        # lhs_log - rhs_log above log(float max) overflows exp
+        u, A, wf, C, alpha0, h = self.make_setup()
+        res = check_carleman_inequality(u, 1e-158 * A, None, None, h, wf, alpha0, C)
+        assert res.lhs_log - res.rhs_log > math.log(sys.float_info.max)
+        assert res.ratio == math.inf
 
     def test_bump_ratio_below_one_and_refines(self):
         ratios = []

@@ -211,6 +211,55 @@ class TestFieldFileFlag:
         assert main(["extend-check", "--config", cfg, "--out", str(out),
                      "--field-file", str(ff)]) == 0
 
+    def test_extend_check_measures_every_axis(self, tmp_path):
+        # a potential wall at the low x-face pushes psi off that face, so the
+        # largest interface jump is the one across the y-faces
+        import dataclasses
+
+        import numpy as np
+
+        from uclab.discretization import assemble
+        from uclab.fields import save_field, synthesize_dir_cross_field
+        from uclab.geometry import CubeDomain
+        from uclab.spectral import eigensolve
+
+        dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
+        fld = synthesize_dir_cross_field(3, dom, 1.4)
+        x = dom.center_grid()[..., 0]
+        fld = dataclasses.replace(fld, V=50.0 * np.exp(-(x + 1.5) / 0.3))
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        cfg = write_cfg(tmp_path, {"seeds": [0]})
+        out = tmp_path / "out"
+        assert main(["extend-check", "--config", cfg, "--out", str(out),
+                     "--field-file", str(ff)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+
+        # the odd mirror puts -psi next to psi at each low face: jump 2|psi|
+        psi = eigensolve(assemble(fld), count=2, seed=0).grid_vector(0)
+        grad = max(float(np.abs(np.diff(psi, axis=ax)).max()) / dom.h
+                   for ax in range(2))
+        jumps = [2.0 * float(np.abs(np.take(psi, 0, axis=ax)).max())
+                 / (10.0 * dom.h * grad) for ax in range(2)]
+        assert jumps[1] > 2.0 * jumps[0]
+        assert rep["worst"]["interface_jump_rel"] == pytest.approx(max(jumps), rel=1e-12)
+
+    def test_extend_check_tiles_a_periodic_field(self, tmp_path):
+        import numpy as np
+
+        from uclab.fields import save_field, synthesize_random_field
+        from uclab.geometry import CubeDomain
+
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        fld = synthesize_random_field(2, dom, 1.3, norm_V=0.5)
+        assert np.any(fld.A[..., 0, 1])  # not Dirichlet-compatible
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        cfg = write_cfg(tmp_path, {"seeds": [0]})
+        out = tmp_path / "out"
+        assert main(["extend-check", "--config", cfg, "--out", str(out),
+                     "--field-file", str(ff)]) == 0
+
     def test_verify_dump_eigenpairs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
         out = tmp_path / "out"

@@ -10,8 +10,7 @@ import scipy.sparse as sp
 from uclab.discretization import (
     apply_operator,
     assemble,
-    extend_dirichlet_reflection,
-    extend_periodic,
+    extend,
     reflect_block,
     residual_inequality_check,
 )
@@ -297,30 +296,30 @@ class TestPeriodicExtension:
 
     def test_constant_extends_constant(self):
         dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
-        ext = extend_periodic(np.ones(dom.shape), laplacian_field(dom))
-        assert np.all(ext.psi == 1.0) and np.all(ext.A == np.eye(1))
+        psi3, fld3, _ = extend(np.ones(dom.shape), laplacian_field(dom))
+        assert np.all(psi3 == 1.0) and np.all(fld3.A == np.eye(1))
 
     def test_smooth_periodic_function_extends_smoothly(self):
         L = 3.0
         dom = CubeDomain(1, L, 1 / 64, "periodic")
         x = dom.centers_1d()
         psi = np.sin(2 * math.pi * x / L)
-        ext = extend_periodic(psi, laplacian_field(dom))
-        x3 = ext.domain.centers_1d()
-        assert np.abs(ext.psi - np.sin(2 * math.pi * x3 / L)).max() < 1e-12
+        psi3, fld3, _ = extend(psi, laplacian_field(dom))
+        x3 = fld3.domain.centers_1d()
+        assert np.abs(psi3 - np.sin(2 * math.pi * x3 / L)).max() < 1e-12
 
     def test_exact_periodicity_of_extension(self):
         dom, fld, psi = self.make()
-        ext = extend_periodic(psi, fld)
+        psi3, fld3, _ = extend(psi, fld)
         n = dom.n
-        assert np.array_equal(ext.psi[:n], ext.psi[n:2 * n])
-        assert np.array_equal(ext.A[:, :n], ext.A[:, n:2 * n])
+        assert np.array_equal(psi3[:n], psi3[n:2 * n])
+        assert np.array_equal(fld3.A[:, :n], fld3.A[:, n:2 * n])
 
     def test_operator_commutes_on_interior_bitwise(self):
         dom, fld, psi = self.make()
-        ext = extend_periodic(psi, fld)
+        psi3, fld3, _ = extend(psi, fld)
         op_base = apply_operator(fld.A, fld.b, fld.c, fld.V, psi, dom.h)
-        op_ext = apply_operator(ext.A, ext.b, ext.c, ext.V, ext.psi, dom.h)
+        op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom.h)
         n = dom.n
         mid = (slice(n, 2 * n),) * 2
         assert np.array_equal(op_ext[mid], op_base)
@@ -334,7 +333,7 @@ class TestPeriodicExtension:
             np.zeros(dom.shape), 1.5, 0.3,
         )
         with pytest.raises(ValueError):
-            extend_periodic(np.ones(dom.shape), fld)
+            extend(np.ones(dom.shape), fld)
 
 
 class TestDirichletExtension:
@@ -343,35 +342,35 @@ class TestDirichletExtension:
         dom = CubeDomain(1, L, h, "dirichlet")
         x = dom.centers_1d()
         psi = np.sin(math.pi * (x + L / 2) / L)
-        ext = extend_dirichlet_reflection(psi, laplacian_field(dom))
-        x3 = ext.domain.centers_1d()
-        assert np.abs(ext.psi - np.sin(math.pi * (x3 + L / 2) / L)).max() < 1e-12
+        psi3, fld3, _ = extend(psi, laplacian_field(dom))
+        x3 = fld3.domain.centers_1d()
+        assert np.abs(psi3 - np.sin(math.pi * (x3 + L / 2) / L)).max() < 1e-12
 
     def test_diagonal_constant_A_unchanged(self):
         dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
         fld = laplacian_field(dom)
         psi = np.zeros(dom.shape)
-        ext = extend_dirichlet_reflection(psi, fld)
-        assert np.all(ext.A == np.eye(2))
+        _, fld3, _ = extend(psi, fld)
+        assert np.all(fld3.A == np.eye(2))
 
     def test_symmetry_and_cellwise_spectrum_preserved(self):
         dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
         fld = synthesize_dir_cross_field(4, dom, 1.5)
         psi = np.zeros(dom.shape)
-        ext = extend_dirichlet_reflection(psi, fld)
-        assert np.array_equal(ext.A, np.swapaxes(ext.A, -1, -2))
+        A3 = extend(psi, fld)[1].A
+        assert np.array_equal(A3, np.swapaxes(A3, -1, -2))
         # sign conjugation preserves every cell's eigenvalues: the base block
         # and its mirror have identical spectra cell by cell
         n = dom.n
-        base = np.linalg.eigvalsh(ext.A[n:2 * n, n:2 * n])
-        mirror = np.linalg.eigvalsh(np.flip(ext.A[:n, n:2 * n], axis=0))
+        base = np.linalg.eigvalsh(A3[n:2 * n, n:2 * n])
+        mirror = np.linalg.eigvalsh(np.flip(A3[:n, n:2 * n], axis=0))
         assert np.abs(base - mirror).max() < 1e-12
-        assert abs(estimate_ellipticity(ext.A) - estimate_ellipticity(fld.A)) < 1e-12
+        assert abs(estimate_ellipticity(A3) - estimate_ellipticity(fld.A)) < 1e-12
 
     def test_composition_order_immaterial(self):
         dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
         fld = synthesize_dir_cross_field(4, dom, 1.5)
-        ext = extend_dirichlet_reflection(np.zeros(dom.shape), fld)
+        A3 = extend(np.zeros(dom.shape), fld)[1].A
         a_e = fld.A
         for ax in (1, 0):  # reversed axis order
             a_e = np.concatenate(
@@ -379,7 +378,7 @@ class TestDirichletExtension:
                  reflect_block(a_e, ax, "matrix", 2)],
                 axis=ax,
             )
-        assert np.array_equal(a_e, ext.A)
+        assert np.array_equal(a_e, A3)
 
     def test_drift_parities_preserve_the_operator(self):
         # with the orientation-consistent drift parities, the discrete
@@ -401,17 +400,17 @@ class TestDirichletExtension:
         dom = CubeDomain(1, 3.0, 1 / 16, "dirichlet")
         psi = np.ones(dom.shape)  # no zero trace
         with pytest.raises(ValueError):
-            extend_dirichlet_reflection(psi, laplacian_field(dom))
+            extend(psi, laplacian_field(dom))
 
     def test_lipschitz_preserved_across_interior_faces(self):
         dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
         fld = synthesize_dir_cross_field(6, dom, 1.4)
         psi = np.zeros(dom.shape)
-        ext = extend_dirichlet_reflection(psi, fld)
+        _, fld3, _ = extend(psi, fld)
         from uclab.fields import estimate_lipschitz
 
         lip_base = estimate_lipschitz(fld.A, dom.h)
-        lip_ext = estimate_lipschitz(ext.A, dom.h)
+        lip_ext = estimate_lipschitz(fld3.A, dom.h)
         # off-diagonals vanish at the face, so the mirrored jump stays within
         # one quantization step of the declared constant
         assert lip_ext <= lip_base + 10.0 * dom.h * fld.declared_theta2 + 1e-9

@@ -12,7 +12,6 @@ from uclab.fields import CoefficientField
 from uclab.geometry import CubeDomain, generate_sequence, mask, near_neighbor
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
-    ObservabilityRecord,
     TrialConfig,
     cacciopoli_check,
     delta_sweep,
