@@ -61,7 +61,7 @@ sym = np.abs(fld3.A - np.swapaxes(fld3.A, -1, -2)).max()
 print(f"off-diagonal magnitude in the base block : "
       f"{np.abs(fld2.A[..., 0, 1]).max():.4f}")
 print(f"extended matrix symmetry defect          : {sym}")
-op_ext = apply_operator(fld3.A, None, None, fld3.V, psi3, dom2.h)
+op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom2.h)
 viol = residual_inequality_check(psi3, lam, zeta3, op_ext, interior_margin=2)
 print(f"differential-inequality violation on the extension interior: "
       f"{viol:.3e}  (<= 0 means preserved)")

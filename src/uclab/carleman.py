@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import exp1, logsumexp
 
-from uclab.constants import EULER, ModelParams, carleman_constants, mu_one
+from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
 from uclab.fields import constant_spd_field, periodic_centered_diff
 from uclab.geometry import CubeDomain
@@ -41,6 +41,9 @@ __all__ = [
 # largest |u| / max|u| counted as zero by the support checks of
 # check_carleman_inequality
 SUPPORT_TOL = 1e-12
+
+# centered-difference step for coefficient derivatives in cutoff_operator_value
+FD_STEP = 1e-6
 
 # Taylor coefficients (-1)^(k+1) / (k k!) of Ein, used up to the cut
 _EIN_CUT = 1.0
@@ -289,25 +292,20 @@ def cutoff_operator_value(
     A: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    dA: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    fd_step: float = 1e-6,
 ) -> np.ndarray:
     """-div(A grad eta) + b.grad eta at the points, from the closed-form
-    cutoff derivatives; coefficient derivatives by analytic callable or
-    centered finite differences."""
+    cutoff derivatives; coefficient derivatives by centered finite
+    differences of step ``FD_STEP``."""
     pts = np.asarray(points, dtype=float)
     d = cutoff.d
     grad = cutoff.gradient(pts)
     hess = cutoff.hessian(pts)
     Axx = A(pts)
-    if dA is not None:
-        dA_val = dA(pts)
-    else:
-        dA_val = np.empty(pts.shape[:-1] + (d, d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = fd_step
-            dA_val[..., i, :, :] = (A(pts + e) - A(pts - e)) / (2.0 * fd_step)
+    dA_val = np.empty(pts.shape[:-1] + (d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = FD_STEP
+        dA_val[..., i, :, :] = (A(pts + e) - A(pts - e)) / (2.0 * FD_STEP)
     div_A_grad = np.einsum("...iij->...j", dA_val)  # sum_i d_i a[i,j]
     op_c = -np.einsum("...j,...j->...", div_A_grad, grad)
     op_c = op_c - np.einsum("...ij,...ij->...", Axx, hess)
@@ -324,18 +322,16 @@ def check_pointwise_cutoff_bound(
     theta2: float,
     norm_b: float = 0.0,
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    dA: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    fd_step: float = 1e-6,
 ) -> CutoffBoundCheck:
     """Slack of the pointwise bound on the cutoff under the principal part:
 
         |Op_c eta|^2 <= 3 t1^2 |lap eta|^2 + 3 t1^2 (2d-1)^2 |grad eta|^2/|x|^2
                         + 3 (t2 d^2 + |b|_inf)^2 |grad eta|^2
 
-    ``A`` (and optionally ``b``, ``dA``) are smooth synthetic fields given as
-    callables on point arrays; coefficient derivatives default to centered
-    finite differences of ``A``.  Points within one finite-difference step of
-    the profile breakpoints are flagged (one-sided second derivatives there).
+    ``A`` (and optionally ``b``) are smooth synthetic fields given as
+    callables on point arrays; coefficient derivatives are centered finite
+    differences of ``A``.  Points within two finite-difference steps of the
+    profile breakpoints are flagged (one-sided second derivatives there).
     """
     pts = np.asarray(points, dtype=float)
     d = cutoff.d
@@ -344,7 +340,7 @@ def check_pointwise_cutoff_bound(
         raise ValueError("sample points must avoid the origin")
     grad = cutoff.gradient(pts)
     lap = cutoff.laplacian(pts)
-    op_c = cutoff_operator_value(cutoff, A, pts, b=b, dA=dA, fd_step=fd_step)
+    op_c = cutoff_operator_value(cutoff, A, pts, b=b)
     lhs = np.abs(op_c) ** 2
     g2 = (grad**2).sum(axis=-1)
     rhs = (
@@ -354,7 +350,7 @@ def check_pointwise_cutoff_bound(
     )
     slack = rhs - lhs
     breakpoints = np.array([cutoff.r1, cutoff.r2, cutoff.r3, cutoff.r4])
-    flagged = np.min(np.abs(s[..., None] - breakpoints), axis=-1) < 2.0 * fd_step
+    flagged = np.min(np.abs(s[..., None] - breakpoints), axis=-1) < 2.0 * FD_STEP
     return CutoffBoundCheck(
         worst_slack=float(slack[~flagged].min() if np.any(~flagged) else slack.min()),
         flagged=int(flagged.sum()),
@@ -403,9 +399,7 @@ def check_carleman_inequality(
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
     rho = weight.rho
-    side = n * h
-    ax = -side / 2.0 + (np.arange(n) + 0.5) * h
-    pts = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
+    pts = CubeDomain(d, n * h, h, "periodic").center_grid()
     r = np.sqrt((pts**2).sum(axis=-1))
 
     umax = float(np.abs(u).max())
@@ -483,7 +477,7 @@ def carleman_trial(
     rho = (0.8 + 0.45 * rng.random()) if rho is None else float(rho)
     variable_A = rng.random() < 0.25
     theta2 = 4e-4 * rng.random() if variable_A else 0.0
-    mu_floor = 33.0 * d * theta1**5.5 * theta2 * rho
+    mu_floor = carleman_mu_floor(d, theta1, theta2, rho)
     if mu is None:
         mu = mu_floor + 0.03 + 0.08 * rng.random()
     elif mu <= mu_floor:
@@ -495,10 +489,8 @@ def carleman_trial(
 
     side = 2.0 * rho * 1.08
     n = int(math.ceil(side / h / 2.0)) * 2
-    ax = (np.arange(n) + 0.5 - n / 2.0) * h
-    pts = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
-
     dom = CubeDomain(d, n * h, h, "periodic")
+    pts = dom.center_grid()
     if variable_A:
         amp = theta2 * 2.0 * rho / math.pi  # slope pi/(2 rho) times amp
         base = 0.5 * (theta1 + 1.0 / theta1)

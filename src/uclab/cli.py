@@ -340,7 +340,7 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
         worst["interface_jump_rel"] = max(
             worst["interface_jump_rel"], jump / (10.0 * dom.h * grad)
         )
-        op_ext = apply_operator(fld3.A, None, None, fld3.V, psi3, dom.h)
+        op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom.h)
         viol = residual_inequality_check(
             psi3, lam, zeta3, op_ext, interior_margin=2
         )

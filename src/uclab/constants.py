@@ -31,6 +31,7 @@ __all__ = [
     "admissibility_epsilon",
     "side_length_T",
     "carleman_mu_rho",
+    "carleman_mu_floor",
     "mu_one",
     "carleman_constants",
     "cacciopoli_prefactor",
@@ -164,10 +165,15 @@ def carleman_mu_rho(p: ModelParams, eps0: float) -> tuple[float, float, float]:
     if p.R is None or p.D0 is None:
         raise ValueError("R and D0 must be set (with_sampling_geometry or caller)")
     rho = 2.0 * EULER * p.theta1 * p.R + 2.0 * p.D0
-    mu = 33.0 * p.d * rho * p.theta1**5.5 * p.theta2 + rho * eps0 / (
+    mu = carleman_mu_floor(p.d, p.theta1, p.theta2, rho) + rho * eps0 / (
         2.0 * EULER * p.R * math.sqrt(p.theta1)
     )
     return mu, mu_one(p.theta1, mu), rho
+
+
+def carleman_mu_floor(d: int, theta1: float, theta2: float, rho: float) -> float:
+    """33 d theta1^(11/2) theta2 rho: the weight parameter mu must exceed it."""
+    return 33.0 * d * theta1**5.5 * theta2 * rho
 
 
 def mu_one(theta1: float, mu: float) -> float:
@@ -181,7 +187,7 @@ def carleman_constants(
     p: ModelParams, rho: float, mu: float, mu1: float
 ) -> tuple[float, float]:
     """Upper bounds (C, alpha0) admissible in the weighted inequality."""
-    c_mu = mu - 33.0 * p.d * p.theta1**5.5 * p.theta2 * rho
+    c_mu = mu - carleman_mu_floor(p.d, p.theta1, p.theta2, rho)
     if c_mu <= 0.0:
         raise ValueError("mu must exceed 33*d*theta1^(11/2)*theta2*rho")
     sq = math.sqrt(p.theta1)

@@ -9,13 +9,14 @@ off-diagonals.  Writing the drift as (b.grad + grad.(b .))/2 and moving the
 leftover -div(b)/2 into the diagonal keeps the scheme second-order consistent
 for arbitrary coefficients and structurally Hermitian for self-adjoint ones.
 
-Dirichlet boundaries eliminate ghost cells by odd reflection (the zero sits
-exactly on the face, keeping second-order eigenvalue accuracy); the drift
-term uses a zero ghost, which preserves the skew structure.  Periodic
-boundaries wrap indices.  One shift, ``_shifted_values``, serves both the
-coefficient values and the stencil columns: shifting the flat index grid
-gives each entry's column, and shifting a grid of ones with the ghost sign
-(-1 odd, 0 dropped) gives its sign.
+The boundary condition is the field's ``domain.bc``.  Dirichlet boundaries
+eliminate ghost cells by odd reflection (the zero sits exactly on the face,
+keeping second-order eigenvalue accuracy); the drift term uses a zero ghost,
+which preserves the skew structure.  Periodic boundaries wrap indices.  One
+shift, ``_shifted_values``, serves both the coefficient values and the
+stencil columns: shifting the flat index grid gives each entry's column, and
+shifting a grid of ones with the ghost sign (-1 odd, 0 dropped) gives its
+sign.
 
 Spectral floor.  When A is positive semidefinite in every cell (checked by
 :class:`~uclab.fields.CoefficientField`), the second-order part P is PSD.
@@ -255,12 +256,13 @@ def apply_operator(
 
 
 # parity of each quantity under reflection across a face normal to axis p
-def reflect_block(arr: np.ndarray, axis: int, kind: str, d: int) -> np.ndarray:
+def reflect_block(arr: np.ndarray, axis: int, kind: str) -> np.ndarray:
     """Mirror ``arr`` across a face normal to ``axis`` with the sign rules.
 
     ``kind``: ``psi`` (odd), ``scalar`` (even: c, V, zeta), ``vector`` (drift:
     normal component odd, tangential even), ``matrix`` (mixed rows/columns of
-    the reflected axis odd, the rest even).
+    the reflected axis odd, the rest even); the last axis of a vector or
+    matrix block is its dimension d.
     """
     flipped = np.flip(arr, axis=axis)
     if kind == "psi":
@@ -268,11 +270,11 @@ def reflect_block(arr: np.ndarray, axis: int, kind: str, d: int) -> np.ndarray:
     if kind == "scalar":
         return flipped
     if kind == "vector":
-        sign = np.ones(d)
+        sign = np.ones(arr.shape[-1])
         sign[axis] = -1.0
         return flipped * sign
     if kind == "matrix":
-        sign = np.ones((d, d))
+        sign = np.ones(arr.shape[-2:])
         sign[axis, :] *= -1.0
         sign[:, axis] *= -1.0
         return flipped * sign
@@ -313,7 +315,7 @@ def extend(
     """
     dom = field.domain
     d, bc = dom.d, dom.bc
-    rep = check_boundary_conditions(field, bc)
+    rep = check_boundary_conditions(field)
     if not rep["ok"]:
         name = "periodic" if bc == "periodic" else "Dirichlet"
         raise ValueError(
@@ -329,7 +331,7 @@ def extend(
         for name, arr in parts.items():
             if arr is None:
                 continue
-            side = arr if bc == "periodic" else reflect_block(arr, ax, _PARITY[name], d)
+            side = arr if bc == "periodic" else reflect_block(arr, ax, _PARITY[name])
             parts[name] = np.concatenate([side, arr, side], axis=ax)
     psi3, zeta3 = parts.pop("psi"), parts.pop("zeta")
     field3 = replace(field, domain=CubeDomain(d, 3 * dom.L, dom.h, bc), **parts)

@@ -3,6 +3,8 @@
 A field holds grids of the matrix ``A``, drift ``b``, zeroth-order ``c`` and
 potential ``V`` on the cell-centered cube grid, together with declared
 ellipticity/Lipschitz constants.  Matrix norms follow the row-sum convention.
+Builders and checks read the boundary condition from ``CubeDomain.bc``; only
+:func:`divergence_centered`, which also serves raw arrays, takes it as an argument.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class CoefficientField:
             bad = int(np.count_nonzero(~np.isfinite(getattr(self, name))))
             if bad:
                 raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
-        if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), atol=0.0):
+        if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("A must be exactly symmetric cellwise")
         # assemble's spectral floor rests on a PSD second-order part
         scale = float(np.abs(self.A).max())
@@ -156,22 +158,21 @@ def divergence_centered(
 
 
 def make_self_adjoint(
-    b_tilde: np.ndarray,
-    c_tilde: np.ndarray,
-    h: float,
-    bc: Literal["dirichlet", "periodic"] = "periodic",
+    b_tilde: np.ndarray, c_tilde: np.ndarray, domain: CubeDomain
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Self-adjoint lower-order coefficients: b = i*b_tilde and
-    c = c_tilde + i*div(b_tilde)/2 with the centered discrete divergence."""
+    """Self-adjoint lower-order coefficients on ``domain``: b = i*b_tilde and
+    c = c_tilde + i*div(b_tilde)/2 with the centered discrete divergence of
+    the domain's boundary condition."""
     b_tilde = np.asarray(b_tilde, dtype=float)
     c_tilde = np.asarray(c_tilde, dtype=float)
     b = 1j * b_tilde
-    c = c_tilde + 0.5j * divergence_centered(b_tilde, h, bc)
+    c = c_tilde + 0.5j * divergence_centered(b_tilde, domain.h, domain.bc)
     return b, c
 
 
-def check_boundary_conditions(field: CoefficientField, bc: str) -> dict:
-    """Report worst violations of the coefficient boundary conditions.
+def check_boundary_conditions(field: CoefficientField) -> dict:
+    """Report worst violations of the coefficient boundary conditions of
+    the field's domain.
 
     Dirichlet-compatibility requires the off-diagonal entries of A to vanish
     on the faces; periodic compatibility requires every entry's opposite-face
@@ -180,9 +181,9 @@ def check_boundary_conditions(field: CoefficientField, bc: str) -> dict:
     dom = field.domain
     d, h, t2 = dom.d, dom.h, field.declared_theta2
     tol = 10.0 * h * max(t2, 1e-12)
-    report: dict = {"bc": bc, "tolerance": tol}
+    report: dict = {"bc": dom.bc, "tolerance": tol}
     worst = 0.0
-    if bc == "dirichlet":
+    if dom.bc == "dirichlet":
         for ax in range(d):
             sl_lo = [slice(None)] * d
             sl_lo[ax] = 0
@@ -194,7 +195,7 @@ def check_boundary_conditions(field: CoefficientField, bc: str) -> dict:
                 offdiag[..., idx, idx] = 0.0
                 worst = max(worst, float(np.abs(offdiag).max()))
         report["kind"] = "offdiagonal_face_trace"
-    elif bc == "periodic":
+    else:
         # only the second-order coefficients carry the periodicity condition
         for ax in range(d):
             first = np.take(field.A, 0, axis=ax)
@@ -203,8 +204,6 @@ def check_boundary_conditions(field: CoefficientField, bc: str) -> dict:
             worst = max(worst, jump - h * t2)
         worst = max(worst, 0.0)
         report["kind"] = "wraparound_jump_excess"
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
     report["worst_violation"] = worst
     report["ok"] = bool(worst <= tol)
     return report
@@ -245,15 +244,11 @@ def _phase(domain: CubeDomain, k: np.ndarray, phase: float) -> np.ndarray:
     return np.cos(arg + phase)
 
 
-def constant_spd_field(
-    seed: int,
-    domain: CubeDomain,
-    theta1: float,
-    diagonal_only: bool = False,
-) -> np.ndarray:
+def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarray:
     """Constant symmetric positive-definite A grid with the spectrum pinned
     to [1/theta1, theta1] (so the ellipticity estimate is exactly theta1,
-    when theta1 > 1).  ``diagonal_only`` keeps it Dirichlet-compatible."""
+    when theta1 > 1).  A is diagonal on a Dirichlet domain, which keeps it
+    Dirichlet-compatible, and randomly rotated on a periodic one."""
     rng = np.random.default_rng(seed)
     d = domain.d
     lam = np.exp(rng.uniform(-math.log(theta1), math.log(theta1), size=d)) \
@@ -262,7 +257,7 @@ def constant_spd_field(
         lam[0] = theta1
         if d > 1:
             lam[1] = 1.0 / theta1
-    if diagonal_only or d == 1:
+    if domain.bc == "dirichlet" or d == 1:
         A0 = np.diag(lam)
     else:
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -321,7 +316,6 @@ def synthesize_random_field(
     norm_V: float = 0.0,
     norm_b: float = 0.0,
     norm_c: float = 0.0,
-    bc: Literal["dirichlet", "periodic"] = "periodic",
     sa: bool = False,
     tol: float = 0.05,
 ) -> CoefficientField:
@@ -331,28 +325,31 @@ def synthesize_random_field(
     the ellipticity target exactly.  Otherwise the log-amplitude of a scalar
     (diagonal) A is a two-mode cosine along a random axis: the amplitude hits
     the ellipticity target exactly and the mode mixture is bisected until the
-    measured Lipschitz constant lands within ``tol`` of its target.  Raises
+    measured Lipschitz constant lands within ``tol`` of its target.  On a
+    Dirichlet domain A is diagonal and every cosine has phase zero.  Raises
     when the Lipschitz target is unreachable at the grid's frequency
     resolution.  Deterministic per seed.
     """
     if target_theta1 < 1.0:
         raise ValueError("ellipticity target must be >= 1")
     rng = np.random.default_rng(seed)
-    d, n, h, L = domain.d, domain.n, domain.h, domain.L
+    d, n, h = domain.d, domain.n, domain.h
     shape = domain.shape
     beta = math.log(target_theta1)
+
+    def draw_phase() -> float:
+        # phase zero keeps each cosine even about the faces of a Dirichlet domain
+        return float(rng.uniform(0, 2 * math.pi)) if domain.bc == "periodic" else 0.0
 
     if target_theta2 == 0.0 or beta == 0.0:
         if target_theta2 > 0.0:
             raise ValueError("cannot vary A with unit ellipticity target")
-        A = constant_spd_field(
-            seed, domain, target_theta1, diagonal_only=(bc == "dirichlet")
-        )
+        A = constant_spd_field(seed, domain, target_theta1)
     else:
         axis = int(rng.integers(d))
         k1 = np.zeros(d)
         k1[axis] = 1.0
-        phase = 0.0 if bc == "dirichlet" else float(rng.uniform(0, 2 * math.pi))
+        phase = draw_phase()
 
         def profile(wmix: float, kbase: int) -> np.ndarray:
             f = wmix * _phase(domain, kbase * k1, phase) + (1.0 - wmix) * _phase(
@@ -396,7 +393,7 @@ def synthesize_random_field(
     if norm_b > 0.0:
         kb = np.zeros(d)
         kb[int(rng.integers(d))] = 1.0
-        prof = _phase(domain, kb, float(rng.uniform(0, 2 * math.pi)) if bc == "periodic" else 0.0)
+        prof = _phase(domain, kb, draw_phase())
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
         b_tilde = norm_b * prof[..., None] * direction
@@ -406,14 +403,12 @@ def synthesize_random_field(
     if norm_c > 0.0:
         kc = np.zeros(d)
         kc[int(rng.integers(d))] = 1.0
-        c_tilde = norm_c * _phase(
-            domain, kc, float(rng.uniform(0, 2 * math.pi)) if bc == "periodic" else 0.0
-        )
+        c_tilde = norm_c * _phase(domain, kc, draw_phase())
     else:
         c_tilde = np.zeros(shape)
 
     if sa:
-        b, c = make_self_adjoint(b_tilde, c_tilde, h, bc)
+        b, c = make_self_adjoint(b_tilde, c_tilde, domain)
     else:
         b, c = b_tilde.astype(complex), c_tilde.astype(complex)
 

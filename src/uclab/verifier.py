@@ -205,10 +205,7 @@ def benchmark_field(tc: TrialConfig) -> CoefficientField:
     dom = CubeDomain(tc.d, tc.L, tc.h, tc.bc)
     lo, hi = tc.theta1_range
     theta1 = lo + (hi - lo) * rng.random()
-    A = constant_spd_field(
-        int(rng.integers(2**31)), dom, theta1,
-        diagonal_only=(tc.bc == "dirichlet"),
-    )
+    A = constant_spd_field(int(rng.integers(2**31)), dom, theta1)
     V = (
         rng.uniform(-tc.norm_V, tc.norm_V, size=dom.shape)
         if tc.norm_V > 0

@@ -225,7 +225,7 @@ def test_criterion_06_extension_correctness():
             dom = CubeDomain(1, 3.0, 1 / 32, "dirichlet")
             fld = synthesize_random_field(
                 100 + i, dom, 1.0 + 0.3 * ((i % 5) + 1) / 5.0,
-                1.0 + 0.3 * (i % 3), bc="dirichlet",
+                1.0 + 0.3 * (i % 3),
             )
         else:
             dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
@@ -257,7 +257,7 @@ def test_criterion_06_extension_correctness():
             ok &= float(np.abs(lo - hi).max()) <= 10.0 * dom.h * grad_sup
 
         # residual inequality preserved on interior cells of the extension
-        op_ext = apply_operator(fld3.A, None, None, fld3.V, psi3, dom.h)
+        op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom.h)
         viol = residual_inequality_check(
             psi3, lam, zeta3, op_ext, interior_margin=2
         )

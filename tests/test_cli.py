@@ -260,6 +260,23 @@ class TestFieldFileFlag:
         assert main(["extend-check", "--config", cfg, "--out", str(out),
                      "--field-file", str(ff)]) == 0
 
+    def test_extend_check_keeps_the_drift_of_a_periodic_field(self, tmp_path):
+        from uclab.fields import save_field, synthesize_random_field
+        from uclab.geometry import CubeDomain
+
+        # the residual is taken with b and c; without them it misses by 7e-3
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        fld = synthesize_random_field(2, dom, 1.3, norm_V=0.5, norm_b=0.3,
+                                      norm_c=0.2, sa=True)
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        cfg = write_cfg(tmp_path, {"seeds": [0]})
+        out = tmp_path / "out"
+        assert main(["extend-check", "--config", cfg, "--out", str(out),
+                     "--field-file", str(ff)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["worst"]["residual"] <= 1e-12
+
     def test_verify_dump_eigenpairs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
         out = tmp_path / "out"

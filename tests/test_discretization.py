@@ -87,12 +87,23 @@ class TestAssembly:
                 np.zeros(dom.shape), 1.0, 0.0,
             )
 
+    def test_relative_asymmetry_rejected_at_field_level(self):
+        # off by a relative 5e-6, which a relative tolerance would accept
+        dom = CubeDomain(2, 3.0, 1 / 8)
+        A = np.broadcast_to(np.eye(2), dom.shape + (2, 2)).copy()
+        A[..., 0, 1] = 1e-6
+        A[..., 1, 0] = 1e-6 * (1 + 5e-6)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            CoefficientField(
+                dom, A, np.zeros(dom.shape + (2,)), np.zeros(dom.shape),
+                np.zeros(dom.shape), 1.0, 0.0,
+            )
+
     def test_hermitian_exactly_under_self_adjointness(self):
         for bc in ("periodic", "dirichlet"):
             dom = CubeDomain(2, 3.0, 1 / 8, bc)
             fld = synthesize_random_field(
-                5, dom, 1.3, 0.6, norm_V=0.5, norm_b=0.8, norm_c=0.4,
-                bc=bc, sa=True,
+                5, dom, 1.3, 0.6, norm_V=0.5, norm_b=0.8, norm_c=0.4, sa=True,
             )
             H = assemble(fld)
             assert H.hermiticity_defect() == 0.0
@@ -195,7 +206,9 @@ def mixed_field(seed, dom, complex_drift=True):
     """Variable rotated A (nonzero mixed entries on every face), drift, c, V."""
     rng = np.random.default_rng(seed)
     d = dom.d
-    A = constant_spd_field(seed, dom, 1.5) * (1.0 + 0.2 * rng.random(dom.shape))[..., None, None]
+    # rotated A from the periodic twin, so Dirichlet domains fold mixed terms
+    A0 = constant_spd_field(seed, dataclasses.replace(dom, bc="periodic"), 1.5)
+    A = A0 * (1.0 + 0.2 * rng.random(dom.shape))[..., None, None]
     b = rng.standard_normal(dom.shape + (d,))
     c = rng.standard_normal(dom.shape)
     if complex_drift:
@@ -213,7 +226,7 @@ class TestAssemblyMatchesMultiIndexBuilder:
             mixed_field(d, dom),
             mixed_field(d + 5, dom, complex_drift=False),
             synthesize_random_field(5, dom, 1.3, 0.6, norm_V=0.5, norm_b=0.8,
-                                    norm_c=0.4, bc=bc, sa=True),
+                                    norm_c=0.4, sa=True),
             laplacian_field(dom),
         ]
         if d >= 2:
@@ -235,7 +248,7 @@ def random_spd_field(seed, dom):
     A = G @ np.swapaxes(G, -1, -2) + 0.05 * np.eye(d)
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     b, c = make_self_adjoint(rng.standard_normal(dom.shape + (d,)),
-                             rng.standard_normal(dom.shape), dom.h, dom.bc)
+                             rng.standard_normal(dom.shape), dom)
     return CoefficientField(dom, A, b, c, rng.uniform(-1.0, 1.0, dom.shape), 2.0, 1.0)
 
 
@@ -252,7 +265,7 @@ class TestSpectralFloor:
             random_spd_field(10 + d, dom),
             random_spd_field(20 + d, dom),
             synthesize_random_field(5, dom, 1.3, 0.0, norm_V=0.5, norm_b=2.0,
-                                    norm_c=0.4, bc=bc, sa=True),
+                                    norm_c=0.4, sa=True),
             laplacian_field(dom, V=rng.uniform(-1.0, 1.0, dom.shape)),
         ]
         if d >= 2:
@@ -374,8 +387,8 @@ class TestDirichletExtension:
         a_e = fld.A
         for ax in (1, 0):  # reversed axis order
             a_e = np.concatenate(
-                [reflect_block(a_e, ax, "matrix", 2), a_e,
-                 reflect_block(a_e, ax, "matrix", 2)],
+                [reflect_block(a_e, ax, "matrix"), a_e,
+                 reflect_block(a_e, ax, "matrix")],
                 axis=ax,
             )
         assert np.array_equal(a_e, A3)

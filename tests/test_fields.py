@@ -1,6 +1,7 @@
 """Coefficient-field construction and validation tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,19 +143,27 @@ class TestSelfAdjoint:
     def test_zero_drift_keeps_c_real(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
         b, c = make_self_adjoint(
-            np.zeros(dom.shape + (2,)), np.ones(dom.shape), dom.h
+            np.zeros(dom.shape + (2,)), np.ones(dom.shape), dom
         )
         assert not b.any()
         assert not c.imag.any()
 
     def test_analytic_divergence(self):
         L = 3.0
-        dom = CubeDomain(1, L, 1 / 128)
+        dom = CubeDomain(1, L, 1 / 128, "periodic")
         x = dom.centers_1d()
         bt = np.sin(2 * math.pi * x / L)[:, None]
-        _, c = make_self_adjoint(bt, np.zeros(dom.shape), dom.h, "periodic")
+        _, c = make_self_adjoint(bt, np.zeros(dom.shape), dom)
         exact = (math.pi / L) * np.cos(2 * math.pi * x / L)
         assert np.abs(c.imag - exact).max() < 2e-4  # O(h^2)
+
+    def test_dirichlet_synthesis_assembles_exactly_hermitian(self):
+        # the drift divergence follows the domain's Dirichlet faces
+        dom = CubeDomain(2, 3.0, 1 / 8)
+        fld = synthesize_random_field(
+            3, dom, 1.2, 0.4, norm_b=0.7, norm_c=0.3, sa=True
+        )
+        assert assemble(fld).hermiticity_defect() == 0.0
 
     def test_assembled_hermiticity_defect_vanishes_under_refinement(self):
         defects = []
@@ -171,35 +180,36 @@ class TestSelfAdjoint:
 class TestBoundaryConditions:
     def test_diagonal_passes_dirichlet(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
-        rep = check_boundary_conditions(laplacian_field(dom), "dirichlet")
+        rep = check_boundary_conditions(laplacian_field(dom))
         assert rep["ok"] and rep["worst_violation"] == 0.0
 
     def test_constant_passes_periodic(self):
-        dom = CubeDomain(2, 3.0, 1 / 8)
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
         fld = CoefficientField(
             dom, constant_spd_field(1, dom, 1.5),
             np.zeros(dom.shape + (2,)), np.zeros(dom.shape), np.zeros(dom.shape),
             1.5, 0.0,
         )
-        rep = check_boundary_conditions(fld, "periodic")
+        rep = check_boundary_conditions(fld)
         assert rep["ok"] and rep["worst_violation"] == 0.0
 
     def test_face_vanishing_profile_passes_dirichlet(self):
         dom = CubeDomain(2, 3.0, 1 / 16)
         fld = synthesize_dir_cross_field(2, dom, 1.4)
-        rep = check_boundary_conditions(fld, "dirichlet")
+        rep = check_boundary_conditions(fld)
         assert rep["ok"]
         assert np.abs(fld.A[..., 0, 1]).max() > 0.1  # genuinely non-diagonal
 
     def test_rotated_constant_fails_dirichlet(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
-        A = constant_spd_field(3, dom, 2.0)
+        # constant_spd_field rotates A only on a periodic domain
+        A = constant_spd_field(3, replace(dom, bc="periodic"), 2.0)
         assert np.abs(A[..., 0, 1]).max() > 0.0
         fld = CoefficientField(
             dom, A, np.zeros(dom.shape + (2,)), np.zeros(dom.shape),
             np.zeros(dom.shape), 2.0, 0.0,
         )
-        rep = check_boundary_conditions(fld, "dirichlet")
+        rep = check_boundary_conditions(fld)
         assert not rep["ok"]
 
 

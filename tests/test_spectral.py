@@ -53,7 +53,7 @@ class TestEigensolve:
 
     def test_sparse_path_matches_dense(self):
         dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
-        fld = synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0, bc="dirichlet")
+        fld = synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0)
         H = assemble(fld)
         dense = np.sort(np.linalg.eigvalsh(H.matrix.toarray()))[:4]
         old = spectral.DENSE_CUTOFF
@@ -139,7 +139,7 @@ class TestCountPathShift:
         A[..., 0, 0] = rng.uniform(0.8, 1.4, dom.shape)
         A[..., 1, 1] = rng.uniform(0.8, 1.4, dom.shape)
         b, c = make_self_adjoint(rng.uniform(-1.0, 1.0, dom.shape + (2,)),
-                                 rng.uniform(-0.5, 0.5, dom.shape), dom.h, bc)
+                                 rng.uniform(-0.5, 0.5, dom.shape), dom)
         H = assemble(CoefficientField(dom, A, b, c, rng.uniform(-1.0, 1.0, dom.shape),
                                       1.4, 0.0))
         assert np.iscomplexobj(H.matrix) and np.abs(H.matrix.data.imag).max() > 0.1
