@@ -251,23 +251,10 @@ class TestFieldFileFlag:
         from uclab.geometry import CubeDomain
 
         dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
-        fld = synthesize_random_field(2, dom, 1.3, norm_V=0.5)
-        assert np.any(fld.A[..., 0, 1])  # not Dirichlet-compatible
-        ff = tmp_path / "field.npz"
-        save_field(ff, fld)
-        cfg = write_cfg(tmp_path, {"seeds": [0]})
-        out = tmp_path / "out"
-        assert main(["extend-check", "--config", cfg, "--out", str(out),
-                     "--field-file", str(ff)]) == 0
-
-    def test_extend_check_keeps_the_drift_of_a_periodic_field(self, tmp_path):
-        from uclab.fields import save_field, synthesize_random_field
-        from uclab.geometry import CubeDomain
-
-        # the residual is taken with b and c; without them it misses by 7e-3
-        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
         fld = synthesize_random_field(2, dom, 1.3, norm_V=0.5, norm_b=0.3,
                                       norm_c=0.2, sa=True)
+        assert np.any(fld.A[..., 0, 1])  # not Dirichlet-compatible
+        # the residual keeps b and c; without them it misses by 7e-3
         ff = tmp_path / "field.npz"
         save_field(ff, fld)
         cfg = write_cfg(tmp_path, {"seeds": [0]})

@@ -46,7 +46,7 @@ class TestEllipticity:
 
     def test_matches_rayleigh_sampling(self):
         rng = np.random.default_rng(0)
-        dom = CubeDomain(2, 3.0, 1 / 4)
+        dom = CubeDomain(2, 3.0, 1 / 4, "periodic")
         fld = synthesize_random_field(5, dom, 1.6, 1.2)
         got = estimate_ellipticity(fld.A)
         xi = rng.standard_normal((1000, 2))
@@ -215,13 +215,13 @@ class TestBoundaryConditions:
 
 class TestSynthesis:
     def test_zero_lipschitz_target_gives_constant(self):
-        dom = CubeDomain(2, 3.0, 1 / 8)
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")  # rotated A
         fld = synthesize_random_field(9, dom, 1.3, 0.0)
         assert estimate_lipschitz(fld.A, dom.h) == 0.0
         assert abs(estimate_ellipticity(fld.A) - 1.3) < 1e-12
 
     def test_seed_reproducibility_bit_identical(self):
-        dom = CubeDomain(2, 3.0, 1 / 16)
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")  # random phases
         a = synthesize_random_field(11, dom, 1.4, 0.8, norm_V=0.5, sa=True)
         b = synthesize_random_field(11, dom, 1.4, 0.8, norm_V=0.5, sa=True)
         assert np.array_equal(a.A, b.A)
@@ -229,26 +229,28 @@ class TestSynthesis:
         assert np.array_equal(a.c, b.c)
 
     def test_targets_hit_within_band(self):
-        dom = CubeDomain(2, 3.0, 1 / 32)
-        for seed_, t1, t2 in ((1, 1.4, 0.8), (2, 1.2, 0.5), (3, 1.7, 2.0)):
-            fld = synthesize_random_field(seed_, dom, t1, t2)
-            assert abs(estimate_ellipticity(fld.A) - t1) <= 0.05 * t1
-            assert abs(estimate_lipschitz(fld.A, dom.h) - t2) <= 0.05 * t2
+        for bc in ("periodic", "dirichlet"):
+            dom = CubeDomain(2, 3.0, 1 / 32, bc)
+            for seed_, t1, t2 in ((1, 1.4, 0.8), (2, 1.2, 0.5), (3, 1.7, 2.0)):
+                fld = synthesize_random_field(seed_, dom, t1, t2)
+                assert abs(estimate_ellipticity(fld.A) - t1) <= 0.05 * t1
+                assert abs(estimate_lipschitz(fld.A, dom.h) - t2) <= 0.05 * t2
 
     def test_unreachable_target_rejected(self):
-        dom = CubeDomain(1, 3.0, 1 / 8)
+        dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
         with pytest.raises(ValueError):
             synthesize_random_field(1, dom, 1.0001, 50.0)
 
     def test_potential_bounded_by_norm(self):
-        dom = CubeDomain(1, 3.0, 1 / 8)
+        dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
         fld = synthesize_random_field(4, dom, 1.0, 0.0, norm_V=0.7)
         assert np.abs(fld.V).max() <= 0.7
 
     def test_symmetry_exact_after_synthesis(self):
         dom = CubeDomain(2, 3.0, 1 / 16)
         for seed_ in range(4):
-            fld = synthesize_random_field(seed_, dom, 1.3, 0.0)
+            # rotated constant A on the periodic twin
+            fld = synthesize_random_field(seed_, replace(dom, bc="periodic"), 1.3, 0.0)
             assert np.array_equal(fld.A, np.swapaxes(fld.A, -1, -2))
             fld2 = synthesize_dir_cross_field(seed_, dom, 1.3)
             assert np.array_equal(fld2.A, np.swapaxes(fld2.A, -1, -2))
