@@ -149,12 +149,10 @@ class WeightFunction:
         w = phi(sig / self.rho, self.mu)
         lower = w - sig / (self.rho * self.mu1)
         upper = sig / self.rho - w
-        outer = inside & (
-            np.sqrt((x**2).sum(axis=-1)) >= math.sqrt(self.theta1) * self.rho / self.mu
-        )
+        # outer lies inside the ball, so its weights are already in w
+        outer = (r_eucl >= math.sqrt(self.theta1) * self.rho / self.mu)[inside]
         if np.any(outer):
-            w_out = phi(self.sigma(x[outer]) / self.rho, self.mu)
-            floor = float((w_out - 1.0 / (EULER * self.mu)).min())
+            floor = float((w[outer] - 1.0 / (EULER * self.mu)).min())
         else:
             floor = math.nan
         return {

@@ -309,6 +309,19 @@ def log_c_quc(
     return log_t1 + 2.0 * a_star * math.log(p.delta / (4.0 * mu1 * p.theta1 * p.R))
 
 
+def _theta_factors(K: float, t1: float, t2: float, power: float) -> tuple[float, float]:
+    """Prefactor log and exponent factor of the closed-form local and sampling
+    constants: log K + power log t1 - 10 t1 - log((1+t2)(t1+t2^2)) and
+    K t1^25 e^{15 t1} (1+t2)^2."""
+    log_prefactor = (
+        math.log(K)
+        + power * math.log(t1)
+        - 10.0 * t1
+        - math.log((1.0 + t2) * (t1 + t2**2))
+    )
+    return log_prefactor, K * t1**25 * math.exp(15.0 * t1) * (1.0 + t2) ** 2
+
+
 def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
     """Natural log of the closed-form lower bound on the local constant.
 
@@ -323,15 +336,8 @@ def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
     eps0 = admissibility_epsilon(p, "qUC")
     if eps0 <= 0.0:
         raise ValueError("inadmissible parameters: eps0 <= 0")
-    t1, t2 = p.theta1, p.theta2
-    log_C1 = (
-        math.log(fc.K1)
-        - 15.5 * math.log(t1)
-        - 10.0 * t1
-        - math.log((1.0 + t2) * (t1 + t2**2))
-    )
-    C2 = 10.0 * EULER * t1**2
-    C3 = fc.K1 * t1**25 * math.exp(15.0 * t1) * (1.0 + t2) ** 2
+    log_C1, C3 = _theta_factors(fc.K1, p.theta1, p.theta2, -15.5)
+    C2 = 10.0 * EULER * p.theta1**2
     expo = (
         C3
         / eps0
@@ -351,14 +357,8 @@ def _sfuc_log_terms(
     variant that replaces the potential norm by |energy|."""
     g_t2 = p.G * p.theta2
     eps2 = admissibility_epsilon(p, "sampling_G")
-    log_D1 = (
-        math.log(fc.K2)
-        + (-15.5 - p.d) * math.log(p.theta1)
-        - 10.0 * p.theta1
-        - math.log((1.0 + g_t2) * (p.theta1 + g_t2**2))
-    )
+    log_D1, D3 = _theta_factors(fc.K2, p.theta1, g_t2, -15.5 - p.d)
     D2 = fc.K2 * p.theta1**2
-    D3 = fc.K2 * p.theta1**25 * math.exp(15.0 * p.theta1) * (1.0 + g_t2) ** 2
     if eps2 <= 0.0:
         raise ValueError("inadmissible parameters: eps2 <= 0")
     v_term = (p.G * p.G * p.norm_V) ** (2.0 / 3.0) if energy is None else (

@@ -105,7 +105,6 @@ def estimate_ellipticity(A: np.ndarray) -> float:
 def estimate_lipschitz(A: np.ndarray, h: float) -> float:
     """max over axis-adjacent cell pairs of ||dA||_rowsum / h (a lower bound
     on the true constant, converging under refinement for C^1 fields)."""
-    d = A.shape[-1]
     worst = 0.0
     for ax in range(A.ndim - 2):
         diff = np.abs(np.diff(A, axis=ax))

@@ -1,9 +1,11 @@
-"""End-to-end observability experiments.
+"""End-to-end observability experiments: one solve per field, one
+measurement per config.
 
-Each trial builds a coefficient field, assembles the operator, draws a
-solution (eigenfunction, spectral-projector sample, or the constant one),
-measures the mass fraction captured by the union of delta-balls, and compares
-it against the theoretical lower bound evaluated at the same parameters.
+:func:`solve_field` builds a field, its operator and its lowest eigenpairs,
+shared by the configs with the same ``field_key``.  :func:`run_trial` draws a
+ball placement and two solutions on that solve (an eigenfunction and a
+spectral-projector sample) and compares the mass fraction they put on the
+union of delta-balls with the theoretical lower bound at the same parameters.
 
 The bounds underflow double precision by design (their logs reach -1e6), so
 records carry only their natural log ``log_bound``.  The margin is the log
@@ -44,7 +46,7 @@ from uclab.constants import (
     log_gamma_window,
     scale_parameters,
 )
-from uclab.discretization import assemble, residual_inequality_check
+from uclab.discretization import DiscreteOperator, assemble, residual_inequality_check
 from uclab.fields import CoefficientField, constant_spd_field, periodic_centered_diff
 from uclab.geometry import (
     CubeDomain,
@@ -54,7 +56,7 @@ from uclab.geometry import (
     mask,
     near_neighbor,
 )
-from uclab.spectral import eigensolve, projector_sample
+from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
 
 __all__ = [
     "ObservabilityRecord",
@@ -63,6 +65,7 @@ __all__ = [
     "observability_ratio",
     "worst_ratio",
     "benchmark_field",
+    "solve_field",
     "run_trial",
     "benchmark_configs",
     "verify_equidistribution",
@@ -78,6 +81,9 @@ __all__ = [
 
 _SUITE_ENTROPY = 743829124
 EIGEN_COUNT = 6  # lowest eigenpairs solved per benchmark field
+
+# what solve_field returns: the field, its operator and the eigenpair slice
+Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ class TrialConfig:
         return self.delta_over_G * self.G
 
     def field_key(self) -> tuple:
-        """Cache key: everything the field depends on (not delta)."""
+        """Everything the field and its solve depend on (not delta)."""
         return (self.d, self.bc, self.L_over_G, self.norm_V, self.seed,
                 self.G, self.h_per_G, self.theta1_range)
 
@@ -221,9 +227,18 @@ def benchmark_field(tc: TrialConfig) -> CoefficientField:
     )
 
 
+def solve_field(tc: TrialConfig) -> Solve:
+    """The benchmark field of ``tc``, its operator and its lowest
+    ``EIGEN_COUNT`` eigenpairs (depends on ``tc.field_key()`` only)."""
+    fld = benchmark_field(tc)
+    H = assemble(fld)
+    return fld, H, eigensolve(H, count=EIGEN_COUNT, seed=tc.seed)
+
+
 def _record(
     tc: TrialConfig,
     fc: FreeConstants,
+    fld: CoefficientField,
     psi_kind: str,
     psi: np.ndarray,
     zeta: np.ndarray,
@@ -231,20 +246,19 @@ def _record(
     eigen_index: int,
     log_bound: float,
     ball_mask: np.ndarray,
-    dom: CubeDomain,
-    theta1: float,
     residual_violation: float,
     window_worst: float,
-    log_gamma: float = math.nan,
+    log_gamma: float,
 ) -> ObservabilityRecord:
+    dom = fld.domain
     total = _total_norm_sq(psi, dom)
     ratio = observability_ratio(psi, ball_mask, dom, total)
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
-        h=tc.h, theta1=theta1, theta2=0.0, norm_V=tc.norm_V, energy=energy,
-        eigen_index=eigen_index, seed=tc.seed,
+        h=tc.h, theta1=fld.declared_theta1, theta2=0.0, norm_V=tc.norm_V,
+        energy=energy, eigen_index=eigen_index, seed=tc.seed,
         ratio=float(ratio),
         worst_ratio=window_worst,
         log_bound=float(log_bound),
@@ -259,20 +273,12 @@ def _record(
 
 def run_trial(
     tc: TrialConfig,
+    solved: Solve,
     fc: FreeConstants = FreeConstants(),
-    cache: Optional[dict] = None,
 ) -> list[ObservabilityRecord]:
-    """Inequality-path and projector-path records for one configuration."""
-    key = tc.field_key()
-    if cache is not None and key in cache:
-        fld, H, sl = cache[key]
-    else:
-        fld = benchmark_field(tc)
-        H = assemble(fld)
-        sl = eigensolve(H, count=EIGEN_COUNT, seed=tc.seed)
-        if cache is not None:
-            cache[key] = (fld, H, sl)
-    dom = fld.domain
+    """Inequality-pair and projector-sample records of one config, measured
+    on ``solved = solve_field(tc)``."""
+    fld, H, sl = solved
     rng = np.random.default_rng(
         np.random.SeedSequence(
             entropy=_SUITE_ENTROPY + 1,
@@ -295,33 +301,25 @@ def run_trial(
     lg = log_gamma_window(p, fc, E)
     atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
     window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
-    ball_mask = mask(seq, dom)
+    ball_mask = mask(seq, fld.domain)
     window_worst = worst_ratio(window.eigenvectors, ball_mask)
 
-    records = []
-
-    # inequality path: eigenfunction of H, compared against the potential
-    psi = sl.grid_vector(idx)
-    op_psi = H.apply(psi)
-    zeta = op_psi - fld.V * psi
-    viol = residual_inequality_check(psi, fld.V, np.abs(zeta), op_psi)
-    records.append(
-        _record(tc, fc, "inequality_pair", psi, zeta, E, idx,
-                log_c_sfuc(p, fc), ball_mask, dom, fld.declared_theta1, viol,
-                window_worst)
+    # (kind, psi, what H psi is compared against, log bound, log gamma): an
+    # eigenfunction of H against the potential, and a random combination of
+    # the window members at E against E
+    paths = (
+        ("inequality_pair", sl.grid_vector(idx), fld.V, log_c_sfuc(p, fc), math.nan),
+        ("projector_sample",
+         projector_sample(window, coefficients=rng.standard_normal(len(window))),
+         E, log_c_sfuc(p, fc, energy=E) - math.log(2.0), lg),
     )
-
-    # projector path: random combination of the window members at E
-    coeff = rng.standard_normal(len(window))
-    psi2 = projector_sample(window, coefficients=coeff)
-    op_psi2 = H.apply(psi2)
-    zeta2 = op_psi2 - E * psi2
-    viol2 = residual_inequality_check(psi2, E, np.abs(zeta2), op_psi2)
-    log_bound2 = log_c_sfuc(p, fc, energy=E) - math.log(2.0)
-    rec2 = _record(tc, fc, "projector_sample", psi2, zeta2, E, idx,
-                   log_bound2, ball_mask, dom, fld.declared_theta1, viol2,
-                   window_worst, log_gamma=lg)
-    records.append(rec2)
+    records = []
+    for kind, psi, compare, log_bound, log_gamma in paths:
+        op_psi = H.apply(psi)
+        zeta = op_psi - compare * psi
+        viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
+        records.append(_record(tc, fc, fld, kind, psi, zeta, E, idx, log_bound,
+                               ball_mask, viol, window_worst, log_gamma))
     return records
 
 
@@ -355,20 +353,23 @@ def verify_equidistribution(
     fc: FreeConstants = FreeConstants(),
     dump_dir=None,
 ) -> list[ObservabilityRecord]:
-    """Run every config in order, reusing eigensolves across delta values.
+    """Run every config in order on one :func:`solve_field` per field key.
 
     Records come out in configuration order and are reproducible bit for bit.
     ``dump_dir`` enables the eigenpair dump: one ``eigenpairs_NNN`` CSV/NPY
     pair per distinct field, numbered in order of first appearance.
     """
-    cache: dict = {}
+    solves: dict = {}
     records: list[ObservabilityRecord] = []
     for tc in configs:
-        records.extend(run_trial(tc, fc, cache=cache))
+        key = tc.field_key()
+        if key not in solves:
+            solves[key] = solve_field(tc)
+        records.extend(run_trial(tc, solves[key], fc))
     if dump_dir is not None:
         base = Path(dump_dir)
         base.mkdir(parents=True, exist_ok=True)
-        for i, (_, _, sl) in enumerate(cache.values()):
+        for i, (_, _, sl) in enumerate(solves.values()):
             sl.dump(base / f"eigenpairs_{i:03d}")
     return records
 
@@ -459,7 +460,7 @@ def L_independence(
         tc = TrialConfig(**{
             **asdict(tc_base), "L_over_G": lg, "theta1_range": (mid, mid),
         })
-        recs = run_trial(tc, fc)
+        recs = run_trial(tc, solve_field(tc), fc)
         records.extend(recs)
         bounds.append(recs[0].log_bound)
         min_margin = min(min_margin, min(r.margin for r in recs))

@@ -19,6 +19,7 @@ from uclab.verifier import (
     observability_ratio,
     run_trial,
     scaling_identity,
+    solve_field,
     verify_equidistribution,
     worst_ratio,
     write_records_jsonl,
@@ -34,11 +35,12 @@ def entry_record(psi):
     """The inequality-pair record of ``psi`` on the d=1, L=3, h=1/16 cube."""
     tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
                      delta_over_G=0.25, seed=0, h_per_G=16)
-    dom = CubeDomain(1, tc.L, tc.h, "periodic")
+    fld = verifier.benchmark_field(tc)
+    dom = fld.domain
     seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
-    return verifier._record(tc, FreeConstants(), "inequality_pair", psi,
+    return verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
                             np.zeros(dom.shape), 0.0, 0, -1e6, mask(seq, dom),
-                            dom, 1.0, 0.0, 0.5)
+                            0.0, 0.5, math.nan)
 
 
 def entry_sweep(psi):
@@ -172,7 +174,7 @@ class TestTrials:
     def test_trial_margins_positive_with_exact_residual(self):
         tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
                          delta_over_G=0.25, seed=0)
-        recs = run_trial(tc)
+        recs = run_trial(tc, solve_field(tc))
         for r in recs:
             assert r.margin > 0.0
             assert r.residual_violation <= 1e-10
@@ -180,14 +182,14 @@ class TestTrials:
     def test_records_reproducible_bit_for_bit(self):
         tc = TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
                          delta_over_G=0.125, seed=1)
-        a = [r.to_dict() for r in run_trial(tc)]
-        b = [r.to_dict() for r in run_trial(tc)]
+        a = [r.to_dict() for r in run_trial(tc, solve_field(tc))]
+        b = [r.to_dict() for r in run_trial(tc, solve_field(tc))]
         assert a == b
 
     def test_zeta_term_reported_separately(self):
         tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=1.0,
                          delta_over_G=0.25, seed=2)
-        recs = run_trial(tc)
+        recs = run_trial(tc, solve_field(tc))
         for r in recs:
             assert r.zeta_term >= 0.0
             assert isinstance(r.zeta_dominates, bool)
@@ -215,7 +217,7 @@ class TestTrials:
         monkeypatch.setattr(verifier, "log_c_sfuc", lambda *a, **k: 0.0)
         tc = TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
                          delta_over_G=0.125, seed=0, h_per_G=16)
-        recs = run_trial(tc)
+        recs = run_trial(tc, solve_field(tc))
         assert len(recs) == 2
         assert all(r.margin < 0.0 for r in recs)
         assert all(r.margin == math.log(r.ratio) - r.log_bound for r in recs)
@@ -223,14 +225,15 @@ class TestTrials:
     def test_zero_ratio_margin_is_minus_infinity(self):
         tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
                          delta_over_G=0.25, seed=0, h_per_G=16)
-        dom = CubeDomain(1, tc.L, tc.h, "periodic")
+        fld = verifier.benchmark_field(tc)
+        dom = fld.domain
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         psi = np.where(mask(seq, dom), 0.0, 1.0)
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
         m = mask(seq, dom)
-        rec = verifier._record(tc, FreeConstants(), "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, -1e6, m, dom,
-                               1.0, 0.0, worst_ratio(vec, m))
+        rec = verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
+                               np.zeros(dom.shape), 0.0, 0, -1e6, m,
+                               0.0, worst_ratio(vec, m), math.nan)
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
 
@@ -433,7 +436,7 @@ class TestRecordIO:
     def test_jsonl_roundtrip_and_header_isolation(self, tmp_path):
         tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
                          delta_over_G=0.25, seed=0, h_per_G=16)
-        recs = run_trial(tc)
+        recs = run_trial(tc, solve_field(tc))
         path = tmp_path / "records.jsonl"
         write_records_jsonl(path, recs, config={"note": 1})
         import json
@@ -448,7 +451,7 @@ class TestRecordIO:
     def test_summary_csv(self, tmp_path):
         tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
                          delta_over_G=0.25, seed=0, h_per_G=16)
-        recs = run_trial(tc)
+        recs = run_trial(tc, solve_field(tc))
         path = tmp_path / "summary.csv"
         write_summary_csv(path, recs)
         rows = path.read_text().splitlines()
@@ -534,11 +537,40 @@ class TestInputsComputedOnce:
         return calls
 
     def test_run_trial(self, monkeypatch):
+        tc = TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
+                         delta_over_G=0.25, seed=0, h_per_G=8)
+        solved = solve_field(tc)
         calls = self.spy(monkeypatch)
-        run_trial(TrialConfig(d=2, bc="periodic", L_over_G=3, norm_V=1.0,
-                              delta_over_G=0.25, seed=0, h_per_G=8))
+        run_trial(tc, solved)
         # one norm for psi and one for zeta in each of the two records
         assert calls == {"mask": 1, "worst_ratio": 1, "norm_sq": 4}
+
+    def test_verify_equidistribution(self, monkeypatch):
+        # each field recurs non-adjacently: the two delta values are the
+        # outer loop, seeds and boundary conditions the inner ones
+        cfgs = [TrialConfig(d=1, bc=bc, L_over_G=3, norm_V=1.0, delta_over_G=dg,
+                            seed=s, h_per_G=8)
+                for dg in (0.125, 0.25) for s in (0, 1)
+                for bc in ("periodic", "dirichlet")]
+        calls = {"benchmark_field": [], "assemble": 0, "eigensolve": 0}
+
+        def spied(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "benchmark_field":
+                    calls[name].append(args[0].field_key())
+                else:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verifier, name, spied(name, getattr(verifier, name)))
+        records = verify_equidistribution(cfgs)
+        firsts = list(dict.fromkeys(tc.field_key() for tc in cfgs))
+        assert len(firsts) == 4
+        assert calls == {"benchmark_field": firsts, "assemble": 4, "eigensolve": 4}
+        assert [(r.bc, r.seed, r.delta) for r in records[::2]] == \
+            [(tc.bc, tc.seed, tc.delta) for tc in cfgs]
 
     def test_delta_sweep(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -573,8 +605,6 @@ class TestSuiteDeterminism:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         for i, tc in enumerate(firsts.values()):
-            cache: dict = {}
-            run_trial(tc, cache=cache)
-            (_, _, sl), = cache.values()
+            _, _, sl = solve_field(tc)
             dumped = np.load(a / f"eigenpairs_{i:03d}.npy")
             assert np.array_equal(dumped, sl.eigenvectors)
