@@ -6,6 +6,19 @@ frozen coefficient matrix and phi a log-damped radial profile.  For the
 admissible exponents alpha (often 1e4..1e8) the weight powers span thousands
 of orders of magnitude, so all integrals are accumulated with log-sum-exp and
 the two sides of the inequality are compared through their logarithms.
+
+The checker evaluates the inequality only on a window around the support of
+u: per axis, the sorted cell indices within ``STENCIL_REACH`` = 2 cells
+(modulo n) of a cell where u != 0, which is the whole axis when they cover
+it.  The gradient and the operator read one cell along each axis, so every
+cell outside the window is zero there exactly as on the whole cube.  The
+cropped arrays wrap at the window's own ends and where its runs of indices
+join, so a rolled neighbour there is not the cube neighbour; the second cell
+of reach makes each such cell read only u = 0, so its products are zero
+either way, and every other window cell reads its cube neighbours.  The
+indices are sorted, so the active cells keep the cube's row-major order and
+every sum runs in the same order: the result is bit-identical to evaluating
+the whole cube.
 """
 
 from __future__ import annotations
@@ -41,6 +54,11 @@ __all__ = [
 # largest |u| / max|u| counted as zero by the support checks of
 # check_carleman_inequality
 SUPPORT_TOL = 1e-12
+
+# cells the checker's window keeps on either side of the support of u: the
+# stencil of apply_operator reads one cell along each axis, and one more cell
+# keeps the window's wrapped edges reading only u = 0
+STENCIL_REACH = 2
 
 # centered-difference step for coefficient derivatives in cutoff_operator_value
 FD_STEP = 1e-6
@@ -371,6 +389,19 @@ def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
     return float(logsumexp(terms_log[mask], b=weights[mask]))
 
 
+def _support_window(nonzero: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the sorted cell indices within ``STENCIL_REACH`` cells
+    (modulo n) of a True cell of ``nonzero``; the whole axis when those
+    cover it."""
+    d = nonzero.ndim
+    reach = np.arange(-STENCIL_REACH, STENCIL_REACH + 1)
+    window = []
+    for ax in range(d):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(k for k in range(d) if k != ax)))
+        window.append(np.unique((hit[:, None] + reach) % nonzero.shape[ax]))
+    return window
+
+
 def check_carleman_inequality(
     u: np.ndarray,
     A: np.ndarray,
@@ -387,47 +418,63 @@ def check_carleman_inequality(
     ``u`` lives on the cell-centered grid of a cube centered at the origin and
     must vanish outside the euclidean rho-ball, in a punctured neighborhood of
     the origin (radius 2h), and on a margin of two cells at the cube boundary
-    (the stencil wraps).  Derivatives are centered, integrals are midpoint
-    sums accumulated by log-sum-exp, and the two sides are compared through
-    logs; the ratio is exp(lhs_log - rhs_log), and inf when that overflows or
-    the right side vanishes, so a degenerate operator fails the check.
+    (the stencil wraps); the three checks look only at the cells where
+    |u| / max|u| exceeds ``SUPPORT_TOL``.  ``A`` is a real matrix field.
+    Derivatives are centered, integrals are midpoint sums accumulated by
+    log-sum-exp, and the two sides are compared through logs; the ratio is
+    exp(lhs_log - rhs_log), and inf when that overflows or the right side
+    vanishes, so a degenerate operator fails the check.
+
+    The gradient energy, the operator and the log-weights are evaluated once,
+    on the window of the module docstring: per axis the cells within two
+    cells of u != 0, modulo n.  The stencil reads one cell, so no other cell
+    contributes, and the second cell keeps the window's wrapped edges exact;
+    the sorted window keeps the row-major order of the active cells, so the
+    result is bit-identical to the whole-cube evaluation.
     """
     d = u.ndim
     n = u.shape[0]
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
+    if np.iscomplexobj(A):
+        raise ValueError("A must be a real matrix field")
     rho = weight.rho
-    pts = CubeDomain(d, n * h, h, "periodic").center_grid()
-    r = np.sqrt((pts**2).sum(axis=-1))
+    centers = CubeDomain(d, n * h, h, "periodic").centers_1d()
 
     umax = float(np.abs(u).max())
     if umax == 0.0:
         return CarlemanCheck(-math.inf, -math.inf, 0.0)
     u = u / umax  # ratio is scale-invariant; normalize for conditioning
-    outside = r >= rho
-    if np.any(np.abs(u[outside]) > SUPPORT_TOL):
+    big = np.nonzero(np.abs(u) > SUPPORT_TOL)
+    r = np.sqrt(sum(centers[i] ** 2 for i in big))
+    if np.any(r >= rho):
         raise ValueError("u must vanish outside the rho-ball")
-    near0 = r <= 2.0 * h
-    if np.any(np.abs(u[near0]) > SUPPORT_TOL):
+    if np.any(r <= 2.0 * h):
         raise ValueError("u must vanish in a punctured neighborhood of the origin")
-    edge = np.zeros_like(u, dtype=bool)
-    for axd in range(d):
-        sl = [slice(None)] * d
-        sl[axd] = [0, 1, -2, -1]
-        edge[tuple(sl)] = True
-    if np.any(np.abs(u[edge]) > SUPPORT_TOL):
+    if any(np.any((i < 2) | (i >= n - 2)) for i in big):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    grad = np.stack([periodic_centered_diff(u, axd, h) for axd in range(d)], axis=-1)
-    grad_energy = np.real(
-        np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad)
+    window = _support_window(u != 0)
+    cells = np.ix_(*window)
+    u, A = u[cells], A[cells]
+    b = None if b is None else b[cells]
+    c = None if c is None else c[cells]
+
+    # conj(grad).A.grad summed over (i, j) in row-major order, each term
+    # formed as einsum forms it: (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j
+    grad = [periodic_centered_diff(u, axd, h) for axd in range(d)]
+    parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
+    grad_energy = sum(
+        sum((gi * A[..., i, j]) * gj for gi, gj in zip(parts[i], parts[j]))
+        for i in range(d) for j in range(d)
     )
     op_u = apply_operator(A, b, c, None, u, h)
     op_sq = np.abs(op_u) ** 2
     u_sq = np.abs(u) ** 2
 
     active = (grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0)
-    lw = weight.log_weight(pts[active])
+    pts = np.stack([centers[w[i]] for w, i in zip(window, np.nonzero(active))], axis=-1)
+    lw = weight.log_weight(pts)
     ge, us, os_ = grad_energy[active], u_sq[active], op_sq[active]
 
     log_cell = d * math.log(h)
@@ -447,10 +494,18 @@ def check_carleman_inequality(
 def annular_bump(
     pts: np.ndarray, r_in: float, r_out: float, rise_frac: float = 0.4
 ) -> np.ndarray:
-    """Smooth radial bump supported on the annulus [r_in, r_out]."""
+    """Smooth radial bump supported on the annulus [r_in, r_out].
+
+    The smoothsteps are evaluated only inside the open annulus
+    r_in < r < r_out; every other point gets an exact 0.0.
+    """
     r = np.sqrt((pts**2).sum(axis=-1))
     w = rise_frac * (r_out - r_in)
-    return _smoothstep((r - r_in) / w) * _smoothstep((r_out - r) / w)
+    out = np.zeros(r.shape)
+    inside = (r > r_in) & (r < r_out)
+    r = r[inside]
+    out[inside] = _smoothstep((r - r_in) / w) * _smoothstep((r_out - r) / w)
+    return out
 
 
 def carleman_trial(
@@ -503,11 +558,11 @@ def carleman_trial(
     b = None
     c = None
     if with_drift:
-        b = np.full(pts.shape[:-1] + (d,), 0.0, dtype=complex)
+        b = np.full(pts.shape[:-1] + (d,), 0.0)
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
         b += norm_b * direction
-        c = np.full(pts.shape[:-1], norm_c + 0.0j)
+        c = np.full(pts.shape[:-1], norm_c)
 
     r_in = (0.45 + 0.08 * rng.random()) * rho
     r_out = (0.78 + 0.07 * rng.random()) * rho

@@ -141,7 +141,10 @@ def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:
     rep = sampling_report(cfg.model, cfg.free, energy=cfg.energy)
     payload = {"config": cfg.to_dict(), "report": rep.to_dict()}
     _write_report(out, payload)
-    flag = "" if rep.admissible else "  [inadmissible: epsilon <= 0]"
+    if rep.out_of_range:
+        flag = f"  [inadmissible: {rep.out_of_range} leaves the double range]"
+    else:
+        flag = "" if rep.admissible else "  [inadmissible: epsilon <= 0]"
     print(f"epsilon = {rep.epsilon:.6g}{flag}")
     print(f"T = {rep.T}")
     if rep.admissible:

@@ -447,6 +447,8 @@ class UcConstantReport:
     log_gamma: float = math.nan
     sfuc_exponent: float = math.nan
     admissible: bool = True
+    # the first constant of the chain that left the double range ("" if none)
+    out_of_range: str = ""
     params: dict = field(default_factory=dict)
     free_constants: dict = field(default_factory=dict)
 
@@ -470,7 +472,11 @@ def sampling_report(
     Rescales to unit cell size, fills the derived radii, and evaluates the
     whole chain.  Inadmissible parameters (epsilon <= 0) yield a flagged
     report with NaN constants rather than an exception, so sweeps can chart
-    the admissibility boundary.
+    the admissibility boundary.  So does a chain that leaves the double
+    range (an ``OverflowError``, or a constant that comes out infinite or
+    NaN, as happens for theta1 in the forties and beyond): the report is
+    not admissible, ``out_of_range`` names the first such constant, and it
+    and the constants after it stay NaN.
     """
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
@@ -486,28 +492,31 @@ def sampling_report(
         return UcConstantReport(admissible=False, **base)
 
     ps = scale_parameters(p).with_sampling_geometry()
-    mu, mu1, rho = carleman_mu_rho(ps, eps2)
-    C, alpha0 = carleman_constants(ps, rho, mu, mu1)
-    a1, a3, a_star = alpha_star(ps, fc, C, alpha0, mu, rho)
-    return UcConstantReport(
-        mu=mu,
-        mu1=mu1,
-        rho=rho,
-        carleman_C=C,
-        carleman_alpha0=alpha0,
-        alpha1=a1,
-        alpha3=a3,
-        alpha_star=a_star,
-        cac_delta_half=cacciopoli_prefactor(
-            ps.delta / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime
-        ),
-        cac_D0_half=cacciopoli_prefactor(
-            ps.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime
-        ),
-        log_c_quc=log_c_quc(ps, fc, mu1, rho, C, a_star),
-        log_c_quc_lower=log_c_quc_lower_bound(ps, fc),
-        log_c_sfuc=log_c_sfuc(p, fc),
-        log_gamma=log_gamma_window(p, fc, energy),
-        sfuc_exponent=c_sfuc_exponent(p, fc),
-        **base,
+    got: dict = {}
+    chain = (
+        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, eps2)),
+        (("carleman_C", "carleman_alpha0"),
+         lambda: carleman_constants(ps, got["rho"], got["mu"], got["mu1"])),
+        (("alpha1", "alpha3", "alpha_star"), lambda: alpha_star(
+            ps, fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
+        (("cac_delta_half",), lambda: (cacciopoli_prefactor(
+            ps.delta / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
+        (("cac_D0_half",), lambda: (cacciopoli_prefactor(
+            ps.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
+        (("log_c_quc",), lambda: (log_c_quc(
+            ps, fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
+        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, fc),)),
+        (("log_c_sfuc",), lambda: (log_c_sfuc(p, fc),)),
+        (("log_gamma",), lambda: (log_gamma_window(p, fc, energy),)),
+        (("sfuc_exponent",), lambda: (c_sfuc_exponent(p, fc),)),
     )
+    for names, evaluate in chain:
+        try:
+            values = evaluate()
+        except OverflowError:
+            values = (math.inf,) * len(names)
+        bad = [name for name, x in zip(names, values) if not math.isfinite(x)]
+        if bad:
+            return UcConstantReport(admissible=False, out_of_range=bad[0], **got, **base)
+        got.update(zip(names, values))
+    return UcConstantReport(**got, **base)

@@ -8,11 +8,26 @@ compare the two.
 
 Values that underflow double precision (the unique-continuation constants do,
 spectacularly) are exposed as natural logarithms.
+
+One reference is not an mpmath transcription:
+:func:`carleman_check_whole_cube` is the weighted-inequality checker
+evaluated on every cell of the cube, in double precision and with
+``einsum``.  The production checker evaluates a window around the support
+of u and must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
+from scipy.special import logsumexp
+
+from uclab.carleman import SUPPORT_TOL, CarlemanCheck
+from uclab.discretization import apply_operator
+from uclab.fields import periodic_centered_diff
+from uclab.geometry import CubeDomain
 
 mp.mp.dps = 60
 
@@ -262,6 +277,69 @@ def canonical_sampling_values():
         "sfuc_exponent": expo,
         **inter,
     }
+
+
+def _logsum(terms_log, weights):
+    mask = weights > 0.0
+    if not np.any(mask):
+        return -math.inf
+    return float(logsumexp(terms_log[mask], b=weights[mask]))
+
+
+def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=None):
+    """The weighted-inequality check with every stencil pass, contraction and
+    mask taken over the whole cube (same arguments and result as
+    ``uclab.carleman.check_carleman_inequality``)."""
+    d = u.ndim
+    n = u.shape[0]
+    if alpha0 is not None and alpha < alpha0:
+        raise ValueError("alpha must be at least the admissible floor alpha0")
+    rho = weight.rho
+    pts = CubeDomain(d, n * h, h, "periodic").center_grid()
+    r = np.sqrt((pts**2).sum(axis=-1))
+
+    umax = float(np.abs(u).max())
+    if umax == 0.0:
+        return CarlemanCheck(-math.inf, -math.inf, 0.0)
+    u = u / umax
+    outside = r >= rho
+    if np.any(np.abs(u[outside]) > SUPPORT_TOL):
+        raise ValueError("u must vanish outside the rho-ball")
+    near0 = r <= 2.0 * h
+    if np.any(np.abs(u[near0]) > SUPPORT_TOL):
+        raise ValueError("u must vanish in a punctured neighborhood of the origin")
+    edge = np.zeros_like(u, dtype=bool)
+    for axd in range(d):
+        sl = [slice(None)] * d
+        sl[axd] = [0, 1, -2, -1]
+        edge[tuple(sl)] = True
+    if np.any(np.abs(u[edge]) > SUPPORT_TOL):
+        raise ValueError("u must vanish on a two-cell margin at the cube boundary")
+
+    grad = np.stack([periodic_centered_diff(u, axd, h) for axd in range(d)], axis=-1)
+    grad_energy = np.real(
+        np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad)
+    )
+    op_u = apply_operator(A, b, c, None, u, h)
+    op_sq = np.abs(op_u) ** 2
+    u_sq = np.abs(u) ** 2
+
+    active = (grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0)
+    lw = weight.log_weight(pts[active])
+    ge, us, os_ = grad_energy[active], u_sq[active], op_sq[active]
+
+    log_cell = d * math.log(h)
+    lhs1 = _logsum((1.0 - 2.0 * alpha) * lw, ge) + math.log(alpha * rho**2) + log_cell
+    lhs2 = _logsum((-1.0 - 2.0 * alpha) * lw, us) + 3.0 * math.log(alpha) + log_cell
+    lhs_log = float(np.logaddexp(lhs1, lhs2))
+    rhs_log = _logsum(
+        (2.0 - 2.0 * alpha) * lw, os_
+    ) + math.log(carleman_C * rho**4) + log_cell
+    try:
+        ratio = math.exp(lhs_log - rhs_log)
+    except OverflowError:
+        ratio = math.inf
+    return CarlemanCheck(lhs_log, rhs_log, ratio)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
+import uclab.carleman as carleman
 from uclab.carleman import (
     _EIN_CUT,
+    SUPPORT_TOL,
     WeightFunction,
+    _support_window,
     annular_bump,
     build_radial_cutoff,
     carleman_trial,
@@ -21,6 +24,7 @@ from uclab.carleman import (
     phi,
 )
 from uclab.constants import ModelParams, carleman_constants
+from uclab.geometry import CubeDomain
 
 E = math.e
 
@@ -224,6 +228,83 @@ def bump_1d(n, h, r_in, r_out):
     return annular_bump(ax[:, None], r_in, r_out), ax
 
 
+SUPPORT_GATES = {
+    "outside": "outside the rho-ball",
+    "origin": "punctured neighborhood of the origin",
+    "margin": "two-cell margin",
+}
+
+
+def support_setup(d, gate, h=1 / 32):
+    """A bump with max|u| = 1 exactly and the cells that each break ``gate``
+    alone: the nearest one outside the rho-ball and off the margin (on the
+    sphere r = rho in d = 1), the farthest one within 2h of the origin, or
+    the inner margin rows inside a ball that reaches them."""
+    n = 64
+    rho = 1.05 if gate == "margin" else 59 / 64  # a cell center when d = 1
+    pts = CubeDomain(d, n * h, h, "periodic").center_grid()
+    r = np.sqrt((pts**2).sum(axis=-1))
+    u = annular_bump(pts, 0.3, 0.6)
+    u = u / np.abs(u).max()
+    mid = (n // 2,) * (d - 1)
+    off_margin = (np.abs(pts) < n * h / 2.0 - 2.0 * h).all(axis=-1)
+    outside = np.where((r >= rho) & off_margin, r, np.inf)
+    origin = np.where(r <= 2.0 * h, r, -np.inf)
+    cells = {
+        "outside": [np.unravel_index(np.argmin(outside), r.shape)],
+        "origin": [np.unravel_index(np.argmax(origin), r.shape)],
+        "margin": [(1,) + mid, (n - 2,) + mid] + ([mid + (1,)] if d > 1 else []),
+    }[gate]
+    A = np.broadcast_to(np.eye(d), u.shape + (d, d)).copy()
+    wf = WeightFunction(rho=rho, mu=0.1, A0=np.eye(d), theta1=1.0)
+    p = ModelParams(d=d, theta1=1.0, theta2=0.0)
+    C, alpha0 = carleman_constants(p, rho, 0.1, mu_one(1.0, 0.1))
+    return u, A, wf, C, alpha0, h, cells
+
+
+def window_case(d, seed, support, complex_u, drift):
+    """Random data for the whole-cube comparison.
+
+    ``support``: "inner" (an annulus well inside the cube, plus a few values
+    below SUPPORT_TOL on the margin corners, so the window wraps, and next to
+    the origin, where the weight makes them dominate the sums at large
+    alpha) or "margin" (values up to the two-cell margin, so the window is
+    the whole axis).
+    """
+    rng = np.random.default_rng(seed)
+    n = {1: 96, 2: 40, 3: 24}[d]
+    h = 2.0 / n  # 1/48, 1/20 and 1/12 are not powers of two
+    rho = 1.3 if support == "margin" else 0.9
+    pts = CubeDomain(d, n * h, h, "periodic").center_grid()
+    r = np.sqrt((pts**2).sum(axis=-1))
+    idx = np.indices(r.shape)
+    keep = (r > 2.0 * h) & (r < rho) & ~((idx < 2) | (idx >= n - 2)).any(axis=0)
+    if support == "inner":
+        keep &= (r > 0.2) & (r < 0.5)
+    u = rng.standard_normal(r.shape)
+    if complex_u:
+        u = u + 1j * rng.standard_normal(r.shape)
+    u = np.where(keep, u, 0.0)
+    if support == "inner":
+        tiny = SUPPORT_TOL * np.abs(u).max()
+        u[(0,) * d] = 0.3 * tiny
+        u[(n - 1,) + (0,) * (d - 1)] = -0.2 * tiny
+        u[(n // 2,) * d] = 0.5 * tiny
+    M = rng.standard_normal(r.shape + (d, d))
+    A = 0.2 * (M @ np.swapaxes(M, -1, -2)) + np.eye(d)
+    b = c = None
+    if drift:
+        b = rng.standard_normal(r.shape + (d,))
+        c = rng.standard_normal(r.shape)
+        if complex_u:
+            b = b + 1j * rng.standard_normal(r.shape + (d,))
+            c = c + 1j * rng.standard_normal(r.shape)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A0 = Q @ np.diag(rng.uniform(0.6, 1.6, d)) @ Q.T
+    wf = WeightFunction(rho=rho, mu=0.2, A0=0.5 * (A0 + A0.T), theta1=2.0)
+    return u, A, b, c, h, wf
+
+
 class TestCarlemanInequality:
     def make_setup(self, n=128, h=1 / 64, rho=0.95, mu=0.1):
         u, ax = bump_1d(n, h, 0.3, 0.6)
@@ -268,14 +349,34 @@ class TestCarlemanInequality:
         assert r1 == r2
 
     def test_rejects_support_violations(self):
+        # each support check fails on its own, in d = 1 and d = 2
+        for d in (1, 2):
+            for gate, message in SUPPORT_GATES.items():
+                u, A, wf, C, alpha0, h, cells = support_setup(d, gate)
+                for cell in cells:
+                    for value in (0.5, np.nextafter(SUPPORT_TOL, 1.0)):
+                        bad = u.copy()
+                        bad[cell] = value
+                        with pytest.raises(ValueError, match=message):
+                            check_carleman_inequality(bad, A, None, None, h, wf, alpha0, C)
+
+    def test_value_of_support_tol_passes(self):
+        for d in (1, 2):
+            for gate in SUPPORT_GATES:
+                u, A, wf, C, alpha0, h, cells = support_setup(d, gate)
+                for cell in cells:
+                    ok = u.copy()
+                    ok[cell] = SUPPORT_TOL
+                    res = check_carleman_inequality(ok, A, None, None, h, wf, alpha0, C)
+                    ref = oracles.carleman_check_whole_cube(
+                        ok, A, None, None, h, wf, alpha0, C
+                    )
+                    assert res == ref
+
+    def test_rejects_complex_A(self):
         u, A, wf, C, alpha0, h = self.make_setup()
-        bad = u.copy()
-        bad[0] = 0.5  # boundary margin violated
-        with pytest.raises(ValueError):
-            check_carleman_inequality(bad, A, None, None, h, wf, alpha0, C)
-        bad2 = np.ones_like(u)  # covers the origin and the ball boundary
-        with pytest.raises(ValueError):
-            check_carleman_inequality(bad2, A, None, None, h, wf, alpha0, C)
+        with pytest.raises(ValueError, match="real matrix field"):
+            check_carleman_inequality(u, A + 0j, None, None, h, wf, alpha0, C)
 
     def test_rejects_alpha_below_floor(self):
         u, A, wf, C, alpha0, h = self.make_setup()
@@ -290,6 +391,64 @@ class TestCarlemanInequality:
                 rec = carleman_trial(seed, d, 1 / 64)
                 assert rec["ratio"] <= 1.0 + 10.0 * rec["h"], rec
                 assert rec["alpha"] >= rec["alpha0"]
+
+
+def with_logsum_inputs(monkeypatch, module, check, *args):
+    """Run ``check`` and record the (exponents, weights) passed to the
+    log-sum-exp helper of ``module``."""
+    seen = []
+    logsum = module._logsum
+
+    def spy(terms_log, weights):
+        seen.append((terms_log.copy(), weights.copy()))
+        return logsum(terms_log, weights)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_logsum", spy)
+        return check(*args), seen
+
+
+class TestWindowMatchesWholeCube:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("support", ["inner", "margin"])
+    @pytest.mark.parametrize("complex_u,drift", [(False, False), (False, True), (True, True)])
+    def test_bitwise_equal(self, monkeypatch, d, support, complex_u, drift):
+        u, A, b, c, h, wf = window_case(d, 7 * d, support, complex_u, drift)
+        n = u.shape[0]
+        window = _support_window(u != 0)
+        if support == "margin":
+            assert all(len(w) == n for w in window)
+        else:  # the tiny corner values wrap the window around the axis ends
+            assert all(len(w) < n and w[0] == 0 and w[-1] == n - 1 for w in window)
+        for alpha in (3.0, 400.0):
+            res, sums = with_logsum_inputs(
+                monkeypatch, carleman, check_carleman_inequality,
+                u, A, b, c, h, wf, alpha, 5.0,
+            )
+            ref, ref_sums = with_logsum_inputs(
+                monkeypatch, oracles, oracles.carleman_check_whole_cube,
+                u, A, b, c, h, wf, alpha, 5.0,
+            )
+            assert res == ref
+            assert math.isfinite(res.lhs_log) and math.isfinite(res.rhs_log)
+            # the per-cell exponents and weights of the three sums, in order
+            assert len(sums) == len(ref_sums) == 3
+            for got, want in zip(sums, ref_sums):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_trials_match_whole_cube(self, monkeypatch):
+        # seeds 0-3 in d = 1 and 2 draw variable A, drift and constant fields;
+        # the reference gets the drift as complex arrays with zero imaginary part
+        def whole_cube_complex_drift(u, A, b, c, *rest, **kw):
+            b, c = (None if x is None else x + 0j for x in (b, c))
+            return oracles.carleman_check_whole_cube(u, A, b, c, *rest, **kw)
+
+        fast = [carleman_trial(s, d, 1 / 64) for d in (1, 2) for s in range(4)]
+        monkeypatch.setattr(carleman, "check_carleman_inequality", whole_cube_complex_drift)
+        slow = [carleman_trial(s, d, 1 / 64) for d in (1, 2) for s in range(4)]
+        assert fast == slow
+        assert any(rec["norm_b"] > 0.0 for rec in fast)
+        assert any(rec["theta2"] > 0.0 for rec in fast)
 
 
 class TestPinnedTrialParameters:

@@ -99,7 +99,7 @@ class TestExitCodes:
 
 
 class TestCommands:
-    def test_constants_report_embeds_config(self, tmp_path):
+    def test_constants_report_embeds_config(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {"model.d": 1, "model.delta": 0.25})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
@@ -108,6 +108,14 @@ class TestCommands:
         assert rep["config"]["bcs"] == ["dirichlet"] and "bc" not in rep["config"]
         assert rep["report"]["T"] == 39
         assert rep["report"]["epsilon"] == 1.0
+        assert rep["report"]["out_of_range"] == ""
+        # a chain that leaves the double range is reported, not raised
+        path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 48.0})
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["report"]["out_of_range"] == "log_c_quc_lower"
+        assert rep["report"]["admissible"] is False
+        assert "log_c_quc_lower leaves the double range" in capsys.readouterr().out
 
     def test_verify_writes_records_and_passes(self, tmp_path):
         path = write_cfg(tmp_path, {

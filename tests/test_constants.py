@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -458,3 +458,22 @@ def test_admissible_sweep_properties(d, t1, t2_frac, G, delta_frac, nv, nb, nc):
     assert rep.log_c_quc <= 0.0
     assert math.isfinite(rep.log_c_quc)
     assert math.isfinite(rep.log_c_sfuc)
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2, 3]), t1=st.floats(1.0, 1e3))
+@example(d=2, t1=44.0)  # at the parent: admissible with log_c_sfuc = -inf
+@example(d=2, t1=48.0)  # at the parent: OverflowError in the closed-form bound
+def test_report_finite_or_flagged(d, t1):
+    """Across the ellipticity range the report never raises: every log_*
+    field is finite, or the report is flagged with the constant that left
+    the double range."""
+    rep = sampling_report(ModelParams(d=d, theta1=t1))
+    fields = rep.to_dict()
+    logs = {k: v for k, v in fields.items() if k.startswith("log_")}
+    if rep.out_of_range:
+        assert not rep.admissible and rep.out_of_range in fields
+        assert math.isnan(fields[rep.out_of_range])
+    else:
+        assert rep.admissible and all(math.isfinite(v) for v in logs.values()), logs
