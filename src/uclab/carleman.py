@@ -7,18 +7,13 @@ admissible exponents alpha (often 1e4..1e8) the weight powers span thousands
 of orders of magnitude, so all integrals are accumulated with log-sum-exp and
 the two sides of the inequality are compared through their logarithms.
 
-The checker evaluates the inequality only on a window around the support of
-u: per axis, the sorted cell indices within ``STENCIL_REACH`` = 2 cells
-(modulo n) of a cell where u != 0, which is the whole axis when they cover
-it.  The gradient and the operator read one cell along each axis, so every
-cell outside the window is zero there exactly as on the whole cube.  The
-cropped arrays wrap at the window's own ends and where its runs of indices
-join, so a rolled neighbour there is not the cube neighbour; the second cell
-of reach makes each such cell read only u = 0, so its products are zero
-either way, and every other window cell reads its cube neighbours.  The
-indices are sorted, so the active cells keep the cube's row-major order and
-every sum runs in the same order: the result is bit-identical to evaluating
-the whole cube.
+The checker evaluates the cube it is given.  Its stencils read one cell along
+each axis and wrap periodically, and u must vanish on the two outer cells of
+every axis, so a wrapped read meets only u = 0.  More zero cells around the
+cube add cells where every integrand is zero and leave the active cells,
+their row-major order and their values unchanged; on a dyadic h the cell
+centres do not depend on the cube's size either.  So :func:`carleman_trial`
+builds the smallest cube that holds the bump plus that two-cell margin.
 """
 
 from __future__ import annotations
@@ -54,11 +49,6 @@ __all__ = [
 # largest |u| / max|u| counted as zero by the support checks of
 # check_carleman_inequality
 SUPPORT_TOL = 1e-12
-
-# cells the checker's window keeps on either side of the support of u: the
-# stencil of apply_operator reads one cell along each axis, and one more cell
-# keeps the window's wrapped edges reading only u = 0
-STENCIL_REACH = 2
 
 # centered-difference step for coefficient derivatives in cutoff_operator_value
 FD_STEP = 1e-6
@@ -108,6 +98,11 @@ def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
         return np.log(r) - ein(mu * r)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """w(x) = phi(sigma(x)/rho) with sigma the A0^{-1} quadratic-form radius."""
@@ -120,8 +115,8 @@ class WeightFunction:
     _A0_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rho <= 0.0 or self.mu <= 0.0:
-            raise ValueError("rho and mu must be positive")
+        _require_positive("rho", self.rho)
+        _require_positive("mu", self.mu)
         A0 = np.asarray(self.A0, dtype=float)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError("A0 must be a square matrix")
@@ -389,19 +384,6 @@ def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
     return float(logsumexp(terms_log[mask], b=weights[mask]))
 
 
-def _support_window(nonzero: np.ndarray) -> list[np.ndarray]:
-    """Per axis, the sorted cell indices within ``STENCIL_REACH`` cells
-    (modulo n) of a True cell of ``nonzero``; the whole axis when those
-    cover it."""
-    d = nonzero.ndim
-    reach = np.arange(-STENCIL_REACH, STENCIL_REACH + 1)
-    window = []
-    for ax in range(d):
-        hit = np.flatnonzero(nonzero.any(axis=tuple(k for k in range(d) if k != ax)))
-        window.append(np.unique((hit[:, None] + reach) % nonzero.shape[ax]))
-    return window
-
-
 def check_carleman_inequality(
     u: np.ndarray,
     A: np.ndarray,
@@ -425,12 +407,9 @@ def check_carleman_inequality(
     exp(lhs_log - rhs_log), and inf when that overflows or the right side
     vanishes, so a degenerate operator fails the check.
 
-    The gradient energy, the operator and the log-weights are evaluated once,
-    on the window of the module docstring: per axis the cells within two
-    cells of u != 0, modulo n.  The stencil reads one cell, so no other cell
-    contributes, and the second cell keeps the window's wrapped edges exact;
-    the sorted window keeps the row-major order of the active cells, so the
-    result is bit-identical to the whole-cube evaluation.
+    Every cell of the given cube is evaluated.  Padding u with zero cells
+    (and A, b, c with any finite values) does not change the result on a
+    dyadic h (module docstring), so the caller chooses the cube.
     """
     d = u.ndim
     n = u.shape[0]
@@ -454,12 +433,6 @@ def check_carleman_inequality(
     if any(np.any((i < 2) | (i >= n - 2)) for i in big):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    window = _support_window(u != 0)
-    cells = np.ix_(*window)
-    u, A = u[cells], A[cells]
-    b = None if b is None else b[cells]
-    c = None if c is None else c[cells]
-
     # conj(grad).A.grad summed over (i, j) in row-major order, each term
     # formed as einsum forms it: (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j
     grad = [periodic_centered_diff(u, axd, h) for axd in range(d)]
@@ -473,7 +446,7 @@ def check_carleman_inequality(
     u_sq = np.abs(u) ** 2
 
     active = (grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0)
-    pts = np.stack([centers[w[i]] for w, i in zip(window, np.nonzero(active))], axis=-1)
+    pts = np.stack([centers[i] for i in np.nonzero(active)], axis=-1)
     lw = weight.log_weight(pts)
     ge, us, os_ = grad_energy[active], u_sq[active], op_sq[active]
 
@@ -523,8 +496,16 @@ def carleman_trial(
     a comfortable admissibility margin, and alpha at (or just above) the
     admissible floor; returns the check plus the drawn configuration.
     ``rho``, ``mu`` and the alpha multiplier can be pinned by the caller
-    (the CLI flags); unset ones are drawn from the seed.
+    (the CLI flags); unset ones are drawn from the seed.  The grid is the
+    smallest cube that holds the bump and the checker's two-cell zero margin,
+    n = 2 (ceil(r_out / h) + 2) cells per axis.
     """
+    for name, value in (("rho", rho), ("mu", mu)):
+        if value is not None:
+            _require_positive(name, value)
+    if alpha_mult is not None and not 1.0 <= alpha_mult < math.inf:
+        raise ValueError(f"alpha_mult must be finite and >= 1 (alpha >= alpha0), "
+                         f"got {alpha_mult}")
     rng = np.random.default_rng(seed)
     theta1 = 1.0 + 0.12 * rng.random()
     rho = (0.8 + 0.45 * rng.random()) if rho is None else float(rho)
@@ -539,9 +520,14 @@ def carleman_trial(
     with_drift = rng.random() < 0.3
     norm_b = 0.25 * rng.random() if with_drift else 0.0
     norm_c = 0.25 * rng.random() if with_drift else 0.0
+    if with_drift:
+        direction = rng.standard_normal(d)
+        direction /= np.linalg.norm(direction)
+    r_in = (0.45 + 0.08 * rng.random()) * rho
+    r_out = (0.78 + 0.07 * rng.random()) * rho
 
-    side = 2.0 * rho * 1.08
-    n = int(math.ceil(side / h / 2.0)) * 2
+    # the bump plus the checker's two-cell zero margin on every side
+    n = 2 * (math.ceil(r_out / h) + 2)
     dom = CubeDomain(d, n * h, h, "periodic")
     pts = dom.center_grid()
     if variable_A:
@@ -559,13 +545,9 @@ def carleman_trial(
     c = None
     if with_drift:
         b = np.full(pts.shape[:-1] + (d,), 0.0)
-        direction = rng.standard_normal(d)
-        direction /= np.linalg.norm(direction)
         b += norm_b * direction
         c = np.full(pts.shape[:-1], norm_c)
 
-    r_in = (0.45 + 0.08 * rng.random()) * rho
-    r_out = (0.78 + 0.07 * rng.random()) * rho
     u = annular_bump(pts, r_in, r_out)
     if d >= 2:
         u = u * (1.0 + 0.3 * np.cos(2.0 * math.pi * pts[..., 0] / rho))
@@ -575,8 +557,6 @@ def carleman_trial(
     C, alpha0 = carleman_constants(p, rho, mu, mu1)
     if alpha_mult is None:
         alpha_mult = 1.0 + 0.02 * rng.random()
-    if alpha_mult < 1.0:
-        raise ValueError("alpha multiplier must be >= 1 (alpha >= alpha0)")
     alpha = alpha0 * alpha_mult
     weight = WeightFunction(rho=rho, mu=mu, A0=A0, theta1=theta1)
     chk = check_carleman_inequality(u, A, b, c, h, weight, alpha, C, alpha0=alpha0)

@@ -80,6 +80,14 @@ class ExperimentConfig:
         ratio = m.L / m.G
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 != 1:
             problems.append(f"L/G={ratio} is not an odd integer")
+        for name in ("rho", "mu"):
+            val = getattr(self, name)
+            if val is not None and not (math.isfinite(val) and val > 0.0):
+                problems.append(f"{name}={val} is not positive and finite")
+        if self.alpha_mult is not None and not 1.0 <= self.alpha_mult < math.inf:
+            problems.append(f"alpha_mult={self.alpha_mult} is not finite and >= 1")
+        if self.trials < 1:
+            problems.append(f"trials={self.trials} is below 1")
         if require_admissible and not self.allow_inadmissible:
             eps = admissibility_epsilon(m, "sampling_G")
             if eps <= 0.0:
@@ -241,7 +249,8 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
                     rho=cfg.rho, mu=cfg.mu, alpha_mult=cfg.alpha_mult,
                 )
                 rows.append(rec)
-                worst_by_h[h] = max(worst_by_h.get(h, 0.0), rec["ratio"])
+                # np.maximum keeps a NaN ratio, which fails the gate below
+                worst_by_h[h] = float(np.maximum(worst_by_h.get(h, 0.0), rec["ratio"]))
     write_rows_jsonl(out / "records.jsonl", rows, config=cfg.to_dict())
     with open(out / "summary.csv", "w") as fh:
         fh.write("h,worst_ratio,allowed\n")
@@ -249,7 +258,7 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
             fh.write(f"{h},{worst_by_h[h]},{1.0 + 10.0 * h}\n")
     _write_report(out, {"config": cfg.to_dict(),
                         "worst_by_h": {str(k): v for k, v in worst_by_h.items()}})
-    bad = [(h, w) for h, w in worst_by_h.items() if w > 1.0 + 10.0 * h]
+    bad = [(h, w) for h, w in worst_by_h.items() if not w <= 1.0 + 10.0 * h]
     for h in sorted(worst_by_h, reverse=True):
         print(f"h={h:.6g}: worst ratio {worst_by_h[h]:.3e} "
               f"(allowed {1.0 + 10.0 * h:.4f})")

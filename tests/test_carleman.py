@@ -12,7 +12,6 @@ from uclab.carleman import (
     _EIN_CUT,
     SUPPORT_TOL,
     WeightFunction,
-    _support_window,
     annular_bump,
     build_radial_cutoff,
     carleman_trial,
@@ -120,6 +119,13 @@ class TestWeightFunction:
             assert res["upper"] >= -1e-10
             if not math.isnan(res["outer_floor"]):
                 assert res["outer_floor"] >= -1e-10
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_rho_and_mu(self, value):
+        for name in ("rho", "mu"):
+            kw = {"rho": 1.0, "mu": 1.0, name: value}
+            with pytest.raises(ValueError, match=name):
+                WeightFunction(A0=np.eye(2), theta1=1.0, **kw)
 
     def test_rejects_bad_A0(self):
         with pytest.raises(ValueError):
@@ -262,18 +268,18 @@ def support_setup(d, gate, h=1 / 32):
     return u, A, wf, C, alpha0, h, cells
 
 
-def window_case(d, seed, support, complex_u, drift):
-    """Random data for the whole-cube comparison.
+def random_case(d, seed, support, complex_u, drift, n=None):
+    """Random data for the checker on the cube (-1, 1)^d.
 
     ``support``: "inner" (an annulus well inside the cube, plus a few values
-    below SUPPORT_TOL on the margin corners, so the window wraps, and next to
-    the origin, where the weight makes them dominate the sums at large
-    alpha) or "margin" (values up to the two-cell margin, so the window is
-    the whole axis).
+    below SUPPORT_TOL on the margin corners, where the stencil wraps, and
+    next to the origin, where the weight makes them dominate the sums at
+    large alpha) or "margin" (values up to the two-cell margin).  The
+    default ``n`` makes h = 1/48, 1/20 or 1/12, which are not powers of two.
     """
     rng = np.random.default_rng(seed)
-    n = {1: 96, 2: 40, 3: 24}[d]
-    h = 2.0 / n  # 1/48, 1/20 and 1/12 are not powers of two
+    n = n or {1: 96, 2: 40, 3: 24}[d]
+    h = 2.0 / n
     rho = 1.3 if support == "margin" else 0.9
     pts = CubeDomain(d, n * h, h, "periodic").center_grid()
     r = np.sqrt((pts**2).sum(axis=-1))
@@ -408,33 +414,32 @@ def with_logsum_inputs(monkeypatch, module, check, *args):
         return check(*args), seen
 
 
+def assert_same_check(monkeypatch, first, second):
+    """Run two (module, check, args) and assert equal results and equal
+    per-cell exponents and weights of the three log-sum-exps, in order."""
+    (res, sums), (ref, ref_sums) = (
+        with_logsum_inputs(monkeypatch, module, check, *args)
+        for module, check, args in (first, second)
+    )
+    assert res == ref
+    assert math.isfinite(res.lhs_log) and math.isfinite(res.rhs_log)
+    assert len(sums) == len(ref_sums) == 3
+    for got, want in zip(sums, ref_sums):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestWindowMatchesWholeCube:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("support", ["inner", "margin"])
     @pytest.mark.parametrize("complex_u,drift", [(False, False), (False, True), (True, True)])
     def test_bitwise_equal(self, monkeypatch, d, support, complex_u, drift):
-        u, A, b, c, h, wf = window_case(d, 7 * d, support, complex_u, drift)
-        n = u.shape[0]
-        window = _support_window(u != 0)
-        if support == "margin":
-            assert all(len(w) == n for w in window)
-        else:  # the tiny corner values wrap the window around the axis ends
-            assert all(len(w) < n and w[0] == 0 and w[-1] == n - 1 for w in window)
+        u, A, b, c, h, wf = random_case(d, 7 * d, support, complex_u, drift)
         for alpha in (3.0, 400.0):
-            res, sums = with_logsum_inputs(
-                monkeypatch, carleman, check_carleman_inequality,
-                u, A, b, c, h, wf, alpha, 5.0,
+            args = (u, A, b, c, h, wf, alpha, 5.0)
+            assert_same_check(
+                monkeypatch, (carleman, check_carleman_inequality, args),
+                (oracles, oracles.carleman_check_whole_cube, args),
             )
-            ref, ref_sums = with_logsum_inputs(
-                monkeypatch, oracles, oracles.carleman_check_whole_cube,
-                u, A, b, c, h, wf, alpha, 5.0,
-            )
-            assert res == ref
-            assert math.isfinite(res.lhs_log) and math.isfinite(res.rhs_log)
-            # the per-cell exponents and weights of the three sums, in order
-            assert len(sums) == len(ref_sums) == 3
-            for got, want in zip(sums, ref_sums):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_trials_match_whole_cube(self, monkeypatch):
         # seeds 0-3 in d = 1 and 2 draw variable A, drift and constant fields;
@@ -451,6 +456,53 @@ class TestWindowMatchesWholeCube:
         assert any(rec["theta2"] > 0.0 for rec in fast)
 
 
+class TestCubeSize:
+    """The checker's result does not depend on the zero cells around u,
+    which lets carleman_trial size the cube to its bump."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("support", ["inner", "margin"])
+    @pytest.mark.parametrize("complex_u,drift",
+                             [(False, False), (False, True), (True, False), (True, True)])
+    def test_zero_padding_is_bitwise_neutral(self, monkeypatch, d, support, complex_u, drift):
+        n = {1: 64, 2: 32, 3: 16}[d]  # h = 1/32, 1/16, 1/8
+        u, A, b, c, h, wf = random_case(d, 5 * d, support, complex_u, drift, n=n)
+        idx = np.indices(u.shape)
+        u[((idx < 2) | (idx >= n - 2)).any(axis=0)] = 0.0
+        for k in (1, 2, 3, 4):
+            # coefficients on the new cells: the opposite side's values
+            A_k, b_k, c_k = (None if x is None else np.pad(
+                x, [(k, k)] * d + [(0, 0)] * (x.ndim - d), mode="wrap") for x in (A, b, c))
+            for alpha in (3.0, 400.0):
+                assert_same_check(
+                    monkeypatch,
+                    (carleman, check_carleman_inequality, (u, A, b, c, h, wf, alpha, 5.0)),
+                    (carleman, check_carleman_inequality,
+                     (np.pad(u, k), A_k, b_k, c_k, h, wf, alpha, 5.0)),
+                )
+
+    def test_trial_cube_has_no_slack(self, monkeypatch):
+        seen = []
+        check = carleman.check_carleman_inequality
+
+        def spy(u, *args, **kw):
+            seen.append(u)
+            return check(u, *args, **kw)
+
+        monkeypatch.setattr(carleman, "check_carleman_inequality", spy)
+        for d in (1, 2):
+            for seed in range(4):
+                for h in (1 / 16, 1 / 32, 1 / 64):
+                    for rho in (None, 0.8, 1.25):
+                        carleman_trial(seed, d, h, rho=rho)
+        assert len(seen) == 72
+        for u in seen:
+            # along axis 0, the outermost nonzero cells on either side
+            hit = np.flatnonzero((u != 0).any(axis=tuple(range(1, u.ndim))))
+            assert hit[0] in (2, 3)
+            assert u.shape[0] - 1 - hit[-1] in (2, 3)
+
+
 class TestPinnedTrialParameters:
     def test_rho_mu_alpha_overrides(self):
         rec = carleman_trial(0, 1, 1 / 64, rho=1.0, mu=0.08, alpha_mult=1.5)
@@ -461,3 +513,11 @@ class TestPinnedTrialParameters:
     def test_alpha_mult_below_one_rejected(self):
         with pytest.raises(ValueError):
             carleman_trial(0, 1, 1 / 64, alpha_mult=0.5)
+
+    @pytest.mark.parametrize("name,value", [
+        ("rho", math.nan), ("rho", math.inf), ("rho", -1.0), ("mu", math.nan),
+        ("mu", math.inf), ("mu", 0.0), ("alpha_mult", math.nan), ("alpha_mult", math.inf),
+    ])
+    def test_rejects_bad_pinned_parameter(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            carleman_trial(0, 1, 1 / 64, **{name: value})

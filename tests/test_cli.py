@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, outputs, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -304,3 +305,26 @@ class TestCarlemanFlags:
         body = (out / "records.jsonl").read_text().splitlines()[1:]
         rows = [json.loads(ln) for ln in body]
         assert len(rows) == 3 and all(r["alpha"] == r["alpha0"] for r in rows)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mu", "nan"), ("--alpha-mult", "nan"), ("--rho", "nan"),
+        ("--rho", "-1"), ("--mu", "inf"), ("--alpha-mult", "inf"),
+        ("--trials", "0"),
+    ])
+    def test_bad_trial_parameter_is_a_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["carleman-check", "--out", str(out), "--d", "1",
+                     "--grid", "0.015625", flag, value]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_nan_ratio_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        import uclab.carleman
+
+        def nan_trial(seed, d, h, **kw):
+            return {"seed": seed, "d": d, "h": h, "ratio": math.nan}
+
+        monkeypatch.setattr(uclab.carleman, "carleman_trial", nan_trial)
+        out = tmp_path / "out"
+        assert main(["carleman-check", "--out", str(out), "--d", "1",
+                     "--grid", "0.015625", "--trials", "2"]) == 1
+        assert "FAIL: ratio exceeded tolerance" in capsys.readouterr().err
