@@ -3,16 +3,18 @@
 Subcommands: ``constants``, ``verify``, ``sweep``, ``carleman-check``,
 ``cacciopoli-check``, ``extend-check``, ``weight``.  Configuration comes from
 a flat-key JSON file (keys mirror the parameter dataclasses, e.g.
-``model.delta``, ``free.K2``) with command-line flags taking precedence.
+``model.delta``, ``free.K2``) with command-line flags taking precedence.  A
+subcommand takes only the flags whose key it reads.
 
 Exit codes: 0 when the run completed and every hard assertion passed
-(reporting an inadmissible epsilon is a completed run), 1 when an assertion
-failed (the message points at the offending record), 2 on configuration or
-usage errors.
+(``constants`` charting an inadmissible model is a completed run; every
+other subcommand requires an admissible one), 1 when an assertion failed
+(the message points at the offending record), 2 on usage errors and on
+every ``config error: <key>...``.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
-``summary.csv``, and optionally ``plot.csv``.
+``summary.csv``, and from ``sweep`` always ``plot.csv``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from numbers import Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,8 +60,6 @@ class ExperimentConfig:
     alpha_mult: Optional[float] = None
     trials: int = 4
     grids: tuple[float, ...] = (1 / 64,)
-    emit_plot_data: bool = False
-    allow_inadmissible: bool = False
     dump_eigenpairs: bool = False
     field_file: Optional[str] = None
 
@@ -73,66 +74,85 @@ class ExperimentConfig:
         return out
 
     def validate(self, require_admissible: bool = True) -> list[str]:
+        """One ``<key>=<value> is not ...`` line per invalid key."""
         problems = []
+        for key, (need, ok) in _RULES.items():
+            val = getattr(self, key)
+            if isinstance(val, tuple):
+                if not (val and all(map(ok, val))):
+                    problems.append(f"{key}={list(val)} is not a non-empty list of {need}")
+            elif val is not None and not ok(val):
+                problems.append(f"{key}={val!r} is not {need}")
         m = self.model
         if not 0.0 < m.delta < m.G / 2.0:
-            problems.append(f"delta={m.delta} not in (0, G/2={m.G / 2})")
+            problems.append(f"model.delta={m.delta} is not in (0, model.G/2 = {m.G / 2})")
         ratio = m.L / m.G
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 != 1:
-            problems.append(f"L/G={ratio} is not an odd integer")
-        for name in ("rho", "mu"):
-            val = getattr(self, name)
-            if val is not None and not (math.isfinite(val) and val > 0.0):
-                problems.append(f"{name}={val} is not positive and finite")
-        if self.alpha_mult is not None and not 1.0 <= self.alpha_mult < math.inf:
-            problems.append(f"alpha_mult={self.alpha_mult} is not finite and >= 1")
-        if self.trials < 1:
-            problems.append(f"trials={self.trials} is below 1")
-        if require_admissible and not self.allow_inadmissible:
+            problems.append(f"model.L={m.L} is not an odd multiple of model.G={m.G}")
+        if require_admissible:
             eps = admissibility_epsilon(m, "sampling_G")
             if eps <= 0.0:
-                problems.append(
-                    f"epsilon={eps:.4g} <= 0 (pass --allow-inadmissible to chart)"
-                )
+                problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
+                                "(chart it with `uclab constants`)")
         return problems
 
 
-_CONFIG_KEYS = {
+def _finite(v) -> bool:
+    return isinstance(v, Real) and math.isfinite(v)
+
+
+def _whole(v) -> bool:
+    """An integer, which JSON may spell as an integral float."""
+    return _finite(v) and float(v).is_integer()
+
+
+# key -> (what each value must be, its test); a tuple key must be non-empty,
+# and None leaves rho, mu, alpha_mult and field_file unset
+_RULES = {
+    "h_per_G": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
+    "seeds": ("integers >= 0", lambda v: _whole(v) and v >= 0),
+    "ds": ("integers >= 1", lambda v: _whole(v) and v >= 1),
+    "trials": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
+    "L_over_Gs": ("odd integers >= 1", lambda v: _whole(v) and v >= 1 and v % 2 == 1),
+    "deltas_over_G": ("numbers in (0, 1/2)", lambda v: _finite(v) and 0.0 < v < 0.5),
+    "norm_Vs": ("finite numbers >= 0", lambda v: _finite(v) and v >= 0.0),
+    "energy": ("a finite number", _finite),
+    "rho": ("a finite number > 0", lambda v: _finite(v) and v > 0.0),
+    "mu": ("a finite number > 0", lambda v: _finite(v) and v > 0.0),
+    "grids": ("finite numbers > 0", lambda v: _finite(v) and v > 0.0),
+    "alpha_mult": ("a finite number >= 1", lambda v: _finite(v) and v >= 1.0),
+    "bcs": ("'dirichlet' or 'periodic' conditions", lambda v: v in ("dirichlet", "periodic")),
+    "dump_eigenpairs": ("true or false", lambda v: isinstance(v, bool)),
+    "field_file": ("an existing file", lambda v: isinstance(v, str) and Path(v).is_file()),
+}
+
+
+# key prefix -> the keys it takes: model.*, free.* and the run's own keys
+_KEYS = {
     "model": set(ModelParams.__dataclass_fields__),
     "free": set(FreeConstants.__dataclass_fields__),
+    "": set(ExperimentConfig.__dataclass_fields__) - {"model", "free"},
 }
 
 
 def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
-    """Flat-key JSON plus overrides (flags win)."""
+    """Flat-key JSON plus overrides (flags win); a None value, a null in the
+    file or a flag not given, leaves its key at the default."""
     raw: dict = {}
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    model_kwargs, free_kwargs, rest = {}, {}, {}
-    for key, val in raw.items():
-        if key.startswith("model."):
-            name = key.split(".", 1)[1]
-            if name not in _CONFIG_KEYS["model"]:
-                raise KeyError(f"unknown model parameter {name!r}")
-            model_kwargs[name] = val
-        elif key.startswith("free."):
-            name = key.split(".", 1)[1]
-            if name not in _CONFIG_KEYS["free"]:
-                raise KeyError(f"unknown free constant {name!r}")
-            free_kwargs[name] = val
-        else:
-            rest[key] = val
-    cfg = ExperimentConfig(
-        model=ModelParams(**{"d": 1, **model_kwargs}),
-        free=FreeConstants(**free_kwargs),
-    )
-    for key, val in rest.items():
-        if not hasattr(cfg, key):
+    kwargs: dict = {"model": {"d": 1}, "free": {}, "": {}}
+    for key, val in [*raw.items(), *overrides.items()]:
+        group, _, name = key.rpartition(".")
+        if group not in _KEYS or name not in _KEYS[group]:
             raise KeyError(f"unknown configuration key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, tuple) and not isinstance(val, tuple):
+        if val is not None:
+            kwargs[group][name] = val
+    cfg = ExperimentConfig(model=ModelParams(**kwargs["model"]),
+                           free=FreeConstants(**kwargs["free"]))
+    for key, val in kwargs[""].items():
+        if isinstance(getattr(cfg, key), tuple) and not isinstance(val, tuple):
             val = tuple(val) if isinstance(val, (list, np.ndarray)) else (val,)
         setattr(cfg, key, val)
     return cfg
@@ -220,12 +240,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         "deltas": res.deltas,
         "ratios": res.ratios,
     })
-    if cfg.emit_plot_data:
-        with open(out / "plot.csv", "w") as fh:
-            fh.write("delta,ratio,log_bound\n")
-            for dd, rr in zip(res.deltas, res.ratios):
-                lb = log_c_sfuc(replace(cfg.model, delta=dd), cfg.free)
-                fh.write(f"{dd},{rr},{lb}\n")
+    with open(out / "plot.csv", "w") as fh:
+        fh.write("delta,ratio,log_bound\n")
+        for dd, rr in zip(res.deltas, res.ratios):
+            lb = log_c_sfuc(replace(cfg.model, delta=dd), cfg.free)
+            fh.write(f"{dd},{rr},{lb}\n")
     ok = res.slope_in_bracket(d) and res.r_squared >= 0.99 and not res.degenerate
     print(f"slope {res.slope:.4f} (floor {d}, cap {res.exponent_bound:.4g}), "
           f"R^2 {res.r_squared:.6f}")
@@ -393,14 +412,33 @@ def cmd_weight(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if ok else 1
 
 
+# flag -> argparse keywords; the dest is the ExperimentConfig key the flag
+# sets, except for --h, which main converts to h_per_G = G/h
+_FLAGS = {
+    "--seed": dict(dest="seeds", type=int, metavar="N", help="run this one seed"),
+    "--h": dict(type=float, help="grid spacing; sets h_per_G = G/h"),
+    "--dump-eigenpairs": dict(action="store_true", default=None,
+                              help="write every field's eigenpairs"),
+    "--field-file": dict(help="load the coefficient field from a saved file"),
+    "--d": dict(dest="ds", type=int, metavar="N", help="run this one dimension"),
+    "--grid": dict(dest="grids", type=float, action="append", metavar="H",
+                   help="grid spacing (repeatable)"),
+    "--rho": dict(type=float),
+    "--mu": dict(type=float),
+    "--alpha-mult": dict(type=float),
+    "--trials": dict(type=int),
+}
+
+# subcommand -> (function, the flags it takes besides --config and --out)
 _COMMANDS = {
-    "constants": cmd_constants,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "carleman-check": cmd_carleman_check,
-    "cacciopoli-check": cmd_cacciopoli_check,
-    "extend-check": cmd_extend_check,
-    "weight": cmd_weight,
+    "constants": (cmd_constants, ()),
+    "verify": (cmd_verify, ("--seed", "--h", "--dump-eigenpairs")),
+    "sweep": (cmd_sweep, ("--seed", "--h")),
+    "carleman-check": (cmd_carleman_check, (
+        "--seed", "--d", "--grid", "--rho", "--mu", "--alpha-mult", "--trials")),
+    "cacciopoli-check": (cmd_cacciopoli_check, ("--seed", "--h", "--field-file")),
+    "extend-check": (cmd_extend_check, ("--seed", "--h", "--field-file")),
+    "weight": (cmd_weight, ("--seed",)),
 }
 
 
@@ -411,76 +449,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "equidistribution estimates of elliptic operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="flat-key JSON configuration file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override: single seed")
-        sp.add_argument("--out", type=str, default="uclab-out",
-                        help="output directory")
-        sp.add_argument("--h", type=float, default=None,
-                        help="override: grid spacing (converted to h_per_G)")
-        sp.add_argument("--emit-plot-data", action="store_true")
-        sp.add_argument("--allow-inadmissible", action="store_true")
-        if name == "verify":
-            sp.add_argument("--dump-eigenpairs", action="store_true")
-        if name in ("cacciopoli-check", "extend-check"):
-            sp.add_argument("--field-file", type=str, default=None,
-                            help="load the coefficient field from a saved file")
-        if name == "carleman-check":
-            sp.add_argument("--d", type=int, default=None)
-            sp.add_argument("--grid", type=float, action="append", default=None)
-            sp.add_argument("--rho", type=float, default=None)
-            sp.add_argument("--mu", type=float, default=None)
-            sp.add_argument("--alpha-mult", type=float, default=None)
-            sp.add_argument("--trials", type=int, default=None)
+        sp.add_argument("--config", help="flat-key JSON configuration file")
+        sp.add_argument("--out", default="uclab-out", help="output directory")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
-    if args.emit_plot_data:
-        overrides["emit_plot_data"] = True
-    if args.allow_inadmissible:
-        overrides["allow_inadmissible"] = True
-    if getattr(args, "dump_eigenpairs", False):
-        overrides["dump_eigenpairs"] = True
-    if getattr(args, "field_file", None) is not None:
-        overrides["field_file"] = args.field_file
-    for extra in ("d", "rho", "mu", "trials"):
-        if getattr(args, extra, None) is not None:
-            overrides["ds" if extra == "d" else extra] = (
-                (args.d,) if extra == "d" else getattr(args, extra)
-            )
-    if getattr(args, "grid", None):
-        overrides["grids"] = tuple(args.grid)
-    if getattr(args, "alpha_mult", None) is not None:
-        overrides["alpha_mult"] = args.alpha_mult
+    args = vars(build_parser().parse_args(argv))
+    command, path, out, h = (args.pop(k, None) for k in ("command", "config", "out", "h"))
     try:
-        cfg = load_config(args.config, overrides)
-        if args.h is not None:
-            ratio = cfg.model.G / args.h
+        cfg = load_config(path, args)
+        if h is not None:
+            # a non-positive or NaN h leaves ratio 0, which validate reports
+            ratio = cfg.model.G / h if h > 0.0 else 0.0
             if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError("--h must divide the lattice scale G")
+                raise ValueError(f"h_per_G: h={h} does not divide model.G={cfg.model.G}")
             cfg.h_per_G = round(ratio)
-        problems = cfg.validate(
-            require_admissible=(args.command not in ("constants", "weight"))
-        )
+        problems = cfg.validate(require_admissible=command != "constants")
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](cfg, out)
+    return _COMMANDS[command][0](cfg, out)
 
 
 if __name__ == "__main__":

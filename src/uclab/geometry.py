@@ -52,8 +52,8 @@ class CubeDomain:
             raise ValueError("dimension must be positive")
         for name in ("L", "h"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         n = self.L / self.h
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ValueError("L/h must be an integer >= 2")

@@ -257,7 +257,7 @@ def _record(
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
-        h=tc.h, theta1=fld.declared_theta1, theta2=0.0, norm_V=tc.norm_V,
+        h=tc.h, theta1=fld.declared_theta1, theta2=fld.declared_theta2, norm_V=tc.norm_V,
         energy=energy, eigen_index=eigen_index, seed=tc.seed,
         ratio=float(ratio),
         worst_ratio=window_worst,
@@ -295,7 +295,7 @@ def run_trial(
     idx = int(rng.integers(0, min(4, len(sl))))
     E = float(sl.eigenvalues[idx])
     p = ModelParams(
-        d=tc.d, theta1=fld.declared_theta1, theta2=0.0, norm_V=tc.norm_V,
+        d=tc.d, theta1=fld.declared_theta1, theta2=fld.declared_theta2, norm_V=tc.norm_V,
         G=tc.G, delta=tc.delta, L=tc.L,
     )
     lg = log_gamma_window(p, fc, E)

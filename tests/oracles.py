@@ -12,8 +12,10 @@ spectacularly) are exposed as natural logarithms.
 One reference is not an mpmath transcription:
 :func:`carleman_check_whole_cube` is the weighted-inequality checker
 evaluated on every cell of the cube, in double precision and with
-``einsum``.  The production checker evaluates a window around the support
-of u and must reproduce it bit for bit.
+``einsum``.  The production checker also evaluates the whole cube it is
+given, but takes the weights and sums only at the cells where u, its
+gradient energy or its operator image is nonzero, in real arithmetic; it
+must reproduce this reference bit for bit.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Command-line interface tests: exit codes, outputs, determinism."""
 
+import argparse
+import ast
+import inspect
 import json
 import math
+import textwrap
 
 import pytest
 
+import uclab.cli
 import uclab.verifier
 from uclab.cli import build_parser, load_config, main
 
@@ -75,6 +80,28 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["report"]["admissible"] is False
         assert rep["report"]["epsilon"] < 0
+
+    @pytest.mark.parametrize("command,payload,flags,key", [
+        pytest.param("verify", {"L_over_Gs": [4]}, [], "L_over_Gs", id="verify-L_over_Gs"),
+        pytest.param("verify", {"deltas_over_G": [0.6]}, [], "deltas_over_G",
+                     id="verify-deltas_over_G"),
+        pytest.param("verify", {"seeds": []}, [], "seeds", id="verify-seeds"),
+        pytest.param("verify", {}, ["--h", "0"], "h_per_G", id="verify-h"),
+        pytest.param("sweep", {"seeds": []}, [], "seeds", id="sweep-seeds"),
+        pytest.param("weight", {"ds": []}, [], "ds", id="weight-ds"),
+        pytest.param("carleman-check", {}, ["--grid", "0"], "grids", id="carleman-grid-zero"),
+        pytest.param("carleman-check", {}, ["--grid", "-0.01"], "grids",
+                     id="carleman-grid-negative"),
+        pytest.param("constants", {"energy": math.nan}, [], "energy", id="constants-energy"),
+    ])
+    def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
+                                       flags, key):
+        path = write_cfg(tmp_path, payload)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o"),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(f"config error: {key}="), err
+        assert "Traceback" not in err
 
     def test_inadmissible_verify_needs_opt_in(self, tmp_path):
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
@@ -153,8 +180,7 @@ class TestCommands:
             "seeds": [0, 1, 2],
         })
         out = tmp_path / "out"
-        assert main(["sweep", "--config", path, "--out", str(out),
-                     "--emit-plot-data"]) == 0
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert (out / "plot.csv").read_text().startswith("delta,ratio,log_bound")
         rep = json.loads((out / "report.json").read_text())
         assert abs(rep["slope"] - 1.0) < 0.05
@@ -202,6 +228,23 @@ class TestCommands:
             "constants", "verify", "sweep", "carleman-check",
             "cacciopoli-check", "extend-check", "weight",
         }
+
+
+class TestFlagsAreKeys:
+    def test_each_flag_sets_a_key_its_command_reads(self):
+        # every flag but --config and --out is the dest of a key the cmd_*
+        # function reads as cfg.<key>; --h sets h_per_G
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, sp in sub.choices.items():
+            fn = getattr(uclab.cli, "cmd_" + name.replace("-", "_"))
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            read = {n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "cfg"}
+            keys = {{"h": "h_per_G"}.get(a.dest, a.dest) for a in sp._actions
+                    if a.dest not in ("help", "config", "out")}
+            assert keys <= read, f"{name} registers flags for {keys - read}"
 
 
 class TestFieldFileFlag:

@@ -24,7 +24,7 @@ E = math.e
 
 
 class TestCubeDomain:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -3.0])
     @pytest.mark.parametrize("name", ["L", "h"])
     def test_non_finite_rejected_naming_the_field(self, name, bad):
         args = {"d": 2, "L": 3.0, "h": 0.1, name: bad}

@@ -222,6 +222,20 @@ class TestTrials:
         assert all(r.margin < 0.0 for r in recs)
         assert all(r.margin == math.log(r.ratio) - r.log_bound for r in recs)
 
+    def test_records_take_theta2_from_the_field(self):
+        from dataclasses import replace
+
+        tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=1.0,
+                         delta_over_G=0.25, seed=0, h_per_G=16)
+        fld, H, sl = solve_field(tc)
+        recs = run_trial(tc, (replace(fld, declared_theta2=1e-4), H, sl))
+        assert [r.theta2 for r in recs] == [1e-4, 1e-4]
+        p = ModelParams(d=1, theta1=fld.declared_theta1, theta2=1e-4,
+                        norm_V=1.0, G=tc.G, delta=tc.delta, L=tc.L)
+        pair = next(r for r in recs if r.psi_kind == "inequality_pair")
+        assert pair.log_bound == log_c_sfuc(p, FreeConstants())
+        assert pair.log_bound < log_c_sfuc(replace(p, theta2=0.0), FreeConstants())
+
     def test_zero_ratio_margin_is_minus_infinity(self):
         tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
                          delta_over_G=0.25, seed=0, h_per_G=16)
