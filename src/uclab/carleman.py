@@ -27,7 +27,7 @@ from scipy.special import exp1, logsumexp
 
 from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
-from uclab.fields import constant_spd_field, periodic_centered_diff
+from uclab.fields import constant_spd_field, periodic_gradient_energy
 from uclab.geometry import CubeDomain
 
 __all__ = [
@@ -120,8 +120,8 @@ class WeightFunction:
         A0 = np.asarray(self.A0, dtype=float)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError("A0 must be a square matrix")
-        if not np.allclose(A0, A0.T, atol=1e-12):
-            raise ValueError("A0 must be symmetric")
+        if not np.array_equal(A0, A0.T):
+            raise ValueError("A0 must be exactly symmetric")
         w = np.linalg.eigvalsh(A0)
         if w[0] <= 0.0:
             raise ValueError("A0 must be positive definite")
@@ -240,14 +240,17 @@ class RadialCutoff:
             unit = np.where(s[..., None] > 0.0, x / s[..., None], 0.0)
         return der[..., None] * unit
 
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt((x**2).sum(axis=-1))
+    def radial_laplacian(self, s: np.ndarray) -> np.ndarray:
+        """eta'' + (d - 1) eta' / s, the Laplacian at radius s (0 at s = 0)."""
+        s = np.asarray(s, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
-            lap = self.radial_second_derivative(s) + np.where(
+            return self.radial_second_derivative(s) + np.where(
                 s > 0.0, (self.d - 1) * self.radial_derivative(s) / s, 0.0
             )
-        return lap
+
+    def laplacian(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.radial_laplacian(np.sqrt((x**2).sum(axis=-1)))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Full Hessian from the radial profile (points away from 0)."""
@@ -284,9 +287,7 @@ def build_radial_cutoff(
     for lo, hi, scale in ((r1, r2, delta), (r3, r4, D0)):
         s = np.linspace(lo, hi, 4001)
         grad = np.abs(cut.radial_derivative(s))
-        lap = np.abs(
-            cut.radial_second_derivative(s) + (d - 1) * cut.radial_derivative(s) / s
-        )
+        lap = np.abs(cut.radial_laplacian(s))
         measured = max(measured, scale * math.sqrt(float(np.maximum(grad, lap).max())))
     object.__setattr__(cut, "measured_M", measured)
     return cut
@@ -350,7 +351,7 @@ def check_pointwise_cutoff_bound(
     if np.any(s <= 0.0):
         raise ValueError("sample points must avoid the origin")
     grad = cutoff.gradient(pts)
-    lap = cutoff.laplacian(pts)
+    lap = cutoff.radial_laplacian(s)
     op_c = cutoff_operator_value(cutoff, A, pts, b=b)
     lhs = np.abs(op_c) ** 2
     g2 = (grad**2).sum(axis=-1)
@@ -433,14 +434,7 @@ def check_carleman_inequality(
     if any(np.any((i < 2) | (i >= n - 2)) for i in big):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    # conj(grad).A.grad summed over (i, j) in row-major order, each term
-    # formed as einsum forms it: (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j
-    grad = [periodic_centered_diff(u, axd, h) for axd in range(d)]
-    parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
-    grad_energy = sum(
-        sum((gi * A[..., i, j]) * gj for gi, gj in zip(parts[i], parts[j]))
-        for i in range(d) for j in range(d)
-    )
+    grad_energy = periodic_gradient_energy(u, A, h)
     op_u = apply_operator(A, b, c, None, u, h)
     op_sq = np.abs(op_u) ** 2
     u_sq = np.abs(u) ** 2

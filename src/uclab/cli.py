@@ -14,7 +14,11 @@ every ``config error: <key>...``.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
-``summary.csv``, and from ``sweep`` always ``plot.csv``.
+``summary.csv``, and from ``sweep`` always ``plot.csv``.  ``sweep`` runs,
+checks admissibility and evaluates its bounds in dimension ``ds[0]``; it
+sweeps four or more ``deltas_over_G`` as given, and the five-point grid
+0.125 ... 0.45 for one (the default serves ``verify``); two or three are a
+config error.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ class ExperimentConfig:
                 out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
 
-    def validate(self, require_admissible: bool = True) -> list[str]:
-        """One ``<key>=<value> is not ...`` line per invalid key."""
+    def validate(self, command: Optional[str] = None) -> list[str]:
+        """One ``<key>=<value> is not ...`` line per invalid key, with the
+        checks of ``command``; all but ``constants`` need an admissible model."""
         problems = []
         for key, (need, ok) in _RULES.items():
             val = getattr(self, key)
@@ -89,7 +94,17 @@ class ExperimentConfig:
         ratio = m.L / m.G
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 != 1:
             problems.append(f"model.L={m.L} is not an odd multiple of model.G={m.G}")
-        if require_admissible:
+        if not problems:  # the checks below read keys checked above
+            side = min(self.L_over_Gs) if command == "verify" else round(ratio)
+            if command in _GRID_COMMANDS and side * self.h_per_G < 2:
+                problems.append(f"h_per_G={self.h_per_G} gives fewer than two "
+                                f"cells per axis on a cube of side {side} G")
+            if command == "sweep":  # a fit needs four deltas; bounds are in ds[0]
+                if len(self.deltas_over_G) in (2, 3):
+                    problems.append(f"deltas_over_G={list(self.deltas_over_G)} is "
+                                    "not one value (the five-point grid) or four or more")
+                m = replace(m, d=self.ds[0])
+        if command != "constants":
             eps = admissibility_epsilon(m, "sampling_G")
             if eps <= 0.0:
                 problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
@@ -127,6 +142,14 @@ _RULES = {
 }
 
 
+# what sweep runs when deltas_over_G holds one value (the default serves verify)
+_SWEEP_DELTAS = (0.125, 0.175, 0.25, 0.35, 0.45)
+
+# the subcommands that build grids with h = G/h_per_G: verify on cubes of
+# side L_over_Gs G, the others on one cube of side model.L
+_GRID_COMMANDS = ("verify", "sweep", "cacciopoli-check", "extend-check")
+
+
 # key prefix -> the keys it takes: model.*, free.* and the run's own keys
 _KEYS = {
     "model": set(ModelParams.__dataclass_fields__),
@@ -142,6 +165,8 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"--config={path} does not hold a JSON object")
     kwargs: dict = {"model": {"d": 1}, "free": {}, "": {}}
     for key, val in [*raw.items(), *overrides.items()]:
         group, _, name = key.rpartition(".")
@@ -221,14 +246,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.geometry import CubeDomain
     from uclab.verifier import delta_sweep
 
-    d = cfg.ds[0]
-    dom = CubeDomain(d, cfg.model.L, cfg.model.G / cfg.h_per_G, "periodic")
+    model = replace(cfg.model, d=cfg.ds[0])
+    dom = CubeDomain(model.d, model.L, model.G / cfg.h_per_G, "periodic")
     psi = np.ones(dom.shape)
-    deltas = [dg * cfg.model.G for dg in cfg.deltas_over_G]
-    if len(deltas) < 4:
-        deltas = [cfg.model.G * x for x in (0.125, 0.175, 0.25, 0.35, 0.45)]
+    deltas_over_G = cfg.deltas_over_G if len(cfg.deltas_over_G) > 1 else _SWEEP_DELTAS
+    deltas = [dg * model.G for dg in deltas_over_G]
     res = delta_sweep(
-        psi, dom, cfg.model.G, deltas, cfg.model, cfg.free,
+        psi, dom, model.G, deltas, model, cfg.free,
         seq_mode="uniform_random", seq_seeds=cfg.seeds,
     )
     _write_report(out, {
@@ -243,10 +267,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     with open(out / "plot.csv", "w") as fh:
         fh.write("delta,ratio,log_bound\n")
         for dd, rr in zip(res.deltas, res.ratios):
-            lb = log_c_sfuc(replace(cfg.model, delta=dd), cfg.free)
+            lb = log_c_sfuc(replace(model, delta=dd), cfg.free)
             fh.write(f"{dd},{rr},{lb}\n")
-    ok = res.slope_in_bracket(d) and res.r_squared >= 0.99 and not res.degenerate
-    print(f"slope {res.slope:.4f} (floor {d}, cap {res.exponent_bound:.4g}), "
+    ok = res.slope_in_bracket(model.d) and res.r_squared >= 0.99 and not res.degenerate
+    print(f"slope {res.slope:.4f} (floor {model.d}, cap {res.exponent_bound:.4g}), "
           f"R^2 {res.r_squared:.6f}")
     if not ok:
         print("FAIL: sweep slope outside bracket or degenerate fit", file=sys.stderr)
@@ -270,17 +294,18 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
                 rows.append(rec)
                 # np.maximum keeps a NaN ratio, which fails the gate below
                 worst_by_h[h] = float(np.maximum(worst_by_h.get(h, 0.0), rec["ratio"]))
+    allowed = {h: 1.0 + 10.0 * h for h in worst_by_h}  # discretization slack
     write_rows_jsonl(out / "records.jsonl", rows, config=cfg.to_dict())
     with open(out / "summary.csv", "w") as fh:
         fh.write("h,worst_ratio,allowed\n")
         for h in sorted(worst_by_h, reverse=True):
-            fh.write(f"{h},{worst_by_h[h]},{1.0 + 10.0 * h}\n")
+            fh.write(f"{h},{worst_by_h[h]},{allowed[h]}\n")
     _write_report(out, {"config": cfg.to_dict(),
                         "worst_by_h": {str(k): v for k, v in worst_by_h.items()}})
-    bad = [(h, w) for h, w in worst_by_h.items() if not w <= 1.0 + 10.0 * h]
+    bad = [(h, w) for h, w in worst_by_h.items() if not w <= allowed[h]]
     for h in sorted(worst_by_h, reverse=True):
         print(f"h={h:.6g}: worst ratio {worst_by_h[h]:.3e} "
-              f"(allowed {1.0 + 10.0 * h:.4f})")
+              f"(allowed {allowed[h]:.4f})")
     if bad:
         print(f"FAIL: ratio exceeded tolerance at h={bad[0][0]}", file=sys.stderr)
         return 1
@@ -335,17 +360,15 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.geometry import CubeDomain
     from uclab.spectral import eigensolve
 
+    loaded = None
     if cfg.field_file is not None:
         from uclab.fields import load_field
 
         loaded = load_field(cfg.field_file)
-    else:
-        loaded = None
-    d = loaded.domain.d if loaded is not None else max(cfg.ds[0], 2)
     dom = loaded.domain if loaded is not None else CubeDomain(
-        d, cfg.model.L, cfg.model.G / cfg.h_per_G, "dirichlet"
+        max(cfg.ds[0], 2), cfg.model.L, cfg.model.G / cfg.h_per_G, "dirichlet"
     )
-    worst = {"symmetry": 0.0, "interface_jump_rel": 0.0, "residual": -math.inf}
+    worst = {"interface_jump_rel": 0.0, "residual": -math.inf}
     for seed in cfg.seeds:
         fld = loaded if loaded is not None else synthesize_dir_cross_field(
             seed, dom, theta1=1.0 + 0.5 * (1 + seed % 3) / 3
@@ -356,36 +379,25 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
         lam = float(sl.eigenvalues[0])
         zeta = H.apply(psi) - lam * psi
         psi3, fld3, zeta3 = extend(psi, fld, zeta=np.abs(zeta))
-        worst["symmetry"] = max(
-            worst["symmetry"],
-            float(np.abs(fld3.A - np.swapaxes(fld3.A, -1, -2)).max()),
-        )
         n = dom.n
         grad = max(
-            float(np.abs(np.diff(psi, axis=ax)).max()) / dom.h for ax in range(d)
+            float(np.abs(np.diff(psi, axis=ax)).max()) / dom.h for ax in range(dom.d)
         )
         jump = max(
             float(np.abs(np.take(psi3, n - 1, axis=ax) - np.take(psi3, n, axis=ax)).max())
-            for ax in range(d)
+            for ax in range(dom.d)
         )
         worst["interface_jump_rel"] = max(
             worst["interface_jump_rel"], jump / (10.0 * dom.h * grad)
         )
         op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom.h)
-        viol = residual_inequality_check(
-            psi3, lam, zeta3, op_ext, interior_margin=2
-        )
+        viol = residual_inequality_check(psi3, lam, zeta3, op_ext, interior_margin=2)
         worst["residual"] = max(worst["residual"],
                                 viol / max(abs(lam), 1.0))
     _write_report(out, {"config": cfg.to_dict(), "worst": worst})
-    ok = (
-        worst["symmetry"] == 0.0
-        and worst["interface_jump_rel"] <= 1.0
-        and worst["residual"] <= 1e-8
-    )
-    print(f"extension symmetry defect {worst['symmetry']:.3g}, interface jump "
-          f"{worst['interface_jump_rel']:.3f} of allowance, residual excess "
-          f"{worst['residual']:.3g}")
+    ok = worst["interface_jump_rel"] <= 1.0 and worst["residual"] <= 1e-8
+    print(f"extension interface jump {worst['interface_jump_rel']:.3f} of "
+          f"allowance, residual excess {worst['residual']:.3g}")
     return 0 if ok else 1
 
 
@@ -469,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError(f"h_per_G: h={h} does not divide model.G={cfg.model.G}")
             cfg.h_per_G = round(ratio)
-        problems = cfg.validate(require_admissible=command != "constants")
+        problems = cfg.validate(command)
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)

@@ -22,6 +22,7 @@ __all__ = [
     "estimate_ellipticity",
     "estimate_lipschitz",
     "periodic_centered_diff",
+    "periodic_gradient_energy",
     "divergence_centered",
     "make_self_adjoint",
     "check_boundary_conditions",
@@ -119,41 +120,33 @@ def periodic_centered_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
 
 
+def periodic_gradient_energy(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
+    """conj(grad u).A.grad u per cell for a real matrix grid ``A``, with
+    :func:`periodic_centered_diff` derivatives; the (i, j) terms are summed in
+    row-major order, each formed as einsum forms it: (Re g_i A_ij) Re g_j +
+    (Im g_i A_ij) Im g_j."""
+    grad = [periodic_centered_diff(u, ax, h) for ax in range(u.ndim)]
+    parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
+    return sum(
+        sum((gi * A[..., i, j]) * gj for gi, gj in zip(parts[i], parts[j]))
+        for i in range(u.ndim) for j in range(u.ndim)
+    )
+
+
 def divergence_centered(
     bgrid: np.ndarray, h: float, bc: Literal["dirichlet", "periodic"]
 ) -> np.ndarray:
-    """Centered-difference divergence of a vector grid, one-sided (second
-    order) at Dirichlet faces, wrapped at periodic ones.
+    """Centered-difference divergence of a vector grid: wrapped at periodic
+    faces, numpy's second-order one-sided differences at Dirichlet ones.
 
     The operator assembly subtracts exactly this quantity, so self-adjoint
     fields built by :func:`make_self_adjoint` produce exactly real diagonals.
     """
-    d = bgrid.shape[-1]
-    out = np.zeros(bgrid.shape[:-1], dtype=bgrid.dtype)
-    for ax in range(d):
-        comp = bgrid[..., ax]
-        if bc == "periodic":
-            der = periodic_centered_diff(comp, ax, h)
-        else:
-            der = np.empty_like(comp)
-            sl = [slice(None)] * comp.ndim
-
-            def at(i):
-                s = sl.copy()
-                s[ax] = i
-                return tuple(s)
-
-            der[at(slice(1, -1))] = (
-                comp[at(slice(2, None))] - comp[at(slice(0, -2))]
-            ) / (2 * h)
-            der[at(0)] = (
-                -3 * comp[at(0)] + 4 * comp[at(1)] - comp[at(2)]
-            ) / (2 * h)
-            der[at(-1)] = (
-                3 * comp[at(-1)] - 4 * comp[at(-2)] + comp[at(-3)]
-            ) / (2 * h)
-        out = out + der
-    return out
+    return sum(
+        periodic_centered_diff(bgrid[..., ax], ax, h) if bc == "periodic"
+        else np.gradient(bgrid[..., ax], h, axis=ax, edge_order=2)
+        for ax in range(bgrid.shape[-1])
+    )
 
 
 def make_self_adjoint(
@@ -183,14 +176,10 @@ def check_boundary_conditions(field: CoefficientField) -> dict:
     report: dict = {"bc": dom.bc, "tolerance": tol}
     worst = 0.0
     if dom.bc == "dirichlet":
+        idx = np.arange(d)
         for ax in range(d):
-            sl_lo = [slice(None)] * d
-            sl_lo[ax] = 0
-            sl_hi = [slice(None)] * d
-            sl_hi[ax] = -1
-            for face in (tuple(sl_lo), tuple(sl_hi)):
-                offdiag = field.A[face].copy()
-                idx = np.arange(d)
+            for face in (0, -1):
+                offdiag = np.take(field.A, face, axis=ax)  # a copy
                 offdiag[..., idx, idx] = 0.0
                 worst = max(worst, float(np.abs(offdiag).max()))
         report["kind"] = "offdiagonal_face_trace"
@@ -241,6 +230,13 @@ def _phase(domain: CubeDomain, k: np.ndarray, phase: float) -> np.ndarray:
     pts = domain.center_grid()
     arg = 2.0 * math.pi * np.tensordot(pts, k, axes=([-1], [0])) / domain.L
     return np.cos(arg + phase)
+
+
+def _bounded_potential(rng: np.random.Generator, norm_V: float,
+                      shape: tuple[int, ...]) -> np.ndarray:
+    """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, and
+    zeros (no draw) when norm_V is 0."""
+    return rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros(shape)
 
 
 def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarray:
@@ -295,12 +291,11 @@ def synthesize_dir_cross_field(
     A[..., idx, idx] = mid
     A[..., 0, 1] = smax * envelope
     A[..., 1, 0] = smax * envelope
-    V = rng.uniform(-norm_V, norm_V, size=domain.shape) if norm_V > 0 else np.zeros(domain.shape)
     field = CoefficientField(
         domain=domain, A=A,
         b=np.zeros(domain.shape + (d,), dtype=complex),
         c=np.zeros(domain.shape, dtype=complex),
-        V=V,
+        V=_bounded_potential(rng, norm_V, domain.shape),
         declared_theta1=estimate_ellipticity(A),
         declared_theta2=estimate_lipschitz(A, domain.h),
     )
@@ -387,7 +382,7 @@ def synthesize_random_field(
         idx = np.arange(d)
         A[..., idx, idx] = a[..., None]
 
-    V = rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros(shape)
+    V = _bounded_potential(rng, norm_V, shape)
 
     if norm_b > 0.0:
         kb = np.zeros(d)

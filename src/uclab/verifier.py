@@ -28,6 +28,7 @@ everything that divides by or sums over them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -47,7 +48,12 @@ from uclab.constants import (
     scale_parameters,
 )
 from uclab.discretization import DiscreteOperator, assemble, residual_inequality_check
-from uclab.fields import CoefficientField, constant_spd_field, periodic_centered_diff
+from uclab.fields import (
+    CoefficientField,
+    _bounded_potential,
+    constant_spd_field,
+    periodic_gradient_energy,
+)
 from uclab.geometry import (
     CubeDomain,
     EquidistributedSequence,
@@ -212,16 +218,11 @@ def benchmark_field(tc: TrialConfig) -> CoefficientField:
     lo, hi = tc.theta1_range
     theta1 = lo + (hi - lo) * rng.random()
     A = constant_spd_field(int(rng.integers(2**31)), dom, theta1)
-    V = (
-        rng.uniform(-tc.norm_V, tc.norm_V, size=dom.shape)
-        if tc.norm_V > 0
-        else np.zeros(dom.shape)
-    )
     return CoefficientField(
         domain=dom, A=A,
         b=np.zeros(dom.shape + (tc.d,)),
         c=np.zeros(dom.shape),
-        V=V,
+        V=_bounded_potential(rng, tc.norm_V, dom.shape),
         declared_theta1=theta1,
         declared_theta2=0.0,
     )
@@ -333,19 +334,12 @@ def benchmark_configs(
     G: float = 1.0,
     h_per_G: int = 32,
 ) -> list[TrialConfig]:
-    out = []
-    for d in ds:
-        for nv in norm_Vs:
-            for bc in bcs:
-                for lg in L_over_Gs:
-                    for dg in delta_over_Gs:
-                        for seed in seeds:
-                            out.append(TrialConfig(
-                                d=d, bc=bc, L_over_G=lg, norm_V=nv,
-                                delta_over_G=dg, seed=seed, G=G,
-                                h_per_G=h_per_G,
-                            ))
-    return out
+    return [
+        TrialConfig(d=d, bc=bc, L_over_G=lg, norm_V=nv, delta_over_G=dg,
+                    seed=seed, G=G, h_per_G=h_per_G)
+        for d, nv, bc, lg, dg, seed in itertools.product(
+            ds, norm_Vs, bcs, L_over_Gs, delta_over_Gs, seeds)
+    ]
 
 
 def verify_equidistribution(
@@ -414,8 +408,12 @@ def delta_sweep(
 
     Ratios are averaged over the sequence seeds at each delta before the
     ordinary-least-squares fit.  The theoretical exponent upper-bounds the
-    vanishing order; the mask-volume floor is the dimension.
+    vanishing order; the mask-volume floor is the dimension.  ``p`` holds
+    the swept cube's d, G and L.
     """
+    if (p.d, p.G, p.L) != (domain.d, G, domain.L):
+        raise ValueError(f"model (d, G, L) = {(p.d, p.G, p.L)} is not the swept "
+                         f"cube's {(domain.d, G, domain.L)}")
     if len(deltas) < 4:
         raise ValueError("need at least 4 delta values")
     if len(seq_seeds) == 0:
@@ -528,10 +526,7 @@ def cacciopoli_check(
     s = np.sqrt((pts**2).sum(axis=-1))
     S = (s > r1) & (s < r2)
     S_plus = (s > max(r1 - r, 0.0)) & (s < r2 + r)
-    grad = np.stack(
-        [periodic_centered_diff(psi, ax, dom.h) for ax in range(dom.d)], axis=-1
-    )
-    energy = np.real(np.einsum("...i,...ij,...j->...", np.conj(grad), fld.A, grad))
+    energy = periodic_gradient_energy(psi, fld.A, dom.h)
     lhs = dom.cell_volume * float(energy[S].sum())
     mass_plus = dom.norm_sq(psi, where=S_plus)
     zeta_plus = 0.0 if zeta is None else 2.0 * dom.norm_sq(zeta, where=S_plus)
@@ -539,8 +534,8 @@ def cacciopoli_check(
         r, fld.norm_V, fld.norm_b, fld.norm_c, fld.declared_theta1, cprime
     )
     rhs = cac * mass_plus + zeta_plus
-    base = (
-        2.0 * fld.norm_V**2 + 1.0 + 2.0 * fld.norm_b**2 + 2.0 * fld.norm_c
+    base = cacciopoli_prefactor(
+        r, fld.norm_V, fld.norm_b, fld.norm_c, fld.declared_theta1, cprime=0.0
     )
     grad_coeff = 8.0 * fld.declared_theta1**2 / r**2
     min_cprime = (lhs - zeta_plus - base * mass_plus) / (grad_coeff * mass_plus) \

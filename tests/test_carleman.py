@@ -133,6 +133,12 @@ class TestWeightFunction:
         with pytest.raises(ValueError):
             WeightFunction(rho=1.0, mu=1.0, A0=-np.eye(2), theta1=1.0)
 
+    def test_rejects_nearly_symmetric_A0(self):
+        # eigvalsh would read only the lower triangle, inv both
+        A0 = np.array([[1.0, 0.3], [0.3 * (1.0 + 5e-6), 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightFunction(rho=1.0, mu=1.0, A0=A0, theta1=2.0)
+
 
 class TestRadialCutoff:
     def test_plateaus(self):

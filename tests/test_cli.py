@@ -12,6 +12,7 @@ import pytest
 import uclab.cli
 import uclab.verifier
 from uclab.cli import build_parser, load_config, main
+from uclab.constants import FreeConstants, ModelParams, log_c_sfuc
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -93,6 +94,13 @@ class TestExitCodes:
         pytest.param("carleman-check", {}, ["--grid", "-0.01"], "grids",
                      id="carleman-grid-negative"),
         pytest.param("constants", {"energy": math.nan}, [], "energy", id="constants-energy"),
+        pytest.param("verify", {"L_over_Gs": [1], "h_per_G": 1}, [], "h_per_G",
+                     id="verify-one-cell-grid"),
+        pytest.param("cacciopoli-check", {"model.L": 1.0, "h_per_G": 1}, [], "h_per_G",
+                     id="cacciopoli-one-cell-grid"),
+        pytest.param("constants", [1, 2], [], "--config", id="constants-config-array"),
+        pytest.param("sweep", {"deltas_over_G": [0.2, 0.3, 0.4]}, [], "deltas_over_G",
+                     id="sweep-three-deltas"),
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):
@@ -102,6 +110,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(f"config error: {key}="), err
         assert "Traceback" not in err
+
+    def test_sweep_model_must_be_admissible_in_its_dimension(self, tmp_path, capsys):
+        # epsilon is 0.196 in d = 1 and -0.829 in d = 2
+        path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 1.2,
+                                    "model.theta2": 0.001, "h_per_G": 16})
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: model is inadmissible" in capsys.readouterr().err
 
     def test_inadmissible_verify_needs_opt_in(self, tmp_path):
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
@@ -184,6 +199,29 @@ class TestCommands:
         assert (out / "plot.csv").read_text().startswith("delta,ratio,log_bound")
         rep = json.loads((out / "report.json").read_text())
         assert abs(rep["slope"] - 1.0) < 0.05
+
+    def test_sweep_bounds_at_its_dimension(self, tmp_path):
+        # model.d stays at its default 1; the sweep runs in ds[0] = 2
+        deltas = [0.125, 0.175, 0.25, 0.35, 0.45]
+        path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 1.2, "h_per_G": 16,
+                                    "deltas_over_G": deltas})
+        out = tmp_path / "out"
+        main(["sweep", "--config", path, "--out", str(out)])
+        rows = (out / "plot.csv").read_text().splitlines()[1:]
+        got = [float(row.split(",")[2]) for row in rows]
+        want = [log_c_sfuc(ModelParams(d=2, theta1=1.2, delta=dd), FreeConstants())
+                for dd in deltas]
+        assert got == want
+
+    @pytest.mark.parametrize("given,swept", [
+        ([0.25], [0.125, 0.175, 0.25, 0.35, 0.45]),
+        ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]),
+    ], ids=["one-value", "four-values"])
+    def test_sweep_delta_list(self, tmp_path, given, swept):
+        path = write_cfg(tmp_path, {"h_per_G": 64, "deltas_over_G": given})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["deltas"] == swept
 
     def test_weight_command(self, tmp_path):
         out = tmp_path / "out"

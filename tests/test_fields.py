@@ -15,6 +15,8 @@ from uclab.fields import (
     estimate_ellipticity,
     estimate_lipschitz,
     make_self_adjoint,
+    periodic_centered_diff,
+    periodic_gradient_energy,
     synthesize_dir_cross_field,
     synthesize_random_field,
 )
@@ -269,6 +271,62 @@ class TestDivergence:
         b = (x**2)[:, None]
         div = divergence_centered(b, dom.h, "dirichlet")
         assert np.abs(div.ravel() - 2 * x).max() < 1e-10  # exact for quadratics
+
+
+def handwritten_dirichlet_divergence(bgrid, h):
+    """The Dirichlet divergence as it was written before numpy's gradient:
+    centered interior differences, second-order one-sided faces."""
+    out = np.zeros(bgrid.shape[:-1], dtype=bgrid.dtype)
+    for ax in range(bgrid.shape[-1]):
+        comp = np.moveaxis(bgrid[..., ax], ax, 0)
+        der = np.empty_like(comp)
+        der[1:-1] = (comp[2:] - comp[:-2]) / (2 * h)
+        der[0] = (-3 * comp[0] + 4 * comp[1] - comp[2]) / (2 * h)
+        der[-1] = (3 * comp[-1] - 4 * comp[-2] + comp[-3]) / (2 * h)
+        out = out + np.moveaxis(der, 0, ax)
+    return out
+
+
+def einsum_gradient_energy(u, A, h):
+    """conj(grad u).A.grad u as one einsum, the form the interior gradient
+    check used before the shared function."""
+    grad = np.stack([periodic_centered_diff(u, ax, h) for ax in range(u.ndim)], axis=-1)
+    return np.real(np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad))
+
+
+class TestDivergenceReference:
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32, 0.013])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_handwritten_stencil(self, d, h):
+        # the interior is the same centered difference; the faces round the
+        # same second-order stencil differently
+        rng = np.random.default_rng(10 * d + int(1 / h))
+        n = (24, 12, 6)[d - 1]
+        for complex_ in (False, True):
+            b = rng.standard_normal((n,) * d + (d,))
+            if complex_:
+                b = b + 1j * rng.standard_normal(b.shape)
+            got = divergence_centered(b, h, "dirichlet")
+            ref = handwritten_dirichlet_divergence(b, h)
+            inner = (slice(1, -1),) * d
+            assert np.array_equal(got[inner], ref[inner])
+            assert np.abs(got - ref).max() <= 5e-16 * np.abs(ref).max()
+
+
+class TestGradientEnergy:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_einsum_form_on_every_cell(self, d, complex_):
+        rng = np.random.default_rng(d + 3 * complex_)
+        shape = ((32,), (16, 16), (8, 8, 8))[d - 1]
+        M = rng.standard_normal(shape + (d, d))
+        A = M @ np.swapaxes(M, -1, -2) + 0.1 * np.eye(d)  # full SPD per cell
+        u = rng.standard_normal(shape)
+        if complex_:
+            u = u + 1j * rng.standard_normal(shape)
+        got = periodic_gradient_energy(u, A, 0.05)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, einsum_gradient_energy(u, A, 0.05))
 
 
 class TestFieldFiles:

@@ -7,8 +7,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import uclab.verifier as verifier
-from uclab.constants import FreeConstants, ModelParams, log_c_sfuc
-from uclab.fields import CoefficientField
+from uclab.constants import FreeConstants, ModelParams, cacciopoli_prefactor, log_c_sfuc
+from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_random_field
 from uclab.geometry import CubeDomain, generate_sequence, mask, near_neighbor
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
@@ -291,6 +291,13 @@ class TestDeltaSweep:
         with pytest.raises(ValueError):
             delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3], p)
 
+    @pytest.mark.parametrize("field,value", [("d", 2), ("G", 0.5), ("L", 5.0)])
+    def test_model_must_describe_the_cube(self, field, value):
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(**{**dict(d=1, G=1.0, delta=0.2, L=3.0), field: value})
+        with pytest.raises(ValueError, match="swept cube"):
+            delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
+
     def test_empty_seed_list_rejected(self):
         # the mean over no seeds is NaN, which must not pass as a fit
         dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
@@ -444,6 +451,53 @@ class TestCacciopoli:
         dom, psi, fld, L = self.d1_setup(h=1 / 32)
         with pytest.raises(ValueError):
             cacciopoli_check(psi, fld, 0.5, 1.3, 0.3)
+
+
+    @staticmethod
+    def reference_check(psi, fld, r1, r2, r, zeta=None, cprime=1.0):
+        """The check with its gradient energy as one einsum and the
+        prefactor's C'-free part written out by hand."""
+        dom = fld.domain
+        s = np.sqrt((dom.center_grid() ** 2).sum(axis=-1))
+        S = (s > r1) & (s < r2)
+        S_plus = (s > max(r1 - r, 0.0)) & (s < r2 + r)
+        grad = np.stack([periodic_centered_diff(psi, ax, dom.h) for ax in range(dom.d)],
+                        axis=-1)
+        energy = np.real(np.einsum("...i,...ij,...j->...", np.conj(grad), fld.A, grad))
+        lhs = dom.cell_volume * float(energy[S].sum())
+        mass_plus = dom.norm_sq(psi, where=S_plus)
+        zeta_plus = 0.0 if zeta is None else 2.0 * dom.norm_sq(zeta, where=S_plus)
+        cac = cacciopoli_prefactor(r, fld.norm_V, fld.norm_b, fld.norm_c,
+                                   fld.declared_theta1, cprime)
+        base = 2.0 * fld.norm_V**2 + 1.0 + 2.0 * fld.norm_b**2 + 2.0 * fld.norm_c
+        grad_coeff = 8.0 * fld.declared_theta1**2 / r**2
+        return {
+            "lhs": lhs,
+            "rhs": cac * mass_plus + zeta_plus,
+            "prefactor": cac,
+            "holds": bool(lhs <= cac * mass_plus + zeta_plus),
+            "min_cprime": float((lhs - zeta_plus - base * mass_plus)
+                                / (grad_coeff * mass_plus)),
+        }
+
+    def test_cli_default_case_matches_reference(self):
+        dom, psi, fld, L = self.d1_setup(k=2, h=1 / 32)
+        args = (psi, fld, 0.1 * L, 0.27 * L, 0.13 * L)
+        cprime = FreeConstants().Cprime
+        assert cacciopoli_check(*args, cprime=cprime) == \
+            self.reference_check(*args, cprime=cprime)
+
+    def test_complex_drift_field_matches_reference(self):
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        fld = synthesize_random_field(3, dom, 1.3, norm_V=0.7, norm_b=0.4,
+                                      norm_c=0.3, sa=True)
+        assert np.iscomplexobj(fld.b) and fld.b.any()
+        rng = np.random.default_rng(4)
+        psi = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
+        zeta = rng.standard_normal(dom.shape)
+        args = (psi, fld, 0.3, 0.8, 0.39)
+        assert cacciopoli_check(*args, zeta=zeta, cprime=0.7) == \
+            self.reference_check(*args, zeta=zeta, cprime=0.7)
 
 
 class TestRecordIO:
