@@ -14,11 +14,12 @@ every ``config error: <key>...``.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
-``summary.csv``, and from ``sweep`` always ``plot.csv``.  ``sweep`` runs,
-checks admissibility and evaluates its bounds in dimension ``ds[0]``; it
-sweeps four or more ``deltas_over_G`` as given, and the five-point grid
-0.125 ... 0.45 for one (the default serves ``verify``); two or three are a
-config error.
+``summary.csv``, and from ``sweep`` always ``plot.csv``.  ``sweep``,
+``weight``, ``cacciopoli-check`` and ``extend-check`` run in the one
+dimension ``ds`` names (a longer list is a config error); ``sweep`` checks
+admissibility and evaluates its bounds there.  It sweeps four or more
+``deltas_over_G`` as given, and the five-point grid 0.125 ... 0.45 for one
+(the default serves ``verify``); two or three are a config error.
 """
 
 from __future__ import annotations
@@ -99,6 +100,13 @@ class ExperimentConfig:
             if command in _GRID_COMMANDS and side * self.h_per_G < 2:
                 problems.append(f"h_per_G={self.h_per_G} gives fewer than two "
                                 f"cells per axis on a cube of side {side} G")
+            elif (command == "cacciopoli-check" and self.field_file is None
+                  and not _annulus_fits(m.L, m.G / self.h_per_G)):
+                problems.append(f"h_per_G={self.h_per_G} gives h={m.G / self.h_per_G:.4g}; "
+                                f"the fattened annulus needs 2h < 0.1 L = {0.1 * m.L:.4g}")
+            if command in _SINGLE_DIMENSION_COMMANDS and len(self.ds) > 1:
+                problems.append(f"ds={list(self.ds)} is not one dimension "
+                                f"({command} runs in one)")
             if command == "sweep":  # a fit needs four deltas; bounds are in ds[0]
                 if len(self.deltas_over_G) in (2, 3):
                     problems.append(f"deltas_over_G={list(self.deltas_over_G)} is "
@@ -148,6 +156,19 @@ _SWEEP_DELTAS = (0.125, 0.175, 0.25, 0.35, 0.45)
 # the subcommands that build grids with h = G/h_per_G: verify on cubes of
 # side L_over_Gs G, the others on one cube of side model.L
 _GRID_COMMANDS = ("verify", "sweep", "cacciopoli-check", "extend-check")
+
+# the subcommands that run in the single dimension ds[0]
+_SINGLE_DIMENSION_COMMANDS = ("sweep", "cacciopoli-check", "extend-check", "weight")
+
+# cacciopoli-check's annulus radii r1 < |x| < r2 and fattening r, in units of L
+_ANNULUS = (0.1, 0.27, 0.13)
+
+
+def _annulus_fits(L: float, h: float) -> bool:
+    """Whether the fattened annulus stays inside the cube, as
+    ``verifier.cacciopoli_check`` requires (2h < 0.1 L)."""
+    _, r2, r = (f * L for f in _ANNULUS)
+    return r2 + r + 2.0 * h < L / 2.0
 
 
 # key prefix -> the keys it takes: model.*, free.* and the run's own keys
@@ -325,6 +346,10 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
         fld = load_field(cfg.field_file)
         dom = fld.domain
         L = dom.L
+        if not _annulus_fits(L, dom.h):
+            print(f"config error: field_file={cfg.field_file!r} has h={dom.h:.4g}; "
+                  f"the fattened annulus needs 2h < 0.1 L = {0.1 * L:.4g}", file=sys.stderr)
+            return 2
         sl = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0])
         psi = sl.grid_vector(0)
     else:
@@ -341,8 +366,7 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
             V=np.zeros(dom.shape),
             declared_theta1=1.0, declared_theta2=0.0,
         )
-    res = cacciopoli_check(psi, fld, 0.1 * L, 0.27 * L, 0.13 * L,
-                           cprime=cfg.free.Cprime)
+    res = cacciopoli_check(psi, fld, *(f * L for f in _ANNULUS), cprime=cfg.free.Cprime)
     _write_report(out, {"config": cfg.to_dict(), "check": res})
     print(f"lhs {res['lhs']:.6g} <= rhs {res['rhs']:.6g}: {res['holds']}; "
           f"min C' {res['min_cprime']:.4g}")

@@ -12,7 +12,11 @@ for arbitrary coefficients and structurally Hermitian for self-adjoint ones.
 The boundary condition is the field's ``domain.bc``.  Dirichlet boundaries
 eliminate ghost cells by odd reflection (the zero sits exactly on the face,
 keeping second-order eigenvalue accuracy); the drift term uses a zero ghost,
-which preserves the skew structure.  Periodic boundaries wrap indices.  One
+which preserves the skew structure, and its -div(b)/2 correction takes
+:func:`~uclab.fields.divergence_centered`, whose Dirichlet ghost is the face
+cell with the normal component negated (the drift parity of :func:`extend`),
+so the extended operator applied to the mirrored solution is this operator
+on the base cube.  Periodic boundaries wrap indices.  One
 shift, ``_shifted_values``, serves both the coefficient values and the
 stencil columns: shifting the flat index grid gives each entry's column, and
 shifting a grid of ones with the ghost sign (-1 odd, 0 dropped) gives its
@@ -79,12 +83,17 @@ class DiscreteOperator:
 
     ``spectral_floor`` is set by :func:`assemble`; it bounds the lowest
     eigenvalue from below whenever the matrix is Hermitian (module
-    docstring).
+    docstring).  ``constant_coefficients`` is ``(A0, shift)`` when the
+    operator is -div(A0 grad u) + shift u with a constant matrix A0 and a
+    real constant shift = c + V, no drift and, on a Dirichlet cube, a
+    diagonal A0: the translation-invariant case whose eigenpairs
+    ``spectral.eigensolve`` writes down in closed form.  Otherwise None.
     """
 
     matrix: sp.csr_matrix
     domain: CubeDomain
     spectral_floor: float
+    constant_coefficients: Optional[tuple[np.ndarray, float]] = None
 
     @property
     def n_cells(self) -> int:
@@ -122,6 +131,21 @@ def _shifted_values(arr: np.ndarray, axis: int, step: int, bc: BC, fold_sign: fl
         face[axis] = -1 if step > 0 else 0
         out[tuple(face)] = fold_sign * arr[tuple(face)]
     return out
+
+
+def _constant_coefficients(
+    field: CoefficientField, lower: np.ndarray
+) -> Optional[tuple[np.ndarray, float]]:
+    """``(A0, shift)`` of a drift-free field whose A and ``lower`` = c + V
+    are constant in space, with a real shift and, on a Dirichlet cube, a
+    diagonal A0; None otherwise."""
+    A0 = field.A[(0,) * field.domain.d]
+    shift = lower.flat[0]
+    if not (np.all(field.A == A0) and np.all(lower == shift) and shift.imag == 0.0):
+        return None
+    if field.domain.bc == "dirichlet" and np.any(A0 - np.diag(np.diag(A0))):
+        return None
+    return A0.copy(), float(shift.real)
 
 
 def assemble(field: CoefficientField) -> DiscreteOperator:
@@ -179,6 +203,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     # skew-symmetrized drift (the ghost entry is dropped); ``radius`` is the
     # Gershgorin radius of the drift rows, an overestimate at Dirichlet faces
     radius = 0.0
+    constant = None
     if np.any(field.b):
         for ax in range(d):
             bcomp = field.b[..., ax]
@@ -190,6 +215,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
         lower = field.c - 0.5 * divergence_centered(field.b, h, bc) + field.V
     else:
         lower = field.c + field.V
+        constant = _constant_coefficients(field, lower)
     diag += (lower.real if dtype is float else lower).astype(dtype)
     spectral_floor = float(np.min(np.real(lower) - radius))
 
@@ -201,7 +227,8 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsr()
-    return DiscreteOperator(matrix=H, domain=domain, spectral_floor=spectral_floor)
+    return DiscreteOperator(matrix=H, domain=domain, spectral_floor=spectral_floor,
+                            constant_coefficients=constant)
 
 
 def apply_operator(

@@ -137,16 +137,24 @@ def divergence_centered(
     bgrid: np.ndarray, h: float, bc: Literal["dirichlet", "periodic"]
 ) -> np.ndarray:
     """Centered-difference divergence of a vector grid: wrapped at periodic
-    faces, numpy's second-order one-sided differences at Dirichlet ones.
+    faces; at a Dirichlet face the ghost cell is the face cell with the
+    normal component negated, the ``vector`` parity of
+    ``discretization.reflect_block``.
 
     The operator assembly subtracts exactly this quantity, so self-adjoint
-    fields built by :func:`make_self_adjoint` produce exactly real diagonals.
+    fields built by :func:`make_self_adjoint` produce exactly real diagonals,
+    and on a Dirichlet cube it is the divergence the mirrored field has on
+    the 3L cube.
     """
-    return sum(
-        periodic_centered_diff(bgrid[..., ax], ax, h) if bc == "periodic"
-        else np.gradient(bgrid[..., ax], h, axis=ax, edge_order=2)
-        for ax in range(bgrid.shape[-1])
-    )
+    total = 0
+    for ax in range(bgrid.shape[-1]):
+        comp = bgrid[..., ax]
+        ahead, behind = np.roll(comp, -1, axis=ax), np.roll(comp, 1, axis=ax)
+        if bc == "dirichlet":
+            np.moveaxis(ahead, ax, 0)[-1] = -np.moveaxis(comp, ax, 0)[-1]
+            np.moveaxis(behind, ax, 0)[0] = -np.moveaxis(comp, ax, 0)[0]
+        total = total + (ahead - behind) / (2.0 * h)
+    return total
 
 
 def make_self_adjoint(

@@ -1,6 +1,30 @@
 """Eigensolves of the assembled operator and spectral-projector samples.
 
-Dense Hermitian decomposition at desk scale, ARPACK shift-invert Lanczos for
+Three paths, chosen from the operator.  A constant-coefficient operator
+(``DiscreteOperator.constant_coefficients``: constant A0, no drift, a real
+constant c + V, and a diagonal A0 on a Dirichlet cube) is translation
+invariant, so its eigenpairs are written down in closed form:
+
+- periodic, modes k in {0..n-1}^d:
+  lambda(k) = sum_i 4 a_ii sin^2(pi k_i/n)/h^2
+  + sum_{i != j} a_ij sin(2 pi k_i/n) sin(2 pi k_j/n)/h^2 + shift.  The pair
+  {k, -k mod n} gives one cos and one sin mode of the phase
+  2 pi ((m.k) mod n)/n at cell index m, a self-conjugate k only the cos mode;
+  both members take lambda from the row-major smaller of the two, so the pair
+  is bit-equal;
+- Dirichlet, modes k in {1..n}^d:
+  lambda(k) = sum_i 4 a_ii sin^2(pi k_i/(2n))/h^2 + shift, with the product of
+  sin(pi k_i (m_i + 1/2)/n), the odd reflection of the assembly.
+
+All N eigenvalues are formed and sorted by (lambda, row-major mode index);
+vectors are formed only for the ``count`` lowest, with integer phases and
+divided by their exact discrete norms (N or N/2 periodic; n/2 per Dirichlet
+axis, n at k = n).  No BLAS reduction enters, so these eigenpairs do not
+depend on the BLAS thread count, and inside a degenerate eigenspace the basis
+is this canonical one rather than a solver's round-off.
+
+Any other operator takes the dense Hermitian path (LAPACK ``evr``, only the
+``count`` lowest pairs) at desk scale, and ARPACK shift-invert Lanczos for
 the ``count`` lowest eigenpairs of larger matrices (deterministic through a
 seeded start vector).  The shift is ``spectral_floor - 1``, below the lower
 bound on the spectrum that ``discretization.assemble`` computes (Weyl's
@@ -11,7 +35,12 @@ pivoting, and its sparsity pattern is symmetric, so SuperLU factorizes it
 once with the minimum-degree ordering of the pattern of M^T + M
 (``MMD_AT_PLUS_A``), about half the fill of the default column ordering
 (COLAMD), and the factorization is handed to Lanczos as the inverse
-operator.
+operator.  These two paths reproduce their bytes at a fixed BLAS thread
+count.
+
+Every path is checked against the matrix: the residual ||H v - lambda v||
+of each returned pair must stay below RESIDUAL_TOL times the largest entry
+of H, or the solve raises, so a wrong closed form fails loudly.
 
 Slices are sorted eigenpairs; projector samples are normalized linear
 combinations of slice members within an energy window of half-width gamma
@@ -24,6 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,6 +63,7 @@ __all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
 
 DENSE_CUTOFF = 2048
 HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
+RESIDUAL_TOL = 1e-9     # allowed ||H v - lambda v|| relative to the largest entry
 
 
 @dataclass(frozen=True)
@@ -74,11 +105,48 @@ class SpectrumSlice:
         np.save(f"{prefix}.npy", self.eigenvectors)
 
 
+def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` lowest eigenpairs of a constant-coefficient operator
+    (module docstring), sorted by (eigenvalue, row-major mode index)."""
+    A0, shift = op.constant_coefficients
+    dom = op.domain
+    d, n, h = dom.d, dom.n, dom.h
+    N = n**d
+    modes = np.indices((n,) * d).reshape(d, N)  # row-major; also the cell indices
+    if dom.bc == "periodic":
+        s2 = np.sin(np.pi * np.arange(n) / n) ** 2
+        t = np.sin(2.0 * np.pi * np.arange(n) / n)
+        lam = sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) + sum(
+            A0[i, j] * t[modes[i]] * t[modes[j]]
+            for i in range(d) for j in range(d) if i != j)
+        conj = np.ravel_multi_index(-modes % n, (n,) * d)
+        rep = np.minimum(np.arange(N), conj)
+        lam = (lam / h**2 + shift)[rep]
+        sel = np.argsort(lam, kind="stable")[:count]
+        phase = 2.0 * np.pi * ((modes.T @ modes[:, rep[sel]]) % n) / n
+        vecs = np.where(sel > rep[sel], np.sin(phase), np.cos(phase))
+        vecs /= np.sqrt(np.where(conj[sel] == sel, N, N / 2))
+    else:
+        s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2
+        lam = sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) / h**2 + shift
+        sel = np.argsort(lam, kind="stable")[:count]
+        vecs = np.ones((N, len(sel)))
+        cells = 2 * np.arange(n)[:, None] + 1
+        for i in range(d):
+            k = modes[i, sel] + 1
+            table = np.sin(2.0 * np.pi * (cells * k % (4 * n)) / (4 * n))
+            vecs *= table[modes[i]] / np.sqrt(np.where(k == n, n, n / 2))
+    return lam[sel], vecs
+
+
 def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice:
     """The ``count`` lowest eigenpairs of a Hermitian operator.
 
-    Dense path below DENSE_CUTOFF unknowns, shift-invert Lanczos above it
-    (module docstring).  Deterministic for a fixed matrix and seed.
+    Closed form for a constant-coefficient operator, dense below
+    DENSE_CUTOFF unknowns, shift-invert Lanczos above it (module docstring).
+    Deterministic for a fixed matrix and seed.  Raises ``ValueError`` when
+    the operator is not Hermitian or a returned pair's residual exceeds
+    RESIDUAL_TOL times the largest entry of H.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -88,9 +156,11 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     if op.hermiticity_defect() > HERMITICITY_TOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
 
-    if N <= DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(H.toarray())
-        vals, vecs = vals[:count], vecs[:, :count]
+    if op.constant_coefficients is not None:
+        vals, vecs = _closed_form_pairs(op, count)
+    elif N <= DENSE_CUTOFF:
+        vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, min(count, N) - 1],
+                              driver="evr")
     else:
         sigma = op.spectral_floor - 1.0
         shifted = (H - sigma * sp.identity(N, dtype=H.dtype, format="csr")).tocsc()
@@ -106,6 +176,9 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     residual_bound = float(
         np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0))
     )
+    if not residual_bound <= RESIDUAL_TOL * scale:
+        raise ValueError(f"eigenpair residual {residual_bound:.3g} exceeds "
+                         f"{RESIDUAL_TOL:g} x max|H| = {RESIDUAL_TOL * scale:.3g}")
     return SpectrumSlice(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,

@@ -17,7 +17,8 @@ where it dominates the left-hand side are distinguishable from genuine mask
 mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
 the eigenpairs in the trial's energy window, a number that does not depend
 on which orthonormal basis the solver returns inside a degenerate
-eigenspace.  Records are reproducible bit for bit from (config, seed).
+eigenspace.  Records are reproducible bit for bit from (config, seed) at a
+fixed BLAS thread count.
 
 A grid function is checked once, where it enters a record or a delta sweep:
 its squared norm on the whole cube must be finite and nonzero.  That norm,

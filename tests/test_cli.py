@@ -101,6 +101,15 @@ class TestExitCodes:
         pytest.param("constants", [1, 2], [], "--config", id="constants-config-array"),
         pytest.param("sweep", {"deltas_over_G": [0.2, 0.3, 0.4]}, [], "deltas_over_G",
                      id="sweep-three-deltas"),
+        # the fattened annulus needs 2h < 0.1 L: h = 1/4 against L = 3
+        pytest.param("cacciopoli-check", {"h_per_G": 4}, [], "h_per_G",
+                     id="cacciopoli-annulus-leaves-cube"),
+        pytest.param("sweep", {"ds": [1, 2]}, [], "ds", id="sweep-two-dimensions"),
+        pytest.param("weight", {"ds": [1, 2]}, [], "ds", id="weight-two-dimensions"),
+        pytest.param("cacciopoli-check", {"ds": [1, 2]}, [], "ds",
+                     id="cacciopoli-two-dimensions"),
+        pytest.param("extend-check", {"ds": [2, 3]}, [], "ds",
+                     id="extend-check-two-dimensions"),
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):
@@ -300,6 +309,37 @@ class TestFieldFileFlag:
         out = tmp_path / "out"
         assert main(["extend-check", "--config", cfg, "--out", str(out),
                      "--field-file", str(ff)]) == 0
+
+    def test_extend_check_passes_on_a_dirichlet_drift_field(self, tmp_path):
+        # self-adjoint drift on a Dirichlet cube: the mirrored divergence
+        # extends the base one (the one-sided face divergence missed by 8.8e-4)
+        from uclab.fields import save_field, synthesize_random_field
+        from uclab.geometry import CubeDomain
+
+        fld = synthesize_random_field(4, CubeDomain(2, 3.0, 1 / 16, "dirichlet"), 1.3,
+                                      norm_V=0.7, norm_b=0.4, norm_c=0.3, sa=True)
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        out = tmp_path / "out"
+        assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["worst"]["residual"] <= 1e-12
+
+    def test_cacciopoli_check_rejects_a_coarse_field_file(self, tmp_path, capsys):
+        import numpy as np
+
+        from uclab.fields import CoefficientField, save_field
+        from uclab.geometry import CubeDomain
+
+        dom = CubeDomain(1, 3.0, 1 / 4, "dirichlet")
+        ff = tmp_path / "field.npz"
+        save_field(ff, CoefficientField(dom, np.ones(dom.shape + (1, 1)),
+                                        np.zeros(dom.shape + (1,)), np.zeros(dom.shape),
+                                        np.zeros(dom.shape), 1.0, 0.0))
+        assert main(["cacciopoli-check", "--out", str(tmp_path / "o"),
+                     "--field-file", str(ff)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field_file=") and "Traceback" not in err
 
     def test_extend_check_measures_every_axis(self, tmp_path):
         # a potential wall at the low x-face pushes psi off that face, so the

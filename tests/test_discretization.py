@@ -209,6 +209,48 @@ def mixed_field(seed, dom, complex_drift=True):
     return CoefficientField(dom, A, b, c, rng.standard_normal(dom.shape), 2.0, 1.0)
 
 
+class TestConstantCoefficients:
+    """``assemble`` records (A0, c + V) exactly for translation-invariant
+    operators, read from the field, and None otherwise."""
+
+    def test_recorded_from_the_field(self):
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        A = constant_spd_field(3, dom, 2.0)
+        fld = CoefficientField(dom, A, np.zeros(dom.shape + (2,), complex),
+                               np.full(dom.shape, 0.5 + 0j), np.full(dom.shape, 0.25),
+                               2.0, 0.0)
+        A0, shift = assemble(fld).constant_coefficients
+        assert np.array_equal(A0, A[0, 0]) and shift == 0.75
+
+    @pytest.mark.parametrize("change", ["V", "c-imaginary", "b", "A"])
+    def test_none_when_not_translation_invariant(self, change):
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        fld = laplacian_field(dom)
+        cell = (0, 0)
+        if change == "V":
+            V = fld.V.copy()
+            V[cell] = 1.0
+            fld = dataclasses.replace(fld, V=V)
+        elif change == "c-imaginary":
+            fld = dataclasses.replace(fld, c=np.full(dom.shape, 0.5j))
+        elif change == "b":
+            fld = dataclasses.replace(fld, b=np.full(dom.shape + (2,), 0.1j))
+        else:
+            A = fld.A.copy()
+            A[cell] *= 1.5
+            fld = dataclasses.replace(fld, A=A)
+        assert assemble(laplacian_field(dom)).constant_coefficients is not None
+        assert assemble(fld).constant_coefficients is None
+
+    def test_dirichlet_needs_diagonal_A0(self):
+        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+        rotated = constant_spd_field(3, CubeDomain(2, 3.0, 1 / 8, "periodic"), 2.0)
+        fld = dataclasses.replace(laplacian_field(dom), A=rotated)
+        assert assemble(fld).constant_coefficients is None
+        diagonal = dataclasses.replace(fld, A=constant_spd_field(3, dom, 2.0))
+        assert assemble(diagonal).constant_coefficients is not None
+
+
 class TestAssemblyMatchesMultiIndexBuilder:
     @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
@@ -400,6 +442,28 @@ class TestDirichletExtension:
         b_m = -b[::-1]
         op_m = apply_operator(A, b_m, None, None, psi_m, h)
         assert np.abs(op_m + op[::-1]).max() < 1e-10
+
+    @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
+    @pytest.mark.parametrize("sa", [True, False], ids=["self-adjoint", "general"])
+    def test_extension_restricts_to_the_base_operator(self, d, h, sa):
+        # the reflection principle as an identity: the extended operator
+        # applied to the mirrored psi is the base operator on the middle block
+        dom = CubeDomain(d, 3.0, h, "dirichlet")
+        rng = np.random.default_rng(10 * d + sa)
+        flds = [synthesize_random_field(seed, dom, 1.3, 0.6, norm_V=0.5, norm_b=0.8,
+                                        norm_c=0.4, sa=sa) for seed in range(3)]
+        if d >= 2:  # variable off-diagonal A, white-noise drift and c
+            b, c = rng.standard_normal(dom.shape + (d,)), rng.standard_normal(dom.shape)
+            b, c = make_self_adjoint(b, c, dom) if sa else (b + 1j * b[..., ::-1], c)
+            flds.append(dataclasses.replace(
+                synthesize_dir_cross_field(3, dom, 1.5, norm_V=0.5), b=b, c=c))
+        middle = (slice(dom.n, 2 * dom.n),) * d
+        for fld in flds:
+            psi = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
+            base = assemble(fld).apply(psi)
+            psi3, fld3, _ = extend(psi, fld)
+            ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, h)[middle]
+            assert np.abs(ext - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_trace_violation_rejected(self):
         dom = CubeDomain(1, 3.0, 1 / 16, "dirichlet")

@@ -265,24 +265,40 @@ class TestDivergence:
         div = divergence_centered(b, dom.h, "periodic")
         assert div[0] == (b[1, 0] - b[-1, 0]) / (2 * dom.h)
 
-    def test_one_sided_second_order_at_faces(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_faces_mirror_the_normal_component(self, d):
+        # the Dirichlet divergence is the periodic one of the field mirrored
+        # with reflect_block's vector parity, on the middle block of 3L
+        from uclab.discretization import reflect_block
+
+        rng = np.random.default_rng(d)
+        n = (16, 8, 6)[d - 1]
+        b = rng.standard_normal((n,) * d + (d,)) + 1j * rng.standard_normal((n,) * d + (d,))
+        b3 = b
+        for ax in range(d):
+            side = reflect_block(b3, ax, "vector")
+            b3 = np.concatenate([side, b3, side], axis=ax)
+        middle = (slice(n, 2 * n),) * d
+        assert np.array_equal(divergence_centered(b, 0.1, "dirichlet"),
+                              divergence_centered(b3, 0.1, "periodic")[middle])
+
+    def test_centered_difference_is_exact_inside(self):
         dom = CubeDomain(1, 2.0, 1 / 64)
         x = dom.centers_1d()
-        b = (x**2)[:, None]
-        div = divergence_centered(b, dom.h, "dirichlet")
-        assert np.abs(div.ravel() - 2 * x).max() < 1e-10  # exact for quadratics
+        div = divergence_centered((x**2)[:, None], dom.h, "dirichlet")
+        assert np.abs(div[1:-1] - 2 * x[1:-1]).max() < 1e-12  # exact for quadratics
+        assert div[0] == (x[1] ** 2 + x[0] ** 2) / (2 * dom.h)  # ghost -b[0]
+        assert div[-1] == -(x[-1] ** 2 + x[-2] ** 2) / (2 * dom.h)  # ghost -b[-1]
 
 
 def handwritten_dirichlet_divergence(bgrid, h):
-    """The Dirichlet divergence as it was written before numpy's gradient:
-    centered interior differences, second-order one-sided faces."""
+    """The Dirichlet divergence written out: centered differences, with a
+    ghost cell equal to minus the face cell at each face."""
     out = np.zeros(bgrid.shape[:-1], dtype=bgrid.dtype)
     for ax in range(bgrid.shape[-1]):
         comp = np.moveaxis(bgrid[..., ax], ax, 0)
-        der = np.empty_like(comp)
-        der[1:-1] = (comp[2:] - comp[:-2]) / (2 * h)
-        der[0] = (-3 * comp[0] + 4 * comp[1] - comp[2]) / (2 * h)
-        der[-1] = (3 * comp[-1] - 4 * comp[-2] + comp[-3]) / (2 * h)
+        padded = np.concatenate([-comp[:1], comp, -comp[-1:]])
+        der = (padded[2:] - padded[:-2]) / (2 * h)
         out = out + np.moveaxis(der, 0, ax)
     return out
 
@@ -298,8 +314,6 @@ class TestDivergenceReference:
     @pytest.mark.parametrize("h", [1 / 16, 1 / 32, 0.013])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_handwritten_stencil(self, d, h):
-        # the interior is the same centered difference; the faces round the
-        # same second-order stencil differently
         rng = np.random.default_rng(10 * d + int(1 / h))
         n = (24, 12, 6)[d - 1]
         for complex_ in (False, True):
@@ -307,10 +321,7 @@ class TestDivergenceReference:
             if complex_:
                 b = b + 1j * rng.standard_normal(b.shape)
             got = divergence_centered(b, h, "dirichlet")
-            ref = handwritten_dirichlet_divergence(b, h)
-            inner = (slice(1, -1),) * d
-            assert np.array_equal(got[inner], ref[inner])
-            assert np.abs(got - ref).max() <= 5e-16 * np.abs(ref).max()
+            assert np.array_equal(got, handwritten_dirichlet_divergence(b, h))
 
 
 class TestGradientEnergy:

@@ -1,5 +1,6 @@
 """Eigensolver and projector-sample tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from uclab.fields import (
     CoefficientField,
     constant_spd_field,
     make_self_adjoint,
+    synthesize_dir_cross_field,
     synthesize_random_field,
 )
 from uclab.geometry import CubeDomain
@@ -45,6 +47,9 @@ class TestEigensolve:
         a = eigensolve(H0, count=6).eigenvalues
         b = eigensolve(Hs, count=6).eigenvalues
         assert np.abs(b - (a + 2.5)).max() < 1e-9
+        # the dense path agrees with the closed form
+        dense = eigensolve(dataclasses.replace(Hs, constant_coefficients=None), count=6)
+        assert np.abs(dense.eigenvalues - b).max() < 1e-9
 
     def test_orthonormality_contract(self):
         sl = eigensolve(periodic_laplacian(), count=12)
@@ -109,7 +114,9 @@ class TestCountPathShift:
         ))
         dense = np.linalg.eigvalsh(H.matrix.toarray())
         assert np.abs(np.diff(dense[1:7])).min() < 1e-9  # degenerate pairs present
-        sl = eigensolve(H, count=6)
+        # clear the constant data, so the solve takes the Lanczos path
+        assert H.constant_coefficients is not None
+        sl = eigensolve(dataclasses.replace(H, constant_coefficients=None), count=6)
         assert H.spectral_floor == 0.0
         sigma = H.spectral_floor - 1.0
 
@@ -151,6 +158,116 @@ class TestCountPathShift:
         assert np.abs(sl.eigenvalues - dense[:5]).max() <= 1e-8
         assert sl.residual_bound <= 1e-8
         assert sl.orthonormality_defect() <= 1e-8
+
+
+def constant_field(dom, A, shift=0.0):
+    d = dom.d
+    return CoefficientField(dom, A, np.zeros(dom.shape + (d,)), np.zeros(dom.shape),
+                            shift * np.ones(dom.shape), 2.0, 0.0)
+
+
+class TestClosedForm:
+    """Constant-coefficient operators: eigenpairs written down, checked
+    against the matrix."""
+
+    @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 6), (3, 1 / 3)])
+    @pytest.mark.parametrize("bc,A", [("periodic", "rotated"), ("dirichlet", "diagonal"),
+                                      ("periodic", "identity"), ("dirichlet", "identity")])
+    def test_every_pair_matches_dense(self, d, h, bc, A):
+        dom = CubeDomain(d, 3.0, h, bc)
+        grid = (np.broadcast_to(np.eye(d), dom.shape + (d, d)).copy() if A == "identity"
+                else constant_spd_field(7, dom, 2.0))
+        if A == "rotated" and d > 1:
+            assert np.any(grid[..., 0, 1])
+        H = assemble(constant_field(dom, grid, shift=0.7))
+        assert H.constant_coefficients is not None
+        sl = eigensolve(H, count=H.n_cells)
+        dense = np.linalg.eigh(H.matrix.toarray())[0]
+        assert np.abs(sl.eigenvalues - dense).max() <= 1e-10 * np.abs(dense).max()
+        assert sl.residual_bound <= 1e-10
+        assert sl.orthonormality_defect() <= 1e-12
+
+    def test_clusters_are_bit_equal_and_canonical(self):
+        # A = I, d = 2, periodic: the lowest cluster above 0 holds the four
+        # modes (+-1, 0), (0, +-1), one cos and one sin mode per pair
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        H = assemble(constant_field(dom, np.broadcast_to(np.eye(2), dom.shape + (2, 2)).copy()))
+        sl = eigensolve(H, count=5)
+        assert sl.eigenvalues[0] == 0.0
+        assert np.unique(sl.eigenvalues[1:]).size == 1
+        m = np.indices(dom.shape)
+        phase = 2 * np.pi * m / dom.n
+        cos_y, sin_y, cos_x, sin_x = (f(phase[ax]) for ax in (1, 0) for f in (np.cos, np.sin))
+        # row-major mode order: (0, 1), (0, n-1), (1, 0), (n-1, 0)
+        for i, mode in enumerate((cos_y, sin_y, cos_x, sin_x), start=1):
+            expect = mode / np.sqrt(dom.n**2 / 2)
+            assert np.abs(sl.grid_vector(i) - expect).max() <= 1e-14
+
+    def test_wrong_constant_data_fails_loudly(self):
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        H = assemble(constant_field(dom, constant_spd_field(3, dom, 2.0)))
+        A0, shift = H.constant_coefficients
+        wrong = dataclasses.replace(H, constant_coefficients=(A0, shift + 1e-3))
+        with pytest.raises(ValueError, match="residual"):
+            eigensolve(wrong, count=4)
+
+    def test_dense_path_returns_only_the_count_lowest(self, monkeypatch):
+        calls = []
+        eigh = spectral.sla.eigh
+
+        def spying_eigh(*args, **kwargs):
+            calls.append(kwargs)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.sla, "eigh", spying_eigh)
+        H = assemble(synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"),
+                                             1.3, norm_V=0.5))
+        sl = eigensolve(H, count=5)
+        assert calls == [{"subset_by_index": [0, 4], "driver": "evr"}]
+        assert sl.eigenvectors.shape == (H.n_cells, 5)
+        dense = np.linalg.eigvalsh(H.matrix.toarray())[:5]
+        assert np.abs(sl.eigenvalues - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def _variable_fields():
+    """Fields that are not constant-coefficient, each for one reason."""
+    per = CubeDomain(2, 3.0, 1 / 8, "periodic")
+    dirichlet = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+    rotated = CoefficientField(
+        dirichlet, constant_spd_field(3, per, 2.0), np.zeros(dirichlet.shape + (2,)),
+        np.zeros(dirichlet.shape), np.zeros(dirichlet.shape), 2.0, 0.0)
+    return {
+        "potential": synthesize_random_field(0, per, 1.3, norm_V=0.5),
+        "drift": synthesize_random_field(1, per, 1.3, norm_b=0.4, sa=True),
+        "variable-A": synthesize_random_field(2, per, 1.3, 0.6),
+        "dirichlet-cross": synthesize_dir_cross_field(3, dirichlet, 1.4),
+        "dirichlet-constant-offdiagonal": rotated,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_variable_fields()))
+def test_other_fields_take_the_numerical_paths(name, monkeypatch):
+    H = assemble(_variable_fields()[name])
+    assert H.constant_coefficients is None
+    calls = {"closed": 0, "eigh": 0, "splu": 0, "eigsh": 0}
+
+    def spy(owner, attr, key):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    spy(spectral, "_closed_form_pairs", "closed")
+    spy(spectral.sla, "eigh", "eigh")
+    spy(spectral.spla, "splu", "splu")
+    spy(spectral.spla, "eigsh", "eigsh")
+    dense = eigensolve(H, count=3)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+    lanczos = eigensolve(H, count=3)
+    assert calls == {"closed": 0, "eigh": 1, "splu": 1, "eigsh": 1}
+    assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() <= 1e-8
 
 
 def window(sl, lo, hi):
