@@ -12,7 +12,7 @@ Run:  python demos/03_equidistribution_benchmark.py
 
 from dataclasses import replace
 
-from uclab.verifier import L_independence, TrialConfig, run_trial, solve_field
+from uclab.verifier import TrialConfig, run_trial, solve_field
 
 print("=" * 70)
 print("One field (d=2, periodic, potential bound 1), one solve, two radii")
@@ -40,13 +40,3 @@ for seed in range(5):
     rec = run_trial(tc, solve_field(tc))[0]
     print(f"{seed:>5} {rec.ratio:>10.5f} {str(rec.margin > 0):>11}")
 
-print()
-print("=" * 70)
-print("The bound does not move with the cube side (scale-free)")
-print("=" * 70)
-tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
-                 delta_over_G=0.25, seed=0, h_per_G=16)
-out = L_independence(tc, (3, 5, 7))
-print(f"log bound per L in (3,5,7): {[f'{b:.6e}' for b in out['log_bounds']]}")
-print(f"spread = {out['bound_spread']} (identical), "
-      f"min measured margin = {out['min_margin']:.4e}")

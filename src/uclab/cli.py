@@ -16,10 +16,14 @@ Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
 ``summary.csv``, and from ``sweep`` always ``plot.csv``.  ``sweep``,
 ``weight``, ``cacciopoli-check`` and ``extend-check`` run in the one
-dimension ``ds`` names (a longer list is a config error); ``sweep`` checks
-admissibility and evaluates its bounds there.  It sweeps four or more
-``deltas_over_G`` as given, and the five-point grid 0.125 ... 0.45 for one
-(the default serves ``verify``); two or three are a config error.
+dimension ``ds`` names, and ``weight``, ``carleman-check`` and
+``cacciopoli-check`` draw from the one seed ``seeds`` names (a longer list
+is a config error).  ``sweep`` checks admissibility and evaluates its
+bounds in its dimension.  It sweeps four or more ``deltas_over_G`` as given,
+and the five-point grid 0.125 ... 0.45 for one (the default serves
+``verify``); two or three are a config error.  The local-estimate keys
+``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown keys:
+every constant the subcommands report derives them from the sampling geometry.
 """
 
 from __future__ import annotations
@@ -107,6 +111,9 @@ class ExperimentConfig:
             if command in _SINGLE_DIMENSION_COMMANDS and len(self.ds) > 1:
                 problems.append(f"ds={list(self.ds)} is not one dimension "
                                 f"({command} runs in one)")
+            if command in _SINGLE_SEED_COMMANDS and len(self.seeds) > 1:
+                problems.append(f"seeds={list(self.seeds)} is not one seed "
+                                f"({command} draws from one)")
             if command == "sweep":  # a fit needs four deltas; bounds are in ds[0]
                 if len(self.deltas_over_G) in (2, 3):
                     problems.append(f"deltas_over_G={list(self.deltas_over_G)} is "
@@ -160,6 +167,9 @@ _GRID_COMMANDS = ("verify", "sweep", "cacciopoli-check", "extend-check")
 # the subcommands that run in the single dimension ds[0]
 _SINGLE_DIMENSION_COMMANDS = ("sweep", "cacciopoli-check", "extend-check", "weight")
 
+# the subcommands that draw from the single seed seeds[0]
+_SINGLE_SEED_COMMANDS = ("carleman-check", "cacciopoli-check", "weight")
+
 # cacciopoli-check's annulus radii r1 < |x| < r2 and fattening r, in units of L
 _ANNULUS = (0.1, 0.27, 0.13)
 
@@ -171,9 +181,11 @@ def _annulus_fits(L: float, h: float) -> bool:
     return r2 + r + 2.0 * h < L / 2.0
 
 
-# key prefix -> the keys it takes: model.*, free.* and the run's own keys
+# key prefix -> the keys it takes: model.*, free.* and the run's own keys;
+# no subcommand reads the local-estimate parameters, which the sampling route
+# derives (ModelParams.with_sampling_geometry)
 _KEYS = {
-    "model": set(ModelParams.__dataclass_fields__),
+    "model": set(ModelParams.__dataclass_fields__) - {"R", "D0", "K_V", "beta"},
     "free": set(FreeConstants.__dataclass_fields__),
     "": set(ExperimentConfig.__dataclass_fields__) - {"model", "free"},
 }

@@ -95,10 +95,6 @@ class DiscreteOperator:
     spectral_floor: float
     constant_coefficients: Optional[tuple[np.ndarray, float]] = None
 
-    @property
-    def n_cells(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = self.matrix @ np.asarray(psi).reshape(-1)
         return out.reshape(self.domain.shape)
@@ -108,15 +104,6 @@ class DiscreteOperator:
         self-adjoint coefficient sets)."""
         diff = self.matrix - self.matrix.getH()
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
-
-    def export_coo_csv(self, path) -> None:
-        """Coordinate dump (row, col, re, im) for external audit."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                z = complex(v)
-                fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")
 
 
 def _shifted_values(arr: np.ndarray, axis: int, step: int, bc: BC, fold_sign: float) -> np.ndarray:

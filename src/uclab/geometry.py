@@ -12,7 +12,6 @@ gathers a center per grid cell.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
@@ -27,7 +26,6 @@ __all__ = [
     "SiteDecomposition",
     "generate_sequence",
     "mask",
-    "save_mask",
     "classify_sites",
     "near_neighbor",
     "window_containment_margin",
@@ -129,18 +127,6 @@ class EquidistributedSequence:
         construction."""
         off = np.abs(self.centers - self.lattice_points()).max(axis=-1)
         return float(self.G / 2.0 - self.delta - off.max())
-
-    def to_json(self) -> str:
-        m = self.cells_per_axis
-        items = []
-        for idx in np.ndindex(*(m,) * self.d):
-            j = [(-(m - 1) / 2.0 + k) * self.G for k in idx]
-            items.append({"j": j, "z": self.centers[idx].tolist()})
-        return json.dumps(
-            {"G": self.G, "delta": self.delta, "L": self.L, "d": self.d,
-             "centers": items},
-            indent=None,
-        )
 
 
 def generate_sequence(
@@ -248,20 +234,6 @@ def _window_sums(dens_ext: np.ndarray, cells: int, starts: np.ndarray,
     return out
 
 
-def save_mask(path, mask_array: np.ndarray, fmt: str = "binary") -> None:
-    """Persist an observation mask: flat binary (npy) or CSV of cell flags."""
-    if fmt == "binary":
-        np.save(path, mask_array)
-    elif fmt == "csv":
-        flat = mask_array.reshape(-1).astype(int)
-        with open(path, "w") as fh:
-            fh.write("cell,in_mask\n")
-            for i, v in enumerate(flat):
-                fh.write(f"{i},{v}\n")
-    else:
-        raise ValueError(f"unknown mask format {fmt!r}")
-
-
 def classify_sites(
     psi_ext: np.ndarray, T: int, L: int, h: float
 ) -> SiteDecomposition:
@@ -306,14 +278,10 @@ def classify_sites(
     )
 
 
-def near_neighbor(k: tuple, L: Optional[int] = None) -> tuple:
-    """Shift the first coordinate by 2; wrap into the cube when L is given."""
+def near_neighbor(k: tuple) -> tuple:
+    """Shift the first coordinate by 2."""
     k = tuple(k)
-    first = k[0] + 2
-    if L is not None:
-        half = (L - 1) // 2
-        first = (first + half) % L - half
-    return (first,) + k[1:]
+    return (k[0] + 2,) + k[1:]
 
 
 def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:

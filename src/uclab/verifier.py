@@ -55,20 +55,12 @@ from uclab.fields import (
     constant_spd_field,
     periodic_gradient_energy,
 )
-from uclab.geometry import (
-    CubeDomain,
-    EquidistributedSequence,
-    classify_sites,
-    generate_sequence,
-    mask,
-    near_neighbor,
-)
+from uclab.geometry import CubeDomain, generate_sequence, mask
 from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
 
 __all__ = [
     "ObservabilityRecord",
     "TrialConfig",
-    "dominating_site_report",
     "observability_ratio",
     "worst_ratio",
     "benchmark_field",
@@ -78,7 +70,6 @@ __all__ = [
     "verify_equidistribution",
     "SweepResult",
     "delta_sweep",
-    "L_independence",
     "scaling_identity",
     "cacciopoli_check",
     "write_rows_jsonl",
@@ -88,6 +79,7 @@ __all__ = [
 
 _SUITE_ENTROPY = 743829124
 EIGEN_COUNT = 6  # lowest eigenpairs solved per benchmark field
+THETA1_RANGE = (1.0, 1.4)  # benchmark fields draw theta1 uniformly from it
 
 # what solve_field returns: the field, its operator and the eigenpair slice
 Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
@@ -146,7 +138,6 @@ class TrialConfig:
     seed: int
     G: float = 1.0
     h_per_G: int = 32
-    theta1_range: tuple[float, float] = (1.0, 1.4)
 
     @property
     def L(self) -> float:
@@ -163,7 +154,7 @@ class TrialConfig:
     def field_key(self) -> tuple:
         """Everything the field and its solve depend on (not delta)."""
         return (self.d, self.bc, self.L_over_G, self.norm_V, self.seed,
-                self.G, self.h_per_G, self.theta1_range)
+                self.G, self.h_per_G)
 
     def int_key(self) -> tuple[int, ...]:
         """Integer-only key for seed-sequence spawning."""
@@ -216,7 +207,7 @@ def benchmark_field(tc: TrialConfig) -> CoefficientField:
     ss = np.random.SeedSequence(entropy=_SUITE_ENTROPY, spawn_key=tc.int_key())
     rng = np.random.default_rng(ss)
     dom = CubeDomain(tc.d, tc.L, tc.h, tc.bc)
-    lo, hi = tc.theta1_range
+    lo, hi = THETA1_RANGE
     theta1 = lo + (hi - lo) * rng.random()
     A = constant_spd_field(int(rng.integers(2**31)), dom, theta1)
     return CoefficientField(
@@ -439,38 +430,6 @@ def delta_sweep(
     return SweepResult(slope, intercept, r2, expo, list(deltas), ratios, False)
 
 
-def L_independence(
-    tc_base: TrialConfig,
-    L_over_Gs: Sequence[int],
-    fc: FreeConstants = FreeConstants(),
-) -> dict:
-    """The bound is the same number at every L; margins collected per L.
-
-    The ellipticity constant is pinned across the family (the statement is
-    about one model observed at growing cube sides, not a fresh draw per L).
-    """
-    bounds = []
-    min_margin = math.inf
-    records = []
-    mid = 0.5 * (tc_base.theta1_range[0] + tc_base.theta1_range[1])
-    for lg in L_over_Gs:
-        if lg % 2 != 1:
-            raise ValueError("L/G must be odd")
-        tc = TrialConfig(**{
-            **asdict(tc_base), "L_over_G": lg, "theta1_range": (mid, mid),
-        })
-        recs = run_trial(tc, solve_field(tc), fc)
-        records.extend(recs)
-        bounds.append(recs[0].log_bound)
-        min_margin = min(min_margin, min(r.margin for r in recs))
-    return {
-        "log_bounds": bounds,
-        "bound_spread": max(bounds) - min(bounds),
-        "min_margin": min_margin,
-        "records": records,
-    }
-
-
 def scaling_identity(
     seed: int,
     d: int,
@@ -547,53 +506,6 @@ def cacciopoli_check(
         "prefactor": cac,
         "holds": bool(lhs <= rhs),
         "min_cprime": float(min_cprime),
-    }
-
-
-def dominating_site_report(
-    psi_ext: np.ndarray,
-    T: int,
-    L: int,
-    h: float,
-    seq: EquidistributedSequence,
-) -> dict:
-    """Per-site skeleton of the dominating-site argument.
-
-    For every site: its unit-cube and window masses, the dominating flag, and
-    the mass of the ball at the shifted neighbor's center over the unit-cube
-    mass (the per-site ratio the local estimate bounds from below with
-    constants too conservative to assert directly; recorded for inspection).
-    The assertable pieces are returned as the mass-splitting checks.
-    """
-    d = psi_ext.ndim
-    dec = classify_sites(psi_ext, T, L, h)
-    cells = round(1.0 / h)
-    # every ball lies strictly inside its own unit cell of the base cube, the
-    # middle block of the 3L grid, so its mass is one block sum there
-    base = (np.abs(psi_ext[(slice(L * cells, 2 * L * cells),) * d]) ** 2) * h**d
-    inside = np.where(mask(seq, CubeDomain(d, L, h)), base, 0.0)
-    cell_ball_mass = inside.reshape((L, cells) * d).sum(axis=tuple(range(1, 2 * d, 2)))
-    sites = []
-    k0 = -(L - 1) // 2
-    for idx in np.ndindex(*(L,) * d):
-        k = tuple(int(k0 + i) for i in idx)
-        kp = near_neighbor(k, L=L)
-        ball_mass = float(cell_ball_mass[tuple(int(c - k0) for c in kp)])
-        unit = float(dec.unit_mass[idx])
-        sites.append({
-            "site": list(k),
-            "neighbor": list(kp),
-            "dominating": bool(dec.dominating[idx]),
-            "unit_mass": unit,
-            "window_mass": float(dec.window_mass[idx]),
-            "ball_mass": ball_mass,
-            "ball_over_unit": ball_mass / unit if unit > 0 else math.nan,
-        })
-    total = dec.total_mass()
-    return {
-        "sites": sites,
-        "weak_mass_below_half": bool(dec.weak_mass() < 0.5 * total + 1e-12),
-        "dominating_mass_above_half": bool(2.0 * dec.dominating_mass() > total - 1e-12),
     }
 
 

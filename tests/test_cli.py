@@ -74,6 +74,17 @@ class TestExitCodes:
         assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "unknown configuration key 'bc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("model.R", 50), ("model.D0", 0.01), ("model.K_V", 99), ("model.beta", 7),
+    ])
+    def test_local_estimate_key_is_unknown(self, tmp_path, capsys, key, value):
+        # the sampling route derives R, D0, K_V and beta; a value given here
+        # would be echoed in report.json and used nowhere
+        path = write_cfg(tmp_path, {key: value})
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_inadmissible_constants_report_is_success(self, tmp_path):
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
         out = tmp_path / "out"
@@ -110,6 +121,11 @@ class TestExitCodes:
                      id="cacciopoli-two-dimensions"),
         pytest.param("extend-check", {"ds": [2, 3]}, [], "ds",
                      id="extend-check-two-dimensions"),
+        pytest.param("weight", {"seeds": [3, 4]}, [], "seeds", id="weight-two-seeds"),
+        pytest.param("carleman-check", {"seeds": [3, 4]}, [], "seeds",
+                     id="carleman-check-two-seeds"),
+        pytest.param("cacciopoli-check", {"seeds": [3, 4]}, [], "seeds",
+                     id="cacciopoli-two-seeds"),
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):

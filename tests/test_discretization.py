@@ -516,16 +516,3 @@ class TestResidualInequality:
         zeta = np.abs(op_psi) + 1.0
         viol = residual_inequality_check(psi, 0.0, zeta, op_psi)
         assert viol <= -1.0 + 1e-12
-
-
-class TestExports:
-    def test_coo_csv_dump(self, tmp_path):
-        dom = CubeDomain(1, 3.0, 1 / 4, "dirichlet")
-        H = assemble(laplacian_field(dom))
-        path = tmp_path / "matrix.csv"
-        H.export_coo_csv(path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "row,col,re,im"
-        assert len(rows) == 1 + H.matrix.nnz
-        r, c, re, im = rows[1].split(",")
-        assert float(im) == 0.0

@@ -57,13 +57,6 @@ class TestSequences:
         with pytest.raises(ValueError):
             generate_sequence(1.0, 0.2, 4.0, 1)  # L/G even
 
-    def test_json_roundtrip_fields(self):
-        import json
-
-        s = generate_sequence(0.5, 0.1, 1.5, 2, "uniform_random", seed=3)
-        payload = json.loads(s.to_json())
-        assert payload["G"] == 0.5 and len(payload["centers"]) == 9
-
 
 def gather_mask(seq, dom: CubeDomain) -> np.ndarray:
     idx = np.arange(dom.n) // round(seq.G / dom.h)
@@ -260,10 +253,6 @@ class TestNearNeighbor:
         assert near_neighbor((0, 0)) == (2, 0)
         assert near_neighbor(near_neighbor((0, 1))) == (4, 1)
 
-    def test_periodic_wrap(self):
-        assert near_neighbor((2,), L=5) == (-1,)
-        assert near_neighbor((-2, 0), L=5) == (0, 0)
-
 
 class TestWindowContainment:
     def test_printed_side_falls_short(self):
@@ -312,18 +301,3 @@ def test_containment_invariant_random(d, m, delta_frac, sd):
     delta = 0.5 * G * delta_frac
     s = generate_sequence(G, delta, m * G, d, "uniform_random", seed=sd)
     assert s.containment_margin() >= 0.0
-
-
-class TestMaskExport:
-    def test_binary_and_csv(self, tmp_path):
-        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
-        m = mask(generate_sequence(1.0, 0.25, 3.0, 1, "centered"), dom)
-        from uclab.geometry import save_mask
-
-        save_mask(tmp_path / "m.npy", m)
-        back = np.load(tmp_path / "m.npy")
-        assert np.array_equal(back, m)
-        save_mask(tmp_path / "m.csv", m, fmt="csv")
-        rows = (tmp_path / "m.csv").read_text().splitlines()
-        assert rows[0] == "cell,in_mask"
-        assert len(rows) == 1 + m.size

@@ -1,12 +1,16 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no module exports a name it
+does not define.
 
 No linter ships with the project, so this scan stands in for one: it parses
 every module under ``src/uclab``, ``tests`` and ``demos`` and fails on a
 module-level import whose bound name the file never references.  Names
 listed in ``__all__`` count as used; ``from __future__`` imports are ignored.
+Every name in a ``uclab`` module's ``__all__`` must resolve on that module,
+so a deleted function cannot leave a stale export behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +54,13 @@ def test_scan_flags_an_unused_import():
         "print(osp)\n"
     )
     assert unused_imports(tree) == ["line 2: os", "line 3: pi"]
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in sorted((ROOT / "src/uclab").glob("*.py")):
+        name = "uclab" if path.stem == "__init__" else f"uclab.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                  if not hasattr(module, attr)]
+    assert not stale, "exported but not defined:\n" + "\n".join(stale)

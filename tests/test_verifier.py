@@ -9,13 +9,12 @@ import scipy.sparse.linalg as spla
 import uclab.verifier as verifier
 from uclab.constants import FreeConstants, ModelParams, cacciopoli_prefactor, log_c_sfuc
 from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_random_field
-from uclab.geometry import CubeDomain, generate_sequence, mask, near_neighbor
+from uclab.geometry import CubeDomain, generate_sequence, mask
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
     TrialConfig,
     cacciopoli_check,
     delta_sweep,
-    L_independence,
     observability_ratio,
     run_trial,
     scaling_identity,
@@ -332,14 +331,7 @@ class TestDeltaSweep:
         assert res.degenerate
 
 
-class TestLIndependence:
-    def test_bound_identical_and_margins_positive(self):
-        tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
-                         delta_over_G=0.25, seed=0, h_per_G=16)
-        out = L_independence(tc, (3, 5, 7))
-        assert out["bound_spread"] == 0.0  # L never enters the constant
-        assert out["min_margin"] > 0.0
-
+class TestMaskFraction:
     def test_mask_fraction_L_independent_exactly(self):
         fr = []
         for L in (3, 5, 7):
@@ -347,12 +339,6 @@ class TestLIndependence:
             seq = generate_sequence(1.0, 0.25, float(L), 1, "centered")
             fr.append(ratio_of(np.ones(dom.shape), seq, dom))
         assert fr[0] == fr[1] == fr[2]
-
-    def test_odd_ratio_enforced(self):
-        tc = TrialConfig(d=1, bc="dirichlet", L_over_G=3, norm_V=0.0,
-                         delta_over_G=0.25, seed=0)
-        with pytest.raises(ValueError):
-            L_independence(tc, (3, 4))
 
 
 class TestScalingIdentity:
@@ -525,57 +511,6 @@ class TestRecordIO:
         rows = path.read_text().splitlines()
         assert len(rows) == 1 + len(recs)
         assert "margin" in rows[0]
-
-
-class TestDominatingSiteReport:
-    def test_per_site_skeleton(self):
-        from uclab.verifier import dominating_site_report
-
-        L, h, T = 5, 1 / 8, 3
-        rng = np.random.default_rng(3)
-        psi = np.tile(rng.standard_normal(L * 8), 3)
-        seq = generate_sequence(1.0, 0.25, float(L), 1, "uniform_random", seed=1)
-        rep = dominating_site_report(psi, T, L, h, seq)
-        assert len(rep["sites"]) == L
-        assert rep["weak_mass_below_half"]
-        assert rep["dominating_mass_above_half"]
-        for site in rep["sites"]:
-            assert site["ball_mass"] >= 0.0
-            assert site["window_mass"] >= site["unit_mass"] - 1e-12
-
-    @staticmethod
-    def distance_reference(psi_ext, L, h, seq):
-        """Ball mass of each site's neighbor by the distance of every point
-        of the 3L grid to the ball center."""
-        d = psi_ext.ndim
-        ax = -1.5 * L + (np.arange(psi_ext.shape[0]) + 0.5) * h
-        grids = np.meshgrid(*([ax] * d), indexing="ij")
-        dens = (np.abs(psi_ext) ** 2) * h**d
-        k0 = -(L - 1) // 2
-        out = []
-        for idx in np.ndindex(*(L,) * d):
-            kp = near_neighbor(tuple(k0 + i for i in idx), L=L)
-            z = seq.centers[tuple(c - k0 for c in kp)]
-            dist2 = sum((g - zc) ** 2 for g, zc in zip(grids, z))
-            out.append(float(dens[dist2 < seq.delta**2].sum()))
-        return out
-
-    @pytest.mark.parametrize("d,L", [(1, 5), (2, 5), (3, 3)])
-    def test_ball_mass_matches_distance_reference(self, d, L):
-        from uclab.verifier import dominating_site_report
-
-        h, T = 1 / 8, 3
-        rng = np.random.default_rng(d)
-        for _ in range(4):
-            delta = float(rng.uniform(0.05, 0.45))
-            seq = generate_sequence(1.0, delta, float(L), d, "uniform_random",
-                                    seed=int(rng.integers(2**31)))
-            psi = rng.standard_normal((3 * L * 8,) * d)
-            rep = dominating_site_report(psi, T, L, h, seq)
-            ref = self.distance_reference(psi, L, h, seq)
-            assert len(rep["sites"]) == len(ref) == L**d
-            for site, r in zip(rep["sites"], ref):
-                assert abs(site["ball_mass"] - r) <= 1e-12 * r
 
 
 class TestInputsComputedOnce:
