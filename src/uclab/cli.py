@@ -77,7 +77,8 @@ class ExperimentConfig:
         for f in fields(self):
             val = getattr(self, f.name)
             if f.name in ("model", "free"):
-                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()})
+                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()
+                            if k in _KEYS[f.name]})
             else:
                 out[f.name] = list(val) if isinstance(val, tuple) else val
         return out

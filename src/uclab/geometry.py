@@ -27,13 +27,16 @@ __all__ = [
     "generate_sequence",
     "mask",
     "classify_sites",
-    "near_neighbor",
     "window_containment_margin",
     "feasible_window_side",
     "tiling_identity_defect",
 ]
 
 BoundaryCondition = Literal["dirichlet", "periodic"]
+
+# the site argument moves each ball to a near neighbor two units along the
+# first axis; the window containment must cover that shift
+NEAR_NEIGHBOR_SHIFT = 2.0
 
 
 @dataclass(frozen=True)
@@ -278,19 +281,13 @@ def classify_sites(
     )
 
 
-def near_neighbor(k: tuple) -> tuple:
-    """Shift the first coordinate by 2."""
-    k = tuple(k)
-    return (k[0] + 2,) + k[1:]
-
-
 def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:
     """Worst-case reach of the shifted ball (see
     :func:`window_containment_margin`); the offset defaults to sqrt(d)/2."""
     if center_offset is None:
         center_offset = math.sqrt(d) / 2.0
     R = math.sqrt(d) + 2.0
-    return 2.0 + center_offset + (2.0 * EULER * theta1 + 1.0) * R
+    return NEAR_NEIGHBOR_SHIFT + center_offset + (2.0 * EULER * theta1 + 1.0) * R
 
 
 def window_containment_margin(

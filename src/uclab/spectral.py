@@ -35,8 +35,13 @@ pivoting, and its sparsity pattern is symmetric, so SuperLU factorizes it
 once with the minimum-degree ordering of the pattern of M^T + M
 (``MMD_AT_PLUS_A``), about half the fill of the default column ordering
 (COLAMD), and the factorization is handed to Lanczos as the inverse
-operator.  These two paths reproduce their bytes at a fixed BLAS thread
-count.
+operator.
+
+The eigensolve and the projector sample run on one BLAS thread
+(``_one_blas_thread``).  On matrices of this size a second BLAS thread only
+spins, and its split of the reductions changes the last bits of ARPACK's and
+LAPACK's output, so with the pin every path reproduces its bytes whatever
+``OPENBLAS_NUM_THREADS`` the process started with.
 
 Every path is checked against the matrix: the residual ||H v - lambda v||
 of each returned pair must stay below RESIDUAL_TOL times the largest entry
@@ -49,6 +54,9 @@ about E, which obey ||(H - E) psi|| <= gamma ||psi|| up to solver residuals.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,6 +113,45 @@ class SpectrumSlice:
         np.save(f"{prefix}.npy", self.eigenvectors)
 
 
+@functools.cache
+def _openblas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every OpenBLAS mapped into this
+    process, found once from ``/proc/self/maps`` (numpy and scipy each bring
+    their own); empty where there is none or no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                     if len(parts) == 6 and "openblas" in parts[5].rsplit("/", 1)[-1]}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(fn)
+    return tuple(setters)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, and restore
+    each library's previous count on every exit, a raise included.
+
+    Does nothing when no OpenBLAS is loaded (another BLAS such as MKL, or an
+    OS without ``/proc/self/maps``): there the bytes may still depend on the
+    BLAS thread count.  The count is process-wide, so calls from several
+    Python threads at once may restore each other's counts.
+    """
+    setters = _openblas_setters()
+    previous = [set_threads(1) for set_threads in setters]
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
+
+
 def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` lowest eigenpairs of a constant-coefficient operator
     (module docstring), sorted by (eigenvalue, row-major mode index)."""
@@ -139,14 +186,16 @@ def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np
     return lam[sel], vecs
 
 
+@_one_blas_thread()
 def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice:
     """The ``count`` lowest eigenpairs of a Hermitian operator.
 
     Closed form for a constant-coefficient operator, dense below
     DENSE_CUTOFF unknowns, shift-invert Lanczos above it (module docstring).
-    Deterministic for a fixed matrix and seed.  Raises ``ValueError`` when
-    the operator is not Hermitian or a returned pair's residual exceeds
-    RESIDUAL_TOL times the largest entry of H.
+    Runs on one BLAS thread and is deterministic for a fixed matrix and
+    seed.  Raises ``ValueError`` when the operator is not Hermitian or a
+    returned pair's residual exceeds RESIDUAL_TOL times the largest entry of
+    H.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -187,6 +236,7 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     )
 
 
+@_one_blas_thread()
 def projector_sample(
     spectrum_slice: SpectrumSlice,
     coefficients: Optional[np.ndarray] = None,

@@ -17,8 +17,10 @@ where it dominates the left-hand side are distinguishable from genuine mask
 mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
 the eigenpairs in the trial's energy window, a number that does not depend
 on which orthonormal basis the solver returns inside a degenerate
-eigenspace.  Records are reproducible bit for bit from (config, seed) at a
-fixed BLAS thread count.
+eigenspace.  Records are reproducible bit for bit from (config, seed): the
+eigensolve, the projector sample and ``worst_ratio`` run their BLAS products
+on one thread, so with OpenBLAS the bytes do not depend on
+``OPENBLAS_NUM_THREADS``.
 
 A grid function is checked once, where it enters a record or a delta sweep:
 its squared norm on the whole cube must be finite and nonzero.  That norm,
@@ -56,7 +58,7 @@ from uclab.fields import (
     periodic_gradient_energy,
 )
 from uclab.geometry import CubeDomain, generate_sequence, mask
-from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
+from uclab.spectral import SpectrumSlice, _one_blas_thread, eigensolve, projector_sample
 
 __all__ = [
     "ObservabilityRecord",
@@ -190,6 +192,7 @@ def observability_ratio(
     return domain.norm_sq(psi, where=ball_mask) / total
 
 
+@_one_blas_thread()
 def worst_ratio(vectors: np.ndarray, ball_mask: np.ndarray) -> float:
     """Smallest mass fraction captured by the mask over the span of the
     l2-orthonormal columns of ``vectors`` (flattened grid functions).

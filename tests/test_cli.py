@@ -185,6 +185,18 @@ class TestCommands:
         assert rep["report"]["admissible"] is False
         assert "log_c_quc_lower leaves the double range" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["constants", "weight"])
+    def test_report_config_is_a_config(self, tmp_path, command):
+        # a report's config block holds only keys the config accepts, so it
+        # reruns as a config file and reproduces the report
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main([command, "--out", str(first)]) == 0
+        block = json.loads((first / "report.json").read_text())["config"]
+        assert not {"model.R", "model.D0", "model.K_V", "model.beta"} & block.keys()
+        path = write_cfg(tmp_path, block)
+        assert main([command, "--config", path, "--out", str(second)]) == 0
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
     def test_verify_writes_records_and_passes(self, tmp_path):
         path = write_cfg(tmp_path, {
             "ds": [1], "norm_Vs": [0.0], "bcs": ["dirichlet"],

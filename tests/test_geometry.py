@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from uclab.geometry import (
+    NEAR_NEIGHBOR_SHIFT,
     CubeDomain,
     EquidistributedSequence,
     _window_sums,
@@ -15,7 +16,6 @@ from uclab.geometry import (
     feasible_window_side,
     generate_sequence,
     mask,
-    near_neighbor,
     tiling_identity_defect,
     window_containment_margin,
 )
@@ -248,12 +248,6 @@ class TestSites:
             classify_sites(psi, 2 * L + 3, L, h)
 
 
-class TestNearNeighbor:
-    def test_shift(self):
-        assert near_neighbor((0, 0)) == (2, 0)
-        assert near_neighbor(near_neighbor((0, 1))) == (4, 1)
-
-
 class TestWindowContainment:
     def test_printed_side_falls_short(self):
         # the printed window side misses the worst-case reach by ~2+sqrt(d)/2,
@@ -280,7 +274,7 @@ class TestWindowContainment:
             radius = 2.0 * E * theta1 * R + R  # ball radius with D0 = R/2
             T = feasible_window_side(d, theta1)
             k = np.zeros(d)
-            kp = np.array(near_neighbor(tuple(k)))
+            kp = k + NEAR_NEIGHBOR_SHIFT * np.eye(d)[0]
             z = kp + rng.uniform(-0.5, 0.5, size=d)
             dirs = rng.standard_normal((500, d))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

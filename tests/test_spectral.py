@@ -1,5 +1,6 @@
 """Eigensolver and projector-sample tests."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -17,6 +18,7 @@ from uclab.fields import (
 )
 from uclab.geometry import CubeDomain
 from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
+from uclab.verifier import worst_ratio
 
 
 def periodic_laplacian(L=3.0, h=1 / 32, V=None):
@@ -340,3 +342,119 @@ class TestDump:
         assert [float(r.split(",")[1]) for r in rows[1:]] == sl.eigenvalues.tolist()
         vecs = np.load(tmp_path / "eig.npy")
         assert vecs.shape == sl.eigenvectors.shape
+
+
+# the thread-count setters of the loaded OpenBLAS libraries, taken before any
+# test replaces the lookup
+_SETTERS = spectral._openblas_setters()
+
+
+def _blas_counts() -> list:
+    """Each loaded OpenBLAS's thread count, read by setting 1 and back."""
+    counts = [set_threads(1) for set_threads in _SETTERS]
+    for set_threads, count in zip(_SETTERS, counts):
+        set_threads(count)
+    return counts
+
+
+class TestOneBlasThread:
+    """The eigensolve, the projector sample and worst_ratio pin OpenBLAS to
+    one thread and hand the caller's count back."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _caller_at(threads):
+        # the caller's count, whatever the process started with
+        if not _SETTERS:
+            pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+        before = [set_threads(threads) for set_threads in _SETTERS]
+        try:
+            yield len(_SETTERS)
+        finally:
+            for set_threads, count in zip(_SETTERS, before):
+                set_threads(count)
+
+    @pytest.fixture
+    def two_threads(self):
+        with self._caller_at(2) as libraries:
+            yield libraries
+
+    @staticmethod
+    def _fields():
+        # one operator per path: closed form, dense, and (with a cutoff of
+        # 10 unknowns) Lanczos
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        return (assemble(constant_field(dom, constant_spd_field(3, dom, 2.0))),
+                assemble(synthesize_random_field(0, dom, 1.3, norm_V=0.5)))
+
+    def test_solvers_run_on_one_thread(self, two_threads, monkeypatch):
+        seen = []
+
+        def spy(owner, attr):
+            fn = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                seen.append((attr, _blas_counts()))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for owner, attr in ((spectral, "_closed_form_pairs"), (spectral.sla, "eigh"),
+                            (spectral.spla, "eigsh")):
+            spy(owner, attr)
+        const, variable = self._fields()
+        eigensolve(const, count=4)
+        eigensolve(variable, count=4)
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+        eigensolve(variable, count=4)
+        assert seen == [(attr, [1] * two_threads)
+                        for attr in ("_closed_form_pairs", "eigh", "eigsh")]
+
+    def test_caller_count_restored(self, two_threads):
+        const, variable = self._fields()
+        sl = eigensolve(const, count=4)
+        assert _blas_counts() == [2] * two_threads
+        eigensolve(variable, count=4)
+        assert _blas_counts() == [2] * two_threads
+        projector_sample(sl, seed=0)
+        assert _blas_counts() == [2] * two_threads
+        worst_ratio(sl.eigenvectors, np.arange(sl.eigenvectors.shape[0]) % 3 == 0)
+        assert _blas_counts() == [2] * two_threads
+        A0, shift = const.constant_coefficients
+        wrong = dataclasses.replace(const, constant_coefficients=(A0, shift + 1e-3))
+        with pytest.raises(ValueError, match="residual"):
+            eigensolve(wrong, count=4)
+        assert _blas_counts() == [2] * two_threads
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            eigensolve(variable, count=0)
+        assert _blas_counts() == [2] * two_threads
+
+    def test_no_library_found_leaves_results_unchanged(self, monkeypatch):
+        # without a library the context touches no count; at one caller
+        # thread the results are the pinned ones, bit for bit
+        const, variable = self._fields()
+        ball = np.arange(variable.matrix.shape[0]) % 3 == 0
+
+        def outputs():
+            out = []
+            for op in (const, variable):
+                sl = eigensolve(op, count=4)
+                out += [sl.eigenvalues, sl.eigenvectors, projector_sample(sl, seed=1),
+                        worst_ratio(sl.eigenvectors, ball)]
+            return out
+
+        with self._caller_at(1):
+            pinned = outputs()
+        monkeypatch.setattr(spectral, "_openblas_setters", lambda: ())
+        with self._caller_at(1):
+            assert all(np.array_equal(a, b) for a, b in zip(pinned, outputs()))
+        seen = []
+        eigh = spectral.sla.eigh
+
+        def spying_eigh(*args, **kwargs):
+            seen.append(_blas_counts())
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.sla, "eigh", spying_eigh)
+        with self._caller_at(2) as libraries:
+            eigensolve(variable, count=4)
+        assert seen == [[2] * libraries]
