@@ -4,10 +4,22 @@ dominating/weak site decomposition.
 Conventions: the cube of side ``L`` is centered at the origin; grids are
 cell-centered with spacing ``h`` (``L/h`` an integer) and discrete norms are
 ``h^d * sum(|psi|^2)`` over cell centers.  One ball of radius ``delta`` sits
-in each cell of the ``G``-lattice, so a grid point can only be covered by the
-ball of its own lattice cell.  ``mask`` uses this: it evaluates the distance
-block by block, one block of ``G/h`` cells per axis for each ball, and never
-gathers a center per grid cell.
+in each cell of the ``G``-lattice, and a sequence whose ball leaves its cell
+is rejected, so a grid point can only be covered by the ball of its own
+lattice cell: its block of ``G/h`` cells per axis.
+
+:func:`ball_runs` is the one home of the ball predicate.  Along the grid's
+last axis the covered cells of one block row form a single run, so a
+placement is described by one ``[lo, hi)`` pair per row crossing a ball
+instead of one flag per cell; :func:`mask` fills its grid from the runs, and
+a captured mass is read from row prefix sums over the runs.  The run is
+exact: with ``p`` the squared distance over the first ``d - 1`` axes,
+accumulated in axis order, a cell is covered when
+``fl(p + fl((x - z)^2)) < delta^2``; rounding is monotone, so that
+expression does not increase as ``x`` approaches the center ``z`` and the
+covered cells of the row are contiguous.  The ends come from
+``sqrt(delta^2 - p)`` and are confirmed with the same float expression, so
+the runs cover exactly the cells the expression admits.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ __all__ = [
     "EquidistributedSequence",
     "SiteDecomposition",
     "generate_sequence",
+    "ball_runs",
     "mask",
     "classify_sites",
     "window_containment_margin",
@@ -94,7 +107,7 @@ class CubeDomain:
 def _lattice(G: float, L: float, d: int, m: int) -> np.ndarray:
     """Centers of the m**d cells of the G-lattice, shape (m,)*d + (d,)."""
     ax = -L / 2.0 + (np.arange(m) + 0.5) * G
-    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
+    return np.moveaxis(ax[np.indices((m,) * d)], 0, -1)
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,11 @@ class EquidistributedSequence:
         m = self.cells_per_axis
         if self.centers.shape != (m,) * self.d + (self.d,):
             raise ValueError("center array shape mismatch")
+        if not np.isfinite(self.centers).all():
+            raise ValueError("ball centers must be finite")
+        margin = self.containment_margin()
+        if margin < 0.0:
+            raise ValueError(f"a ball leaves its G-cell (containment margin {margin:.6g})")
 
     @property
     def cells_per_axis(self) -> int:
@@ -126,8 +144,8 @@ class EquidistributedSequence:
         return _lattice(self.G, self.L, self.d, self.cells_per_axis)
 
     def containment_margin(self) -> float:
-        """min over cells of G/2 - delta - ||z_j - cell center||_inf; >= 0 by
-        construction."""
+        """min over cells of G/2 - delta - ||z_j - cell center||_inf; a
+        sequence with a negative margin is rejected."""
         off = np.abs(self.centers - self.lattice_points()).max(axis=-1)
         return float(self.G / 2.0 - self.delta - off.max())
 
@@ -163,16 +181,26 @@ def generate_sequence(
     return EquidistributedSequence(G=G, delta=delta, L=L, d=d, centers=centers)
 
 
-def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
-    """Boolean grid marking cells whose center lies in some delta-ball.
+def ball_runs(
+    seq: EquidistributedSequence, domain: CubeDomain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells whose center lies in some delta-ball, as runs along the last axis.
 
-    The grid is viewed in blocks, shape ``(m, c) * d`` with ``m`` G-cells per
-    axis and ``c = G/h`` grid cells per G-cell, so block index ``j`` names the
-    owning ball.  The squared distance to that ball's center is accumulated
-    one axis at a time, in axis order, by broadcasting the 1-d coordinates
-    against the centers; that is the same sum, in the same order, as reducing
-    the full coordinate difference over its last axis.  A center at exactly
-    distance ``delta`` is outside (strict ``<``).
+    Returns ``(rows, lo, hi)``: run ``k`` covers cells ``lo[k] <= i < hi[k]``
+    of grid row ``rows[k]``, the flat index over the first ``d - 1`` axes.
+    Only nonempty runs are returned, ordered by the ball's block along the
+    last axis and then by row; each lies inside the block of its ball, so
+    runs are disjoint.
+
+    Per ball and block row, ``p`` is the squared distance over the first
+    ``d - 1`` axes, accumulated one axis at a time in axis order.  A cell at
+    ``x`` is covered when ``p + (x - z)**2 < delta**2`` in floating point (a
+    center at exactly distance ``delta`` is outside).  Rows with
+    ``p >= delta**2`` are empty.  On the others the cells left of the center
+    ``z`` (``x < z``) are covered on a suffix and the cells right of it on a
+    prefix, since the float expression is monotone in ``|x - z|``; each end
+    starts from ``sqrt(delta**2 - p)`` and moves until the predicate confirms
+    it.
     """
     if domain.d != seq.d or abs(domain.L - seq.L) > 1e-12:
         raise ValueError("sequence and domain are incompatible")
@@ -181,14 +209,70 @@ def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
     if abs(seq.G / domain.h - c) > 1e-9 or m * c != domain.n:
         raise ValueError("grid spacing must divide G")
     d = domain.d
-    x = domain.centers_1d().reshape(m, c)
-    dist2 = 0.0
-    for k in range(d):
-        x_shape = [1] * (2 * d)
-        x_shape[2 * k:2 * k + 2] = (m, c)
-        diff = x.reshape(x_shape) - seq.centers[..., k].reshape([m, 1] * d)
-        dist2 = dist2 + diff**2
-    return (dist2 < seq.delta**2).reshape(domain.shape)
+    x = domain.centers_1d()
+    r2 = seq.delta**2
+    # one entry per (ball's block on the last axis, grid row): axes (m,)
+    # and then (m, c) per leading grid axis, so the inner axis is a block row
+    shape = (m,) + (m, c) * (d - 1)
+    ball_shape = [m] + [m, 1] * (d - 1)
+    # the balls in that order: block on the last axis first
+    centers = seq.centers.transpose((d - 1, *range(d - 1), d)).reshape(m**d, d)
+    p = 0.0
+    for k in range(d - 1):
+        x_shape = [1] * (2 * d - 1)
+        x_shape[2 * k + 1:2 * k + 3] = (m, c)
+        p = p + (x.reshape(x_shape) - centers[:, k].reshape(ball_shape)) ** 2
+    p = np.broadcast_to(p, shape)
+    live = p < r2  # fl(p + q) >= p, so the other rows are empty
+    p = p[live]
+    ball = np.broadcast_to(np.arange(m**d).reshape(ball_shape), shape)[live]
+    first, rows = np.divmod(np.flatnonzero(live), domain.n ** (d - 1))
+    first *= c
+    # x[i] < z exactly for i < split: the sign of a float difference is exact
+    z = centers[:, d - 1]
+    split = np.clip(np.searchsorted(x, z)[ball], first, first + c)
+    z = z[ball]
+    x = np.append(x, math.inf)  # index n (and -1) is never covered
+
+    def covered(i):
+        return p + (x[i] - z) ** 2 < r2
+
+    def edge(guess, a, b, inside):
+        """First index in [a, b] where ``inside`` stops holding, for a
+        predicate that holds on a prefix of [a, b)."""
+        e = np.clip(guess, a, b)
+        while True:
+            down = (e > a) & ~inside(e - 1)
+            up = (e < b) & inside(e)
+            if not (down.any() or up.any()):
+                return e
+            e = e - down + up
+
+    w = np.sqrt(r2 - p)
+    hi = edge(np.ceil((z + w - x[0]) / domain.h).astype(np.intp),
+              split, first + c, covered)
+    lo = edge(np.floor((z - w - x[0]) / domain.h).astype(np.intp) + 1,
+              first, split, lambda i: ~covered(i))
+    keep = lo < hi
+    return rows[keep], lo[keep], hi[keep]
+
+
+def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
+    """Boolean grid marking cells whose center lies in some delta-ball.
+
+    The grid is filled from :func:`ball_runs`, the one place the ball
+    predicate is evaluated, so the flags are exactly the cells that
+    ``p + (x - z)**2 < delta**2`` admits, the squared distance accumulated
+    in axis order; a center at exactly distance ``delta`` is outside.  Each
+    run adds one where it starts and subtracts one where it stops; the
+    running sum along the row is positive on covered cells.
+    """
+    rows, lo, hi = ball_runs(seq, domain)
+    n = domain.n
+    edges = np.zeros((n ** (domain.d - 1), n + 1), dtype=np.int8)
+    edges[rows, lo] = 1
+    edges[rows, hi] -= 1
+    return (np.cumsum(edges[:, :n], axis=1) > 0).reshape(domain.shape)
 
 
 @dataclass(frozen=True)

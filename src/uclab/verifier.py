@@ -24,8 +24,11 @@ on one thread, so with OpenBLAS the bytes do not depend on
 
 A grid function is checked once, where it enters a record or a delta sweep:
 its squared norm on the whole cube must be finite and nonzero.  That norm,
-the trial's mask and its ``worst_ratio`` are each computed once and shared by
-everything that divides by or sums over them.
+its :func:`mass_prefix` table, the trial's mask and its ``worst_ratio`` are
+each computed once and shared by everything that divides by or sums over
+them.  A placement's captured mass is read from the prefix table over the
+:func:`~uclab.geometry.ball_runs` of its balls, so a delta sweep costs one
+pass over the grid per grid function, not one per placement.
 """
 
 from __future__ import annotations
@@ -57,12 +60,19 @@ from uclab.fields import (
     constant_spd_field,
     periodic_gradient_energy,
 )
-from uclab.geometry import CubeDomain, generate_sequence, mask
+from uclab.geometry import (
+    CubeDomain,
+    EquidistributedSequence,
+    ball_runs,
+    generate_sequence,
+    mask,
+)
 from uclab.spectral import SpectrumSlice, _one_blas_thread, eigensolve, projector_sample
 
 __all__ = [
     "ObservabilityRecord",
     "TrialConfig",
+    "mass_prefix",
     "observability_ratio",
     "worst_ratio",
     "benchmark_field",
@@ -181,15 +191,46 @@ def _total_norm_sq(psi: np.ndarray, domain: CubeDomain) -> float:
     return total
 
 
+def mass_prefix(psi: np.ndarray, domain: CubeDomain, G: float) -> np.ndarray:
+    """Row prefix sums of ``h^d |psi|^2``, restarted at each G-cell block.
+
+    Shape ``(n**(d-1), m, c + 1)`` with ``m = L/G`` blocks of ``c = G/h``
+    cells along the last axis: entry ``[r, j, k]`` is the mass of the first
+    ``k`` cells of block ``j`` of grid row ``r``.  Restarting per block keeps
+    the cancellation in a difference of two entries to ``c`` cells.
+    """
+    psi = np.asarray(psi)
+    if psi.shape != domain.shape:
+        raise ValueError("grid function shape mismatch")
+    c = round(G / domain.h)
+    if abs(G / domain.h - c) > 1e-9 or domain.n % c:
+        raise ValueError("grid spacing must divide G")
+    dens = (domain.cell_volume * np.abs(psi) ** 2).reshape(-1, domain.n // c, c)
+    prefix = np.zeros(dens.shape[:2] + (c + 1,))
+    np.cumsum(dens, axis=-1, out=prefix[..., 1:])
+    return prefix
+
+
 def observability_ratio(
-    psi: np.ndarray,
-    ball_mask: np.ndarray,
+    prefix: np.ndarray,
+    seq: EquidistributedSequence,
     domain: CubeDomain,
     total: float,
 ) -> float:
-    """Mass fraction of psi captured by ``ball_mask`` (a :func:`mask` of the
-    union of delta-balls); ``total`` is psi's squared norm on the whole cube."""
-    return domain.norm_sq(psi, where=ball_mask) / total
+    """Mass fraction of psi captured by the union of the delta-balls of
+    ``seq``, from psi's :func:`mass_prefix` table; ``total`` is psi's squared
+    norm on the whole cube.  Each run of covered cells adds the difference
+    of two entries of its block's prefix row."""
+    rows, lo, hi = ball_runs(seq, domain)
+    m = seq.cells_per_axis
+    c = domain.n // m
+    if prefix.shape != (domain.n ** (domain.d - 1), m, c + 1):
+        raise ValueError("prefix table does not match the sequence's G-blocks")
+    # entry [r, j, i - j*c] of grid cell i in block j sits at flat index
+    # (r*m + j)*(c + 1) + i - j*c = base + i
+    base = rows * (m * (c + 1)) + lo // c
+    flat = prefix.reshape(-1)
+    return float((flat[base + hi] - flat[base + lo]).sum()) / total
 
 
 @_one_blas_thread()
@@ -241,14 +282,14 @@ def _record(
     energy: float,
     eigen_index: int,
     log_bound: float,
-    ball_mask: np.ndarray,
+    seq: EquidistributedSequence,
     residual_violation: float,
     window_worst: float,
     log_gamma: float,
 ) -> ObservabilityRecord:
     dom = fld.domain
     total = _total_norm_sq(psi, dom)
-    ratio = observability_ratio(psi, ball_mask, dom, total)
+    ratio = observability_ratio(mass_prefix(psi, dom, tc.G), seq, dom, total)
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
@@ -297,8 +338,7 @@ def run_trial(
     lg = log_gamma_window(p, fc, E)
     atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
     window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
-    ball_mask = mask(seq, fld.domain)
-    window_worst = worst_ratio(window.eigenvectors, ball_mask)
+    window_worst = worst_ratio(window.eigenvectors, mask(seq, fld.domain))
 
     # (kind, psi, what H psi is compared against, log bound, log gamma): an
     # eigenfunction of H against the potential, and a random combination of
@@ -315,7 +355,7 @@ def run_trial(
         zeta = op_psi - compare * psi
         viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
         records.append(_record(tc, fc, fld, kind, psi, zeta, E, idx, log_bound,
-                               ball_mask, viol, window_worst, log_gamma))
+                               seq, viol, window_worst, log_gamma))
     return records
 
 
@@ -414,13 +454,14 @@ def delta_sweep(
     if len(seq_seeds) == 0:
         raise ValueError("need at least one sequence seed")
     total = _total_norm_sq(psi, domain)
+    prefix = mass_prefix(psi, domain, G)
     ratios = []
     degenerate = False
     for delta in deltas:
         vals = []
         for s in seq_seeds:
             seq = generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
-            vals.append(observability_ratio(psi, mask(seq, domain), domain, total))
+            vals.append(observability_ratio(prefix, seq, domain, total))
         r = float(np.mean(vals))
         if not r > 0.0:  # zero, or NaN
             degenerate = True

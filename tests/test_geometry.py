@@ -11,7 +11,9 @@ from uclab.geometry import (
     NEAR_NEIGHBOR_SHIFT,
     CubeDomain,
     EquidistributedSequence,
+    _lattice,
     _window_sums,
+    ball_runs,
     classify_sites,
     feasible_window_side,
     generate_sequence,
@@ -56,6 +58,35 @@ class TestSequences:
             generate_sequence(1.0, 0.5, 3.0, 1)
         with pytest.raises(ValueError):
             generate_sequence(1.0, 0.2, 4.0, 1)  # L/G even
+
+    def test_ball_leaving_its_cell_rejected(self):
+        # shifted by 0.4 at delta = 0.25, each ball would reach 0.15 past
+        # its cell face; the block evaluation would cut it there
+        lattice = _lattice(1.0, 3.0, 1, 3)
+        with pytest.raises(ValueError, match="leaves its G-cell"):
+            EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=1,
+                                    centers=lattice + 0.4)
+        centers = _lattice(1.0, 3.0, 2, 3)
+        centers[2, 0, 1] = math.nextafter(-1.25, -2.0)  # margin just below 0
+        with pytest.raises(ValueError, match="leaves its G-cell"):
+            EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2, centers=centers)
+        centers[2, 0, 1] = -1.25  # margin exactly 0 is accepted
+        assert EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2,
+                                       centers=centers).containment_margin() == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, bad):
+        centers = _lattice(1.0, 3.0, 2, 3)
+        centers[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="centers must be finite"):
+            EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2, centers=centers)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_generated_sequences_accepted(self, d):
+        for frac in (1e-3, 0.25, 0.499, 0.4999999):
+            for sd in range(20):
+                s = generate_sequence(1.0, frac, 3.0, d, "uniform_random", seed=sd)
+                assert s.containment_margin() >= 0.0
 
 
 def gather_mask(seq, dom: CubeDomain) -> np.ndarray:
@@ -128,6 +159,25 @@ class TestMask:
         wider = EquidistributedSequence(G=G, delta=math.nextafter(0.3125, 1.0),
                                         L=3.0, d=2, centers=s.centers)
         assert mask(wider, dom)[i, j]
+
+    @pytest.mark.parametrize("d, L_over_G, h_per_G", [(1, 5, 16), (2, 3, 16), (3, 3, 8)])
+    def test_runs_disjoint_inside_their_block(self, d, L_over_G, h_per_G):
+        dom = CubeDomain(d, float(L_over_G), 1 / h_per_G, "periodic")
+        for frac in (1e-3, 0.125, 0.3, 0.499):
+            for sd in range(3):
+                s = generate_sequence(1.0, frac, dom.L, d, "uniform_random", seed=sd)
+                rows, lo, hi = ball_runs(s, dom)
+                assert (lo < hi).all()
+                # every run inside one block of h_per_G cells along the row
+                assert (lo // h_per_G == (hi - 1) // h_per_G).all()
+                # a row crosses each ball's block at most once
+                assert len(set(zip(rows.tolist(), (lo // h_per_G).tolist()))) == len(rows)
+                # runs of one row do not overlap
+                order = np.lexsort((lo, rows))
+                rows, lo, hi = rows[order], lo[order], hi[order]
+                same_row = rows[1:] == rows[:-1]
+                assert (lo[1:][same_row] >= hi[:-1][same_row]).all()
+                assert (hi - lo).sum() == mask(s, dom).sum()
 
     def test_mask_fraction_counts_only_own_cell(self):
         dom = CubeDomain(1, 3.0, 1 / 64, "periodic")

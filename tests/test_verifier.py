@@ -15,6 +15,7 @@ from uclab.verifier import (
     TrialConfig,
     cacciopoli_check,
     delta_sweep,
+    mass_prefix,
     observability_ratio,
     run_trial,
     scaling_identity,
@@ -27,7 +28,7 @@ from uclab.verifier import (
 
 
 def ratio_of(psi, seq, dom):
-    return observability_ratio(psi, mask(seq, dom), dom, dom.norm_sq(psi))
+    return observability_ratio(mass_prefix(psi, dom, seq.G), seq, dom, dom.norm_sq(psi))
 
 
 def entry_record(psi):
@@ -38,7 +39,7 @@ def entry_record(psi):
     dom = fld.domain
     seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
     return verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                            np.zeros(dom.shape), 0.0, 0, -1e6, mask(seq, dom),
+                            np.zeros(dom.shape), 0.0, 0, -1e6, seq,
                             0.0, 0.5, math.nan)
 
 
@@ -72,6 +73,44 @@ class TestObservabilityRatio:
             r = ratio_of(np.ones(dom.shape), seq, dom)
             errs.append(abs(r - target))
         assert errs[-1] < 0.01 and errs[-1] <= errs[0]
+
+    @pytest.mark.parametrize("complex_psi", [False, True])
+    @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
+    def test_run_mass_matches_mask_mass(self, d, h_per_G, complex_psi):
+        # prefix differences over the runs against the boolean gather over
+        # the mask: same cells, summed in another order
+        dom = CubeDomain(d, 3.0, 1 / h_per_G, "periodic")
+        rng = np.random.default_rng(d)
+        psi = rng.standard_normal(dom.shape)
+        if complex_psi:
+            psi = psi + 1j * rng.standard_normal(dom.shape)
+        total = dom.norm_sq(psi)
+        prefix = mass_prefix(psi, dom, 1.0)
+        for frac in (1e-3, 0.125, 0.3, 0.499):
+            seqs = [generate_sequence(1.0, frac, 3.0, d, "centered")]
+            seqs += [generate_sequence(1.0, frac, 3.0, d, "uniform_random", seed=sd)
+                     for sd in range(3)]
+            for seq in seqs:
+                want = dom.norm_sq(psi, where=mask(seq, dom))
+                got = observability_ratio(prefix, seq, dom, total) * total
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
+    def test_vanishing_on_balls_gives_exact_zero(self, d, h_per_G):
+        dom = CubeDomain(d, 3.0, 1 / h_per_G, "periodic")
+        seq = generate_sequence(1.0, 0.3, 3.0, d, "uniform_random", seed=1)
+        psi = np.random.default_rng(0).standard_normal(dom.shape)
+        psi[mask(seq, dom)] = 0.0
+        assert ratio_of(psi, seq, dom) == 0.0
+
+    def test_prefix_for_another_G_rejected(self):
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        seq = generate_sequence(1.0, 0.25, 3.0, 2, "centered")
+        psi = np.ones(dom.shape)
+        with pytest.raises(ValueError, match="G-blocks"):
+            observability_ratio(mass_prefix(psi, dom, 3.0), seq, dom, dom.norm_sq(psi))
+        with pytest.raises(ValueError, match="divide G"):
+            mass_prefix(psi, dom, 0.7)
 
     # psi is checked where it enters: in a trial record and in a delta sweep
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -245,7 +284,7 @@ class TestTrials:
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
         m = mask(seq, dom)
         rec = verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, -1e6, m,
+                               np.zeros(dom.shape), 0.0, 0, -1e6, seq,
                                0.0, worst_ratio(vec, m), math.nan)
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
@@ -316,7 +355,7 @@ class TestDeltaSweep:
         import uclab.verifier as verifier
 
         monkeypatch.setattr(verifier, "observability_ratio",
-                            lambda psi, ball_mask, domain, total: math.nan)
+                            lambda prefix, seq, domain, total: math.nan)
         dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         res = delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
@@ -518,7 +557,7 @@ class TestInputsComputedOnce:
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"mask": 0, "worst_ratio": 0, "norm_sq": 0}
+        calls = {"mask": 0, "worst_ratio": 0, "mass_prefix": 0, "norm_sq": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -529,6 +568,8 @@ class TestInputsComputedOnce:
         monkeypatch.setattr(verifier, "mask", counted("mask", verifier.mask))
         monkeypatch.setattr(verifier, "worst_ratio",
                             counted("worst_ratio", verifier.worst_ratio))
+        monkeypatch.setattr(verifier, "mass_prefix",
+                            counted("mass_prefix", verifier.mass_prefix))
         norm_sq = CubeDomain.norm_sq
 
         def unmasked_counted(self, psi, where=None):
@@ -545,8 +586,9 @@ class TestInputsComputedOnce:
         solved = solve_field(tc)
         calls = self.spy(monkeypatch)
         run_trial(tc, solved)
-        # one norm for psi and one for zeta in each of the two records
-        assert calls == {"mask": 1, "worst_ratio": 1, "norm_sq": 4}
+        # one norm for psi and one for zeta, and one prefix table for psi,
+        # in each of the two records
+        assert calls == {"mask": 1, "worst_ratio": 1, "mass_prefix": 2, "norm_sq": 4}
 
     def test_verify_equidistribution(self, monkeypatch):
         # each field recurs non-adjacently: the two delta values are the
@@ -581,7 +623,8 @@ class TestInputsComputedOnce:
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p,
                     seq_mode="uniform_random", seq_seeds=range(3))
-        assert calls == {"mask": 12, "worst_ratio": 0, "norm_sq": 1}
+        # 12 placements read one prefix table; none builds a mask
+        assert calls == {"mask": 0, "worst_ratio": 0, "mass_prefix": 1, "norm_sq": 1}
 
 
 class TestSuiteDeterminism:
