@@ -458,16 +458,15 @@ def check_carleman_inequality(
     return CarlemanCheck(lhs_log, rhs_log, ratio)
 
 
-def annular_bump(
-    pts: np.ndarray, r_in: float, r_out: float, rise_frac: float = 0.4
-) -> np.ndarray:
+def annular_bump(pts: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     """Smooth radial bump supported on the annulus [r_in, r_out].
 
-    The smoothsteps are evaluated only inside the open annulus
-    r_in < r < r_out; every other point gets an exact 0.0.
+    Each smoothstep rises over 0.4 of the annulus width.  The smoothsteps
+    are evaluated only inside the open annulus r_in < r < r_out; every other
+    point gets an exact 0.0.
     """
     r = np.sqrt((pts**2).sum(axis=-1))
-    w = rise_frac * (r_out - r_in)
+    w = 0.4 * (r_out - r_in)
     out = np.zeros(r.shape)
     inside = (r > r_in) & (r < r_out)
     r = r[inside]

@@ -47,6 +47,11 @@ tangential components even.  (The drift parities are the
 orientation-consistent ones: the normal component is a direction and flips
 with it, which is exactly what keeps the differential inequality invariant
 under the reflection.)
+
+:func:`extension_check` measures that step for an eigenpair on every cell
+of the 3L cube, with the operator assembled from the extended field: the
+extension obeys the base cube's boundary condition there (a tiling is
+periodic, an odd mirror's outer ghosts are the next mirror's cells).
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
     "assemble",
     "apply_operator",
     "extend",
+    "extension_check",
     "reflect_block",
     "residual_inequality_check",
 ]
@@ -295,19 +301,18 @@ def reflect_block(arr: np.ndarray, axis: int, kind: str) -> np.ndarray:
     raise ValueError(kind)
 
 
+def _jump_allowance(psi: np.ndarray, h: float) -> float:
+    """The interface jump allowed at a seam of the extension of ``psi``:
+    10*h*|grad psi|_sup, with |grad psi|_sup = max over axes of max|diff|/h."""
+    return 10.0 * h * max(np.abs(np.diff(psi, axis=ax)).max() / h for ax in range(psi.ndim))
+
+
 def dirichlet_trace_excess(psi: np.ndarray, h: float) -> float:
     """How far the boundary layer of ``psi`` exceeds half the allowed
-    interface jump (10*h*|grad psi|_sup); <= 0 means a clean zero trace."""
-    grads = [np.abs(np.diff(psi, axis=ax)).max() / h for ax in range(psi.ndim)]
-    grad_sup = max(grads) if grads else 0.0
-    worst = 0.0
-    for ax in range(psi.ndim):
-        worst = max(
-            worst,
-            float(np.abs(np.take(psi, 0, axis=ax)).max()),
-            float(np.abs(np.take(psi, -1, axis=ax)).max()),
-        )
-    return worst - 5.0 * h * grad_sup
+    interface jump; <= 0 means a clean zero trace."""
+    worst = max(float(np.abs(np.take(psi, i, axis=ax)).max())
+                for ax in range(psi.ndim) for i in (0, -1))
+    return worst - 0.5 * _jump_allowance(psi, h)
 
 
 # reflect_block kind of each extended array
@@ -352,26 +357,40 @@ def extend(
     return psi3, field3, zeta3
 
 
+def extension_check(field: CoefficientField, psi: np.ndarray, lam: float) -> dict:
+    """Extend the eigenpair ``(psi, lam)`` of ``field`` and |H psi - lam psi|
+    to the 3L cube and measure two gates.  ``interface_jump_rel``: the worst
+    jump of psi3 across the lower seam of each axis over 10*h*|grad psi|_sup;
+    the wrap jump on a periodic cube, and on a Dirichlet one 2|psi| on a face,
+    which :func:`extend` bounds by the allowance, so it cannot fail there.
+    ``residual``: the worst excess of |H3 psi3| over |lam psi3| + |zeta3| on
+    the 3L cube, H3 = ``assemble(field3)``, over max(|lam|, 1)."""
+    zeta = assemble(field).apply(psi) - lam * psi
+    psi3, field3, zeta3 = extend(psi, field, zeta=np.abs(zeta))
+    n = field.domain.n
+    jump = max(float(np.abs(np.take(psi3, n - 1, axis=ax) - np.take(psi3, n, axis=ax)).max())
+               for ax in range(psi.ndim))
+    viol = residual_inequality_check(psi3, lam, zeta3, assemble(field3).apply(psi3))
+    return {
+        "interface_jump_rel": float(jump / _jump_allowance(psi, field.domain.h)),
+        "residual": viol / max(abs(lam), 1.0),
+    }
+
+
 def residual_inequality_check(
     psi: np.ndarray,
     V_compare: np.ndarray | float,
     zeta: np.ndarray | float,
     op_psi: np.ndarray,
-    interior_margin: int = 0,
 ) -> float:
     """Worst cellwise violation of |Op psi| <= |V psi| + |zeta|.
 
     ``op_psi`` is the discrete operator applied to psi (assembled matrix or
-    matrix-free).  ``interior_margin`` drops that many cell layers at the
-    edges (needed when ``op_psi`` came from the periodic stencil applied to
-    non-periodic data).  Nonpositive return means the inequality holds.
+    matrix-free).  Nonpositive return means the inequality holds.
     """
     viol = (
         np.abs(op_psi)
         - np.abs(np.asarray(V_compare) * psi)
         - np.abs(np.asarray(zeta) * np.ones_like(psi))
     )
-    if interior_margin > 0:
-        sl = tuple(slice(interior_margin, -interior_margin) for _ in range(psi.ndim))
-        viol = viol[sl]
     return float(viol.max())

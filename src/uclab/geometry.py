@@ -95,6 +95,14 @@ class CubeDomain:
         axes = np.meshgrid(*([self.centers_1d()] * self.d), indexing="ij")
         return np.stack(axes, axis=-1)
 
+    def block_cells(self, G: float) -> int:
+        """Cells per axis in one cell of the G-lattice, c = G/h; raises
+        unless the grid spacing divides G and the blocks tile the cube."""
+        c = round(G / self.h)
+        if c < 1 or abs(G / self.h - c) > 1e-9 or self.n % c:
+            raise ValueError("grid spacing must divide G")
+        return c
+
     def norm_sq(self, psi: np.ndarray, where: Optional[np.ndarray] = None) -> float:
         psi = np.asarray(psi)
         if psi.shape != self.shape:
@@ -205,9 +213,7 @@ def ball_runs(
     if domain.d != seq.d or abs(domain.L - seq.L) > 1e-12:
         raise ValueError("sequence and domain are incompatible")
     m = seq.cells_per_axis
-    c = round(seq.G / domain.h)
-    if abs(seq.G / domain.h - c) > 1e-9 or m * c != domain.n:
-        raise ValueError("grid spacing must divide G")
+    c = domain.block_cells(seq.G)
     d = domain.d
     x = domain.centers_1d()
     r2 = seq.delta**2

@@ -58,7 +58,6 @@ import ctypes
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -237,23 +236,12 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
 
 
 @_one_blas_thread()
-def projector_sample(
-    spectrum_slice: SpectrumSlice,
-    coefficients: Optional[np.ndarray] = None,
-    seed: Optional[int] = None,
-) -> np.ndarray:
-    """Normalized combination of slice members, on the grid.
-
-    The coefficients are given or drawn from ``seed``; one of the two is
-    required, so every sample is reproducible.
-    """
+def projector_sample(spectrum_slice: SpectrumSlice, coefficients: np.ndarray) -> np.ndarray:
+    """Normalized combination of slice members with the given coefficients,
+    on the grid."""
     sl = spectrum_slice
     if len(sl) == 0:
         raise ValueError("empty spectral slice")
-    if coefficients is None:
-        if seed is None:
-            raise ValueError("projector_sample needs coefficients or a seed")
-        coefficients = np.random.default_rng(seed).standard_normal(len(sl))
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(sl),):
         raise ValueError("one coefficient per slice member required")

@@ -83,6 +83,7 @@ __all__ = [
     "SweepResult",
     "delta_sweep",
     "scaling_identity",
+    "annulus_fits",
     "cacciopoli_check",
     "write_rows_jsonl",
     "write_records_jsonl",
@@ -202,9 +203,7 @@ def mass_prefix(psi: np.ndarray, domain: CubeDomain, G: float) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != domain.shape:
         raise ValueError("grid function shape mismatch")
-    c = round(G / domain.h)
-    if abs(G / domain.h - c) > 1e-9 or domain.n % c:
-        raise ValueError("grid spacing must divide G")
+    c = domain.block_cells(G)
     dens = (domain.cell_volume * np.abs(psi) ** 2).reshape(-1, domain.n // c, c)
     prefix = np.zeros(dens.shape[:2] + (c + 1,))
     np.cumsum(dens, axis=-1, out=prefix[..., 1:])
@@ -223,7 +222,7 @@ def observability_ratio(
     of two entries of its block's prefix row."""
     rows, lo, hi = ball_runs(seq, domain)
     m = seq.cells_per_axis
-    c = domain.n // m
+    c = domain.block_cells(seq.G)
     if prefix.shape != (domain.n ** (domain.d - 1), m, c + 1):
         raise ValueError("prefix table does not match the sequence's G-blocks")
     # entry [r, j, i - j*c] of grid cell i in block j sits at flat index
@@ -474,20 +473,13 @@ def delta_sweep(
     return SweepResult(slope, intercept, r2, expo, list(deltas), ratios, False)
 
 
-def scaling_identity(
-    seed: int,
-    d: int,
-    G: float,
-    delta: float,
-    L_over_G: int = 3,
-    h_per_G: int = 16,
-    fc: FreeConstants = FreeConstants(),
-) -> dict:
+def scaling_identity(seed: int, d: int, G: float, delta: float) -> dict:
     """Norm and constant sides of the rescaling identity on commensurate
-    grids: the mask is index-identical, so the defect is pure float
+    grids (a periodic cube of side 3G, 16 cells per G, default free
+    constants): the mask is index-identical, so the defect is pure float
     bookkeeping of the cell volumes."""
-    L = L_over_G * G
-    h = G / h_per_G
+    L = 3 * G
+    h = G / 16
     dom = CubeDomain(d, L, h, "periodic")
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(dom.shape)
@@ -499,6 +491,7 @@ def scaling_identity(
     norm_defect = abs(mass - G**d * mass_scaled) / max(mass, 1e-300)
 
     p = ModelParams(d=d, theta1=1.0, theta2=0.0, G=G, delta=delta, L=L)
+    fc = FreeConstants()
     la = log_c_sfuc(p, fc)
     lb = log_c_sfuc(scale_parameters(p), fc)
     return {
@@ -506,6 +499,12 @@ def scaling_identity(
         "constant_log_diff": abs(la - lb),
         "mass": float(mass),
     }
+
+
+def annulus_fits(L: float, h: float, r2: float, r: float) -> bool:
+    """Whether the annulus of outer radius ``r2``, fattened by ``r``, stays
+    two cells inside the cube of side ``L``: r2 + r + 2h < L/2."""
+    return r2 + r + 2.0 * h < L / 2.0
 
 
 def cacciopoli_check(
@@ -524,7 +523,7 @@ def cacciopoli_check(
     inequality hold, as a diagnostic for the configured choice.
     """
     dom = fld.domain
-    if r2 + r + 2.0 * dom.h >= dom.L / 2.0:
+    if not annulus_fits(dom.L, dom.h, r2, r):
         raise ValueError("fattened annulus must stay inside the cube")
     pts = dom.center_grid()
     s = np.sqrt((pts**2).sum(axis=-1))

@@ -121,6 +121,9 @@ class TestExitCodes:
                      id="cacciopoli-two-dimensions"),
         pytest.param("extend-check", {"ds": [2, 3]}, [], "ds",
                      id="extend-check-two-dimensions"),
+        # the d = 1 field's Lipschitz target is out of reach at h = 1/4
+        pytest.param("extend-check", {"h_per_G": 4}, [], "h_per_G",
+                     id="extend-check-coarse-field"),
         pytest.param("weight", {"seeds": [3, 4]}, [], "seeds", id="weight-two-seeds"),
         pytest.param("carleman-check", {"seeds": [3, 4]}, [], "seeds",
                      id="carleman-check-two-seeds"),
@@ -265,6 +268,16 @@ class TestCommands:
         assert main(["weight", "--out", str(out)]) == 0
         assert (out / "summary.csv").read_text().startswith("r,phi")
 
+    @pytest.mark.parametrize("floor, code", [(math.nan, 0), (-1.0, 1)])
+    def test_weight_gates_the_outer_floor(self, tmp_path, monkeypatch, floor, code):
+        # a NaN floor means no sample landed in the outer region
+        import uclab.carleman
+
+        slacks = {"lower": 0.0, "upper": 0.0, "outer_floor": floor, "n_inside": 1}
+        monkeypatch.setattr(uclab.carleman.WeightFunction, "bound_slacks",
+                            lambda self, x: slacks)
+        assert main(["weight", "--out", str(tmp_path / "out")]) == code
+
     def test_carleman_check_command(self, tmp_path):
         path = write_cfg(tmp_path, {"trials": 2, "ds": [1],
                                     "grids": [1 / 64, 1 / 128]})
@@ -284,6 +297,24 @@ class TestCommands:
         path = write_cfg(tmp_path, {"ds": [2], "seeds": [0, 1], "h_per_G": 16})
         out = tmp_path / "out"
         assert main(["extend-check", "--config", path, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_extend_check_runs_in_its_dimension(self, tmp_path, monkeypatch, d):
+        import uclab.spectral
+
+        solved = []
+        eigensolve = uclab.spectral.eigensolve
+
+        def recording(op, **kw):
+            solved.append(op.domain.d)
+            return eigensolve(op, **kw)
+
+        monkeypatch.setattr(uclab.spectral, "eigensolve", recording)
+        path = write_cfg(tmp_path, {"ds": [d], "seeds": [0, 1], "h_per_G": 16})
+        out = tmp_path / "out"
+        assert main(["extend-check", "--config", path, "--out", str(out)]) == 0
+        assert solved == [d, d]
+        assert json.loads((out / "report.json").read_text())["worst"]["residual"] <= 1e-12
 
     def test_h_flag_overrides_grid(self, tmp_path):
         path = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
@@ -352,6 +383,22 @@ class TestFieldFileFlag:
         assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["worst"]["residual"] <= 1e-12
+
+    def test_extend_check_fails_on_an_even_normal_drift(self, tmp_path, monkeypatch):
+        # mirroring the drift's normal component evenly breaks the residual
+        # inequality on the extension: the residual gate must see it
+        import uclab.discretization
+        from uclab.fields import save_field, synthesize_random_field
+        from uclab.geometry import CubeDomain
+
+        fld = synthesize_random_field(4, CubeDomain(2, 3.0, 1 / 16, "dirichlet"), 1.3,
+                                      norm_V=0.7, norm_b=0.4, norm_c=0.3, sa=True)
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        monkeypatch.setitem(uclab.discretization._PARITY, "b", "scalar")
+        out = tmp_path / "out"
+        assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 1
+        assert json.loads((out / "report.json").read_text())["worst"]["residual"] > 1e-3
 
     def test_cacciopoli_check_rejects_a_coarse_field_file(self, tmp_path, capsys):
         import numpy as np

@@ -11,6 +11,7 @@ from uclab.discretization import (
     apply_operator,
     assemble,
     extend,
+    extension_check,
     reflect_block,
     residual_inequality_check,
 )
@@ -483,6 +484,15 @@ class TestDirichletExtension:
         # off-diagonals vanish at the face, so the mirrored jump stays within
         # one quantization step of the declared constant
         assert lip_ext <= lip_base + 10.0 * dom.h * fld.declared_theta2 + 1e-9
+
+
+class TestExtensionCheck:
+    def test_wrap_jump_fails_the_allowance(self):
+        # a ramp on a periodic cube jumps by L - h across the wrap, far more
+        # than 10 h times its unit slope
+        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
+        res = extension_check(laplacian_field(dom), dom.centers_1d(), 0.0)
+        assert res["interface_jump_rel"] == pytest.approx((dom.L - dom.h) / (10.0 * dom.h))
 
 
 class TestResidualInequality:

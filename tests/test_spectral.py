@@ -315,21 +315,17 @@ class TestProjectorSample:
         win = window(full, lo - 1e-9, hi + 1e-9)
         assert len(win) == 7  # the window closes over the pair at hi
         for seed in range(20):
-            psi = projector_sample(win, seed=seed)
+            coeff = np.random.default_rng(seed).standard_normal(len(win))
+            psi = projector_sample(win, coeff)
             r = np.linalg.norm(H.matrix @ psi.ravel() - E * psi.ravel())
             assert r <= gamma + 10 * win.residual_bound + 1e-10
-
-    def test_needs_coefficients_or_seed(self):
-        win = eigensolve(periodic_laplacian(), count=3)
-        with pytest.raises(ValueError, match="coefficients or a seed"):
-            projector_sample(win)
 
     def test_empty_slice_rejected(self):
         H = periodic_laplacian()
         empty = SpectrumSlice(np.empty(0), np.empty((H.matrix.shape[0], 0)), 0.0,
                               H.domain.shape)
         with pytest.raises(ValueError, match="empty spectral slice"):
-            projector_sample(empty, seed=0)
+            projector_sample(empty, np.empty(0))
 
 
 class TestDump:
@@ -415,7 +411,7 @@ class TestOneBlasThread:
         assert _blas_counts() == [2] * two_threads
         eigensolve(variable, count=4)
         assert _blas_counts() == [2] * two_threads
-        projector_sample(sl, seed=0)
+        projector_sample(sl, np.ones(len(sl)))
         assert _blas_counts() == [2] * two_threads
         worst_ratio(sl.eigenvectors, np.arange(sl.eigenvectors.shape[0]) % 3 == 0)
         assert _blas_counts() == [2] * two_threads
@@ -438,7 +434,8 @@ class TestOneBlasThread:
             out = []
             for op in (const, variable):
                 sl = eigensolve(op, count=4)
-                out += [sl.eigenvalues, sl.eigenvectors, projector_sample(sl, seed=1),
+                coeff = np.random.default_rng(1).standard_normal(len(sl))
+                out += [sl.eigenvalues, sl.eigenvectors, projector_sample(sl, coeff),
                         worst_ratio(sl.eigenvectors, ball)]
             return out
 
