@@ -325,12 +325,13 @@ def synthesize_random_field(
 
     With a zero Lipschitz target A is a constant matrix whose spectrum pins
     the ellipticity target exactly.  Otherwise the log-amplitude of a scalar
-    (diagonal) A is a two-mode cosine along a random axis: the amplitude hits
-    the ellipticity target exactly and the mode mixture is bisected until the
-    measured Lipschitz constant lands within ``tol`` of its target.  On a
-    Dirichlet domain A is diagonal and every cosine has phase zero.  Raises
-    when the Lipschitz target is unreachable at the grid's frequency
-    resolution.  Deterministic per seed.
+    (diagonal) A is a two-mode cosine along a random axis, divided by its
+    largest magnitude over the cell centers, so the ellipticity measured on
+    the grid hits its target exactly on every grid; the mode mixture is
+    bisected until the measured Lipschitz constant lands within ``tol`` of
+    its target.  On a Dirichlet domain A is diagonal and every cosine has
+    phase zero.  Raises when the Lipschitz target is unreachable at the
+    grid's frequency resolution.  Deterministic per seed.
     """
     if target_theta1 < 1.0:
         raise ValueError("ellipticity target must be >= 1")
@@ -357,7 +358,8 @@ def synthesize_random_field(
             f = wmix * _phase(domain, kbase * k1, phase) + (1.0 - wmix) * _phase(
                 domain, 2 * kbase * k1, 2 * phase
             )
-            return np.exp(beta * f)
+            # the sampled max |f| is 1, so max(a, 1/a) is exp(beta) = theta1
+            return np.exp(beta * (f / np.abs(f).max()))
 
         def measured(wmix: float, kbase: int) -> float:
             a = profile(wmix, kbase)

@@ -11,8 +11,10 @@ lattice cell: its block of ``G/h`` cells per axis.
 :func:`ball_runs` is the one home of the ball predicate.  Along the grid's
 last axis the covered cells of one block row form a single run, so a
 placement is described by one ``[lo, hi)`` pair per row crossing a ball
-instead of one flag per cell; :func:`mask` fills its grid from the runs, and
-a captured mass is read from row prefix sums over the runs.  The run is
+instead of one flag per cell.  :func:`ball_cells` expands the runs to the
+sorted flat indices of the covered cells: a trial gathers its masses and
+eigenvector rows by them, and :func:`mask` sets them in a boolean grid.  A
+delta sweep reads the runs against row prefix sums instead.  The run is
 exact: with ``p`` the squared distance over the first ``d - 1`` axes,
 accumulated in axis order, a cell is covered when
 ``fl(p + fl((x - z)^2)) < delta^2``; rounding is monotone, so that
@@ -38,6 +40,7 @@ __all__ = [
     "SiteDecomposition",
     "generate_sequence",
     "ball_runs",
+    "ball_cells",
     "mask",
     "classify_sites",
     "window_containment_margin",
@@ -104,11 +107,14 @@ class CubeDomain:
         return c
 
     def norm_sq(self, psi: np.ndarray, where: Optional[np.ndarray] = None) -> float:
+        """``h^d * sum(|psi|^2)`` over the cube, or over ``where``: a boolean
+        grid of the grid's shape or flat indices into the flattened grid."""
         psi = np.asarray(psi)
         if psi.shape != self.shape:
             raise ValueError("grid function shape mismatch")
         if where is not None:
-            psi = psi[where]
+            where = np.asarray(where)
+            psi = psi[where] if where.dtype == bool else psi.reshape(-1)[where]
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
@@ -263,22 +269,32 @@ def ball_runs(
     return rows[keep], lo[keep], hi[keep]
 
 
+def ball_cells(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
+    """Sorted row-major flat indices of the cells that :func:`ball_runs`
+    covers: a gather by them visits cells in the order a boolean mask does.
+    The runs are disjoint, so ordering them by first cell orders the cells."""
+    rows, lo, hi = ball_runs(seq, domain)
+    starts = rows * domain.n + lo
+    order = np.argsort(starts)
+    starts, lengths = starts[order], (hi - lo)[order]
+    # cell j of the concatenated runs is j plus its run's start minus the
+    # number of cells in the runs before it
+    before = np.cumsum(lengths) - lengths
+    return np.repeat(starts - before, lengths) + np.arange(lengths.sum())
+
+
 def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
     """Boolean grid marking cells whose center lies in some delta-ball.
 
-    The grid is filled from :func:`ball_runs`, the one place the ball
-    predicate is evaluated, so the flags are exactly the cells that
-    ``p + (x - z)**2 < delta**2`` admits, the squared distance accumulated
-    in axis order; a center at exactly distance ``delta`` is outside.  Each
-    run adds one where it starts and subtracts one where it stops; the
-    running sum along the row is positive on covered cells.
+    The grid is set at :func:`ball_cells`, which reads :func:`ball_runs`,
+    the one place the ball predicate is evaluated, so the flags are exactly
+    the cells that ``p + (x - z)**2 < delta**2`` admits, the squared
+    distance accumulated in axis order; a center at exactly distance
+    ``delta`` is outside.
     """
-    rows, lo, hi = ball_runs(seq, domain)
-    n = domain.n
-    edges = np.zeros((n ** (domain.d - 1), n + 1), dtype=np.int8)
-    edges[rows, lo] = 1
-    edges[rows, hi] -= 1
-    return (np.cumsum(edges[:, :n], axis=1) > 0).reshape(domain.shape)
+    flags = np.zeros(domain.n**domain.d, dtype=bool)
+    flags[ball_cells(seq, domain)] = True
+    return flags.reshape(domain.shape)
 
 
 @dataclass(frozen=True)

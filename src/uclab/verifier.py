@@ -9,12 +9,12 @@ union of delta-balls with the theoretical lower bound at the same parameters.
 
 The bounds underflow double precision by design (their logs reach -1e6), so
 records carry only their natural log ``log_bound``.  The margin is the log
-headroom ``log(ratio) - log_bound`` on the mask mass alone (``-inf`` when the
+headroom ``log(ratio) - log_bound`` on the ball mass alone (``-inf`` when the
 ratio is zero); it is positive exactly when the ratio clears the bound and
 says by how many e-folds it does.  The residual term
 ``delta^2 G^2 ||zeta||^2`` is computed and reported separately so trials
-where it dominates the left-hand side are distinguishable from genuine mask
-mass.  ``worst_ratio`` is the smallest mask fraction over the whole span of
+where it dominates the left-hand side are distinguishable from genuine ball
+mass.  ``worst_ratio`` is the smallest ball fraction over the whole span of
 the eigenpairs in the trial's energy window, a number that does not depend
 on which orthonormal basis the solver returns inside a degenerate
 eigenspace.  Records are reproducible bit for bit from (config, seed): the
@@ -23,12 +23,14 @@ on one thread, so with OpenBLAS the bytes do not depend on
 ``OPENBLAS_NUM_THREADS``.
 
 A grid function is checked once, where it enters a record or a delta sweep:
-its squared norm on the whole cube must be finite and nonzero.  That norm,
-its :func:`mass_prefix` table, the trial's mask and its ``worst_ratio`` are
-each computed once and shared by everything that divides by or sums over
-them.  A placement's captured mass is read from the prefix table over the
-:func:`~uclab.geometry.ball_runs` of its balls, so a delta sweep costs one
-pass over the grid per grid function, not one per placement.
+its squared norm on the whole cube must be finite and nonzero.  A trial
+finds the covered cells of its one placement once, as the flat indices of
+:func:`~uclab.geometry.ball_cells`; each record's ``ratio`` sums over them
+and ``worst_ratio`` gathers its eigenvector rows by them.  A delta sweep
+measures many placements of one grid function instead: it builds one
+:func:`mass_prefix` table and reads each placement's mass from it over the
+:func:`~uclab.geometry.ball_runs` of its balls, so it costs one pass over
+the grid per grid function, not one per placement.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from uclab.fields import (
 from uclab.geometry import (
     CubeDomain,
     EquidistributedSequence,
+    ball_cells,
     ball_runs,
     generate_sequence,
     mask,
@@ -100,7 +103,7 @@ Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
 
 @dataclass(frozen=True)
 class ObservabilityRecord:
-    """One experiment: measured mask fraction against the theoretical bound."""
+    """One experiment: measured ball fraction against the theoretical bound."""
 
     psi_kind: str
     d: int
@@ -233,15 +236,17 @@ def observability_ratio(
 
 
 @_one_blas_thread()
-def worst_ratio(vectors: np.ndarray, ball_mask: np.ndarray) -> float:
-    """Smallest mass fraction captured by the mask over the span of the
-    l2-orthonormal columns of ``vectors`` (flattened grid functions).
+def worst_ratio(vectors: np.ndarray, cells: np.ndarray) -> float:
+    """Smallest mass fraction captured by the cells S over the span of the
+    l2-orthonormal columns of ``vectors`` (flattened grid functions); S is
+    given as sorted flat indices (:func:`~uclab.geometry.ball_cells`) or as
+    a flat boolean mask.
 
-    For psi = V c the fraction is c^* V^* diag(mask) V c / |c|^2, so the
-    minimum is the lowest eigenvalue of the k x k matrix V_S^* V_S, V_S the
-    rows of V inside the mask; it does not depend on the basis of the span.
+    For psi = V c the fraction is c^* V_S^* V_S c / |c|^2, so the minimum
+    is the lowest eigenvalue of the k x k matrix V_S^* V_S, V_S the rows of
+    V in S; it does not depend on the basis of the span.
     """
-    inside = vectors[ball_mask.reshape(-1)]
+    inside = vectors[cells]
     return float(np.linalg.eigvalsh(inside.conj().T @ inside)[0])
 
 
@@ -281,14 +286,14 @@ def _record(
     energy: float,
     eigen_index: int,
     log_bound: float,
-    seq: EquidistributedSequence,
+    cells: np.ndarray,
     residual_violation: float,
     window_worst: float,
     log_gamma: float,
 ) -> ObservabilityRecord:
     dom = fld.domain
     total = _total_norm_sq(psi, dom)
-    ratio = observability_ratio(mass_prefix(psi, dom, tc.G), seq, dom, total)
+    ratio = dom.norm_sq(psi, where=cells) / total
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
@@ -337,7 +342,8 @@ def run_trial(
     lg = log_gamma_window(p, fc, E)
     atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
     window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
-    window_worst = worst_ratio(window.eigenvectors, mask(seq, fld.domain))
+    cells = ball_cells(seq, fld.domain)
+    window_worst = worst_ratio(window.eigenvectors, cells)
 
     # (kind, psi, what H psi is compared against, log bound, log gamma): an
     # eigenfunction of H against the potential, and a random combination of
@@ -354,7 +360,7 @@ def run_trial(
         zeta = op_psi - compare * psi
         viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
         records.append(_record(tc, fc, fld, kind, psi, zeta, E, idx, log_bound,
-                               seq, viol, window_worst, log_gamma))
+                               cells, viol, window_worst, log_gamma))
     return records
 
 

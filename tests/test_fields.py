@@ -238,6 +238,13 @@ class TestSynthesis:
                 assert abs(estimate_ellipticity(fld.A) - t1) <= 0.05 * t1
                 assert abs(estimate_lipschitz(fld.A, dom.h) - t2) <= 0.05 * t2
 
+    def test_ellipticity_exact_on_a_coarse_grid(self):
+        # the two-mode profile's maximum falls between cell centers on this
+        # grid; the sampled maximum sets the amplitude
+        dom = CubeDomain(1, 3.0, 1 / 4, "dirichlet")
+        fld = synthesize_random_field(1, dom, 4 / 3, 1.3)
+        assert abs(estimate_ellipticity(fld.A) - 4 / 3) <= 1e-12
+
     def test_unreachable_target_rejected(self):
         dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from uclab.geometry import (
     EquidistributedSequence,
     _lattice,
     _window_sums,
+    ball_cells,
     ball_runs,
     classify_sites,
     feasible_window_side,
@@ -131,7 +132,8 @@ class TestMask:
     @pytest.mark.parametrize("d, L_over_G", [(1, 5), (2, 5), (3, 3)])
     def test_block_evaluation_matches_gather_reference(self, d, L_over_G, h_per_G):
         # reference: the owning center gathered per grid cell, reduced over
-        # the coordinate axis; the block evaluation must agree bit for bit
+        # the coordinate axis; the block evaluation must agree bit for bit,
+        # and the flat cell indices must be the mask's, sorted and unique
         G = 1.0
         dom = CubeDomain(d, L_over_G * G, G / h_per_G, "periodic")
         for frac in (1e-3, 0.125, 0.3, 0.499):
@@ -139,7 +141,11 @@ class TestMask:
             seqs += [generate_sequence(G, frac * G, dom.L, d, "uniform_random",
                                        seed=sd) for sd in range(3)]
             for s in seqs:
-                assert np.array_equal(mask(s, dom), gather_mask(s, dom))
+                m = mask(s, dom)
+                assert np.array_equal(m, gather_mask(s, dom))
+                cells = ball_cells(s, dom)
+                assert np.array_equal(cells, np.flatnonzero(m))
+                assert (np.diff(cells) > 0).all()
 
     def test_center_at_exactly_delta_is_excluded(self):
         # ball centers shifted by h/2 from the lattice points, so the cell

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import uclab.verifier as verifier
 from uclab.constants import FreeConstants, ModelParams, cacciopoli_prefactor, log_c_sfuc
 from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_random_field
-from uclab.geometry import CubeDomain, generate_sequence, mask
+from uclab.geometry import CubeDomain, ball_cells, generate_sequence, mask
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
     TrialConfig,
@@ -37,9 +37,9 @@ def entry_record(psi):
                      delta_over_G=0.25, seed=0, h_per_G=16)
     fld = verifier.benchmark_field(tc)
     dom = fld.domain
-    seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
+    cells = ball_cells(generate_sequence(1.0, 0.25, 3.0, 1, "centered"), dom)
     return verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                            np.zeros(dom.shape), 0.0, 0, -1e6, seq,
+                            np.zeros(dom.shape), 0.0, 0, -1e6, cells,
                             0.0, 0.5, math.nan)
 
 
@@ -78,7 +78,8 @@ class TestObservabilityRatio:
     @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
     def test_run_mass_matches_mask_mass(self, d, h_per_G, complex_psi):
         # prefix differences over the runs against the boolean gather over
-        # the mask: same cells, summed in another order
+        # the mask: same cells, summed in another order; the gather by flat
+        # cell indices sums them in the mask's order, so bit for bit
         dom = CubeDomain(d, 3.0, 1 / h_per_G, "periodic")
         rng = np.random.default_rng(d)
         psi = rng.standard_normal(dom.shape)
@@ -91,9 +92,15 @@ class TestObservabilityRatio:
             seqs += [generate_sequence(1.0, frac, 3.0, d, "uniform_random", seed=sd)
                      for sd in range(3)]
             for seq in seqs:
-                want = dom.norm_sq(psi, where=mask(seq, dom))
+                m = mask(seq, dom)
+                want = dom.norm_sq(psi, where=m)
                 got = observability_ratio(prefix, seq, dom, total) * total
                 assert abs(got - want) <= 1e-12 * want
+                assert dom.norm_sq(psi, where=ball_cells(seq, dom)) == want
+        # a boolean where is read against the grid, so it must have its shape
+        for wrong in (m[None], m[..., :-1]):
+            with pytest.raises(IndexError):
+                dom.norm_sq(psi, where=wrong)
 
     @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
     def test_vanishing_on_balls_gives_exact_zero(self, d, h_per_G):
@@ -141,6 +148,7 @@ class TestWorstRatio:
     def test_basis_independent_minimum_over_the_span(self):
         V, inside = self.span_and_mask(3)
         w = worst_ratio(V, inside)
+        assert worst_ratio(V, np.flatnonzero(inside)) == w  # same rows, same order
         rng = np.random.default_rng(1)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         assert abs(worst_ratio(V @ Q, inside) - w) <= 1e-13
@@ -153,6 +161,8 @@ class TestWorstRatio:
     def test_single_member_is_its_ratio(self):
         V, inside = self.span_and_mask(1)
         assert abs(worst_ratio(V, inside) - self.fraction(V[:, 0], inside)) <= 1e-15
+        cells = np.flatnonzero(inside)
+        assert abs(worst_ratio(V, cells) - self.fraction(V[:, 0], inside)) <= 1e-15
 
     def test_degenerate_records_agree_with_default_ordering_reference(self, monkeypatch):
         # d=2 periodic, norm_V = 0: constant A without potential, degenerate
@@ -282,10 +292,10 @@ class TestTrials:
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         psi = np.where(mask(seq, dom), 0.0, 1.0)
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
-        m = mask(seq, dom)
+        cells = ball_cells(seq, dom)
         rec = verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, -1e6, seq,
-                               0.0, worst_ratio(vec, m), math.nan)
+                               np.zeros(dom.shape), 0.0, 0, -1e6, cells,
+                               0.0, worst_ratio(vec, cells), math.nan)
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
 
@@ -557,7 +567,8 @@ class TestInputsComputedOnce:
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"mask": 0, "worst_ratio": 0, "mass_prefix": 0, "norm_sq": 0}
+        calls = {"ball_cells": 0, "mask": 0, "worst_ratio": 0, "mass_prefix": 0,
+                 "norm_sq": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -565,6 +576,8 @@ class TestInputsComputedOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(verifier, "ball_cells",
+                            counted("ball_cells", verifier.ball_cells))
         monkeypatch.setattr(verifier, "mask", counted("mask", verifier.mask))
         monkeypatch.setattr(verifier, "worst_ratio",
                             counted("worst_ratio", verifier.worst_ratio))
@@ -586,9 +599,11 @@ class TestInputsComputedOnce:
         solved = solve_field(tc)
         calls = self.spy(monkeypatch)
         run_trial(tc, solved)
-        # one norm for psi and one for zeta, and one prefix table for psi,
-        # in each of the two records
-        assert calls == {"mask": 1, "worst_ratio": 1, "mass_prefix": 2, "norm_sq": 4}
+        # the covered cells once for the trial's placement, and one norm for
+        # psi and one for zeta in each of the two records; no mask, no
+        # prefix table
+        assert calls == {"ball_cells": 1, "mask": 0, "worst_ratio": 1,
+                         "mass_prefix": 0, "norm_sq": 4}
 
     def test_verify_equidistribution(self, monkeypatch):
         # each field recurs non-adjacently: the two delta values are the
@@ -624,7 +639,8 @@ class TestInputsComputedOnce:
         delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p,
                     seq_mode="uniform_random", seq_seeds=range(3))
         # 12 placements read one prefix table; none builds a mask
-        assert calls == {"mask": 0, "worst_ratio": 0, "mass_prefix": 1, "norm_sq": 1}
+        assert calls == {"ball_cells": 0, "mask": 0, "worst_ratio": 0,
+                         "mass_prefix": 1, "norm_sq": 1}
 
 
 class TestSuiteDeterminism:
