@@ -14,6 +14,13 @@ cube add cells where every integrand is zero and leave the active cells,
 their row-major order and their values unchanged; on a dyadic h the cell
 centres do not depend on the cube's size either.  So :func:`carleman_trial`
 builds the smallest cube that holds the bump plus that two-cell margin.
+
+The checker takes a constant coefficient as a constant (A as one (d, d)
+matrix, b as one (d,) vector, c as a scalar) and returns, bit for bit, what
+the grid it stands for gives (why: :func:`~uclab.discretization.apply_operator`).
+:func:`carleman_trial` passes its constants so, and builds the bump's radius
+and cos modulation from the 1-D cell centres by broadcasting, so a
+constant-A trial builds no (n^d, d) or (n^d, d, d) array.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ from scipy.special import exp1, logsumexp
 
 from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
-from uclab.fields import constant_spd_field, periodic_gradient_energy
+from uclab.fields import (
+    _require_finite,
+    constant_spd_field,
+    periodic_gradient,
+    periodic_gradient_energy,
+)
 from uclab.geometry import CubeDomain
 
 __all__ = [
@@ -74,8 +86,9 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
     small = x_arr <= _EIN_CUT
     xs = x_arr[small]
     acc = np.full_like(xs, _EIN_SERIES[-1])
-    for coeff in _EIN_SERIES[-2::-1]:
-        acc = acc * xs + coeff
+    for coeff in _EIN_SERIES[-2::-1]:  # in place: no temporary per term
+        acc *= xs
+        acc += coeff
     out[small] = xs * acc
     xb = x_arr[~small]
     out[~small] = np.euler_gamma + np.log(xb) + exp1(xb)
@@ -385,11 +398,31 @@ def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
     return float(logsumexp(terms_log[mask], b=weights[mask]))
 
 
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2; z * z for real z, which is the same number."""
+    return np.abs(z) ** 2 if np.iscomplexobj(z) else np.square(z)
+
+
+def _active_integrands(u, A, b, c, h):
+    """The cells where the gradient energy, |u|^2 or |Op u|^2 is positive,
+    as ``np.nonzero`` index arrays, and the three integrands there.
+
+    The whole-cube arrays live only inside this function, so they are freed
+    before the weights and sums are taken.
+    """
+    grad = periodic_gradient(u, h)
+    grad_energy = periodic_gradient_energy(grad, A)
+    op_sq = _abs_sq(apply_operator(A, b, c, None, u, h, grad=grad))
+    u_sq = _abs_sq(u)
+    active = np.nonzero((grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0))
+    return active, grad_energy[active], u_sq[active], op_sq[active]
+
+
 def check_carleman_inequality(
     u: np.ndarray,
     A: np.ndarray,
     b: Optional[np.ndarray],
-    c: Optional[np.ndarray],
+    c: Optional[np.ndarray | float],
     h: float,
     weight: WeightFunction,
     alpha: float,
@@ -402,11 +435,15 @@ def check_carleman_inequality(
     must vanish outside the euclidean rho-ball, in a punctured neighborhood of
     the origin (radius 2h), and on a margin of two cells at the cube boundary
     (the stencil wraps); the three checks look only at the cells where
-    |u| / max|u| exceeds ``SUPPORT_TOL``.  ``A`` is a real matrix field.
-    Derivatives are centered, integrals are midpoint sums accumulated by
-    log-sum-exp, and the two sides are compared through logs; the ratio is
-    exp(lhs_log - rhs_log), and inf when that overflows or the right side
-    vanishes, so a degenerate operator fails the check.
+    |u| / max|u| exceeds ``SUPPORT_TOL``.  ``A`` is a real matrix grid or
+    one constant (d, d) matrix, ``b`` a vector grid or one (d,) vector, ``c``
+    a grid or a scalar (module docstring); a NaN or inf in u, A, b or c
+    raises a ValueError that names it.  Derivatives are centered, those of u
+    computed once for the gradient energy and the operator; integrals are
+    midpoint sums accumulated by log-sum-exp, and the two sides are compared
+    through logs; the ratio is exp(lhs_log - rhs_log), and inf when that
+    overflows or the right side vanishes, so a degenerate operator fails
+    the check.
 
     Every cell of the given cube is evaluated.  Padding u with zero cells
     (and A, b, c with any finite values) does not change the result on a
@@ -416,6 +453,9 @@ def check_carleman_inequality(
     n = u.shape[0]
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
+    for name, value in (("u", u), ("A", A), ("b", b), ("c", c)):
+        if value is not None:
+            _require_finite(name, value)
     if np.iscomplexobj(A):
         raise ValueError("A must be a real matrix field")
     rho = weight.rho
@@ -434,15 +474,9 @@ def check_carleman_inequality(
     if any(np.any((i < 2) | (i >= n - 2)) for i in big):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    grad_energy = periodic_gradient_energy(u, A, h)
-    op_u = apply_operator(A, b, c, None, u, h)
-    op_sq = np.abs(op_u) ** 2
-    u_sq = np.abs(u) ** 2
-
-    active = (grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0)
-    pts = np.stack([centers[i] for i in np.nonzero(active)], axis=-1)
+    active, ge, us, os_ = _active_integrands(u, A, b, c, h)
+    pts = np.stack([centers[i] for i in active], axis=-1)
     lw = weight.log_weight(pts)
-    ge, us, os_ = grad_energy[active], u_sq[active], op_sq[active]
 
     log_cell = d * math.log(h)
     lhs1 = _logsum((1.0 - 2.0 * alpha) * lw, ge) + math.log(alpha * rho**2) + log_cell
@@ -458,14 +492,15 @@ def check_carleman_inequality(
     return CarlemanCheck(lhs_log, rhs_log, ratio)
 
 
-def annular_bump(pts: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
-    """Smooth radial bump supported on the annulus [r_in, r_out].
+def annular_bump(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
+    """Smooth radial bump at the radii ``r``, supported on the annulus
+    [r_in, r_out].
 
     Each smoothstep rises over 0.4 of the annulus width.  The smoothsteps
     are evaluated only inside the open annulus r_in < r < r_out; every other
     point gets an exact 0.0.
     """
-    r = np.sqrt((pts**2).sum(axis=-1))
+    r = np.asarray(r, dtype=float)
     w = 0.4 * (r_out - r_in)
     out = np.zeros(r.shape)
     inside = (r > r_in) & (r < r_out)
@@ -522,28 +557,24 @@ def carleman_trial(
     # the bump plus the checker's two-cell zero margin on every side
     n = 2 * (math.ceil(r_out / h) + 2)
     dom = CubeDomain(d, n * h, h, "periodic")
-    pts = dom.center_grid()
+    # the cell centres as an open grid: x[k] varies along axis k only
+    x = np.ix_(*[dom.centers_1d()] * d)
     if variable_A:
         amp = theta2 * 2.0 * rho / math.pi  # slope pi/(2 rho) times amp
         base = 0.5 * (theta1 + 1.0 / theta1)
-        a_scalar = base + amp * np.sin(math.pi * pts[..., 0] / (2.0 * rho))
-        A = np.zeros(pts.shape[:-1] + (d, d))
+        a_scalar = base + amp * np.sin(math.pi * x[0] / (2.0 * rho))
+        A = np.zeros(dom.shape + (d, d))
         idx = np.arange(d)
         A[..., idx, idx] = a_scalar[..., None]
         A0 = np.eye(d) * base
     else:
-        A = constant_spd_field(seed, dom, theta1)
-        A0 = A[(0,) * d]
-    b = None
-    c = None
-    if with_drift:
-        b = np.full(pts.shape[:-1] + (d,), 0.0)
-        b += norm_b * direction
-        c = np.full(pts.shape[:-1], norm_c)
+        A = A0 = constant_spd_field(seed, dom, theta1)[(0,) * d]
+    b, c = (norm_b * direction, norm_c) if with_drift else (None, None)
 
-    u = annular_bump(pts, r_in, r_out)
+    # the radius of each cell centre, its squares summed over the axes in order
+    u = annular_bump(np.sqrt(sum(xk**2 for xk in x)), r_in, r_out)
     if d >= 2:
-        u = u * (1.0 + 0.3 * np.cos(2.0 * math.pi * pts[..., 0] / rho))
+        u = u * (1.0 + 0.3 * np.cos(2.0 * math.pi * x[0] / rho))
 
     mu1 = mu_one(theta1, mu)
     p = ModelParams(d=d, theta1=theta1, theta2=theta2, norm_b=norm_b, norm_c=norm_c)

@@ -64,9 +64,11 @@ import scipy.sparse as sp
 
 from uclab.fields import (
     CoefficientField,
+    _wrapped_difference,
     check_boundary_conditions,
     divergence_centered,
     periodic_centered_diff,
+    periodic_gradient,
 )
 from uclab.geometry import CubeDomain
 
@@ -227,51 +229,69 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
 def apply_operator(
     A: np.ndarray,
     b: Optional[np.ndarray],
-    c: Optional[np.ndarray],
-    V: Optional[np.ndarray],
+    c: Optional[np.ndarray | float],
+    V: Optional[np.ndarray | float],
     u: np.ndarray,
     h: float,
+    *,
+    grad: Optional[list[np.ndarray]] = None,
 ) -> np.ndarray:
     """Matrix-free periodic-stencil application of the operator.
 
     Index arithmetic matches :func:`assemble` with periodic wrapping, so for
     data that is genuinely periodic (or compactly supported away from the
-    boundary) the result is exact on interior cells.
+    boundary) the result is exact on interior cells.  Neighbours are read by
+    slicing, each cell the same subtraction as an ``np.roll`` pair.
+
+    A constant coefficient may be passed as a constant: ``A`` as one (d, d)
+    matrix, ``b`` as one (d,) vector, ``c`` and ``V`` as scalars.  For
+    finite data the result equals the grid call bit for bit: a product with
+    a constant takes the same scalar in every cell, the face average
+    0.5 (a + a) of a constant a is a exactly, and the centered divergence of
+    a constant b is exactly 0, so its term is skipped (``out`` starts at
+    +0.0 and only gains sums, so it never holds -0.0 and subtracting a zero
+    leaves it unchanged).  The centered differences of u are computed once;
+    a caller that holds them passes ``grad`` = ``periodic_gradient(u, h)``.
     """
     d = u.ndim
-    any_complex = (
-        np.iscomplexobj(u)
-        or np.iscomplexobj(A)
-        or (b is not None and np.iscomplexobj(b))
-        or (c is not None and np.iscomplexobj(c))
-    )
+    A = np.asarray(A)
+    any_complex = any(np.iscomplexobj(x) for x in (u, A, b, c, V) if x is not None)
+    # every term is added in place to ``out``; the sums and their order are
+    # those of ``out = out + term``
     out = np.zeros(u.shape, dtype=complex if any_complex else float)
+    if grad is None:
+        grad = periodic_gradient(u, h)
     for ax in range(d):
         a = A[..., ax, ax]
-        a_plus = 0.5 * (a + np.roll(a, -1, axis=ax))
-        a_minus = 0.5 * (a + np.roll(a, 1, axis=ax))
-        out = out + (
-            a_plus * (u - np.roll(u, -1, axis=ax))
-            + a_minus * (u - np.roll(u, 1, axis=ax))
-        ) / h**2
+        if a.ndim:
+            a_plus = 0.5 * (a + np.roll(a, -1, axis=ax))
+            a_minus = 0.5 * (a + np.roll(a, 1, axis=ax))
+        else:
+            a_plus = a_minus = a
+        flux = a_plus * _wrapped_difference(u, ax, 0, 1)
+        flux += a_minus * _wrapped_difference(u, ax, 0, -1)
+        flux /= h**2
+        out += flux
     for i in range(d):
         for j in range(d):
             if i == j or not np.any(A[..., i, j]):
                 continue
-            F = A[..., i, j] * periodic_centered_diff(u, j, h)
-            out = out - periodic_centered_diff(F, i, h)
+            F = A[..., i, j] * grad[j]
+            out -= periodic_centered_diff(F, i, h)
     if b is not None and np.any(b):
+        b = np.asarray(b)
         for ax in range(d):
             bcomp = b[..., ax]
-            out = out + 0.5 * (
-                bcomp * periodic_centered_diff(u, ax, h)
-                + periodic_centered_diff(bcomp * u, ax, h)
-            )
-        out = out - 0.5 * divergence_centered(b, h, "periodic") * u
+            drift = bcomp * grad[ax]
+            drift += periodic_centered_diff(bcomp * u, ax, h)
+            drift *= 0.5
+            out += drift
+        if b.ndim > 1:
+            out -= 0.5 * divergence_centered(b, h, "periodic") * u
     if c is not None:
-        out = out + c * u
+        out += c * u
     if V is not None:
-        out = out + V * u
+        out += V * u
     return out
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "estimate_ellipticity",
     "estimate_lipschitz",
     "periodic_centered_diff",
+    "periodic_gradient",
     "periodic_gradient_energy",
     "divergence_centered",
     "make_self_adjoint",
@@ -56,9 +57,7 @@ class CoefficientField:
         if self.c.shape != shape or self.V.shape != shape:
             raise ValueError("c/V grid shape mismatch")
         for name in ("A", "b", "c", "V"):
-            bad = int(np.count_nonzero(~np.isfinite(getattr(self, name))))
-            if bad:
-                raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
+            _require_finite(name, getattr(self, name))
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("A must be exactly symmetric cellwise")
         # assemble's spectral floor rests on a PSD second-order part
@@ -89,6 +88,14 @@ class CoefficientField:
         ) and (not np.iscomplexobj(self.c) or not self.c.imag.any())
 
 
+def _require_finite(name: str, value) -> None:
+    """Raise a ValueError naming ``value`` when it holds a NaN or inf."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        bad = int(np.count_nonzero(~finite))
+        raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
+
+
 def estimate_ellipticity(A: np.ndarray) -> float:
     """max over cells of max(lambda_max, 1/lambda_min), clamped to >= 1.
 
@@ -115,22 +122,59 @@ def estimate_lipschitz(A: np.ndarray, h: float) -> float:
     return worst / h
 
 
+def _wrapped_difference(u: np.ndarray, axis: int, ahead: int, behind: int) -> np.ndarray:
+    """u[i + ahead] - u[i + behind] along ``axis`` with periodic wrapping,
+    ``ahead`` and ``behind`` in {-1, 0, 1}, read by slicing: each cell is
+    the same subtraction as ``np.roll(u, -ahead) - np.roll(u, -behind)``,
+    without the two rolled copies."""
+    n = u.shape[axis]
+    out = np.empty_like(u)
+
+    def cells(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    np.subtract(u[cells(1 + ahead, n - 1 + ahead)], u[cells(1 + behind, n - 1 + behind)],
+                out=out[cells(1, n - 1)])
+    for i in (0, n - 1):
+        j, k = (i + ahead) % n, (i + behind) % n
+        np.subtract(u[cells(j, j + 1)], u[cells(k, k + 1)], out=out[cells(i, i + 1)])
+    return out
+
+
 def periodic_centered_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     """(u[i+1] - u[i-1]) / (2h) along ``axis`` with periodic wrapping."""
-    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * h)
+    diff = _wrapped_difference(u, axis, 1, -1)
+    diff /= 2.0 * h
+    return diff
 
 
-def periodic_gradient_energy(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
-    """conj(grad u).A.grad u per cell for a real matrix grid ``A``, with
-    :func:`periodic_centered_diff` derivatives; the (i, j) terms are summed in
-    row-major order, each formed as einsum forms it: (Re g_i A_ij) Re g_j +
-    (Im g_i A_ij) Im g_j."""
-    grad = [periodic_centered_diff(u, ax, h) for ax in range(u.ndim)]
+def periodic_gradient(u: np.ndarray, h: float) -> list[np.ndarray]:
+    """The :func:`periodic_centered_diff` of ``u`` along each axis."""
+    return [periodic_centered_diff(u, ax, h) for ax in range(u.ndim)]
+
+
+def periodic_gradient_energy(grad: list[np.ndarray], A: np.ndarray) -> np.ndarray:
+    """conj(grad u).A.grad u per cell for a real ``A``, from the centered
+    differences ``grad`` = ``periodic_gradient(u, h)``; the (i, j) terms are
+    summed in row-major order, each formed as einsum forms it:
+    (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j.  ``A`` is a matrix grid or
+    one constant (d, d) matrix, which gives the same bits.  The terms are
+    added in place to one array that starts at +0.0 and so never holds
+    -0.0; the sums round as nested ``sum`` calls do."""
+    d = len(grad)
     parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
-    return sum(
-        sum((gi * A[..., i, j]) * gj for gi, gj in zip(parts[i], parts[j]))
-        for i in range(u.ndim) for j in range(u.ndim)
-    )
+    energy = np.zeros(grad[0].shape)
+    for i in range(d):
+        for j in range(d):
+            a = A[..., i, j]
+            term = parts[i][0] * a
+            term *= parts[j][0]
+            if len(parts[i]) == 2:  # the imaginary parts
+                im = parts[i][1] * a
+                im *= parts[j][1]
+                term += im
+            energy += term
+    return energy
 
 
 def divergence_centered(
@@ -251,7 +295,10 @@ def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarr
     """Constant symmetric positive-definite A grid with the spectrum pinned
     to [1/theta1, theta1] (so the ellipticity estimate is exactly theta1,
     when theta1 > 1).  A is diagonal on a Dirichlet domain, which keeps it
-    Dirichlet-compatible, and randomly rotated on a periodic one."""
+    Dirichlet-compatible, and randomly rotated on a periodic one.
+
+    The grid is a read-only broadcast view of the one (d, d) matrix; any
+    cell, e.g. ``A[(0,) * d]``, is that matrix."""
     rng = np.random.default_rng(seed)
     d = domain.d
     lam = np.exp(rng.uniform(-math.log(theta1), math.log(theta1), size=d)) \
@@ -266,7 +313,7 @@ def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarr
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         A0 = Q @ np.diag(lam) @ Q.T
         A0 = 0.5 * (A0 + A0.T)
-    return np.broadcast_to(A0, domain.shape + (d, d)).copy()
+    return np.broadcast_to(A0, domain.shape + (d, d))
 
 
 def synthesize_dir_cross_field(

@@ -9,13 +9,17 @@ compare the two.
 Values that underflow double precision (the unique-continuation constants do,
 spectacularly) are exposed as natural logarithms.
 
-One reference is not an mpmath transcription:
+Three references are not mpmath transcriptions.
+:func:`roll_difference` and :func:`roll_centered_diff` are the wrapped
+differences written with ``np.roll``; the production stencils read their
+neighbours by slicing and must reproduce them bit for bit.
 :func:`carleman_check_whole_cube` is the weighted-inequality checker
-evaluated on every cell of the cube, in double precision and with
-``einsum``.  The production checker also evaluates the whole cube it is
-given, but takes the weights and sums only at the cells where u, its
-gradient energy or its operator image is nonzero, in real arithmetic; it
-must reproduce this reference bit for bit.
+evaluated on every cell of the cube, in double precision, with ``einsum``,
+the ``np.roll`` gradient and every coefficient as a grid.  The production
+checker also evaluates the whole cube it is given, but takes the weights
+and sums only at the cells where u, its gradient energy or its operator
+image is nonzero, in real arithmetic, and takes constant coefficients as
+constants; it must reproduce this reference bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from scipy.special import logsumexp
 
 from uclab.carleman import SUPPORT_TOL, CarlemanCheck
 from uclab.discretization import apply_operator
-from uclab.fields import periodic_centered_diff
 from uclab.geometry import CubeDomain
 
 mp.mp.dps = 60
@@ -281,6 +284,22 @@ def canonical_sampling_values():
     }
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0 here."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def roll_difference(u, axis, ahead, behind):
+    """u[i + ahead] - u[i + behind] along ``axis``, wrapped, from two rolls."""
+    return np.roll(u, -ahead, axis=axis) - np.roll(u, -behind, axis=axis)
+
+
+def roll_centered_diff(u, axis, h):
+    """(u[i+1] - u[i-1]) / (2h) along ``axis``, wrapped, from two rolls."""
+    return roll_difference(u, axis, 1, -1) / (2.0 * h)
+
+
 def _logsum(terms_log, weights):
     mask = weights > 0.0
     if not np.any(mask):
@@ -291,9 +310,13 @@ def _logsum(terms_log, weights):
 def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=None):
     """The weighted-inequality check with every stencil pass, contraction and
     mask taken over the whole cube (same arguments and result as
-    ``uclab.carleman.check_carleman_inequality``)."""
+    ``uclab.carleman.check_carleman_inequality``); constant A, b and c are
+    broadcast to grids first."""
     d = u.ndim
     n = u.shape[0]
+    A = np.broadcast_to(A, u.shape + (d, d)).copy()
+    b = None if b is None else np.broadcast_to(b, u.shape + (d,)).copy()
+    c = None if c is None else np.broadcast_to(c, u.shape).copy()
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
     rho = weight.rho
@@ -318,7 +341,7 @@ def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=N
     if np.any(np.abs(u[edge]) > SUPPORT_TOL):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
 
-    grad = np.stack([periodic_centered_diff(u, axd, h) for axd in range(d)], axis=-1)
+    grad = np.stack([roll_centered_diff(u, axd, h) for axd in range(d)], axis=-1)
     grad_energy = np.real(
         np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad)
     )

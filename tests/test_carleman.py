@@ -237,7 +237,7 @@ class TestPointwiseCutoffBound:
 
 def bump_1d(n, h, r_in, r_out):
     ax = (np.arange(n) + 0.5 - n / 2.0) * h
-    return annular_bump(ax[:, None], r_in, r_out), ax
+    return annular_bump(np.abs(ax), r_in, r_out), ax
 
 
 SUPPORT_GATES = {
@@ -256,7 +256,7 @@ def support_setup(d, gate, h=1 / 32):
     rho = 1.05 if gate == "margin" else 59 / 64  # a cell center when d = 1
     pts = CubeDomain(d, n * h, h, "periodic").center_grid()
     r = np.sqrt((pts**2).sum(axis=-1))
-    u = annular_bump(pts, 0.3, 0.6)
+    u = annular_bump(r, 0.3, 0.6)
     u = u / np.abs(u).max()
     mid = (n // 2,) * (d - 1)
     off_margin = (np.abs(pts) < n * h / 2.0 - 2.0 * h).all(axis=-1)
@@ -385,6 +385,21 @@ class TestCarlemanInequality:
                     )
                     assert res == ref
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["u", "A", "b", "c"])
+    def test_rejects_non_finite_input_naming_it(self, name, bad):
+        # one bad cell inside the bump; before the check, a NaN in A gave a
+        # finite ratio and one in u a NaN ratio
+        u, A, wf, C, alpha0, h, _ = support_setup(2, "outside")
+        args = {"u": u, "A": A, "b": np.full(u.shape + (2,), 0.1),
+                "c": np.full(u.shape, 0.2)}
+        cell = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+        args[name] = args[name].copy()
+        args[name][cell + (0,) * (args[name].ndim - 2)] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite; 1 entries"):
+            check_carleman_inequality(args["u"], args["A"], args["b"], args["c"], h,
+                                      wf, alpha0, C)
+
     def test_rejects_complex_A(self):
         u, A, wf, C, alpha0, h = self.make_setup()
         with pytest.raises(ValueError, match="real matrix field"):
@@ -460,6 +475,29 @@ class TestWindowMatchesWholeCube:
         assert fast == slow
         assert any(rec["norm_b"] > 0.0 for rec in fast)
         assert any(rec["theta2"] > 0.0 for rec in fast)
+
+
+class TestConstantCoefficients:
+    """A (d, d) matrix, a (d,) drift and a scalar c give the checker the
+    same result, bit for bit, as the grids they stand for."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("complex_u,drift", [(False, False), (False, True), (True, True)])
+    def test_bitwise_equal_to_grids(self, monkeypatch, d, complex_u, drift):
+        u, _, b, c, h, wf = random_case(d, 11 * d, "inner", complex_u, drift)
+        rng = np.random.default_rng(d)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A0 = Q @ np.diag(rng.uniform(0.6, 1.6, d)) @ Q.T
+        A0 = 0.5 * (A0 + A0.T)
+        b0, c0 = (None, None) if not drift else (b[(0,) * d], c[(0,) * d])
+        grids = [None if x is None else np.broadcast_to(x, u.shape + tail).copy()
+                 for x, tail in ((A0, (d, d)), (b0, (d,)), (c0, ()))]
+        for alpha in (3.0, 400.0):
+            assert_same_check(
+                monkeypatch,
+                (carleman, check_carleman_inequality, (u, A0, b0, c0, h, wf, alpha, 5.0)),
+                (carleman, check_carleman_inequality, (u, *grids, h, wf, alpha, 5.0)),
+            )
 
 
 class TestCubeSize:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import same_bits
 from uclab.discretization import (
     apply_operator,
     assemble,
@@ -21,6 +22,7 @@ from uclab.fields import (
     divergence_centered,
     estimate_ellipticity,
     make_self_adjoint,
+    periodic_gradient,
     synthesize_dir_cross_field,
     synthesize_random_field,
 )
@@ -330,6 +332,29 @@ class TestMatrixFreeOperator:
         ref = assemble(fld).apply(u)
         got = apply_operator(fld.A, fld.b, fld.c, fld.V, u, dom.h)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("complex_u", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("drift", [False, True], ids=["no-drift", "drift"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constants_equal_their_grids(self, d, drift, complex_u):
+        rng = np.random.default_rng(d + 3 * drift + 7 * complex_u)
+        shape = ((40,), (16, 16), (8, 8, 8))[d - 1]
+        u = rng.standard_normal(shape)
+        u[np.abs(u) > 1.0] = 0.0
+        if complex_u:
+            u = u + 1j * rng.standard_normal(shape)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A0 = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T
+        A0 = 0.5 * (A0 + A0.T)
+        b0, c0 = (rng.standard_normal(d), float(rng.standard_normal())) if drift \
+            else (None, None)
+        grids = [None if x is None else np.broadcast_to(x, shape + tail).copy()
+                 for x, tail in ((A0, (d, d)), (b0, (d,)), (c0, ()))]
+        want = apply_operator(*grids, None, u, 1 / 8)
+        assert same_bits(apply_operator(A0, b0, c0, None, u, 1 / 8), want)
+        assert same_bits(
+            apply_operator(A0, b0, c0, None, u, 1 / 8, grad=periodic_gradient(u, 1 / 8)),
+            want)
 
 
 class TestPeriodicExtension:

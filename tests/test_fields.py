@@ -1,14 +1,17 @@
 """Coefficient-field construction and validation tests."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import roll_centered_diff, roll_difference, same_bits
 from uclab.discretization import assemble
 from uclab.fields import (
     CoefficientField,
+    _wrapped_difference,
     check_boundary_conditions,
     constant_spd_field,
     divergence_centered,
@@ -16,6 +19,7 @@ from uclab.fields import (
     estimate_lipschitz,
     make_self_adjoint,
     periodic_centered_diff,
+    periodic_gradient,
     periodic_gradient_energy,
     synthesize_dir_cross_field,
     synthesize_random_field,
@@ -202,6 +206,12 @@ class TestBoundaryConditions:
         assert rep["ok"]
         assert np.abs(fld.A[..., 0, 1]).max() > 0.1  # genuinely non-diagonal
 
+    def test_constant_grid_is_one_read_only_matrix(self):
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        A = constant_spd_field(3, dom, 2.0)
+        assert A.shape == dom.shape + (2, 2) and A.strides[:2] == (0, 0)
+        assert not A.flags.writeable
+
     def test_rotated_constant_fails_dirichlet(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
         # constant_spd_field rotates A only on a periodic domain
@@ -342,9 +352,74 @@ class TestGradientEnergy:
         u = rng.standard_normal(shape)
         if complex_:
             u = u + 1j * rng.standard_normal(shape)
-        got = periodic_gradient_energy(u, A, 0.05)
+        got = periodic_gradient_energy(periodic_gradient(u, 0.05), A)
         assert got.dtype == np.float64
         assert np.array_equal(got, einsum_gradient_energy(u, A, 0.05))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_place_sums_round_as_nested_sums(self, d, complex_):
+        # zeros in u and negative entries in A make signed zeros
+        u, A0 = signed_zero_data(d, complex_, seed=40 + d)
+        A = np.broadcast_to(A0, u.shape + (d, d)).copy()
+        grad = periodic_gradient(u, 0.05)
+        assert same_bits(periodic_gradient_energy(grad, A),
+                         nested_sum_gradient_energy(grad, A))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constant_A_equals_its_grid(self, d, complex_):
+        u, A0 = signed_zero_data(d, complex_, seed=50 + d)
+        grad = periodic_gradient(u, 0.05)
+        grid = np.broadcast_to(A0, u.shape + (d, d)).copy()
+        assert same_bits(periodic_gradient_energy(grad, A0),
+                         periodic_gradient_energy(grad, grid))
+
+
+def signed_zero_data(d, complex_, seed):
+    """u on (10,)*d with about a third of its entries 0.0 or -0.0, and a
+    rotated SPD matrix with negative entries."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((10,) * d)
+    u[u > 0.8] = 0.0
+    u[u < -0.8] = -0.0
+    if complex_:
+        u = u + 1j * np.where(rng.random(u.shape) < 0.3, -0.0, rng.standard_normal(u.shape))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A0 = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T
+    return u, 0.5 * (A0 + A0.T)
+
+
+def nested_sum_gradient_energy(grad, A):
+    """The gradient energy as nested Python sums of fresh arrays."""
+    parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
+    return sum(
+        sum((gi * A[..., i, j]) * gj for gi, gj in zip(parts[i], parts[j]))
+        for i in range(len(grad)) for j in range(len(grad))
+    )
+
+
+class TestWrappedDifferences:
+    """The slicing stencils equal their np.roll forms bit for bit."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_to_rolls(self, d, n, complex_):
+        rng = np.random.default_rng(10 * d + n)
+        u = rng.standard_normal((n,) * d)
+        u[u > 0.8] = 0.0
+        u[u < -0.8] = -0.0
+        if complex_:
+            u = u + 1j * rng.standard_normal(u.shape)
+        for ax in range(d):
+            assert same_bits(periodic_centered_diff(u, ax, 0.3),
+                             roll_centered_diff(u, ax, 0.3))
+            # (1, 0) is the forward difference; (0, 1) and (0, -1) are the
+            # flux differences of apply_operator
+            for ahead, behind in itertools.permutations((-1, 0, 1), 2):
+                assert same_bits(_wrapped_difference(u, ax, ahead, behind),
+                                 roll_difference(u, ax, ahead, behind))
 
 
 class TestFieldFiles:
