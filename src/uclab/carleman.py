@@ -7,6 +7,17 @@ admissible exponents alpha (often 1e4..1e8) the weight powers span thousands
 of orders of magnitude, so all integrals are accumulated with log-sum-exp and
 the two sides of the inequality are compared through their logarithms.
 
+The log-sum-exp is :func:`_logsum`, an in-house copy of the formula of
+``scipy.special.logsumexp`` (Blanchard, Higham and Higham, IMA J. Numer.
+Anal. 41 (2021)) that returns its bits.  It exists because of ``np.exp``'s
+slow path: on a 2-core x86-64 machine (numpy 2.4) an exponent whose
+result is a normal double costs about 1 ns, one that underflows to +0.0
+about 16-18 ns and one in the subnormal band (-745 < x <= -708) about
+130-140 ns.  At the criterion-4 alpha (hundreds) 70-90% of a d = 2 trial's
+shifted exponents underflow and 0.5-2% are subnormal.  The formula adds
+only terms that can be nonzero, so the helper calls exp only where the
+shifted exponent is above -746, below which exp is exactly +0.0.
+
 The checker evaluates the cube it is given.  Its stencils read one cell along
 each axis and wrap periodically, and u must vanish on the two outer cells of
 every axis, so a wrapped read meets only u = 0.  More zero cells around the
@@ -30,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1, logsumexp
+from scipy.special import exp1
 
 from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
@@ -149,9 +160,22 @@ class WeightFunction:
         return self.A0.shape[0]
 
     def sigma(self, x: np.ndarray) -> np.ndarray:
-        """Anisotropic radius, vectorized over leading axes of x."""
+        """Anisotropic radius, vectorized over leading axes of x.
+
+        The quadratic form x.A0^-1.x is summed in place over (i, j) in
+        row-major order from +0.0, each term (x_i A0^-1_ij) x_j: the order
+        and rounding of ``np.einsum("...i,ij,...j->...")``, without its
+        three-operand loop.
+        """
         x = np.asarray(x, dtype=float)
-        q = np.einsum("...i,ij,...j->...", x, self._A0_inv, x)
+        if x.ndim == 0 or x.shape[-1] != self.d:
+            raise ValueError(f"points must have {self.d} coordinates on the last axis")
+        q = np.zeros(x.shape[:-1])
+        for i in range(self.d):
+            for j in range(self.d):
+                t = x[..., i] * self._A0_inv[i, j]
+                t *= x[..., j]
+                q += t
         return np.sqrt(np.maximum(q, 0.0))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -391,11 +415,47 @@ class CarlemanCheck:
     ratio: float
 
 
+# shifted exponents at or below this give exp(x) == +0.0 exactly (the
+# smallest subnormal is exp(-744.44); exp rounds to 0 below -745.13)
+_EXP_ZERO = -746.0
+
+
 def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
+    """log(sum of w exp(t)) over the entries with weight w > 0; -inf when
+    there are none.
+
+    Bit for bit ``scipy.special.logsumexp(t[w > 0], b=w[w > 0])``: the max
+    exponent a_max is taken out, its weights summed to m as a full-length
+    ``b * top`` sum, the rest summed as s = sum(w exp(t - a_max)) / m over
+    the full-length array (so ``np.sum`` groups the terms as scipy's does),
+    and the result is log1p(s) + log(m) + a_max; a result that is not finite
+    is recomputed as log(sum(w exp(t))), as scipy does.  Unlike scipy, exp
+    is evaluated only where the shifted exponent is above ``_EXP_ZERO``; the
+    other terms are exactly +0.0 and skip exp's underflow and subnormal slow
+    paths (module docstring).
+    """
     mask = weights > 0.0
-    if not np.any(mask):
+    kept = np.count_nonzero(mask)
+    if kept == 0:
         return -math.inf
-    return float(logsumexp(terms_log[mask], b=weights[mask]))
+    a, b = terms_log, weights
+    if kept < mask.size:
+        a, b = a[mask], b[mask]
+    a_max = a.max()
+    top = a == a_max
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = np.sum(b * top)
+        x = a - a_max
+        terms = np.zeros(x.shape)
+        np.exp(x, out=terms, where=(x > _EXP_ZERO) & ~top)
+        terms *= b
+        s = np.sum(terms)
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(b * np.exp(a)))
+    return float(out)
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
@@ -408,13 +468,18 @@ def _active_integrands(u, A, b, c, h):
     as ``np.nonzero`` index arrays, and the three integrands there.
 
     The whole-cube arrays live only inside this function, so they are freed
-    before the weights and sums are taken.
+    before the weights and sums are taken; a real operator image is squared
+    in place.
     """
     grad = periodic_gradient(u, h)
     grad_energy = periodic_gradient_energy(grad, A)
-    op_sq = _abs_sq(apply_operator(A, b, c, None, u, h, grad=grad))
+    op = apply_operator(A, b, c, None, u, h, grad=grad)
+    op_sq = _abs_sq(op) if np.iscomplexobj(op) else np.square(op, out=op)
     u_sq = _abs_sq(u)
-    active = np.nonzero((grad_energy > 0.0) | (op_sq > 0.0) | (u_sq > 0.0))
+    positive = grad_energy > 0.0
+    positive |= op_sq > 0.0
+    positive |= u_sq > 0.0
+    active = np.nonzero(positive)
     return active, grad_energy[active], u_sq[active], op_sq[active]
 
 

@@ -159,18 +159,22 @@ def periodic_gradient_energy(grad: list[np.ndarray], A: np.ndarray) -> np.ndarra
     summed in row-major order, each formed as einsum forms it:
     (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j.  ``A`` is a matrix grid or
     one constant (d, d) matrix, which gives the same bits.  The terms are
-    added in place to one array that starts at +0.0 and so never holds
-    -0.0; the sums round as nested ``sum`` calls do."""
+    formed in two scratch arrays (one for the imaginary parts) and added in
+    place to one array that starts at +0.0 and so never holds -0.0; the
+    sums round as nested ``sum`` calls do."""
     d = len(grad)
     parts = [(g.real, g.imag) if np.iscomplexobj(g) else (g,) for g in grad]
-    energy = np.zeros(grad[0].shape)
+    shape = grad[0].shape
+    energy = np.zeros(shape)
+    term = np.empty(shape)
+    im = np.empty(shape) if any(len(p) == 2 for p in parts) else None
     for i in range(d):
         for j in range(d):
             a = A[..., i, j]
-            term = parts[i][0] * a
+            np.multiply(parts[i][0], a, out=term)
             term *= parts[j][0]
             if len(parts[i]) == 2:  # the imaginary parts
-                im = parts[i][1] * a
+                np.multiply(parts[i][1], a, out=im)
                 im *= parts[j][1]
                 term += im
             energy += term

@@ -120,6 +120,30 @@ class TestWeightFunction:
             if not math.isnan(res["outer_floor"]):
                 assert res["outer_floor"] >= -1e-10
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sigma_equals_einsum_form(self, d):
+        """The in-place quadratic form rounds as the three-operand einsum
+        does, for a rotated A0 with off-diagonal entries."""
+        rng = np.random.default_rng(40 + d)
+        theta1 = 1.8
+        lam = np.exp(rng.uniform(-math.log(theta1), math.log(theta1), d))
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A0 = Q @ np.diag(lam) @ Q.T
+        A0 = 0.5 * (A0 + A0.T)
+        if d > 1:
+            assert np.abs(A0[0, 1]) > 1e-3
+        wf = WeightFunction(rho=1.3, mu=0.7, A0=A0, theta1=theta1)
+        A0_inv = np.linalg.inv(A0)
+        for shape in [(5000,), (17, 23), ()]:
+            x = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-3.0, 3.0, shape + (1,))
+            q = np.einsum("...i,ij,...j->...", x, A0_inv, x)
+            want = np.sqrt(np.maximum(q, 0.0))
+            got = wf.sigma(x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="coordinates"):
+            wf.sigma(np.zeros((4, d + 1)))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_bad_rho_and_mu(self, value):
         for name in ("rho", "mu"):
@@ -138,6 +162,100 @@ class TestWeightFunction:
         A0 = np.array([[1.0, 0.3], [0.3 * (1.0 + 5e-6), 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             WeightFunction(rho=1.0, mu=1.0, A0=A0, theta1=2.0)
+
+
+def logsum_cases():
+    """(name, exponents, weights) for the log-sum-exp helper."""
+    rng = np.random.default_rng(23)
+    n = 3000
+    spread = rng.uniform(-5000.0, 50.0, n)
+    weights = rng.random(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    # every term but the max in the subnormal band of the shifted exponent,
+    # once with unit weights and a max of exactly 0 (the sum is log1p(s)),
+    # once with weights large enough to lift those terms to 1e-12 of the max
+    band = np.concatenate([[0.0], rng.uniform(-744.0, -709.0, n - 1)])
+    rng.shuffle(band)
+    band_heavy = band + 3.7
+    heavy = 10.0 ** rng.uniform(290.0, 300.0, n)
+    heavy[np.argmax(band)] = 1.0
+    ties = rng.uniform(-900.0, 0.0, 1000)
+    tie_at = rng.choice(1000, 8, replace=False)
+    ties[tie_at] = 2.5
+    tie_w = rng.random(1000) + 0.5
+    zero_at_max = spread.copy()
+    zero_w = weights.copy()
+    zero_w[np.argmax(zero_at_max)] = 0.0
+    zero_w[::7] = 0.0
+    zero_at_max[::7] = math.nan  # a zero weight drops its term, NaN or not
+    single = np.zeros(n)
+    single[1234] = 0.37
+    nonfinite = spread.copy()
+    nonfinite[::5] = -math.inf
+    return [
+        ("most_underflow", spread, weights),
+        ("subnormal_band_unit", band, np.ones(n)),
+        ("subnormal_band_heavy", band_heavy, heavy),
+        ("ties_at_max", ties, tie_w),
+        ("zero_weight_at_max", zero_at_max, zero_w),
+        ("single_weight", spread, single),
+        ("minus_inf_terms", nonfinite, weights),
+        ("plus_inf_term", np.array([1.0, math.inf, -3.0]), np.array([1.0, 2.0, 0.5])),
+        ("one_term", np.array([-12.5]), np.array([3.0])),
+    ]
+
+
+def grouping_cases(seed):
+    """Two draws whose result shows how the sums were grouped.
+
+    ``many_ties``: about 300 ties at the max, weights summing to about 1.05,
+    every other term below exp's zero, so the result is log(m) and shows
+    every bit of the sum m.  ``interleaved``: one max term of weight 1 at
+    exactly 0, so the result is log1p(s), with the nonzero terms of s
+    interleaved with underflowing ones; both sums must run over the
+    full-length array to keep scipy's pairwise grouping."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    many_ties = np.where(rng.random(n) < 0.1, 0.0, -800.0 - 100.0 * rng.random(n))
+    tie_mass = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    tie_mass *= 1.05 / tie_mass[many_ties == 0.0].sum()
+    interleaved = np.where(rng.random(n) < 0.3, rng.uniform(-4.0, -1e-3, n), -2000.0)
+    interleaved[17] = 0.0
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    weights[17] = 1.0
+    return [("many_ties", many_ties, tie_mass), ("interleaved", interleaved, weights)]
+
+
+class TestLogsum:
+    @pytest.mark.parametrize("case", logsum_cases(), ids=lambda c: c[0])
+    def test_bit_equal_to_scipy(self, case):
+        """``_logsum`` returns the bits of scipy's logsumexp over the
+        positive weights (the reference in ``oracles``)."""
+        _, t, w = case
+        with np.errstate(all="ignore"):
+            want = oracles._logsum(t, w)
+        got = carleman._logsum(t, w)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert isinstance(got, float)
+
+    def test_sums_group_as_scipys(self):
+        """A sum over the kept terms only rounds differently in about a third
+        of these draws; eight seeds of each must all match."""
+        for seed in range(8):
+            for name, t, w in grouping_cases(seed):
+                assert carleman._logsum(t, w) == oracles._logsum(t, w), (name, seed)
+
+    def test_band_case_is_in_the_subnormal_band(self):
+        """The band cases sit where they claim: every shifted exponent but
+        the max lies in (-745, -708], and those terms move the result."""
+        _, t, w = logsum_cases()[1]
+        x = np.delete(t - t.max(), np.argmax(t))
+        assert np.all((x > -745.0) & (x <= -708.0))
+        assert carleman._logsum(t, w) > 0.0  # log1p of the subnormal sum
+
+    def test_all_weights_zero_is_minus_inf(self):
+        t = np.array([0.0, 5.0, -2.0])
+        assert carleman._logsum(t, np.zeros(3)) == -math.inf
+        assert carleman._logsum(t, np.array([-1.0, 0.0, -0.0])) == -math.inf
 
 
 class TestRadialCutoff:
