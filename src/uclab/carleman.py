@@ -26,12 +26,13 @@ their row-major order and their values unchanged; on a dyadic h the cell
 centres do not depend on the cube's size either.  So :func:`carleman_trial`
 builds the smallest cube that holds the bump plus that two-cell margin.
 
-The checker takes a constant coefficient as a constant (A as one (d, d)
-matrix, b as one (d,) vector, c as a scalar) and returns, bit for bit, what
-the grid it stands for gives (why: :func:`~uclab.discretization.apply_operator`).
-:func:`carleman_trial` passes its constants so, and builds the bump's radius
-and cos modulation from the 1-D cell centres by broadcasting, so a
-constant-A trial builds no (n^d, d) or (n^d, d, d) array.
+Each coefficient is an array that broadcasts to u's grid (d leading axes of
+extent n or 1), and a constant one gives the bits of its full grid (why:
+:func:`~uclab.discretization.apply_operator`).  :func:`carleman_trial` passes
+its constants with unit leading axes and its variable A as the profile along
+the first axis, and builds the bump's radius and cos modulation from the
+1-D cell centres by broadcasting, so a trial builds no (n^d, d) or
+(n^d, d, d) array.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_
 from uclab.discretization import apply_operator
 from uclab.fields import (
     _require_finite,
+    _require_on_grid,
     constant_spd_field,
     periodic_gradient,
     periodic_gradient_energy,
@@ -473,7 +475,7 @@ def _active_integrands(u, A, b, c, h):
     """
     grad = periodic_gradient(u, h)
     grad_energy = periodic_gradient_energy(grad, A)
-    op = apply_operator(A, b, c, None, u, h, grad=grad)
+    op = apply_operator(A, b, c, u, h, grad=grad)
     op_sq = _abs_sq(op) if np.iscomplexobj(op) else np.square(op, out=op)
     u_sq = _abs_sq(u)
     positive = grad_energy > 0.0
@@ -487,7 +489,7 @@ def check_carleman_inequality(
     u: np.ndarray,
     A: np.ndarray,
     b: Optional[np.ndarray],
-    c: Optional[np.ndarray | float],
+    c: Optional[np.ndarray],
     h: float,
     weight: WeightFunction,
     alpha: float,
@@ -500,10 +502,11 @@ def check_carleman_inequality(
     must vanish outside the euclidean rho-ball, in a punctured neighborhood of
     the origin (radius 2h), and on a margin of two cells at the cube boundary
     (the stencil wraps); the three checks look only at the cells where
-    |u| / max|u| exceeds ``SUPPORT_TOL``.  ``A`` is a real matrix grid or
-    one constant (d, d) matrix, ``b`` a vector grid or one (d,) vector, ``c``
-    a grid or a scalar (module docstring); a NaN or inf in u, A, b or c
-    raises a ValueError that names it.  Derivatives are centered, those of u
+    |u| / max|u| exceeds ``SUPPORT_TOL``.  ``u`` must be a cube grid, and
+    ``A`` (real), ``b`` and ``c`` broadcast to it: d leading axes of extent n
+    or 1, then (d, d), (d,) and nothing (module docstring).  A grid of
+    another shape, or a NaN or inf in u, A, b or c, raises a ValueError that
+    names it.  Derivatives are centered, those of u
     computed once for the gradient energy and the operator; integrals are
     midpoint sums accumulated by log-sum-exp, and the two sides are compared
     through logs; the ratio is exp(lhs_log - rhs_log), and inf when that
@@ -518,6 +521,9 @@ def check_carleman_inequality(
     n = u.shape[0]
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
+    if u.shape != (n,) * d:
+        raise ValueError(f"u must be a cube grid, got shape {u.shape}")
+    _require_on_grid(u.shape, A, b, c)
     for name, value in (("u", u), ("A", A), ("b", b), ("c", c)):
         if value is not None:
             _require_finite(name, value)
@@ -624,17 +630,18 @@ def carleman_trial(
     dom = CubeDomain(d, n * h, h, "periodic")
     # the cell centres as an open grid: x[k] varies along axis k only
     x = np.ix_(*[dom.centers_1d()] * d)
+    unit = (None,) * d  # a constant broadcasts to the grid with unit leading axes
     if variable_A:
         amp = theta2 * 2.0 * rho / math.pi  # slope pi/(2 rho) times amp
         base = 0.5 * (theta1 + 1.0 / theta1)
         a_scalar = base + amp * np.sin(math.pi * x[0] / (2.0 * rho))
-        A = np.zeros(dom.shape + (d, d))
-        idx = np.arange(d)
-        A[..., idx, idx] = a_scalar[..., None]
+        A = a_scalar[..., None, None] * np.eye(d)  # (n, 1, ..., 1, d, d)
         A0 = np.eye(d) * base
     else:
-        A = A0 = constant_spd_field(seed, dom, theta1)[(0,) * d]
-    b, c = (norm_b * direction, norm_c) if with_drift else (None, None)
+        A0 = constant_spd_field(seed, dom, theta1)[(0,) * d]
+        A = A0[unit]
+    b, c = ((norm_b * direction)[unit], np.full((1,) * d, norm_c)) if with_drift \
+        else (None, None)
 
     # the radius of each cell centre, its squares summed over the axes in order
     u = annular_bump(np.sqrt(sum(xk**2 for xk in x)), r_in, r_out)

@@ -16,11 +16,11 @@ which preserves the skew structure, and its -div(b)/2 correction takes
 :func:`~uclab.fields.divergence_centered`, whose Dirichlet ghost is the face
 cell with the normal component negated (the drift parity of :func:`extend`),
 so the extended operator applied to the mirrored solution is this operator
-on the base cube.  Periodic boundaries wrap indices.  One
-shift, ``_shifted_values``, serves both the coefficient values and the
-stencil columns: shifting the flat index grid gives each entry's column, and
-shifting a grid of ones with the ghost sign (-1 odd, 0 dropped) gives its
-sign.
+on the base cube.  Periodic boundaries wrap indices.  Every neighbour is
+read by one helper, ``fields._neighbour``, with the boundary's ghost rule;
+it serves both the coefficient values and the stencil columns: shifting the
+flat index grid gives each entry's column, and shifting a grid of ones with
+the ghost sign (-1 odd, 0 dropped) gives its sign.
 
 Spectral floor.  When A is positive semidefinite in every cell (checked by
 :class:`~uclab.fields.CoefficientField`), the second-order part P is PSD.
@@ -57,14 +57,15 @@ periodic, an odd mirror's outer ghosts are the next mirror's cells).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from uclab.fields import (
     CoefficientField,
-    _wrapped_difference,
+    _neighbour,
+    _require_on_grid,
     check_boundary_conditions,
     divergence_centered,
     periodic_centered_diff,
@@ -81,8 +82,6 @@ __all__ = [
     "reflect_block",
     "residual_inequality_check",
 ]
-
-BC = Literal["dirichlet", "periodic"]
 
 
 @dataclass(frozen=True)
@@ -114,20 +113,6 @@ class DiscreteOperator:
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
 
-def _shifted_values(arr: np.ndarray, axis: int, step: int, bc: BC, fold_sign: float) -> np.ndarray:
-    """Values of ``arr`` at index + step (step = +-1) along ``axis``.
-
-    A Dirichlet ghost takes the value of its mirror cell, which is the face
-    cell itself, times ``fold_sign``.
-    """
-    out = np.roll(arr, -step, axis=axis)
-    if bc == "dirichlet":
-        face = [slice(None)] * arr.ndim
-        face[axis] = -1 if step > 0 else 0
-        out[tuple(face)] = fold_sign * arr[tuple(face)]
-    return out
-
-
 def _constant_coefficients(
     field: CoefficientField, lower: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
@@ -147,7 +132,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     """Sparse matrix of -div(A grad u) + b.grad u + (c + V) u on the grid."""
     domain = field.domain
     d, n, h = domain.d, domain.n, domain.h
-    bc: BC = domain.bc
+    bc = domain.bc
     shape = domain.shape
     N = n**d
     dtype = float if field.is_real() else complex
@@ -159,13 +144,16 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     flat = arange.reshape(shape)
     ones = np.ones(shape)
 
+    def shifted(arr, axis, step, ghost_sign):  # a Dirichlet ghost: face cell * sign
+        return _neighbour(arr, axis, step, ghost=ghost_sign if bc == "dirichlet" else None)
+
     def emit(offsets: list[tuple[int, int]], coeff: np.ndarray, ghost_sign: float):
         """Add one stencil entry: ``offsets`` is a list of (axis, step); a
         Dirichlet ghost folds onto its mirror cell times ``ghost_sign``."""
         col, sign = flat, ones
         for axis, step in offsets:
-            col = _shifted_values(col, axis, step, bc, 1)
-            sign = sign * _shifted_values(ones, axis, step, bc, ghost_sign)
+            col = shifted(col, axis, step, 1)
+            sign = sign * shifted(ones, axis, step, ghost_sign)
         keep = (sign != 0.0).reshape(-1)
         rows.append(arange[keep])
         cols.append(col.reshape(-1)[keep])
@@ -176,8 +164,8 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     # flux form of the diagonal second-order part (odd ghost)
     for ax in range(d):
         a = field.A[..., ax, ax]
-        a_plus = 0.5 * (a + _shifted_values(a, ax, +1, bc, +1.0))
-        a_minus = 0.5 * (a + _shifted_values(a, ax, -1, bc, +1.0))
+        a_plus = 0.5 * (a + shifted(a, ax, +1, +1.0))
+        a_minus = 0.5 * (a + shifted(a, ax, -1, +1.0))
         diag += ((a_plus + a_minus) / h**2).astype(dtype)
         emit([(ax, +1)], -a_plus / h**2, -1.0)
         emit([(ax, -1)], -a_minus / h**2, -1.0)
@@ -191,7 +179,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
             if not np.any(a):
                 continue
             for s1 in (+1, -1):
-                a_sh = _shifted_values(a, i, s1, bc, -1.0)
+                a_sh = shifted(a, i, s1, -1.0)
                 for s2 in (+1, -1):
                     emit([(i, s1), (j, s2)], -(s1 * s2) * a_sh / (4.0 * h**2), -1.0)
 
@@ -202,8 +190,8 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     if np.any(field.b):
         for ax in range(d):
             bcomp = field.b[..., ax]
-            b_plus = bcomp + _shifted_values(bcomp, ax, +1, bc, +1.0)
-            b_minus = bcomp + _shifted_values(bcomp, ax, -1, bc, +1.0)
+            b_plus = bcomp + shifted(bcomp, ax, +1, +1.0)
+            b_minus = bcomp + shifted(bcomp, ax, -1, +1.0)
             emit([(ax, +1)], b_plus / (4.0 * h), 0.0)
             emit([(ax, -1)], -b_minus / (4.0 * h), 0.0)
             radius = radius + (np.abs(b_plus) + np.abs(b_minus)) / (4.0 * h)
@@ -229,33 +217,31 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
 def apply_operator(
     A: np.ndarray,
     b: Optional[np.ndarray],
-    c: Optional[np.ndarray | float],
-    V: Optional[np.ndarray | float],
+    c: Optional[np.ndarray],
     u: np.ndarray,
     h: float,
     *,
     grad: Optional[list[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Matrix-free periodic-stencil application of the operator.
+    """Matrix-free periodic-stencil application of the operator
+    -div(A grad u) + b.grad u + c u; ``c`` is the whole zeroth-order
+    coefficient, and a None ``b`` or ``c`` is absent.
 
     Index arithmetic matches :func:`assemble` with periodic wrapping, so for
     data that is genuinely periodic (or compactly supported away from the
-    boundary) the result is exact on interior cells.  Neighbours are read by
-    slicing, each cell the same subtraction as an ``np.roll`` pair.
-
-    A constant coefficient may be passed as a constant: ``A`` as one (d, d)
-    matrix, ``b`` as one (d,) vector, ``c`` and ``V`` as scalars.  For
-    finite data the result equals the grid call bit for bit: a product with
-    a constant takes the same scalar in every cell, the face average
-    0.5 (a + a) of a constant a is a exactly, and the centered divergence of
-    a constant b is exactly 0, so its term is skipped (``out`` starts at
+    boundary) the result is exact on interior cells.  Each coefficient
+    broadcasts to u's grid: d leading axes of extent n or 1, then (d, d)
+    for ``A`` and (d,) for ``b``; any other shape raises a ValueError that
+    names it.  A constant therefore costs O(1) and gives the bits of its
+    full grid: its face average 0.5 (a + a) is a exactly, and its centered
+    divergence is exactly 0, so that term is skipped (``out`` starts at
     +0.0 and only gains sums, so it never holds -0.0 and subtracting a zero
     leaves it unchanged).  The centered differences of u are computed once;
     a caller that holds them passes ``grad`` = ``periodic_gradient(u, h)``.
     """
     d = u.ndim
-    A = np.asarray(A)
-    any_complex = any(np.iscomplexobj(x) for x in (u, A, b, c, V) if x is not None)
+    _require_on_grid(u.shape, A, b, c)
+    any_complex = any(np.iscomplexobj(x) for x in (u, A, b, c) if x is not None)
     # every term is added in place to ``out``; the sums and their order are
     # those of ``out = out + term``
     out = np.zeros(u.shape, dtype=complex if any_complex else float)
@@ -263,13 +249,8 @@ def apply_operator(
         grad = periodic_gradient(u, h)
     for ax in range(d):
         a = A[..., ax, ax]
-        if a.ndim:
-            a_plus = 0.5 * (a + np.roll(a, -1, axis=ax))
-            a_minus = 0.5 * (a + np.roll(a, 1, axis=ax))
-        else:
-            a_plus = a_minus = a
-        flux = a_plus * _wrapped_difference(u, ax, 0, 1)
-        flux += a_minus * _wrapped_difference(u, ax, 0, -1)
+        flux = 0.5 * (a + _neighbour(a, ax, +1)) * _neighbour(u, ax, 0, +1)
+        flux += 0.5 * (a + _neighbour(a, ax, -1)) * _neighbour(u, ax, 0, -1)
         flux /= h**2
         out += flux
     for i in range(d):
@@ -279,19 +260,17 @@ def apply_operator(
             F = A[..., i, j] * grad[j]
             out -= periodic_centered_diff(F, i, h)
     if b is not None and np.any(b):
-        b = np.asarray(b)
         for ax in range(d):
             bcomp = b[..., ax]
             drift = bcomp * grad[ax]
             drift += periodic_centered_diff(bcomp * u, ax, h)
             drift *= 0.5
             out += drift
-        if b.ndim > 1:
-            out -= 0.5 * divergence_centered(b, h, "periodic") * u
+        div = divergence_centered(b, h, "periodic")
+        if np.any(div):
+            out -= 0.5 * div * u
     if c is not None:
         out += c * u
-    if V is not None:
-        out += V * u
     return out
 
 
@@ -408,9 +387,5 @@ def residual_inequality_check(
     ``op_psi`` is the discrete operator applied to psi (assembled matrix or
     matrix-free).  Nonpositive return means the inequality holds.
     """
-    viol = (
-        np.abs(op_psi)
-        - np.abs(np.asarray(V_compare) * psi)
-        - np.abs(np.asarray(zeta) * np.ones_like(psi))
-    )
+    viol = np.abs(op_psi) - np.abs(np.asarray(V_compare) * psi) - np.abs(zeta)
     return float(viol.max())

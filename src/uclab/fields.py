@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -96,6 +96,18 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
 
 
+def _require_on_grid(grid: tuple[int, ...], A, b, c) -> None:
+    """Raise a ValueError naming the first of ``A``, ``b`` and ``c`` (None
+    is absent) whose shape is not one axis of extent n or 1 per axis of
+    ``grid``, then (d, d), (d,) and nothing: an array that broadcasts to it."""
+    d = len(grid)
+    for name, value, tail in (("A", A, (d, d)), ("b", b, (d,)), ("c", c, ())):
+        shape = np.shape(value)
+        if value is not None and (len(shape) != d + len(tail) or shape[d:] != tail
+                                  or any(k not in (1, n) for k, n in zip(shape, grid))):
+            raise ValueError(f"{name} of shape {shape} does not broadcast to {grid} + {tail}")
+
+
 def estimate_ellipticity(A: np.ndarray) -> float:
     """max over cells of max(lambda_max, 1/lambda_min), clamped to >= 1.
 
@@ -122,28 +134,37 @@ def estimate_lipschitz(A: np.ndarray, h: float) -> float:
     return worst / h
 
 
-def _wrapped_difference(u: np.ndarray, axis: int, ahead: int, behind: int) -> np.ndarray:
-    """u[i + ahead] - u[i + behind] along ``axis`` with periodic wrapping,
-    ``ahead`` and ``behind`` in {-1, 0, 1}, read by slicing: each cell is
-    the same subtraction as ``np.roll(u, -ahead) - np.roll(u, -behind)``,
-    without the two rolled copies."""
+def _neighbour(u: np.ndarray, axis: int, ahead: int, behind: Optional[int] = None,
+               ghost: Optional[float] = None) -> np.ndarray:
+    """u[i + ahead], minus u[i + behind] when ``behind`` is given, along
+    ``axis`` (steps in {-1, 0, 1}), read by slicing.  With ``ghost`` None
+    the faces wrap (periodic); otherwise the ghost cell past a (Dirichlet)
+    face is the face cell times ``ghost``.  Each cell is the arithmetic of
+    ``np.roll`` with the face cell overwritten, without the rolled copies."""
     n = u.shape[axis]
     out = np.empty_like(u)
 
     def cells(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    np.subtract(u[cells(1 + ahead, n - 1 + ahead)], u[cells(1 + behind, n - 1 + behind)],
-                out=out[cells(1, n - 1)])
-    for i in (0, n - 1):
-        j, k = (i + ahead) % n, (i + behind) % n
-        np.subtract(u[cells(j, j + 1)], u[cells(k, k + 1)], out=out[cells(i, i + 1)])
+    def read(start, stop, step):  # u at cells start + step ... stop - 1 + step
+        if stop == start + 1 and not 0 <= start + step < n:  # past a face
+            j = (start + step) % n
+            return u[cells(j, j + 1)] if ghost is None else ghost * u[cells(start, stop)]
+        return u[cells(start + step, stop + step)]
+
+    for start, stop in [(1, n - 1)] + [(i, i + 1) for i in {0, n - 1}]:
+        where = out[cells(start, stop)]
+        if behind is None:
+            where[...] = read(start, stop, ahead)
+        else:
+            np.subtract(read(start, stop, ahead), read(start, stop, behind), out=where)
     return out
 
 
 def periodic_centered_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     """(u[i+1] - u[i-1]) / (2h) along ``axis`` with periodic wrapping."""
-    diff = _wrapped_difference(u, axis, 1, -1)
+    diff = _neighbour(u, axis, 1, -1)
     diff /= 2.0 * h
     return diff
 
@@ -157,8 +178,8 @@ def periodic_gradient_energy(grad: list[np.ndarray], A: np.ndarray) -> np.ndarra
     """conj(grad u).A.grad u per cell for a real ``A``, from the centered
     differences ``grad`` = ``periodic_gradient(u, h)``; the (i, j) terms are
     summed in row-major order, each formed as einsum forms it:
-    (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j.  ``A`` is a matrix grid or
-    one constant (d, d) matrix, which gives the same bits.  The terms are
+    (Re g_i A_ij) Re g_j + (Im g_i A_ij) Im g_j.  ``A`` broadcasts to the
+    grid: d leading axes of extent n or 1, then (d, d).  The terms are
     formed in two scratch arrays (one for the imaginary parts) and added in
     place to one array that starts at +0.0 and so never holds -0.0; the
     sums round as nested ``sum`` calls do."""
@@ -194,14 +215,10 @@ def divergence_centered(
     and on a Dirichlet cube it is the divergence the mirrored field has on
     the 3L cube.
     """
+    ghost = -1.0 if bc == "dirichlet" else None
     total = 0
     for ax in range(bgrid.shape[-1]):
-        comp = bgrid[..., ax]
-        ahead, behind = np.roll(comp, -1, axis=ax), np.roll(comp, 1, axis=ax)
-        if bc == "dirichlet":
-            np.moveaxis(ahead, ax, 0)[-1] = -np.moveaxis(comp, ax, 0)[-1]
-            np.moveaxis(behind, ax, 0)[0] = -np.moveaxis(comp, ax, 0)[0]
-        total = total + (ahead - behind) / (2.0 * h)
+        total = total + _neighbour(bgrid[..., ax], ax, 1, -1, ghost) / (2.0 * h)
     return total
 
 

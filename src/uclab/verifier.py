@@ -532,8 +532,8 @@ def cacciopoli_check(
     dom = fld.domain
     if not annulus_fits(dom.L, dom.h, r2, r):
         raise ValueError("fattened annulus must stay inside the cube")
-    pts = dom.center_grid()
-    s = np.sqrt((pts**2).sum(axis=-1))
+    # the radius of each cell centre, its squares summed over the axes in order
+    s = np.sqrt(sum(xk**2 for xk in np.ix_(*[dom.centers_1d()] * dom.d)))
     S = (s > r1) & (s < r2)
     S_plus = (s > max(r1 - r, 0.0)) & (s < r2 + r)
     energy = periodic_gradient_energy(periodic_gradient(psi, dom.h), fld.A)

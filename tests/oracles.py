@@ -10,16 +10,17 @@ Values that underflow double precision (the unique-continuation constants do,
 spectacularly) are exposed as natural logarithms.
 
 Three references are not mpmath transcriptions.
-:func:`roll_difference` and :func:`roll_centered_diff` are the wrapped
-differences written with ``np.roll``; the production stencils read their
+:func:`roll_difference` and :func:`roll_centered_diff` are the neighbour
+differences written with ``np.roll`` (wrapped, or with a Dirichlet ghost
+written over the rolled face cell); the production stencils read their
 neighbours by slicing and must reproduce them bit for bit.
 :func:`carleman_check_whole_cube` is the weighted-inequality checker
 evaluated on every cell of the cube, in double precision, with ``einsum``,
 the ``np.roll`` gradient and every coefficient as a grid.  The production
 checker also evaluates the whole cube it is given, but takes the weights
 and sums only at the cells where u, its gradient energy or its operator
-image is nonzero, in real arithmetic, and takes constant coefficients as
-constants; it must reproduce this reference bit for bit.
+image is nonzero, in real arithmetic, and takes coefficients that
+broadcast to the grid; it must reproduce this reference bit for bit.
 """
 
 from __future__ import annotations
@@ -290,9 +291,19 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def roll_difference(u, axis, ahead, behind):
-    """u[i + ahead] - u[i + behind] along ``axis``, wrapped, from two rolls."""
-    return np.roll(u, -ahead, axis=axis) - np.roll(u, -behind, axis=axis)
+def roll_shift(u, axis, step, ghost=None):
+    """u[i + step] along ``axis`` from ``np.roll``: wrapped, or with the
+    cell past the face set to the face cell times ``ghost``."""
+    out = np.roll(u, -step, axis=axis)
+    if ghost is not None and step:
+        face = -1 if step > 0 else 0
+        np.moveaxis(out, axis, 0)[face] = ghost * np.moveaxis(u, axis, 0)[face]
+    return out
+
+
+def roll_difference(u, axis, ahead, behind, ghost=None):
+    """u[i + ahead] - u[i + behind] along ``axis`` from two rolls."""
+    return roll_shift(u, axis, ahead, ghost) - roll_shift(u, axis, behind, ghost)
 
 
 def roll_centered_diff(u, axis, h):
@@ -310,8 +321,8 @@ def _logsum(terms_log, weights):
 def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=None):
     """The weighted-inequality check with every stencil pass, contraction and
     mask taken over the whole cube (same arguments and result as
-    ``uclab.carleman.check_carleman_inequality``); constant A, b and c are
-    broadcast to grids first."""
+    ``uclab.carleman.check_carleman_inequality``); A, b and c are
+    broadcast to full grids first."""
     d = u.ndim
     n = u.shape[0]
     A = np.broadcast_to(A, u.shape + (d, d)).copy()
@@ -345,7 +356,7 @@ def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=N
     grad_energy = np.real(
         np.einsum("...i,...ij,...j->...", np.conj(grad), A, grad)
     )
-    op_u = apply_operator(A, b, c, None, u, h)
+    op_u = apply_operator(A, b, c, u, h)
     op_sq = np.abs(op_u) ** 2
     u_sq = np.abs(u) ** 2
 

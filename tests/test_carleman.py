@@ -518,6 +518,26 @@ class TestCarlemanInequality:
             check_carleman_inequality(args["u"], args["A"], args["b"], args["c"], h,
                                       wf, alpha0, C)
 
+    @pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
+    def test_rejects_a_non_cube_grid(self, shape):
+        # cut one axis of the 64-cell cube to its middle 48 cells; the bump
+        # and its two-cell margin still fit
+        u, A, wf, C, alpha0, h, _ = support_setup(2, "outside")
+        keep = tuple(slice((64 - k) // 2, (64 + k) // 2) for k in shape)
+        with pytest.raises(ValueError, match=r"cube grid, got shape \(\d+, \d+\)"):
+            check_carleman_inequality(u[keep], A[keep], None, None, h, wf, alpha0, C)
+
+    @pytest.mark.parametrize("name,shape", [
+        ("A", (2, 2)), ("A", (64, 32, 2, 2)), ("b", (2,)), ("b", (1, 1, 3)), ("c", ()),
+        ("c", (1, 64, 1)),
+    ])
+    def test_rejects_a_coefficient_off_the_grid(self, name, shape):
+        # a bare (d, d) A, (d,) drift or scalar c has no leading grid axes
+        u, A, wf, C, alpha0, h, _ = support_setup(2, "outside")
+        args = {"A": A, "b": None, "c": None, name: np.full(shape, 0.5)}
+        with pytest.raises(ValueError, match=rf"^{name} of shape"):
+            check_carleman_inequality(u, args["A"], args["b"], args["c"], h, wf, alpha0, C)
+
     def test_rejects_complex_A(self):
         u, A, wf, C, alpha0, h = self.make_setup()
         with pytest.raises(ValueError, match="real matrix field"):
@@ -596,8 +616,9 @@ class TestWindowMatchesWholeCube:
 
 
 class TestConstantCoefficients:
-    """A (d, d) matrix, a (d,) drift and a scalar c give the checker the
-    same result, bit for bit, as the grids they stand for."""
+    """Coefficients with unit leading axes, and an A that is a profile along
+    the first axis, give the checker the same result, bit for bit, as the
+    full grids they broadcast to."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("complex_u,drift", [(False, False), (False, True), (True, True)])
@@ -607,15 +628,18 @@ class TestConstantCoefficients:
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         A0 = Q @ np.diag(rng.uniform(0.6, 1.6, d)) @ Q.T
         A0 = 0.5 * (A0 + A0.T)
-        b0, c0 = (None, None) if not drift else (b[(0,) * d], c[(0,) * d])
-        grids = [None if x is None else np.broadcast_to(x, u.shape + tail).copy()
-                 for x, tail in ((A0, (d, d)), (b0, (d,)), (c0, ()))]
-        for alpha in (3.0, 400.0):
-            assert_same_check(
-                monkeypatch,
-                (carleman, check_carleman_inequality, (u, A0, b0, c0, h, wf, alpha, 5.0)),
-                (carleman, check_carleman_inequality, (u, *grids, h, wf, alpha, 5.0)),
-            )
+        unit = (None,) * d
+        b0, c0 = (None, None) if not drift else (b[(0,) * d][unit], c[(0,) * d][unit])
+        profile = rng.uniform(0.8, 1.2, (u.shape[0],) + (1,) * (d - 1))[..., None, None]
+        for A in [A0[unit]] + ([profile * A0] if d >= 2 else []):
+            grids = [None if x is None else np.broadcast_to(x, u.shape + x.shape[d:]).copy()
+                     for x in (A, b0, c0)]
+            for alpha in (3.0, 400.0):
+                assert_same_check(
+                    monkeypatch,
+                    (carleman, check_carleman_inequality, (u, A, b0, c0, h, wf, alpha, 5.0)),
+                    (carleman, check_carleman_inequality, (u, *grids, h, wf, alpha, 5.0)),
+                )
 
 
 class TestCubeSize:

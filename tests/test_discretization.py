@@ -330,13 +330,15 @@ class TestMatrixFreeOperator:
         fld = dataclasses.replace(fld, V=fld.V + 1j * rng.standard_normal(dom.shape))
         u = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
         ref = assemble(fld).apply(u)
-        got = apply_operator(fld.A, fld.b, fld.c, fld.V, u, dom.h)
+        got = apply_operator(fld.A, fld.b, fld.c + fld.V, u, dom.h)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("complex_u", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("drift", [False, True], ids=["no-drift", "drift"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_constants_equal_their_grids(self, d, drift, complex_u):
+        # coefficients with unit leading axes, and for d >= 2 an A that is a
+        # profile along axis 0, give the bits of their full grids
         rng = np.random.default_rng(d + 3 * drift + 7 * complex_u)
         shape = ((40,), (16, 16), (8, 8, 8))[d - 1]
         u = rng.standard_normal(shape)
@@ -346,15 +348,27 @@ class TestMatrixFreeOperator:
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         A0 = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T
         A0 = 0.5 * (A0 + A0.T)
-        b0, c0 = (rng.standard_normal(d), float(rng.standard_normal())) if drift \
-            else (None, None)
-        grids = [None if x is None else np.broadcast_to(x, shape + tail).copy()
-                 for x, tail in ((A0, (d, d)), (b0, (d,)), (c0, ()))]
-        want = apply_operator(*grids, None, u, 1 / 8)
-        assert same_bits(apply_operator(A0, b0, c0, None, u, 1 / 8), want)
-        assert same_bits(
-            apply_operator(A0, b0, c0, None, u, 1 / 8, grad=periodic_gradient(u, 1 / 8)),
-            want)
+        unit = (None,) * d
+        b0, c0 = (rng.standard_normal(d)[unit], np.full((1,) * d, rng.standard_normal())) \
+            if drift else (None, None)
+        profile = rng.uniform(0.5, 2.0, (shape[0],) + (1,) * (d - 1))[..., None, None]
+        for A in [A0[unit]] + ([profile * A0] if d >= 2 else []):
+            grids = [None if x is None else np.broadcast_to(x, shape + x.shape[d:]).copy()
+                     for x in (A, b0, c0)]
+            want = apply_operator(*grids, u, 1 / 8)
+            assert same_bits(apply_operator(A, b0, c0, u, 1 / 8), want)
+            assert same_bits(
+                apply_operator(A, b0, c0, u, 1 / 8, grad=periodic_gradient(u, 1 / 8)), want)
+
+    @pytest.mark.parametrize("name,shape", [
+        ("A", (2, 2)), ("A", (8, 7, 2, 2)), ("A", (1, 1, 2)), ("b", (2,)),
+        ("b", (8, 8, 1)), ("c", ()), ("c", (8, 2)),
+    ])
+    def test_rejects_a_coefficient_off_the_grid(self, name, shape):
+        u = np.random.default_rng(0).standard_normal((8, 8))
+        coeffs = {"A": np.ones((1, 1, 2, 2)), "b": None, "c": None, name: np.ones(shape)}
+        with pytest.raises(ValueError, match=rf"^{name} of shape"):
+            apply_operator(coeffs["A"], coeffs["b"], coeffs["c"], u, 1 / 8)
 
 
 class TestPeriodicExtension:
@@ -391,8 +405,8 @@ class TestPeriodicExtension:
     def test_operator_commutes_on_interior_bitwise(self):
         dom, fld, psi = self.make()
         psi3, fld3, _ = extend(psi, fld)
-        op_base = apply_operator(fld.A, fld.b, fld.c, fld.V, psi, dom.h)
-        op_ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, dom.h)
+        op_base = apply_operator(fld.A, fld.b, fld.c + fld.V, psi, dom.h)
+        op_ext = apply_operator(fld3.A, fld3.b, fld3.c + fld3.V, psi3, dom.h)
         n = dom.n
         mid = (slice(n, 2 * n),) * 2
         assert np.array_equal(op_ext[mid], op_base)
@@ -462,11 +476,11 @@ class TestDirichletExtension:
         psi = np.sin(2 * math.pi * (x + L / 2) / L)  # odd about the left face
         A = np.ones(dom.shape + (1, 1))
         b = (0.4 + 0.1 * np.cos(2 * math.pi * x / L))[:, None].astype(complex)
-        op = apply_operator(A, b, None, None, psi, h)
+        op = apply_operator(A, b, None, psi, h)
         # mirror data across the face at -L/2 (odd psi, flipped drift)
         psi_m = -psi[::-1]
         b_m = -b[::-1]
-        op_m = apply_operator(A, b_m, None, None, psi_m, h)
+        op_m = apply_operator(A, b_m, None, psi_m, h)
         assert np.abs(op_m + op[::-1]).max() < 1e-10
 
     @pytest.mark.parametrize("d,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
@@ -488,7 +502,7 @@ class TestDirichletExtension:
             psi = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
             base = assemble(fld).apply(psi)
             psi3, fld3, _ = extend(psi, fld)
-            ext = apply_operator(fld3.A, fld3.b, fld3.c, fld3.V, psi3, h)[middle]
+            ext = apply_operator(fld3.A, fld3.b, fld3.c + fld3.V, psi3, h)[middle]
             assert np.abs(ext - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_trace_violation_rejected(self):

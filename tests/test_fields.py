@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import roll_centered_diff, roll_difference, same_bits
+from oracles import roll_centered_diff, roll_difference, roll_shift, same_bits
 from uclab.discretization import assemble
 from uclab.fields import (
     CoefficientField,
-    _wrapped_difference,
+    _neighbour,
     check_boundary_conditions,
     constant_spd_field,
     divergence_centered,
@@ -400,26 +400,42 @@ def nested_sum_gradient_energy(grad, A):
 
 
 class TestWrappedDifferences:
-    """The slicing stencils equal their np.roll forms bit for bit."""
+    """The slicing neighbour read, wrapped or with a Dirichlet ghost sign,
+    equals its np.roll form bit for bit."""
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equal_to_rolls(self, d, n, complex_):
         rng = np.random.default_rng(10 * d + n)
-        u = rng.standard_normal((n,) * d)
+        # a size-1 axis next to the n-cell ones
+        u = rng.standard_normal((n,) * d + (1,))
         u[u > 0.8] = 0.0
         u[u < -0.8] = -0.0
         if complex_:
             u = u + 1j * rng.standard_normal(u.shape)
-        for ax in range(d):
+        for ax in range(d + 1):
             assert same_bits(periodic_centered_diff(u, ax, 0.3),
                              roll_centered_diff(u, ax, 0.3))
-            # (1, 0) is the forward difference; (0, 1) and (0, -1) are the
-            # flux differences of apply_operator
-            for ahead, behind in itertools.permutations((-1, 0, 1), 2):
-                assert same_bits(_wrapped_difference(u, ax, ahead, behind),
-                                 roll_difference(u, ax, ahead, behind))
+            for ghost in (None, -1.0, 0.0, 1.0):  # periodic, odd, dropped, even
+                for step in (-1, 0, 1):
+                    assert same_bits(_neighbour(u, ax, step, ghost=ghost),
+                                     roll_shift(u, ax, step, ghost))
+                # (1, 0) is the forward difference; (0, 1) and (0, -1) are
+                # the flux differences of apply_operator, (1, -1) the centered
+                for ahead, behind in itertools.permutations((-1, 0, 1), 2):
+                    assert same_bits(_neighbour(u, ax, ahead, behind, ghost),
+                                     roll_difference(u, ax, ahead, behind, ghost))
+
+    @pytest.mark.parametrize("ghost", [None, 1])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), (3, 4, 2)])
+    def test_index_grid(self, shape, ghost):
+        # assemble's column map: a Dirichlet ghost is its mirror cell's index
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        for ax in range(len(shape)):
+            for step in (-1, 1):
+                assert same_bits(_neighbour(flat, ax, step, ghost=ghost),
+                                 roll_shift(flat, ax, step, ghost))
 
 
 class TestFieldFiles:
