@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1
 
 from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
@@ -92,6 +91,8 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
     ``euler_gamma + log(x) + exp1(x)`` above; absolute error below 1e-15 and
     relative error about 2e-16 for x > 0.
     """
+    from scipy.special import exp1
+
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("ein is evaluated on x >= 0 only")

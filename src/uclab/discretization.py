@@ -57,10 +57,9 @@ periodic, an odd mirror's outer ghosts are the next mirror's cells).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from uclab.fields import (
     CoefficientField,
@@ -72,6 +71,9 @@ from uclab.fields import (
     periodic_gradient,
 )
 from uclab.geometry import CubeDomain
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DiscreteOperator",
@@ -130,6 +132,8 @@ def _constant_coefficients(
 
 def assemble(field: CoefficientField) -> DiscreteOperator:
     """Sparse matrix of -div(A grad u) + b.grad u + (c + V) u on the grid."""
+    import scipy.sparse as sp
+
     domain = field.domain
     d, n, h = domain.d, domain.n, domain.h
     bc = domain.bc

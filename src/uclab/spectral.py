@@ -43,6 +43,11 @@ spins, and its split of the reductions changes the last bits of ARPACK's and
 LAPACK's output, so with the pin every path reproduces its bytes whatever
 ``OPENBLAS_NUM_THREADS`` the process started with.
 
+scipy is imported at the first solve, not with this module, so a process
+that never solves never loads it.  Finding the libraries to pin imports
+``scipy.linalg`` first, so that scipy's OpenBLAS is mapped when the process
+is searched for them (``_openblas_setters``).
+
 Every path is checked against the matrix: the residual ||H v - lambda v||
 of each returned pair must stay below RESIDUAL_TOL times the largest entry
 of H, or the solve raises, so a wrong closed form fails loudly.
@@ -60,9 +65,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from uclab.discretization import DiscreteOperator
 
@@ -116,7 +118,15 @@ class SpectrumSlice:
 def _openblas_setters() -> tuple:
     """``openblas_set_num_threads_local`` of every OpenBLAS mapped into this
     process, found once from ``/proc/self/maps`` (numpy and scipy each bring
-    their own); empty where there is none or no such file."""
+    their own); empty where there is none or no such file.
+
+    scipy is imported only at the first solve, so this imports
+    ``scipy.linalg`` before it reads the maps: otherwise a first call made
+    before any solve would find numpy's library alone, cache that, and leave
+    scipy's LAPACK and ARPACK on all their threads.
+    """
+    import scipy.linalg  # maps scipy's OpenBLAS into the process
+
     try:
         with open("/proc/self/maps") as fh:
             paths = {parts[5].strip() for parts in (line.split(None, 5) for line in fh)
@@ -196,6 +206,10 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     returned pair's residual exceeds RESIDUAL_TOL times the largest entry of
     H.
     """
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     H = op.matrix

@@ -6,11 +6,16 @@ every module under ``src/uclab``, ``tests`` and ``demos`` and fails on a
 module-level import whose bound name the file never references.  Names
 listed in ``__all__`` count as used; ``from __future__`` imports are ignored.
 Every name in a ``uclab`` module's ``__all__`` must resolve on that module,
-so a deleted function cannot leave a stale export behind.
+so a deleted function cannot leave a stale export behind.  A process that
+never solves an eigenproblem loads no scipy.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +69,39 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                   if not hasattr(module, attr)]
     assert not stale, "exported but not defined:\n" + "\n".join(stale)
+
+
+# a delta sweep, then one eigensolve, in a fresh interpreter; prints the scipy
+# modules loaded after each and the number of eigenpairs returned
+_SWEEP_THEN_SOLVE = """
+import json, sys
+import numpy as np
+import uclab, uclab.cli, uclab.verifier, uclab.carleman, uclab.spectral, uclab.discretization
+from uclab.constants import ModelParams
+from uclab.fields import synthesize_random_field
+from uclab.geometry import CubeDomain
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+p = ModelParams(d=2, theta1=1.0, theta2=0.0, G=1.0, delta=0.2, L=3.0)
+uclab.verifier.delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
+after_sweep = scipy_modules()
+op = uclab.discretization.assemble(
+    synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"), 1.3, norm_V=0.5))
+pairs = len(uclab.spectral.eigensolve(op, count=3))
+print(json.dumps({"after_sweep": after_sweep, "after_solve": scipy_modules(),
+                  "variable": op.constant_coefficients is None, "pairs": pairs}))
+"""
+
+
+def test_a_sweep_loads_no_scipy_and_a_solve_does():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_THEN_SOLVE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["after_sweep"] == []
+    assert out["variable"] and out["pairs"] == 3
+    assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(out["after_solve"])

@@ -3,9 +3,15 @@
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import uclab.spectral as spectral
 from uclab.discretization import assemble
@@ -89,7 +95,7 @@ class TestCountPathShift:
     def spies(self, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
         calls = {"splu": [], "eigsh": []}
-        splu, eigsh = spectral.spla.splu, spectral.spla.eigsh
+        splu, eigsh = spla.splu, spla.eigsh
 
         def spying_splu(*args, **kwargs):
             calls["splu"].append((args, kwargs))
@@ -99,8 +105,8 @@ class TestCountPathShift:
             calls["eigsh"].append((args, kwargs))
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.spla, "splu", spying_splu)
-        monkeypatch.setattr(spectral.spla, "eigsh", spying_eigsh)
+        monkeypatch.setattr(spla, "splu", spying_splu)
+        monkeypatch.setattr(spla, "eigsh", spying_eigsh)
         return calls
 
     def test_shifts_below_the_floor_and_matches_dense_on_degenerate_spectrum(
@@ -215,13 +221,13 @@ class TestClosedForm:
 
     def test_dense_path_returns_only_the_count_lowest(self, monkeypatch):
         calls = []
-        eigh = spectral.sla.eigh
+        eigh = sla.eigh
 
         def spying_eigh(*args, **kwargs):
             calls.append(kwargs)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.sla, "eigh", spying_eigh)
+        monkeypatch.setattr(sla, "eigh", spying_eigh)
         H = assemble(synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"),
                                              1.3, norm_V=0.5))
         sl = eigensolve(H, count=5)
@@ -262,9 +268,9 @@ def test_other_fields_take_the_numerical_paths(name, monkeypatch):
         monkeypatch.setattr(owner, attr, wrapper)
 
     spy(spectral, "_closed_form_pairs", "closed")
-    spy(spectral.sla, "eigh", "eigh")
-    spy(spectral.spla, "splu", "splu")
-    spy(spectral.spla, "eigsh", "eigsh")
+    spy(sla, "eigh", "eigh")
+    spy(spla, "splu", "splu")
+    spy(spla, "eigsh", "eigsh")
     dense = eigensolve(H, count=3)
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
     lanczos = eigensolve(H, count=3)
@@ -353,6 +359,35 @@ def _blas_counts() -> list:
     return counts
 
 
+# the number of setters found in a fresh interpreter; with argv[1] == "scipy"
+# scipy.linalg is imported first, otherwise nothing has imported scipy yet
+_COUNT_SETTERS = """
+import sys
+if sys.argv[1] == "scipy":
+    import scipy.linalg
+import uclab.spectral
+assert (sys.argv[1] == "scipy") == ("scipy" in sys.modules)
+print(len(uclab.spectral._openblas_setters()))
+"""
+
+
+def test_setters_found_whatever_was_imported_first():
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    children = {first: subprocess.Popen([sys.executable, "-c", _COUNT_SETTERS, first],
+                                        env=env, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True)
+                for first in ("uclab", "scipy")}
+    outputs = {first: child.communicate(timeout=120) for first, child in children.items()}
+    for first, child in children.items():
+        assert child.returncode == 0, outputs[first][1]
+    counts = {first: int(out) for first, (out, _) in outputs.items()}
+    if counts["scipy"] == 0:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    assert counts["uclab"] == counts["scipy"]
+
+
 class TestOneBlasThread:
     """The eigensolve, the projector sample and worst_ratio pin OpenBLAS to
     one thread and hand the caller's count back."""
@@ -394,8 +429,8 @@ class TestOneBlasThread:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for owner, attr in ((spectral, "_closed_form_pairs"), (spectral.sla, "eigh"),
-                            (spectral.spla, "eigsh")):
+        for owner, attr in ((spectral, "_closed_form_pairs"), (sla, "eigh"),
+                            (spla, "eigsh")):
             spy(owner, attr)
         const, variable = self._fields()
         eigensolve(const, count=4)
@@ -445,13 +480,13 @@ class TestOneBlasThread:
         with self._caller_at(1):
             assert all(np.array_equal(a, b) for a, b in zip(pinned, outputs()))
         seen = []
-        eigh = spectral.sla.eigh
+        eigh = sla.eigh
 
         def spying_eigh(*args, **kwargs):
             seen.append(_blas_counts())
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.sla, "eigh", spying_eigh)
+        monkeypatch.setattr(sla, "eigh", spying_eigh)
         with self._caller_at(2) as libraries:
             eigensolve(variable, count=4)
         assert seen == [[2] * libraries]
