@@ -89,11 +89,12 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
 
     Closed form: the power series (25 terms by Horner) for x <= 1, and
     ``euler_gamma + log(x) + exp1(x)`` above; absolute error below 1e-15 and
-    relative error about 2e-16 for x > 0.
+    relative error about 2e-16 for x > 0.  NaN, inf and x < 0 raise.
     """
     from scipy.special import exp1
 
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    _require_finite("x", x_arr)
     if np.any(x_arr < 0.0):
         raise ValueError("ein is evaluated on x >= 0 only")
     out = np.empty_like(x_arr)
@@ -110,8 +111,10 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def phi(r: np.ndarray | float, mu: float) -> np.ndarray | float:
-    """Log-damped radial profile r * exp(-ein(mu r)); 0 <= phi(r) <= r."""
+    """Log-damped radial profile r * exp(-ein(mu r)) of finite r >= 0;
+    0 <= phi(r) <= r."""
     r_arr = np.asarray(r, dtype=float)
+    _require_finite("r", r_arr)
     if np.any(r_arr < 0.0):
         raise ValueError("radial profile is defined for r >= 0")
     out = r_arr * np.exp(-ein(mu * r_arr))
@@ -119,8 +122,9 @@ def phi(r: np.ndarray | float, mu: float) -> np.ndarray | float:
 
 
 def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
-    """log(phi(r)); -inf at r = 0."""
+    """log(phi(r)) of finite r; -inf at r = 0."""
     r = np.asarray(r, dtype=float)
+    _require_finite("r", r)
     with np.errstate(divide="ignore"):
         return np.log(r) - ein(mu * r)
 

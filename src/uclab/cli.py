@@ -21,9 +21,10 @@ dimension ``ds`` names, and ``weight``, ``carleman-check`` and
 is a config error).  ``sweep`` checks admissibility and evaluates its
 bounds in its dimension.  It sweeps four or more ``deltas_over_G`` as given,
 and the five-point grid 0.125 ... 0.45 for one (the default serves
-``verify``); two or three are a config error.  The local-estimate keys
-``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown keys:
-every constant the subcommands report derives them from the sampling geometry.
+``verify``); two or three are a config error.  ``model.*`` keys are the
+fields of ``ModelParams``, which holds no local-estimate geometry, so
+``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown keys;
+``constants`` reports the geometry it derived.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 from uclab.constants import (
     FreeConstants,
     ModelParams,
-    admissibility_epsilon,
     log_c_sfuc,
+    sampling_epsilon,
     sampling_report,
 )
 
@@ -121,7 +122,7 @@ class ExperimentConfig:
                                     "not one value (the five-point grid) or four or more")
                 m = replace(m, d=self.ds[0])
         if command != "constants":
-            eps = admissibility_epsilon(m, "sampling_G")
+            eps = sampling_epsilon(m)
             if eps <= 0.0:
                 problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
                                 "(chart it with `uclab constants`)")
@@ -184,11 +185,9 @@ def _annulus_fits(L: float, h: float) -> bool:
     return annulus_fits(L, h, r2, r)
 
 
-# key prefix -> the keys it takes: model.*, free.* and the run's own keys;
-# no subcommand reads the local-estimate parameters, which the sampling route
-# derives (ModelParams.with_sampling_geometry)
+# key prefix -> the keys it takes: model.*, free.* and the run's own keys
 _KEYS = {
-    "model": set(ModelParams.__dataclass_fields__) - {"R", "D0", "K_V", "beta"},
+    "model": set(ModelParams.__dataclass_fields__),
     "free": set(FreeConstants.__dataclass_fields__),
     "": set(ExperimentConfig.__dataclass_fields__) - {"model", "free"},
 }

@@ -6,6 +6,10 @@ and admissible exponent floor, Cacciopoli prefactors, the local
 mass-fraction constant ``C_qUC`` with its exponent budget ``alpha_star``, the
 scale-free sampling constant ``C_sfUC`` and the spectral half-width ``gamma``.
 
+The local (vanishing-order) formulas take their R, D0, K_V and beta as a
+:class:`LocalGeometry`, which the sampling route derives once
+(:func:`sampling_geometry`) and any other caller builds itself.
+
 The tiny constants underflow double precision for realistic parameters (their
 natural logs reach -1e9), so each one is computed and reported only as its
 natural log.  Dimension-dependent prefactors the theory leaves abstract are
@@ -22,13 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace, asdict
-from typing import Literal, Optional
+from typing import Optional
 
 __all__ = [
     "ModelParams",
     "FreeConstants",
+    "LocalGeometry",
     "UcConstantReport",
-    "admissibility_epsilon",
+    "sampling_radius",
+    "sampling_geometry",
+    "sampling_epsilon",
+    "local_epsilon",
     "side_length_T",
     "carleman_mu_rho",
     "carleman_mu_floor",
@@ -47,14 +55,12 @@ __all__ = [
 
 EULER = math.e
 
-EpsilonContext = Literal["qUC", "sampling_G"]
-
 
 def _require_finite(obj) -> None:
-    """Reject NaN and +/-inf in any set dataclass field, naming the field."""
+    """Reject NaN and +/-inf in any dataclass field, naming the field."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -62,10 +68,9 @@ def _require_finite(obj) -> None:
 class ModelParams:
     """Model parameters of the elliptic operator and the sampling geometry.
 
-    ``R``, ``D0``, ``beta`` and ``K_V`` belong to the local estimate; they are
-    optional because the sampling route derives them (``R = sqrt(d)+2``,
-    ``D0 = R/2``, ``beta = 2*T^d``, ``K_V = norm_V``) while the raw local
-    route takes them from the caller.
+    The local estimate's R, D0, K_V and beta are not among them: they are a
+    :class:`LocalGeometry`, which the sampling route derives from these
+    parameters (:func:`sampling_geometry`).
     """
 
     d: int
@@ -77,10 +82,6 @@ class ModelParams:
     G: float = 1.0
     delta: float = 0.25
     L: float = 3.0
-    R: Optional[float] = None
-    D0: Optional[float] = None
-    K_V: Optional[float] = None
-    beta: float = 1.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -95,20 +96,22 @@ class ModelParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.G <= 0.0 or self.delta <= 0.0 or self.L <= 0.0:
             raise ValueError("G, delta and L must be positive")
-        if self.beta < 1.0:
-            raise ValueError("norm-ratio bound beta must be >= 1")
 
-    def with_sampling_geometry(self) -> "ModelParams":
-        """Fill the local-estimate radii the way the sampling route does."""
-        T = side_length_T(self.d, self.theta1)
-        R = math.sqrt(self.d) + 2.0
-        return replace(
-            self,
-            R=R,
-            D0=R / 2.0,
-            beta=2.0 * float(T) ** self.d,
-            K_V=self.norm_V,
-        )
+
+@dataclass(frozen=True)
+class LocalGeometry:
+    """Annulus radius R, distance D0, potential bound K_V and norm ratio
+    beta of the local (vanishing-order) estimate."""
+
+    R: float
+    D0: float
+    K_V: float
+    beta: float
+
+    def __post_init__(self):
+        _require_finite(self)
+        if min(self.R, self.D0) <= 0.0 or self.K_V < 0.0 or self.beta < 1.0:
+            raise ValueError(f"{self} needs R, D0 > 0, K_V >= 0 and beta >= 1")
 
 
 @dataclass(frozen=True)
@@ -139,34 +142,50 @@ def _margin(d: int, R: float, theta1: float, t2: float) -> float:
     return 1.0 - 33.0 * EULER * d * R * theta1**6 * t2
 
 
-def admissibility_epsilon(p: ModelParams, context: EpsilonContext) -> float:
-    """Admissibility margin; <= 0 is a legal flagged return, not an error."""
-    if context == "qUC":
-        if p.R is None:
-            raise ValueError("qUC context needs the annulus radius R")
-        return _margin(p.d, p.R, p.theta1, p.theta2)
-    if context == "sampling_G":
-        # G enters only via the product G*theta2 (scaling canonical form).
-        return _margin(p.d, math.sqrt(p.d) + 2.0, p.theta1, p.G * p.theta2)
-    raise ValueError(f"unknown epsilon context {context!r}")
+def sampling_radius(d: int) -> float:
+    """Annulus radius R = sqrt(d) + 2 of the sampling route, in units of G."""
+    return math.sqrt(d) + 2.0
+
+
+def sampling_geometry(p: ModelParams) -> LocalGeometry:
+    """The local estimate's geometry along the sampling route: R the sampling
+    radius, D0 = R/2, K_V = norm_V and beta = 2 T^d; in units of G for a
+    rescaled ``p`` (:func:`scale_parameters`), as :func:`sampling_report`
+    passes it."""
+    R = sampling_radius(p.d)
+    T = side_length_T(p.d, p.theta1)
+    return LocalGeometry(R=R, D0=R / 2.0, K_V=p.norm_V, beta=2.0 * float(T) ** p.d)
+
+
+def sampling_epsilon(p: ModelParams) -> float:
+    """Admissibility margin of the sampling route; <= 0 is a legal flagged
+    return, not an error.  G enters only via the product G*theta2 (scaling
+    canonical form)."""
+    return _margin(p.d, sampling_radius(p.d), p.theta1, p.G * p.theta2)
+
+
+def local_epsilon(p: ModelParams, geo: LocalGeometry) -> float:
+    """Admissibility margin of the local estimate; <= 0 is a legal flagged
+    return, not an error."""
+    return _margin(p.d, geo.R, p.theta1, p.theta2)
 
 
 def side_length_T(d: int, theta1: float) -> int:
     """Side length of the comparison window in the dominating-site argument."""
     if theta1 < 1.0:
         raise ValueError("theta1 must be >= 1")
-    return math.ceil(2.0 * (math.sqrt(d) + 2.0) * (2.0 * EULER * theta1 + 1.0))
+    return math.ceil(2.0 * sampling_radius(d) * (2.0 * EULER * theta1 + 1.0))
 
 
-def carleman_mu_rho(p: ModelParams, eps0: float) -> tuple[float, float, float]:
+def carleman_mu_rho(
+    p: ModelParams, geo: LocalGeometry, eps0: float
+) -> tuple[float, float, float]:
     """Weight parameters (mu, mu1, rho) used by the local estimate."""
     if eps0 <= 0.0:
         raise ValueError("admissibility margin eps0 must be positive")
-    if p.R is None or p.D0 is None:
-        raise ValueError("R and D0 must be set (with_sampling_geometry or caller)")
-    rho = 2.0 * EULER * p.theta1 * p.R + 2.0 * p.D0
+    rho = 2.0 * EULER * p.theta1 * geo.R + 2.0 * geo.D0
     mu = carleman_mu_floor(p.d, p.theta1, p.theta2, rho) + rho * eps0 / (
-        2.0 * EULER * p.R * math.sqrt(p.theta1)
+        2.0 * EULER * geo.R * math.sqrt(p.theta1)
     )
     return mu, mu_one(p.theta1, mu), rho
 
@@ -240,6 +259,7 @@ def cacciopoli_prefactor(
 
 def alpha_star(
     p: ModelParams,
+    geo: LocalGeometry,
     fc: FreeConstants,
     carleman_C: float,
     alpha0: float,
@@ -251,26 +271,24 @@ def alpha_star(
     alpha2 == 1 is implicit in the max.  alpha3 is clamped at 0 when its
     logarithm argument drops below 1 (the max with 1 makes that vacuous).
     """
-    if p.R is None or p.D0 is None or p.K_V is None:
-        raise ValueError("R, D0, K_V must be set")
-    gap = rho / (math.sqrt(p.theta1) * EULER * p.R * mu)
+    gap = rho / (math.sqrt(p.theta1) * EULER * geo.R * mu)
     if gap <= 1.0:
         raise ValueError("rho/(sqrt(theta1)*e*R*mu) must exceed 1 (needs eps0 > 0)")
-    alpha1 = (16.0 * rho**4 * carleman_C * p.K_V**2 * p.theta1**1.5) ** (1.0 / 3.0)
+    alpha1 = (16.0 * rho**4 * carleman_C * geo.K_V**2 * p.theta1**1.5) ** (1.0 / 3.0)
     cac = cacciopoli_prefactor(
-        p.D0 / 2.0, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime
+        geo.D0 / 2.0, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime
     )
     bracket = (
         3.0 * p.theta1**2
-        + 3.0 * p.theta1**2 * p.d**2 / (2.0 * EULER * p.theta1 * p.R) ** 2
+        + 3.0 * p.theta1**2 * p.d**2 / (2.0 * EULER * p.theta1 * geo.R) ** 2
         + 3.0 * (p.theta2 * p.d**2 + p.norm_b) ** 2
         + 4.0 * p.theta1 * cac
     )
     log_arg = (
-        math.log(8.0 * carleman_C * rho**3 * math.sqrt(p.theta1) * p.R * p.beta)
+        math.log(8.0 * carleman_C * rho**3 * math.sqrt(p.theta1) * geo.R * geo.beta)
         - 2.0
         - 2.0 * math.log(mu)
-        + 4.0 * math.log(fc.M / p.D0)
+        + 4.0 * math.log(fc.M / geo.D0)
         + math.log(bracket)
     )
     alpha3 = max(0.0, log_arg / (2.0 * math.log(gap)))
@@ -280,6 +298,7 @@ def alpha_star(
 
 def log_c_quc(
     p: ModelParams,
+    geo: LocalGeometry,
     fc: FreeConstants,
     mu1: float,
     rho: float,
@@ -287,9 +306,7 @@ def log_c_quc(
     a_star: float,
 ) -> float:
     """Natural log of the local mass-fraction constant."""
-    if p.R is None:
-        raise ValueError("R must be set")
-    if not 0.0 < p.delta < 2.0 * p.R:
+    if not 0.0 < p.delta < 2.0 * geo.R:
         raise ValueError("delta must lie in (0, 2R)")
     cac = cacciopoli_prefactor(
         p.delta / 2.0, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime
@@ -303,10 +320,10 @@ def log_c_quc(
     log_t1 = (
         math.log(4.0 * mu1**2 * math.sqrt(p.theta1))
         + 2.0 * math.log(p.delta)
-        - math.log(3.0 * p.R * rho * carleman_C * fc.M**4)
+        - math.log(3.0 * geo.R * rho * carleman_C * fc.M**4)
         - math.log(denom)
     )
-    return log_t1 + 2.0 * a_star * math.log(p.delta / (4.0 * mu1 * p.theta1 * p.R))
+    return log_t1 + 2.0 * a_star * math.log(p.delta / (4.0 * mu1 * p.theta1 * geo.R))
 
 
 def _theta_factors(K: float, t1: float, t2: float, power: float) -> tuple[float, float]:
@@ -322,18 +339,16 @@ def _theta_factors(K: float, t1: float, t2: float, power: float) -> tuple[float,
     return log_prefactor, K * t1**25 * math.exp(15.0 * t1) * (1.0 + t2) ** 2
 
 
-def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
+def log_c_quc_lower_bound(p: ModelParams, geo: LocalGeometry, fc: FreeConstants) -> float:
     """Natural log of the closed-form lower bound on the local constant.
 
     Valid only in the regime 2*D0 = R >= 1, delta < 2, eps0 > 0.
     """
-    if p.R is None or p.D0 is None:
-        raise ValueError("R and D0 must be set")
-    if not math.isclose(2.0 * p.D0, p.R, rel_tol=1e-12) or p.R < 1.0:
+    if not math.isclose(2.0 * geo.D0, geo.R, rel_tol=1e-12) or geo.R < 1.0:
         raise ValueError("lower-bound regime needs 2*D0 = R >= 1")
     if p.delta >= 2.0:
         raise ValueError("lower-bound regime needs delta < 2")
-    eps0 = admissibility_epsilon(p, "qUC")
+    eps0 = local_epsilon(p, geo)
     if eps0 <= 0.0:
         raise ValueError("inadmissible parameters: eps0 <= 0")
     log_C1, C3 = _theta_factors(fc.K1, p.theta1, p.theta2, -15.5)
@@ -342,11 +357,11 @@ def log_c_quc_lower_bound(p: ModelParams, fc: FreeConstants) -> float:
         C3
         / eps0
         * (1.0 + p.norm_V ** (2.0 / 3.0) + p.norm_b**2 + p.norm_c ** (2.0 / 3.0))
-        * p.R**3
+        * geo.R**3
         - math.log(eps0)
-        + math.log(p.beta)
+        + math.log(geo.beta)
     )
-    return log_C1 + expo * math.log(p.delta / (C2 * p.R))
+    return log_C1 + expo * math.log(p.delta / (C2 * geo.R))
 
 
 def _sfuc_log_terms(
@@ -356,25 +371,14 @@ def _sfuc_log_terms(
     G-canonical arithmetic; with ``energy`` set, the exponent is the spectral
     variant that replaces the potential norm by |energy|."""
     g_t2 = p.G * p.theta2
-    eps2 = admissibility_epsilon(p, "sampling_G")
+    eps2 = sampling_epsilon(p)
     log_D1, D3 = _theta_factors(fc.K2, p.theta1, g_t2, -15.5 - p.d)
     D2 = fc.K2 * p.theta1**2
     if eps2 <= 0.0:
         raise ValueError("inadmissible parameters: eps2 <= 0")
-    v_term = (p.G * p.G * p.norm_V) ** (2.0 / 3.0) if energy is None else (
-        p.G * p.G * abs(energy)
-    ) ** (2.0 / 3.0)
-    expo = (
-        D3
-        / eps2
-        * (
-            1.0
-            + v_term
-            + (p.G * p.norm_b) ** 2
-            + (p.G * p.G * p.norm_c) ** (2.0 / 3.0)
-        )
-        - math.log(eps2)
-    )
+    v_term = (p.G * p.G * (p.norm_V if energy is None else abs(energy))) ** (2.0 / 3.0)
+    lower_order = 1.0 + v_term + (p.G * p.norm_b) ** 2 + (p.G * p.G * p.norm_c) ** (2.0 / 3.0)
+    expo = D3 / eps2 * lower_order - math.log(eps2)
     return log_D1, expo, math.log((p.delta / p.G) / D2)
 
 
@@ -417,19 +421,21 @@ def scale_parameters(p: ModelParams) -> ModelParams:
         norm_b=p.G * p.norm_b,
         norm_c=p.G * p.G * p.norm_c,
         norm_V=p.G * p.G * p.norm_V,
-        R=None if p.R is None else p.R / p.G,
-        D0=None if p.D0 is None else p.D0 / p.G,
-        K_V=None if p.K_V is None else p.G * p.G * p.K_V,
     )
 
 
 @dataclass(frozen=True)
 class UcConstantReport:
     """Every intermediate constant of one evaluation; the ones that underflow
-    doubles appear only as natural logs (``log_*``)."""
+    doubles appear only as natural logs (``log_*``).  ``R``, ``D0``, ``K_V``
+    and ``beta`` are the local geometry the chain used, in units of G."""
 
     epsilon: float
     T: int
+    R: float = math.nan
+    D0: float = math.nan
+    K_V: float = math.nan
+    beta: float = math.nan
     mu: float = math.nan
     mu1: float = math.nan
     rho: float = math.nan
@@ -454,13 +460,9 @@ class UcConstantReport:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready mapping with every intermediate value."""
-        out = {}
-        for k, v in asdict(self).items():
-            if k in ("params", "free_constants"):
-                for kk, vv in v.items():
-                    out[f"{k}.{kk}"] = vv
-            else:
-                out[k] = v
+        out = asdict(self)
+        for group in ("params", "free_constants"):
+            out.update({f"{group}.{k}": v for k, v in out.pop(group).items()})
         return out
 
 
@@ -469,43 +471,40 @@ def sampling_report(
 ) -> UcConstantReport:
     """End-to-end constant evaluation along the sampling route.
 
-    Rescales to unit cell size, fills the derived radii, and evaluates the
-    whole chain.  Inadmissible parameters (epsilon <= 0) yield a flagged
-    report with NaN constants rather than an exception, so sweeps can chart
-    the admissibility boundary.  So does a chain that leaves the double
-    range (an ``OverflowError``, or a constant that comes out infinite or
-    NaN, as happens for theta1 in the forties and beyond): the report is
-    not admissible, ``out_of_range`` names the first such constant, and it
-    and the constants after it stay NaN.
+    Rescales to unit cell size, derives the local geometry there
+    (:func:`sampling_geometry`), and evaluates the whole chain.  Inadmissible
+    parameters (epsilon <= 0) yield a flagged report with NaN constants
+    rather than an exception, so sweeps can chart the admissibility
+    boundary.  So does a chain that leaves the double range (an
+    ``OverflowError``, or a constant that comes out infinite or NaN, as
+    happens for theta1 in the forties and beyond): the report is not
+    admissible, ``out_of_range`` names the first such constant, and it and
+    the constants after it stay NaN.
     """
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
     T = side_length_T(p.d, p.theta1)
-    eps2 = admissibility_epsilon(p, "sampling_G")
-    base = dict(
-        epsilon=eps2,
-        T=T,
-        params={k: v for k, v in asdict(p).items()},
-        free_constants=asdict(fc),
-    )
+    eps2 = sampling_epsilon(p)
+    base = dict(epsilon=eps2, T=T, params=asdict(p), free_constants=asdict(fc))
     if eps2 <= 0.0:
         return UcConstantReport(admissible=False, **base)
 
-    ps = scale_parameters(p).with_sampling_geometry()
-    got: dict = {}
+    ps = scale_parameters(p)
+    geo = sampling_geometry(ps)
+    got = asdict(geo)
     chain = (
-        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, eps2)),
+        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, geo, eps2)),
         (("carleman_C", "carleman_alpha0"),
          lambda: carleman_constants(ps, got["rho"], got["mu"], got["mu1"])),
         (("alpha1", "alpha3", "alpha_star"), lambda: alpha_star(
-            ps, fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
+            ps, geo, fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
         (("cac_delta_half",), lambda: (cacciopoli_prefactor(
             ps.delta / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("cac_D0_half",), lambda: (cacciopoli_prefactor(
-            ps.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
+            geo.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("log_c_quc",), lambda: (log_c_quc(
-            ps, fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
-        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, fc),)),
+            ps, geo, fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
+        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, geo, fc),)),
         (("log_c_sfuc",), lambda: (log_c_sfuc(p, fc),)),
         (("log_gamma",), lambda: (log_gamma_window(p, fc, energy),)),
         (("sfuc_exponent",), lambda: (c_sfuc_exponent(p, fc),)),

@@ -32,7 +32,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from uclab.constants import EULER, side_length_T
+from uclab.constants import EULER, sampling_radius, side_length_T
 
 __all__ = [
     "CubeDomain",
@@ -114,6 +114,9 @@ class CubeDomain:
             raise ValueError("grid function shape mismatch")
         if where is not None:
             where = np.asarray(where)
+            if where.dtype == bool and where.shape != self.shape:
+                raise ValueError(f"boolean where of shape {where.shape} is not "
+                                 f"on the grid of shape {self.shape}")
             psi = psi[where] if where.dtype == bool else psi.reshape(-1)[where]
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
@@ -392,8 +395,8 @@ def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) 
     :func:`window_containment_margin`); the offset defaults to sqrt(d)/2."""
     if center_offset is None:
         center_offset = math.sqrt(d) / 2.0
-    R = math.sqrt(d) + 2.0
-    return NEAR_NEIGHBOR_SHIFT + center_offset + (2.0 * EULER * theta1 + 1.0) * R
+    ball_radius = (2.0 * EULER * theta1 + 1.0) * sampling_radius(d)
+    return NEAR_NEIGHBOR_SHIFT + center_offset + ball_radius
 
 
 def window_containment_margin(

@@ -24,12 +24,13 @@ depend on the BLAS thread count, and inside a degenerate eigenspace the basis
 is this canonical one rather than a solver's round-off.
 
 Any other operator takes the dense Hermitian path (LAPACK ``evr``, only the
-``count`` lowest pairs) at desk scale, and ARPACK shift-invert Lanczos for
-the ``count`` lowest eigenpairs of larger matrices (deterministic through a
-seeded start vector).  The shift is ``spectral_floor - 1``, below the lower
-bound on the spectrum that ``discretization.assemble`` computes (Weyl's
-inequality with a positive semidefinite second-order part), so the lowest
-eigenvalues are the ones nearest it.  Because the shift sits below the
+``count`` lowest pairs) up to DENSE_CUTOFF unknowns, and ARPACK shift-invert
+Lanczos for the ``count`` lowest eigenpairs of larger matrices
+(deterministic through a seeded start vector).  The shift is
+``spectral_floor - 1``, below the lower bound on the spectrum that
+``discretization.assemble`` computes (Weyl's inequality with a positive
+semidefinite second-order part), so the lowest eigenvalues are the ones
+nearest it.  Because the shift sits below the
 spectrum, M = H - sigma I is Hermitian positive definite: it needs no
 pivoting, and its sparsity pattern is symmetric, so SuperLU factorizes it
 once with the minimum-degree ordering of the pattern of M^T + M
@@ -70,7 +71,7 @@ from uclab.discretization import DiscreteOperator
 
 __all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
 
-DENSE_CUTOFF = 2048
+DENSE_CUTOFF = 256      # dense and Lanczos cost about the same here (README)
 HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
 RESIDUAL_TOL = 1e-9     # allowed ||H v - lambda v|| relative to the largest entry
 

@@ -19,6 +19,7 @@ from uclab.carleman import (
     check_pointwise_cutoff_bound,
     cutoff_operator_value,
     ein,
+    log_phi,
     mu_one,
     phi,
 )
@@ -91,6 +92,15 @@ class TestProfile:
             phi(-0.1, 1.0)
         with pytest.raises(ValueError):
             ein(np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input_naming_it(self, bad):
+        # NaN passed the x < 0 guard, and inf gave nan through inf*0 and inf - inf
+        for evaluate, name in ((ein, "x"), (lambda r: phi(r, 1.0), "r"),
+                               (lambda r: log_phi(r, 1.0), "r")):
+            for x in (bad, np.array([0.5, bad])):
+                with pytest.raises(ValueError, match=rf"^{name} must be finite; 1 entries"):
+                    evaluate(x)
 
 
 class TestWeightFunction:

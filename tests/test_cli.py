@@ -78,8 +78,8 @@ class TestExitCodes:
         ("model.R", 50), ("model.D0", 0.01), ("model.K_V", 99), ("model.beta", 7),
     ])
     def test_local_estimate_key_is_unknown(self, tmp_path, capsys, key, value):
-        # the sampling route derives R, D0, K_V and beta; a value given here
-        # would be echoed in report.json and used nowhere
+        # R, D0, K_V and beta are no model parameters: the sampling route
+        # derives them, and the constants report gives what it used
         path = write_cfg(tmp_path, {key: value})
         assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown configuration key {key!r}" in capsys.readouterr().err
@@ -187,6 +187,16 @@ class TestCommands:
         assert rep["report"]["out_of_range"] == "log_c_quc_lower"
         assert rep["report"]["admissible"] is False
         assert "log_c_quc_lower leaves the double range" in capsys.readouterr().out
+
+    def test_constants_report_gives_the_geometry_it_used(self, tmp_path):
+        path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 1.2, "model.norm_V": 0.5})
+        out = tmp_path / "out"
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        R = math.sqrt(2.0) + 2.0
+        assert rep["T"] == 52
+        assert (rep["R"], rep["D0"], rep["K_V"], rep["beta"]) == (R, R / 2.0, 0.5, 2.0 * 52**2)
+        assert not {"params.R", "params.D0", "params.K_V", "params.beta"} & rep.keys()
 
     @pytest.mark.parametrize("command", ["constants", "weight"])
     def test_report_config_is_a_config(self, tmp_path, command):

@@ -1,6 +1,7 @@
 """Constant-evaluation tests against hand values and the mpmath oracle."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -9,17 +10,20 @@ from hypothesis import strategies as st
 import oracles
 from uclab.constants import (
     FreeConstants,
+    LocalGeometry,
     ModelParams,
-    admissibility_epsilon,
     alpha_star,
     c_sfuc_exponent,
     cacciopoli_prefactor,
     carleman_constants,
     carleman_mu_rho,
+    local_epsilon,
     log_c_quc,
     log_c_quc_lower_bound,
     log_c_sfuc,
     log_gamma_window,
+    sampling_epsilon,
+    sampling_geometry,
     sampling_report,
     scale_parameters,
     side_length_T,
@@ -48,6 +52,10 @@ CANONICAL = {
 }
 
 
+# the local estimate on a unit annulus: R = 1, D0 = R/2, no potential, beta = 1
+UNIT = LocalGeometry(R=1.0, D0=0.5, K_V=0.0, beta=1.0)
+
+
 def canonical_params():
     return ModelParams(d=1, theta1=1.0, theta2=0.0, G=1.0, delta=0.25)
 
@@ -60,18 +68,18 @@ class TestAdmissibility:
     def test_vanishing_lipschitz_gives_one(self):
         for d in (1, 2, 3):
             p = ModelParams(d=d, theta1=1.7, theta2=0.0, G=2.0)
-            assert admissibility_epsilon(p, "sampling_G") == 1.0
+            assert sampling_epsilon(p) == 1.0
 
     def test_small_lipschitz_value(self):
         p = ModelParams(d=1, theta1=1.0, theta2=1e-3, G=1.0)
         expected = 1.0 - 33.0 * E * 3.0 * 1e-3
-        got = admissibility_epsilon(p, "sampling_G")
+        got = sampling_epsilon(p)
         assert rel_err(got, expected) < 1e-15
         assert abs(got - 0.7309) < 1e-4
 
     def test_inadmissible_is_flagged_not_raised(self):
         p = ModelParams(d=1, theta1=1.0, theta2=1.0, G=1.0)
-        got = admissibility_epsilon(p, "sampling_G")
+        got = sampling_epsilon(p)
         assert got < 0
         assert abs(got - (1.0 - 99.0 * E)) < 1e-10
         assert abs(got + 268.1) < 0.01
@@ -82,14 +90,12 @@ class TestAdmissibility:
         vals = []
         for t2 in (0.0, 1e-4, 2e-4, 5e-4):
             vals.append(
-                admissibility_epsilon(ModelParams(d=d, theta1=t1, theta2=t2, G=G), "sampling_G")
+                sampling_epsilon(ModelParams(d=d, theta1=t1, theta2=t2, G=G))
             )
         for t2, v in zip((0.0, 1e-4, 2e-4, 5e-4), vals):
             assert rel_err(v, 1.0 + slope * t2) < 1e-12
         root = -1.0 / slope
-        at_root = admissibility_epsilon(
-            ModelParams(d=d, theta1=t1, theta2=root, G=G), "sampling_G"
-        )
+        at_root = sampling_epsilon(ModelParams(d=d, theta1=t1, theta2=root, G=G))
         assert abs(at_root) < 1e-12
 
 
@@ -98,14 +104,37 @@ class TestFiniteInput:
     @pytest.mark.parametrize("cls, name", [
         *((ModelParams, f) for f in (
             "d", "theta1", "theta2", "norm_V", "norm_b", "norm_c", "G",
-            "delta", "L", "R", "D0", "K_V", "beta",
+            "delta", "L",
         )),
+        *((LocalGeometry, f) for f in ("R", "D0", "K_V", "beta")),
         *((FreeConstants, f) for f in ("K1", "K2", "M", "Cprime")),
     ])
     def test_non_finite_rejected_naming_the_field(self, cls, name, bad):
-        required = {"d": 2} if cls is ModelParams else {}
+        required = {ModelParams: {"d": 2}, LocalGeometry: UNIT.__dict__}.get(cls, {})
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             cls(**{**required, name: bad})
+
+
+class TestLocalGeometry:
+    @pytest.mark.parametrize("name, bad", [
+        ("R", 0.0), ("R", -1.0), ("D0", 0.0), ("K_V", -0.1), ("beta", 0.99),
+    ])
+    def test_out_of_range_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="needs R, D0 > 0, K_V >= 0 and beta >= 1"):
+            replace(UNIT, **{name: bad})
+
+    def test_not_a_model_parameter(self):
+        assert not {"R", "D0", "K_V", "beta"} & {f.name for f in fields(ModelParams)}
+
+    def test_sampling_route_values(self):
+        # R = sqrt(d) + 2, D0 = R/2, K_V = norm_V, beta = 2 T^d
+        for d, t1, nv in ((1, 1.0, 0.0), (2, 1.2, 0.5), (3, 1.7, 2.0)):
+            p = ModelParams(d=d, theta1=t1, norm_V=nv)
+            geo = sampling_geometry(p)
+            R = math.sqrt(d) + 2.0
+            assert geo == LocalGeometry(R=R, D0=R / 2.0, K_V=nv,
+                                        beta=2.0 * side_length_T(d, t1) ** d)
+        assert sampling_geometry(ModelParams(d=2, theta1=1.2)).beta == 2 * 52**2
 
 
 class TestSideLength:
@@ -123,39 +152,39 @@ class TestSideLength:
 
 class TestMuRho:
     def test_hand_values_unit_case(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=0.0, R=1.0, D0=0.5)
-        mu, mu1, rho = carleman_mu_rho(p, eps0=1.0)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0)
+        mu, mu1, rho = carleman_mu_rho(p, UNIT, eps0=1.0)
         assert rel_err(rho, 2.0 * E + 1.0) < 1e-15
         assert rel_err(mu, (2.0 * E + 1.0) / (2.0 * E)) < 1e-15
         assert rel_err(mu1, E * mu) < 1e-15  # sqrt(theta1)*mu > 1 branch
 
     def test_small_eps_limit(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=0.0, R=1.0, D0=0.5)
-        mu, mu1, _ = carleman_mu_rho(p, eps0=1e-12)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0)
+        mu, mu1, _ = carleman_mu_rho(p, UNIT, eps0=1e-12)
         assert mu < 1e-11
         assert abs(mu1 - 1.0) < 1e-11  # exp branch near zero
 
     def test_lipschitz_term_split(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=1e-3, R=1.0, D0=0.5)
-        eps0 = admissibility_epsilon(p, "qUC")
-        mu, _, rho = carleman_mu_rho(p, eps0)
+        p = ModelParams(d=1, theta1=1.0, theta2=1e-3)
+        eps0 = local_epsilon(p, UNIT)
+        mu, _, rho = carleman_mu_rho(p, UNIT, eps0)
         lip = 33.0 * p.d * p.theta1**5.5 * p.theta2 * rho
-        assert rel_err(mu - lip, rho * eps0 / (2.0 * E * p.R)) < 1e-12
+        assert rel_err(mu - lip, rho * eps0 / (2.0 * E * UNIT.R)) < 1e-12
 
     def test_rejects_nonpositive_eps(self):
-        p = ModelParams(d=1, R=1.0, D0=0.5)
+        p = ModelParams(d=1)
         with pytest.raises(ValueError):
-            carleman_mu_rho(p, eps0=0.0)
+            carleman_mu_rho(p, UNIT, eps0=0.0)
 
 
 class TestCarlemanConstants:
     def test_zero_lower_order_collapses_alpha0(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=0.0, R=1.0, D0=0.5)
-        mu, mu1, rho = carleman_mu_rho(p, 1.0)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0)
+        mu, mu1, rho = carleman_mu_rho(p, UNIT, 1.0)
         C, alpha0 = carleman_constants(p, rho, mu, mu1)
         # with b = c = 0 the max collapses to the first branch
         C2, alpha0_b = carleman_constants(
-            ModelParams(d=1, theta1=1.0, theta2=0.0, R=1.0, D0=0.5, norm_b=0.0),
+            ModelParams(d=1, theta1=1.0, theta2=0.0, norm_b=0.0),
             rho, mu, mu1,
         )
         assert alpha0 == alpha0_b and C == C2
@@ -164,24 +193,24 @@ class TestCarlemanConstants:
         mu_o = (2.0 * E + 1.0) / (2.0 * E)
         rho_o = 2.0 * E + 1.0
         mu1_o = E * mu_o
-        p = ModelParams(d=1, theta1=1.0, theta2=0.0, R=1.0, D0=0.5)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0)
         C, alpha0 = carleman_constants(p, rho_o, mu_o, mu1_o)
         C_ref, alpha0_ref = oracles.carleman_C_alpha0(1, 1, 0, rho_o, mu_o, mu1_o, 0, 0)
         assert rel_err(C, float(C_ref)) < 1e-12
         assert rel_err(alpha0, float(alpha0_ref)) < 1e-12
 
     def test_alpha0_monotone_in_drift_norm(self):
-        p0 = ModelParams(d=2, theta1=1.1, theta2=0.0, R=1.0, D0=0.5)
-        mu, mu1, rho = carleman_mu_rho(p0, 1.0)
+        p0 = ModelParams(d=2, theta1=1.1, theta2=0.0)
+        mu, mu1, rho = carleman_mu_rho(p0, UNIT, 1.0)
         prev = -1.0
         for nb in (0.0, 0.5, 1.0, 4.0, 16.0):
-            p = ModelParams(d=2, theta1=1.1, theta2=0.0, R=1.0, D0=0.5, norm_b=nb)
+            p = ModelParams(d=2, theta1=1.1, theta2=0.0, norm_b=nb)
             _, alpha0 = carleman_constants(p, rho, mu, mu1)
             assert alpha0 >= prev
             prev = alpha0
 
     def test_rejects_insufficient_mu(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=0.1, R=1.0, D0=0.5)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.1)
         with pytest.raises(ValueError):
             carleman_constants(p, rho=10.0, mu=1e-3, mu1=1.0)
 
@@ -210,25 +239,27 @@ class TestCacciopoli:
 
 class TestAlphaStar:
     def test_zero_potential_bound_kills_alpha1(self):
-        p = canonical_params().with_sampling_geometry()
-        mu, mu1, rho = carleman_mu_rho(p, 1.0)
+        p = canonical_params()
+        geo = sampling_geometry(p)
+        mu, mu1, rho = carleman_mu_rho(p, geo, 1.0)
         C, alpha0 = carleman_constants(p, rho, mu, mu1)
-        a1, a3, a_star = alpha_star(p, FC, C, alpha0, mu, rho)
+        a1, a3, a_star = alpha_star(p, geo, FC, C, alpha0, mu, rho)
         assert a1 == 0.0
         assert a_star >= 1.0
 
     def test_canonical_against_oracle(self):
-        p = canonical_params().with_sampling_geometry()
-        mu, mu1, rho = carleman_mu_rho(p, 1.0)
+        p = canonical_params()
+        geo = sampling_geometry(p)
+        mu, mu1, rho = carleman_mu_rho(p, geo, 1.0)
         C, alpha0 = carleman_constants(p, rho, mu, mu1)
-        a1, a3, a_star = alpha_star(p, FC, C, alpha0, mu, rho)
+        a1, a3, a_star = alpha_star(p, geo, FC, C, alpha0, mu, rho)
         assert rel_err(a3, CANONICAL["alpha3"]) < 1e-10
         assert rel_err(a_star, CANONICAL["alpha_star"]) < 1e-10
 
     def test_rejects_closed_gap(self):
-        p = canonical_params().with_sampling_geometry()
+        p = canonical_params()
         with pytest.raises(ValueError):
-            alpha_star(p, FC, 1.0, 1.0, mu=100.0, rho=1.0)
+            alpha_star(p, sampling_geometry(p), FC, 1.0, 1.0, mu=100.0, rho=1.0)
 
 
 class TestCqucChain:
@@ -238,67 +269,66 @@ class TestCqucChain:
         assert rep.log_c_quc < 0.0  # mass fraction at most one
 
     def test_halving_delta_scales_power_factor_exactly(self):
-        p = canonical_params().with_sampling_geometry()
-        mu, mu1, rho = carleman_mu_rho(p, 1.0)
+        p = canonical_params()
+        geo = sampling_geometry(p)
+        mu, mu1, rho = carleman_mu_rho(p, geo, 1.0)
         C, alpha0 = carleman_constants(p, rho, mu, mu1)
-        _, _, a_star = alpha_star(p, FC, C, alpha0, mu, rho)
+        _, _, a_star = alpha_star(p, geo, FC, C, alpha0, mu, rho)
 
         def log_t1(delta):
             cac = cacciopoli_prefactor(delta / 2.0, 0.0, 0.0, 0.0, 1.0, 1.0)
             denom = 3.0 + 768.0 / delta**2 + 4.0 * cac
-            return math.log(4.0 * mu1**2 * delta**2 / (3.0 * p.R * rho * C)) - math.log(denom)
+            return math.log(4.0 * mu1**2 * delta**2 / (3.0 * geo.R * rho * C)) - math.log(denom)
 
         d1, d2 = 0.25, 0.125
-        la = log_c_quc(p, FC, mu1, rho, C, a_star)
-        pb = ModelParams(**{**p.__dict__, "delta": d2})
-        lb = log_c_quc(pb, FC, mu1, rho, C, a_star)
+        la = log_c_quc(p, geo, FC, mu1, rho, C, a_star)
+        lb = log_c_quc(replace(p, delta=d2), geo, FC, mu1, rho, C, a_star)
         power_shift = (lb - log_t1(d2)) - (la - log_t1(d1))
         assert rel_err(power_shift, -2.0 * a_star * math.log(2.0)) < 1e-12
 
     def test_increasing_in_delta(self):
-        p = canonical_params().with_sampling_geometry()
-        mu, mu1, rho = carleman_mu_rho(p, 1.0)
+        p = canonical_params()
+        geo = sampling_geometry(p)
+        mu, mu1, rho = carleman_mu_rho(p, geo, 1.0)
         C, alpha0 = carleman_constants(p, rho, mu, mu1)
-        _, _, a_star = alpha_star(p, FC, C, alpha0, mu, rho)
+        _, _, a_star = alpha_star(p, geo, FC, C, alpha0, mu, rho)
         logs = []
         for delta in (0.05, 0.1, 0.2, 0.4, 0.8):
-            pd = ModelParams(**{**p.__dict__, "delta": delta})
-            logs.append(log_c_quc(pd, FC, mu1, rho, C, a_star))
+            logs.append(log_c_quc(replace(p, delta=delta), geo, FC, mu1, rho, C, a_star))
         assert all(b > a for a, b in zip(logs, logs[1:]))
 
 
 class TestCqucLowerBound:
     def test_exponent_collapses_to_C3(self):
-        p = ModelParams(d=1, theta1=1.0, theta2=0.0, delta=0.25, R=1.0, D0=0.5, beta=1.0)
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0, delta=0.25)
         C3 = 1.0 * math.exp(15.0)
-        got = log_c_quc_lower_bound(p, FC)
+        got = log_c_quc_lower_bound(p, UNIT, FC)
         expected = -10.0 + C3 * math.log(0.25 / (10.0 * E))
         assert rel_err(got, expected) < 1e-12
 
     def test_vanishing_eps_drives_bound_to_zero(self):
-        small = ModelParams(d=1, theta1=1.0, theta2=1.108e-2, delta=0.25, R=1.0, D0=0.5)
-        tiny_eps = admissibility_epsilon(small, "qUC")
+        small = ModelParams(d=1, theta1=1.0, theta2=1.108e-2, delta=0.25)
+        tiny_eps = local_epsilon(small, UNIT)
         assert 0.0 < tiny_eps < 0.01
-        big = ModelParams(d=1, theta1=1.0, theta2=0.0, delta=0.25, R=1.0, D0=0.5)
-        assert log_c_quc_lower_bound(small, FC) < log_c_quc_lower_bound(big, FC) - 1e6
+        big = ModelParams(d=1, theta1=1.0, theta2=0.0, delta=0.25)
+        assert log_c_quc_lower_bound(small, UNIT, FC) < log_c_quc_lower_bound(big, UNIT, FC) - 1e6
 
     def test_against_oracle(self):
-        p = ModelParams(
-            d=2, theta1=1.2, theta2=1e-4, delta=0.7, R=1.5, D0=0.75,
-            norm_V=0.4, norm_b=0.1, norm_c=0.2, beta=3.0,
-        )
-        got = log_c_quc_lower_bound(p, FC)
+        p = ModelParams(d=2, theta1=1.2, theta2=1e-4, delta=0.7,
+                        norm_V=0.4, norm_b=0.1, norm_c=0.2)
+        geo = LocalGeometry(R=1.5, D0=0.75, K_V=0.4, beta=3.0)
+        got = log_c_quc_lower_bound(p, geo, FC)
         ref = oracles.log_c_quc_lower(2, 1.2, 1e-4, 1.5, 0.7, 3.0, 0.4, 0.1, 0.2)
         assert rel_err(got, float(ref)) < 1e-12
 
     def test_rejects_outside_regime(self):
         with pytest.raises(ValueError):
             log_c_quc_lower_bound(
-                ModelParams(d=1, delta=0.25, R=0.5, D0=0.25), FC
+                ModelParams(d=1, delta=0.25), replace(UNIT, R=0.5, D0=0.25), FC
             )
         with pytest.raises(ValueError):
             log_c_quc_lower_bound(
-                ModelParams(d=1, delta=3.0, R=2.0, D0=1.0), FC
+                ModelParams(d=1, delta=3.0), replace(UNIT, R=2.0, D0=1.0), FC
             )
 
 
@@ -355,7 +385,7 @@ class TestGammaWindow:
     def test_zero_energy_matches_sfuc_with_potential_dropped(self):
         p = ModelParams(d=1, theta1=1.0, theta2=0.0, G=1.0, delta=0.25, norm_V=5.0)
         lg = log_gamma_window(p, FC, 0.0)
-        p0 = ModelParams(**{**p.__dict__, "norm_V": 0.0})
+        p0 = replace(p, norm_V=0.0)
         expected = 0.5 * (log_c_sfuc(p0, FC) - 4.0 * math.log(p.G))
         assert rel_err(lg, expected) < 1e-12
 
@@ -431,6 +461,17 @@ class TestReport:
         assert d["params.delta"] == 0.25
         assert d["free_constants.K2"] == 1.0
         assert all(not isinstance(v, dict) for v in d.values())
+
+    def test_report_gives_the_geometry_it_used_in_units_of_G(self):
+        p = ModelParams(d=2, theta1=1.2, G=2.0, delta=0.5, L=6.0, norm_V=0.5)
+        rep = sampling_report(p)
+        geo = sampling_geometry(scale_parameters(p))
+        assert (rep.R, rep.D0, rep.K_V, rep.beta) == (geo.R, geo.D0, geo.K_V, geo.beta)
+        assert rep.K_V == 2.0  # G^2 norm_V
+        assert rep.log_c_quc == log_c_quc(
+            scale_parameters(p), geo, FC, rep.mu1, rep.rho, rep.carleman_C, rep.alpha_star)
+        flagged = sampling_report(ModelParams(d=1, theta2=1.0))
+        assert math.isnan(flagged.R) and math.isnan(flagged.beta)
 
 
 @seed(20240817)

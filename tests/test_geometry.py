@@ -34,6 +34,17 @@ class TestCubeDomain:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             CubeDomain(**args)
 
+    def test_norm_sq_rejects_a_boolean_where_off_the_grid(self):
+        dom = CubeDomain(2, 3.0, 0.5)
+        psi = np.ones(dom.shape)
+        where = np.zeros(dom.shape, dtype=bool)
+        where[0, :2] = True
+        assert dom.norm_sq(psi, where=where) == 2 * dom.cell_volume
+        # a flat mask (which worst_ratio takes) and a mask of another grid
+        for bad in (where.reshape(-1), np.zeros((5, 5), dtype=bool)):
+            with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},.*shape \(6, 6\)"):
+                dom.norm_sq(psi, where=bad)
+
 
 class TestSequences:
     def test_centered_1d_hand_case(self):

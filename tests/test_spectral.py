@@ -77,6 +77,26 @@ class TestEigensolve:
             spectral.DENSE_CUTOFF = old
         assert np.abs(sparse.eigenvalues - dense).max() < 1e-8
 
+    def test_potential_field_above_the_cutoff_runs_lanczos(self, monkeypatch):
+        # N = 576 lies between DENSE_CUTOFF and the old 2048 cutoff
+        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+        H = assemble(synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0))
+        assert H.matrix.shape[0] == 576 > spectral.DENSE_CUTOFF
+        assert H.constant_coefficients is None
+        calls = []
+
+        def spy(owner, attr):
+            fn = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(attr) or fn(*a, **k))
+
+        for owner, attr in ((spla, "splu"), (spla, "eigsh"), (sla, "eigh")):
+            spy(owner, attr)
+        sl = eigensolve(H, count=6)
+        assert calls == ["splu", "eigsh"]
+        monkeypatch.undo()
+        ref = sla.eigh(H.matrix.toarray(), eigvals_only=True)[:6]
+        assert np.abs(sl.eigenvalues - ref).max() < 1e-10
+
     def test_rejects_non_hermitian(self):
         dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
         fld = CoefficientField(
@@ -238,9 +258,10 @@ class TestClosedForm:
 
 
 def _variable_fields():
-    """Fields that are not constant-coefficient, each for one reason."""
-    per = CubeDomain(2, 3.0, 1 / 8, "periodic")
-    dirichlet = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+    """Fields that are not constant-coefficient, each for one reason, small
+    enough (N = 225) for the dense path."""
+    per = CubeDomain(2, 3.0, 1 / 5, "periodic")
+    dirichlet = CubeDomain(2, 3.0, 1 / 5, "dirichlet")
     rotated = CoefficientField(
         dirichlet, constant_spd_field(3, per, 2.0), np.zeros(dirichlet.shape + (2,)),
         np.zeros(dirichlet.shape), np.zeros(dirichlet.shape), 2.0, 0.0)
@@ -412,9 +433,9 @@ class TestOneBlasThread:
 
     @staticmethod
     def _fields():
-        # one operator per path: closed form, dense, and (with a cutoff of
-        # 10 unknowns) Lanczos
-        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        # one operator per path: closed form, dense (N = 225), and (with a
+        # cutoff of 10 unknowns) Lanczos
+        dom = CubeDomain(2, 3.0, 1 / 5, "periodic")
         return (assemble(constant_field(dom, constant_spd_field(3, dom, 2.0))),
                 assemble(synthesize_random_field(0, dom, 1.3, norm_V=0.5)))
 

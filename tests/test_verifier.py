@@ -99,7 +99,7 @@ class TestObservabilityRatio:
                 assert dom.norm_sq(psi, where=ball_cells(seq, dom)) == want
         # a boolean where is read against the grid, so it must have its shape
         for wrong in (m[None], m[..., :-1]):
-            with pytest.raises(IndexError):
+            with pytest.raises(ValueError, match="is not on the grid of shape"):
                 dom.norm_sq(psi, where=wrong)
 
     @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
