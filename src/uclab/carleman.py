@@ -226,27 +226,37 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_d1(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
+    """The quintic's derivatives at the clipped t vanish at and beyond both
+    ends, so they need no mask (nor does the second derivative below)."""
     t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * t**2 * (1.0 - t) ** 2, 0.0)
+    return 30.0 * t**2 * (1.0 - t) ** 2
 
 
 def _smoothstep_d2(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
     t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 60.0 * t - 180.0 * t**2 + 120.0 * t**3, 0.0)
+    return 60.0 * t - 180.0 * t**2 + 120.0 * t**3
+
+
+def _plateau(r: np.ndarray, lo: float, hi: float, w_up: float, w_dn: float) -> np.ndarray:
+    """A smoothstep rising over [lo, lo + w_up] times one falling over
+    [hi - w_dn, hi], evaluated only inside the open interval lo < r < hi;
+    every other point gets an exact 0.0."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(r.shape)
+    inside = (r > lo) & (r < hi)
+    r = r[inside]
+    out[inside] = _smoothstep((r - lo) / w_up) * _smoothstep((hi - r) / w_dn)
+    return out
 
 
 @dataclass(frozen=True)
 class RadialCutoff:
-    """Radial plateau cutoff: 0 near the origin and far out, 1 on the working
-    annulus, quintic-smoothstep transitions (twice continuously
-    differentiable)."""
+    """Radial plateau cutoff eta(s) of the radius s = |x|: 0 near the origin
+    and far out, 1 on the working annulus, quintic-smoothstep transitions
+    (twice continuously differentiable)."""
 
     delta: float
-    R: float
     D0: float
-    theta1: float
     d: int
     r1: float
     r2: float
@@ -255,10 +265,7 @@ class RadialCutoff:
     measured_M: float
 
     def value(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        up = _smoothstep((s - self.r1) / (self.r2 - self.r1))
-        down = _smoothstep((self.r4 - s) / (self.r4 - self.r3))
-        return np.where(s <= self.r2, up, 1.0) * np.where(s >= self.r3, down, 1.0)
+        return _plateau(s, self.r1, self.r4, self.r2 - self.r1, self.r4 - self.r3)
 
     def radial_derivative(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -276,14 +283,6 @@ class RadialCutoff:
         der2 = der2 + _smoothstep_d2((self.r4 - s) / w_dn) / w_dn**2
         return der2
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt((x**2).sum(axis=-1))
-        der = self.radial_derivative(s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(s[..., None] > 0.0, x / s[..., None], 0.0)
-        return der[..., None] * unit
-
     def radial_laplacian(self, s: np.ndarray) -> np.ndarray:
         """eta'' + (d - 1) eta' / s, the Laplacian at radius s (0 at s = 0)."""
         s = np.asarray(s, dtype=float)
@@ -291,24 +290,6 @@ class RadialCutoff:
             return self.radial_second_derivative(s) + np.where(
                 s > 0.0, (self.d - 1) * self.radial_derivative(s) / s, 0.0
             )
-
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.radial_laplacian(np.sqrt((x**2).sum(axis=-1)))
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Full Hessian from the radial profile (points away from 0)."""
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt((x**2).sum(axis=-1))
-        der = self.radial_derivative(s)
-        der2 = self.radial_second_derivative(s)
-        unit = x / s[..., None]
-        outer = unit[..., :, None] * unit[..., None, :]
-        eye = np.eye(self.d)
-        return (
-            der2[..., None, None] * outer
-            + (der / s)[..., None, None] * (eye - outer)
-        )
 
 
 def build_radial_cutoff(
@@ -324,8 +305,7 @@ def build_radial_cutoff(
     if not (r1 < r2 < r3 < r4):
         raise ValueError("cutoff radii must be strictly ordered")
     cut = RadialCutoff(
-        delta=delta, R=R, D0=D0, theta1=theta1, d=d,
-        r1=r1, r2=r2, r3=r3, r4=r4, measured_M=math.nan,
+        delta=delta, D0=D0, d=d, r1=r1, r2=r2, r3=r3, r4=r4, measured_M=math.nan
     )
     measured = 0.0
     for lo, hi, scale in ((r1, r2, delta), (r3, r4, D0)):
@@ -349,25 +329,29 @@ def cutoff_operator_value(
     points: np.ndarray,
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """-div(A grad eta) + b.grad eta at the points, from the closed-form
-    cutoff derivatives; coefficient derivatives by centered finite
-    differences of step ``FD_STEP``."""
+    """-div(A grad eta) + b.grad eta at points away from the origin.
+
+    With s = |x| and u = x/s the cutoff's derivatives are radial,
+    grad eta = eta' u and A : hess eta = eta'' u.A.u + (eta'/s)(tr A - u.A.u),
+    so only eta', eta'' and u.A.u enter; the divergence of A's columns,
+    sum_i d_i a[i, j], is taken by centered finite differences of step
+    ``FD_STEP``.
+    """
     pts = np.asarray(points, dtype=float)
-    d = cutoff.d
-    grad = cutoff.gradient(pts)
-    hess = cutoff.hessian(pts)
+    s = np.sqrt((pts**2).sum(axis=-1))
+    u = pts / s[..., None]
+    der = cutoff.radial_derivative(s)
     Axx = A(pts)
-    dA_val = np.empty(pts.shape[:-1] + (d, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = FD_STEP
-        dA_val[..., i, :, :] = (A(pts + e) - A(pts - e)) / (2.0 * FD_STEP)
-    div_A_grad = np.einsum("...iij->...j", dA_val)  # sum_i d_i a[i,j]
-    op_c = -np.einsum("...j,...j->...", div_A_grad, grad)
-    op_c = op_c - np.einsum("...ij,...ij->...", Axx, hess)
-    if b is not None:
-        op_c = op_c + np.einsum("...j,...j->...", b(pts), grad)
-    return op_c
+    uAu = np.einsum("...i,...ij,...j->...", u, Axx, u)
+    A_hess = cutoff.radial_second_derivative(s) * uAu + der / s * (
+        np.trace(Axx, axis1=-2, axis2=-1) - uAu
+    )
+    div_A = sum(
+        (A(pts + e) - A(pts - e))[..., i, :] / (2.0 * FD_STEP)
+        for i, e in enumerate(FD_STEP * np.eye(cutoff.d))
+    )
+    drift = -div_A if b is None else b(pts) - div_A
+    return (drift * u).sum(axis=-1) * der - A_hess
 
 
 def check_pointwise_cutoff_bound(
@@ -384,21 +368,21 @@ def check_pointwise_cutoff_bound(
         |Op_c eta|^2 <= 3 t1^2 |lap eta|^2 + 3 t1^2 (2d-1)^2 |grad eta|^2/|x|^2
                         + 3 (t2 d^2 + |b|_inf)^2 |grad eta|^2
 
-    ``A`` (and optionally ``b``) are smooth synthetic fields given as
-    callables on point arrays; coefficient derivatives are centered finite
-    differences of ``A``.  Points within two finite-difference steps of the
-    profile breakpoints are flagged (one-sided second derivatives there).
+    with |grad eta| = |eta'| for the radial cutoff.  ``A`` (and optionally
+    ``b``) are smooth synthetic fields given as callables on point arrays;
+    coefficient derivatives are centered finite differences of ``A``.
+    Points within two finite-difference steps of the profile breakpoints are
+    flagged (one-sided second derivatives there).
     """
     pts = np.asarray(points, dtype=float)
     d = cutoff.d
     s = np.sqrt((pts**2).sum(axis=-1))
     if np.any(s <= 0.0):
         raise ValueError("sample points must avoid the origin")
-    grad = cutoff.gradient(pts)
     lap = cutoff.radial_laplacian(s)
     op_c = cutoff_operator_value(cutoff, A, pts, b=b)
     lhs = np.abs(op_c) ** 2
-    g2 = (grad**2).sum(axis=-1)
+    g2 = cutoff.radial_derivative(s) ** 2
     rhs = (
         3.0 * theta1**2 * lap**2
         + 3.0 * theta1**2 * (2.0 * d - 1.0) ** 2 * g2 / s**2
@@ -570,19 +554,10 @@ def check_carleman_inequality(
 
 def annular_bump(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     """Smooth radial bump at the radii ``r``, supported on the annulus
-    [r_in, r_out].
-
-    Each smoothstep rises over 0.4 of the annulus width.  The smoothsteps
-    are evaluated only inside the open annulus r_in < r < r_out; every other
-    point gets an exact 0.0.
-    """
-    r = np.asarray(r, dtype=float)
+    [r_in, r_out]: each smoothstep rises over 0.4 of the annulus width, and
+    every point outside the open annulus gets an exact 0.0."""
     w = 0.4 * (r_out - r_in)
-    out = np.zeros(r.shape)
-    inside = (r > r_in) & (r < r_out)
-    r = r[inside]
-    out[inside] = _smoothstep((r - r_in) / w) * _smoothstep((r_out - r) / w)
-    return out
+    return _plateau(r, r_in, r_out, w, w)
 
 
 def carleman_trial(

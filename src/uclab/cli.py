@@ -14,7 +14,8 @@ every ``config error: <key>...``.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
-``summary.csv``, and from ``sweep`` always ``plot.csv``.  ``sweep``,
+``summary.csv``, and from ``sweep`` always ``plot.csv``.  The JSON outputs
+write a NaN or infinite number as ``null``.  ``sweep``,
 ``weight``, ``cacciopoli-check`` and ``extend-check`` run in the one
 dimension ``ds`` names, and ``weight``, ``carleman-check`` and
 ``cacciopoli-check`` draw from the one seed ``seeds`` names (a longer list
@@ -78,8 +79,7 @@ class ExperimentConfig:
         for f in fields(self):
             val = getattr(self, f.name)
             if f.name in ("model", "free"):
-                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()
-                            if k in _KEYS[f.name]})
+                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()})
             else:
                 out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
@@ -219,10 +219,11 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
 
 
 def _write_report(out: Path, payload: dict) -> None:
+    """report.json, with non-finite numbers as null (:func:`uclab.verifier.to_json`)."""
+    from uclab.verifier import to_json
+
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "report.json").write_text(to_json(payload, indent=2) + "\n")
 
 
 def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:

@@ -25,7 +25,8 @@ enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 __all__ = [
@@ -154,7 +155,9 @@ def sampling_geometry(p: ModelParams) -> LocalGeometry:
     passes it."""
     R = sampling_radius(p.d)
     T = side_length_T(p.d, p.theta1)
-    return LocalGeometry(R=R, D0=R / 2.0, K_V=p.norm_V, beta=2.0 * float(T) ** p.d)
+    # 2 T^d; float ** and ldexp raise OverflowError past the double range
+    beta = math.ldexp(float(T) ** p.d, 1)
+    return LocalGeometry(R=R, D0=R / 2.0, K_V=p.norm_V, beta=beta)
 
 
 def sampling_epsilon(p: ModelParams) -> float:
@@ -471,15 +474,16 @@ def sampling_report(
 ) -> UcConstantReport:
     """End-to-end constant evaluation along the sampling route.
 
-    Rescales to unit cell size, derives the local geometry there
-    (:func:`sampling_geometry`), and evaluates the whole chain.  Inadmissible
-    parameters (epsilon <= 0) yield a flagged report with NaN constants
-    rather than an exception, so sweeps can chart the admissibility
-    boundary.  So does a chain that leaves the double range (an
-    ``OverflowError``, or a constant that comes out infinite or NaN, as
-    happens for theta1 in the forties and beyond): the report is not
-    admissible, ``out_of_range`` names the first such constant, and it and
-    the constants after it stay NaN.
+    Rescales to unit cell size and evaluates the whole chain there, whose
+    first step derives the local geometry (:func:`sampling_geometry`).
+    Inadmissible parameters (epsilon <= 0) yield a flagged report with NaN
+    constants rather than an exception, so sweeps can chart the
+    admissibility boundary.  So does a chain that leaves the double range
+    (an ``OverflowError``, as beta = 2 T^d raises for d in the hundreds, or
+    a constant that comes out infinite or NaN, as happens for theta1 in the
+    forties and beyond): the report is not admissible, ``out_of_range``
+    names the first such constant, and it and the constants after it stay
+    NaN.
     """
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
@@ -490,21 +494,28 @@ def sampling_report(
         return UcConstantReport(admissible=False, **base)
 
     ps = scale_parameters(p)
-    geo = sampling_geometry(ps)
-    got = asdict(geo)
+    got: dict = {}
+    # beta = 2 T^d first: it is the one value of the geometry that can
+    # overflow, and an OverflowError names the first constant of its step
+    geo_names = ("beta", "R", "D0", "K_V")
+
+    def geo() -> LocalGeometry:  # the geometry the chain's first step derived
+        return LocalGeometry(**{name: got[name] for name in geo_names})
+
     chain = (
-        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, geo, eps2)),
+        (geo_names, lambda: attrgetter(*geo_names)(sampling_geometry(ps))),
+        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, geo(), eps2)),
         (("carleman_C", "carleman_alpha0"),
          lambda: carleman_constants(ps, got["rho"], got["mu"], got["mu1"])),
         (("alpha1", "alpha3", "alpha_star"), lambda: alpha_star(
-            ps, geo, fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
+            ps, geo(), fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
         (("cac_delta_half",), lambda: (cacciopoli_prefactor(
             ps.delta / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("cac_D0_half",), lambda: (cacciopoli_prefactor(
-            geo.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
+            got["D0"] / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("log_c_quc",), lambda: (log_c_quc(
-            ps, geo, fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
-        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, geo, fc),)),
+            ps, geo(), fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
+        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, geo(), fc),)),
         (("log_c_sfuc",), lambda: (log_c_sfuc(p, fc),)),
         (("log_gamma",), lambda: (log_gamma_window(p, fc, energy),)),
         (("sfuc_exponent",), lambda: (c_sfuc_exponent(p, fc),)),

@@ -378,6 +378,10 @@ def synthesize_dir_cross_field(
     return field
 
 
+# relative tolerance of synthesize_random_field's measured constants
+SYNTHESIS_TOL = 0.05
+
+
 def synthesize_random_field(
     seed: int,
     domain: CubeDomain,
@@ -387,7 +391,6 @@ def synthesize_random_field(
     norm_b: float = 0.0,
     norm_c: float = 0.0,
     sa: bool = False,
-    tol: float = 0.05,
 ) -> CoefficientField:
     """Low-frequency trigonometric synthesis hitting the declared constants.
 
@@ -396,10 +399,12 @@ def synthesize_random_field(
     (diagonal) A is a two-mode cosine along a random axis, divided by its
     largest magnitude over the cell centers, so the ellipticity measured on
     the grid hits its target exactly on every grid; the mode mixture is
-    bisected until the measured Lipschitz constant lands within ``tol`` of
-    its target.  On a Dirichlet domain A is diagonal and every cosine has
-    phase zero.  Raises when the Lipschitz target is unreachable at the
-    grid's frequency resolution.  Deterministic per seed.
+    bisected until the measured Lipschitz constant lands within
+    ``SYNTHESIS_TOL`` of its target.  On a Dirichlet domain A is diagonal
+    and every cosine has phase zero.  Raises when the Lipschitz target is
+    unreachable at the grid's frequency resolution, or when a measured
+    constant misses its target by more than ``SYNTHESIS_TOL`` relative.
+    Deterministic per seed.
     """
     if target_theta1 < 1.0:
         raise ValueError("ellipticity target must be >= 1")
@@ -435,7 +440,7 @@ def synthesize_random_field(
 
         kmax = max(1, n // 8)
         c1 = measured(1.0, 1)
-        if target_theta2 < c1 * (1.0 - tol):
+        if target_theta2 < c1 * (1.0 - SYNTHESIS_TOL):
             raise ValueError(
                 f"Lipschitz target {target_theta2} below the k=1 floor {c1:.3g}"
             )
@@ -489,10 +494,10 @@ def synthesize_random_field(
         declared_theta1=target_theta1, declared_theta2=target_theta2,
     )
     got1 = estimate_ellipticity(field.A)
-    if abs(got1 - target_theta1) > tol * target_theta1:
+    if abs(got1 - target_theta1) > SYNTHESIS_TOL * target_theta1:
         raise ValueError(f"ellipticity target missed: {got1} vs {target_theta1}")
     if target_theta2 > 0.0:
         got2 = estimate_lipschitz(field.A, h)
-        if abs(got2 - target_theta2) > tol * target_theta2:
+        if abs(got2 - target_theta2) > SYNTHESIS_TOL * target_theta2:
             raise ValueError(f"Lipschitz target missed: {got2} vs {target_theta2}")
     return field

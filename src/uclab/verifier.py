@@ -89,6 +89,7 @@ __all__ = [
     "scaling_identity",
     "annulus_fits",
     "cacciopoli_check",
+    "to_json",
     "write_rows_jsonl",
     "write_records_jsonl",
     "write_summary_csv",
@@ -559,16 +560,37 @@ def cacciopoli_check(
     }
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, nested in dicts, lists and
+    tuples, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def to_json(obj, indent: Optional[int] = None) -> str:
+    """Key-sorted JSON text of ``obj`` with every NaN or infinity written as
+    ``null``: JSON (RFC 8259) has no such numbers, and ``json.dumps``'
+    default writes bare ``NaN`` and ``Infinity`` tokens that strict parsers
+    reject.  The reports and records of the command line go through here."""
+    return json.dumps(_finite_or_null(obj), indent=indent, sort_keys=True,
+                      allow_nan=False)
+
+
 def write_rows_jsonl(path, rows: Iterable[dict],
                      config: Optional[dict] = None) -> None:
     """Header line carries the timestamp (and config echo); every other line
-    is one row, key-sorted for byte stability."""
+    is one row, key-sorted for byte stability (:func:`to_json`)."""
     with open(path, "w") as fh:
         header = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                   "config": config or {}}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(to_json(header) + "\n")
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(to_json(row) + "\n")
 
 
 def write_records_jsonl(path, records: Sequence[ObservabilityRecord],

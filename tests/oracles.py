@@ -9,7 +9,7 @@ compare the two.
 Values that underflow double precision (the unique-continuation constants do,
 spectacularly) are exposed as natural logarithms.
 
-Three references are not mpmath transcriptions.
+Four references are not mpmath transcriptions.
 :func:`roll_difference` and :func:`roll_centered_diff` are the neighbour
 differences written with ``np.roll`` (wrapped, or with a Dirichlet ghost
 written over the rolled face cell); the production stencils read their
@@ -21,6 +21,9 @@ checker also evaluates the whole cube it is given, but takes the weights
 and sums only at the cells where u, its gradient energy or its operator
 image is nonzero, in real arithmetic, and takes coefficients that
 broadcast to the grid; it must reproduce this reference bit for bit.
+:func:`cutoff_operator_value_hessian` is the cutoff's operator value from
+its full gradient and d x d Hessian, contracted with ``einsum``; the
+production form reads only eta', eta'' and u.A.u and must agree to rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import logsumexp
 
-from uclab.carleman import SUPPORT_TOL, CarlemanCheck
+from uclab.carleman import FD_STEP, SUPPORT_TOL, CarlemanCheck
 from uclab.discretization import apply_operator
 from uclab.geometry import CubeDomain
 
@@ -376,6 +379,33 @@ def carleman_check_whole_cube(u, A, b, c, h, weight, alpha, carleman_C, alpha0=N
     except OverflowError:
         ratio = math.inf
     return CarlemanCheck(lhs_log, rhs_log, ratio)
+
+
+def cutoff_operator_value_hessian(cutoff, A, points, b=None):
+    """-div(A grad eta) + b.grad eta at points away from the origin (the
+    arguments of ``uclab.carleman.cutoff_operator_value``), from the full
+    gradient eta' u and Hessian eta'' u u^T + (eta'/s)(I - u u^T) of the
+    radial cutoff; A's derivatives by centered differences of ``FD_STEP``."""
+    pts = np.asarray(points, dtype=float)
+    d = cutoff.d
+    s = np.sqrt((pts**2).sum(axis=-1))
+    der = cutoff.radial_derivative(s)
+    der2 = cutoff.radial_second_derivative(s)
+    unit = pts / s[..., None]
+    outer = unit[..., :, None] * unit[..., None, :]
+    grad = der[..., None] * unit
+    hess = der2[..., None, None] * outer + (der / s)[..., None, None] * (np.eye(d) - outer)
+    dA = np.empty(pts.shape[:-1] + (d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = FD_STEP
+        dA[..., i, :, :] = (A(pts + e) - A(pts - e)) / (2.0 * FD_STEP)
+    div_A = np.einsum("...iij->...j", dA)  # sum_i d_i a[i, j]
+    op = -np.einsum("...j,...j->...", div_A, grad)
+    op = op - np.einsum("...ij,...ij->...", A(pts), hess)
+    if b is not None:
+        op = op + np.einsum("...j,...j->...", b(pts), grad)
+    return op
 
 
 if __name__ == "__main__":

@@ -337,9 +337,34 @@ class TestPointwiseCutoffBound:
         s = np.sqrt((pts**2).sum(-1))
         a_prime = 0.05 * np.cos(s)
         eta_p = cut.radial_derivative(s)
-        lap = cut.laplacian(pts)
+        lap = cut.radial_laplacian(s)
         ref = -(a_prime * eta_p + a_scalar(s) * lap)
         assert np.abs(got - ref).max() < 1e-5
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_radial_form_matches_hessian_oracle(self, d):
+        # a rotated, slowly varying A and a varying drift; the radial form
+        # needs only eta', eta'' and u.A.u, the oracle the full Hessian
+        cut = build_radial_cutoff(0.4, 1.0, 0.8, 1.1, d=d)
+        rng = np.random.default_rng(10 + d)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        base = rng.uniform(0.9, 1.1, d)
+        k = rng.standard_normal((d, d))
+
+        def A(x):
+            diag = base + 0.05 * np.sin(x @ k.T)
+            return np.einsum("ik,...k,jk->...ij", Q, diag, Q)
+
+        def b(x):
+            return 0.3 * np.cos(x @ k + 0.5)
+
+        pts = rng.uniform(-cut.r4, cut.r4, size=(4000, d))
+        pts = pts[np.sqrt((pts**2).sum(-1)) > 0.02]
+        for drift in (None, b):
+            got = cutoff_operator_value(cut, A, pts, b=drift)
+            ref = oracles.cutoff_operator_value_hessian(cut, A, pts, b=drift)
+            assert np.abs(ref).max() > 1.0
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_drift_doubling_grows_envelope_quadratically(self):
         cut = build_radial_cutoff(0.25, 3.0, 1.5, 1.0, d=2)
@@ -358,7 +383,7 @@ class TestPointwiseCutoffBound:
         assert res1.worst_slack >= -1e-12
         assert res2.worst_slack >= -1e-12
         # the envelope's drift term grows exactly quadratically
-        g2 = (cut.gradient(pts) ** 2).sum(axis=-1)
+        g2 = cut.radial_derivative(np.sqrt((pts**2).sum(-1))) ** 2
         growth = 3.0 * ((2 * nb) ** 2 - nb**2) * g2
         assert np.all(growth >= 0.0)
 

@@ -21,6 +21,16 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not a JSON number (RFC 8259)")
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the bare NaN, Infinity and -Infinity
+    tokens which ``json.dumps`` writes by default."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 class TestConfig:
     def test_flat_keys_map_to_dataclasses(self, tmp_path):
         path = write_cfg(tmp_path, {
@@ -89,7 +99,7 @@ class TestExitCodes:
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["report"]["admissible"] is False
         assert rep["report"]["epsilon"] < 0
 
@@ -161,7 +171,7 @@ class TestExitCodes:
         })
         out = tmp_path / "out"
         assert main(["verify", "--config", path, "--out", str(out)]) == 1
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         worst = rep["worst_record"]
         assert rep["min_margin"] == worst["margin"] < 0
         err = capsys.readouterr().err
@@ -174,7 +184,7 @@ class TestCommands:
         path = write_cfg(tmp_path, {"model.d": 1, "model.delta": 0.25})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["config"]["model.delta"] == 0.25
         assert rep["config"]["bcs"] == ["dirichlet"] and "bc" not in rep["config"]
         assert rep["report"]["T"] == 39
@@ -183,16 +193,31 @@ class TestCommands:
         # a chain that leaves the double range is reported, not raised
         path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 48.0})
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["report"]["out_of_range"] == "log_c_quc_lower"
         assert rep["report"]["admissible"] is False
         assert "log_c_quc_lower leaves the double range" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", [
+        {"model.d": 200},  # T^d = 208^200 is no double
+        {"model.d": 6, "model.theta1": 4.6425812730853403e49},  # T^d is, 2 T^d not
+    ], ids=["power", "doubling"])
+    def test_constants_report_flags_a_beta_overflow(self, tmp_path, capsys, model):
+        # both models are admissible (epsilon = 1), but beta = 2 T^d is no double
+        path = write_cfg(tmp_path, model)
+        out = tmp_path / "out"
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = strict_json((out / "report.json").read_text())["report"]
+        assert rep["epsilon"] == 1.0
+        assert rep["admissible"] is False and rep["out_of_range"] == "beta"
+        assert rep["beta"] is None and rep["log_c_sfuc"] is None
+        assert "beta leaves the double range" in capsys.readouterr().out
 
     def test_constants_report_gives_the_geometry_it_used(self, tmp_path):
         path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 1.2, "model.norm_V": 0.5})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())["report"]
+        rep = strict_json((out / "report.json").read_text())["report"]
         R = math.sqrt(2.0) + 2.0
         assert rep["T"] == 52
         assert (rep["R"], rep["D0"], rep["K_V"], rep["beta"]) == (R, R / 2.0, 0.5, 2.0 * 52**2)
@@ -204,7 +229,7 @@ class TestCommands:
         # reruns as a config file and reproduces the report
         first, second = tmp_path / "a", tmp_path / "b"
         assert main([command, "--out", str(first)]) == 0
-        block = json.loads((first / "report.json").read_text())["config"]
+        block = strict_json((first / "report.json").read_text())["config"]
         assert not {"model.R", "model.D0", "model.K_V", "model.beta"} & block.keys()
         path = write_cfg(tmp_path, block)
         assert main([command, "--config", path, "--out", str(second)]) == 0
@@ -218,10 +243,10 @@ class TestCommands:
         })
         out = tmp_path / "out"
         assert main(["verify", "--config", path, "--out", str(out)]) == 0
-        lines = (out / "records.jsonl").read_text().splitlines()
+        lines = [strict_json(ln) for ln in (out / "records.jsonl").read_text().splitlines()]
         assert len(lines) == 1 + 4  # header + 2 seeds x 2 paths
         assert (out / "summary.csv").exists()
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["min_margin"] > 0
 
     def test_verify_deterministic_after_header(self, tmp_path):
@@ -235,8 +260,9 @@ class TestCommands:
         assert main(["verify", "--config", path, "--out", str(out2)]) == 0
         body1 = (out1 / "records.jsonl").read_text().splitlines()[1:]
         body2 = (out2 / "records.jsonl").read_text().splitlines()[1:]
-        assert body1 == body2
+        assert body1 == body2 and all(strict_json(ln) for ln in body1)
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        strict_json((out1 / "report.json").read_text())
 
     def test_sweep_with_plot_data(self, tmp_path):
         path = write_cfg(tmp_path, {
@@ -247,7 +273,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert (out / "plot.csv").read_text().startswith("delta,ratio,log_bound")
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert abs(rep["slope"] - 1.0) < 0.05
 
     def test_sweep_bounds_at_its_dimension(self, tmp_path):
@@ -271,7 +297,7 @@ class TestCommands:
         path = write_cfg(tmp_path, {"h_per_G": 64, "deltas_over_G": given})
         out = tmp_path / "out"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["deltas"] == swept
+        assert strict_json((out / "report.json").read_text())["deltas"] == swept
 
     def test_weight_command(self, tmp_path):
         out = tmp_path / "out"
@@ -324,14 +350,14 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["extend-check", "--config", path, "--out", str(out)]) == 0
         assert solved == [d, d]
-        assert json.loads((out / "report.json").read_text())["worst"]["residual"] <= 1e-12
+        assert strict_json((out / "report.json").read_text())["worst"]["residual"] <= 1e-12
 
     def test_h_flag_overrides_grid(self, tmp_path):
         path = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
         out = tmp_path / "out"
         assert main(["verify", "--config", path, "--out", str(out),
                      "--h", "0.125"]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["config"]["h_per_G"] == 8
 
     def test_parser_lists_all_subcommands(self):
@@ -344,6 +370,37 @@ class TestCommands:
             "constants", "verify", "sweep", "carleman-check",
             "cacciopoli-check", "extend-check", "weight",
         }
+
+
+class TestStrictJson:
+    def test_non_finite_values_are_written_as_null(self, tmp_path, monkeypatch):
+        # an inadmissible constants report (its constants are NaN), verify
+        # records (inequality-pair rows have no log_gamma) and a NaN
+        # carleman-check ratio: every output file parses as strict JSON
+        import uclab.carleman
+
+        outs = {name: tmp_path / name for name in ("constants", "verify", "carleman")}
+        cfg = write_cfg(tmp_path, {"model.theta2": 1.0})
+        assert main(["constants", "--config", cfg, "--out", str(outs["constants"])]) == 0
+        cfg = write_cfg(tmp_path, {"seeds": [0], "h_per_G": 16}, "verify.json")
+        assert main(["verify", "--config", cfg, "--out", str(outs["verify"])]) == 0
+        monkeypatch.setattr(uclab.carleman, "carleman_trial", lambda seed, d, h, **kw: {
+            "seed": seed, "d": d, "h": h, "ratio": math.nan, "lhs_log": -math.inf})
+        assert main(["carleman-check", "--out", str(outs["carleman"]), "--d", "1",
+                     "--grid", "0.015625", "--trials", "2"]) == 1
+
+        parsed = {}
+        for name, out in outs.items():
+            parsed[name] = strict_json((out / "report.json").read_text())
+            if (out / "records.jsonl").exists():
+                lines = (out / "records.jsonl").read_text().splitlines()
+                parsed[name + ".rows"] = [strict_json(ln) for ln in lines[1:]]
+        assert parsed["constants"]["report"]["log_c_sfuc"] is None
+        pairs = [r for r in parsed["verify.rows"] if r["psi_kind"] == "inequality_pair"]
+        assert pairs and all(r["log_gamma"] is None for r in pairs)
+        assert all(r["ratio"] is None and r["lhs_log"] is None
+                   for r in parsed["carleman.rows"])
+        assert parsed["carleman"]["worst_by_h"] == {"0.015625": None}
 
 
 class TestFlagsAreKeys:
@@ -391,7 +448,7 @@ class TestFieldFileFlag:
         save_field(ff, fld)
         out = tmp_path / "out"
         assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["worst"]["residual"] <= 1e-12
 
     def test_extend_check_fails_on_an_even_normal_drift(self, tmp_path, monkeypatch):
@@ -408,7 +465,7 @@ class TestFieldFileFlag:
         monkeypatch.setitem(uclab.discretization._PARITY, "b", "scalar")
         out = tmp_path / "out"
         assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 1
-        assert json.loads((out / "report.json").read_text())["worst"]["residual"] > 1e-3
+        assert strict_json((out / "report.json").read_text())["worst"]["residual"] > 1e-3
 
     def test_cacciopoli_check_rejects_a_coarse_field_file(self, tmp_path, capsys):
         import numpy as np
@@ -448,7 +505,7 @@ class TestFieldFileFlag:
         out = tmp_path / "out"
         assert main(["extend-check", "--config", cfg, "--out", str(out),
                      "--field-file", str(ff)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
 
         # the odd mirror puts -psi next to psi at each low face: jump 2|psi|
         psi = eigensolve(assemble(fld), count=2, seed=0).grid_vector(0)
@@ -476,7 +533,7 @@ class TestFieldFileFlag:
         out = tmp_path / "out"
         assert main(["extend-check", "--config", cfg, "--out", str(out),
                      "--field-file", str(ff)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = strict_json((out / "report.json").read_text())
         assert rep["worst"]["residual"] <= 1e-12
 
     def test_verify_dump_eigenpairs(self, tmp_path):
@@ -498,7 +555,7 @@ class TestCarlemanFlags:
             "--alpha-mult", "1.2", "--trials", "2", "--seed", "5",
         ]) == 0
         body = (out / "records.jsonl").read_text().splitlines()[1:]
-        rows = [json.loads(ln) for ln in body]
+        rows = [strict_json(ln) for ln in body]
         assert all(r["rho"] == 1.0 and r["mu"] == 0.08 for r in rows)
         assert all(abs(r["alpha"] / r["alpha0"] - 1.2) < 1e-12 for r in rows)
 
@@ -509,7 +566,7 @@ class TestCarlemanFlags:
             "--grid", "0.015625", "--alpha-mult", "1.0", "--trials", "3",
         ]) == 0
         body = (out / "records.jsonl").read_text().splitlines()[1:]
-        rows = [json.loads(ln) for ln in body]
+        rows = [strict_json(ln) for ln in body]
         assert len(rows) == 3 and all(r["alpha"] == r["alpha0"] for r in rows)
 
     @pytest.mark.parametrize("flag,value", [
