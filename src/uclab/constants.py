@@ -139,8 +139,19 @@ class FreeConstants:
 
 
 def _margin(d: int, R: float, theta1: float, t2: float) -> float:
-    """1 - 33 e d R theta1^6 t2, shared by every admissibility margin."""
-    return 1.0 - 33.0 * EULER * d * R * theta1**6 * t2
+    """1 - 33 e d R theta1^6 t2, shared by every admissibility margin.
+
+    The product is formed in log space, so no factor of it leaves the
+    double range on its own: t2 = 0 gives exactly 1.0 for any theta1, and a
+    product past the largest double gives -inf, an inadmissible margin.
+    """
+    if t2 == 0.0:
+        return 1.0
+    log_product = math.log(33.0 * EULER * d * R) + 6.0 * math.log(theta1) + math.log(t2)
+    try:
+        return 1.0 - math.exp(log_product)
+    except OverflowError:
+        return -math.inf
 
 
 def sampling_radius(d: int) -> float:

@@ -11,13 +11,16 @@ lattice cell: its block of ``G/h`` cells per axis.
 :func:`ball_runs` is the one home of the ball predicate.  Along the grid's
 last axis the covered cells of one block row form a single run, so a
 placement is described by one ``[lo, hi)`` pair per row crossing a ball
-instead of one flag per cell.  :func:`ball_cells` expands the runs to the
-sorted flat indices of the covered cells: a trial gathers its masses and
-eigenvector rows by them, and :func:`mask` sets them in a boolean grid.  A
-delta sweep reads the runs against row prefix sums instead.  The run is
-exact: with ``p`` the squared distance over the first ``d - 1`` axes,
-accumulated in axis order, a cell is covered when
-``fl(p + fl((x - z)^2)) < delta^2``; rounding is monotone, so that
+instead of one flag per cell.  It takes a stack of placements that share
+G, delta, L and d and finds the runs of all of them in one pass; a
+placement's runs do not depend on the rest of the stack.
+:func:`ball_cells` expands the runs of one placement (a stack of one) to
+the sorted flat indices of the covered cells: a trial gathers its masses
+and eigenvector rows by them, and :func:`mask` sets them in a boolean grid.
+A delta sweep reads the runs of all the placements of one radius against
+row prefix sums instead.  The run is exact: with ``p`` the squared distance
+over the first ``d - 1`` axes, accumulated in axis order, a cell is covered
+when ``fl(p + fl((x - z)^2)) < delta^2``; rounding is monotone, so that
 expression does not increase as ``x`` approaches the center ``z`` and the
 covered cells of the row are contiguous.  The ends come from
 ``sqrt(delta^2 - p)`` and are confirmed with the same float expression, so
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -121,10 +124,18 @@ class CubeDomain:
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
+def _lattice_axis(G: float, L: float, m: int) -> np.ndarray:
+    """Cell centers of the G-lattice along one axis, shape (m,)."""
+    return -L / 2.0 + (np.arange(m) + 0.5) * G
+
+
 def _lattice(G: float, L: float, d: int, m: int) -> np.ndarray:
     """Centers of the m**d cells of the G-lattice, shape (m,)*d + (d,)."""
-    ax = -L / 2.0 + (np.arange(m) + 0.5) * G
-    return np.moveaxis(ax[np.indices((m,) * d)], 0, -1)
+    ax = _lattice_axis(G, L, m)
+    out = np.empty((m,) * d + (d,))
+    for k in range(d):  # coordinate k runs over the cell centers along axis k
+        out[..., k] = ax.reshape((m,) + (1,) * (d - 1 - k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,15 +167,18 @@ class EquidistributedSequence:
             raise ValueError("L/G must be an integer")
         return round(m)
 
-    def lattice_points(self) -> np.ndarray:
-        """Cell centers of the G-lattice, shape (m,)*d + (d,)."""
-        return _lattice(self.G, self.L, self.d, self.cells_per_axis)
-
     def containment_margin(self) -> float:
         """min over cells of G/2 - delta - ||z_j - cell center||_inf; a
-        sequence with a negative margin is rejected."""
-        off = np.abs(self.centers - self.lattice_points()).max(axis=-1)
-        return float(self.G / 2.0 - self.delta - off.max())
+        sequence with a negative margin is rejected.  Each axis's offsets
+        are read against the lattice's cell centers on that axis, so the
+        check builds no (m,)*d + (d,) lattice."""
+        m, d = self.cells_per_axis, self.d
+        ax = _lattice_axis(self.G, self.L, m)
+        off = 0.0
+        for k in range(d):
+            dist = np.abs(self.centers[..., k] - ax.reshape((m,) + (1,) * (d - 1 - k)))
+            off = max(off, float(dist.max()))
+        return float(self.G / 2.0 - self.delta - off)
 
 
 def generate_sequence(
@@ -199,15 +213,18 @@ def generate_sequence(
 
 
 def ball_runs(
-    seq: EquidistributedSequence, domain: CubeDomain
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells whose center lies in some delta-ball, as runs along the last axis.
+    seqs: Sequence[EquidistributedSequence], domain: CubeDomain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cells whose center lies in some delta-ball, as runs along the last
+    axis, for a stack of placements that share G, delta, L and d.
 
-    Returns ``(rows, lo, hi)``: run ``k`` covers cells ``lo[k] <= i < hi[k]``
-    of grid row ``rows[k]``, the flat index over the first ``d - 1`` axes.
-    Only nonempty runs are returned, ordered by the ball's block along the
-    last axis and then by row; each lies inside the block of its ball, so
-    runs are disjoint.
+    Returns ``(placement, rows, lo, hi)``: run ``k`` covers cells
+    ``lo[k] <= i < hi[k]`` of grid row ``rows[k]``, the flat index over the
+    first ``d - 1`` axes, for the balls of ``seqs[placement[k]]``.  Only
+    nonempty runs are returned, ordered by placement, then by the ball's
+    block along the last axis and then by row; each lies inside the block
+    of its ball, so the runs of one placement are disjoint.  A placement's
+    runs, their order and their ends do not depend on the rest of the stack.
 
     Per ball and block row, ``p`` is the squared distance over the first
     ``d - 1`` axes, accumulated one axis at a time in axis order.  A cell at
@@ -219,29 +236,48 @@ def ball_runs(
     starts from ``sqrt(delta**2 - p)`` and moves until the predicate confirms
     it.
     """
-    if domain.d != seq.d or abs(domain.L - seq.L) > 1e-12:
+    if not seqs:
+        raise ValueError("need at least one placement")
+    first_seq = seqs[0]
+    for name in ("G", "delta", "L", "d"):
+        values = sorted({getattr(seq, name) for seq in seqs})
+        if len(values) > 1:
+            raise ValueError(f"the placements of one stack must share {name}, got {values}")
+    if domain.d != first_seq.d or abs(domain.L - first_seq.L) > 1e-12:
         raise ValueError("sequence and domain are incompatible")
-    m = seq.cells_per_axis
-    c = domain.block_cells(seq.G)
+    m = first_seq.cells_per_axis
+    c = domain.block_cells(first_seq.G)
     d = domain.d
     x = domain.centers_1d()
-    r2 = seq.delta**2
-    # one entry per (ball's block on the last axis, grid row): axes (m,)
-    # and then (m, c) per leading grid axis, so the inner axis is a block row
-    shape = (m,) + (m, c) * (d - 1)
-    ball_shape = [m] + [m, 1] * (d - 1)
-    # the balls in that order: block on the last axis first
-    centers = seq.centers.transpose((d - 1, *range(d - 1), d)).reshape(m**d, d)
+    r2 = first_seq.delta**2
+    # one entry per (placement, ball's block on the last axis, grid row):
+    # axes (P, m) and then (m, c) per leading grid axis, so the inner axis
+    # is a block row
+    shape = (len(seqs), m) + (m, c) * (d - 1)
+    ball_shape = [len(seqs), m] + [m, 1] * (d - 1)
+    # the balls in that order: placement, then block on the last axis
+    centers = np.stack([seq.centers for seq in seqs])
+    centers = centers.transpose((0, d, *range(1, d), d + 1)).reshape(-1, d)
     p = 0.0
     for k in range(d - 1):
-        x_shape = [1] * (2 * d - 1)
-        x_shape[2 * k + 1:2 * k + 3] = (m, c)
+        x_shape = [1] * (2 * d)
+        x_shape[2 * k + 2:2 * k + 4] = (m, c)
         p = p + (x.reshape(x_shape) - centers[:, k].reshape(ball_shape)) ** 2
-    p = np.broadcast_to(p, shape)
+    # one line per (placement, block): its (m, c) axes flatten to grid rows
+    p = np.broadcast_to(p, shape).reshape(len(seqs) * m, -1)
     live = p < r2  # fl(p + q) >= p, so the other rows are empty
     p = p[live]
-    ball = np.broadcast_to(np.arange(m**d).reshape(ball_shape), shape)[live]
-    first, rows = np.divmod(np.flatnonzero(live), domain.n ** (d - 1))
+    # each live entry's line, row and ball, repeated per line rather than
+    # divided out of its flat index: line q holds the balls q*m**(d-1) + j,
+    # j the row's G-cell over the first d - 1 axes in row-major order
+    line = np.arange(len(seqs) * m)
+    counts = np.count_nonzero(live, axis=1)
+    rows = np.flatnonzero(live) - np.repeat(line * live.shape[1], counts)
+    row_cell = np.zeros(1, dtype=np.intp)
+    for _ in range(d - 1):
+        row_cell = (row_cell[:, None] * m + np.arange(domain.n) // c).reshape(-1)
+    ball = np.repeat(line * m ** (d - 1), counts) + row_cell[rows]
+    placement, first = (np.repeat(v, counts) for v in np.divmod(line, m))
     first *= c
     # x[i] < z exactly for i < split: the sign of a float difference is exact
     z = centers[:, d - 1]
@@ -269,14 +305,15 @@ def ball_runs(
     lo = edge(np.floor((z - w - x[0]) / domain.h).astype(np.intp) + 1,
               first, split, lambda i: ~covered(i))
     keep = lo < hi
-    return rows[keep], lo[keep], hi[keep]
+    return placement[keep], rows[keep], lo[keep], hi[keep]
 
 
 def ball_cells(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
     """Sorted row-major flat indices of the cells that :func:`ball_runs`
-    covers: a gather by them visits cells in the order a boolean mask does.
-    The runs are disjoint, so ordering them by first cell orders the cells."""
-    rows, lo, hi = ball_runs(seq, domain)
+    covers for the one placement ``seq``: a gather by them visits cells in
+    the order a boolean mask does.  The runs are disjoint, so ordering them
+    by first cell orders the cells."""
+    _, rows, lo, hi = ball_runs([seq], domain)
     starts = rows * domain.n + lo
     order = np.argsort(starts)
     starts, lengths = starts[order], (hi - lo)[order]

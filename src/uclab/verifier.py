@@ -27,10 +27,12 @@ its squared norm on the whole cube must be finite and nonzero.  A trial
 finds the covered cells of its one placement once, as the flat indices of
 :func:`~uclab.geometry.ball_cells`; each record's ``ratio`` sums over them
 and ``worst_ratio`` gathers its eigenvector rows by them.  A delta sweep
-measures many placements of one grid function instead: it builds one
-:func:`mass_prefix` table and reads each placement's mass from it over the
-:func:`~uclab.geometry.ball_runs` of its balls, so it costs one pass over
-the grid per grid function, not one per placement.
+measures many placements of one grid function instead: it squares the
+function once, into one :func:`mass_prefix` table and its norm, and at each
+delta finds the :func:`~uclab.geometry.ball_runs` of all that delta's
+placements in one pass and reads each placement's mass from the table over
+its own runs.  So it costs one pass over the grid per grid function and one
+run search per delta, not one per placement.
 """
 
 from __future__ import annotations
@@ -187,9 +189,8 @@ class TrialConfig:
         )
 
 
-def _total_norm_sq(psi: np.ndarray, domain: CubeDomain) -> float:
+def _checked_norm_sq(total: float) -> float:
     """Squared norm of psi on the whole cube, checked where psi enters."""
-    total = domain.norm_sq(psi)
     if not math.isfinite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
@@ -197,44 +198,59 @@ def _total_norm_sq(psi: np.ndarray, domain: CubeDomain) -> float:
     return total
 
 
-def mass_prefix(psi: np.ndarray, domain: CubeDomain, G: float) -> np.ndarray:
-    """Row prefix sums of ``h^d |psi|^2``, restarted at each G-cell block.
+def mass_prefix(
+    psi: np.ndarray, domain: CubeDomain, G: float
+) -> tuple[np.ndarray, float]:
+    """Row prefix sums of ``h^d |psi|^2``, restarted at each G-cell block,
+    and psi's squared norm on the whole cube, from one squaring of psi.
 
-    Shape ``(n**(d-1), m, c + 1)`` with ``m = L/G`` blocks of ``c = G/h``
-    cells along the last axis: entry ``[r, j, k]`` is the mass of the first
-    ``k`` cells of block ``j`` of grid row ``r``.  Restarting per block keeps
-    the cancellation in a difference of two entries to ``c`` cells.
+    The table has shape ``(n**(d-1), m, c)`` with ``m = L/G`` blocks of
+    ``c = G/h`` cells along the last axis: entry ``[r, j, k]`` is the mass
+    of the first ``k + 1`` cells of block ``j`` of grid row ``r``, so it
+    lies in memory as psi's cells do.  Restarting per block keeps the
+    cancellation in a difference of two entries to ``c`` cells.  The norm
+    is ``h^d`` times the sum of the squares, the bits of
+    :meth:`~uclab.geometry.CubeDomain.norm_sq`.  The squares, the masses
+    and their prefix sums take one grid of memory in turn.
     """
     psi = np.asarray(psi)
     if psi.shape != domain.shape:
         raise ValueError("grid function shape mismatch")
     c = domain.block_cells(G)
-    dens = (domain.cell_volume * np.abs(psi) ** 2).reshape(-1, domain.n // c, c)
-    prefix = np.zeros(dens.shape[:2] + (c + 1,))
-    np.cumsum(dens, axis=-1, out=prefix[..., 1:])
-    return prefix
+    dens = np.abs(psi) ** 2.0  # a float array for any numeric psi
+    total = domain.cell_volume * float(np.sum(dens))
+    dens *= domain.cell_volume
+    prefix = dens.reshape(-1, domain.n // c, c)
+    np.cumsum(prefix, axis=-1, out=prefix)
+    return prefix, total
 
 
 def observability_ratio(
     prefix: np.ndarray,
-    seq: EquidistributedSequence,
+    seqs: Sequence[EquidistributedSequence],
     domain: CubeDomain,
     total: float,
-) -> float:
-    """Mass fraction of psi captured by the union of the delta-balls of
-    ``seq``, from psi's :func:`mass_prefix` table; ``total`` is psi's squared
-    norm on the whole cube.  Each run of covered cells adds the difference
-    of two entries of its block's prefix row."""
-    rows, lo, hi = ball_runs(seq, domain)
-    m = seq.cells_per_axis
-    c = domain.block_cells(seq.G)
-    if prefix.shape != (domain.n ** (domain.d - 1), m, c + 1):
+) -> np.ndarray:
+    """Mass fraction of psi captured by the union of the delta-balls of each
+    placement in ``seqs``, a stack that shares G, delta, L and d, from
+    psi's :func:`mass_prefix` table; ``total`` is psi's squared norm on the
+    whole cube.  One :func:`~uclab.geometry.ball_runs` pass finds the runs
+    of every placement.  Each run of covered cells adds the difference of
+    two entries of its block's prefix row, and each placement sums its own
+    runs in their one-placement order, so its ratio has the bits it has
+    when measured alone."""
+    placement, rows, lo, hi = ball_runs(seqs, domain)
+    c = domain.block_cells(seqs[0].G)
+    if prefix.shape != (domain.n ** (domain.d - 1), seqs[0].cells_per_axis, c):
         raise ValueError("prefix table does not match the sequence's G-blocks")
-    # entry [r, j, i - j*c] of grid cell i in block j sits at flat index
-    # (r*m + j)*(c + 1) + i - j*c = base + i
-    base = rows * (m * (c + 1)) + lo // c
+    # cell i of grid row r sits at flat index r*n + i: a run [lo, hi) adds
+    # the entry of its last cell less the entry of the cell before it, or
+    # 0.0 when it starts its block
+    start = rows * domain.n
     flat = prefix.reshape(-1)
-    return float((flat[base + hi] - flat[base + lo]).sum()) / total
+    mass = flat[start + hi - 1] - np.where(lo % c, flat[start + lo - 1], 0.0)
+    ends = np.searchsorted(placement, np.arange(len(seqs) + 1))
+    return np.array([mass[a:b].sum() for a, b in itertools.pairwise(ends)]) / total
 
 
 @_one_blas_thread()
@@ -294,7 +310,7 @@ def _record(
     log_gamma: float,
 ) -> ObservabilityRecord:
     dom = fld.domain
-    total = _total_norm_sq(psi, dom)
+    total = _checked_norm_sq(dom.norm_sq(psi))
     ratio = dom.norm_sq(psi, where=cells) / total
     zeta_sq = dom.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
@@ -460,16 +476,14 @@ def delta_sweep(
         raise ValueError("need at least 4 delta values")
     if len(seq_seeds) == 0:
         raise ValueError("need at least one sequence seed")
-    total = _total_norm_sq(psi, domain)
-    prefix = mass_prefix(psi, domain, G)
+    prefix, total = mass_prefix(psi, domain, G)
+    _checked_norm_sq(total)
     ratios = []
     degenerate = False
     for delta in deltas:
-        vals = []
-        for s in seq_seeds:
-            seq = generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
-            vals.append(observability_ratio(prefix, seq, domain, total))
-        r = float(np.mean(vals))
+        seqs = [generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
+                for s in seq_seeds]
+        r = float(np.mean(observability_ratio(prefix, seqs, domain, total)))
         if not r > 0.0:  # zero, or NaN
             degenerate = True
         ratios.append(r)

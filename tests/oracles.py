@@ -24,6 +24,11 @@ broadcast to the grid; it must reproduce this reference bit for bit.
 :func:`cutoff_operator_value_hessian` is the cutoff's operator value from
 its full gradient and d x d Hessian, contracted with ``einsum``; the
 production form reads only eta', eta'' and u.A.u and must agree to rounding.
+:func:`delta_sweep_ratios_per_placement` is the delta sweep's ratios
+measured one placement at a time: its own squared norm and prefix table,
+then one run search, gather and sum per placement.  The production sweep
+squares psi once and finds the runs of all placements of one radius in one
+search; it must reproduce these ratios bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from scipy.special import logsumexp
 
 from uclab.carleman import FD_STEP, SUPPORT_TOL, CarlemanCheck
 from uclab.discretization import apply_operator
-from uclab.geometry import CubeDomain
+from uclab.geometry import CubeDomain, ball_runs, generate_sequence
 
 mp.mp.dps = 60
 
@@ -406,6 +411,28 @@ def cutoff_operator_value_hessian(cutoff, A, points, b=None):
     if b is not None:
         op = op + np.einsum("...j,...j->...", b(pts), grad)
     return op
+
+
+def delta_sweep_ratios_per_placement(psi, domain, G, deltas, seq_mode, seq_seeds):
+    """The ratios of ``uclab.verifier.delta_sweep`` (same arguments), each
+    placement measured alone: at each delta, the mean over the sequence
+    seeds of the placement's prefix-table mass over psi's squared norm."""
+    total = domain.norm_sq(psi)
+    c = domain.block_cells(G)
+    dens = (domain.cell_volume * np.abs(psi) ** 2).reshape(-1, domain.n // c, c)
+    prefix = np.zeros(dens.shape[:2] + (c + 1,))
+    np.cumsum(dens, axis=-1, out=prefix[..., 1:])
+    flat = prefix.reshape(-1)
+    ratios = []
+    for delta in deltas:
+        vals = []
+        for s in seq_seeds:
+            seq = generate_sequence(G, delta, domain.L, domain.d, seq_mode, seed=s)
+            _, rows, lo, hi = ball_runs([seq], domain)
+            base = rows * (seq.cells_per_axis * (c + 1)) + lo // c
+            vals.append(float((flat[base + hi] - flat[base + lo]).sum()) / total)
+        ratios.append(float(np.mean(vals)))
+    return ratios
 
 
 if __name__ == "__main__":

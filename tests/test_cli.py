@@ -213,6 +213,23 @@ class TestCommands:
         assert rep["beta"] is None and rep["log_c_sfuc"] is None
         assert "beta leaves the double range" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("model, epsilon, out_of_range", [
+        ({"model.theta1": 3e306}, 1.0, "beta"),  # theta1^6 is no double
+        ({"model.theta1": 1e52, "model.theta2": 1e-3}, None, ""),  # nor the product
+    ], ids=["theta2-zero", "product"])
+    def test_constants_report_flags_a_margin_overflow(self, tmp_path, capsys, model,
+                                                      epsilon, out_of_range):
+        # the margin's product is formed in log space: theta2 = 0 gives
+        # epsilon = 1 for any theta1, and a product past the double range
+        # gives epsilon = -inf, written as null
+        path = write_cfg(tmp_path, model)
+        out = tmp_path / "out"
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = strict_json((out / "report.json").read_text())["report"]
+        assert rep["epsilon"] == epsilon
+        assert rep["admissible"] is False and rep["out_of_range"] == out_of_range
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_constants_report_gives_the_geometry_it_used(self, tmp_path):
         path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 1.2, "model.norm_V": 0.5})
         out = tmp_path / "out"

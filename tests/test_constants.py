@@ -84,6 +84,14 @@ class TestAdmissibility:
         assert abs(got - (1.0 - 99.0 * E)) < 1e-10
         assert abs(got + 268.1) < 0.01
 
+    def test_product_past_the_double_range_is_flagged_not_raised(self):
+        # theta1^6 is no double above theta1 ~ 1e51: with theta2 = 0 the
+        # margin is still exactly 1, and a product that is no double is -inf
+        assert sampling_epsilon(ModelParams(d=1, theta1=3e306)) == 1.0
+        big = ModelParams(d=1, theta1=1e52, theta2=1e-3)
+        assert sampling_epsilon(big) == -math.inf
+        assert local_epsilon(big, UNIT) == -math.inf
+
     def test_affine_in_theta2_with_printed_slope_and_root(self):
         d, t1, G = 2, 1.2, 1.5
         slope = -33.0 * E * d * (math.sqrt(d) + 2.0) * t1**6 * G

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from uclab.geometry import (
@@ -183,8 +183,8 @@ class TestMask:
         for frac in (1e-3, 0.125, 0.3, 0.499):
             for sd in range(3):
                 s = generate_sequence(1.0, frac, dom.L, d, "uniform_random", seed=sd)
-                rows, lo, hi = ball_runs(s, dom)
-                assert (lo < hi).all()
+                placement, rows, lo, hi = ball_runs([s], dom)
+                assert (placement == 0).all() and (lo < hi).all()
                 # every run inside one block of h_per_G cells along the row
                 assert (lo // h_per_G == (hi - 1) // h_per_G).all()
                 # a row crosses each ball's block at most once
@@ -205,6 +205,84 @@ class TestMask:
         for z in (-1.0, 0.0, 1.0):
             expected |= np.abs(x - z) < 0.25
         assert np.array_equal(m, expected)
+
+
+def check_stack(seqs, dom: CubeDomain) -> None:
+    """The runs of the stack ``seqs`` come in the documented order, are each
+    placement's runs found alone, and cover exactly its mask and the gather
+    reference's cells."""
+    placement, rows, lo, hi = ball_runs(seqs, dom)
+    assert (lo < hi).all()
+    # by placement, then the ball's block along the last axis, then row
+    block = lo // round(seqs[0].G / dom.h)
+    key = (placement * seqs[0].cells_per_axis + block) * dom.n ** (dom.d - 1) + rows
+    assert (np.diff(key) > 0).all()
+    for k, s in enumerate(seqs):
+        own = placement == k
+        alone = ball_runs([s], dom)
+        assert (alone[0] == 0).all()
+        for stacked, single in zip((rows, lo, hi), alone[1:]):
+            assert np.array_equal(stacked[own], single)
+        flags = np.zeros(dom.n**dom.d, dtype=bool)
+        for r, a, b in zip(rows[own], lo[own], hi[own]):
+            flags[r * dom.n + a:r * dom.n + b] = True
+        assert flags.sum() == (hi[own] - lo[own]).sum()
+        assert np.array_equal(flags.reshape(dom.shape), mask(s, dom))
+        assert np.array_equal(flags.reshape(dom.shape), gather_mask(s, dom))
+
+
+class TestStackedRuns:
+    @seed(2028)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        bc=st.sampled_from(["dirichlet", "periodic"]),
+        L_over_G=st.sampled_from([1, 3, 5]),
+        h_per_G=st.sampled_from([4, 8, 16]),
+        delta_frac=st.floats(1e-3, 0.499),
+        seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+    )
+    def test_stack_equals_each_placement_alone(self, d, bc, L_over_G, h_per_G,
+                                               delta_frac, seeds):
+        assume((L_over_G * h_per_G) ** d <= 30_000)
+        dom = CubeDomain(d, float(L_over_G), 1 / h_per_G, bc)
+        seqs = [generate_sequence(1.0, delta_frac, dom.L, d, "uniform_random", seed=sd)
+                for sd in seeds]
+        seqs.append(generate_sequence(1.0, delta_frac, dom.L, d, "centered"))
+        check_stack(seqs, dom)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_stack_keeps_the_exact_distance_tie(self, bc):
+        # the placement of test_center_at_exactly_delta_is_excluded between
+        # two random ones: its cell at distance exactly delta stays outside
+        G, h = 1.0, 1 / 16
+        dom = CubeDomain(2, 3.0, h, bc)
+        base = generate_sequence(G, 0.3125, 3.0, 2, "centered")
+        tie = EquidistributedSequence(G=G, delta=0.3125, L=3.0, d=2,
+                                      centers=base.centers + h / 2)
+        seqs = [generate_sequence(G, 0.3125, 3.0, 2, "uniform_random", seed=sd)
+                for sd in (0, 1)]
+        seqs.insert(1, tie)
+        check_stack(seqs, dom)
+        placement, rows, lo, hi = ball_runs(seqs, dom)
+        i, j = 24 + 3, 24 + 4
+        assert not ((placement == 1) & (rows == i) & (lo <= j) & (j < hi)).any()
+
+    @pytest.mark.parametrize("name, other", [
+        ("G", dict(G=0.6, delta=0.2, L=3.0, d=2)),
+        ("delta", dict(G=1.0, delta=0.25, L=3.0, d=2)),
+        ("L", dict(G=1.0, delta=0.2, L=5.0, d=2)),
+        ("d", dict(G=1.0, delta=0.2, L=3.0, d=1)),
+    ])
+    def test_mixed_stack_rejected_naming_the_mismatch(self, name, other):
+        dom = CubeDomain(2, 3.0, 1 / 10, "periodic")
+        seq = generate_sequence(1.0, 0.2, 3.0, 2, "centered")
+        odd = generate_sequence(other["G"], other["delta"], other["L"], other["d"],
+                                "uniform_random", seed=0)
+        with pytest.raises(ValueError, match=rf"must share {name}, got"):
+            ball_runs([seq, odd], dom)
+        with pytest.raises(ValueError, match="at least one placement"):
+            ball_runs([], dom)
 
 
 def periodic_extension_1d(base: np.ndarray) -> np.ndarray:

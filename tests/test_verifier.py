@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import oracles
+import uclab.geometry as geometry
 import uclab.verifier as verifier
 from uclab.constants import FreeConstants, ModelParams, cacciopoli_prefactor, log_c_sfuc
 from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_random_field
@@ -28,7 +30,9 @@ from uclab.verifier import (
 
 
 def ratio_of(psi, seq, dom):
-    return observability_ratio(mass_prefix(psi, dom, seq.G), seq, dom, dom.norm_sq(psi))
+    prefix, total = mass_prefix(psi, dom, seq.G)
+    (ratio,) = observability_ratio(prefix, [seq], dom, total)
+    return ratio
 
 
 def entry_record(psi):
@@ -85,17 +89,18 @@ class TestObservabilityRatio:
         psi = rng.standard_normal(dom.shape)
         if complex_psi:
             psi = psi + 1j * rng.standard_normal(dom.shape)
-        total = dom.norm_sq(psi)
-        prefix = mass_prefix(psi, dom, 1.0)
+        prefix, total = mass_prefix(psi, dom, 1.0)
+        assert total == dom.norm_sq(psi)
         for frac in (1e-3, 0.125, 0.3, 0.499):
             seqs = [generate_sequence(1.0, frac, 3.0, d, "centered")]
             seqs += [generate_sequence(1.0, frac, 3.0, d, "uniform_random", seed=sd)
                      for sd in range(3)]
-            for seq in seqs:
+            ratios = observability_ratio(prefix, seqs, dom, total)
+            assert ratios.shape == (len(seqs),)
+            for seq, ratio in zip(seqs, ratios):
                 m = mask(seq, dom)
                 want = dom.norm_sq(psi, where=m)
-                got = observability_ratio(prefix, seq, dom, total) * total
-                assert abs(got - want) <= 1e-12 * want
+                assert abs(ratio * total - want) <= 1e-12 * want
                 assert dom.norm_sq(psi, where=ball_cells(seq, dom)) == want
         # a boolean where is read against the grid, so it must have its shape
         for wrong in (m[None], m[..., :-1]):
@@ -114,8 +119,9 @@ class TestObservabilityRatio:
         dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
         seq = generate_sequence(1.0, 0.25, 3.0, 2, "centered")
         psi = np.ones(dom.shape)
+        prefix, total = mass_prefix(psi, dom, 3.0)
         with pytest.raises(ValueError, match="G-blocks"):
-            observability_ratio(mass_prefix(psi, dom, 3.0), seq, dom, dom.norm_sq(psi))
+            observability_ratio(prefix, [seq], dom, total)
         with pytest.raises(ValueError, match="divide G"):
             mass_prefix(psi, dom, 0.7)
 
@@ -365,7 +371,7 @@ class TestDeltaSweep:
         import uclab.verifier as verifier
 
         monkeypatch.setattr(verifier, "observability_ratio",
-                            lambda prefix, seq, domain, total: math.nan)
+                            lambda prefix, seqs, domain, total: np.full(len(seqs), math.nan))
         dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         res = delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p)
@@ -378,6 +384,28 @@ class TestDeltaSweep:
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         res = delta_sweep(psi, dom, 1.0, [0.41, 0.43, 0.44, 0.45], p)
         assert res.degenerate
+
+
+class TestSweepBitIdentity:
+    """A sweep measures each delta's placements together; every ratio keeps
+    the bits of the per-placement loop (``oracles``), on the shrunk grids
+    of the benchmark's sweep workload."""
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth"])
+    @pytest.mark.parametrize("d, h", [(2, 1 / 32), (3, 1 / 16)])
+    def test_ratios_equal_the_per_placement_loop(self, d, h, kind):
+        L = 3.0
+        dom = CubeDomain(d, L, h, "periodic")
+        if kind == "constant":
+            psi = np.ones(dom.shape)
+        else:
+            psi = 0.5 + np.prod(np.cos(np.pi * dom.center_grid() / L) ** 2, axis=-1)
+        deltas = [float(x) for x in np.geomspace(0.125, 0.45, 9)]
+        p = ModelParams(d=d, theta1=1.0, theta2=0.0, G=1.0, delta=0.2, L=L)
+        res = delta_sweep(psi, dom, 1.0, deltas, p, seq_mode="uniform_random",
+                          seq_seeds=range(4))
+        assert res.ratios == oracles.delta_sweep_ratios_per_placement(
+            psi, dom, 1.0, deltas, "uniform_random", range(4))
 
 
 class TestMaskFraction:
@@ -567,8 +595,8 @@ class TestInputsComputedOnce:
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"ball_cells": 0, "mask": 0, "worst_ratio": 0, "mass_prefix": 0,
-                 "norm_sq": 0}
+        calls = {"ball_cells": 0, "ball_runs": 0, "mask": 0, "worst_ratio": 0,
+                 "mass_prefix": 0, "norm_sq": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -578,6 +606,10 @@ class TestInputsComputedOnce:
 
         monkeypatch.setattr(verifier, "ball_cells",
                             counted("ball_cells", verifier.ball_cells))
+        # the run finder, where the verifier and where ball_cells look it up
+        ball_runs = counted("ball_runs", geometry.ball_runs)
+        monkeypatch.setattr(verifier, "ball_runs", ball_runs)
+        monkeypatch.setattr(geometry, "ball_runs", ball_runs)
         monkeypatch.setattr(verifier, "mask", counted("mask", verifier.mask))
         monkeypatch.setattr(verifier, "worst_ratio",
                             counted("worst_ratio", verifier.worst_ratio))
@@ -602,8 +634,8 @@ class TestInputsComputedOnce:
         # the covered cells once for the trial's placement, and one norm for
         # psi and one for zeta in each of the two records; no mask, no
         # prefix table
-        assert calls == {"ball_cells": 1, "mask": 0, "worst_ratio": 1,
-                         "mass_prefix": 0, "norm_sq": 4}
+        assert calls == {"ball_cells": 1, "ball_runs": 1, "mask": 0,
+                         "worst_ratio": 1, "mass_prefix": 0, "norm_sq": 4}
 
     def test_verify_equidistribution(self, monkeypatch):
         # each field recurs non-adjacently: the two delta values are the
@@ -638,9 +670,10 @@ class TestInputsComputedOnce:
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3, 0.4], p,
                     seq_mode="uniform_random", seq_seeds=range(3))
-        # 12 placements read one prefix table; none builds a mask
-        assert calls == {"ball_cells": 0, "mask": 0, "worst_ratio": 0,
-                         "mass_prefix": 1, "norm_sq": 1}
+        # one squaring pass: the prefix table, which also gives the norm;
+        # one run finder call per delta for its 3 placements; no mask
+        assert calls == {"ball_cells": 0, "ball_runs": 4, "mask": 0,
+                         "worst_ratio": 0, "mass_prefix": 1, "norm_sq": 0}
 
 
 class TestSuiteDeterminism:
