@@ -138,6 +138,12 @@ def _whole(v) -> bool:
     return _finite(v) and float(v).is_integer()
 
 
+def _as_int(v):
+    """``v`` as an int when it is :func:`_whole`; validate reports any
+    other value."""
+    return int(v) if _whole(v) else v
+
+
 # key -> (what each value must be, its test); a tuple key must be non-empty,
 # and None leaves rho, mu, alpha_mult and field_file unset
 _RULES = {
@@ -158,6 +164,10 @@ _RULES = {
     "field_file": ("an existing file", lambda v: isinstance(v, str) and Path(v).is_file()),
 }
 
+
+# the keys of _RULES whose values are integers: load_config turns a whole
+# float into an int, since the runs use them as counts, sizes and seeds
+_INTEGER_KEYS = ("h_per_G", "seeds", "ds", "trials", "L_over_Gs")
 
 # what sweep runs when deltas_over_G holds one value (the default serves verify)
 _SWEEP_DELTAS = (0.125, 0.175, 0.25, 0.35, 0.45)
@@ -214,6 +224,8 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     for key, val in kwargs[""].items():
         if isinstance(getattr(cfg, key), tuple) and not isinstance(val, tuple):
             val = tuple(val) if isinstance(val, (list, np.ndarray)) else (val,)
+        if key in _INTEGER_KEYS:
+            val = tuple(map(_as_int, val)) if isinstance(val, tuple) else _as_int(val)
         setattr(cfg, key, val)
     return cfg
 
@@ -371,9 +383,9 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
         L, h = cfg.model.L, cfg.model.G / cfg.h_per_G
         d = cfg.ds[0]
         dom = CubeDomain(d, L, h, "dirichlet")
-        x = dom.center_grid()
         k = 2
-        psi = np.prod(np.sin(k * math.pi * (x + L / 2.0) / L), axis=-1)
+        sine = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
+        psi = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
         fld = CoefficientField(
             domain=dom,
             A=np.broadcast_to(np.eye(d), dom.shape + (d, d)).copy(),

@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Grids of (A, b, c, V) with declared constants and cached sup norms."""
+    """Grids of (A, b, c, V) with declared constants; norms computed on access."""
 
     domain: CubeDomain
     A: np.ndarray          # shape + (d, d), real symmetric
@@ -58,6 +58,8 @@ class CoefficientField:
             raise ValueError("c/V grid shape mismatch")
         for name in ("A", "b", "c", "V"):
             _require_finite(name, getattr(self, name))
+        _require_at_least("declared_theta1", self.declared_theta1, 1.0)
+        _require_at_least("declared_theta2", self.declared_theta2, 0.0)
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("A must be exactly symmetric cellwise")
         # assemble's spectral floor rests on a PSD second-order part
@@ -94,6 +96,12 @@ def _require_finite(name: str, value) -> None:
     if not finite.all():
         bad = int(np.count_nonzero(~finite))
         raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
+
+
+def _require_at_least(name: str, value: float, floor: float) -> None:
+    """Raise a ValueError naming ``value`` unless it is finite and >= ``floor``."""
+    if not (math.isfinite(value) and value >= floor):
+        raise ValueError(f"{name} must be finite and >= {floor}, got {value}")
 
 
 def _require_on_grid(grid: tuple[int, ...], A, b, c) -> None:
@@ -298,17 +306,19 @@ def load_field(path) -> CoefficientField:
         )
 
 
-def _phase(domain: CubeDomain, k: np.ndarray, phase: float) -> np.ndarray:
-    """cos(2 pi k.x / L + phase) on the grid; integer k keeps it periodic."""
-    pts = domain.center_grid()
-    arg = 2.0 * math.pi * np.tensordot(pts, k, axes=([-1], [0])) / domain.L
-    return np.cos(arg + phase)
+def _phase(domain: CubeDomain, axis: int, k: int, phase: float) -> np.ndarray:
+    """cos(2 pi k x / L + phase) of the cell centers x along ``axis``, shaped
+    to broadcast against the grid (extent 1 on the other axes); integer k
+    keeps it periodic."""
+    arg = 2.0 * math.pi * (domain.centers_1d() * k) / domain.L
+    return np.cos(arg + phase).reshape((1,) * axis + (-1,) + (1,) * (domain.d - 1 - axis))
 
 
 def _bounded_potential(rng: np.random.Generator, norm_V: float,
                       shape: tuple[int, ...]) -> np.ndarray:
-    """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, and
-    zeros (no draw) when norm_V is 0."""
+    """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, zeros
+    (no draw) when norm_V is 0; norm_V must be finite and >= 0."""
+    _require_at_least("norm_V", norm_V, 0.0)
     return rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros(shape)
 
 
@@ -352,14 +362,12 @@ def synthesize_dir_cross_field(
     """
     if domain.d < 2:
         raise ValueError("cross-coefficient construction needs d >= 2")
-    if theta1 <= 1.0:
-        raise ValueError("needs theta1 > 1 to make room for off-diagonals")
-    rng = np.random.default_rng(seed)
+    if not (math.isfinite(theta1) and theta1 > 1.0):
+        raise ValueError(f"needs a finite theta1 > 1 for off-diagonals, got {theta1}")
+    V = _bounded_potential(np.random.default_rng(seed), norm_V, domain.shape)
     d, L = domain.d, domain.L
-    pts = domain.center_grid()
-    envelope = np.ones(domain.shape)
-    for ax in range(d):
-        envelope = envelope * np.sin(math.pi * (pts[..., ax] + L / 2.0) / L)
+    sine = np.sin(math.pi * (domain.centers_1d() + L / 2.0) / L)
+    envelope = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
     mid = 0.5 * (theta1 + 1.0 / theta1)
     smax = 0.5 * (theta1 - 1.0 / theta1)
     A = np.zeros(domain.shape + (d, d))
@@ -367,15 +375,14 @@ def synthesize_dir_cross_field(
     A[..., idx, idx] = mid
     A[..., 0, 1] = smax * envelope
     A[..., 1, 0] = smax * envelope
-    field = CoefficientField(
+    return CoefficientField(
         domain=domain, A=A,
         b=np.zeros(domain.shape + (d,), dtype=complex),
         c=np.zeros(domain.shape, dtype=complex),
-        V=_bounded_potential(rng, norm_V, domain.shape),
+        V=V,
         declared_theta1=estimate_ellipticity(A),
         declared_theta2=estimate_lipschitz(A, domain.h),
     )
-    return field
 
 
 # relative tolerance of synthesize_random_field's measured constants
@@ -401,13 +408,16 @@ def synthesize_random_field(
     the grid hits its target exactly on every grid; the mode mixture is
     bisected until the measured Lipschitz constant lands within
     ``SYNTHESIS_TOL`` of its target.  On a Dirichlet domain A is diagonal
-    and every cosine has phase zero.  Raises when the Lipschitz target is
-    unreachable at the grid's frequency resolution, or when a measured
-    constant misses its target by more than ``SYNTHESIS_TOL`` relative.
-    Deterministic per seed.
+    and every cosine has phase zero.  A is a read-only broadcast view.
+    Raises when the Lipschitz target is unreachable at the grid's frequency
+    resolution, when a measured constant misses its target by more than
+    ``SYNTHESIS_TOL`` relative, and on a target or norm that is not finite or
+    below its floor (theta1 >= 1, the rest >= 0).  Deterministic per seed.
     """
-    if target_theta1 < 1.0:
-        raise ValueError("ellipticity target must be >= 1")
+    _require_at_least("target_theta1", target_theta1, 1.0)
+    for name, value in (("target_theta2", target_theta2), ("norm_V", norm_V),
+                        ("norm_b", norm_b), ("norm_c", norm_c)):
+        _require_at_least(name, value, 0.0)
     rng = np.random.default_rng(seed)
     d, n, h = domain.d, domain.n, domain.h
     shape = domain.shape
@@ -423,13 +433,11 @@ def synthesize_random_field(
         A = constant_spd_field(seed, domain, target_theta1)
     else:
         axis = int(rng.integers(d))
-        k1 = np.zeros(d)
-        k1[axis] = 1.0
         phase = draw_phase()
 
         def profile(wmix: float, kbase: int) -> np.ndarray:
-            f = wmix * _phase(domain, kbase * k1, phase) + (1.0 - wmix) * _phase(
-                domain, 2 * kbase * k1, 2 * phase
+            f = wmix * _phase(domain, axis, kbase, phase) + (1.0 - wmix) * _phase(
+                domain, axis, 2 * kbase, 2 * phase
             )
             # the sampled max |f| is 1, so max(a, 1/a) is exp(beta) = theta1
             return np.exp(beta * (f / np.abs(f).max()))
@@ -461,26 +469,21 @@ def synthesize_random_field(
             else:
                 wlo = wmid
         a = profile(0.5 * (wlo + whi), kbase)
-        A = np.zeros(shape + (d, d))
-        idx = np.arange(d)
-        A[..., idx, idx] = a[..., None]
+        A = np.broadcast_to(a[..., None, None] * np.eye(d), shape + (d, d))
 
     V = _bounded_potential(rng, norm_V, shape)
 
     if norm_b > 0.0:
-        kb = np.zeros(d)
-        kb[int(rng.integers(d))] = 1.0
-        prof = _phase(domain, kb, draw_phase())
+        prof = _phase(domain, int(rng.integers(d)), 1, draw_phase())
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
-        b_tilde = norm_b * prof[..., None] * direction
+        b_tilde = np.broadcast_to(norm_b * prof[..., None] * direction, shape + (d,))
     else:
         b_tilde = np.zeros(shape + (d,))
 
     if norm_c > 0.0:
-        kc = np.zeros(d)
-        kc[int(rng.integers(d))] = 1.0
-        c_tilde = norm_c * _phase(domain, kc, draw_phase())
+        c_tilde = np.broadcast_to(norm_c * _phase(domain, int(rng.integers(d)), 1,
+                                                  draw_phase()), shape)
     else:
         c_tilde = np.zeros(shape)
 

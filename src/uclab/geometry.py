@@ -25,6 +25,11 @@ expression does not increase as ``x`` approaches the center ``z`` and the
 covered cells of the row are contiguous.  The ends come from
 ``sqrt(delta^2 - p)`` and are confirmed with the same float expression, so
 the runs cover exactly the cells the expression admits.
+
+:func:`classify_sites` sums ``h^d |psi|^2`` over each site's unit cube and
+T-window one axis at a time: along each axis the prefix sums, with a zero in
+front, are differenced at the box ends.  :func:`tiling_identity_defect`
+compares the window sums with a direct sum over the base cube.
 """
 
 from __future__ import annotations
@@ -339,12 +344,10 @@ def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteDecomposition:
-    """Partition of integer sites of the cube into dominating and weak."""
+    """Partition of the integer sites of the cube into dominating and weak;
+    the arrays have shape (L,)*d, site ``-(L - 1)/2 + j`` at index j."""
 
-    T: int
-    L: int
-    sites: np.ndarray         # (m,)*d + (d,) integer site coordinates
-    dominating: np.ndarray    # boolean, shape (m,)*d
+    dominating: np.ndarray    # boolean
     unit_mass: np.ndarray     # ||psi||^2 over the unit cube at each site
     window_mass: np.ndarray   # ||psi||^2 over the T-window at each site
 
@@ -362,24 +365,14 @@ class SiteDecomposition:
         return float(self.unit_mass.sum())
 
 
-def _window_sums(dens_ext: np.ndarray, cells: int, starts: np.ndarray,
-                 d: int) -> np.ndarray:
-    """Sums of ``dens_ext`` over all d-dim windows of ``cells`` cells per axis
-    anchored at the given start indices (one start array per axis)."""
-    # summed-area table with a zero layer in front
-    sat = dens_ext
-    for ax in range(d):
-        sat = np.cumsum(sat, axis=ax)
-        pad = [(0, 0)] * d
-        pad[ax] = (1, 0)
-        sat = np.pad(sat, pad)
-    lo = starts
-    hi = starts + cells
-    # inclusion-exclusion over the 2^d window corners, all windows at once
-    out = np.zeros((len(starts),) * d)
-    for signs in np.ndindex(*(2,) * d):
-        corner = [hi if sign == 0 else lo for sign in signs]
-        out += (-1) ** sum(signs) * sat[np.ix_(*corner)]
+def _window_sums(dens: np.ndarray, cells: int, starts: np.ndarray) -> np.ndarray:
+    """Sums of ``dens`` over the boxes of ``cells`` cells per axis that start
+    at ``starts`` on every axis, shape (len(starts),)*ndim: per axis, its
+    prefix sums with a zero in front, differenced at the box ends."""
+    out = dens
+    for ax in range(dens.ndim):
+        prefix = np.insert(np.cumsum(out, axis=ax), 0, 0.0, axis=ax)
+        out = np.take(prefix, starts + cells, axis=ax) - np.take(prefix, starts, axis=ax)
     return out
 
 
@@ -395,36 +388,25 @@ def classify_sites(
     d = psi_ext.ndim
     if L % 2 != 1:
         raise ValueError("L must be an odd integer")
-    cells_per_unit = round(1.0 / h)
-    if abs(1.0 / h - cells_per_unit) > 1e-9:
+    c = round(1.0 / h)
+    if abs(1.0 / h - c) > 1e-9:
         raise ValueError("h must divide 1")
-    n_ext = 3 * L * cells_per_unit
-    if psi_ext.shape != (n_ext,) * d:
+    if psi_ext.shape != (3 * L * c,) * d:
         raise ValueError("extended grid shape mismatch")
     if T > 2 * L + 1:
         raise ValueError("window side T exceeds the 3L extension")
+    # the window is centered on its site's unit cube, (T - 1)/2 units lower
+    if (T - 1) * c % 2:
+        raise ValueError("T-window faces must align with the grid")
 
     dens = (np.abs(psi_ext) ** 2) * h**d
-    # site k runs over integers -(L-1)/2 .. (L-1)/2; in extended grid indices
-    # the unit cube at site k starts at (k + 3L/2 - 1/2) * cells_per_unit
-    k0 = -(L - 1) // 2
-    site_vals = np.arange(k0, k0 + L)
-    unit_starts = (site_vals + (3 * L - 1) / 2.0) * cells_per_unit
-    unit_starts = np.round(unit_starts).astype(int)
-    win_starts = (site_vals + (3 * L - T) / 2.0) * cells_per_unit
-    win_starts_r = np.round(win_starts).astype(int)
-    if np.max(np.abs(win_starts - win_starts_r)) > 1e-9:
-        raise ValueError("T-window faces must align with the grid")
-    unit_mass = _window_sums(dens, cells_per_unit, unit_starts, d)
-    window_mass = _window_sums(dens, T * cells_per_unit, win_starts_r, d)
+    # the unit cube of the j-th site starts L + j units into the 3L cube
+    unit_starts = (L + np.arange(L)) * c
+    unit_mass = _window_sums(dens, c, unit_starts)
+    window_mass = _window_sums(dens, T * c, unit_starts - (T - 1) * c // 2)
     dominating = unit_mass >= window_mass / (2.0 * float(T) ** d)
-    sites = np.stack(
-        np.meshgrid(*([site_vals.astype(float)] * d), indexing="ij"), axis=-1
-    )
-    return SiteDecomposition(
-        T=T, L=L, sites=sites, dominating=dominating,
-        unit_mass=unit_mass, window_mass=window_mass,
-    )
+    return SiteDecomposition(dominating=dominating, unit_mass=unit_mass,
+                             window_mass=window_mass)
 
 
 def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:

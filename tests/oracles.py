@@ -9,7 +9,7 @@ compare the two.
 Values that underflow double precision (the unique-continuation constants do,
 spectacularly) are exposed as natural logarithms.
 
-Four references are not mpmath transcriptions.
+The references below are not mpmath transcriptions.
 :func:`roll_difference` and :func:`roll_centered_diff` are the neighbour
 differences written with ``np.roll`` (wrapped, or with a Dirichlet ghost
 written over the rolled face cell); the production stencils read their
@@ -29,6 +29,13 @@ measured one placement at a time: its own squared norm and prefix table,
 then one run search, gather and sum per placement.  The production sweep
 squares psi once and finds the runs of all placements of one radius in one
 search; it must reproduce these ratios bit for bit.
+:func:`phase_on_grid` is the synthesized fields' cosine evaluated on every
+cell, the cell centers contracted with the wave vector by ``tensordot``;
+the production profile is one axis's cosine shaped to broadcast and must
+reproduce it bit for bit.  :func:`site_masses_by_slices` sums each site's
+unit cube and T-window on its own, selecting the cells by their center
+coordinates; the production sums go one axis at a time over prefix sums
+and must agree to rounding.
 """
 
 from __future__ import annotations
@@ -439,3 +446,31 @@ if __name__ == "__main__":
     vals = canonical_sampling_values()
     for k, v in vals.items():
         print(f"{k:>16} = {mp.nstr(v, 22)}")
+
+
+def phase_on_grid(domain, k, phase):
+    """cos(2 pi k.x / L + phase) on every cell of ``domain``, ``k`` a
+    d-vector: the center grid contracted with ``k`` by ``tensordot``."""
+    pts = domain.center_grid()
+    arg = 2.0 * math.pi * np.tensordot(pts, k, axes=([-1], [0])) / domain.L
+    return np.cos(arg + phase)
+
+
+def site_masses_by_slices(psi_ext, T, L, h):
+    """(unit_mass, window_mass) of the sites -(L-1)/2 ... (L-1)/2 of each
+    axis for ``psi_ext`` on the 3L cube: per site and box, the cells whose
+    centers lie within 1/2 (unit cube) or T/2 (window) of the site along
+    every axis, summed as one slice."""
+    d = psi_ext.ndim
+    n = psi_ext.shape[0]
+    x = -1.5 * L + (np.arange(n) + 0.5) * h
+    dens = np.abs(psi_ext) ** 2 * h**d
+    sites = range(-(L - 1) // 2, (L - 1) // 2 + 1)
+    masses = []
+    for half in (0.5, T / 2.0):
+        boxes = [np.flatnonzero(np.abs(x - k) < half) for k in sites]
+        mass = np.empty((L,) * d)
+        for idx in np.ndindex(mass.shape):
+            mass[idx] = dens[np.ix_(*(boxes[i] for i in idx))].sum()
+        masses.append(mass)
+    return tuple(masses)

@@ -316,6 +316,30 @@ class TestCommands:
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert strict_json((out / "report.json").read_text())["deltas"] == swept
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("verify", "ds", [1.0]), ("sweep", "ds", [1.0]), ("verify", "seeds", [0.0]),
+        ("verify", "h_per_G", 16.0), ("verify", "L_over_Gs", [3.0]),
+        ("carleman-check", "trials", 2.0), ("weight", "seeds", [1.0]),
+        ("carleman-check", "seeds", [1.0]),
+    ])
+    def test_whole_floats_run_as_integers(self, tmp_path, command, key, value):
+        # JSON may spell an integer as 1.0; the run is the one the integer gives
+        small = {"verify": {"norm_Vs": [0.0], "h_per_G": 16},
+                 "sweep": {"h_per_G": 64},
+                 "carleman-check": {"trials": 1, "grids": [1 / 16]},
+                 "weight": {}}[command]
+        as_int = [int(v) for v in value] if isinstance(value, list) else int(value)
+        reports = []
+        for name, given in (("float", value), ("int", as_int)):
+            path = write_cfg(tmp_path, {**small, key: given}, f"{name}.json")
+            cfg = load_config(path, {})
+            values = [cfg.h_per_G, cfg.trials, *cfg.seeds, *cfg.ds, *cfg.L_over_Gs]
+            assert all(type(v) is int for v in values)
+            out = tmp_path / name
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_weight_command(self, tmp_path):
         out = tmp_path / "out"
         assert main(["weight", "--out", str(out)]) == 0

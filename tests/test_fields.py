@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import roll_centered_diff, roll_difference, roll_shift, same_bits
+import uclab.fields
+from oracles import phase_on_grid, roll_centered_diff, roll_difference, roll_shift, same_bits
 from uclab.discretization import assemble
 from uclab.fields import (
     CoefficientField,
+    _bounded_potential,
     _neighbour,
+    _phase,
     check_boundary_conditions,
     constant_spd_field,
     divergence_centered,
@@ -110,6 +113,47 @@ class TestFiniteCoefficients:
         with pytest.raises(ValueError,
                            match=rf"^{name} must be finite; {arrays[name][3, 5].size} entries"):
             CoefficientField(dom, declared_theta1=1.0, declared_theta2=0.0, **arrays)
+
+
+class TestScalarConstants:
+    @pytest.mark.parametrize("name, bad", [
+        ("declared_theta1", math.nan), ("declared_theta1", math.inf),
+        ("declared_theta1", 0.5), ("declared_theta2", math.nan),
+        ("declared_theta2", math.inf), ("declared_theta2", -0.5),
+    ])
+    def test_field_rejects_a_bad_declared_constant(self, name, bad):
+        dom = CubeDomain(1, 3.0, 1 / 4, "periodic")
+        constants = {"declared_theta1": 1.0, "declared_theta2": 0.0, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= "):
+            CoefficientField(dom, np.ones(dom.shape + (1, 1)), np.zeros(dom.shape + (1,)),
+                             np.zeros(dom.shape), np.zeros(dom.shape), **constants)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("norm_V", math.nan), ("norm_V", -1.0), ("norm_b", math.nan), ("norm_b", -1.0),
+        ("norm_c", math.nan), ("norm_c", math.inf), ("target_theta1", math.nan),
+        ("target_theta1", 0.5), ("target_theta2", math.nan), ("target_theta2", -0.5),
+        ("target_theta2", math.inf),
+    ])
+    def test_random_synthesis_rejects_a_bad_constant(self, name, bad):
+        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= "):
+            synthesize_random_field(0, dom, **{"target_theta1": 1.3, name: bad})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"norm_V": math.nan}, "norm_V must be finite"),
+        ({"norm_V": -1.0}, "norm_V must be finite"),
+        ({"theta1": math.nan}, "needs a finite theta1 > 1"),
+        ({"theta1": math.inf}, "needs a finite theta1 > 1"),
+    ])
+    def test_cross_synthesis_rejects_a_bad_constant(self, kwargs, message):
+        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            synthesize_dir_cross_field(0, dom, **{"theta1": 1.3, **kwargs})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_potential_rejects_a_bad_bound(self, bad):
+        with pytest.raises(ValueError, match="^norm_V must be finite and >= 0"):
+            _bounded_potential(np.random.default_rng(0), bad, (4,))
 
 
 class TestLipschitz:
@@ -273,6 +317,37 @@ class TestSynthesis:
             assert np.array_equal(fld.A, np.swapaxes(fld.A, -1, -2))
             fld2 = synthesize_dir_cross_field(seed_, dom, 1.3)
             assert np.array_equal(fld2.A, np.swapaxes(fld2.A, -1, -2))
+
+
+class TestPhaseReference:
+    @pytest.mark.parametrize("phase", [0.0, 2.1])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_profile_broadcasts_to_the_grid_cosine(self, d, k, phase):
+        dom = CubeDomain(d, 3.0, 1 / 8, "periodic")
+        for axis in range(d):
+            got = np.broadcast_to(_phase(dom, axis, k, phase), dom.shape)
+            assert same_bits(got, phase_on_grid(dom, k * np.eye(d)[axis], phase))
+
+    @pytest.mark.parametrize("extra", [{}, {"norm_V": 0.5, "norm_b": 0.8},
+                                       {"norm_b": 0.4, "norm_c": 0.7, "sa": True}],
+                             ids=["plain", "drift", "c-sa"])
+    @pytest.mark.parametrize("theta2", [0.0, 0.6])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_synthesis_matches_the_grid_cosine(self, monkeypatch, d, bc, theta2, extra):
+        # the same synthesis with every cosine evaluated on the whole grid
+        dom = CubeDomain(d, 3.0, {1: 1 / 32, 2: 1 / 16, 3: 1 / 8}[d], bc)
+        got = synthesize_random_field(5, dom, 1.3, theta2, **extra)
+        monkeypatch.setattr(
+            uclab.fields, "_phase",
+            lambda domain, axis, k, phase: phase_on_grid(domain, k * np.eye(domain.d)[axis],
+                                                         phase))
+        want = synthesize_random_field(5, dom, 1.3, theta2, **extra)
+        for name in ("A", "b", "c", "V"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert (got.declared_theta1, got.declared_theta2) == \
+            (want.declared_theta1, want.declared_theta2)
 
 
 class TestDivergence:

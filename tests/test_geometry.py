@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import site_masses_by_slices
 from uclab.geometry import (
     NEAR_NEIGHBOR_SHIFT,
     CubeDomain,
     EquidistributedSequence,
     _lattice,
-    _window_sums,
     ball_cells,
     ball_runs,
     classify_sites,
@@ -366,25 +366,23 @@ class TestSites:
         for T in (2, 3, 5):
             assert tiling_identity_defect(psi3, T, L, h) < 1e-10
 
-    def test_window_sums_match_per_site_loop(self):
-        # per-window loop over the 2^d corners in the same order: bit-identical
-        rng = np.random.default_rng(3)
-        dens = rng.random((12, 12, 12))
-        starts = np.array([0, 3, 5, 7])
-        cells = 4
-        sat = dens
-        for ax in range(3):
-            sat = np.pad(np.cumsum(sat, axis=ax), [(1, 0) if a == ax else (0, 0)
-                                                  for a in range(3)])
-        ref = np.zeros((4,) * 3)
-        for idx in np.ndindex(*ref.shape):
-            acc = 0.0
-            for signs in np.ndindex(2, 2, 2):
-                corner = tuple(starts[i] + (cells if s == 0 else 0)
-                               for i, s in zip(idx, signs))
-                acc += (-1) ** sum(signs) * sat[corner]
-            ref[idx] = acc
-        assert np.array_equal(_window_sums(dens, cells, starts, 3), ref)
+    @pytest.mark.parametrize("T", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_site_masses_match_slice_sums(self, d, T):
+        # each box summed on its own, its cells picked by their coordinates
+        L, h = 3, 1 / 4
+        psi = np.random.default_rng(3).standard_normal((3 * L * 4,) * d)
+        dec = classify_sites(psi, T, L, h)
+        for got, ref in zip((dec.unit_mass, dec.window_mass),
+                            site_masses_by_slices(psi, T, L, h)):
+            assert got.shape == ref.shape == (L,) * d
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_even_window_needs_an_even_cell_count(self):
+        L = 3
+        with pytest.raises(ValueError, match="T-window faces must align"):
+            classify_sites(np.ones(3 * L * 3), 2, L, 1 / 3)
+        assert classify_sites(np.ones(3 * L * 3), 3, L, 1 / 3).dominating.all()
 
     def test_window_exceeding_extension_rejected(self):
         L, h = 3, 1 / 4
@@ -425,6 +423,31 @@ class TestWindowContainment:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             boundary = z + radius * dirs
             assert np.abs(boundary - k).max() <= T / 2.0
+
+
+@seed(29)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([1, 3, 5]),
+    c=st.sampled_from([1, 2, 4]),
+    t=st.integers(0, 10),
+    sd=st.integers(0, 1000),
+)
+def test_mass_splitting_and_tiling_on_periodic_extensions(d, L, c, t, sd):
+    # any window side up to 2L + 1 that aligns with the grid; an even side
+    # needs an even number c of cells per unit
+    T = 1 + t % (2 * L + 1)
+    T -= (T - 1) * c % 2
+    assume((L * c) ** d <= 4096)
+    base = np.random.default_rng(sd).standard_normal((L * c,) * d)
+    psi = np.tile(base, (3,) * d)
+    dec = classify_sites(psi, T, L, 1 / c)
+    total = dec.total_mass()
+    assert total == pytest.approx(float((base**2).sum()) / c**d, rel=1e-12)
+    assert dec.weak_mass() < 0.5 * total * (1 + 1e-12)
+    assert 2.0 * dec.dominating_mass() > total * (1 - 1e-12)
+    assert tiling_identity_defect(psi, T, L, 1 / c) < 1e-10
 
 
 @seed(1234)
