@@ -46,6 +46,7 @@ import numpy as np
 from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.discretization import apply_operator
 from uclab.fields import (
+    _require_at_least,
     _require_finite,
     _require_on_grid,
     constant_spd_field,
@@ -148,6 +149,7 @@ class WeightFunction:
     def __post_init__(self):
         _require_positive("rho", self.rho)
         _require_positive("mu", self.mu)
+        _require_at_least("theta1", self.theta1, 1.0)
         A0 = np.asarray(self.A0, dtype=float)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError("A0 must be a square matrix")
@@ -516,8 +518,6 @@ def check_carleman_inequality(
     for name, value in (("u", u), ("A", A), ("b", b), ("c", c)):
         if value is not None:
             _require_finite(name, value)
-    if np.iscomplexobj(A):
-        raise ValueError("A must be a real matrix field")
     rho = weight.rho
     centers = CubeDomain(d, n * h, h, "periodic").centers_1d()
 

@@ -386,12 +386,10 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
         k = 2
         sine = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
         psi = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
+        unit = (1,) * d  # constants store one cell
         fld = CoefficientField(
-            domain=dom,
-            A=np.broadcast_to(np.eye(d), dom.shape + (d, d)).copy(),
-            b=np.zeros(dom.shape + (d,)), c=np.zeros(dom.shape),
-            V=np.zeros(dom.shape),
-            declared_theta1=1.0, declared_theta2=0.0,
+            domain=dom, A=np.eye(d).reshape(unit + (d, d)), b=np.zeros(unit + (d,)),
+            c=np.zeros(unit), V=np.zeros(unit), declared_theta1=1.0, declared_theta2=0.0,
         )
     res = cacciopoli_check(psi, fld, *(f * L for f in _ANNULUS), cprime=cfg.free.Cprime)
     _write_report(out, {"config": cfg.to_dict(), "check": res})

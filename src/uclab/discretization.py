@@ -140,6 +140,8 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     shape = domain.shape
     N = n**d
     dtype = float if field.is_real() else complex
+    # a Dirichlet ghost reads its face cell, so A and b enter on the full grid
+    A, b = (np.broadcast_to(x, shape + x.shape[d:]) for x in (field.A, field.b))
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -167,7 +169,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
 
     # flux form of the diagonal second-order part (odd ghost)
     for ax in range(d):
-        a = field.A[..., ax, ax]
+        a = A[..., ax, ax]
         a_plus = 0.5 * (a + shifted(a, ax, +1, +1.0))
         a_minus = 0.5 * (a + shifted(a, ax, -1, +1.0))
         diag += ((a_plus + a_minus) / h**2).astype(dtype)
@@ -179,7 +181,7 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
         for j in range(d):
             if i == j:
                 continue
-            a = field.A[..., i, j]
+            a = A[..., i, j]
             if not np.any(a):
                 continue
             for s1 in (+1, -1):
@@ -191,15 +193,15 @@ def assemble(field: CoefficientField) -> DiscreteOperator:
     # Gershgorin radius of the drift rows, an overestimate at Dirichlet faces
     radius = 0.0
     constant = None
-    if np.any(field.b):
+    if np.any(b):
         for ax in range(d):
-            bcomp = field.b[..., ax]
+            bcomp = b[..., ax]
             b_plus = bcomp + shifted(bcomp, ax, +1, +1.0)
             b_minus = bcomp + shifted(bcomp, ax, -1, +1.0)
             emit([(ax, +1)], b_plus / (4.0 * h), 0.0)
             emit([(ax, -1)], -b_minus / (4.0 * h), 0.0)
             radius = radius + (np.abs(b_plus) + np.abs(b_minus)) / (4.0 * h)
-        lower = field.c - 0.5 * divergence_centered(field.b, h, bc) + field.V
+        lower = field.c - 0.5 * divergence_centered(b, h, bc) + field.V
     else:
         lower = field.c + field.V
         constant = _constant_coefficients(field, lower)
@@ -245,7 +247,7 @@ def apply_operator(
     """
     d = u.ndim
     _require_on_grid(u.shape, A, b, c)
-    any_complex = any(np.iscomplexobj(x) for x in (u, A, b, c) if x is not None)
+    any_complex = any(np.iscomplexobj(x) for x in (u, b, c) if x is not None)
     # every term is added in place to ``out``; the sums and their order are
     # those of ``out = out + term``
     out = np.zeros(u.shape, dtype=complex if any_complex else float)
@@ -347,8 +349,10 @@ def extend(
         excess = dirichlet_trace_excess(psi, dom.h)
         if excess > 0.0:
             raise ValueError(f"psi boundary trace too large by {excess:.3g}")
-    parts = {"psi": psi, "A": field.A, "b": field.b, "c": field.c, "V": field.V,
-             "zeta": zeta}
+    # the full grid: tiling an extent-1 axis would give extent 3
+    parts = {k: np.broadcast_to(x, dom.shape + x.shape[d:]) for k, x in
+             (("A", field.A), ("b", field.b), ("c", field.c), ("V", field.V))}
+    parts.update(psi=psi, zeta=zeta)
     for ax in range(d):
         for name, arr in parts.items():
             if arr is None:

@@ -1,8 +1,11 @@
 """Coefficient fields: construction, validation, and the self-adjoint form.
 
-A field holds grids of the matrix ``A``, drift ``b``, zeroth-order ``c`` and
-potential ``V`` on the cell-centered cube grid, together with declared
-ellipticity/Lipschitz constants.  Matrix norms follow the row-sum convention.
+A field holds the matrix ``A``, drift ``b``, zeroth-order ``c`` and potential
+``V`` on the cell-centered cube grid with declared ellipticity/Lipschitz
+constants.  One shape rule, ``_require_on_grid``, serves every coefficient
+array: d leading axes of extent n or 1, so an array stores only the axes it
+varies on.  Validation and norms read the stored cells; consumers that read
+face cells broadcast to the grid.  Matrix norms are row-sum norms.
 Builders and checks read the boundary condition from ``CubeDomain.bc``; only
 :func:`divergence_centered`, which also serves raw arrays, takes it as an argument.
 """
@@ -37,25 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Grids of (A, b, c, V) with declared constants; norms computed on access."""
+    """(A, b, c, V), each stored on the grid axes it varies on, with declared constants."""
 
     domain: CubeDomain
-    A: np.ndarray          # shape + (d, d), real symmetric
-    b: np.ndarray          # shape + (d,), complex
-    c: np.ndarray          # shape, complex
-    V: np.ndarray          # shape, real
+    A: np.ndarray          # grid + (d, d), real symmetric
+    b: np.ndarray          # grid + (d,), complex
+    c: np.ndarray          # grid, complex
+    V: np.ndarray          # grid, real
     declared_theta1: float
     declared_theta2: float
 
     def __post_init__(self):
-        shape = self.domain.shape
-        d = self.domain.d
-        if self.A.shape != shape + (d, d):
-            raise ValueError("A grid shape mismatch")
-        if self.b.shape != shape + (d,):
-            raise ValueError("b grid shape mismatch")
-        if self.c.shape != shape or self.V.shape != shape:
-            raise ValueError("c/V grid shape mismatch")
+        _require_on_grid(self.domain.shape, self.A, self.b, self.c, self.V)
         for name in ("A", "b", "c", "V"):
             _require_finite(name, getattr(self, name))
         _require_at_least("declared_theta1", self.declared_theta1, 1.0)
@@ -85,9 +81,8 @@ class CoefficientField:
         return float(np.abs(self.c).max())
 
     def is_real(self) -> bool:
-        return (
-            not np.iscomplexobj(self.b) or not self.b.any()
-        ) and (not np.iscomplexobj(self.c) or not self.c.imag.any())
+        return not (np.iscomplexobj(self.b) and self.b.any()) and not any(
+            np.iscomplexobj(x) and x.imag.any() for x in (self.c, self.V))
 
 
 def _require_finite(name: str, value) -> None:
@@ -104,16 +99,20 @@ def _require_at_least(name: str, value: float, floor: float) -> None:
         raise ValueError(f"{name} must be finite and >= {floor}, got {value}")
 
 
-def _require_on_grid(grid: tuple[int, ...], A, b, c) -> None:
-    """Raise a ValueError naming the first of ``A``, ``b`` and ``c`` (None
-    is absent) whose shape is not one axis of extent n or 1 per axis of
-    ``grid``, then (d, d), (d,) and nothing: an array that broadcasts to it."""
+def _require_on_grid(grid: tuple[int, ...], A, b, c, V=None) -> None:
+    """The shape rule of every coefficient array.  Raise a ValueError naming
+    the first of ``A``, ``b``, ``c`` and ``V`` (None is absent) whose shape
+    is not one axis of extent n or 1 per axis of ``grid``, then (d, d),
+    (d,), nothing and nothing: an array that broadcasts to it; or naming a
+    complex ``A`` (a dtype test: no pass over the cells)."""
     d = len(grid)
-    for name, value, tail in (("A", A, (d, d)), ("b", b, (d,)), ("c", c, ())):
+    for name, value, tail in (("A", A, (d, d)), ("b", b, (d,)), ("c", c, ()), ("V", V, ())):
         shape = np.shape(value)
         if value is not None and (len(shape) != d + len(tail) or shape[d:] != tail
                                   or any(k not in (1, n) for k, n in zip(shape, grid))):
             raise ValueError(f"{name} of shape {shape} does not broadcast to {grid} + {tail}")
+    if np.iscomplexobj(A):
+        raise ValueError(f"A must be a real matrix field, got {np.asarray(A).dtype}")
 
 
 def estimate_ellipticity(A: np.ndarray) -> float:
@@ -239,7 +238,8 @@ def make_self_adjoint(
     b_tilde = np.asarray(b_tilde, dtype=float)
     c_tilde = np.asarray(c_tilde, dtype=float)
     b = 1j * b_tilde
-    c = c_tilde + 0.5j * divergence_centered(b_tilde, domain.h, domain.bc)
+    grid = np.broadcast_to(b_tilde, domain.shape + (domain.d,))  # a ghost reads its face
+    c = c_tilde + 0.5j * divergence_centered(grid, domain.h, domain.bc)
     return b, c
 
 
@@ -316,20 +316,18 @@ def _phase(domain: CubeDomain, axis: int, k: int, phase: float) -> np.ndarray:
 
 def _bounded_potential(rng: np.random.Generator, norm_V: float,
                       shape: tuple[int, ...]) -> np.ndarray:
-    """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, zeros
-    (no draw) when norm_V is 0; norm_V must be finite and >= 0."""
+    """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, one
+    zero cell (no draw) when norm_V is 0; norm_V must be finite and >= 0."""
     _require_at_least("norm_V", norm_V, 0.0)
-    return rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros(shape)
+    return rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros((1,) * len(shape))
 
 
 def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarray:
-    """Constant symmetric positive-definite A grid with the spectrum pinned
-    to [1/theta1, theta1] (so the ellipticity estimate is exactly theta1,
-    when theta1 > 1).  A is diagonal on a Dirichlet domain, which keeps it
-    Dirichlet-compatible, and randomly rotated on a periodic one.
-
-    The grid is a read-only broadcast view of the one (d, d) matrix; any
-    cell, e.g. ``A[(0,) * d]``, is that matrix."""
+    """Constant symmetric positive-definite A with the spectrum pinned to
+    [1/theta1, theta1] (so the ellipticity estimate is exactly theta1, when
+    theta1 > 1), stored as one cell: ``A[(0,) * d]`` is the matrix.  A is
+    diagonal on a Dirichlet domain, which keeps it Dirichlet-compatible,
+    and randomly rotated on a periodic one."""
     rng = np.random.default_rng(seed)
     d = domain.d
     lam = np.exp(rng.uniform(-math.log(theta1), math.log(theta1), size=d)) \
@@ -344,7 +342,7 @@ def constant_spd_field(seed: int, domain: CubeDomain, theta1: float) -> np.ndarr
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         A0 = Q @ np.diag(lam) @ Q.T
         A0 = 0.5 * (A0 + A0.T)
-    return np.broadcast_to(A0, domain.shape + (d, d))
+    return A0.reshape((1,) * d + (d, d))
 
 
 def synthesize_dir_cross_field(
@@ -377,8 +375,8 @@ def synthesize_dir_cross_field(
     A[..., 1, 0] = smax * envelope
     return CoefficientField(
         domain=domain, A=A,
-        b=np.zeros(domain.shape + (d,), dtype=complex),
-        c=np.zeros(domain.shape, dtype=complex),
+        b=np.zeros((1,) * d + (d,), dtype=complex),
+        c=np.zeros((1,) * d, dtype=complex),
         V=V,
         declared_theta1=estimate_ellipticity(A),
         declared_theta2=estimate_lipschitz(A, domain.h),
@@ -408,7 +406,7 @@ def synthesize_random_field(
     the grid hits its target exactly on every grid; the mode mixture is
     bisected until the measured Lipschitz constant lands within
     ``SYNTHESIS_TOL`` of its target.  On a Dirichlet domain A is diagonal
-    and every cosine has phase zero.  A is a read-only broadcast view.
+    and every cosine has phase zero.  Each array keeps only the axes it varies on.
     Raises when the Lipschitz target is unreachable at the grid's frequency
     resolution, when a measured constant misses its target by more than
     ``SYNTHESIS_TOL`` relative, and on a target or norm that is not finite or
@@ -420,7 +418,7 @@ def synthesize_random_field(
         _require_at_least(name, value, 0.0)
     rng = np.random.default_rng(seed)
     d, n, h = domain.d, domain.n, domain.h
-    shape = domain.shape
+    unit = (1,) * d
     beta = math.log(target_theta1)
 
     def draw_phase() -> float:
@@ -469,23 +467,22 @@ def synthesize_random_field(
             else:
                 wlo = wmid
         a = profile(0.5 * (wlo + whi), kbase)
-        A = np.broadcast_to(a[..., None, None] * np.eye(d), shape + (d, d))
+        A = a[..., None, None] * np.eye(d)
 
-    V = _bounded_potential(rng, norm_V, shape)
+    V = _bounded_potential(rng, norm_V, domain.shape)
 
     if norm_b > 0.0:
         prof = _phase(domain, int(rng.integers(d)), 1, draw_phase())
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
-        b_tilde = np.broadcast_to(norm_b * prof[..., None] * direction, shape + (d,))
+        b_tilde = norm_b * prof[..., None] * direction
     else:
-        b_tilde = np.zeros(shape + (d,))
+        b_tilde = np.zeros(unit + (d,))
 
     if norm_c > 0.0:
-        c_tilde = np.broadcast_to(norm_c * _phase(domain, int(rng.integers(d)), 1,
-                                                  draw_phase()), shape)
+        c_tilde = norm_c * _phase(domain, int(rng.integers(d)), 1, draw_phase())
     else:
-        c_tilde = np.zeros(shape)
+        c_tilde = np.zeros(unit)
 
     if sa:
         b, c = make_self_adjoint(b_tilde, c_tilde, domain)

@@ -278,8 +278,8 @@ def benchmark_field(tc: TrialConfig) -> CoefficientField:
     A = constant_spd_field(int(rng.integers(2**31)), dom, theta1)
     return CoefficientField(
         domain=dom, A=A,
-        b=np.zeros(dom.shape + (tc.d,)),
-        c=np.zeros(dom.shape),
+        b=np.zeros((1,) * tc.d + (tc.d,)),
+        c=np.zeros((1,) * tc.d),
         V=_bounded_potential(rng, tc.norm_V, dom.shape),
         declared_theta1=theta1,
         declared_theta2=0.0,

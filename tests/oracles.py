@@ -35,11 +35,14 @@ the production profile is one axis's cosine shaped to broadcast and must
 reproduce it bit for bit.  :func:`site_masses_by_slices` sums each site's
 unit cube and T-window on its own, selecting the cells by their center
 coordinates; the production sums go one axis at a time over prefix sums
-and must agree to rounding.
+and must agree to rounding.  :func:`on_grid` copies every coefficient array
+of a field out to the full grid; a field stores each array only along the
+axes it varies on, and every result must be the same bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -454,6 +457,15 @@ def phase_on_grid(domain, k, phase):
     pts = domain.center_grid()
     arg = 2.0 * math.pi * np.tensordot(pts, k, axes=([-1], [0])) / domain.L
     return np.cos(arg + phase)
+
+
+def on_grid(field):
+    """``field`` with each of A, b, c and V materialized on the full grid by
+    ``np.broadcast_to(x, grid).copy()``."""
+    shape, d = field.domain.shape, field.domain.d
+    return dataclasses.replace(field, **{
+        name: np.broadcast_to(x, shape + x.shape[d:]).copy()
+        for name, x in (("A", field.A), ("b", field.b), ("c", field.c), ("V", field.V))})
 
 
 def site_masses_by_slices(psi_ext, T, L, h):

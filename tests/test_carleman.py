@@ -161,6 +161,11 @@ class TestWeightFunction:
             with pytest.raises(ValueError, match=name):
                 WeightFunction(A0=np.eye(2), theta1=1.0, **kw)
 
+    @pytest.mark.parametrize("theta1", [math.nan, math.inf, 0.5])
+    def test_rejects_bad_theta1(self, theta1):
+        with pytest.raises(ValueError, match=r"^theta1 must be finite and >= 1"):
+            WeightFunction(rho=1.0, mu=1.0, A0=np.eye(2), theta1=theta1)
+
     def test_rejects_bad_A0(self):
         with pytest.raises(ValueError):
             WeightFunction(rho=1.0, mu=1.0, A0=np.diag([2.0, 1.0]), theta1=1.2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import same_bits
+from oracles import on_grid, same_bits
 from uclab.discretization import (
     apply_operator,
     assemble,
@@ -110,6 +110,22 @@ class TestAssembly:
         H = assemble(laplacian_field(dom))
         assert H.matrix.dtype == np.float64
 
+    def test_complex_potential_keeps_its_imaginary_part(self):
+        # b = c = 0 and V = i: the diagonal keeps Im V, and the eigensolver
+        # rejects the operator by name instead of solving its real part
+        from uclab.spectral import eigensolve
+
+        dom = CubeDomain(2, 3.0, 1 / 4, "periodic")
+        fld = dataclasses.replace(laplacian_field(dom), b=np.zeros(dom.shape + (2,)),
+                                  c=np.zeros(dom.shape), V=np.full(dom.shape, 1j))
+        assert not fld.is_real() and fld.norm_V == 1.0
+        H = assemble(fld)
+        assert H.matrix.dtype == np.complex128
+        assert np.all(H.matrix.diagonal().imag == 1.0)
+        assert H.constant_coefficients is None
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigensolve(H, count=1)
+
 
 def _reference_shift_columns(mind, axis, step, n, bc, fold):
     """Column multi-indices and signs of a one-cell shift: ``odd`` maps a
@@ -142,7 +158,9 @@ def _reference_shifted_values(arr, axis, step, bc, fold_sign):
 
 def reference_assemble(field):
     """Assembly through a multi-index column builder: an N x d index array,
-    a per-axis ghost fold and ``np.ravel_multi_index``."""
+    a per-axis ghost fold and ``np.ravel_multi_index``, from every
+    coefficient on the full grid."""
+    field = on_grid(field)
     dom = field.domain
     d, n, h, bc, shape = dom.d, dom.n, dom.h, dom.bc, dom.shape
     N = n**d

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import uclab.fields
-from oracles import phase_on_grid, roll_centered_diff, roll_difference, roll_shift, same_bits
+from oracles import (
+    on_grid,
+    phase_on_grid,
+    roll_centered_diff,
+    roll_difference,
+    roll_shift,
+    same_bits,
+)
 from uclab.discretization import assemble
 from uclab.fields import (
     CoefficientField,
@@ -113,6 +120,27 @@ class TestFiniteCoefficients:
         with pytest.raises(ValueError,
                            match=rf"^{name} must be finite; {arrays[name][3, 5].size} entries"):
             CoefficientField(dom, declared_theta1=1.0, declared_theta2=0.0, **arrays)
+
+
+class TestRealA:
+    @staticmethod
+    def complex_A(dom):
+        A = np.eye(2, dtype=complex)
+        A[0, 1] = A[1, 0] = 0.3j  # A == A.T, and eigvalsh reads it as Hermitian
+        return np.broadcast_to(A, dom.shape + (2, 2)).copy()
+
+    def test_field_rejects_a_complex_A(self):
+        dom = CubeDomain(2, 3.0, 1 / 4, "periodic")
+        with pytest.raises(ValueError, match=r"^A must be a real matrix field"):
+            CoefficientField(dom, self.complex_A(dom), np.zeros(dom.shape + (2,)),
+                             np.zeros(dom.shape), np.zeros(dom.shape), 1.0, 0.0)
+
+    def test_apply_operator_rejects_a_complex_A(self):
+        from uclab.discretization import apply_operator
+
+        dom = CubeDomain(2, 3.0, 1 / 4, "periodic")
+        with pytest.raises(ValueError, match=r"^A must be a real matrix field"):
+            apply_operator(self.complex_A(dom), None, None, np.ones(dom.shape), dom.h)
 
 
 class TestScalarConstants:
@@ -250,11 +278,11 @@ class TestBoundaryConditions:
         assert rep["ok"]
         assert np.abs(fld.A[..., 0, 1]).max() > 0.1  # genuinely non-diagonal
 
-    def test_constant_grid_is_one_read_only_matrix(self):
+    def test_constant_is_one_stored_cell(self):
         dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
         A = constant_spd_field(3, dom, 2.0)
-        assert A.shape == dom.shape + (2, 2) and A.strides[:2] == (0, 0)
-        assert not A.flags.writeable
+        assert A.shape == (1, 1, 2, 2)
+        assert np.array_equal(A[0, 0], A[0, 0].T) and A[0, 0, 0, 1] != 0.0
 
     def test_rotated_constant_fails_dirichlet(self):
         dom = CubeDomain(2, 3.0, 1 / 8)
@@ -344,6 +372,8 @@ class TestPhaseReference:
             lambda domain, axis, k, phase: phase_on_grid(domain, k * np.eye(domain.d)[axis],
                                                          phase))
         want = synthesize_random_field(5, dom, 1.3, theta2, **extra)
+        # a profile is stored along its axis only; compare the full grids
+        got, want = on_grid(got), on_grid(want)
         for name in ("A", "b", "c", "V"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
         assert (got.declared_theta1, got.declared_theta2) == \
