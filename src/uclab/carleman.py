@@ -496,7 +496,8 @@ def check_carleman_inequality(
     |u| / max|u| exceeds ``SUPPORT_TOL``.  ``u`` must be a cube grid, and
     ``A`` (real), ``b`` and ``c`` broadcast to it: d leading axes of extent n
     or 1, then (d, d), (d,) and nothing (module docstring).  A grid of
-    another shape, or a NaN or inf in u, A, b or c, raises a ValueError that
+    another shape, a NaN or inf in u, A, b or c, or an ``alpha`` or
+    ``carleman_C`` that is not positive and finite, raises a ValueError that
     names it.  Derivatives are centered, those of u
     computed once for the gradient energy and the operator; integrals are
     midpoint sums accumulated by log-sum-exp, and the two sides are compared
@@ -510,6 +511,8 @@ def check_carleman_inequality(
     """
     d = u.ndim
     n = u.shape[0]
+    _require_positive("alpha", alpha)
+    _require_positive("carleman_C", carleman_C)
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
     if u.shape != (n,) * d:

@@ -425,7 +425,7 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
     for seed, fld in zip(cfg.seeds, flds):
         sl = eigensolve(assemble(fld), count=2, seed=seed)
         res = extension_check(fld, sl.grid_vector(0), float(sl.eigenvalues[0]))
-        worst = {k: max(worst[k], res[k]) for k in worst}
+        worst = {k: float(np.maximum(worst[k], res[k])) for k in worst}  # keeps a NaN
     _write_report(out, {"config": cfg.to_dict(), "worst": worst})
     ok = worst["interface_jump_rel"] <= 1.0 and worst["residual"] <= 1e-8
     print(f"extension interface jump {worst['interface_jump_rel']:.3f} of "

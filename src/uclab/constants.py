@@ -384,6 +384,8 @@ def _sfuc_log_terms(
     """(log_D1, exponent, log((delta/G)/D2)) of the sampling constant in the
     G-canonical arithmetic; with ``energy`` set, the exponent is the spectral
     variant that replaces the potential norm by |energy|."""
+    if energy is not None and not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
     g_t2 = p.G * p.theta2
     eps2 = sampling_epsilon(p)
     log_D1, D3 = _theta_factors(fc.K2, p.theta1, g_t2, -15.5 - p.d)
@@ -498,6 +500,8 @@ def sampling_report(
     """
     if not 0.0 < p.delta < p.G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
     T = side_length_T(p.d, p.theta1)
     eps2 = sampling_epsilon(p)
     base = dict(epsilon=eps2, T=T, params=asdict(p), free_constants=asdict(fc))

@@ -336,29 +336,29 @@ def extend(
     three times per axis, a Dirichlet one is mirrored with the parities of
     :func:`reflect_block`.  Returns ``(psi3, field3, zeta3)``, with ``field3``
     on ``CubeDomain(d, 3L, h, bc)``; ``zeta3`` is None when ``zeta`` is.
+    A coefficient keeps its stored extents: an axis of extent 1 stays so
+    unless the mirror flips a sign there, as on a constant normal drift.
     """
     dom = field.domain
     d, bc = dom.d, dom.bc
     rep = check_boundary_conditions(field)
     if not rep["ok"]:
         name = "periodic" if bc == "periodic" else "Dirichlet"
-        raise ValueError(
-            f"{name} compatibility violated by {rep['worst_violation']:.3g}"
-        )
+        raise ValueError(f"{name} compatibility violated by {rep['worst_violation']:.3g}")
     if bc == "dirichlet":
         excess = dirichlet_trace_excess(psi, dom.h)
         if excess > 0.0:
             raise ValueError(f"psi boundary trace too large by {excess:.3g}")
-    # the full grid: tiling an extent-1 axis would give extent 3
-    parts = {k: np.broadcast_to(x, dom.shape + x.shape[d:]) for k, x in
-             (("A", field.A), ("b", field.b), ("c", field.c), ("V", field.V))}
-    parts.update(psi=psi, zeta=zeta)
+    parts = dict(A=field.A, b=field.b, c=field.c, V=field.V, psi=psi, zeta=zeta)
     for ax in range(d):
         for name, arr in parts.items():
             if arr is None:
                 continue
             side = arr if bc == "periodic" else reflect_block(arr, ax, _PARITY[name])
-            parts[name] = np.concatenate([side, arr, side], axis=ax)
+            # an extent-1 axis the rule leaves unchanged stays extent 1
+            if arr.shape[ax] > 1 or not np.array_equal(side, arr):
+                k = dom.n // arr.shape[ax]  # n copies of a sign-flipped unit axis
+                parts[name] = np.concatenate([side] * k + [arr] * k + [side] * k, axis=ax)
     psi3, zeta3 = parts.pop("psi"), parts.pop("zeta")
     field3 = replace(field, domain=CubeDomain(d, 3 * dom.L, dom.h, bc), **parts)
     return psi3, field3, zeta3
@@ -379,7 +379,8 @@ def extension_check(field: CoefficientField, psi: np.ndarray, lam: float) -> dic
                for ax in range(psi.ndim))
     viol = residual_inequality_check(psi3, lam, zeta3, assemble(field3).apply(psi3))
     return {
-        "interface_jump_rel": float(jump / _jump_allowance(psi, field.domain.h)),
+        # a constant psi has no jump and no allowance
+        "interface_jump_rel": jump and float(jump / _jump_allowance(psi, field.domain.h)),
         "residual": viol / max(abs(lam), 1.0),
     }
 

@@ -4,8 +4,9 @@ A field holds the matrix ``A``, drift ``b``, zeroth-order ``c`` and potential
 ``V`` on the cell-centered cube grid with declared ellipticity/Lipschitz
 constants.  One shape rule, ``_require_on_grid``, serves every coefficient
 array: d leading axes of extent n or 1, so an array stores only the axes it
-varies on.  Validation and norms read the stored cells; consumers that read
-face cells broadcast to the grid.  Matrix norms are row-sum norms.
+varies on.  Validation and norms read the stored cells; only ``assemble``
+and :func:`make_self_adjoint`, which read face cells, broadcast to the grid,
+and ``extend`` keeps the stored extents.  Matrix norms are row-sum norms.
 Builders and checks read the boundary condition from ``CubeDomain.bc``; only
 :func:`divergence_centered`, which also serves raw arrays, takes it as an argument.
 """

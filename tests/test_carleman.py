@@ -558,6 +558,15 @@ class TestCarlemanInequality:
             check_carleman_inequality(args["u"], args["A"], args["b"], args["c"], h,
                                       wf, alpha0, C)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["alpha", "carleman_C"])
+    def test_rejects_a_bad_alpha_or_constant_naming_it(self, name, bad):
+        # a NaN ratio, or a math domain error that named neither input
+        u, A, wf, C, alpha0, h = self.make_setup()
+        args = {"alpha": alpha0, "carleman_C": C, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            check_carleman_inequality(u, A, None, None, h, wf, **args)
+
     @pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
     def test_rejects_a_non_cube_grid(self, shape):
         # cut one axis of the 64-cell cube to its middle 48 cells; the bump

@@ -375,6 +375,20 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["extend-check", "--config", path, "--out", str(out)]) == 0
 
+    def test_extend_check_keeps_a_nan_jump(self, tmp_path, monkeypatch):
+        # a NaN gate value fails the check whichever trial it comes from
+        import uclab.discretization
+
+        jumps = iter([math.nan, 0.5])
+        monkeypatch.setattr(uclab.discretization, "extension_check",
+                            lambda fld, psi, lam: {"interface_jump_rel": next(jumps),
+                                                   "residual": 0.0})
+        path = write_cfg(tmp_path, {"ds": [2], "seeds": [0, 1], "h_per_G": 16})
+        out = tmp_path / "out"
+        assert main(["extend-check", "--config", path, "--out", str(out)]) == 1
+        assert strict_json((out / "report.json").read_text())["worst"] == {
+            "interface_jump_rel": None, "residual": 0.0}
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_extend_check_runs_in_its_dimension(self, tmp_path, monkeypatch, d):
         import uclab.spectral

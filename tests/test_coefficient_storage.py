@@ -2,8 +2,10 @@
 
 Every builder's field, and the same field with every array materialized on
 the full grid (``oracles.on_grid``), give the same assembled matrix, the
-same extension, the same boundary-condition report, norms and realness, bit
-for bit; validation reads only the stored cells.
+same boundary-condition report, norms and realness, bit for bit, and the
+same extension: ``extend`` keeps the stored extents, and on the grid its
+arrays are the full field's up to the sign of a mirrored zero, with the same
+assembled matrix.  Validation reads only the stored cells.
 """
 
 import math
@@ -37,11 +39,7 @@ def trial_field(bc, norm_V):
                                        delta_over_G=0.25, seed=1, h_per_G=8))
 
 
-def assert_same_downstream(fld):
-    full = on_grid(fld)
-    # the case is a real one: some array is stored on fewer cells
-    assert any(getattr(fld, k).shape != getattr(full, k).shape for k in NAMES)
-
+def assert_same_operator(fld, full):
     got, want = assemble(fld), assemble(full)
     for attr in ("data", "indices", "indptr"):
         assert same_bits(getattr(got.matrix, attr), getattr(want.matrix, attr)), attr
@@ -52,6 +50,13 @@ def assert_same_downstream(fld):
         assert same_bits(got.constant_coefficients[0], want.constant_coefficients[0])
         assert got.constant_coefficients[1] == want.constant_coefficients[1]
 
+
+def assert_same_downstream(fld):
+    full = on_grid(fld)
+    # the case is a real one: some array is stored on fewer cells
+    assert any(getattr(fld, k).shape != getattr(full, k).shape for k in NAMES)
+    assert_same_operator(fld, full)
+
     # a sine product: small on the faces, as a Dirichlet extension needs
     dom = fld.domain
     sine = np.sin(math.pi * (dom.centers_1d() + dom.L / 2.0) / dom.L)
@@ -60,8 +65,13 @@ def assert_same_downstream(fld):
     (psi3, fld3, zeta3), (psi3w, fld3w, zeta3w) = (extend(psi, f, zeta) for f in (fld, full))
     assert same_bits(psi3, psi3w) and same_bits(zeta3, zeta3w)
     assert fld3.domain == fld3w.domain
+    # where the mirror negates a stored +0.0 the full grid holds -0.0
+    grid3 = on_grid(fld3)
     for k in NAMES:
-        assert same_bits(getattr(fld3, k), getattr(fld3w, k)), k
+        got, want = getattr(grid3, k), getattr(fld3w, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), k
+        assert same_bits(got + 0.0, want + 0.0), k
+    assert_same_operator(fld3, fld3w)
 
     assert check_boundary_conditions(fld) == check_boundary_conditions(full)
     for attr in ("norm_V", "norm_b", "norm_c"):
@@ -138,8 +148,42 @@ def test_validation_reads_the_stored_cells(monkeypatch):
     unit = (1, 1, 1)
     for A, stored in ((constant_spd_field(3, dom, 1.3), 1), (profile, dom.n)):
         cells.clear()
-        CoefficientField(dom, A, np.zeros(unit + (3,)), np.zeros(unit), np.zeros(unit), 1.3, 0.6)
+        fld = CoefficientField(dom, A, np.zeros(unit + (3,)), np.zeros(unit), np.zeros(unit),
+                               1.3, 0.6)
         assert cells == [stored]
+        # the extension validates its field on 3 n cells of a profile, not (3 n)^3
+        cells.clear()
+        extend(np.zeros(dom.shape), fld)
+        assert cells == [3 * stored if stored > 1 else 1]
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_extension_keeps_the_stored_extents(bc):
+    dom = CubeDomain(3, 3.0, 1 / 8, bc)
+    fld = synthesize_random_field(1, dom, 1.3, 0.6)
+    fld3 = extend(np.zeros(dom.shape), fld)[1]
+    # a periodic tiling, and the Dirichlet mirror of a diagonal A, of zero
+    # b and of an even c and V, change no unit axis
+    assert not np.any(fld.A - np.eye(3) * fld.A)
+    for k in NAMES:
+        stored = getattr(fld, k).shape[:3]
+        assert getattr(fld3, k).shape[:3] == tuple(1 if m == 1 else 3 * m for m in stored), k
+
+
+def test_extension_spreads_a_sign_flipped_unit_axis():
+    # the normal component of a constant drift is odd across a Dirichlet face
+    # normal to axis 0 and even across one normal to axis 1
+    dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+    unit = (1, 1)
+    fld = CoefficientField(dom, np.eye(2).reshape(unit + (2, 2)), np.array([[[0.5, 0.0]]]),
+                           np.zeros(unit), np.zeros(unit), 1.0, 0.0)
+    sine = np.sin(math.pi * (dom.centers_1d() + dom.L / 2.0) / dom.L)
+    fld3 = extend(np.outer(sine, sine), fld)[1]
+    assert fld3.b.shape == (3 * dom.n, 1, 2)
+    assert np.array_equal(fld3.b[:, 0, 0], np.repeat([-0.5, 0.5, -0.5], dom.n))
+    assert not fld3.b[..., 1].any()
+    assert all(getattr(fld3, k).shape[:2] == unit for k in ("A", "c", "V"))
+    assert_same_downstream(fld)
 
 
 def test_field_file_keeps_the_stored_axes(tmp_path):

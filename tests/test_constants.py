@@ -122,6 +122,20 @@ class TestFiniteInput:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             cls(**{**required, name: bad})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [log_c_sfuc, c_sfuc_exponent, log_gamma_window])
+    def test_non_finite_energy_rejected(self, fn, bad):
+        # a NaN energy read as a NaN constant, an infinite one as -inf or inf
+        with pytest.raises(ValueError, match="^energy must be finite"):
+            fn(canonical_params(), FC, energy=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("theta2", [0.0, 1.0], ids=["admissible", "inadmissible"])
+    def test_sampling_report_rejects_non_finite_energy(self, theta2, bad):
+        # not a report flagged as leaving the double range at log_gamma
+        with pytest.raises(ValueError, match="^energy must be finite"):
+            sampling_report(ModelParams(d=1, theta2=theta2), energy=bad)
+
 
 class TestLocalGeometry:
     @pytest.mark.parametrize("name, bad", [

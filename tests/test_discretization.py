@@ -551,6 +551,18 @@ class TestExtensionCheck:
         res = extension_check(laplacian_field(dom), dom.centers_1d(), 0.0)
         assert res["interface_jump_rel"] == pytest.approx((dom.L - dom.h) / (10.0 * dom.h))
 
+    def test_constant_eigenfunction_has_no_jump(self):
+        # the closed-form ground state of a constant A is exactly constant: its
+        # seam jump and its allowance 10 h |grad psi|_sup are both zero
+        from uclab.spectral import eigensolve
+
+        fld = synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"), 1.3)
+        sl = eigensolve(assemble(fld), count=2, seed=0)
+        psi = sl.grid_vector(0)
+        assert np.all(psi == psi[0])
+        res = extension_check(fld, psi, float(sl.eigenvalues[0]))
+        assert res["interface_jump_rel"] == 0.0 and res["residual"] <= 1e-12
+
 
 class TestResidualInequality:
     def test_eigenpair_with_matching_potential(self):
