@@ -20,12 +20,13 @@ write a NaN or infinite number as ``null``.  ``sweep``,
 dimension ``ds`` names, and ``weight``, ``carleman-check`` and
 ``cacciopoli-check`` draw from the one seed ``seeds`` names (a longer list
 is a config error).  ``sweep`` checks admissibility and evaluates its
-bounds in its dimension.  It sweeps four or more ``deltas_over_G`` as given,
-and the five-point grid 0.125 ... 0.45 for one (the default serves
-``verify``); two or three are a config error.  ``model.*`` keys are the
-fields of ``ModelParams``, which holds no local-estimate geometry, so
-``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown keys;
-``constants`` reports the geometry it derived.
+bounds in its dimension.  It sweeps ``deltas_over_G`` as given when they
+hold four or more distinct values, and the five-point grid 0.125 ... 0.45
+for one (the default serves ``verify``); any other list is a config error.
+``model.*`` keys are the fields of ``ModelParams``, which holds no
+local-estimate geometry, so ``model.R``, ``model.D0``, ``model.K_V`` and
+``model.beta`` are unknown keys; ``constants`` reports the geometry it
+derived.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class ExperimentConfig:
                 problems.append(f"seeds={list(self.seeds)} is not one seed "
                                 f"({command} draws from one)")
             if command == "sweep":  # a fit needs four deltas; bounds are in ds[0]
-                if len(self.deltas_over_G) in (2, 3):
-                    problems.append(f"deltas_over_G={list(self.deltas_over_G)} is "
-                                    "not one value (the five-point grid) or four or more")
+                if len(self.deltas_over_G) > 1 and len(set(self.deltas_over_G)) < 4:
+                    problems.append(f"deltas_over_G={list(self.deltas_over_G)} is not "
+                                    "one value (the five-point grid) or four distinct ones")
                 m = replace(m, d=self.ds[0])
         if command != "constants":
             eps = sampling_epsilon(m)

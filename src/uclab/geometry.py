@@ -15,8 +15,8 @@ instead of one flag per cell.  It takes a stack of placements that share
 G, delta, L and d and finds the runs of all of them in one pass; a
 placement's runs do not depend on the rest of the stack.
 :func:`ball_cells` expands the runs of one placement (a stack of one) to
-the sorted flat indices of the covered cells: a trial gathers its masses
-and eigenvector rows by them, and :func:`mask` sets them in a boolean grid.
+the sorted flat indices of the covered cells: a trial gathers its
+eigenvector rows by them, and :func:`mask` sets them in a boolean grid.
 A delta sweep reads the runs of all the placements of one radius against
 row prefix sums instead.  The run is exact: with ``p`` the squared distance
 over the first ``d - 1`` axes, accumulated in axis order, a cell is covered
@@ -110,22 +110,24 @@ class CubeDomain:
         """Cells per axis in one cell of the G-lattice, c = G/h; raises
         unless the grid spacing divides G and the blocks tile the cube."""
         c = round(G / self.h)
-        if c < 1 or abs(G / self.h - c) > 1e-9 or self.n % c:
-            raise ValueError("grid spacing must divide G")
+        if c < 1 or abs(G / self.h - c) > 1e-9:
+            raise ValueError(f"grid spacing h={self.h} must divide G={G}")
+        if self.n % c:
+            raise ValueError(f"G-blocks of {c} cells do not tile the {self.n} cells "
+                             "per axis of the cube")
         return c
 
     def norm_sq(self, psi: np.ndarray, where: Optional[np.ndarray] = None) -> float:
-        """``h^d * sum(|psi|^2)`` over the cube, or over ``where``: a boolean
-        grid of the grid's shape or flat indices into the flattened grid."""
+        """``h^d * sum(|psi|^2)`` over the cube, or over a boolean grid ``where``."""
         psi = np.asarray(psi)
         if psi.shape != self.shape:
             raise ValueError("grid function shape mismatch")
         if where is not None:
             where = np.asarray(where)
-            if where.dtype == bool and where.shape != self.shape:
-                raise ValueError(f"boolean where of shape {where.shape} is not "
-                                 f"on the grid of shape {self.shape}")
-            psi = psi[where] if where.dtype == bool else psi.reshape(-1)[where]
+            if where.dtype != bool or where.shape != self.shape:
+                raise ValueError(f"where of dtype {where.dtype} and shape {where.shape} "
+                                 f"is not a boolean grid of shape {self.shape}")
+            psi = psi[where]
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 

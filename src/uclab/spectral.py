@@ -51,7 +51,10 @@ is searched for them (``_openblas_setters``).
 
 Every path is checked against the matrix: the residual ||H v - lambda v||
 of each returned pair must stay below RESIDUAL_TOL times the largest entry
-of H, or the solve raises, so a wrong closed form fails loudly.
+of H, or the solve raises, so a wrong closed form fails loudly.  The
+residual is relative to ||v||, so the vectors are checked too: max |V^* V - I|
+must stay below ORTHONORMALITY_TOL, since the records read mass fractions as
+Rayleigh quotients that assume it.
 
 Slices are sorted eigenpairs; projector samples are normalized linear
 combinations of slice members within an energy window of half-width gamma
@@ -74,6 +77,7 @@ __all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
 DENSE_CUTOFF = 256      # dense and Lanczos cost about the same here (README)
 HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
 RESIDUAL_TOL = 1e-9     # allowed ||H v - lambda v|| relative to the largest entry
+ORTHONORMALITY_TOL = 1e-10  # allowed max |V^* V - I|
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,9 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     Closed form for a constant-coefficient operator, dense below
     DENSE_CUTOFF unknowns, shift-invert Lanczos above it (module docstring).
     Runs on one BLAS thread and is deterministic for a fixed matrix and
-    seed.  Raises ``ValueError`` when the operator is not Hermitian or a
+    seed.  Raises ``ValueError`` when the operator is not Hermitian, a
     returned pair's residual exceeds RESIDUAL_TOL times the largest entry of
-    H.
+    H, or the vectors' orthonormality defect exceeds ORTHONORMALITY_TOL.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -242,12 +246,17 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     if not residual_bound <= RESIDUAL_TOL * scale:
         raise ValueError(f"eigenpair residual {residual_bound:.3g} exceeds "
                          f"{RESIDUAL_TOL:g} x max|H| = {RESIDUAL_TOL * scale:.3g}")
-    return SpectrumSlice(
+    sl = SpectrumSlice(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,
         residual_bound=residual_bound,
         shape=op.domain.shape,
     )
+    defect = sl.orthonormality_defect()
+    if not defect <= ORTHONORMALITY_TOL:
+        raise ValueError(f"eigenvector orthonormality defect {defect:.3g} exceeds "
+                         f"{ORTHONORMALITY_TOL:g}")
+    return sl
 
 
 @_one_blas_thread()

@@ -14,25 +14,26 @@ ratio is zero); it is positive exactly when the ratio clears the bound and
 says by how many e-folds it does.  The residual term
 ``delta^2 G^2 ||zeta||^2`` is computed and reported separately so trials
 where it dominates the left-hand side are distinguishable from genuine ball
-mass.  ``worst_ratio`` is the smallest ball fraction over the whole span of
-the eigenpairs in the trial's energy window, a number that does not depend
-on which orthonormal basis the solver returns inside a degenerate
-eigenspace.  Records are reproducible bit for bit from (config, seed): the
-eigensolve, the projector sample and ``worst_ratio`` run their BLAS products
-on one thread, so with OpenBLAS the bytes do not depend on
+mass.  Records are reproducible bit for bit from (config, seed): the
+eigensolve, the projector sample and :func:`placement_gram` run their BLAS
+products on one thread, so with OpenBLAS the bytes do not depend on
 ``OPENBLAS_NUM_THREADS``.
 
 A grid function is checked once, where it enters a record or a delta sweep:
 its squared norm on the whole cube must be finite and nonzero.  A trial
-finds the covered cells of its one placement once, as the flat indices of
-:func:`~uclab.geometry.ball_cells`; each record's ``ratio`` sums over them
-and ``worst_ratio`` gathers its eigenvector rows by them.  A delta sweep
-measures many placements of one grid function instead: it squares the
-function once, into one :func:`mass_prefix` table and its norm, and at each
-delta finds the :func:`~uclab.geometry.ball_runs` of all that delta's
-placements in one pass and reads each placement's mass from the table over
-its own runs.  So it costs one pass over the grid per grid function and one
-run search per delta, not one per placement.
+gathers the rows of its solved slice V in the covered cells S of its one
+placement (:func:`~uclab.geometry.ball_cells`) once, into the k x k matrix
+M = V_S^* V_S (:func:`placement_gram`).  A record's ``ratio`` is the
+Rayleigh quotient of M at psi's coefficients in the slice basis, and
+``worst_ratio``, the smallest one over the span of the energy window, is the
+lowest eigenvalue of the window's minor of M, which no choice of basis
+inside a degenerate eigenspace moves.  A delta sweep measures many
+placements of one grid function instead: it squares the function once, into
+one :func:`mass_prefix` table and its norm, and at each delta finds the
+:func:`~uclab.geometry.ball_runs` of all that delta's placements in one pass
+and reads each placement's mass from the table over its own runs.  So it
+costs one pass over the grid per grid function and one run search per
+delta, not one per placement.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "TrialConfig",
     "mass_prefix",
     "observability_ratio",
+    "placement_gram",
     "worst_ratio",
     "benchmark_field",
     "solve_field",
@@ -254,18 +256,18 @@ def observability_ratio(
 
 
 @_one_blas_thread()
-def worst_ratio(vectors: np.ndarray, cells: np.ndarray) -> float:
-    """Smallest mass fraction captured by the cells S over the span of the
-    l2-orthonormal columns of ``vectors`` (flattened grid functions); S is
-    given as sorted flat indices (:func:`~uclab.geometry.ball_cells`) or as
-    a flat boolean mask.
-
-    For psi = V c the fraction is c^* V_S^* V_S c / |c|^2, so the minimum
-    is the lowest eigenvalue of the k x k matrix V_S^* V_S, V_S the rows of
-    V in S; it does not depend on the basis of the span.
-    """
+def placement_gram(vectors: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """M = V_S^* V_S for the l2-orthonormal columns V of ``vectors`` and their
+    rows V_S in the cells S, sorted flat indices (:func:`~uclab.geometry.ball_cells`):
+    for psi = V c the mass fraction captured by S is c^* M c / |c|^2."""
     inside = vectors[cells]
-    return float(np.linalg.eigvalsh(inside.conj().T @ inside)[0])
+    return inside.conj().T @ inside
+
+
+def worst_ratio(gram: np.ndarray) -> float:
+    """Smallest mass fraction over the span behind a :func:`placement_gram`
+    or a principal minor of one: its lowest eigenvalue, basis-independent."""
+    return float(np.linalg.eigvalsh(gram)[0])
 
 
 def benchmark_field(tc: TrialConfig) -> CoefficientField:
@@ -304,15 +306,13 @@ def _record(
     energy: float,
     eigen_index: int,
     log_bound: float,
-    cells: np.ndarray,
+    ratio: float,
     residual_violation: float,
     window_worst: float,
     log_gamma: float,
 ) -> ObservabilityRecord:
-    dom = fld.domain
-    total = _checked_norm_sq(dom.norm_sq(psi))
-    ratio = dom.norm_sq(psi, where=cells) / total
-    zeta_sq = dom.norm_sq(zeta) / total
+    total = _checked_norm_sq(fld.domain.norm_sq(psi))
+    zeta_sq = fld.domain.norm_sq(zeta) / total
     zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
     return ObservabilityRecord(
         psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
@@ -359,26 +359,27 @@ def run_trial(
     )
     lg = log_gamma_window(p, fc, E)
     atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
-    window = sl.select(np.abs(sl.eigenvalues - E) <= atol)
-    cells = ball_cells(seq, fld.domain)
-    window_worst = worst_ratio(window.eigenvectors, cells)
+    members = np.flatnonzero(np.abs(sl.eigenvalues - E) <= atol)
+    gram = placement_gram(sl.eigenvectors, ball_cells(seq, fld.domain))
+    window_gram = gram[np.ix_(members, members)]
+    window_worst = worst_ratio(window_gram)
 
-    # (kind, psi, what H psi is compared against, log bound, log gamma): an
-    # eigenfunction of H against the potential, and a random combination of
-    # the window members at E against E
+    # Rayleigh quotients of the gram: eigenvector idx against V, a window draw against E
+    coeffs = rng.standard_normal(len(members))
     paths = (
-        ("inequality_pair", sl.grid_vector(idx), fld.V, log_c_sfuc(p, fc), math.nan),
-        ("projector_sample",
-         projector_sample(window, coefficients=rng.standard_normal(len(window))),
+        ("inequality_pair", sl.grid_vector(idx), gram[idx, idx].real, fld.V,
+         log_c_sfuc(p, fc), math.nan),
+        ("projector_sample", projector_sample(sl.select(members), coeffs),
+         (coeffs @ window_gram @ coeffs).real / (coeffs @ coeffs),
          E, log_c_sfuc(p, fc, energy=E) - math.log(2.0), lg),
     )
     records = []
-    for kind, psi, compare, log_bound, log_gamma in paths:
+    for kind, psi, ratio, compare, log_bound, log_gamma in paths:
         op_psi = H.apply(psi)
         zeta = op_psi - compare * psi
         viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
         records.append(_record(tc, fc, fld, kind, psi, zeta, E, idx, log_bound,
-                               cells, viol, window_worst, log_gamma))
+                               ratio, viol, window_worst, log_gamma))
     return records
 
 
@@ -472,8 +473,8 @@ def delta_sweep(
     if (p.d, p.G, p.L) != (domain.d, G, domain.L):
         raise ValueError(f"model (d, G, L) = {(p.d, p.G, p.L)} is not the swept "
                          f"cube's {(domain.d, G, domain.L)}")
-    if len(deltas) < 4:
-        raise ValueError("need at least 4 delta values")
+    if len(set(deltas)) < 4:  # fewer distinct values leave the fit rank deficient
+        raise ValueError(f"need at least 4 distinct delta values, got {list(deltas)}")
     if len(seq_seeds) == 0:
         raise ValueError("need at least one sequence seed")
     prefix, total = mass_prefix(psi, domain, G)

@@ -38,6 +38,12 @@ coordinates; the production sums go one axis at a time over prefix sums
 and must agree to rounding.  :func:`on_grid` copies every coefficient array
 of a field out to the full grid; a field stores each array only along the
 axes it varies on, and every result must be the same bit for bit.
+:func:`reference_ball_fraction` and :func:`reference_worst_ratio` measure a
+trial's placement by gathers: h^d sum |psi|^2 over the covered cells over
+the whole cube's, and the lowest eigenvalue of the Gram matrix of the
+window's own gathered rows.  A trial reads both from one Gram matrix of its
+whole slice instead, as Rayleigh quotients and a minimum over a minor; they
+must agree to rounding.
 """
 
 from __future__ import annotations
@@ -449,6 +455,21 @@ if __name__ == "__main__":
     vals = canonical_sampling_values()
     for k, v in vals.items():
         print(f"{k:>16} = {mp.nstr(v, 22)}")
+
+
+def reference_ball_fraction(psi, domain, cells):
+    """h^d sum |psi|^2 over the sorted flat ``cells`` over h^d sum |psi|^2
+    over the whole cube."""
+    flat = np.asarray(psi).reshape(-1)
+    inside = domain.cell_volume * float(np.sum(np.abs(flat[cells]) ** 2))
+    return inside / (domain.cell_volume * float(np.sum(np.abs(flat) ** 2)))
+
+
+def reference_worst_ratio(vectors, cells):
+    """Lowest eigenvalue of V_S^* V_S, V_S the rows ``cells`` of the columns
+    ``vectors``."""
+    inside = vectors[cells]
+    return float(np.linalg.eigvalsh(inside.conj().T @ inside)[0])
 
 
 def phase_on_grid(domain, k, phase):

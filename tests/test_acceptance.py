@@ -26,6 +26,7 @@ import pytest
 
 import oracles
 import uclab
+import uclab.verifier as verifier
 from uclab.carleman import WeightFunction, carleman_trial
 from uclab.constants import (
     FreeConstants,
@@ -308,6 +309,43 @@ def test_criterion_07_equidistribution_benchmark(criterion7_run):
     ok &= criterion7_run["elapsed"] < 300.0
     report(7, "equidistribution-benchmark", ok, t0,
            f"min margin {min(r.margin for r in records):.3e}")
+
+
+def test_criterion_07_ratios_match_the_gathered_reference(criterion7_run, monkeypatch):
+    # replay the suite, capturing each trial's slice, covered cells and
+    # projector sample; the records read ratio and worst_ratio from one Gram
+    # matrix, the reference gathers psi and the window's rows over the cells
+    trials = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if name == "placement_gram":
+                trials.append({"vectors": args[0], "cells": args[1]})
+            else:
+                trials[-1].update(window=args[0].eigenvectors, sample=out)
+            return out
+        return wrapper
+
+    for name in ("placement_gram", "projector_sample"):
+        monkeypatch.setattr(verifier, name, spy(name, getattr(verifier, name)))
+    configs = criterion7_run["configs"]
+    replayed = verify_equidistribution(configs, FC)
+    records = criterion7_run["records"]
+    assert [r.to_dict() for r in replayed] == [r.to_dict() for r in records]
+    assert len(trials) == len(configs) == 160
+    moved = []
+    for tc, trial, pair, sample in zip(configs, trials, records[::2], records[1::2]):
+        dom = CubeDomain(tc.d, tc.L, tc.h, tc.bc)
+        cells = trial["cells"]
+        eigenvector = trial["vectors"][:, pair.eigen_index]
+        want_pair = oracles.reference_ball_fraction(eigenvector, dom, cells)
+        want_sample = oracles.reference_ball_fraction(trial["sample"], dom, cells)
+        want_worst = oracles.reference_worst_ratio(trial["window"], cells)
+        for got, want in ((pair.ratio, want_pair), (sample.ratio, want_sample),
+                          (pair.worst_ratio, want_worst), (sample.worst_ratio, want_worst)):
+            moved.append(abs(got - want) / want)
+    assert len(moved) == 640 and max(moved) <= 1e-12, max(moved)
 
 
 def test_criterion_08_vanishing_order_sweep():

@@ -122,6 +122,9 @@ class TestExitCodes:
         pytest.param("constants", [1, 2], [], "--config", id="constants-config-array"),
         pytest.param("sweep", {"deltas_over_G": [0.2, 0.3, 0.4]}, [], "deltas_over_G",
                      id="sweep-three-deltas"),
+        # four values but one radius: a rank-deficient fit
+        pytest.param("sweep", {"deltas_over_G": [0.2] * 4}, [], "deltas_over_G",
+                     id="sweep-repeated-deltas"),
         # the fattened annulus needs 2h < 0.1 L: h = 1/4 against L = 3
         pytest.param("cacciopoli-check", {"h_per_G": 4}, [], "h_per_G",
                      id="cacciopoli-annulus-leaves-cube"),

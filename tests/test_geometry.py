@@ -40,10 +40,26 @@ class TestCubeDomain:
         where = np.zeros(dom.shape, dtype=bool)
         where[0, :2] = True
         assert dom.norm_sq(psi, where=where) == 2 * dom.cell_volume
-        # a flat mask (which worst_ratio takes) and a mask of another grid
+        # a flat mask and a mask of another grid
         for bad in (where.reshape(-1), np.zeros((5, 5), dtype=bool)):
             with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},.*shape \(6, 6\)"):
                 dom.norm_sq(psi, where=bad)
+
+    @pytest.mark.parametrize("where", [[-1], [0, 1], np.ones((6, 6), dtype=int)],
+                             ids=["negative-index", "flat-indices", "integer-grid"])
+    def test_norm_sq_rejects_a_non_boolean_where(self, where):
+        # flat indices would be read silently, a negative one as the last cell
+        dom = CubeDomain(2, 3.0, 0.5)
+        with pytest.raises(ValueError, match=r"dtype int\d+ and .* is not a boolean grid"):
+            dom.norm_sq(np.ones(dom.shape), where=np.asarray(where))
+
+    def test_block_cells_names_the_failing_condition(self):
+        assert CubeDomain(1, 3.0, 0.5).block_cells(1.5) == 3
+        # 0.5 divides 2.0, but blocks of 4 cells do not tile the 6 of the cube
+        with pytest.raises(ValueError, match="^G-blocks of 4 cells do not tile the 6 cells"):
+            CubeDomain(1, 3.0, 0.5).block_cells(2.0)
+        with pytest.raises(ValueError, match=r"^grid spacing h=0.5 must divide G=0.7"):
+            CubeDomain(1, 3.0, 0.5).block_cells(0.7)
 
 
 class TestSequences:

@@ -24,7 +24,7 @@ from uclab.fields import (
 )
 from uclab.geometry import CubeDomain
 from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
-from uclab.verifier import worst_ratio
+from uclab.verifier import placement_gram
 
 
 def periodic_laplacian(L=3.0, h=1 / 32, V=None):
@@ -239,6 +239,21 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="residual"):
             eigensolve(wrong, count=4)
 
+    def test_non_orthonormal_vectors_fail_loudly(self, monkeypatch):
+        # scaled vectors keep their residual relative to ||v||, so only the
+        # orthonormality check sees them
+        dom = CubeDomain(2, 3.0, 1 / 8, "periodic")
+        H = assemble(constant_field(dom, constant_spd_field(3, dom, 2.0)))
+        closed_form = spectral._closed_form_pairs
+
+        def scaled(op, count):
+            vals, vecs = closed_form(op, count)
+            return vals, 1.01 * vecs
+
+        monkeypatch.setattr(spectral, "_closed_form_pairs", scaled)
+        with pytest.raises(ValueError, match="^eigenvector orthonormality defect 0.0201"):
+            eigensolve(H, count=4)
+
     def test_dense_path_returns_only_the_count_lowest(self, monkeypatch):
         calls = []
         eigh = sla.eigh
@@ -410,8 +425,8 @@ def test_setters_found_whatever_was_imported_first():
 
 
 class TestOneBlasThread:
-    """The eigensolve, the projector sample and worst_ratio pin OpenBLAS to
-    one thread and hand the caller's count back."""
+    """The eigensolve, the projector sample and the placement gram pin
+    OpenBLAS to one thread and hand the caller's count back."""
 
     @staticmethod
     @contextlib.contextmanager
@@ -469,7 +484,7 @@ class TestOneBlasThread:
         assert _blas_counts() == [2] * two_threads
         projector_sample(sl, np.ones(len(sl)))
         assert _blas_counts() == [2] * two_threads
-        worst_ratio(sl.eigenvectors, np.arange(sl.eigenvectors.shape[0]) % 3 == 0)
+        placement_gram(sl.eigenvectors, np.arange(0, sl.eigenvectors.shape[0], 3))
         assert _blas_counts() == [2] * two_threads
         A0, shift = const.constant_coefficients
         wrong = dataclasses.replace(const, constant_coefficients=(A0, shift + 1e-3))
@@ -484,7 +499,7 @@ class TestOneBlasThread:
         # without a library the context touches no count; at one caller
         # thread the results are the pinned ones, bit for bit
         const, variable = self._fields()
-        ball = np.arange(variable.matrix.shape[0]) % 3 == 0
+        ball = np.arange(0, variable.matrix.shape[0], 3)
 
         def outputs():
             out = []
@@ -492,7 +507,7 @@ class TestOneBlasThread:
                 sl = eigensolve(op, count=4)
                 coeff = np.random.default_rng(1).standard_normal(len(sl))
                 out += [sl.eigenvalues, sl.eigenvectors, projector_sample(sl, coeff),
-                        worst_ratio(sl.eigenvectors, ball)]
+                        placement_gram(sl.eigenvectors, ball)]
             return out
 
         with self._caller_at(1):

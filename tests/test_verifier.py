@@ -19,6 +19,7 @@ from uclab.verifier import (
     delta_sweep,
     mass_prefix,
     observability_ratio,
+    placement_gram,
     run_trial,
     scaling_identity,
     solve_field,
@@ -40,10 +41,8 @@ def entry_record(psi):
     tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
                      delta_over_G=0.25, seed=0, h_per_G=16)
     fld = verifier.benchmark_field(tc)
-    dom = fld.domain
-    cells = ball_cells(generate_sequence(1.0, 0.25, 3.0, 1, "centered"), dom)
     return verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                            np.zeros(dom.shape), 0.0, 0, -1e6, cells,
+                            np.zeros(fld.domain.shape), 0.0, 0, -1e6, 0.5,
                             0.0, 0.5, math.nan)
 
 
@@ -82,8 +81,8 @@ class TestObservabilityRatio:
     @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
     def test_run_mass_matches_mask_mass(self, d, h_per_G, complex_psi):
         # prefix differences over the runs against the boolean gather over
-        # the mask: same cells, summed in another order; the gather by flat
-        # cell indices sums them in the mask's order, so bit for bit
+        # the mask: same cells, summed in another order; the flat cell
+        # indices a trial gathers by are the mask's cells in its order
         dom = CubeDomain(d, 3.0, 1 / h_per_G, "periodic")
         rng = np.random.default_rng(d)
         psi = rng.standard_normal(dom.shape)
@@ -101,10 +100,10 @@ class TestObservabilityRatio:
                 m = mask(seq, dom)
                 want = dom.norm_sq(psi, where=m)
                 assert abs(ratio * total - want) <= 1e-12 * want
-                assert dom.norm_sq(psi, where=ball_cells(seq, dom)) == want
+                assert np.array_equal(ball_cells(seq, dom), np.flatnonzero(m))
         # a boolean where is read against the grid, so it must have its shape
         for wrong in (m[None], m[..., :-1]):
-            with pytest.raises(ValueError, match="is not on the grid of shape"):
+            with pytest.raises(ValueError, match="is not a boolean grid of shape"):
                 dom.norm_sq(psi, where=wrong)
 
     @pytest.mark.parametrize("d, h_per_G", [(1, 32), (2, 16), (3, 8)])
@@ -142,33 +141,46 @@ class TestObservabilityRatio:
 
 class TestWorstRatio:
     @staticmethod
-    def span_and_mask(k, seed=0, N=300):
+    def span_and_cells(k, seed=0, N=300):
         rng = np.random.default_rng(seed)
         V, _ = np.linalg.qr(rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k)))
-        return V, rng.random(N) < 0.3
+        return V, np.flatnonzero(rng.random(N) < 0.3)
 
     @staticmethod
-    def fraction(psi, inside):
-        return float((np.abs(psi[inside]) ** 2).sum() / (np.abs(psi) ** 2).sum())
+    def fraction(psi, cells):
+        return float((np.abs(psi[cells]) ** 2).sum() / (np.abs(psi) ** 2).sum())
 
     def test_basis_independent_minimum_over_the_span(self):
-        V, inside = self.span_and_mask(3)
-        w = worst_ratio(V, inside)
-        assert worst_ratio(V, np.flatnonzero(inside)) == w  # same rows, same order
+        V, cells = self.span_and_cells(3)
+        gram = placement_gram(V, cells)
+        w = worst_ratio(gram)
+        assert abs(w - oracles.reference_worst_ratio(V, cells)) <= 1e-15
         rng = np.random.default_rng(1)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        assert abs(worst_ratio(V @ Q, inside) - w) <= 1e-13
+        assert abs(worst_ratio(placement_gram(V @ Q, cells)) - w) <= 1e-13
         coeffs = rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
-        assert min(self.fraction(V @ c, inside) for c in coeffs) >= w - 1e-13
-        Vin = V[inside]
-        _, vecs = np.linalg.eigh(Vin.conj().T @ Vin)
-        assert abs(self.fraction(V @ vecs[:, 0], inside) - w) <= 1e-13  # attained
+        assert min(self.fraction(V @ c, cells) for c in coeffs) >= w - 1e-13
+        _, vecs = np.linalg.eigh(gram)
+        assert abs(self.fraction(V @ vecs[:, 0], cells) - w) <= 1e-13  # attained
+
+    def test_rayleigh_quotients_are_the_mass_fractions(self):
+        V, cells = self.span_and_cells(4, seed=2)
+        gram = placement_gram(V, cells)
+        assert gram.shape == (4, 4)
+        assert np.abs(gram - gram.conj().T).max() == 0.0
+        coeffs = np.random.default_rng(3).standard_normal((20, 4))
+        for c in [*np.eye(4), *coeffs]:
+            want = self.fraction(V @ c, cells)
+            assert abs((c @ gram @ c).real / (c @ c) - want) <= 1e-13 * want
+        # a principal minor is the gram of those columns
+        members = np.array([1, 3])
+        assert abs(worst_ratio(gram[np.ix_(members, members)])
+                   - worst_ratio(placement_gram(V[:, members], cells))) <= 1e-15
 
     def test_single_member_is_its_ratio(self):
-        V, inside = self.span_and_mask(1)
-        assert abs(worst_ratio(V, inside) - self.fraction(V[:, 0], inside)) <= 1e-15
-        cells = np.flatnonzero(inside)
-        assert abs(worst_ratio(V, cells) - self.fraction(V[:, 0], inside)) <= 1e-15
+        V, cells = self.span_and_cells(1)
+        assert abs(worst_ratio(placement_gram(V, cells))
+                   - self.fraction(V[:, 0], cells)) <= 1e-15
 
     def test_degenerate_records_agree_with_default_ordering_reference(self, monkeypatch):
         # d=2 periodic, norm_V = 0: constant A without potential, degenerate
@@ -298,10 +310,10 @@ class TestTrials:
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         psi = np.where(mask(seq, dom), 0.0, 1.0)
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
-        cells = ball_cells(seq, dom)
+        gram = placement_gram(vec, ball_cells(seq, dom))
         rec = verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, -1e6, cells,
-                               0.0, worst_ratio(vec, cells), math.nan)
+                               np.zeros(dom.shape), 0.0, 0, -1e6, gram[0, 0],
+                               0.0, worst_ratio(gram), math.nan)
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
 
@@ -344,6 +356,14 @@ class TestDeltaSweep:
         p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
         with pytest.raises(ValueError):
             delta_sweep(np.ones(dom.shape), dom, 1.0, [0.1, 0.2, 0.3], p)
+
+    def test_repeated_radii_are_not_four_points(self):
+        # four equal radii leave a rank-deficient fit that reads R^2 = 1
+        dom = CubeDomain(1, 3.0, 1 / 32, "periodic")
+        p = ModelParams(d=1, G=1.0, delta=0.2, L=3.0)
+        for deltas in ([0.2] * 4, [0.1, 0.2, 0.3, 0.3]):
+            with pytest.raises(ValueError, match=r"4 distinct delta values, got \[0\.[12]"):
+                delta_sweep(np.ones(dom.shape), dom, 1.0, deltas, p)
 
     @pytest.mark.parametrize("field,value", [("d", 2), ("G", 0.5), ("L", 5.0)])
     def test_model_must_describe_the_cube(self, field, value):
@@ -595,8 +615,8 @@ class TestInputsComputedOnce:
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"ball_cells": 0, "ball_runs": 0, "mask": 0, "worst_ratio": 0,
-                 "mass_prefix": 0, "norm_sq": 0}
+        calls = {"ball_cells": 0, "ball_runs": 0, "mask": 0, "placement_gram": 0,
+                 "worst_ratio": 0, "mass_prefix": 0, "norm_sq": 0, "norm_sq_where": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -611,18 +631,19 @@ class TestInputsComputedOnce:
         monkeypatch.setattr(verifier, "ball_runs", ball_runs)
         monkeypatch.setattr(geometry, "ball_runs", ball_runs)
         monkeypatch.setattr(verifier, "mask", counted("mask", verifier.mask))
+        monkeypatch.setattr(verifier, "placement_gram",
+                            counted("placement_gram", verifier.placement_gram))
         monkeypatch.setattr(verifier, "worst_ratio",
                             counted("worst_ratio", verifier.worst_ratio))
         monkeypatch.setattr(verifier, "mass_prefix",
                             counted("mass_prefix", verifier.mass_prefix))
         norm_sq = CubeDomain.norm_sq
 
-        def unmasked_counted(self, psi, where=None):
-            if where is None:
-                calls["norm_sq"] += 1
+        def counted_norm_sq(self, psi, where=None):
+            calls["norm_sq" if where is None else "norm_sq_where"] += 1
             return norm_sq(self, psi, where)
 
-        monkeypatch.setattr(CubeDomain, "norm_sq", unmasked_counted)
+        monkeypatch.setattr(CubeDomain, "norm_sq", counted_norm_sq)
         return calls
 
     def test_run_trial(self, monkeypatch):
@@ -631,11 +652,13 @@ class TestInputsComputedOnce:
         solved = solve_field(tc)
         calls = self.spy(monkeypatch)
         run_trial(tc, solved)
-        # the covered cells once for the trial's placement, and one norm for
-        # psi and one for zeta in each of the two records; no mask, no
-        # prefix table
+        # the covered cells and their gram once for the trial's placement,
+        # one minimum over the window, and one norm for psi and one for zeta
+        # in each of the two records; no gather by where, no mask, no prefix
+        # table
         assert calls == {"ball_cells": 1, "ball_runs": 1, "mask": 0,
-                         "worst_ratio": 1, "mass_prefix": 0, "norm_sq": 4}
+                         "placement_gram": 1, "worst_ratio": 1, "mass_prefix": 0,
+                         "norm_sq": 4, "norm_sq_where": 0}
 
     def test_verify_equidistribution(self, monkeypatch):
         # each field recurs non-adjacently: the two delta values are the
@@ -673,7 +696,8 @@ class TestInputsComputedOnce:
         # one squaring pass: the prefix table, which also gives the norm;
         # one run finder call per delta for its 3 placements; no mask
         assert calls == {"ball_cells": 0, "ball_runs": 4, "mask": 0,
-                         "worst_ratio": 0, "mass_prefix": 1, "norm_sq": 0}
+                         "placement_gram": 0, "worst_ratio": 0, "mass_prefix": 1,
+                         "norm_sq": 0, "norm_sq_where": 0}
 
 
 class TestSuiteDeterminism:
