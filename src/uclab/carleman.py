@@ -33,6 +33,14 @@ its constants with unit leading axes and its variable A as the profile along
 the first axis, and builds the bump's radius and cos modulation from the
 1-D cell centres by broadcasting, so a trial builds no (n^d, d) or
 (n^d, d, d) array.
+
+Every whole-cube array is dropped as soon as it is consumed, and the weights
+and sums are taken on the active cells only.  The most a trial holds at once
+is seven whole-cube arrays, inside the operator: the caller's u, its
+normalized copy, the d = 2 centred differences, the operator image and two
+stencil temporaries (tracemalloc, d = 2, h = 1/256, rho = 1.25).  Ein needs
+``scipy.special.exp1`` only above the series cut x = 1, which the trials'
+mu r never reaches, so a trial loads no scipy.
 """
 
 from __future__ import annotations
@@ -78,6 +86,10 @@ SUPPORT_TOL = 1e-12
 # centered-difference step for coefficient derivatives in cutoff_operator_value
 FD_STEP = 1e-6
 
+# largest bound on the rounding error of lhs_log - rhs_log for which
+# check_carleman_inequality returns a ratio (its relative error is about this)
+RATIO_LOG_TOL = 1e-6
+
 # Taylor coefficients (-1)^(k+1) / (k k!) of Ein, used up to the cut
 _EIN_CUT = 1.0
 _EIN_SERIES = np.array(
@@ -91,9 +103,9 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
     Closed form: the power series (25 terms by Horner) for x <= 1, and
     ``euler_gamma + log(x) + exp1(x)`` above; absolute error below 1e-15 and
     relative error about 2e-16 for x > 0.  NaN, inf and x < 0 raise.
+    ``scipy.special`` is imported only when some x is above the cut, so an
+    evaluation at x <= 1 loads no scipy.
     """
-    from scipy.special import exp1
-
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _require_finite("x", x_arr)
     if np.any(x_arr < 0.0):
@@ -105,9 +117,13 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
     for coeff in _EIN_SERIES[-2::-1]:  # in place: no temporary per term
         acc *= xs
         acc += coeff
-    out[small] = xs * acc
+    np.multiply(xs, acc, out=acc)
+    out[small] = acc
     xb = x_arr[~small]
-    out[~small] = np.euler_gamma + np.log(xb) + exp1(xb)
+    if xb.size:
+        from scipy.special import exp1
+
+        out[~small] = np.euler_gamma + np.log(xb) + exp1(xb)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -126,8 +142,9 @@ def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
     """log(phi(r)) of finite r; -inf at r = 0."""
     r = np.asarray(r, dtype=float)
     _require_finite("r", r)
+    e = ein(mu * r)  # before log(r), so that the two are not held at once
     with np.errstate(divide="ignore"):
-        return np.log(r) - ein(mu * r)
+        return np.log(r) - e
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -460,20 +477,28 @@ def _active_integrands(u, A, b, c, h):
     """The cells where the gradient energy, |u|^2 or |Op u|^2 is positive,
     as ``np.nonzero`` index arrays, and the three integrands there.
 
-    The whole-cube arrays live only inside this function, so they are freed
-    before the weights and sums are taken; a real operator image is squared
-    in place.
+    The whole-cube arrays live only inside this function, each freed once it
+    is consumed: the centred differences once the operator image and the
+    gradient energy exist, each integrand once it is gathered.  A real
+    operator image is squared in place.
     """
     grad = periodic_gradient(u, h)
-    grad_energy = periodic_gradient_energy(grad, A)
+    # the operator first: its stencil temporaries then do not meet the energy
     op = apply_operator(A, b, c, u, h, grad=grad)
+    grad_energy = periodic_gradient_energy(grad, A)
+    del grad
     op_sq = _abs_sq(op) if np.iscomplexobj(op) else np.square(op, out=op)
+    del op
     u_sq = _abs_sq(u)
     positive = grad_energy > 0.0
     positive |= op_sq > 0.0
     positive |= u_sq > 0.0
     active = np.nonzero(positive)
-    return active, grad_energy[active], u_sq[active], op_sq[active]
+    integrands = [grad_energy, u_sq, op_sq]
+    del grad_energy, u_sq, op_sq
+    for k in range(3):  # each whole-cube array is freed once it is gathered
+        integrands[k] = integrands[k][active]
+    return active, *integrands
 
 
 def check_carleman_inequality(
@@ -503,7 +528,10 @@ def check_carleman_inequality(
     midpoint sums accumulated by log-sum-exp, and the two sides are compared
     through logs; the ratio is exp(lhs_log - rhs_log), and inf when that
     overflows or the right side vanishes, so a degenerate operator fails
-    the check.
+    the check.  An ``alpha`` so large that the rounding error of
+    lhs_log - rhs_log may exceed ``RATIO_LOG_TOL`` raises a ValueError that
+    names it: the exponents (k - 2 alpha) log w carry an error of about
+    alpha eps max|log w|, and at alpha = 2e18 both logs round to one double.
 
     Every cell of the given cube is evaluated.  Padding u with zero cells
     (and A, b, c with any finite values) does not change the result on a
@@ -536,10 +564,24 @@ def check_carleman_inequality(
         raise ValueError("u must vanish in a punctured neighborhood of the origin")
     if any(np.any((i < 2) | (i >= n - 2)) for i in big):
         raise ValueError("u must vanish on a two-cell margin at the cube boundary")
+    del big, r
 
     active, ge, us, os_ = _active_integrands(u, A, b, c, h)
+    del u
     pts = np.stack([centers[i] for i in active], axis=-1)
+    del active
     lw = weight.log_weight(pts)
+    del pts
+    # each exponent (k - 2 alpha) lw, |k| <= 2, is rounded as it is formed and
+    # shifted by its side's max, and each side's log is a number of its size
+    # rounded again: 16 roundings of (2 + 2 alpha) max|lw| bound the error
+    lw_max = float(max(lw.max(), -lw.min()))
+    log_err = 16.0 * np.finfo(float).eps * (2.0 + 2.0 * alpha) * lw_max
+    if log_err > RATIO_LOG_TOL:
+        raise ValueError(
+            f"alpha={alpha:.6g} is too large to resolve the ratio: the rounding "
+            f"error of lhs_log - rhs_log may reach {log_err:.3g} > {RATIO_LOG_TOL:g}"
+        )
 
     log_cell = d * math.log(h)
     lhs1 = _logsum((1.0 - 2.0 * alpha) * lw, ge) + math.log(alpha * rho**2) + log_cell
@@ -629,11 +671,15 @@ def carleman_trial(
     # the radius of each cell centre, its squares summed over the axes in order
     u = annular_bump(np.sqrt(sum(xk**2 for xk in x)), r_in, r_out)
     if d >= 2:
-        u = u * (1.0 + 0.3 * np.cos(2.0 * math.pi * x[0] / rho))
+        u *= 1.0 + 0.3 * np.cos(2.0 * math.pi * x[0] / rho)
 
     mu1 = mu_one(theta1, mu)
     p = ModelParams(d=d, theta1=theta1, theta2=theta2, norm_b=norm_b, norm_c=norm_c)
     C, alpha0 = carleman_constants(p, rho, mu, mu1)
+    for name, value in (("carleman_C", C), ("alpha0", alpha0)):
+        if not math.isfinite(value):
+            raise ValueError(f"mu={mu}: the constant {name} of the weighted inequality "
+                             "is past the largest double")
     if alpha_mult is None:
         alpha_mult = 1.0 + 0.02 * rng.random()
     alpha = alpha0 * alpha_mult

@@ -10,7 +10,9 @@ Exit codes: 0 when the run completed and every hard assertion passed
 (``constants`` charting an inadmissible model is a completed run; every
 other subcommand requires an admissible one), 1 when an assertion failed
 (the message points at the offending record), 2 on usage errors and on
-every ``config error: <key>...``.
+every ``config error: <key>...``; ``carleman-check`` gives one such line,
+naming the trial, when a pinned mu puts a constant or alpha past what
+doubles resolve.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
@@ -336,10 +338,15 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
     for h in cfg.grids:
         for i in range(cfg.trials):
             for d in cfg.ds:
-                rec = carleman_trial(
-                    cfg.seeds[0] + i, d, h,
-                    rho=cfg.rho, mu=cfg.mu, alpha_mult=cfg.alpha_mult,
-                )
+                seed = cfg.seeds[0] + i
+                try:  # a pinned mu can put a constant or alpha past what doubles resolve
+                    rec = carleman_trial(
+                        seed, d, h, rho=cfg.rho, mu=cfg.mu, alpha_mult=cfg.alpha_mult,
+                    )
+                except ValueError as exc:
+                    print(f"config error: {exc} (trial seed={seed}, d={d}, h={h})",
+                          file=sys.stderr)
+                    return 2
                 rows.append(rec)
                 # np.maximum keeps a NaN ratio, which fails the gate below
                 worst_by_h[h] = float(np.maximum(worst_by_h.get(h, 0.0), rec["ratio"]))

@@ -219,29 +219,40 @@ def mu_one(theta1: float, mu: float) -> float:
 def carleman_constants(
     p: ModelParams, rho: float, mu: float, mu1: float
 ) -> tuple[float, float]:
-    """Upper bounds (C, alpha0) admissible in the weighted inequality."""
+    """Upper bounds (C, alpha0) admissible in the weighted inequality.
+
+    The bounds are evaluated in linear space, and a bound past the largest
+    double is returned as inf (at d = 1, theta1 = 1, rho = 1: alpha0 for mu
+    above 109.8, C above 168.3); a C of inf leaves alpha0 meaningless.
+    """
     c_mu = mu - carleman_mu_floor(p.d, p.theta1, p.theta2, rho)
     if c_mu <= 0.0:
         raise ValueError("mu must exceed 33*d*theta1^(11/2)*theta2*rho")
     sq = math.sqrt(p.theta1)
-    c_tilde = (
-        2.0
-        * p.d**2
-        * p.theta1**8
-        * math.exp(4.0 * mu * sq)
-        * mu1**4
-        * (3.0 * mu**2 + (9.0 * rho * p.theta2 + 3.0) * mu + 1.0)
-        / c_mu
-    )
-    alpha0_tilde = (
-        11.0
-        * p.d**4
-        * p.theta1**16.5
-        * math.exp(6.0 * mu * sq)
-        * mu1**6
-        * (3.0 * rho * p.theta2 + mu + 1.0) ** 2
-        * (1.0 + mu * (mu + 1.0) / c_mu)
-    )
+    try:
+        c_tilde = (
+            2.0
+            * p.d**2
+            * p.theta1**8
+            * math.exp(4.0 * mu * sq)
+            * mu1**4
+            * (3.0 * mu**2 + (9.0 * rho * p.theta2 + 3.0) * mu + 1.0)
+            / c_mu
+        )
+    except OverflowError:  # raised by exp and by a float power
+        c_tilde = math.inf
+    try:
+        alpha0_tilde = (
+            11.0
+            * p.d**4
+            * p.theta1**16.5
+            * math.exp(6.0 * mu * sq)
+            * mu1**6
+            * (3.0 * rho * p.theta2 + mu + 1.0) ** 2
+            * (1.0 + mu * (mu + 1.0) / c_mu)
+        )
+    except OverflowError:
+        alpha0_tilde = math.inf
     C = 6.0 * c_tilde
     alpha0 = max(
         alpha0_tilde,

@@ -253,28 +253,38 @@ def apply_operator(
     out = np.zeros(u.shape, dtype=complex if any_complex else float)
     if grad is None:
         grad = periodic_gradient(u, h)
+    # each whole-cube term is formed in place and dropped once it is added,
+    # so at most two temporaries live besides ``out``; every product keeps
+    # the coefficient as its first operand and every sum its operand order,
+    # which gives the bits of the whole-array expressions
     for ax in range(d):
         a = A[..., ax, ax]
-        flux = 0.5 * (a + _neighbour(a, ax, +1)) * _neighbour(u, ax, 0, +1)
-        flux += 0.5 * (a + _neighbour(a, ax, -1)) * _neighbour(u, ax, 0, -1)
+        flux = _neighbour(u, ax, 0, +1)
+        np.multiply(0.5 * (a + _neighbour(a, ax, +1)), flux, out=flux)
+        behind = _neighbour(u, ax, 0, -1)
+        np.multiply(0.5 * (a + _neighbour(a, ax, -1)), behind, out=behind)
+        flux += behind
+        del behind
         flux /= h**2
         out += flux
+        del flux
     for i in range(d):
         for j in range(d):
             if i == j or not np.any(A[..., i, j]):
                 continue
-            F = A[..., i, j] * grad[j]
-            out -= periodic_centered_diff(F, i, h)
+            out -= periodic_centered_diff(A[..., i, j] * grad[j], i, h)
     if b is not None and np.any(b):
         for ax in range(d):
             bcomp = b[..., ax]
-            drift = bcomp * grad[ax]
-            drift += periodic_centered_diff(bcomp * u, ax, h)
+            drift = periodic_centered_diff(bcomp * u, ax, h)
+            np.add(bcomp * grad[ax], drift, out=drift)
             drift *= 0.5
             out += drift
+            del drift
         div = divergence_centered(b, h, "periodic")
         if np.any(div):
             out -= 0.5 * div * u
+        del div
     if c is not None:
         out += c * u
     return out

@@ -14,6 +14,9 @@ The references below are not mpmath transcriptions.
 differences written with ``np.roll`` (wrapped, or with a Dirichlet ghost
 written over the rolled face cell); the production stencils read their
 neighbours by slicing and must reproduce them bit for bit.
+:func:`apply_operator_expressions` is the matrix-free operator written as
+whole-array expressions on those rolls; the production operator forms each
+term in place and must reproduce it bit for bit.
 :func:`carleman_check_whole_cube` is the weighted-inequality checker
 evaluated on every cell of the cube, in double precision, with ``einsum``,
 the ``np.roll`` gradient and every coefficient as a grid.  The production
@@ -333,6 +336,36 @@ def roll_difference(u, axis, ahead, behind, ghost=None):
 def roll_centered_diff(u, axis, h):
     """(u[i+1] - u[i-1]) / (2h) along ``axis``, wrapped, from two rolls."""
     return roll_difference(u, axis, 1, -1) / (2.0 * h)
+
+
+def apply_operator_expressions(A, b, c, u, h):
+    """The periodic operator -div(A grad u) + b.grad u + c u of
+    ``uclab.discretization.apply_operator`` (same arguments), as whole-array
+    expressions on ``np.roll`` neighbours: each product with its coefficient
+    first, the terms summed in the production order."""
+    d = u.ndim
+    any_complex = any(np.iscomplexobj(x) for x in (u, b, c) if x is not None)
+    out = np.zeros(u.shape, dtype=complex if any_complex else float)
+    grad = [roll_centered_diff(u, ax, h) for ax in range(d)]
+    for ax in range(d):
+        a = A[..., ax, ax]
+        flux = (0.5 * (a + roll_shift(a, ax, 1)) * roll_difference(u, ax, 0, 1)
+                + 0.5 * (a + roll_shift(a, ax, -1)) * roll_difference(u, ax, 0, -1))
+        out = out + flux / h**2
+    for i in range(d):
+        for j in range(d):
+            if i != j and np.any(A[..., i, j]):
+                out = out - roll_centered_diff(A[..., i, j] * grad[j], i, h)
+    if b is not None and np.any(b):
+        for ax in range(d):
+            bcomp = b[..., ax]
+            out = out + 0.5 * (bcomp * grad[ax] + roll_centered_diff(bcomp * u, ax, h))
+        div = sum(roll_centered_diff(b[..., ax], ax, h) for ax in range(d))
+        if np.any(div):
+            out = out - 0.5 * div * u
+    if c is not None:
+        out = out + c * u
+    return out
 
 
 def _logsum(terms_log, weights):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -756,3 +757,37 @@ class TestPinnedTrialParameters:
     def test_rejects_bad_pinned_parameter(self, name, value):
         with pytest.raises(ValueError, match=name):
             carleman_trial(0, 1, 1 / 64, **{name: value})
+
+    def test_a_constant_past_the_double_range_is_named_with_mu(self):
+        # at the parent, math.exp(6 mu sqrt(theta1)) raised OverflowError
+        with pytest.raises(ValueError, match=r"^mu=119\.0: the constant alpha0 "):
+            carleman_trial(0, 1, 1 / 64, mu=119.0)
+        with pytest.raises(ValueError, match=r"^mu=200\.0: the constant carleman_C "):
+            carleman_trial(0, 1, 1 / 64, mu=200.0)
+
+    @pytest.mark.parametrize("mu", [2.0, 3.0])
+    def test_an_alpha_too_large_to_resolve_the_ratio_raises(self, mu):
+        # at mu = 3 (alpha = 2.3e18) lhs_log and rhs_log rounded to one double
+        # and the parent returned a ratio of exactly 1.0; at mu = 2 the
+        # rounding error of the exponents is O(1)
+        with pytest.raises(ValueError, match=r"^alpha=\S+ is too large to resolve the ratio"):
+            carleman_trial(0, 2, 1 / 64, mu=mu)
+
+
+class TestFootprint:
+    def test_a_trial_holds_at_most_eight_whole_cube_arrays(self):
+        # the largest criterion-4 grid at the workload's largest rho; n is the
+        # trial's own rule at its largest r_out = 0.85 rho
+        h, rho = 1 / 256, 1.25
+        n = 2 * (math.ceil(0.85 * rho / h) + 2)
+        cube = n * n * np.dtype(float).itemsize
+        carleman_trial(0, 2, h, rho=rho)  # lazy imports and caches first
+        peaks = []
+        for seed in range(6):
+            tracemalloc.start()
+            try:
+                carleman_trial(seed, 2, h, rho=rho)
+                peaks.append(tracemalloc.get_traced_memory()[1] / cube)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8.0, peaks

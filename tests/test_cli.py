@@ -638,6 +638,19 @@ class TestCarlemanFlags:
                      "--grid", "0.015625", flag, value]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d,mu,named", [
+        ("1", "119", "mu=119.0: the constant alpha0"),  # alpha0 is no double
+        ("2", "3", "alpha=2.27922e+18 is too large"),  # the ratio is not resolved
+    ])
+    def test_an_unrepresentable_pinned_mu_is_one_line(self, tmp_path, capsys, d, mu, named):
+        # at the parent, mu = 119 ended in an OverflowError traceback
+        out = tmp_path / "out"
+        assert main(["carleman-check", "--out", str(out), "--d", d, "--mu", mu,
+                     "--grid", "0.015625", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+        assert "(trial seed=0, d=" in err
+
     def test_nan_ratio_fails_the_gate(self, tmp_path, monkeypatch, capsys):
         import uclab.carleman
 

@@ -22,6 +22,7 @@ from uclab.constants import (
     log_c_quc_lower_bound,
     log_c_sfuc,
     log_gamma_window,
+    mu_one,
     sampling_epsilon,
     sampling_geometry,
     sampling_report,
@@ -235,6 +236,21 @@ class TestCarlemanConstants:
         p = ModelParams(d=1, theta1=1.0, theta2=0.1)
         with pytest.raises(ValueError):
             carleman_constants(p, rho=10.0, mu=1e-3, mu1=1.0)
+
+    @pytest.mark.parametrize("mu,finite", [
+        (109.0, (True, True)), (119.0, (True, False)), (200.0, (False, False)),
+    ])
+    def test_a_bound_past_the_double_range_is_inf(self, mu, finite):
+        # at the parent, exp(6 mu) raised OverflowError from mu = 118.3 on
+        p = ModelParams(d=1, theta1=1.0, theta2=0.0)
+        got = carleman_constants(p, 1.0, mu, mu_one(1.0, mu))
+        assert tuple(math.isfinite(x) for x in got) == finite
+
+    def test_the_report_names_the_bound_that_left_the_range(self):
+        # C is a double, alpha0 is not; at the parent the OverflowError of
+        # alpha0 flagged carleman_C
+        rep = sampling_report(ModelParams(d=2, theta1=140.0))
+        assert rep.out_of_range == "carleman_alpha0"
 
 
 class TestCacciopoli:

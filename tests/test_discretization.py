@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import on_grid, same_bits
+from oracles import apply_operator_expressions, on_grid, same_bits
 from uclab.discretization import (
     apply_operator,
     assemble,
@@ -377,6 +377,28 @@ class TestMatrixFreeOperator:
             assert same_bits(apply_operator(A, b0, c0, u, 1 / 8), want)
             assert same_bits(
                 apply_operator(A, b0, c0, u, 1 / 8, grad=periodic_gradient(u, 1 / 8)), want)
+
+    @pytest.mark.parametrize("complex_u", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_place_terms_give_the_expression_bits(self, d, complex_u):
+        # a variable diagonal and a variable mixed A; no drift, a real and a
+        # complex variable drift and zeroth-order term; u with zeros and -0.0
+        rng = np.random.default_rng(40 + d + 3 * complex_u)
+        shape = ((40,), (16, 16), (8, 8, 8))[d - 1]
+        u = rng.standard_normal(shape)
+        if complex_u:
+            u = u + 1j * rng.standard_normal(shape)
+        u[rng.random(shape) < 0.3] = 0.0
+        u[rng.random(shape) < 0.1] = -0.0
+        M = 0.1 * rng.standard_normal(shape + (d, d))
+        diag = rng.uniform(1.0, 2.0, shape)[..., None, None] * np.eye(d)
+        b0, c0 = rng.standard_normal(shape + (d,)), rng.standard_normal(shape)
+        drifts = [(None, None), (b0, c0),
+                  (b0 + 1j * rng.standard_normal(b0.shape), c0 + 1j * rng.standard_normal(shape))]
+        for A in (diag, diag + M + np.swapaxes(M, -1, -2)):
+            for b, c in drifts:
+                assert same_bits(apply_operator(A, b, c, u, 1 / 8),
+                                 apply_operator_expressions(A, b, c, u, 1 / 8))
 
     @pytest.mark.parametrize("name,shape", [
         ("A", (2, 2)), ("A", (8, 7, 2, 2)), ("A", (1, 1, 2)), ("b", (2,)),

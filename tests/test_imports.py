@@ -7,7 +7,8 @@ module-level import whose bound name the file never references.  Names
 listed in ``__all__`` count as used; ``from __future__`` imports are ignored.
 Every name in a ``uclab`` module's ``__all__`` must resolve on that module,
 so a deleted function cannot leave a stale export behind.  A process that
-never solves an eigenproblem loads no scipy.
+never solves an eigenproblem, and one that runs weighted-inequality trials,
+loads no scipy.
 """
 
 import ast
@@ -17,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/uclab", "tests", "demos")
@@ -105,3 +108,36 @@ def test_a_sweep_loads_no_scipy_and_a_solve_does():
     assert out["after_sweep"] == []
     assert out["variable"] and out["pairs"] == 3
     assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(out["after_solve"])
+
+
+# a d = 1 and a d = 2 weighted-inequality trial, then Ein on both sides of
+# the series cut, in a fresh interpreter
+_TRIALS_THEN_EIN = """
+import json, sys
+import numpy as np
+from uclab.carleman import carleman_trial, ein
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for d in (1, 2):
+    carleman_trial(0, d, 1 / 64)
+after_trials = scipy_modules()
+values = ein(np.array([0.5, 2.0])).tolist()
+print(json.dumps({"after_trials": after_trials, "after_ein": scipy_modules(),
+                  "values": values}))
+"""
+
+
+def test_a_carleman_trial_loads_no_scipy_and_ein_past_the_cut_does():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _TRIALS_THEN_EIN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["after_trials"] == []
+    assert "scipy.special" in out["after_ein"]
+    for x, got in zip((0.5, 2.0), out["values"]):
+        ref = oracles.ein(x)
+        err = abs(oracles.mp.mpf(got) - ref)
+        assert err <= 2e-15 and err / ref <= 1e-15  # test_carleman's Ein tolerance
