@@ -128,10 +128,11 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def phi(r: np.ndarray | float, mu: float) -> np.ndarray | float:
-    """Log-damped radial profile r * exp(-ein(mu r)) of finite r >= 0;
-    0 <= phi(r) <= r."""
+    """Log-damped radial profile r * exp(-ein(mu r)) of finite r >= 0 and
+    finite mu >= 0; 0 <= phi(r) <= r."""
     r_arr = np.asarray(r, dtype=float)
     _require_finite("r", r_arr)
+    _require_at_least("mu", mu, 0.0)
     if np.any(r_arr < 0.0):
         raise ValueError("radial profile is defined for r >= 0")
     out = r_arr * np.exp(-ein(mu * r_arr))
@@ -139,9 +140,10 @@ def phi(r: np.ndarray | float, mu: float) -> np.ndarray | float:
 
 
 def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
-    """log(phi(r)) of finite r; -inf at r = 0."""
+    """log(phi(r)) of finite r and finite mu >= 0; -inf at r = 0."""
     r = np.asarray(r, dtype=float)
     _require_finite("r", r)
+    _require_at_least("mu", mu, 0.0)
     e = ein(mu * r)  # before log(r), so that the two are not held at once
     with np.errstate(divide="ignore"):
         return np.log(r) - e
@@ -188,20 +190,15 @@ class WeightFunction:
     def sigma(self, x: np.ndarray) -> np.ndarray:
         """Anisotropic radius, vectorized over leading axes of x.
 
-        The quadratic form x.A0^-1.x is summed in place over (i, j) in
-        row-major order from +0.0, each term (x_i A0^-1_ij) x_j: the order
-        and rounding of ``np.einsum("...i,ij,...j->...")``, without its
-        three-operand loop.
+        The quadratic form x.A0^-1.x is :func:`periodic_gradient_energy` of
+        the coordinates against A0^-1: summed over (i, j) in row-major order
+        from +0.0, each term (x_i A0^-1_ij) x_j, the order and rounding of
+        ``np.einsum("...i,ij,...j->...")``.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates on the last axis")
-        q = np.zeros(x.shape[:-1])
-        for i in range(self.d):
-            for j in range(self.d):
-                t = x[..., i] * self._A0_inv[i, j]
-                t *= x[..., j]
-                q += t
+        q = periodic_gradient_energy([x[..., i] for i in range(self.d)], self._A0_inv)
         return np.sqrt(np.maximum(q, 0.0))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -2,33 +2,34 @@
 
 Subcommands: ``constants``, ``verify``, ``sweep``, ``carleman-check``,
 ``cacciopoli-check``, ``extend-check``, ``weight``.  Configuration comes from
-a flat-key JSON file (keys mirror the parameter dataclasses, e.g.
-``model.delta``, ``free.K2``) with command-line flags taking precedence.  A
-subcommand takes only the flags whose key it reads.
+a flat-key JSON file (e.g. ``model.theta1``, ``free.K2``, ``seeds``) with
+command-line flags taking precedence.  A subcommand takes only the flags
+whose key it reads.
 
 Exit codes: 0 when the run completed and every hard assertion passed
 (``constants`` charting an inadmissible model is a completed run; every
-other subcommand requires an admissible one), 1 when an assertion failed
-(the message points at the offending record), 2 on usage errors and on
-every ``config error: <key>...``; ``carleman-check`` gives one such line,
-naming the trial, when a pinned mu puts a constant or alpha past what
-doubles resolve.
+other subcommand requires a model admissible in each dimension of ``ds``),
+1 when an assertion failed (the message points at the offending record), 2
+on usage errors and on every ``config error: <key>...``; ``carleman-check``
+gives one such line, naming the trial, when a pinned mu puts a constant or
+alpha past what doubles resolve.
 
 Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
 no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
 ``summary.csv``, and from ``sweep`` always ``plot.csv``.  The JSON outputs
-write a NaN or infinite number as ``null``.  ``sweep``,
-``weight``, ``cacciopoli-check`` and ``extend-check`` run in the one
-dimension ``ds`` names, and ``weight``, ``carleman-check`` and
-``cacciopoli-check`` draw from the one seed ``seeds`` names (a longer list
-is a config error).  ``sweep`` checks admissibility and evaluates its
-bounds in its dimension.  It sweeps ``deltas_over_G`` as given when they
-hold four or more distinct values, and the five-point grid 0.125 ... 0.45
-for one (the default serves ``verify``); any other list is a config error.
-``model.*`` keys are the fields of ``ModelParams``, which holds no
-local-estimate geometry, so ``model.R``, ``model.D0``, ``model.K_V`` and
-``model.beta`` are unknown keys; ``constants`` reports the geometry it
-derived.
+write a NaN or infinite number as ``null``.  The model's d, L, delta and
+norm_V each have one key, a list: ``ds``, ``L_over_Gs``, ``deltas_over_G``
+and ``norm_Vs`` (L and delta in units of ``model.G``).  ``verify`` runs
+every combination; ``_COMMANDS`` names the list keys each other subcommand
+reads one value of (a longer list is a config error), and a subcommand that
+runs one model builds it from the first value of each
+(:meth:`ExperimentConfig.params`).  ``sweep`` sweeps ``deltas_over_G`` as
+given when they hold four or more distinct values, and the five-point grid
+0.125 ... 0.45 for one; any other list is a config error.  The ``model.*``
+keys are the other fields of ``ModelParams``, which holds no local-estimate
+geometry, so ``model.d``, ``model.L``, ``model.delta``, ``model.norm_V``,
+``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown
+keys; ``constants`` reports the geometry it derived.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ __all__ = ["ExperimentConfig", "main"]
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration of one CLI run."""
+    """Resolved configuration of one CLI run; ``model`` maps the model.*
+    keys to their values."""
 
-    model: ModelParams
+    model: dict
     free: FreeConstants
     h_per_G: int = 32
     seeds: tuple[int, ...] = (0,)
@@ -82,10 +84,20 @@ class ExperimentConfig:
         for f in fields(self):
             val = getattr(self, f.name)
             if f.name in ("model", "free"):
-                out.update({f"{f.name}.{k}": v for k, v in asdict(val).items()})
+                group = val if f.name == "model" else asdict(val)
+                out.update({f"{f.name}.{k}": v for k, v in group.items()})
             else:
                 out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
+
+    def params(self) -> ModelParams:
+        """The model at the first value of ``ds``, ``L_over_Gs``,
+        ``deltas_over_G`` and ``norm_Vs`` (the one value of each, for a
+        subcommand that reads one); the two middle keys are in units of G."""
+        G = self.model["G"]
+        return ModelParams(d=self.ds[0], L=float(self.L_over_Gs[0] * G),
+                           delta=float(self.deltas_over_G[0] * G),
+                           norm_V=float(self.norm_Vs[0]), **self.model)
 
     def validate(self, command: Optional[str] = None) -> list[str]:
         """One ``<key>=<value> is not ...`` line per invalid key, with the
@@ -98,34 +110,25 @@ class ExperimentConfig:
                     problems.append(f"{key}={list(val)} is not a non-empty list of {need}")
             elif val is not None and not ok(val):
                 problems.append(f"{key}={val!r} is not {need}")
-        m = self.model
-        if not 0.0 < m.delta < m.G / 2.0:
-            problems.append(f"model.delta={m.delta} is not in (0, model.G/2 = {m.G / 2})")
-        ratio = m.L / m.G
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 != 1:
-            problems.append(f"model.L={m.L} is not an odd multiple of model.G={m.G}")
-        if not problems:  # the checks below read keys checked above
-            side = min(self.L_over_Gs) if command == "verify" else round(ratio)
-            if command in _GRID_COMMANDS and side * self.h_per_G < 2:
-                problems.append(f"h_per_G={self.h_per_G} gives fewer than two "
-                                f"cells per axis on a cube of side {side} G")
-            elif (command == "cacciopoli-check" and self.field_file is None
-                  and not _annulus_fits(m.L, m.G / self.h_per_G)):
-                problems.append(f"h_per_G={self.h_per_G} gives h={m.G / self.h_per_G:.4g}; "
-                                f"the fattened annulus needs 2h < 0.1 L = {0.1 * m.L:.4g}")
-            if command in _SINGLE_DIMENSION_COMMANDS and len(self.ds) > 1:
-                problems.append(f"ds={list(self.ds)} is not one dimension "
-                                f"({command} runs in one)")
-            if command in _SINGLE_SEED_COMMANDS and len(self.seeds) > 1:
-                problems.append(f"seeds={list(self.seeds)} is not one seed "
-                                f"({command} draws from one)")
-            if command == "sweep":  # a fit needs four deltas; bounds are in ds[0]
-                if len(self.deltas_over_G) > 1 and len(set(self.deltas_over_G)) < 4:
-                    problems.append(f"deltas_over_G={list(self.deltas_over_G)} is not "
-                                    "one value (the five-point grid) or four distinct ones")
-                m = replace(m, d=self.ds[0])
-        if command != "constants":
-            eps = sampling_epsilon(m)
+        if problems:  # the checks below read keys checked above
+            return problems
+        _, flags, one_value = _COMMANDS.get(command, (None, (), ()))
+        problems = [f"{key}={list(getattr(self, key))} is not one value ({command} reads one)"
+                    for key in one_value if len(getattr(self, key)) > 1]
+        deltas = self.deltas_over_G  # a sweep's fit needs four distinct deltas
+        if command == "sweep" and len(deltas) > 1 and len(set(deltas)) < 4:
+            problems.append(f"deltas_over_G={list(deltas)} is not "
+                            "one value (the five-point grid) or four distinct ones")
+        m = self.params()
+        if "--h" in flags and min(self.L_over_Gs) * self.h_per_G < 2:
+            problems.append(f"h_per_G={self.h_per_G} gives fewer than two cells per "
+                            f"axis on a cube of side {min(self.L_over_Gs)} G")
+        elif (command == "cacciopoli-check" and self.field_file is None
+              and not _annulus_fits(m.L, m.G / self.h_per_G)):
+            problems.append(f"h_per_G={self.h_per_G} gives h={m.G / self.h_per_G:.4g}; "
+                            f"the fattened annulus needs 2h < 0.1 L = {0.1 * m.L:.4g}")
+        if command != "constants":  # epsilon depends on d: admissible in each of ds
+            eps = min(sampling_epsilon(replace(m, d=d)) for d in self.ds)
             if eps <= 0.0:
                 problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
                                 "(chart it with `uclab constants`)")
@@ -175,16 +178,6 @@ _INTEGER_KEYS = ("h_per_G", "seeds", "ds", "trials", "L_over_Gs")
 # what sweep runs when deltas_over_G holds one value (the default serves verify)
 _SWEEP_DELTAS = (0.125, 0.175, 0.25, 0.35, 0.45)
 
-# the subcommands that build grids with h = G/h_per_G: verify on cubes of
-# side L_over_Gs G, the others on one cube of side model.L
-_GRID_COMMANDS = ("verify", "sweep", "cacciopoli-check", "extend-check")
-
-# the subcommands that run in the single dimension ds[0]
-_SINGLE_DIMENSION_COMMANDS = ("sweep", "cacciopoli-check", "extend-check", "weight")
-
-# the subcommands that draw from the single seed seeds[0]
-_SINGLE_SEED_COMMANDS = ("carleman-check", "cacciopoli-check", "weight")
-
 # cacciopoli-check's annulus radii r1 < |x| < r2 and fattening r, in units of L
 _ANNULUS = (0.1, 0.27, 0.13)
 
@@ -198,9 +191,11 @@ def _annulus_fits(L: float, h: float) -> bool:
     return annulus_fits(L, h, r2, r)
 
 
-# key prefix -> the keys it takes: model.*, free.* and the run's own keys
+# key prefix -> the keys it takes: model.*, free.* and the run's own keys;
+# ds, L_over_Gs, deltas_over_G and norm_Vs set the other ModelParams fields
 _KEYS = {
-    "model": set(ModelParams.__dataclass_fields__),
+    "model": [k for k in ModelParams.__dataclass_fields__
+              if k not in ("d", "L", "delta", "norm_V")],
     "free": set(FreeConstants.__dataclass_fields__),
     "": set(ExperimentConfig.__dataclass_fields__) - {"model", "free"},
 }
@@ -215,14 +210,15 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"--config={path} does not hold a JSON object")
-    kwargs: dict = {"model": {"d": 1}, "free": {}, "": {}}
+    kwargs: dict = {"model": {}, "free": {}, "": {}}
     for key, val in [*raw.items(), *overrides.items()]:
         group, _, name = key.rpartition(".")
         if group not in _KEYS or name not in _KEYS[group]:
             raise KeyError(f"unknown configuration key {key!r}")
         if val is not None:
             kwargs[group][name] = val
-    cfg = ExperimentConfig(model=ModelParams(**kwargs["model"]),
+    model = asdict(ModelParams(d=1, **kwargs["model"]))  # checks the model.* keys
+    cfg = ExperimentConfig(model={k: model[k] for k in _KEYS["model"]},
                            free=FreeConstants(**kwargs["free"]))
     for key, val in kwargs[""].items():
         if isinstance(getattr(cfg, key), tuple) and not isinstance(val, tuple):
@@ -242,7 +238,7 @@ def _write_report(out: Path, payload: dict) -> None:
 
 
 def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:
-    rep = sampling_report(cfg.model, cfg.free, energy=cfg.energy)
+    rep = sampling_report(cfg.params(), cfg.free, energy=cfg.energy)
     payload = {"config": cfg.to_dict(), "report": rep.to_dict()}
     _write_report(out, payload)
     if rep.out_of_range:
@@ -267,7 +263,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
     configs = benchmark_configs(
         ds=cfg.ds, norm_Vs=cfg.norm_Vs, bcs=cfg.bcs, L_over_Gs=cfg.L_over_Gs,
-        delta_over_Gs=cfg.deltas_over_G, seeds=cfg.seeds, G=cfg.model.G,
+        delta_over_Gs=cfg.deltas_over_G, seeds=cfg.seeds, G=cfg.model["G"],
         h_per_G=cfg.h_per_G,
     )
     records = verify_equidistribution(
@@ -297,7 +293,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.geometry import CubeDomain
     from uclab.verifier import delta_sweep
 
-    model = replace(cfg.model, d=cfg.ds[0])
+    model = cfg.params()
     dom = CubeDomain(model.d, model.L, model.G / cfg.h_per_G, "periodic")
     psi = np.ones(dom.shape)
     deltas_over_G = cfg.deltas_over_G if len(cfg.deltas_over_G) > 1 else _SWEEP_DELTAS
@@ -388,8 +384,8 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
         sl = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0])
         psi = sl.grid_vector(0)
     else:
-        L, h = cfg.model.L, cfg.model.G / cfg.h_per_G
-        d = cfg.ds[0]
+        m = cfg.params()
+        L, h, d = m.L, m.G / cfg.h_per_G, m.d
         dom = CubeDomain(d, L, h, "dirichlet")
         k = 2
         sine = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
@@ -413,8 +409,9 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
     from uclab.spectral import eigensolve
 
     loaded = load_field(cfg.field_file) if cfg.field_file is not None else None
+    m = cfg.params()
     dom = loaded.domain if loaded is not None else CubeDomain(
-        cfg.ds[0], cfg.model.L, cfg.model.G / cfg.h_per_G, "dirichlet"
+        m.d, m.L, m.G / cfg.h_per_G, "dirichlet"
     )
 
     def field(seed: int):
@@ -447,8 +444,8 @@ def cmd_weight(cfg: ExperimentConfig, out: Path) -> int:
     rho = cfg.rho if cfg.rho is not None else 1.0
     mu = cfg.mu if cfg.mu is not None else 1.0
     d = cfg.ds[0]
-    wf = WeightFunction(rho=rho, mu=mu, A0=np.eye(d), theta1=cfg.model.theta1)
-    rs = np.linspace(0.0, math.sqrt(cfg.model.theta1), 201)
+    wf = WeightFunction(rho=rho, mu=mu, A0=np.eye(d), theta1=cfg.model["theta1"])
+    rs = np.linspace(0.0, math.sqrt(cfg.model["theta1"]), 201)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w") as fh:
         fh.write("r,phi\n")
@@ -483,16 +480,19 @@ _FLAGS = {
     "--trials": dict(type=int),
 }
 
-# subcommand -> (function, the flags it takes besides --config and --out)
+# subcommand -> (function, the flags it takes besides --config and --out, the
+# list keys it reads one value of); a subcommand that takes --h builds grids
+# with h = G/h_per_G on cubes of side L_over_Gs G
 _COMMANDS = {
-    "constants": (cmd_constants, ()),
-    "verify": (cmd_verify, ("--seed", "--h", "--dump-eigenpairs")),
-    "sweep": (cmd_sweep, ("--seed", "--h")),
+    "constants": (cmd_constants, (), ("ds", "L_over_Gs", "deltas_over_G", "norm_Vs")),
+    "verify": (cmd_verify, ("--seed", "--h", "--dump-eigenpairs"), ()),
+    "sweep": (cmd_sweep, ("--seed", "--h"), ("ds", "L_over_Gs", "norm_Vs")),
     "carleman-check": (cmd_carleman_check, (
-        "--seed", "--d", "--grid", "--rho", "--mu", "--alpha-mult", "--trials")),
-    "cacciopoli-check": (cmd_cacciopoli_check, ("--seed", "--h", "--field-file")),
-    "extend-check": (cmd_extend_check, ("--seed", "--h", "--field-file")),
-    "weight": (cmd_weight, ("--seed",)),
+        "--seed", "--d", "--grid", "--rho", "--mu", "--alpha-mult", "--trials"), ("seeds",)),
+    "cacciopoli-check": (cmd_cacciopoli_check, ("--seed", "--h", "--field-file"),
+                         ("ds", "L_over_Gs", "seeds")),
+    "extend-check": (cmd_extend_check, ("--seed", "--h", "--field-file"), ("ds", "L_over_Gs")),
+    "weight": (cmd_weight, ("--seed",), ("ds", "seeds")),
 }
 
 
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "equidistribution estimates of elliptic operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    for name, (_, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat-key JSON configuration file")
         sp.add_argument("--out", default="uclab-out", help="output directory")
@@ -519,9 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(path, args)
         if h is not None:
             # a non-positive or NaN h leaves ratio 0, which validate reports
-            ratio = cfg.model.G / h if h > 0.0 else 0.0
+            ratio = cfg.model["G"] / h if h > 0.0 else 0.0
             if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(f"h_per_G: h={h} does not divide model.G={cfg.model.G}")
+                raise ValueError(f"h_per_G: h={h} does not divide model.G={cfg.model['G']}")
             cfg.h_per_G = round(ratio)
         problems = cfg.validate(command)
         if problems:

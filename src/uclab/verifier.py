@@ -62,6 +62,7 @@ from uclab.discretization import DiscreteOperator, assemble, residual_inequality
 from uclab.fields import (
     CoefficientField,
     _bounded_potential,
+    _require_finite,
     constant_spd_field,
     periodic_gradient,
     periodic_gradient_energy,
@@ -543,9 +544,19 @@ def cacciopoli_check(
     of the fattened annulus (plus the residual term).
 
     Reports both sides and the smallest constant that would make the
-    inequality hold, as a diagnostic for the configured choice.
+    inequality hold, as a diagnostic for the configured choice.  Raises a
+    ValueError naming ``psi`` or ``zeta`` when it is off the field's grid
+    or not finite, and naming the radii unless 0 <= r1 < r2.
     """
     dom = fld.domain
+    for name, u in (("psi", psi), ("zeta", zeta)):
+        if u is None:  # no residual term
+            continue
+        if np.shape(u) != dom.shape:
+            raise ValueError(f"{name} has shape {np.shape(u)}, not the field's grid {dom.shape}")
+        _require_finite(name, u)
+    if not 0.0 <= r1 < r2:
+        raise ValueError(f"the annulus needs 0 <= r1 < r2, got r1={r1}, r2={r2}")
     if not annulus_fits(dom.L, dom.h, r2, r):
         raise ValueError("fattened annulus must stay inside the cube")
     # the radius of each cell centre, its squares summed over the axes in order

@@ -311,10 +311,11 @@ def test_criterion_07_equidistribution_benchmark(criterion7_run):
            f"min margin {min(r.margin for r in records):.3e}")
 
 
-def test_criterion_07_ratios_match_the_gathered_reference(criterion7_run, monkeypatch):
-    # replay the suite, capturing each trial's slice, covered cells and
-    # projector sample; the records read ratio and worst_ratio from one Gram
-    # matrix, the reference gathers psi and the window's rows over the cells
+@pytest.fixture(scope="module")
+def criterion7_replay(criterion7_run, tmp_path_factory):
+    # one more in-process run of the suite, capturing each trial's slice,
+    # covered cells and projector sample: criterion 10 compares its records
+    # file with the first run's, and the ratio test reads the captured trials
     trials = []
 
     def spy(name, fn):
@@ -327,10 +328,22 @@ def test_criterion_07_ratios_match_the_gathered_reference(criterion7_run, monkey
             return out
         return wrapper
 
-    for name in ("placement_gram", "projector_sample"):
-        monkeypatch.setattr(verifier, name, spy(name, getattr(verifier, name)))
+    t0 = time.time()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("placement_gram", "projector_sample"):
+            mp.setattr(verifier, name, spy(name, getattr(verifier, name)))
+        records = verify_equidistribution(criterion7_run["configs"], FC)
+    path = tmp_path_factory.mktemp("c7replay") / "records.jsonl"
+    write_records_jsonl(path, records, config={"suite": "criterion7"})
+    return {"records": records, "trials": trials, "jsonl": path.read_text(),
+            "elapsed": time.time() - t0}
+
+
+def test_criterion_07_ratios_match_the_gathered_reference(criterion7_run, criterion7_replay):
+    # the records read ratio and worst_ratio from one Gram matrix, the
+    # reference gathers psi and the window's rows over the cells
     configs = criterion7_run["configs"]
-    replayed = verify_equidistribution(configs, FC)
+    replayed, trials = criterion7_replay["records"], criterion7_replay["trials"]
     records = criterion7_run["records"]
     assert [r.to_dict() for r in replayed] == [r.to_dict() for r in records]
     assert len(trials) == len(configs) == 160
@@ -397,13 +410,10 @@ def test_criterion_09_spectral_sanity():
     report(9, "spectral-sanity", ok, t0, f"orders {orders[0]:.3f}, {orders[1]:.3f}")
 
 
-def test_criterion_10_determinism(criterion7_run, tmp_path):
-    t0 = time.time()
-    records = verify_equidistribution(criterion7_run["configs"], FC)
-    path = tmp_path / "records.jsonl"
-    write_records_jsonl(path, records, config={"suite": "criterion7"})
+def test_criterion_10_determinism(criterion7_run, criterion7_replay):
+    t0 = time.time() - criterion7_replay["elapsed"]
     first = criterion7_run["jsonl"].splitlines()[1:]
-    second = path.read_text().splitlines()[1:]
+    second = criterion7_replay["jsonl"].splitlines()[1:]
     ok = first == second and len(first) == 320
     report(10, "determinism", ok, t0)
 

@@ -103,6 +103,18 @@ class TestProfile:
                 with pytest.raises(ValueError, match=rf"^{name} must be finite; 1 entries"):
                     evaluate(x)
 
+    @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_bad_mu_naming_it(self, mu):
+        # ein blamed x: "evaluated on x >= 0 only" for a negative mu, and
+        # "x must be finite" for a NaN or infinite one
+        for evaluate in (phi, log_phi):
+            with pytest.raises(ValueError, match=r"^mu must be finite and >= 0"):
+                evaluate(np.array([0.0, 0.5]), mu)
+
+    def test_zero_mu_is_the_identity(self):
+        r = np.linspace(0.0, 2.0, 9)
+        assert phi(0.5, 0.0) == 0.5 and np.array_equal(phi(r, 0.0), r)
+
 
 class TestWeightFunction:
     def test_zero_at_center_and_euclidean_sigma(self):

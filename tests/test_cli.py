@@ -34,12 +34,19 @@ def strict_json(text):
 class TestConfig:
     def test_flat_keys_map_to_dataclasses(self, tmp_path):
         path = write_cfg(tmp_path, {
-            "model.d": 2, "model.delta": 0.2, "model.G": 1.0,
+            "ds": [2], "deltas_over_G": [0.1], "model.G": 2.0,
             "free.K2": 2.0, "seeds": [3, 4],
         })
         cfg = load_config(path, {})
-        assert cfg.model.d == 2 and cfg.model.delta == 0.2
+        assert cfg.params() == ModelParams(d=2, G=2.0, delta=0.2, L=6.0)
         assert cfg.free.K2 == 2.0 and cfg.seeds == (3, 4)
+
+    def test_config_echo_loads_back(self, tmp_path):
+        given = {"ds": [2], "L_over_Gs": [5], "deltas_over_G": [0.125], "norm_Vs": [2.0],
+                 "model.G": 2.0, "model.theta1": 1.5, "free.K2": 3.0, "seeds": [1, 2],
+                 "mu": 0.5, "bcs": ["periodic"]}
+        cfg = load_config(write_cfg(tmp_path, given), {})
+        assert load_config(write_cfg(tmp_path, cfg.to_dict(), "echo.json"), {}) == cfg
 
     def test_flags_win_over_file(self, tmp_path):
         path = write_cfg(tmp_path, {"seeds": [3, 4]})
@@ -55,10 +62,10 @@ class TestConfig:
             load_config(path2, {})
 
     def test_validation_catches_geometry(self, tmp_path):
-        path = write_cfg(tmp_path, {"model.delta": 0.6})
+        path = write_cfg(tmp_path, {"deltas_over_G": [0.6]})
         cfg = load_config(path, {})
         assert any("delta" in p for p in cfg.validate())
-        path2 = write_cfg(tmp_path, {"model.L": 4.0}, "c.json")
+        path2 = write_cfg(tmp_path, {"L_over_Gs": [4]}, "c.json")
         cfg2 = load_config(path2, {})
         assert any("odd" in p for p in cfg2.validate())
 
@@ -75,7 +82,7 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_bad_config_exits_two(self, tmp_path):
-        path = write_cfg(tmp_path, {"model.delta": 0.9})
+        path = write_cfg(tmp_path, {"deltas_over_G": [0.9]})
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
     def test_single_bc_key_is_unknown(self, tmp_path, capsys):
@@ -93,6 +100,18 @@ class TestExitCodes:
         path = write_cfg(tmp_path, {key: value})
         assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["model.d", "model.L", "model.delta", "model.norm_V"])
+    @pytest.mark.parametrize("command", sorted(uclab.cli._COMMANDS))
+    def test_a_model_key_with_a_list_key_is_unknown(self, tmp_path, capsys, command, key):
+        # d, L, delta and norm_V are set by ds, L_over_Gs, deltas_over_G and
+        # norm_Vs alone
+        path = write_cfg(tmp_path, {key: 2})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"unknown configuration key {key!r}" in err
         assert not (tmp_path / "o").exists()
 
     def test_inadmissible_constants_report_is_success(self, tmp_path):
@@ -117,7 +136,7 @@ class TestExitCodes:
         pytest.param("constants", {"energy": math.nan}, [], "energy", id="constants-energy"),
         pytest.param("verify", {"L_over_Gs": [1], "h_per_G": 1}, [], "h_per_G",
                      id="verify-one-cell-grid"),
-        pytest.param("cacciopoli-check", {"model.L": 1.0, "h_per_G": 1}, [], "h_per_G",
+        pytest.param("cacciopoli-check", {"L_over_Gs": [1], "h_per_G": 1}, [], "h_per_G",
                      id="cacciopoli-one-cell-grid"),
         pytest.param("constants", [1, 2], [], "--config", id="constants-config-array"),
         pytest.param("sweep", {"deltas_over_G": [0.2, 0.3, 0.4]}, [], "deltas_over_G",
@@ -142,6 +161,26 @@ class TestExitCodes:
                      id="carleman-check-two-seeds"),
         pytest.param("cacciopoli-check", {"seeds": [3, 4]}, [], "seeds",
                      id="cacciopoli-two-seeds"),
+        # a subcommand that runs one model reads one value of each list key
+        pytest.param("constants", {"ds": [1, 2]}, [], "ds", id="constants-two-dimensions"),
+        pytest.param("constants", {"L_over_Gs": [3, 5]}, [], "L_over_Gs",
+                     id="constants-two-sides"),
+        pytest.param("constants", {"deltas_over_G": [0.125, 0.25]}, [], "deltas_over_G",
+                     id="constants-two-deltas"),
+        pytest.param("constants", {"norm_Vs": [0, 1]}, [], "norm_Vs",
+                     id="constants-two-potentials"),
+        pytest.param("sweep", {"L_over_Gs": [3, 5]}, [], "L_over_Gs", id="sweep-two-sides"),
+        pytest.param("sweep", {"norm_Vs": [0, 1]}, [], "norm_Vs", id="sweep-two-potentials"),
+        pytest.param("cacciopoli-check", {"L_over_Gs": [3, 5]}, [], "L_over_Gs",
+                     id="cacciopoli-two-sides"),
+        pytest.param("extend-check", {"L_over_Gs": [3, 5]}, [], "L_over_Gs",
+                     id="extend-check-two-sides"),
+        # an empty list or a value out of range, before any model is built
+        *[pytest.param("constants", {key: value}, [], key, id=f"constants-{key}-{value}")
+          for key, values in (("ds", ([], [0], [1.5])), ("L_over_Gs", ([], [0], [4])),
+                              ("deltas_over_G", ([], [0.0], [0.5], [-0.1])),
+                              ("norm_Vs", ([], [-1.0])))
+          for value in values],
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):
@@ -184,26 +223,56 @@ class TestExitCodes:
 
 class TestCommands:
     def test_constants_report_embeds_config(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, {"model.d": 1, "model.delta": 0.25})
+        path = write_cfg(tmp_path, {"ds": [1], "deltas_over_G": [0.25]})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
         rep = strict_json((out / "report.json").read_text())
-        assert rep["config"]["model.delta"] == 0.25
+        assert rep["config"]["deltas_over_G"] == [0.25]
         assert rep["config"]["bcs"] == ["dirichlet"] and "bc" not in rep["config"]
         assert rep["report"]["T"] == 39
         assert rep["report"]["epsilon"] == 1.0
         assert rep["report"]["out_of_range"] == ""
         # a chain that leaves the double range is reported, not raised
-        path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 48.0})
+        path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 48.0})
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
         rep = strict_json((out / "report.json").read_text())
         assert rep["report"]["out_of_range"] == "log_c_quc_lower"
         assert rep["report"]["admissible"] is False
         assert "log_c_quc_lower leaves the double range" in capsys.readouterr().out
 
+    def test_constants_evaluates_the_configured_model(self, tmp_path):
+        path = write_cfg(tmp_path, {"ds": [2], "L_over_Gs": [5], "deltas_over_G": [0.125],
+                                    "norm_Vs": [2.0]})
+        out = tmp_path / "out"
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = strict_json((out / "report.json").read_text())["report"]
+        got = {k: rep[f"params.{k}"] for k in ("d", "L", "delta", "norm_V")}
+        assert got == {"d": 2, "L": 5.0, "delta": 0.125, "norm_V": 2.0}
+
+    @pytest.mark.parametrize("command, spied, model_of", [
+        ("sweep", "uclab.verifier.delta_sweep", lambda a: a[4]),
+        ("cacciopoli-check", "uclab.verifier.cacciopoli_check", lambda a: a[1].domain),
+        ("extend-check", "uclab.discretization.extension_check", lambda a: a[0].domain),
+    ])
+    def test_a_cube_is_the_configured_one(self, tmp_path, monkeypatch, command, spied,
+                                          model_of):
+        # side L_over_Gs G in dimension ds, here with G = 2
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(model_of(args))
+            raise StopIteration
+
+        monkeypatch.setattr(spied, spy)
+        path = write_cfg(tmp_path, {"ds": [2], "L_over_Gs": [5], "model.G": 2.0,
+                                    "h_per_G": 8, "seeds": [0]})
+        with pytest.raises(StopIteration):
+            main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert [(m.d, m.L) for m in seen] == [(2, 10.0)]
+
     @pytest.mark.parametrize("model", [
-        {"model.d": 200},  # T^d = 208^200 is no double
-        {"model.d": 6, "model.theta1": 4.6425812730853403e49},  # T^d is, 2 T^d not
+        {"ds": [200]},  # T^d = 208^200 is no double
+        {"ds": [6], "model.theta1": 4.6425812730853403e49},  # T^d is, 2 T^d not
     ], ids=["power", "doubling"])
     def test_constants_report_flags_a_beta_overflow(self, tmp_path, capsys, model):
         # both models are admissible (epsilon = 1), but beta = 2 T^d is no double
@@ -234,7 +303,7 @@ class TestCommands:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_constants_report_gives_the_geometry_it_used(self, tmp_path):
-        path = write_cfg(tmp_path, {"model.d": 2, "model.theta1": 1.2, "model.norm_V": 0.5})
+        path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 1.2, "norm_Vs": [0.5]})
         out = tmp_path / "out"
         assert main(["constants", "--config", path, "--out", str(out)]) == 0
         rep = strict_json((out / "report.json").read_text())["report"]
@@ -251,6 +320,7 @@ class TestCommands:
         assert main([command, "--out", str(first)]) == 0
         block = strict_json((first / "report.json").read_text())["config"]
         assert not {"model.R", "model.D0", "model.K_V", "model.beta"} & block.keys()
+        assert not {"model.d", "model.L", "model.delta", "model.norm_V"} & block.keys()
         path = write_cfg(tmp_path, block)
         assert main([command, "--config", path, "--out", str(second)]) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
@@ -286,7 +356,7 @@ class TestCommands:
 
     def test_sweep_with_plot_data(self, tmp_path):
         path = write_cfg(tmp_path, {
-            "ds": [1], "model.L": 3.0, "h_per_G": 128,
+            "ds": [1], "L_over_Gs": [3], "h_per_G": 128,
             "deltas_over_G": [0.125, 0.175, 0.25, 0.35, 0.45],
             "seeds": [0, 1, 2],
         })
@@ -297,7 +367,7 @@ class TestCommands:
         assert abs(rep["slope"] - 1.0) < 0.05
 
     def test_sweep_bounds_at_its_dimension(self, tmp_path):
-        # model.d stays at its default 1; the sweep runs in ds[0] = 2
+        # the sweep's model is in its one dimension ds = [2]
         deltas = [0.125, 0.175, 0.25, 0.35, 0.45]
         path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 1.2, "h_per_G": 16,
                                     "deltas_over_G": deltas})

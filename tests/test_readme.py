@@ -1,6 +1,9 @@
-"""Each ```python block of README.md runs to completion, and each `uclab`
-line of its ```bash blocks parses with the CLI's own parser."""
+"""Each ```python block of README.md runs to completion, each `uclab`
+line of its ```bash blocks parses with the CLI's own parser, and its two
+tables name the subcommands that take each flag and the list keys each
+subcommand reads one value of."""
 
+import argparse
 import os
 import re
 import shlex
@@ -20,6 +23,10 @@ UCLAB_LINES = [
                                  flags=re.DOTALL | re.MULTILINE)
     for line in block.splitlines() if line.startswith("uclab ")
 ]
+# (flags, subcommands) columns of each row of the flag table
+FLAG_ROWS = re.findall(r"^\| (`--.*?) \| .*? \| (.*?) \|$", README, flags=re.MULTILINE)
+# (subcommand, list keys) columns of each row of the one-value table
+ONE_VALUE_ROWS = re.findall(r"^\| `([a-z][a-z-]*)` \| (.*?) \|$", README, flags=re.MULTILINE)
 
 
 def test_readme_has_python_blocks():
@@ -42,3 +49,27 @@ def test_readme_documents_every_subcommand():
 def test_readme_command_line_parses(line):
     # parse_args exits 2 on a flag the subcommand does not take
     build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_flag_table_names_the_subcommands_that_take_each_flag():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    takes: dict = {}
+    for name, sp in sub.choices.items():
+        for flag in (f for a in sp._actions for f in a.option_strings):
+            if flag.startswith("--") and flag != "--help":
+                takes.setdefault(flag, set()).add(name)
+    table = {}
+    for flags, where in FLAG_ROWS:
+        named = set(re.findall(r"`([\w-]+)`", where))
+        commands = set(_COMMANDS) - named if where.startswith("all") else named
+        table.update({flag: commands for flag in re.findall(r"`(--[\w-]+)", flags)})
+    assert table == takes
+
+
+def test_readme_one_value_table_is_the_commands_table():
+    # the keys before any parenthesis; verify reads every value of each
+    table = {name: set(re.findall(r"`(\w+)`", keys.split("(")[0]))
+             for name, keys in ONE_VALUE_ROWS}
+    assert table == {name: set(one_value) for name, (_, _, one_value) in _COMMANDS.items()
+                     if name != "verify"}

@@ -535,6 +535,31 @@ class TestCacciopoli:
         with pytest.raises(ValueError):
             cacciopoli_check(psi, fld, 0.5, 1.3, 0.3)
 
+    @pytest.mark.parametrize("name", ["psi", "zeta"])
+    def test_rejects_an_array_off_the_grid(self, name):
+        # an IndexError from the boolean annulus mask before
+        dom, psi, fld, L = self.d1_setup(h=1 / 32)
+        given = {"psi": psi, "zeta": np.zeros(dom.shape), name: psi[1:]}
+        with pytest.raises(ValueError, match=rf"^{name} has shape \(95,\), not the field's "
+                                             r"grid \(96,\)"):
+            cacciopoli_check(given["psi"], fld, 0.3, 0.8, 0.4, zeta=given["zeta"])
+
+    @pytest.mark.parametrize("name", ["psi", "zeta"])
+    def test_rejects_a_nan_array(self, name):
+        # it read as a failed inequality: holds False with lhs NaN
+        dom, psi, fld, L = self.d1_setup(h=1 / 32)
+        given = {"psi": psi, "zeta": np.zeros(dom.shape)}
+        given[name][40] = math.nan
+        with pytest.raises(ValueError, match=rf"^{name} must be finite; 1 entries"):
+            cacciopoli_check(given["psi"], fld, 0.3, 0.8, 0.4, zeta=given["zeta"])
+
+    @pytest.mark.parametrize("r1, r2", [(0.9, 0.3), (0.5, 0.5)])
+    def test_rejects_radii_out_of_order(self, r1, r2):
+        # an empty annulus held vacuously: lhs 0.0 and holds True
+        dom, psi, fld, L = self.d1_setup(h=1 / 32)
+        with pytest.raises(ValueError, match=rf"r1={r1}, r2={r2}"):
+            cacciopoli_check(psi, fld, r1, r2, 0.3)
+
 
     @staticmethod
     def reference_check(psi, fld, r1, r2, r, zeta=None, cprime=1.0):
