@@ -7,19 +7,24 @@ command-line flags taking precedence.  A subcommand takes only the flags
 whose key it reads.
 
 Exit codes: 0 when the run completed and every hard assertion passed
-(``constants`` charting an inadmissible model is a completed run; every
-other subcommand requires a model admissible in each dimension of ``ds``),
-1 when an assertion failed (the message points at the offending record), 2
-on usage errors and on every ``config error: <key>...``; ``carleman-check``
-gives one such line, naming the trial, when a pinned mu puts a constant or
-alpha past what doubles resolve.
+(``sweep``, whose bounds evaluate the configured model, requires it
+admissible in each dimension of ``ds``; the other subcommands read no
+admissibility), 1 when an assertion failed, 2 on usage errors and on every
+``config error: <key>...``; ``carleman-check`` gives one such line, naming
+the trial, when a pinned mu puts a constant or alpha past what doubles
+resolve.
 
-Outputs land in ``--out``: ``report.json`` (resolved config plus aggregates,
-no timestamp), ``records.jsonl`` (timestamp isolated in the header line),
-``summary.csv``, and from ``sweep`` always ``plot.csv``.  The JSON outputs
-write a NaN or infinite number as ``null``.  The model's d, L, delta and
-norm_V each have one key, a list: ``ds``, ``L_over_Gs``, ``deltas_over_G``
-and ``norm_Vs`` (L and delta in units of ``model.G``).  ``verify`` runs
+Each ``cmd_*`` returns its report, its tables and one message per failed
+gate (:data:`Outcome`), and :func:`main` alone writes them to ``--out``:
+``report.json`` (resolved config plus aggregates, no timestamp), each
+``.jsonl`` table (``records.jsonl``; timestamp and config isolated in the
+header line), each ``.csv`` table (``summary.csv``, ``plot.csv``; LF line
+ends), and one ``FAIL: <message>`` line on stderr per failure.  The JSON
+outputs write a NaN or infinite number as ``null``.
+
+The model's d, L, delta and norm_V each have one key, a list: ``ds``,
+``L_over_Gs``, ``deltas_over_G`` and ``norm_Vs`` (L and delta in units of
+``model.G``, which must keep them finite).  ``verify`` runs
 every combination; ``_COMMANDS`` names the list keys each other subcommand
 reads one value of (a longer list is a config error), and a subcommand that
 runs one model builds it from the first value of each
@@ -101,7 +106,8 @@ class ExperimentConfig:
 
     def validate(self, command: Optional[str] = None) -> list[str]:
         """One ``<key>=<value> is not ...`` line per invalid key, with the
-        checks of ``command``; all but ``constants`` need an admissible model."""
+        checks of ``command``; ``sweep``, the one run that evaluates the
+        configured model's bounds, needs it admissible."""
         problems = []
         for key, (need, ok) in _RULES.items():
             val = getattr(self, key)
@@ -119,6 +125,10 @@ class ExperimentConfig:
         if command == "sweep" and len(deltas) > 1 and len(set(deltas)) < 4:
             problems.append(f"deltas_over_G={list(deltas)} is not "
                             "one value (the five-point grid) or four distinct ones")
+        G = self.model["G"]
+        if not all(math.isfinite(v * G) for v in (*self.L_over_Gs, *self.deltas_over_G)):
+            problems.append(f"model.G={G!r} makes L_over_Gs G or deltas_over_G G infinite")
+            return problems
         m = self.params()
         if "--h" in flags and min(self.L_over_Gs) * self.h_per_G < 2:
             problems.append(f"h_per_G={self.h_per_G} gives fewer than two cells per "
@@ -127,7 +137,7 @@ class ExperimentConfig:
               and not _annulus_fits(m.L, m.G / self.h_per_G)):
             problems.append(f"h_per_G={self.h_per_G} gives h={m.G / self.h_per_G:.4g}; "
                             f"the fattened annulus needs 2h < 0.1 L = {0.1 * m.L:.4g}")
-        if command != "constants":  # epsilon depends on d: admissible in each of ds
+        if command == "sweep":  # its bounds use the model; epsilon depends on d
             eps = min(sampling_epsilon(replace(m, d=d)) for d in self.ds)
             if eps <= 0.0:
                 problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
@@ -136,7 +146,8 @@ class ExperimentConfig:
 
 
 def _finite(v) -> bool:
-    return isinstance(v, Real) and math.isfinite(v)
+    """A real number a double holds: a JSON integer past its range is not."""
+    return isinstance(v, Real) and abs(v) <= sys.float_info.max
 
 
 def _whole(v) -> bool:
@@ -229,18 +240,20 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     return cfg
 
 
-def _write_report(out: Path, payload: dict) -> None:
-    """report.json, with non-finite numbers as null (:func:`uclab.verifier.to_json`)."""
-    from uclab.verifier import to_json
-
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(to_json(payload, indent=2) + "\n")
+class ConfigError(Exception):
+    """A configuration the run finds it cannot serve once it has started;
+    :func:`main` reports it as ``config error: <message>``, exits 2 and
+    writes no table."""
 
 
-def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:
+# what a cmd_* returns: its report (main adds the config echo), its tables by
+# file name (records.jsonl, summary.csv, plot.csv), each a list of rows, and
+# one message per failed gate
+Outcome = tuple[dict, dict[str, list[dict]], list[str]]
+
+
+def cmd_constants(cfg: ExperimentConfig, out: Path) -> Outcome:
     rep = sampling_report(cfg.params(), cfg.free, energy=cfg.energy)
-    payload = {"config": cfg.to_dict(), "report": rep.to_dict()}
-    _write_report(out, payload)
     if rep.out_of_range:
         flag = f"  [inadmissible: {rep.out_of_range} leaves the double range]"
     else:
@@ -250,16 +263,21 @@ def cmd_constants(cfg: ExperimentConfig, out: Path) -> int:
     if rep.admissible:
         print(f"log_c_sfuc = {rep.log_c_sfuc:.6e}")
         print(f"log_c_quc  = {rep.log_c_quc:.6e}")
-    return 0
+    return {"report": rep.to_dict()}, {}, []
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    from uclab.verifier import (
-        benchmark_configs,
-        verify_equidistribution,
-        write_records_jsonl,
-        write_summary_csv,
-    )
+# criterion 7's checks on each record: (what a failing record breaks, the check)
+_RECORD_CHECKS = (
+    ("margin <= 0", lambda r: r.margin > 0.0),
+    ("worst_ratio <= exp(log_bound)",
+     lambda r: r.worst_ratio > 0.0 and r.log_bound < math.log(r.worst_ratio)),
+    ("worst_ratio > ratio + 1e-12", lambda r: r.worst_ratio <= r.ratio + 1e-12),
+    ("residual_violation > 1e-10", lambda r: r.residual_violation <= 1e-10),
+)
+
+
+def cmd_verify(cfg: ExperimentConfig, out: Path) -> Outcome:
+    from uclab.verifier import benchmark_configs, verify_equidistribution
 
     configs = benchmark_configs(
         ds=cfg.ds, norm_Vs=cfg.norm_Vs, bcs=cfg.bcs, L_over_Gs=cfg.L_over_Gs,
@@ -269,27 +287,24 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     records = verify_equidistribution(
         configs, cfg.free, dump_dir=(out / "eigenpairs") if cfg.dump_eigenpairs else None
     )
-    write_records_jsonl(out / "records.jsonl", records, config=cfg.to_dict())
-    write_summary_csv(out / "summary.csv", records)
-    worst = min(records, key=lambda r: r.margin)
-    _write_report(out, {
-        "config": cfg.to_dict(),
-        "n_records": len(records),
-        "min_margin": worst.margin,
-        "worst_record": worst.to_dict(),
-    })
+    rows = [dict(sorted(r.to_dict().items())) for r in records]  # sorted CSV columns
+    # worst margin first: each check names the first record it fails in this
+    # order, so the margin check names the record of min_margin
+    ranked = sorted(records, key=lambda r: r.margin)
+    worst = ranked[0]
     print(f"{len(records)} records, min margin {worst.margin:.6g}")
-    if worst.margin <= 0.0:
-        print(
-            f"FAIL: margin <= 0 for record (kind={worst.psi_kind}, d={worst.d}, "
-            f"bc={worst.bc}, L={worst.L}, delta={worst.delta}, seed={worst.seed})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failures = []
+    for broken, check in _RECORD_CHECKS:
+        r = next((r for r in ranked if not check(r)), None)
+        if r is not None:
+            failures.append(f"{broken} for record (kind={r.psi_kind}, d={r.d}, bc={r.bc}, "
+                            f"L={r.L}, delta={r.delta}, seed={r.seed})")
+    report = {"n_records": len(records), "min_margin": worst.margin,
+              "worst_record": worst.to_dict()}
+    return report, {"records.jsonl": rows, "summary.csv": rows}, failures
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path) -> Outcome:
     from uclab.geometry import CubeDomain
     from uclab.verifier import delta_sweep
 
@@ -302,32 +317,19 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         psi, dom, model.G, deltas, model, cfg.free,
         seq_mode="uniform_random", seq_seeds=cfg.seeds,
     )
-    _write_report(out, {
-        "config": cfg.to_dict(),
-        "slope": res.slope,
-        "intercept": res.intercept,
-        "r_squared": res.r_squared,
-        "exponent_bound": res.exponent_bound,
-        "deltas": res.deltas,
-        "ratios": res.ratios,
-    })
-    with open(out / "plot.csv", "w") as fh:
-        fh.write("delta,ratio,log_bound\n")
-        for dd, rr in zip(res.deltas, res.ratios):
-            lb = log_c_sfuc(replace(model, delta=dd), cfg.free)
-            fh.write(f"{dd},{rr},{lb}\n")
+    plot = [{"delta": dd, "ratio": rr,
+             "log_bound": log_c_sfuc(replace(model, delta=dd), cfg.free)}
+            for dd, rr in zip(res.deltas, res.ratios)]
     ok = res.slope_in_bracket(model.d) and res.r_squared >= 0.99 and not res.degenerate
     print(f"slope {res.slope:.4f} (floor {model.d}, cap {res.exponent_bound:.4g}), "
           f"R^2 {res.r_squared:.6f}")
-    if not ok:
-        print("FAIL: sweep slope outside bracket or degenerate fit", file=sys.stderr)
-        return 1
-    return 0
+    failures = [] if ok else ["sweep slope outside bracket or degenerate fit"]
+    report = {k: v for k, v in asdict(res).items() if k != "degenerate"}
+    return report, {"plot.csv": plot}, failures
 
 
-def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     from uclab.carleman import carleman_trial
-    from uclab.verifier import write_rows_jsonl
 
     rows = []
     worst_by_h: dict[float, float] = {}
@@ -340,31 +342,23 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> int:
                         seed, d, h, rho=cfg.rho, mu=cfg.mu, alpha_mult=cfg.alpha_mult,
                     )
                 except ValueError as exc:
-                    print(f"config error: {exc} (trial seed={seed}, d={d}, h={h})",
-                          file=sys.stderr)
-                    return 2
+                    raise ConfigError(f"{exc} (trial seed={seed}, d={d}, h={h})") from exc
                 rows.append(rec)
                 # np.maximum keeps a NaN ratio, which fails the gate below
                 worst_by_h[h] = float(np.maximum(worst_by_h.get(h, 0.0), rec["ratio"]))
     allowed = {h: 1.0 + 10.0 * h for h in worst_by_h}  # discretization slack
-    write_rows_jsonl(out / "records.jsonl", rows, config=cfg.to_dict())
-    with open(out / "summary.csv", "w") as fh:
-        fh.write("h,worst_ratio,allowed\n")
-        for h in sorted(worst_by_h, reverse=True):
-            fh.write(f"{h},{worst_by_h[h]},{allowed[h]}\n")
-    _write_report(out, {"config": cfg.to_dict(),
-                        "worst_by_h": {str(k): v for k, v in worst_by_h.items()}})
-    bad = [(h, w) for h, w in worst_by_h.items() if not w <= allowed[h]]
-    for h in sorted(worst_by_h, reverse=True):
-        print(f"h={h:.6g}: worst ratio {worst_by_h[h]:.3e} "
-              f"(allowed {allowed[h]:.4f})")
-    if bad:
-        print(f"FAIL: ratio exceeded tolerance at h={bad[0][0]}", file=sys.stderr)
-        return 1
-    return 0
+    summary = [{"h": h, "worst_ratio": worst_by_h[h], "allowed": allowed[h]}
+               for h in sorted(worst_by_h, reverse=True)]
+    for row in summary:
+        print(f"h={row['h']:.6g}: worst ratio {row['worst_ratio']:.3e} "
+              f"(allowed {row['allowed']:.4f})")
+    bad = [h for h, w in worst_by_h.items() if not w <= allowed[h]]
+    failures = [f"ratio exceeded tolerance at h={bad[0]}"] if bad else []
+    report = {"worst_by_h": {str(k): v for k, v in worst_by_h.items()}}
+    return report, {"records.jsonl": rows, "summary.csv": summary}, failures
 
 
-def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     from uclab.fields import CoefficientField
     from uclab.geometry import CubeDomain
     from uclab.verifier import cacciopoli_check
@@ -378,9 +372,8 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
         dom = fld.domain
         L = dom.L
         if not _annulus_fits(L, dom.h):
-            print(f"config error: field_file={cfg.field_file!r} has h={dom.h:.4g}; "
-                  f"the fattened annulus needs 2h < 0.1 L = {0.1 * L:.4g}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"field_file={cfg.field_file!r} has h={dom.h:.4g}; "
+                              f"the fattened annulus needs 2h < 0.1 L = {0.1 * L:.4g}")
         sl = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0])
         psi = sl.grid_vector(0)
     else:
@@ -396,13 +389,15 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> int:
             c=np.zeros(unit), V=np.zeros(unit), declared_theta1=1.0, declared_theta2=0.0,
         )
     res = cacciopoli_check(psi, fld, *(f * L for f in _ANNULUS), cprime=cfg.free.Cprime)
-    _write_report(out, {"config": cfg.to_dict(), "check": res})
     print(f"lhs {res['lhs']:.6g} <= rhs {res['rhs']:.6g}: {res['holds']}; "
           f"min C' {res['min_cprime']:.4g}")
-    return 0 if res["holds"] else 1
+    failures = [] if res["holds"] else [
+        f"cacciopoli inequality fails: lhs {res['lhs']:.6g} > rhs {res['rhs']:.6g} "
+        f"at C' = {cfg.free.Cprime:.4g}"]
+    return {"check": res}, {}, failures
 
 
-def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     from uclab.discretization import assemble, extension_check
     from uclab.fields import load_field, synthesize_dir_cross_field, synthesize_random_field
     from uclab.geometry import CubeDomain
@@ -423,22 +418,22 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> int:
     try:  # the d = 1 field's Lipschitz target needs a fine enough grid
         flds = [loaded if loaded is not None else field(seed) for seed in cfg.seeds]
     except ValueError as exc:
-        print(f"config error: h_per_G={cfg.h_per_G} is too coarse for the field: {exc}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(
+            f"h_per_G={cfg.h_per_G} is too coarse for the field: {exc}") from exc
     worst = {"interface_jump_rel": 0.0, "residual": -math.inf}
     for seed, fld in zip(cfg.seeds, flds):
         sl = eigensolve(assemble(fld), count=2, seed=seed)
         res = extension_check(fld, sl.grid_vector(0), float(sl.eigenvalues[0]))
         worst = {k: float(np.maximum(worst[k], res[k])) for k in worst}  # keeps a NaN
-    _write_report(out, {"config": cfg.to_dict(), "worst": worst})
-    ok = worst["interface_jump_rel"] <= 1.0 and worst["residual"] <= 1e-8
     print(f"extension interface jump {worst['interface_jump_rel']:.3f} of "
           f"allowance, residual excess {worst['residual']:.3g}")
-    return 0 if ok else 1
+    limits = {"interface_jump_rel": 1.0, "residual": 1e-8}
+    failures = [f"extension {k} {worst[k]:.3g} exceeds {limits[k]:g}"
+                for k in limits if not worst[k] <= limits[k]]
+    return {"worst": worst}, {}, failures
 
 
-def cmd_weight(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_weight(cfg: ExperimentConfig, out: Path) -> Outcome:
     from uclab.carleman import WeightFunction, phi
 
     rho = cfg.rho if cfg.rho is not None else 1.0
@@ -446,21 +441,17 @@ def cmd_weight(cfg: ExperimentConfig, out: Path) -> int:
     d = cfg.ds[0]
     wf = WeightFunction(rho=rho, mu=mu, A0=np.eye(d), theta1=cfg.model["theta1"])
     rs = np.linspace(0.0, math.sqrt(cfg.model["theta1"]), 201)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w") as fh:
-        fh.write("r,phi\n")
-        for r, p in zip(rs, phi(rs, mu)):
-            fh.write(f"{r},{p}\n")
     rng = np.random.default_rng(cfg.seeds[0])
     pts = rng.uniform(-rho, rho, size=(4000, d))
     slacks = wf.bound_slacks(pts)
-    _write_report(out, {"config": cfg.to_dict(), "bound_slacks": slacks})
     print(f"weight bound slacks: lower {slacks['lower']:.3e} "
           f"upper {slacks['upper']:.3e}")
-    # a NaN outer floor (no sample beyond sqrt(theta1) rho/mu) passes
-    ok = (slacks["lower"] >= -1e-10 and slacks["upper"] >= -1e-10
-          and not slacks["outer_floor"] < -1e-10)
-    return 0 if ok else 1
+    failed = [k for k in ("lower", "upper") if not slacks[k] >= -1e-10]
+    if slacks["outer_floor"] < -1e-10:  # a NaN (no sample beyond sqrt(theta1) rho/mu) passes
+        failed.append("outer_floor")
+    failures = [f"weight {k} slack {slacks[k]:.3e} is below -1e-10" for k in failed]
+    table = [{"r": r, "phi": p} for r, p in zip(rs, phi(rs, mu))]
+    return {"bound_slacks": slacks}, {"summary.csv": table}, failures
 
 
 # flag -> argparse keywords; the dest is the ExperimentConfig key the flag
@@ -533,8 +524,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command][0](cfg, out)
+    try:
+        report, tables, failures = _COMMANDS[command][0](cfg, out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    from uclab.verifier import to_json, write_rows_csv, write_rows_jsonl
 
+    echo = cfg.to_dict()
+    (out / "report.json").write_text(to_json({"config": echo, **report}, indent=2) + "\n")
+    for name, rows in tables.items():
+        if name.endswith(".jsonl"):
+            write_rows_jsonl(out / name, rows, config=echo)
+        else:
+            write_rows_csv(out / name, rows)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 if __name__ == "__main__":
     sys.exit(main())

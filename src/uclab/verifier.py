@@ -96,8 +96,7 @@ __all__ = [
     "cacciopoli_check",
     "to_json",
     "write_rows_jsonl",
-    "write_records_jsonl",
-    "write_summary_csv",
+    "write_rows_csv",
 ]
 
 _SUITE_ENTROPY = 743829124
@@ -619,20 +618,9 @@ def write_rows_jsonl(path, rows: Iterable[dict],
             fh.write(to_json(row) + "\n")
 
 
-def write_records_jsonl(path, records: Sequence[ObservabilityRecord],
-                        config: Optional[dict] = None) -> None:
-    """:func:`write_rows_jsonl` of the records' flat dictionaries."""
-    write_rows_jsonl(path, (rec.to_dict() for rec in records), config)
-
-
-def write_summary_csv(path, records: Sequence[ObservabilityRecord]) -> None:
-    if not records:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    keys = sorted(records[0].to_dict().keys())
+def write_rows_csv(path, rows: Sequence[dict]) -> None:
+    """CSV of ``rows`` with LF line ends, its header the first row's keys."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        for rec in records:
-            writer.writerow(rec.to_dict())
+        writer.writerows(rows)

@@ -49,7 +49,7 @@ from uclab.verifier import (
     delta_sweep,
     scaling_identity,
     verify_equidistribution,
-    write_records_jsonl,
+    write_rows_jsonl,
 )
 
 FC = FreeConstants()
@@ -264,9 +264,9 @@ def test_criterion_06_extension_correctness():
 # environment only; its records file is compared with the in-process one
 _CHILD = """
 import sys
-from uclab.verifier import benchmark_configs, verify_equidistribution, write_records_jsonl
-write_records_jsonl(sys.argv[1], verify_equidistribution(benchmark_configs()),
-                    config={"suite": "criterion7"})
+from uclab.verifier import benchmark_configs, verify_equidistribution, write_rows_jsonl
+records = verify_equidistribution(benchmark_configs())
+write_rows_jsonl(sys.argv[1], [r.to_dict() for r in records], config={"suite": "criterion7"})
 """
 
 
@@ -285,7 +285,7 @@ def criterion7_run(tmp_path_factory):
         configs = benchmark_configs()
         records = verify_equidistribution(configs, FC)
         path = tmp / "records.jsonl"
-        write_records_jsonl(path, records, config={"suite": "criterion7"})
+        write_rows_jsonl(path, [r.to_dict() for r in records], config={"suite": "criterion7"})
         yield {"records": records, "elapsed": time.time() - t0,
                "jsonl": path.read_text(), "configs": configs,
                "child": child, "child_dir": tmp}
@@ -334,7 +334,7 @@ def criterion7_replay(criterion7_run, tmp_path_factory):
             mp.setattr(verifier, name, spy(name, getattr(verifier, name)))
         records = verify_equidistribution(criterion7_run["configs"], FC)
     path = tmp_path_factory.mktemp("c7replay") / "records.jsonl"
-    write_records_jsonl(path, records, config={"suite": "criterion7"})
+    write_rows_jsonl(path, [r.to_dict() for r in records], config={"suite": "criterion7"})
     return {"records": records, "trials": trials, "jsonl": path.read_text(),
             "elapsed": time.time() - t0}
 

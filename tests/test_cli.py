@@ -181,6 +181,11 @@ class TestExitCodes:
                               ("deltas_over_G", ([], [0.0], [0.5], [-0.1])),
                               ("norm_Vs", ([], [-1.0])))
           for value in values],
+        # an integer past the double range, which math.isfinite cannot take
+        *[pytest.param("constants", {key: value}, [], key, id=f"constants-{key}-huge")
+          for key, value in (("ds", [10**400]), ("seeds", [10**400]), ("h_per_G", 10**400))],
+        # L = 3 G overflows, which had been reported as a bad L, no key
+        pytest.param("constants", {"model.G": 1e308}, [], "model.G", id="constants-model.G"),
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):
@@ -198,9 +203,19 @@ class TestExitCodes:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config error: model is inadmissible" in capsys.readouterr().err
 
-    def test_inadmissible_verify_needs_opt_in(self, tmp_path):
+    @pytest.mark.parametrize("command, flags, code", [
+        ("verify", [], 0),
+        ("carleman-check", ["--trials", "1", "--grid", "0.0625"], 0),
+        ("sweep", [], 2),
+    ], ids=["verify", "carleman-check", "sweep"])
+    def test_only_sweep_needs_an_admissible_model(self, tmp_path, capsys, command, flags,
+                                                  code):
+        # epsilon = -268.1; verify and carleman-check never read the model's
+        # thetas, sweep evaluates its bounds in it
         path = write_cfg(tmp_path, {"model.theta2": 1.0})
-        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert main([command, "--config", path, "--out", str(tmp_path / "o"), *flags]) == code
+        err = capsys.readouterr().err
+        assert ("config error: model is inadmissible: epsilon=" in err) == (code == 2)
 
     def test_verify_exits_one_when_a_margin_fails(self, tmp_path, monkeypatch, capsys):
         # log_c_sfuc = 0 puts the bounds at 1 and 1/2, far above the mask
@@ -219,6 +234,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "FAIL: margin <= 0 for record" in err
         assert f"kind={worst['psi_kind']}, d=2, bc=periodic" in err
+
+    def test_verify_exits_one_when_a_worst_ratio_fails(self, tmp_path, monkeypatch, capsys):
+        # criterion 7 checks worst_ratio against the bound as well as the
+        # margin; a zero worst_ratio has no log and fails without one
+        monkeypatch.setattr(uclab.verifier, "worst_ratio", lambda gram: 0.0)
+        path = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL:")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL: worst_ratio <= exp(log_bound) for record (kind=")
 
 
 class TestCommands:
@@ -498,6 +523,60 @@ class TestCommands:
             "constants", "verify", "sweep", "carleman-check",
             "cacciopoli-check", "extend-check", "weight",
         }
+
+
+# a small run of each subcommand and the tables it writes besides report.json
+SMALL_RUNS = {
+    "constants": ({}, set()),
+    "verify": ({"ds": [1], "seeds": [0], "h_per_G": 16}, {"records.jsonl", "summary.csv"}),
+    "sweep": ({"h_per_G": 64}, {"plot.csv"}),
+    "carleman-check": ({"trials": 1, "grids": [1 / 16]}, {"records.jsonl", "summary.csv"}),
+    "cacciopoli-check": ({"h_per_G": 64}, set()),
+    "extend-check": ({"ds": [2], "seeds": [0, 1], "h_per_G": 16}, set()),
+    "weight": ({}, {"summary.csv"}),
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_every_subcommand_writes_through_one_path(self, tmp_path, command):
+        payload, tables = SMALL_RUNS[command]
+        path = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        echo = load_config(path, {}).to_dict()
+        assert strict_json((out / "report.json").read_text())["config"] == echo
+        assert {p.name for p in out.iterdir()} == {"report.json"} | tables
+        for name in tables:
+            text = (out / name).read_bytes().decode()
+            lines = text.splitlines()
+            if name.endswith(".csv"):
+                # one header, every line LF-terminated, as many fields per row
+                assert "\r" not in text and text.endswith("\n")
+                assert lines.count(lines[0]) == 1 and len(lines) > 1
+                assert {ln.count(",") for ln in lines} == {lines[0].count(",")}
+            else:
+                header = strict_json(lines[0])
+                assert set(header) == {"created_at", "config"} and header["config"] == echo
+
+    @pytest.mark.parametrize("command, spied, fake, payload", [
+        ("cacciopoli-check", "uclab.verifier.cacciopoli_check",
+         lambda *a, **k: {"lhs": 2.0, "rhs": 1.0, "holds": False, "min_cprime": 2.0},
+         {"h_per_G": 64}),
+        ("extend-check", "uclab.discretization.extension_check",
+         lambda fld, psi, lam: {"interface_jump_rel": 1.5, "residual": 0.0},
+         {"ds": [2], "seeds": [0], "h_per_G": 16}),
+        ("weight", "uclab.carleman.WeightFunction.bound_slacks",
+         lambda self, x: {"lower": 0.0, "upper": 0.0, "outer_floor": -1.0, "n_inside": 1},
+         {}),
+    ])
+    def test_a_failed_gate_prints_one_fail_line(self, tmp_path, monkeypatch, capsys,
+                                                command, spied, fake, payload):
+        monkeypatch.setattr(spied, fake)
+        path = write_cfg(tmp_path, payload)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len([ln for ln in err if ln.startswith("FAIL: ")]) == 1, err
 
 
 class TestStrictJson:

@@ -25,8 +25,8 @@ from uclab.verifier import (
     solve_field,
     verify_equidistribution,
     worst_ratio,
-    write_records_jsonl,
-    write_summary_csv,
+    write_rows_csv,
+    write_rows_jsonl,
 )
 
 
@@ -614,7 +614,7 @@ class TestRecordIO:
                          delta_over_G=0.25, seed=0, h_per_G=16)
         recs = run_trial(tc, solve_field(tc))
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(path, recs, config={"note": 1})
+        write_rows_jsonl(path, (r.to_dict() for r in recs), config={"note": 1})
         import json
 
         lines = path.read_text().splitlines()
@@ -629,10 +629,12 @@ class TestRecordIO:
                          delta_over_G=0.25, seed=0, h_per_G=16)
         recs = run_trial(tc, solve_field(tc))
         path = tmp_path / "summary.csv"
-        write_summary_csv(path, recs)
-        rows = path.read_text().splitlines()
+        write_rows_csv(path, [r.to_dict() for r in recs])
+        text = path.read_bytes().decode()
+        assert "\r" not in text
+        rows = text.splitlines()
         assert len(rows) == 1 + len(recs)
-        assert "margin" in rows[0]
+        assert rows[0].split(",") == list(recs[0].to_dict())
 
 
 class TestInputsComputedOnce:
