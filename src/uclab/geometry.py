@@ -199,7 +199,8 @@ def generate_sequence(
     """Place one delta-ball center per G-cell.
 
     ``centered`` puts each center at its cell center; ``uniform_random`` draws
-    it uniformly from the shrunken cell so the ball stays strictly inside.
+    it uniformly from the shrunken cell so the ball stays strictly inside,
+    from ``seed``, which it requires.
     """
     if not 0.0 < delta < G / 2.0:
         raise ValueError("delta must lie in (0, G/2)")
@@ -210,6 +211,8 @@ def generate_sequence(
     if mode == "centered":
         centers = lattice
     elif mode == "uniform_random":
+        if seed is None:
+            raise ValueError("uniform_random placement needs a seed")
         rng = np.random.default_rng(seed)
         half = G / 2.0 - delta
         offsets = rng.uniform(-half, half, size=lattice.shape)

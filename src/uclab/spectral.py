@@ -38,6 +38,15 @@ once with the minimum-degree ordering of the pattern of M^T + M
 (COLAMD), and the factorization is handed to Lanczos as the inverse
 operator.
 
+Lanczos stops at the residual gate below, not at machine precision.  ARPACK
+accepts a Ritz pair (theta, v) of M^-1, unit v, once
+||M^-1 v - theta v|| <= tol |theta|.  With lambda = sigma + 1/theta,
+H v - lambda v = -M (M^-1 v - theta v) / theta, so
+||H v - lambda v|| <= ||M||_2 tol <= ||M||_1 tol.  ``eigsh`` gets
+tol = RESIDUAL_TOL max|H| / ||M||_1 (the largest column sum of |M|, which
+bounds ||M||_2 as M is Hermitian), so every accepted pair meets the gate's
+own bound RESIDUAL_TOL max|H|.
+
 The eigensolve and the projector sample run on one BLAS thread
 (``_one_blas_thread``).  On matrices of this size a second BLAS thread only
 spins, and its split of the reductions changes the last bits of ARPACK's and
@@ -65,6 +74,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -207,16 +217,17 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     Closed form for a constant-coefficient operator, dense below
     DENSE_CUTOFF unknowns, shift-invert Lanczos above it (module docstring).
     Runs on one BLAS thread and is deterministic for a fixed matrix and
-    seed.  Raises ``ValueError`` when the operator is not Hermitian, a
-    returned pair's residual exceeds RESIDUAL_TOL times the largest entry of
-    H, or the vectors' orthonormality defect exceeds ORTHONORMALITY_TOL.
+    seed.  Raises ``ValueError`` when ``count`` is not a positive integer,
+    the operator is not Hermitian, a returned pair's residual exceeds
+    RESIDUAL_TOL times the largest entry of H, or the vectors'
+    orthonormality defect exceeds ORTHONORMALITY_TOL.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be at least 1 and an integer, got {count!r}")
     H = op.matrix
     N = H.shape[0]
     scale = float(np.abs(H.data).max()) if H.nnz else 1.0
@@ -234,8 +245,9 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
         inverse = spla.LinearOperator((N, N), matvec=lu.solve, dtype=H.dtype)
         v0 = np.random.default_rng(seed).standard_normal(N)
+        tol = RESIDUAL_TOL * scale / spla.norm(shifted, 1)
         vals, vecs = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
-                                OPinv=inverse)
+                                OPinv=inverse, tol=tol)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 

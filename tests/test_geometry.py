@@ -81,6 +81,18 @@ class TestSequences:
         c = generate_sequence(1.0, 0.2, 5.0, 2, "uniform_random", seed=1)
         assert np.array_equal(a.centers, c.centers)
 
+    def test_random_placement_needs_a_seed(self):
+        # no draw from OS entropy: the one unseeded path is an error
+        with pytest.raises(ValueError, match="needs a seed"):
+            generate_sequence(1.0, 0.2, 5.0, 2, "uniform_random")
+        with pytest.raises(ValueError, match="needs a seed"):
+            generate_sequence(1.0, 0.2, 5.0, 2, "uniform_random", seed=None)
+
+    def test_centered_placement_needs_no_seed(self):
+        a = generate_sequence(1.0, 0.2, 5.0, 2, "centered")
+        b = generate_sequence(1.0, 0.2, 5.0, 2, "centered", seed=7)
+        assert np.array_equal(a.centers, b.centers)
+
     def test_rejects_delta_at_half_cell(self):
         with pytest.raises(ValueError):
             generate_sequence(1.0, 0.5, 3.0, 1)

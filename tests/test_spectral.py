@@ -79,10 +79,8 @@ class TestEigensolve:
 
     def test_potential_field_above_the_cutoff_runs_lanczos(self, monkeypatch):
         # N = 576 lies between DENSE_CUTOFF and the old 2048 cutoff
-        dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
-        H = assemble(synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0))
-        assert H.matrix.shape[0] == 576 > spectral.DENSE_CUTOFF
-        assert H.constant_coefficients is None
+        H = _lanczos_operator()
+        assert H.matrix.shape[0] == 576
         calls = []
 
         def spy(owner, attr):
@@ -107,6 +105,78 @@ class TestEigensolve:
         H = assemble(fld)
         with pytest.raises(ValueError):
             eigensolve(H, count=3)
+
+
+def _lanczos_operator():
+    """A potential field above DENSE_CUTOFF (N = 576): the Lanczos path."""
+    dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
+    H = assemble(synthesize_random_field(2, dom, 1.0, 0.0, norm_V=1.0))
+    assert H.matrix.shape[0] > spectral.DENSE_CUTOFF and H.constant_coefficients is None
+    return H
+
+
+def _dense_operator():
+    """A potential field below DENSE_CUTOFF (N = 48): the dense path."""
+    H = assemble(synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"),
+                                         1.3, norm_V=0.5))
+    assert H.matrix.shape[0] <= spectral.DENSE_CUTOFF and H.constant_coefficients is None
+    return H
+
+
+class TestCount:
+    @pytest.mark.parametrize("path", ["closed form", "dense", "lanczos"])
+    @pytest.mark.parametrize("count", [2.5, 0, -2])
+    def test_bad_count_is_one_error_on_every_path(self, path, count):
+        H = {"closed form": periodic_laplacian, "dense": _dense_operator,
+             "lanczos": _lanczos_operator}[path]()
+        with pytest.raises(ValueError, match=r"^count must be at least 1 and an integer"):
+            eigensolve(H, count=count)
+
+    def test_numpy_integer_count_accepted(self):
+        sl = eigensolve(periodic_laplacian(), count=np.int64(3))
+        assert len(sl) == 3
+
+
+class TestLanczosStop:
+    """ARPACK stops at the residual gate: tol = RESIDUAL_TOL max|H| / ||H - sigma I||_1."""
+
+    def test_eigsh_gets_the_gate_derived_tol(self, monkeypatch):
+        H = _lanczos_operator()
+        shifts, tols = [], []
+        splu, eigsh = spla.splu, spla.eigsh
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: shifts.append(a[0]) or splu(*a, **k))
+        monkeypatch.setattr(spla, "eigsh",
+                            lambda *a, **k: tols.append(k["tol"]) or eigsh(*a, **k))
+        sl = eigensolve(H, count=6)
+        [shifted], [tol] = shifts, tols
+        scale = np.abs(H.matrix.data).max()
+        assert tol == spectral.RESIDUAL_TOL * scale / np.abs(shifted).sum(axis=0).max()
+        # the largest column sum of |H - sigma I|, formed densely
+        N = H.matrix.shape[0]
+        dense = np.abs(H.matrix.toarray() - (H.spectral_floor - 1.0) * np.eye(N))
+        assert tol == pytest.approx(spectral.RESIDUAL_TOL * scale / dense.sum(axis=0).max(),
+                                    rel=1e-14)
+        assert 1e-10 < tol < spectral.RESIDUAL_TOL
+        assert sl.residual_bound <= spectral.RESIDUAL_TOL * scale
+
+    @pytest.mark.parametrize("factor,raises", [(2.0, True), (0.5, False)])
+    def test_residual_gate_on_the_lanczos_path(self, monkeypatch, factor, raises):
+        # eigenvalues moved by eps give residuals of exactly |eps| on unit
+        # vectors, so the gate fires just above RESIDUAL_TOL max|H|
+        H = _lanczos_operator()
+        eps = factor * spectral.RESIDUAL_TOL * np.abs(H.matrix.data).max()
+        eigsh = spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals + eps, vecs
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+        context = (pytest.raises(ValueError, match=r"^eigenpair residual .* exceeds 1e-09")
+                   if raises else contextlib.nullcontext())
+        with context:
+            eigensolve(H, count=6)
+
 
 class TestCountPathShift:
     """The lowest-count Lanczos path, forced on small grids."""
@@ -263,8 +333,7 @@ class TestClosedForm:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(sla, "eigh", spying_eigh)
-        H = assemble(synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"),
-                                             1.3, norm_V=0.5))
+        H = _dense_operator()
         sl = eigensolve(H, count=5)
         assert calls == [{"subset_by_index": [0, 4], "driver": "evr"}]
         assert sl.eigenvectors.shape == (H.matrix.shape[0], 5)
