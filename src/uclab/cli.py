@@ -15,12 +15,13 @@ the trial, when a pinned mu puts a constant or alpha past what doubles
 resolve.
 
 Each ``cmd_*`` returns its report, its tables and one message per failed
-gate (:data:`Outcome`), and :func:`main` alone writes them to ``--out``:
-``report.json`` (resolved config plus aggregates, no timestamp), each
-``.jsonl`` table (``records.jsonl``; timestamp and config isolated in the
-header line), each ``.csv`` table (``summary.csv``, ``plot.csv``; LF line
-ends), and one ``FAIL: <message>`` line on stderr per failure.  The JSON
-outputs write a NaN or infinite number as ``null``.
+gate (:data:`Outcome`), and :func:`main` alone writes a run's files to
+``--out``: ``report.json`` (resolved config plus aggregates, no timestamp),
+each ``.jsonl`` table (``records.jsonl``; timestamp and config isolated in
+the header line), each ``.csv`` table (``summary.csv``, ``plot.csv``,
+``eigenpairs/eigenpairs_NNN.csv``; LF line ends), each ``.npy`` table, an
+array (``eigenpairs/eigenpairs_NNN.npy``), and a ``FAIL: <message>`` line on
+stderr per failure.  JSON outputs write a NaN or infinity as ``null``.
 
 The model's d, L, delta and norm_V each have one key, a list: ``ds``,
 ``L_over_Gs``, ``deltas_over_G`` and ``norm_Vs`` (L and delta in units of
@@ -40,13 +41,15 @@ keys; ``constants`` reports the geometry it derived.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from numbers import Real
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from uclab.constants import (
     sampling_report,
 )
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["ExperimentConfig", "main", "to_json", "write_rows_jsonl", "write_rows_csv"]
 
 
 @dataclass
@@ -247,12 +250,12 @@ class ConfigError(Exception):
 
 
 # what a cmd_* returns: its report (main adds the config echo), its tables by
-# file name (records.jsonl, summary.csv, plot.csv), each a list of rows, and
+# path under --out, each a list of rows or, for a .npy table, an array, and
 # one message per failed gate
-Outcome = tuple[dict, dict[str, list[dict]], list[str]]
+Outcome = tuple[dict, dict[str, list[dict] | np.ndarray], list[str]]
 
 
-def cmd_constants(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_constants(cfg: ExperimentConfig) -> Outcome:
     rep = sampling_report(cfg.params(), cfg.free, energy=cfg.energy)
     if rep.out_of_range:
         flag = f"  [inadmissible: {rep.out_of_range} leaves the double range]"
@@ -276,7 +279,7 @@ _RECORD_CHECKS = (
 )
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     from uclab.verifier import benchmark_configs, verify_equidistribution
 
     configs = benchmark_configs(
@@ -284,9 +287,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> Outcome:
         delta_over_Gs=cfg.deltas_over_G, seeds=cfg.seeds, G=cfg.model["G"],
         h_per_G=cfg.h_per_G,
     )
-    records = verify_equidistribution(
-        configs, cfg.free, dump_dir=(out / "eigenpairs") if cfg.dump_eigenpairs else None
-    )
+    solves: dict = {}
+    records = verify_equidistribution(configs, cfg.free, solves)
     rows = [dict(sorted(r.to_dict().items())) for r in records]  # sorted CSV columns
     # worst margin first: each check names the first record it fails in this
     # order, so the margin check names the record of min_margin
@@ -301,10 +303,17 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> Outcome:
                             f"L={r.L}, delta={r.delta}, seed={r.seed})")
     report = {"n_records": len(records), "min_margin": worst.margin,
               "worst_record": worst.to_dict()}
-    return report, {"records.jsonl": rows, "summary.csv": rows}, failures
+    tables = {"records.jsonl": rows, "summary.csv": rows}
+    if cfg.dump_eigenpairs:  # each field's slice, in order of first appearance
+        for i, (_, _, sl) in enumerate(solves.values()):
+            name = f"eigenpairs/eigenpairs_{i:03d}"
+            tables[f"{name}.csv"] = [{"index": j, "eigenvalue": float(lam)}
+                                     for j, lam in enumerate(sl.eigenvalues)]
+            tables[f"{name}.npy"] = sl.eigenvectors
+    return report, tables, failures
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_sweep(cfg: ExperimentConfig) -> Outcome:
     from uclab.geometry import CubeDomain
     from uclab.verifier import delta_sweep
 
@@ -328,7 +337,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> Outcome:
     return report, {"plot.csv": plot}, failures
 
 
-def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
     from uclab.carleman import carleman_trial
 
     rows = []
@@ -358,7 +367,7 @@ def cmd_carleman_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     return report, {"records.jsonl": rows, "summary.csv": summary}, failures
 
 
-def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
     from uclab.fields import CoefficientField
     from uclab.geometry import CubeDomain
     from uclab.verifier import cacciopoli_check
@@ -397,7 +406,7 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     return {"check": res}, {}, failures
 
 
-def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_extend_check(cfg: ExperimentConfig) -> Outcome:
     from uclab.discretization import assemble, extension_check
     from uclab.fields import load_field, synthesize_dir_cross_field, synthesize_random_field
     from uclab.geometry import CubeDomain
@@ -433,7 +442,7 @@ def cmd_extend_check(cfg: ExperimentConfig, out: Path) -> Outcome:
     return {"worst": worst}, {}, failures
 
 
-def cmd_weight(cfg: ExperimentConfig, out: Path) -> Outcome:
+def cmd_weight(cfg: ExperimentConfig) -> Outcome:
     from uclab.carleman import WeightFunction, phi
 
     rho = cfg.rho if cfg.rho is not None else 1.0
@@ -503,6 +512,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float, in nested dicts, lists and tuples too, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def to_json(obj, indent: Optional[int] = None) -> str:
+    """Key-sorted JSON text of ``obj`` with every NaN or infinity written as
+    ``null``: JSON (RFC 8259) has no such numbers, and ``json.dumps``'
+    default writes bare ``NaN`` and ``Infinity`` tokens that strict parsers
+    reject.  The reports and records of the command line go through here."""
+    return json.dumps(_finite_or_null(obj), indent=indent, sort_keys=True,
+                      allow_nan=False)
+
+
+def write_rows_jsonl(path, rows: Iterable[dict], config: Optional[dict] = None) -> None:
+    """Header line carries the timestamp (and config echo); every other line
+    is one row, key-sorted for byte stability (:func:`to_json`)."""
+    header = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": config or {}}
+    with open(path, "w") as fh:
+        fh.writelines(to_json(row) + "\n" for row in (header, *rows))
+
+
+def write_rows_csv(path, rows: Sequence[dict]) -> None:
+    """CSV of ``rows`` with LF line ends, its header the first row's keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = vars(build_parser().parse_args(argv))
     command, path, out, h = (args.pop(k, None) for k in ("command", "config", "out", "h"))
@@ -525,19 +570,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        report, tables, failures = _COMMANDS[command][0](cfg, out)
+        report, tables, failures = _COMMANDS[command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    from uclab.verifier import to_json, write_rows_csv, write_rows_jsonl
-
     echo = cfg.to_dict()
     (out / "report.json").write_text(to_json({"config": echo, **report}, indent=2) + "\n")
-    for name, rows in tables.items():
+    for name, table in tables.items():
+        target = out / name
+        target.parent.mkdir(parents=True, exist_ok=True)
         if name.endswith(".jsonl"):
-            write_rows_jsonl(out / name, rows, config=echo)
+            write_rows_jsonl(target, table, config=echo)
+        elif name.endswith(".npy"):
+            np.save(target, table)
         else:
-            write_rows_csv(out / name, rows)
+            write_rows_csv(target, table)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

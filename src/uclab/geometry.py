@@ -35,6 +35,7 @@ compares the window sums with a direct sum over the base cube.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -63,6 +64,12 @@ BoundaryCondition = Literal["dirichlet", "periodic"]
 NEAR_NEIGHBOR_SHIFT = 2.0
 
 
+def _check_dimension(d) -> None:
+    """Raise unless ``d`` is an integer >= 1 (a numpy integer included)."""
+    if not (isinstance(d, numbers.Integral) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+
+
 @dataclass(frozen=True)
 class CubeDomain:
     """Cell-centered tensor grid on the cube (-L/2, L/2)^d."""
@@ -73,8 +80,7 @@ class CubeDomain:
     bc: BoundaryCondition = "dirichlet"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        _check_dimension(self.d)
         for name in ("L", "h"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -156,6 +162,7 @@ class EquidistributedSequence:
     centers: np.ndarray  # shape (m,)*d + (d,), m = L/G
 
     def __post_init__(self):
+        _check_dimension(self.d)
         if not 0.0 < self.delta < self.G / 2.0:
             raise ValueError("delta must lie in (0, G/2)")
         m = self.cells_per_axis
@@ -207,6 +214,7 @@ def generate_sequence(
     m = L / G
     if abs(m - round(m)) > 1e-9 or round(m) % 2 != 1:
         raise ValueError("L/G must be an odd positive integer")
+    _check_dimension(d)
     lattice = _lattice(G, L, d, round(m))
     if mode == "centered":
         centers = lattice

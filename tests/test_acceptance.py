@@ -28,6 +28,7 @@ import oracles
 import uclab
 import uclab.verifier as verifier
 from uclab.carleman import WeightFunction, carleman_trial
+from uclab.cli import write_rows_jsonl
 from uclab.constants import (
     FreeConstants,
     ModelParams,
@@ -49,7 +50,6 @@ from uclab.verifier import (
     delta_sweep,
     scaling_identity,
     verify_equidistribution,
-    write_rows_jsonl,
 )
 
 FC = FreeConstants()
@@ -264,7 +264,8 @@ def test_criterion_06_extension_correctness():
 # environment only; its records file is compared with the in-process one
 _CHILD = """
 import sys
-from uclab.verifier import benchmark_configs, verify_equidistribution, write_rows_jsonl
+from uclab.cli import write_rows_jsonl
+from uclab.verifier import benchmark_configs, verify_equidistribution
 records = verify_equidistribution(benchmark_configs())
 write_rows_jsonl(sys.argv[1], [r.to_dict() for r in records], config={"suite": "criterion7"})
 """

@@ -525,29 +525,40 @@ class TestCommands:
         }
 
 
-# a small run of each subcommand and the tables it writes besides report.json
+# a small run of each subcommand, its flags and the tables it writes besides
+# report.json, by path under --out
 SMALL_RUNS = {
-    "constants": ({}, set()),
-    "verify": ({"ds": [1], "seeds": [0], "h_per_G": 16}, {"records.jsonl", "summary.csv"}),
-    "sweep": ({"h_per_G": 64}, {"plot.csv"}),
-    "carleman-check": ({"trials": 1, "grids": [1 / 16]}, {"records.jsonl", "summary.csv"}),
-    "cacciopoli-check": ({"h_per_G": 64}, set()),
-    "extend-check": ({"ds": [2], "seeds": [0, 1], "h_per_G": 16}, set()),
-    "weight": ({}, {"summary.csv"}),
+    "constants": ({}, [], set()),
+    "verify": ({"ds": [1], "seeds": [0], "h_per_G": 16}, ["--dump-eigenpairs"],
+               {"records.jsonl", "summary.csv",
+                "eigenpairs/eigenpairs_000.csv", "eigenpairs/eigenpairs_000.npy"}),
+    "sweep": ({"h_per_G": 64}, [], {"plot.csv"}),
+    "carleman-check": ({"trials": 1, "grids": [1 / 16]}, [], {"records.jsonl", "summary.csv"}),
+    "cacciopoli-check": ({"h_per_G": 64}, [], set()),
+    "extend-check": ({"ds": [2], "seeds": [0, 1], "h_per_G": 16}, [], set()),
+    "weight": ({}, [], {"summary.csv"}),
 }
 
 
 class TestOutputs:
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_every_subcommand_writes_through_one_path(self, tmp_path, command):
-        payload, tables = SMALL_RUNS[command]
+        import numpy as np
+
+        payload, flags, tables = SMALL_RUNS[command]
         path = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
-        assert main([command, "--config", path, "--out", str(out)]) == 0
-        echo = load_config(path, {}).to_dict()
+        assert main([command, "--config", path, "--out", str(out), *flags]) == 0
+        # each flag used here switches on the key it is named after
+        echo = load_config(path, {}).to_dict() | {
+            flag[2:].replace("-", "_"): True for flag in flags}
         assert strict_json((out / "report.json").read_text())["config"] == echo
-        assert {p.name for p in out.iterdir()} == {"report.json"} | tables
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == {"report.json"} | tables
         for name in tables:
+            if name.endswith(".npy"):
+                assert np.load(out / name).ndim == 2
+                continue
             text = (out / name).read_bytes().decode()
             lines = text.splitlines()
             if name.endswith(".csv"):
@@ -744,13 +755,31 @@ class TestFieldFileFlag:
         assert rep["worst"]["residual"] <= 1e-12
 
     def test_verify_dump_eigenpairs(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"ds": [1], "seeds": [0], "h_per_G": 16})
+        # one CSV and one NPY per field, numbered in order of first appearance:
+        # bc, then seed, here, which is not the fields' sorted order
+        import numpy as np
+
+        from uclab.verifier import TrialConfig, solve_field
+
+        cfg = write_cfg(tmp_path, {"ds": [1], "norm_Vs": [1.0], "bcs": ["periodic", "dirichlet"],
+                                   "seeds": [1, 0], "h_per_G": 16})
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out),
                      "--dump-eigenpairs"]) == 0
-        dumped = sorted((out / "eigenpairs").iterdir())
-        assert any(p.suffix == ".csv" for p in dumped)
-        assert any(p.suffix == ".npy" for p in dumped)
+        firsts = [TrialConfig(d=1, bc=bc, L_over_G=3, norm_V=1.0, delta_over_G=0.25,
+                              seed=seed, h_per_G=16)
+                  for bc in ("periodic", "dirichlet") for seed in (1, 0)]
+        assert [tc.field_key() for tc in firsts] != sorted(tc.field_key() for tc in firsts)
+        names = [f"eigenpairs_{i:03d}.{ext}" for i in range(4) for ext in ("csv", "npy")]
+        assert sorted(p.name for p in (out / "eigenpairs").iterdir()) == names
+        for i, tc in enumerate(firsts):
+            _, _, sl = solve_field(tc)
+            text = (out / "eigenpairs" / f"eigenpairs_{i:03d}.csv").read_bytes().decode()
+            assert "\r" not in text and text.endswith("\n")
+            assert text.splitlines() == ["index,eigenvalue"] + [
+                f"{j},{float(lam)!r}" for j, lam in enumerate(sl.eigenvalues)]
+            vecs = np.load(out / "eigenpairs" / f"eigenpairs_{i:03d}.npy")
+            assert np.array_equal(vecs, sl.eigenvectors)
 
 
 class TestCarlemanFlags:

@@ -34,6 +34,15 @@ class TestCubeDomain:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             CubeDomain(**args)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, 2.0, 0, -1, "2"])
+    def test_dimension_must_be_an_integer_at_least_one(self, bad):
+        # 2.5 and NaN passed a d < 1 check and failed later in .shape
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+            CubeDomain(bad, 3.0, 0.5)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert CubeDomain(np.int64(2), 3.0, 0.5).shape == (6, 6)
+
     def test_norm_sq_rejects_a_boolean_where_off_the_grid(self):
         dom = CubeDomain(2, 3.0, 0.5)
         psi = np.ones(dom.shape)
@@ -92,6 +101,18 @@ class TestSequences:
         a = generate_sequence(1.0, 0.2, 5.0, 2, "centered")
         b = generate_sequence(1.0, 0.2, 5.0, 2, "centered", seed=7)
         assert np.array_equal(a.centers, b.centers)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan])
+    def test_dimension_must_be_an_integer_at_least_one(self, bad):
+        # d = 0 gave an empty sequence, d = -1 a numpy shape error
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+            generate_sequence(1.0, 0.25, 3.0, bad)
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+            EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=bad, centers=np.empty(0))
+
+    def test_numpy_integer_dimension_accepted(self):
+        s = generate_sequence(1.0, 0.25, 3.0, np.int64(2), "uniform_random", seed=0)
+        assert s.centers.shape == (3, 3, 2) and s.containment_margin() >= 0.0
 
     def test_rejects_delta_at_half_cell(self):
         with pytest.raises(ValueError):

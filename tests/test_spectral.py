@@ -136,6 +136,18 @@ class TestCount:
         sl = eigensolve(periodic_laplacian(), count=np.int64(3))
         assert len(sl) == 3
 
+    def test_count_of_n_or_more_gives_every_pair_on_the_lanczos_path(self):
+        # Lanczos cannot serve count >= N: such a count takes the dense solve
+        # (at the parent, ARPACK warned and scipy raised a TypeError)
+        H = _lanczos_operator()
+        N = H.matrix.shape[0]
+        lower = eigensolve(H, count=N - 1)
+        scale = np.abs(H.matrix.data).max()
+        for count in (N, N + 5):
+            sl = eigensolve(H, count=count)
+            assert len(sl) == N and sl.eigenvectors.shape == (N, N)
+            assert np.abs(sl.eigenvalues[:N - 1] - lower.eigenvalues).max() <= 1e-10 * scale
+
 
 class TestLanczosStop:
     """ARPACK stops at the residual gate: tol = RESIDUAL_TOL max|H| / ||H - sigma I||_1."""
@@ -441,13 +453,26 @@ class TestProjectorSample:
 
 class TestDump:
     def test_eigenpair_dump(self, tmp_path):
-        sl = eigensolve(periodic_laplacian(), count=4)
-        sl.dump(tmp_path / "eig")
-        rows = (tmp_path / "eig.csv").read_text().splitlines()
+        # a slice's eigenpairs, as `verify --dump-eigenpairs` writes them
+        # through cli.main, read back as the slice that was solved
+        import json
+
+        from uclab.cli import main
+        from uclab.verifier import TrialConfig, solve_field
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ds": [1], "norm_Vs": [1.0], "bcs": ["periodic"],
+                                   "seeds": [0], "h_per_G": 16}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--dump-eigenpairs"]) == 0
+        _, _, sl = solve_field(TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=1.0,
+                                           delta_over_G=0.25, seed=0, h_per_G=16))
+        rows = (out / "eigenpairs" / "eigenpairs_000.csv").read_text().splitlines()
         assert rows[0] == "index,eigenvalue"
-        assert len(rows) == 5
+        assert len(rows) == len(sl) + 1
         assert [float(r.split(",")[1]) for r in rows[1:]] == sl.eigenvalues.tolist()
-        vecs = np.load(tmp_path / "eig.npy")
+        vecs = np.load(out / "eigenpairs" / "eigenpairs_000.npy")
         assert vecs.shape == sl.eigenvectors.shape
 
 

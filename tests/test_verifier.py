@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 import oracles
 import uclab.geometry as geometry
 import uclab.verifier as verifier
+from uclab.cli import write_rows_csv, write_rows_jsonl
 from uclab.constants import FreeConstants, ModelParams, cacciopoli_prefactor, log_c_sfuc
 from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_random_field
 from uclab.geometry import CubeDomain, ball_cells, generate_sequence, mask
@@ -25,8 +26,6 @@ from uclab.verifier import (
     solve_field,
     verify_equidistribution,
     worst_ratio,
-    write_rows_csv,
-    write_rows_jsonl,
 )
 
 
@@ -728,29 +727,39 @@ class TestInputsComputedOnce:
 
 
 class TestSuiteDeterminism:
-    def test_records_and_eigenpair_dump_repeat(self, tmp_path):
-        # field keys first appear in an order that differs from sorted order
+    def test_records_and_eigenpair_dump_repeat(self, monkeypatch):
+        # the solves behind `verify --dump-eigenpairs`; field keys first
+        # appear in an order that differs from sorted order
         cfgs = [
             TrialConfig(d=1, bc=bc, L_over_G=3, norm_V=1.0, delta_over_G=dg,
                         seed=s, h_per_G=16)
             for dg in (0.125, 0.25) for s in (1, 0)
             for bc in ("periodic", "dirichlet")
         ]
-        a, b = tmp_path / "a", tmp_path / "b"
-        recs_a = [r.to_dict() for r in verify_equidistribution(cfgs, dump_dir=a)]
-        recs_b = [r.to_dict() for r in verify_equidistribution(cfgs, dump_dir=b)]
+        solves_a, solves_b = {}, {}
+        recs_a = [r.to_dict() for r in verify_equidistribution(cfgs, solves=solves_a)]
+        recs_b = [r.to_dict() for r in verify_equidistribution(cfgs, solves=solves_b)]
         assert recs_a == recs_b
         firsts: dict = {}
         for tc in cfgs:
             firsts.setdefault(tc.field_key(), tc)
         assert list(firsts) != sorted(firsts)
-        names = [f"eigenpairs_{i:03d}.{ext}"
-                 for i in range(len(firsts)) for ext in ("csv", "npy")]
-        assert sorted(p.name for p in a.iterdir()) == names
-        assert sorted(p.name for p in b.iterdir()) == names
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-        for i, tc in enumerate(firsts.values()):
+        assert list(solves_a) == list(solves_b) == list(firsts)
+        for key, tc in firsts.items():
             _, _, sl = solve_field(tc)
-            dumped = np.load(a / f"eigenpairs_{i:03d}.npy")
-            assert np.array_equal(dumped, sl.eigenvectors)
+            for solves in (solves_a, solves_b):
+                got = solves[key][2]
+                assert np.array_equal(got.eigenvalues, sl.eigenvalues)
+                assert np.array_equal(got.eigenvectors, sl.eigenvectors)
+
+        # an entry already in the dict is used as it is, without a new solve
+        calls = []
+        solve = verifier.solve_field
+        monkeypatch.setattr(verifier, "solve_field",
+                            lambda tc: calls.append(tc.field_key()) or solve(tc))
+        first = next(iter(firsts))
+        given = {first: solves_a[first]}
+        recs_c = [r.to_dict() for r in verify_equidistribution(cfgs, solves=given)]
+        assert calls == list(firsts)[1:]
+        assert given[first] is solves_a[first] and list(given) == list(firsts)
+        assert recs_c == recs_a
