@@ -51,7 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from uclab.constants import EULER, ModelParams, carleman_constants, carleman_mu_floor, mu_one
+from uclab.constants import (EULER, ModelParams, carleman_constants, carleman_mu_floor,
+                             is_finite, mu_one)
 from uclab.discretization import apply_operator
 from uclab.fields import (
     _require_at_least,
@@ -127,30 +128,34 @@ def ein(x: np.ndarray | float) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
+def _radii_ein(r: np.ndarray | float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` as floats and ein(mu r), the one domain check of :func:`phi` and
+    :func:`log_phi`: every r, and mu, finite and >= 0."""
+    r = np.asarray(r, dtype=float)
+    _require_finite("r", r)
+    _require_at_least("mu", mu, 0.0)
+    if np.any(r < 0.0):
+        raise ValueError("radial profile is defined for r >= 0")
+    return r, ein(mu * r)
+
+
 def phi(r: np.ndarray | float, mu: float) -> np.ndarray | float:
     """Log-damped radial profile r * exp(-ein(mu r)) of finite r >= 0 and
     finite mu >= 0; 0 <= phi(r) <= r."""
-    r_arr = np.asarray(r, dtype=float)
-    _require_finite("r", r_arr)
-    _require_at_least("mu", mu, 0.0)
-    if np.any(r_arr < 0.0):
-        raise ValueError("radial profile is defined for r >= 0")
-    out = r_arr * np.exp(-ein(mu * r_arr))
+    r_arr, e = _radii_ein(r, mu)
+    out = r_arr * np.exp(-e)
     return out if np.ndim(r) else float(out)
 
 
 def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
-    """log(phi(r)) of finite r and finite mu >= 0; -inf at r = 0."""
-    r = np.asarray(r, dtype=float)
-    _require_finite("r", r)
-    _require_at_least("mu", mu, 0.0)
-    e = ein(mu * r)  # before log(r), so that the two are not held at once
+    """log(phi(r)) of finite r >= 0 and finite mu >= 0; -inf at r = 0."""
+    r, e = _radii_ein(r, mu)  # ein before log(r): the two are not held at once
     with np.errstate(divide="ignore"):
         return np.log(r) - e
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
+    if not (is_finite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -624,9 +629,8 @@ def carleman_trial(
     for name, value in (("rho", rho), ("mu", mu)):
         if value is not None:
             _require_positive(name, value)
-    if alpha_mult is not None and not 1.0 <= alpha_mult < math.inf:
-        raise ValueError(f"alpha_mult must be finite and >= 1 (alpha >= alpha0), "
-                         f"got {alpha_mult}")
+    if alpha_mult is not None:  # alpha >= alpha0
+        _require_at_least("alpha_mult", alpha_mult, 1.0)
     rng = np.random.default_rng(seed)
     theta1 = 1.0 + 0.12 * rng.random()
     rho = (0.8 + 0.45 * rng.random()) if rho is None else float(rho)
@@ -674,7 +678,7 @@ def carleman_trial(
     p = ModelParams(d=d, theta1=theta1, theta2=theta2, norm_b=norm_b, norm_c=norm_c)
     C, alpha0 = carleman_constants(p, rho, mu, mu1)
     for name, value in (("carleman_C", C), ("alpha0", alpha0)):
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ValueError(f"mu={mu}: the constant {name} of the weighted inequality "
                              "is past the largest double")
     if alpha_mult is None:

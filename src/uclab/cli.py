@@ -35,7 +35,9 @@ given when they hold four or more distinct values, and the five-point grid
 keys are the other fields of ``ModelParams``, which holds no local-estimate
 geometry, so ``model.d``, ``model.L``, ``model.delta``, ``model.norm_V``,
 ``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown
-keys; ``constants`` reports the geometry it derived.
+keys; ``constants`` reports the geometry it derived.  A ``model.*`` or
+``free.*`` value that its dataclass rejects is reported with its key and the
+dataclass's reason (``model.theta1=0.5: ellipticity constant must be >= 1``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Real
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -56,6 +57,9 @@ import numpy as np
 from uclab.constants import (
     FreeConstants,
     ModelParams,
+    is_ball_radius,
+    is_dimension,
+    is_finite,
     log_c_sfuc,
     sampling_epsilon,
     sampling_report,
@@ -129,7 +133,7 @@ class ExperimentConfig:
             problems.append(f"deltas_over_G={list(deltas)} is not "
                             "one value (the five-point grid) or four distinct ones")
         G = self.model["G"]
-        if not all(math.isfinite(v * G) for v in (*self.L_over_Gs, *self.deltas_over_G)):
+        if not all(is_finite(v * G) for v in (*self.L_over_Gs, *self.deltas_over_G)):
             problems.append(f"model.G={G!r} makes L_over_Gs G or deltas_over_G G infinite")
             return problems
         m = self.params()
@@ -148,14 +152,9 @@ class ExperimentConfig:
         return problems
 
 
-def _finite(v) -> bool:
-    """A real number a double holds: a JSON integer past its range is not."""
-    return isinstance(v, Real) and abs(v) <= sys.float_info.max
-
-
 def _whole(v) -> bool:
     """An integer, which JSON may spell as an integral float."""
-    return _finite(v) and float(v).is_integer()
+    return is_finite(v) and float(v).is_integer()
 
 
 def _as_int(v):
@@ -169,16 +168,16 @@ def _as_int(v):
 _RULES = {
     "h_per_G": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
     "seeds": ("integers >= 0", lambda v: _whole(v) and v >= 0),
-    "ds": ("integers >= 1", lambda v: _whole(v) and v >= 1),
+    "ds": ("integers >= 1", lambda v: is_finite(v) and is_dimension(v)),
     "trials": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
     "L_over_Gs": ("odd integers >= 1", lambda v: _whole(v) and v >= 1 and v % 2 == 1),
-    "deltas_over_G": ("numbers in (0, 1/2)", lambda v: _finite(v) and 0.0 < v < 0.5),
-    "norm_Vs": ("finite numbers >= 0", lambda v: _finite(v) and v >= 0.0),
-    "energy": ("a finite number", _finite),
-    "rho": ("a finite number > 0", lambda v: _finite(v) and v > 0.0),
-    "mu": ("a finite number > 0", lambda v: _finite(v) and v > 0.0),
-    "grids": ("finite numbers > 0", lambda v: _finite(v) and v > 0.0),
-    "alpha_mult": ("a finite number >= 1", lambda v: _finite(v) and v >= 1.0),
+    "deltas_over_G": ("numbers in (0, 1/2)", lambda v: is_finite(v) and is_ball_radius(v, 1.0)),
+    "norm_Vs": ("finite numbers >= 0", lambda v: is_finite(v) and v >= 0.0),
+    "energy": ("a finite number", is_finite),
+    "rho": ("a finite number > 0", lambda v: is_finite(v) and v > 0.0),
+    "mu": ("a finite number > 0", lambda v: is_finite(v) and v > 0.0),
+    "grids": ("finite numbers > 0", lambda v: is_finite(v) and v > 0.0),
+    "alpha_mult": ("a finite number >= 1", lambda v: is_finite(v) and v >= 1.0),
     "bcs": ("'dirichlet' or 'periodic' conditions", lambda v: v in ("dirichlet", "periodic")),
     "dump_eigenpairs": ("true or false", lambda v: isinstance(v, bool)),
     "field_file": ("an existing file", lambda v: isinstance(v, str) and Path(v).is_file()),
@@ -215,6 +214,17 @@ _KEYS = {
 }
 
 
+def _build(cls, group: str, values: dict, **fixed):
+    """``cls(**fixed, **values)``, raising ``<group>.<key>=<value>: <reason>``
+    with the reason ``cls`` gives for the first value it rejects."""
+    for key, val in values.items():
+        try:
+            cls(**fixed, **{key: val})
+        except ValueError as exc:
+            raise ValueError(f"{group}.{key}={val!r}: {exc}") from None
+    return cls(**fixed, **values)
+
+
 def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     """Flat-key JSON plus overrides (flags win); a None value, a null in the
     file or a flag not given, leaves its key at the default."""
@@ -231,9 +241,9 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
             raise KeyError(f"unknown configuration key {key!r}")
         if val is not None:
             kwargs[group][name] = val
-    model = asdict(ModelParams(d=1, **kwargs["model"]))  # checks the model.* keys
+    model = asdict(_build(ModelParams, "model", kwargs["model"], d=1))
     cfg = ExperimentConfig(model={k: model[k] for k in _KEYS["model"]},
-                           free=FreeConstants(**kwargs["free"]))
+                           free=_build(FreeConstants, "free", kwargs["free"]))
     for key, val in kwargs[""].items():
         if isinstance(getattr(cfg, key), tuple) and not isinstance(val, tuple):
             val = tuple(val) if isinstance(val, (list, np.ndarray)) else (val,)
@@ -515,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _finite_or_null(obj):
     """``obj`` with each non-finite float, in nested dicts, lists and tuples too, as None."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return obj if is_finite(obj) else None
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

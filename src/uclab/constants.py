@@ -20,16 +20,28 @@ those.
 enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 ``G^2*norm_V`` and the ratio ``delta/G``.  Rescaling to unit cell size with
 :func:`scale_parameters` therefore reproduces them bit for bit.
+
+The three input rules live here, and each check of their quantities, in the
+library and on the command line, calls them: :func:`is_finite` (a real
+number, not a bool, that a double holds), :func:`is_dimension` (an integer
+>= 1) and :func:`is_ball_radius` (0 < delta < G/2).  A function given a bad
+dimension or radius raises the rule's message itself, so the error's
+innermost frame is the function that received the value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import Optional
 
 __all__ = [
+    "is_finite",
+    "is_dimension",
+    "is_ball_radius",
     "ModelParams",
     "FreeConstants",
     "LocalGeometry",
@@ -57,12 +69,33 @@ __all__ = [
 EULER = math.e
 
 
-def _require_finite(obj) -> None:
-    """Reject NaN and +/-inf in any dataclass field, naming the field."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+def is_finite(value) -> bool:
+    """The finite-number test: a real number, not a bool, that a double holds
+    (an integer past the largest double fails, where math.isfinite raises)."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _require_finite(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not :func:`is_finite`."""
+    for name, value in values.items():
+        if not is_finite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def is_dimension(d) -> bool:
+    """The dimension rule: an integer >= 1; a numpy integer is one, a bool is not."""
+    return isinstance(d, Integral) and not isinstance(d, bool) and d >= 1
+
+
+def is_ball_radius(delta: float, G: float) -> bool:
+    """The ball-radius rule: 0 < delta < G/2, a ball inside its G-cell."""
+    return 0.0 < delta < G / 2.0
+
+
+# the ValueError messages of the two rules; DIMENSION_ERROR takes the value
+DIMENSION_ERROR = "d must be an integer >= 1, got {!r}"
+BALL_RADIUS_ERROR = "delta must lie in (0, G/2)"
 
 
 @dataclass(frozen=True)
@@ -85,9 +118,11 @@ class ModelParams:
     L: float = 3.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("dimension must be a positive integer")
+        if isinstance(self.d, float):  # a NaN or inf d is named as not finite
+            _require_finite(d=self.d)
+        if not is_dimension(self.d):
+            raise ValueError(DIMENSION_ERROR.format(self.d))
+        _require_finite(**vars(self))
         if self.theta1 < 1.0:
             raise ValueError("ellipticity constant must be >= 1")
         if self.theta2 < 0.0:
@@ -110,7 +145,7 @@ class LocalGeometry:
     beta: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         if min(self.R, self.D0) <= 0.0 or self.K_V < 0.0 or self.beta < 1.0:
             raise ValueError(f"{self} needs R, D0 > 0, K_V >= 0 and beta >= 1")
 
@@ -128,7 +163,7 @@ class FreeConstants:
     Cprime: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         for name in ("K1", "K2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -393,10 +428,12 @@ def _sfuc_log_terms(
     p: ModelParams, fc: FreeConstants, energy: Optional[float]
 ) -> tuple[float, float, float]:
     """(log_D1, exponent, log((delta/G)/D2)) of the sampling constant in the
-    G-canonical arithmetic; with ``energy`` set, the exponent is the spectral
-    variant that replaces the potential norm by |energy|."""
-    if energy is not None and not math.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy}")
+    G-canonical arithmetic, for delta in (0, G/2); with ``energy`` set, the
+    exponent is the spectral variant that replaces the potential norm by |energy|."""
+    if not is_ball_radius(p.delta, p.G):
+        raise ValueError(BALL_RADIUS_ERROR)
+    if energy is not None:
+        _require_finite(energy=energy)
     g_t2 = p.G * p.theta2
     eps2 = sampling_epsilon(p)
     log_D1, D3 = _theta_factors(fc.K2, p.theta1, g_t2, -15.5 - p.d)
@@ -417,16 +454,12 @@ def c_sfuc_exponent(p: ModelParams, fc: FreeConstants, energy: Optional[float] =
 
 def log_c_sfuc(p: ModelParams, fc: FreeConstants, energy: Optional[float] = None) -> float:
     """Natural log of the scale-free sampling constant."""
-    if not 0.0 < p.delta < p.G / 2.0:
-        raise ValueError("delta must lie in (0, G/2)")
     log_D1, expo, log_delta_D2 = _sfuc_log_terms(p, fc, energy)
     return log_D1 + expo * log_delta_D2
 
 
 def log_gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
     """Natural log of the admissible spectral half-width around ``energy``."""
-    if not 0.0 < p.delta < p.G / 2.0:
-        raise ValueError("delta must lie in (0, G/2)")
     log_D1, expo, log_delta_D2 = _sfuc_log_terms(p, fc, energy)
     log_gamma_sq = log_D1 - 4.0 * math.log(p.G) + expo * log_delta_D2
     return 0.5 * log_gamma_sq
@@ -509,10 +542,9 @@ def sampling_report(
     names the first such constant, and it and the constants after it stay
     NaN.
     """
-    if not 0.0 < p.delta < p.G / 2.0:
-        raise ValueError("delta must lie in (0, G/2)")
-    if not math.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy}")
+    if not is_ball_radius(p.delta, p.G):
+        raise ValueError(BALL_RADIUS_ERROR)
+    _require_finite(energy=energy)
     T = side_length_T(p.d, p.theta1)
     eps2 = sampling_epsilon(p)
     base = dict(epsilon=eps2, T=T, params=asdict(p), free_constants=asdict(fc))
@@ -551,7 +583,7 @@ def sampling_report(
             values = evaluate()
         except OverflowError:
             values = (math.inf,) * len(names)
-        bad = [name for name, x in zip(names, values) if not math.isfinite(x)]
+        bad = [name for name, x in zip(names, values) if not is_finite(x)]
         if bad:
             return UcConstantReport(admissible=False, out_of_range=bad[0], **got, **base)
         got.update(zip(names, values))

@@ -19,6 +19,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from uclab.constants import is_finite
 from uclab.geometry import CubeDomain
 
 __all__ = [
@@ -96,7 +97,7 @@ def _require_finite(name: str, value) -> None:
 
 def _require_at_least(name: str, value: float, floor: float) -> None:
     """Raise a ValueError naming ``value`` unless it is finite and >= ``floor``."""
-    if not (math.isfinite(value) and value >= floor):
+    if not (is_finite(value) and value >= floor):
         raise ValueError(f"{name} must be finite and >= {floor}, got {value}")
 
 
@@ -361,7 +362,7 @@ def synthesize_dir_cross_field(
     """
     if domain.d < 2:
         raise ValueError("cross-coefficient construction needs d >= 2")
-    if not (math.isfinite(theta1) and theta1 > 1.0):
+    if not (is_finite(theta1) and theta1 > 1.0):
         raise ValueError(f"needs a finite theta1 > 1 for off-diagonals, got {theta1}")
     V = _bounded_potential(np.random.default_rng(seed), norm_V, domain.shape)
     d, L = domain.d, domain.L

@@ -35,13 +35,13 @@ compares the window sums with a direct sum over the base cube.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from uclab.constants import EULER, sampling_radius, side_length_T
+from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, EULER, is_ball_radius,
+                             is_dimension, is_finite, sampling_radius, side_length_T)
 
 __all__ = [
     "CubeDomain",
@@ -64,12 +64,6 @@ BoundaryCondition = Literal["dirichlet", "periodic"]
 NEAR_NEIGHBOR_SHIFT = 2.0
 
 
-def _check_dimension(d) -> None:
-    """Raise unless ``d`` is an integer >= 1 (a numpy integer included)."""
-    if not (isinstance(d, numbers.Integral) and d >= 1):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-
-
 @dataclass(frozen=True)
 class CubeDomain:
     """Cell-centered tensor grid on the cube (-L/2, L/2)^d."""
@@ -80,10 +74,11 @@ class CubeDomain:
     bc: BoundaryCondition = "dirichlet"
 
     def __post_init__(self):
-        _check_dimension(self.d)
+        if not is_dimension(self.d):
+            raise ValueError(DIMENSION_ERROR.format(self.d))
         for name in ("L", "h"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (is_finite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         n = self.L / self.h
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
@@ -162,9 +157,10 @@ class EquidistributedSequence:
     centers: np.ndarray  # shape (m,)*d + (d,), m = L/G
 
     def __post_init__(self):
-        _check_dimension(self.d)
-        if not 0.0 < self.delta < self.G / 2.0:
-            raise ValueError("delta must lie in (0, G/2)")
+        if not is_dimension(self.d):
+            raise ValueError(DIMENSION_ERROR.format(self.d))
+        if not is_ball_radius(self.delta, self.G):
+            raise ValueError(BALL_RADIUS_ERROR)
         m = self.cells_per_axis
         if self.centers.shape != (m,) * self.d + (self.d,):
             raise ValueError("center array shape mismatch")
@@ -209,12 +205,13 @@ def generate_sequence(
     it uniformly from the shrunken cell so the ball stays strictly inside,
     from ``seed``, which it requires.
     """
-    if not 0.0 < delta < G / 2.0:
-        raise ValueError("delta must lie in (0, G/2)")
+    if not is_ball_radius(delta, G):
+        raise ValueError(BALL_RADIUS_ERROR)
     m = L / G
     if abs(m - round(m)) > 1e-9 or round(m) % 2 != 1:
         raise ValueError("L/G must be an odd positive integer")
-    _check_dimension(d)
+    if not is_dimension(d):
+        raise ValueError(DIMENSION_ERROR.format(d))
     lattice = _lattice(G, L, d, round(m))
     if mode == "centered":
         centers = lattice

@@ -52,6 +52,7 @@ from uclab.constants import (
     ModelParams,
     c_sfuc_exponent,
     cacciopoli_prefactor,
+    is_finite,
     log_c_sfuc,
     log_gamma_window,
     scale_parameters,
@@ -192,7 +193,7 @@ class TrialConfig:
 
 def _checked_norm_sq(total: float) -> float:
     """Squared norm of psi on the whole cube, checked where psi enters."""
-    if not math.isfinite(total):
+    if not is_finite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
         raise ValueError("zero grid function has no observability ratio")

@@ -94,6 +94,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             ein(np.array([-1.0]))
 
+    @pytest.mark.parametrize("evaluate", [phi, log_phi])
+    def test_both_profiles_reject_a_negative_radius_at_zero_mu(self, evaluate):
+        # at mu = 0, ein(mu r) is ein(-0.0) = 0, and log_phi returned log(-1) = NaN
+        with pytest.raises(ValueError, match=r"^radial profile is defined for r >= 0"):
+            evaluate(np.array([-1.0]), 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input_naming_it(self, bad):
         # NaN passed the x < 0 guard, and inf gave nan through inf*0 and inf - inf

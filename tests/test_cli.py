@@ -186,6 +186,10 @@ class TestExitCodes:
           for key, value in (("ds", [10**400]), ("seeds", [10**400]), ("h_per_G", 10**400))],
         # L = 3 G overflows, which had been reported as a bad L, no key
         pytest.param("constants", {"model.G": 1e308}, [], "model.G", id="constants-model.G"),
+        # an integral L/G times an integral G past the double range, where
+        # math.isfinite raised OverflowError
+        pytest.param("constants", {"L_over_Gs": [10**301 + 1], "model.G": 10**10}, [],
+                     "model.G", id="constants-model.G-integer-product"),
     ])
     def test_bad_key_is_a_config_error(self, tmp_path, capsys, command, payload,
                                        flags, key):
@@ -244,6 +248,41 @@ class TestExitCodes:
         fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL:")]
         assert len(fails) == 1
         assert fails[0].startswith("FAIL: worst_ratio <= exp(log_bound) for record (kind=")
+
+
+# every key whose value is a number, or a list of numbers
+NUMERIC_KEYS = [
+    *sorted(uclab.cli._KEYS[""] - {"bcs", "dump_eigenpairs", "field_file"}),
+    *(f"model.{k}" for k in uclab.cli._KEYS["model"]),
+    *(f"free.{k}" for k in sorted(uclab.cli._KEYS["free"])),
+]
+
+
+class TestNumericKeys:
+    @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "huge"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_a_bool_or_a_huge_integer_is_a_config_error(self, tmp_path, capsys, key, value):
+        # a bool ran as 0 or 1, and an integer past the double range ended in
+        # an OverflowError traceback for the model.* and free.* keys
+        path = write_cfg(tmp_path, {key: value})
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}=") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("model.theta1", 0.5, "ellipticity constant must be >= 1"),
+        ("model.G", "1", "G must be finite, got '1'"),
+        ("model.norm_b", -1.0, "norm_b must be >= 0"),
+        ("free.M", 0.5, "cutoff derivative bound M must be >= 1"),
+        ("free.K1", 0.0, "K1 must be positive"),
+    ])
+    def test_a_model_or_free_error_names_its_key(self, tmp_path, capsys, key, value, reason):
+        # the reason is the dataclass's own, after the key it rejects
+        path = write_cfg(tmp_path, {key: value})
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}={value!r}: {reason}\n"
 
 
 class TestCommands:
