@@ -77,7 +77,6 @@ __all__ = [
     "check_carleman_inequality",
     "annular_bump",
     "carleman_trial",
-    "mu_one",
 ]
 
 # largest |u| / max|u| counted as zero by the support checks of

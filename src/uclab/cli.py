@@ -8,17 +8,19 @@ whose key it reads.
 
 Exit codes: 0 when the run completed and every hard assertion passed
 (``sweep``, whose bounds evaluate the configured model, requires it
-admissible in each dimension of ``ds``; the other subcommands read no
+admissible in the one dimension it reads; the other subcommands read no
 admissibility), 1 when an assertion failed, 2 on usage errors and on every
 ``config error: <key>...``; ``carleman-check`` gives one such line, naming
 the trial, when a pinned mu puts a constant or alpha past what doubles
-resolve.
+resolve, and ``cacciopoli-check`` one naming ``h_per_G=`` or
+``field_file=`` when the grid is too coarse for its fattened annulus.
 
-Each ``cmd_*`` returns its report, its tables and one message per failed
-gate (:data:`Outcome`), and :func:`main` alone writes a run's files to
-``--out``: ``report.json`` (resolved config plus aggregates, no timestamp),
-each ``.jsonl`` table (``records.jsonl``; timestamp and config isolated in
-the header line), each ``.csv`` table (``summary.csv``, ``plot.csv``,
+Each ``cmd_*`` returns its report, its tables and one message per failed gate
+(:data:`Outcome`), and :func:`main` alone writes a run's files to ``--out``,
+which it creates only once the command has returned (no config error leaves a
+directory): ``report.json`` (resolved config plus aggregates, no timestamp),
+each ``.jsonl`` table (``records.jsonl``; timestamp and config isolated in the
+header line), each ``.csv`` table (``summary.csv``, ``plot.csv``,
 ``eigenpairs/eigenpairs_NNN.csv``; LF line ends), each ``.npy`` table, an
 array (``eigenpairs/eigenpairs_NNN.npy``), and a ``FAIL: <message>`` line on
 stderr per failure.  JSON outputs write a NaN or infinity as ``null``.
@@ -140,12 +142,8 @@ class ExperimentConfig:
         if "--h" in flags and min(self.L_over_Gs) * self.h_per_G < 2:
             problems.append(f"h_per_G={self.h_per_G} gives fewer than two cells per "
                             f"axis on a cube of side {min(self.L_over_Gs)} G")
-        elif (command == "cacciopoli-check" and self.field_file is None
-              and not _annulus_fits(m.L, m.G / self.h_per_G)):
-            problems.append(f"h_per_G={self.h_per_G} gives h={m.G / self.h_per_G:.4g}; "
-                            f"the fattened annulus needs 2h < 0.1 L = {0.1 * m.L:.4g}")
-        if command == "sweep":  # its bounds use the model; epsilon depends on d
-            eps = min(sampling_epsilon(replace(m, d=d)) for d in self.ds)
+        if command == "sweep":  # its bounds use the model
+            eps = sampling_epsilon(m)
             if eps <= 0.0:
                 problems.append(f"model is inadmissible: epsilon={eps:.4g} <= 0 "
                                 "(chart it with `uclab constants`)")
@@ -193,15 +191,6 @@ _SWEEP_DELTAS = (0.125, 0.175, 0.25, 0.35, 0.45)
 
 # cacciopoli-check's annulus radii r1 < |x| < r2 and fattening r, in units of L
 _ANNULUS = (0.1, 0.27, 0.13)
-
-
-def _annulus_fits(L: float, h: float) -> bool:
-    """Whether the fattened annulus stays inside the cube, as
-    ``verifier.cacciopoli_check`` requires (2h < 0.1 L)."""
-    from uclab.verifier import annulus_fits
-
-    _, r2, r = (f * L for f in _ANNULUS)
-    return annulus_fits(L, h, r2, r)
 
 
 # key prefix -> the keys it takes: model.*, free.* and the run's own keys;
@@ -378,27 +367,28 @@ def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
-    from uclab.fields import CoefficientField
+    from uclab.fields import CoefficientField, load_field
     from uclab.geometry import CubeDomain
-    from uclab.verifier import cacciopoli_check
+    from uclab.verifier import annulus_fits, cacciopoli_check
 
     if cfg.field_file is not None:
-        from uclab.fields import load_field
+        fld = load_field(cfg.field_file)
+        dom, key = fld.domain, f"field_file={cfg.field_file!r}"
+    else:
+        m = cfg.params()
+        dom = CubeDomain(m.d, m.L, m.G / cfg.h_per_G, "dirichlet")
+        key = f"h_per_G={cfg.h_per_G}"
+    L, d = dom.L, dom.d
+    r1, r2, r = (f * L for f in _ANNULUS)
+    if not annulus_fits(L, dom.h, r2, r):
+        raise ConfigError(f"{key} gives h={dom.h:.4g}; the fattened annulus needs "
+                          f"2h < L/2 - r2 - r = {L / 2.0 - r2 - r:.4g}")
+    if cfg.field_file is not None:
         from uclab.discretization import assemble
         from uclab.spectral import eigensolve
 
-        fld = load_field(cfg.field_file)
-        dom = fld.domain
-        L = dom.L
-        if not _annulus_fits(L, dom.h):
-            raise ConfigError(f"field_file={cfg.field_file!r} has h={dom.h:.4g}; "
-                              f"the fattened annulus needs 2h < 0.1 L = {0.1 * L:.4g}")
-        sl = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0])
-        psi = sl.grid_vector(0)
+        psi = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0]).grid_vector(0)
     else:
-        m = cfg.params()
-        L, h, d = m.L, m.G / cfg.h_per_G, m.d
-        dom = CubeDomain(d, L, h, "dirichlet")
         k = 2
         sine = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
         psi = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
@@ -407,7 +397,7 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
             domain=dom, A=np.eye(d).reshape(unit + (d, d)), b=np.zeros(unit + (d,)),
             c=np.zeros(unit), V=np.zeros(unit), declared_theta1=1.0, declared_theta2=0.0,
         )
-    res = cacciopoli_check(psi, fld, *(f * L for f in _ANNULUS), cprime=cfg.free.Cprime)
+    res = cacciopoli_check(psi, fld, r1, r2, r, cprime=cfg.free.Cprime)
     print(f"lhs {res['lhs']:.6g} <= rhs {res['rhs']:.6g}: {res['holds']}; "
           f"min C' {res['min_cprime']:.4g}")
     failures = [] if res["holds"] else [
@@ -577,13 +567,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         report, tables, failures = _COMMANDS[command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out = Path(out)  # made only now, so a config error leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     echo = cfg.to_dict()
     (out / "report.json").write_text(to_json({"config": echo, **report}, indent=2) + "\n")
     for name, table in tables.items():

@@ -317,6 +317,19 @@ def cacciopoli_prefactor(
     )
 
 
+def _cutoff_bracket(p: ModelParams, fc: FreeConstants, middle: float, r: float) -> float:
+    """The local cutoff bound 3 theta1^2 + middle + 3 (theta2 d^2 + ||b||)^2
+    + 4 theta1 Cac(r), shared by :func:`alpha_star` and :func:`log_c_quc`;
+    ``middle`` is the cutoff's |grad eta|^2 term."""
+    cac = cacciopoli_prefactor(r, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime)
+    return (
+        3.0 * p.theta1**2
+        + middle
+        + 3.0 * (p.theta2 * p.d**2 + p.norm_b) ** 2
+        + 4.0 * p.theta1 * cac
+    )
+
+
 def alpha_star(
     p: ModelParams,
     geo: LocalGeometry,
@@ -335,14 +348,8 @@ def alpha_star(
     if gap <= 1.0:
         raise ValueError("rho/(sqrt(theta1)*e*R*mu) must exceed 1 (needs eps0 > 0)")
     alpha1 = (16.0 * rho**4 * carleman_C * geo.K_V**2 * p.theta1**1.5) ** (1.0 / 3.0)
-    cac = cacciopoli_prefactor(
-        geo.D0 / 2.0, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime
-    )
-    bracket = (
-        3.0 * p.theta1**2
-        + 3.0 * p.theta1**2 * p.d**2 / (2.0 * EULER * p.theta1 * geo.R) ** 2
-        + 3.0 * (p.theta2 * p.d**2 + p.norm_b) ** 2
-        + 4.0 * p.theta1 * cac
+    bracket = _cutoff_bracket(
+        p, fc, 3.0 * p.theta1**2 * p.d**2 / (2.0 * EULER * p.theta1 * geo.R) ** 2, geo.D0 / 2.0
     )
     log_arg = (
         math.log(8.0 * carleman_C * rho**3 * math.sqrt(p.theta1) * geo.R * geo.beta)
@@ -368,15 +375,7 @@ def log_c_quc(
     """Natural log of the local mass-fraction constant."""
     if not 0.0 < p.delta < 2.0 * geo.R:
         raise ValueError("delta must lie in (0, 2R)")
-    cac = cacciopoli_prefactor(
-        p.delta / 2.0, p.norm_V, p.norm_b, p.norm_c, p.theta1, fc.Cprime
-    )
-    denom = (
-        3.0 * p.theta1**2
-        + 768.0 * p.theta1**2 * p.d**2 / p.delta**2
-        + 3.0 * (p.theta2 * p.d**2 + p.norm_b) ** 2
-        + 4.0 * p.theta1 * cac
-    )
+    denom = _cutoff_bracket(p, fc, 768.0 * p.theta1**2 * p.d**2 / p.delta**2, p.delta / 2.0)
     log_t1 = (
         math.log(4.0 * mu1**2 * math.sqrt(p.theta1))
         + 2.0 * math.log(p.delta)

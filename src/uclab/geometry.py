@@ -64,6 +64,15 @@ BoundaryCondition = Literal["dirichlet", "periodic"]
 NEAR_NEIGHBOR_SHIFT = 2.0
 
 
+def _bad_length(**values) -> Optional[str]:
+    """The error for the first of ``values`` not a finite number > 0, else
+    None; the caller raises it, so the error names the function given it."""
+    for name, value in values.items():
+        if not (is_finite(value) and value > 0.0):
+            return f"{name} must be finite and positive, got {value}"
+    return None
+
+
 @dataclass(frozen=True)
 class CubeDomain:
     """Cell-centered tensor grid on the cube (-L/2, L/2)^d."""
@@ -76,10 +85,8 @@ class CubeDomain:
     def __post_init__(self):
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format(self.d))
-        for name in ("L", "h"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if bad := _bad_length(L=self.L, h=self.h):
+            raise ValueError(bad)
         n = self.L / self.h
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ValueError("L/h must be an integer >= 2")
@@ -159,6 +166,8 @@ class EquidistributedSequence:
     def __post_init__(self):
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format(self.d))
+        if bad := _bad_length(G=self.G, L=self.L):
+            raise ValueError(bad)
         if not is_ball_radius(self.delta, self.G):
             raise ValueError(BALL_RADIUS_ERROR)
         m = self.cells_per_axis
@@ -205,6 +214,8 @@ def generate_sequence(
     it uniformly from the shrunken cell so the ball stays strictly inside,
     from ``seed``, which it requires.
     """
+    if bad := _bad_length(G=G, L=L):
+        raise ValueError(bad)
     if not is_ball_radius(delta, G):
         raise ValueError(BALL_RADIUS_ERROR)
     m = L / G

@@ -3,18 +3,18 @@
 Three paths, chosen from the operator.  A constant-coefficient operator
 (``DiscreteOperator.constant_coefficients``: constant A0, no drift, a real
 constant c + V, and a diagonal A0 on a Dirichlet cube) is translation
-invariant, so its eigenpairs are written down in closed form:
+invariant, so its eigenpairs are written down in closed form.  Both boundary
+conditions take lambda(k) = sum_i 4 a_ii sin^2(pi k_i/P)/h^2
++ sum_{i != j} a_ij sin(2 pi k_i/P) sin(2 pi k_j/P)/h^2 + shift, the symbol
+of the torus of period P:
 
-- periodic, modes k in {0..n-1}^d:
-  lambda(k) = sum_i 4 a_ii sin^2(pi k_i/n)/h^2
-  + sum_{i != j} a_ij sin(2 pi k_i/n) sin(2 pi k_j/n)/h^2 + shift.  The pair
-  {k, -k mod n} gives one cos and one sin mode of the phase
-  2 pi ((m.k) mod n)/n at cell index m, a self-conjugate k only the cos mode;
-  both members take lambda from the row-major smaller of the two, so the pair
-  is bit-equal;
-- Dirichlet, modes k in {1..n}^d:
-  lambda(k) = sum_i 4 a_ii sin^2(pi k_i/(2n))/h^2 + shift, with the product of
-  sin(pi k_i (m_i + 1/2)/n), the odd reflection of the assembly.
+- periodic, P = n, modes k in {0..n-1}^d.  The pair {k, -k mod n} gives one
+  cos and one sin mode of the phase 2 pi ((m.k) mod n)/n at cell index m, a
+  self-conjugate k only the cos mode; both members take lambda from the
+  row-major smaller of the two, so the pair is bit-equal;
+- Dirichlet, P = 2n, modes k in {1..n}^d, with the product of
+  sin(pi k_i (m_i + 1/2)/n), the odd reflection of the assembly; A0 is
+  diagonal, so the mixed terms add exact zeros.
 
 All N eigenvalues are formed and sorted by (lambda, row-major mode index);
 vectors are formed only for the ``count`` lowest, with integer phases and
@@ -74,12 +74,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from uclab.constants import is_dimension
 from uclab.discretization import DiscreteOperator
 
 __all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
@@ -174,29 +174,29 @@ def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np
     d, n, h = dom.d, dom.n, dom.h
     N = n**d
     modes = np.indices((n,) * d).reshape(d, N)  # row-major; also the cell indices
-    if dom.bc == "periodic":
-        s2 = np.sin(np.pi * np.arange(n) / n) ** 2
-        t = np.sin(2.0 * np.pi * np.arange(n) / n)
-        lam = sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) + sum(
-            A0[i, j] * t[modes[i]] * t[modes[j]]
-            for i in range(d) for j in range(d) if i != j)
+    periodic = dom.bc == "periodic"
+    P, k = (n, np.arange(n)) if periodic else (2 * n, np.arange(1, n + 1))  # period, modes
+    s2 = np.sin(np.pi * k / P) ** 2
+    t = np.sin(2.0 * np.pi * k / P)
+    lam = (sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) + sum(
+        A0[i, j] * t[modes[i]] * t[modes[j]]
+        for i in range(d) for j in range(d) if i != j)) / h**2 + shift
+    if periodic:
         conj = np.ravel_multi_index(-modes % n, (n,) * d)
         rep = np.minimum(np.arange(N), conj)
-        lam = (lam / h**2 + shift)[rep]
-        sel = np.argsort(lam, kind="stable")[:count]
+        lam = lam[rep]
+    sel = np.argsort(lam, kind="stable")[:count]
+    if periodic:
         phase = 2.0 * np.pi * ((modes.T @ modes[:, rep[sel]]) % n) / n
         vecs = np.where(sel > rep[sel], np.sin(phase), np.cos(phase))
         vecs /= np.sqrt(np.where(conj[sel] == sel, N, N / 2))
     else:
-        s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2
-        lam = sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) / h**2 + shift
-        sel = np.argsort(lam, kind="stable")[:count]
         vecs = np.ones((N, len(sel)))
         cells = 2 * np.arange(n)[:, None] + 1
         for i in range(d):
-            k = modes[i, sel] + 1
-            table = np.sin(2.0 * np.pi * (cells * k % (4 * n)) / (4 * n))
-            vecs *= table[modes[i]] / np.sqrt(np.where(k == n, n, n / 2))
+            ki = k[modes[i, sel]]
+            table = np.sin(2.0 * np.pi * (cells * ki % (4 * n)) / (4 * n))
+            vecs *= table[modes[i]] / np.sqrt(np.where(ki == n, n, n / 2))
     return lam[sel], vecs
 
 
@@ -208,16 +208,16 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     DENSE_CUTOFF unknowns or for a ``count`` of N or more, shift-invert
     Lanczos otherwise (module docstring); min(count, N) pairs on every path.
     Runs on one BLAS thread and is deterministic for a fixed matrix and
-    seed.  Raises ``ValueError`` when ``count`` is not a positive integer,
-    the operator is not Hermitian, a returned pair's residual exceeds
-    RESIDUAL_TOL times the largest entry of H, or the vectors'
-    orthonormality defect exceeds ORTHONORMALITY_TOL.
+    seed.  Raises ``ValueError`` when ``count`` is not an integer >= 1 (a
+    bool is not one), the operator is not Hermitian, a returned pair's
+    residual exceeds RESIDUAL_TOL times the largest entry of H, or the
+    vectors' orthonormality defect exceeds ORTHONORMALITY_TOL.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if not isinstance(count, numbers.Integral) or count < 1:
+    if not is_dimension(count):  # the dimension rule: an integer >= 1, not a bool
         raise ValueError(f"count must be at least 1 and an integer, got {count!r}")
     H = op.matrix
     N = H.shape[0]

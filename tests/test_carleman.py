@@ -21,10 +21,9 @@ from uclab.carleman import (
     cutoff_operator_value,
     ein,
     log_phi,
-    mu_one,
     phi,
 )
-from uclab.constants import ModelParams, carleman_constants
+from uclab.constants import ModelParams, carleman_constants, mu_one
 from uclab.geometry import CubeDomain
 
 E = math.e

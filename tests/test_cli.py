@@ -144,7 +144,7 @@ class TestExitCodes:
         # four values but one radius: a rank-deficient fit
         pytest.param("sweep", {"deltas_over_G": [0.2] * 4}, [], "deltas_over_G",
                      id="sweep-repeated-deltas"),
-        # the fattened annulus needs 2h < 0.1 L: h = 1/4 against L = 3
+        # the fattened annulus needs 2h < L/2 - r2 - r = 0.3: h = 1/4 against L = 3
         pytest.param("cacciopoli-check", {"h_per_G": 4}, [], "h_per_G",
                      id="cacciopoli-annulus-leaves-cube"),
         pytest.param("sweep", {"ds": [1, 2]}, [], "ds", id="sweep-two-dimensions"),
@@ -159,6 +159,9 @@ class TestExitCodes:
         pytest.param("weight", {"seeds": [3, 4]}, [], "seeds", id="weight-two-seeds"),
         pytest.param("carleman-check", {"seeds": [3, 4]}, [], "seeds",
                      id="carleman-check-two-seeds"),
+        # a pinned mu puts carleman_C past the largest double, found during the run
+        pytest.param("carleman-check", {}, ["--mu", "200", "--trials", "1"], "mu",
+                     id="carleman-check-mu-past-doubles"),
         pytest.param("cacciopoli-check", {"seeds": [3, 4]}, [], "seeds",
                      id="cacciopoli-two-seeds"),
         # a subcommand that runs one model reads one value of each list key
@@ -199,6 +202,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(f"config error: {key}="), err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_model_must_be_admissible_in_its_dimension(self, tmp_path, capsys):
         # epsilon is 0.196 in d = 1 and -0.829 in d = 2
@@ -739,6 +743,7 @@ class TestFieldFileFlag:
                      "--field-file", str(ff)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: field_file=") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_extend_check_measures_every_axis(self, tmp_path):
         # a potential wall at the low x-face pushes psi off that face, so the

@@ -6,13 +6,15 @@ every module under ``src/uclab``, ``tests`` and ``demos`` and fails on a
 module-level import whose bound name the file never references.  Names
 listed in ``__all__`` count as used; ``from __future__`` imports are ignored.
 Every name in a ``uclab`` module's ``__all__`` must resolve on that module,
-so a deleted function cannot leave a stale export behind.  A process that
-never solves an eigenproblem, and one that runs weighted-inequality trials,
-loads no scipy.
+so a deleted function cannot leave a stale export behind, and each function
+or class there must be defined by that module, the package's ``__init__``
+aside, so an exported name has one home.  A process that never solves an
+eigenproblem, and one that runs weighted-inequality trials, loads no scipy.
 """
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -72,6 +74,22 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                   if not hasattr(module, attr)]
     assert not stale, "exported but not defined:\n" + "\n".join(stale)
+
+
+def test_every_exported_function_and_class_is_defined_by_its_exporter():
+    # one home per exported name; the package's __init__ re-exports the
+    # quick-start names by design
+    foreign = []
+    for path in sorted((ROOT / "src/uclab").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"uclab.{path.stem}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr, None)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    and obj.__module__ != module.__name__:
+                foreign.append(f"{module.__name__}.{attr} is {obj.__module__}.{attr}")
+    assert not foreign, "exported from another module:\n" + "\n".join(foreign)
 
 
 # a delta sweep, then one eigensolve, in a fresh interpreter; prints the scipy

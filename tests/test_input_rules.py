@@ -1,5 +1,6 @@
 """The three input rules: one finite-number test, one dimension rule and one
-ball-radius rule, each defined once in ``uclab.constants``.
+ball-radius rule, each defined once in ``uclab.constants``.  A ball
+sequence's G and L must also be finite and positive.
 
 The behavioural tests hold every caller of a rule to its one message.  No
 linter ships with the project, so the scan tests stand in for one: each rule
@@ -141,16 +142,43 @@ RAISED_IN = {
 }
 
 
+def _raiser(info) -> str:
+    """The innermost uclab function of a raised error's traceback, which the
+    benchmark names as a failure's stage."""
+    frames = [f for f, _ in traceback.walk_tb(info.value.__traceback__)
+              if f.f_globals["__name__"].startswith("uclab.")]
+    return frames[-1].f_code.co_name
+
+
 @pytest.mark.parametrize("caller, rule", sorted(RAISED_IN))
 def test_a_rule_error_is_raised_by_the_function_given_the_value(caller, rule):
-    # the benchmark names a failure's stage by the innermost uclab frame
     evaluate, bad = {"dimension": (DIMENSION_CALLERS.get(caller), 2.0),
                      "ball": (BALL_RADIUS_CALLERS.get(caller), 0.5)}[rule]
     with pytest.raises(ValueError) as info:
         evaluate(bad)
-    frames = [f for f, _ in traceback.walk_tb(info.value.__traceback__)
-              if f.f_globals["__name__"].startswith("uclab.")]
-    assert frames[-1].f_code.co_name == RAISED_IN[caller, rule]
+    assert _raiser(info) == RAISED_IN[caller, rule]
+
+
+# (the function given G and L, the one that raises a bad G or L)
+SEQUENCE_BUILDERS = {
+    "generate_sequence": (lambda G, L: generate_sequence(G, 0.25, L, 1), "generate_sequence"),
+    "EquidistributedSequence": (lambda G, L: EquidistributedSequence(
+        G=G, delta=0.25, L=L, d=1, centers=np.zeros((3, 1))), "__post_init__"),
+}
+
+
+@pytest.mark.parametrize("name, G, L", [
+    ("G", True, 3.0),  # generate_sequence returned a sequence with G=True
+    ("G", math.nan, 3.0),  # reported as "delta must lie in (0, G/2)"
+    ("L", 1.0, HUGE + 1),  # OverflowError at L / G
+    ("L", 1.0, math.inf),  # OverflowError at round(L / G)
+], ids=["G-bool", "G-nan", "L-huge", "L-inf"])
+@pytest.mark.parametrize("builder", sorted(SEQUENCE_BUILDERS))
+def test_a_sequence_takes_a_finite_positive_G_and_L(builder, name, G, L):
+    build, raiser = SEQUENCE_BUILDERS[builder]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got ") as info:
+        build(G, L)
+    assert _raiser(info) == raiser
 
 
 @pytest.mark.parametrize("message", ["delta must lie in (0, G/2)", "must be an integer >= 1"])

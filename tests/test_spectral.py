@@ -125,7 +125,7 @@ def _dense_operator():
 
 class TestCount:
     @pytest.mark.parametrize("path", ["closed form", "dense", "lanczos"])
-    @pytest.mark.parametrize("count", [2.5, 0, -2])
+    @pytest.mark.parametrize("count", [2.5, 0, -2, True])  # True had given one pair
     def test_bad_count_is_one_error_on_every_path(self, path, count):
         H = {"closed form": periodic_laplacian, "dense": _dense_operator,
              "lanczos": _lanczos_operator}[path]()
