@@ -51,11 +51,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from uclab.constants import (EULER, ModelParams, carleman_constants, carleman_mu_floor,
-                             is_finite, mu_one)
+from uclab.constants import (EULER, ModelParams, bound_error, carleman_constants,
+                             carleman_mu_floor, is_finite, mu_one)
 from uclab.discretization import apply_operator
 from uclab.fields import (
-    _require_at_least,
     _require_finite,
     _require_on_grid,
     constant_spd_field,
@@ -132,7 +131,8 @@ def _radii_ein(r: np.ndarray | float, mu: float) -> tuple[np.ndarray, np.ndarray
     :func:`log_phi`: every r, and mu, finite and >= 0."""
     r = np.asarray(r, dtype=float)
     _require_finite("r", r)
-    _require_at_least("mu", mu, 0.0)
+    if bad := bound_error(">=", 0, mu=mu):
+        raise ValueError(bad)
     if np.any(r < 0.0):
         raise ValueError("radial profile is defined for r >= 0")
     return r, ein(mu * r)
@@ -153,11 +153,6 @@ def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
         return np.log(r) - e
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (is_finite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """w(x) = phi(sigma(x)/rho) with sigma the A0^{-1} quadratic-form radius."""
@@ -170,9 +165,9 @@ class WeightFunction:
     _A0_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_positive("rho", self.rho)
-        _require_positive("mu", self.mu)
-        _require_at_least("theta1", self.theta1, 1.0)
+        if bad := (bound_error(">", 0, rho=self.rho, mu=self.mu)
+                   or bound_error(">=", 1, theta1=self.theta1)):
+            raise ValueError(bad)
         A0 = np.asarray(self.A0, dtype=float)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError("A0 must be a square matrix")
@@ -522,17 +517,17 @@ def check_carleman_inequality(
     |u| / max|u| exceeds ``SUPPORT_TOL``.  ``u`` must be a cube grid, and
     ``A`` (real), ``b`` and ``c`` broadcast to it: d leading axes of extent n
     or 1, then (d, d), (d,) and nothing (module docstring).  A grid of
-    another shape, a NaN or inf in u, A, b or c, or an ``alpha`` or
-    ``carleman_C`` that is not positive and finite, raises a ValueError that
-    names it.  Derivatives are centered, those of u
-    computed once for the gradient energy and the operator; integrals are
-    midpoint sums accumulated by log-sum-exp, and the two sides are compared
-    through logs; the ratio is exp(lhs_log - rhs_log), and inf when that
-    overflows or the right side vanishes, so a degenerate operator fails
-    the check.  An ``alpha`` so large that the rounding error of
-    lhs_log - rhs_log may exceed ``RATIO_LOG_TOL`` raises a ValueError that
-    names it: the exponents (k - 2 alpha) log w carry an error of about
-    alpha eps max|log w|, and at alpha = 2e18 both logs round to one double.
+    another shape, a NaN or inf in u, A, b or c, or an ``h``, ``alpha`` or
+    ``carleman_C`` that is not a finite number > 0, raises a ValueError that
+    names it.  Derivatives are centered, those of u computed once for the
+    gradient energy and the operator; integrals are midpoint sums
+    accumulated by log-sum-exp, and the two sides are compared through logs;
+    the ratio is exp(lhs_log - rhs_log), and inf when that overflows or the
+    right side vanishes, so a degenerate operator fails the check.  An
+    ``alpha`` so large that the rounding error of lhs_log - rhs_log may
+    exceed ``RATIO_LOG_TOL`` raises a ValueError that names it: the
+    exponents (k - 2 alpha) log w carry an error of about alpha eps
+    max|log w|, and at alpha = 2e18 both logs round to one double.
 
     Every cell of the given cube is evaluated.  Padding u with zero cells
     (and A, b, c with any finite values) does not change the result on a
@@ -540,8 +535,8 @@ def check_carleman_inequality(
     """
     d = u.ndim
     n = u.shape[0]
-    _require_positive("alpha", alpha)
-    _require_positive("carleman_C", carleman_C)
+    if bad := bound_error(">", 0, h=h, alpha=alpha, carleman_C=carleman_C):
+        raise ValueError(bad)
     if alpha0 is not None and alpha < alpha0:
         raise ValueError("alpha must be at least the admissible floor alpha0")
     if u.shape != (n,) * d:
@@ -621,15 +616,15 @@ def carleman_trial(
     a comfortable admissibility margin, and alpha at (or just above) the
     admissible floor; returns the check plus the drawn configuration.
     ``rho``, ``mu`` and the alpha multiplier can be pinned by the caller
-    (the CLI flags); unset ones are drawn from the seed.  The grid is the
-    smallest cube that holds the bump and the checker's two-cell zero margin,
-    n = 2 (ceil(r_out / h) + 2) cells per axis.
+    (the CLI flags); unset ones are drawn from the seed.  A bad ``h`` or
+    pinned value (the bound rule) raises a ValueError naming it.  The grid is
+    the smallest cube that holds the bump and the checker's two-cell zero
+    margin, n = 2 (ceil(r_out / h) + 2) cells per axis.
     """
-    for name, value in (("rho", rho), ("mu", mu)):
-        if value is not None:
-            _require_positive(name, value)
-    if alpha_mult is not None:  # alpha >= alpha0
-        _require_at_least("alpha_mult", alpha_mult, 1.0)
+    pinned = {name: v for name, v in (("rho", rho), ("mu", mu)) if v is not None}
+    if bad := (bound_error(">", 0, h=h, **pinned)  # alpha_mult >= 1 keeps alpha >= alpha0
+               or (alpha_mult is not None and bound_error(">=", 1, alpha_mult=alpha_mult))):
+        raise ValueError(bad)
     rng = np.random.default_rng(seed)
     theta1 = 1.0 + 0.12 * rng.random()
     rho = (0.8 + 0.45 * rng.random()) if rho is None else float(rho)

@@ -39,7 +39,7 @@ geometry, so ``model.d``, ``model.L``, ``model.delta``, ``model.norm_V``,
 ``model.R``, ``model.D0``, ``model.K_V`` and ``model.beta`` are unknown
 keys; ``constants`` reports the geometry it derived.  A ``model.*`` or
 ``free.*`` value that its dataclass rejects is reported with its key and the
-dataclass's reason (``model.theta1=0.5: ellipticity constant must be >= 1``).
+dataclass's reason (for ``model.theta1=0.5`` the bound rule's message).
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ import numpy as np
 from uclab.constants import (
     FreeConstants,
     ModelParams,
+    is_above,
+    is_at_least,
     is_ball_radius,
     is_dimension,
     is_finite,
@@ -170,12 +172,12 @@ _RULES = {
     "trials": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
     "L_over_Gs": ("odd integers >= 1", lambda v: _whole(v) and v >= 1 and v % 2 == 1),
     "deltas_over_G": ("numbers in (0, 1/2)", lambda v: is_finite(v) and is_ball_radius(v, 1.0)),
-    "norm_Vs": ("finite numbers >= 0", lambda v: is_finite(v) and v >= 0.0),
+    "norm_Vs": ("finite numbers >= 0", lambda v: is_at_least(v, 0)),
     "energy": ("a finite number", is_finite),
-    "rho": ("a finite number > 0", lambda v: is_finite(v) and v > 0.0),
-    "mu": ("a finite number > 0", lambda v: is_finite(v) and v > 0.0),
-    "grids": ("finite numbers > 0", lambda v: is_finite(v) and v > 0.0),
-    "alpha_mult": ("a finite number >= 1", lambda v: is_finite(v) and v >= 1.0),
+    "rho": ("a finite number > 0", lambda v: is_above(v, 0)),
+    "mu": ("a finite number > 0", lambda v: is_above(v, 0)),
+    "grids": ("finite numbers > 0", lambda v: is_above(v, 0)),
+    "alpha_mult": ("a finite number >= 1", lambda v: is_at_least(v, 1)),
     "bcs": ("'dirichlet' or 'periodic' conditions", lambda v: v in ("dirichlet", "periodic")),
     "dump_eigenpairs": ("true or false", lambda v: isinstance(v, bool)),
     "field_file": ("an existing file", lambda v: isinstance(v, str) and Path(v).is_file()),

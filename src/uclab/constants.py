@@ -21,10 +21,12 @@ enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 ``G^2*norm_V`` and the ratio ``delta/G``.  Rescaling to unit cell size with
 :func:`scale_parameters` therefore reproduces them bit for bit.
 
-The three input rules live here, and each check of their quantities, in the
+The four input rules live here, and each check of their quantities, in the
 library and on the command line, calls them: :func:`is_finite` (a real
-number, not a bool, that a double holds), :func:`is_dimension` (an integer
->= 1) and :func:`is_ball_radius` (0 < delta < G/2).  A function given a bad
+number, not a bool, that a double holds), the bound rule :func:`is_at_least`
+and :func:`is_above` (a finite number >= or > a floor, with its one message
+from :func:`bound_error`), :func:`is_dimension` (an integer >= 1) and
+:func:`is_ball_radius` (0 < delta < G/2).  A function given a bad number,
 dimension or radius raises the rule's message itself, so the error's
 innermost frame is the function that received the value.
 """
@@ -40,6 +42,8 @@ from typing import Optional
 
 __all__ = [
     "is_finite",
+    "is_at_least",
+    "is_above",
     "is_dimension",
     "is_ball_radius",
     "ModelParams",
@@ -74,6 +78,26 @@ def is_finite(value) -> bool:
     (an integer past the largest double fails, where math.isfinite raises)."""
     return (isinstance(value, Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def is_at_least(value, floor: float) -> bool:
+    """The bound rule, closed: a finite number >= ``floor``."""
+    return is_finite(value) and value >= floor
+
+
+def is_above(value, floor: float) -> bool:
+    """The bound rule, open: a finite number > ``floor``."""
+    return is_finite(value) and value > floor
+
+
+def bound_error(cmp: str, floor: float, **values) -> Optional[str]:
+    """The bound rule's message for the first of ``values`` not a finite number ``cmp``
+    (">=" or ">") ``floor``, else None; the function given the value raises it."""
+    test = {">=": is_at_least, ">": is_above}[cmp]
+    for name, value in values.items():
+        if not test(value, floor):
+            return f"{name} must be a finite number {cmp} {floor:g}, got {value!r}"
+    return None
 
 
 def _require_finite(**values) -> None:
@@ -122,16 +146,11 @@ class ModelParams:
             _require_finite(d=self.d)
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format(self.d))
-        _require_finite(**vars(self))
-        if self.theta1 < 1.0:
-            raise ValueError("ellipticity constant must be >= 1")
-        if self.theta2 < 0.0:
-            raise ValueError("Lipschitz constant must be >= 0")
-        for name in ("norm_V", "norm_b", "norm_c"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.G <= 0.0 or self.delta <= 0.0 or self.L <= 0.0:
-            raise ValueError("G, delta and L must be positive")
+        if bad := (bound_error(">=", 1, theta1=self.theta1)
+                   or bound_error(">=", 0, theta2=self.theta2, norm_V=self.norm_V,
+                                  norm_b=self.norm_b, norm_c=self.norm_c)
+                   or bound_error(">", 0, G=self.G, delta=self.delta, L=self.L)):
+            raise ValueError(bad)
 
 
 @dataclass(frozen=True)
@@ -145,9 +164,9 @@ class LocalGeometry:
     beta: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        if min(self.R, self.D0) <= 0.0 or self.K_V < 0.0 or self.beta < 1.0:
-            raise ValueError(f"{self} needs R, D0 > 0, K_V >= 0 and beta >= 1")
+        if bad := (bound_error(">", 0, R=self.R, D0=self.D0)
+                   or bound_error(">=", 0, K_V=self.K_V) or bound_error(">=", 1, beta=self.beta)):
+            raise ValueError(bad)
 
 
 @dataclass(frozen=True)
@@ -163,14 +182,9 @@ class FreeConstants:
     Cprime: float = 1.0
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        for name in ("K1", "K2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.M < 1.0:
-            raise ValueError("cutoff derivative bound M must be >= 1")
-        if self.Cprime < 1.0:
-            raise ValueError("Cacciopoli constant Cprime must be >= 1")
+        if bad := (bound_error(">", 0, K1=self.K1, K2=self.K2)
+                   or bound_error(">=", 1, M=self.M, Cprime=self.Cprime)):
+            raise ValueError(bad)
 
 
 def _margin(d: int, R: float, theta1: float, t2: float) -> float:
@@ -221,8 +235,8 @@ def local_epsilon(p: ModelParams, geo: LocalGeometry) -> float:
 
 def side_length_T(d: int, theta1: float) -> int:
     """Side length of the comparison window in the dominating-site argument."""
-    if theta1 < 1.0:
-        raise ValueError("theta1 must be >= 1")
+    if bad := bound_error(">=", 1, theta1=theta1):
+        raise ValueError(bad)
     return math.ceil(2.0 * sampling_radius(d) * (2.0 * EULER * theta1 + 1.0))
 
 
@@ -306,8 +320,8 @@ def cacciopoli_prefactor(
     cprime: float = 1.0,
 ) -> float:
     """Prefactor of the interior gradient estimate on a fattened annulus."""
-    if r <= 0.0:
-        raise ValueError("fattening radius r must be positive")
+    if bad := bound_error(">", 0, r=r):
+        raise ValueError(bad)
     return (
         2.0 * norm_V**2
         + 1.0

@@ -19,7 +19,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from uclab.constants import is_finite
+from uclab.constants import bound_error
 from uclab.geometry import CubeDomain
 
 __all__ = [
@@ -56,8 +56,9 @@ class CoefficientField:
         _require_on_grid(self.domain.shape, self.A, self.b, self.c, self.V)
         for name in ("A", "b", "c", "V"):
             _require_finite(name, getattr(self, name))
-        _require_at_least("declared_theta1", self.declared_theta1, 1.0)
-        _require_at_least("declared_theta2", self.declared_theta2, 0.0)
+        if bad := (bound_error(">=", 1, declared_theta1=self.declared_theta1)
+                   or bound_error(">=", 0, declared_theta2=self.declared_theta2)):
+            raise ValueError(bad)
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("A must be exactly symmetric cellwise")
         # assemble's spectral floor rests on a PSD second-order part
@@ -93,12 +94,6 @@ def _require_finite(name: str, value) -> None:
     if not finite.all():
         bad = int(np.count_nonzero(~finite))
         raise ValueError(f"{name} must be finite; {bad} entries are NaN or inf")
-
-
-def _require_at_least(name: str, value: float, floor: float) -> None:
-    """Raise a ValueError naming ``value`` unless it is finite and >= ``floor``."""
-    if not (is_finite(value) and value >= floor):
-        raise ValueError(f"{name} must be finite and >= {floor}, got {value}")
 
 
 def _require_on_grid(grid: tuple[int, ...], A, b, c, V=None) -> None:
@@ -320,7 +315,8 @@ def _bounded_potential(rng: np.random.Generator, norm_V: float,
                       shape: tuple[int, ...]) -> np.ndarray:
     """i.i.d. uniform potential on [-norm_V, norm_V] drawn from ``rng``, one
     zero cell (no draw) when norm_V is 0; norm_V must be finite and >= 0."""
-    _require_at_least("norm_V", norm_V, 0.0)
+    if bad := bound_error(">=", 0, norm_V=norm_V):
+        raise ValueError(bad)
     return rng.uniform(-norm_V, norm_V, size=shape) if norm_V > 0 else np.zeros((1,) * len(shape))
 
 
@@ -362,8 +358,8 @@ def synthesize_dir_cross_field(
     """
     if domain.d < 2:
         raise ValueError("cross-coefficient construction needs d >= 2")
-    if not (is_finite(theta1) and theta1 > 1.0):
-        raise ValueError(f"needs a finite theta1 > 1 for off-diagonals, got {theta1}")
+    if bad := bound_error(">", 1, theta1=theta1):  # off-diagonals need theta1 > 1
+        raise ValueError(bad)
     V = _bounded_potential(np.random.default_rng(seed), norm_V, domain.shape)
     d, L = domain.d, domain.L
     sine = np.sin(math.pi * (domain.centers_1d() + L / 2.0) / L)
@@ -414,10 +410,10 @@ def synthesize_random_field(
     ``SYNTHESIS_TOL`` relative, and on a target or norm that is not finite or
     below its floor (theta1 >= 1, the rest >= 0).  Deterministic per seed.
     """
-    _require_at_least("target_theta1", target_theta1, 1.0)
-    for name, value in (("target_theta2", target_theta2), ("norm_V", norm_V),
-                        ("norm_b", norm_b), ("norm_c", norm_c)):
-        _require_at_least(name, value, 0.0)
+    if bad := (bound_error(">=", 1, target_theta1=target_theta1)
+               or bound_error(">=", 0, target_theta2=target_theta2, norm_V=norm_V,
+                              norm_b=norm_b, norm_c=norm_c)):
+        raise ValueError(bad)
     rng = np.random.default_rng(seed)
     d, n, h = domain.d, domain.n, domain.h
     unit = (1,) * d

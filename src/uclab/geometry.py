@@ -40,8 +40,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, EULER, is_ball_radius,
-                             is_dimension, is_finite, sampling_radius, side_length_T)
+from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, EULER, bound_error,
+                             is_ball_radius, is_dimension, sampling_radius, side_length_T)
 
 __all__ = [
     "CubeDomain",
@@ -64,13 +64,18 @@ BoundaryCondition = Literal["dirichlet", "periodic"]
 NEAR_NEIGHBOR_SHIFT = 2.0
 
 
-def _bad_length(**values) -> Optional[str]:
-    """The error for the first of ``values`` not a finite number > 0, else
-    None; the caller raises it, so the error names the function given it."""
-    for name, value in values.items():
-        if not (is_finite(value) and value > 0.0):
-            return f"{name} must be finite and positive, got {value}"
-    return None
+def _lattice_axis(spacing: float, L: float, m: int) -> np.ndarray:
+    """Centers -L/2 + (j + 1/2) spacing of m cells along one axis, shape (m,)."""
+    return -L / 2.0 + (np.arange(m) + 0.5) * spacing
+
+
+def _lattice(spacing: float, L: float, d: int, m: int) -> np.ndarray:
+    """Centers of the m**d cells of side ``spacing``, shape (m,)*d + (d,)."""
+    ax = _lattice_axis(spacing, L, m)
+    out = np.empty((m,) * d + (d,))
+    for k in range(d):  # coordinate k runs over the cell centers along axis k
+        out[..., k] = ax.reshape((m,) + (1,) * (d - 1 - k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class CubeDomain:
     def __post_init__(self):
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format(self.d))
-        if bad := _bad_length(L=self.L, h=self.h):
+        if bad := bound_error(">", 0, L=self.L, h=self.h):
             raise ValueError(bad)
         n = self.L / self.h
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
@@ -107,12 +112,11 @@ class CubeDomain:
         return self.h**self.d
 
     def centers_1d(self) -> np.ndarray:
-        return -self.L / 2.0 + (np.arange(self.n) + 0.5) * self.h
+        return _lattice_axis(self.h, self.L, self.n)
 
     def center_grid(self) -> np.ndarray:
         """Array of shape ``shape + (d,)`` with the cell-center coordinates."""
-        axes = np.meshgrid(*([self.centers_1d()] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
+        return _lattice(self.h, self.L, self.d, self.n)
 
     def block_cells(self, G: float) -> int:
         """Cells per axis in one cell of the G-lattice, c = G/h; raises
@@ -139,20 +143,6 @@ class CubeDomain:
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
-def _lattice_axis(G: float, L: float, m: int) -> np.ndarray:
-    """Cell centers of the G-lattice along one axis, shape (m,)."""
-    return -L / 2.0 + (np.arange(m) + 0.5) * G
-
-
-def _lattice(G: float, L: float, d: int, m: int) -> np.ndarray:
-    """Centers of the m**d cells of the G-lattice, shape (m,)*d + (d,)."""
-    ax = _lattice_axis(G, L, m)
-    out = np.empty((m,) * d + (d,))
-    for k in range(d):  # coordinate k runs over the cell centers along axis k
-        out[..., k] = ax.reshape((m,) + (1,) * (d - 1 - k))
-    return out
-
-
 @dataclass(frozen=True)
 class EquidistributedSequence:
     """One ball center per cell of the G-lattice inside the cube."""
@@ -166,7 +156,7 @@ class EquidistributedSequence:
     def __post_init__(self):
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format(self.d))
-        if bad := _bad_length(G=self.G, L=self.L):
+        if bad := bound_error(">", 0, G=self.G, L=self.L):
             raise ValueError(bad)
         if not is_ball_radius(self.delta, self.G):
             raise ValueError(BALL_RADIUS_ERROR)
@@ -214,7 +204,7 @@ def generate_sequence(
     it uniformly from the shrunken cell so the ball stays strictly inside,
     from ``seed``, which it requires.
     """
-    if bad := _bad_length(G=G, L=L):
+    if bad := bound_error(">", 0, G=G, L=L):
         raise ValueError(bad)
     if not is_ball_radius(delta, G):
         raise ValueError(BALL_RADIUS_ERROR)
@@ -458,6 +448,8 @@ def window_containment_margin(
 
 def feasible_window_side(d: int, theta1: float) -> int:
     """Smallest integer window side making the containment margin >= 0."""
+    if bad := bound_error(">=", 1, theta1=theta1):
+        raise ValueError(bad)
     return math.ceil(2.0 * _window_reach(d, theta1))
 
 

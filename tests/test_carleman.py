@@ -113,7 +113,7 @@ class TestProfile:
         # ein blamed x: "evaluated on x >= 0 only" for a negative mu, and
         # "x must be finite" for a NaN or infinite one
         for evaluate in (phi, log_phi):
-            with pytest.raises(ValueError, match=r"^mu must be finite and >= 0"):
+            with pytest.raises(ValueError, match=r"^mu must be a finite number >= 0, got "):
                 evaluate(np.array([0.0, 0.5]), mu)
 
     def test_zero_mu_is_the_identity(self):
@@ -176,12 +176,12 @@ class TestWeightFunction:
     def test_rejects_bad_rho_and_mu(self, value):
         for name in ("rho", "mu"):
             kw = {"rho": 1.0, "mu": 1.0, name: value}
-            with pytest.raises(ValueError, match=name):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got "):
                 WeightFunction(A0=np.eye(2), theta1=1.0, **kw)
 
     @pytest.mark.parametrize("theta1", [math.nan, math.inf, 0.5])
     def test_rejects_bad_theta1(self, theta1):
-        with pytest.raises(ValueError, match=r"^theta1 must be finite and >= 1"):
+        with pytest.raises(ValueError, match=r"^theta1 must be a finite number >= 1, got "):
             WeightFunction(rho=1.0, mu=1.0, A0=np.eye(2), theta1=theta1)
 
     def test_rejects_bad_A0(self):
@@ -582,7 +582,7 @@ class TestCarlemanInequality:
         # a NaN ratio, or a math domain error that named neither input
         u, A, wf, C, alpha0, h = self.make_setup()
         args = {"alpha": alpha0, "carleman_C": C, name: bad}
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got "):
             check_carleman_inequality(u, A, None, None, h, wf, **args)
 
     @pytest.mark.parametrize("shape", [(48, 64), (64, 48)])

@@ -276,11 +276,11 @@ class TestNumericKeys:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, reason", [
-        ("model.theta1", 0.5, "ellipticity constant must be >= 1"),
-        ("model.G", "1", "G must be finite, got '1'"),
-        ("model.norm_b", -1.0, "norm_b must be >= 0"),
-        ("free.M", 0.5, "cutoff derivative bound M must be >= 1"),
-        ("free.K1", 0.0, "K1 must be positive"),
+        ("model.theta1", 0.5, "theta1 must be a finite number >= 1, got 0.5"),
+        ("model.G", "1", "G must be a finite number > 0, got '1'"),
+        ("model.norm_b", -1.0, "norm_b must be a finite number >= 0, got -1.0"),
+        ("free.M", 0.5, "M must be a finite number >= 1, got 0.5"),
+        ("free.K1", 0.0, "K1 must be a finite number > 0, got 0.0"),
     ])
     def test_a_model_or_free_error_names_its_key(self, tmp_path, capsys, key, value, reason):
         # the reason is the dataclass's own, after the key it rejects

@@ -56,6 +56,14 @@ CANONICAL = {
 # the local estimate on a unit annulus: R = 1, D0 = R/2, no potential, beta = 1
 UNIT = LocalGeometry(R=1.0, D0=0.5, K_V=0.0, beta=1.0)
 
+# the bound of each dataclass field, as the bound rule's message states it
+FIELD_BOUNDS = {
+    "theta1": ">= 1", "theta2": ">= 0", "norm_V": ">= 0", "norm_b": ">= 0",
+    "norm_c": ">= 0", "G": "> 0", "delta": "> 0", "L": "> 0",
+    "R": "> 0", "D0": "> 0", "K_V": ">= 0", "beta": ">= 1",
+    "K1": "> 0", "K2": "> 0", "M": ">= 1", "Cprime": ">= 1",
+}
+
 
 def canonical_params():
     return ModelParams(d=1, theta1=1.0, theta2=0.0, G=1.0, delta=0.25)
@@ -120,7 +128,9 @@ class TestFiniteInput:
     ])
     def test_non_finite_rejected_naming_the_field(self, cls, name, bad):
         required = {ModelParams: {"d": 2}, LocalGeometry: UNIT.__dict__}.get(cls, {})
-        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        message = r"^d must be finite, got " if name == "d" else \
+            rf"^{name} must be a finite number {FIELD_BOUNDS[name]}, got "
+        with pytest.raises(ValueError, match=message):
             cls(**{**required, name: bad})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -143,7 +153,8 @@ class TestLocalGeometry:
         ("R", 0.0), ("R", -1.0), ("D0", 0.0), ("K_V", -0.1), ("beta", 0.99),
     ])
     def test_out_of_range_rejected(self, name, bad):
-        with pytest.raises(ValueError, match="needs R, D0 > 0, K_V >= 0 and beta >= 1"):
+        message = rf"^{name} must be a finite number {FIELD_BOUNDS[name]}, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
             replace(UNIT, **{name: bad})
 
     def test_not_a_model_parameter(self):

@@ -152,7 +152,8 @@ class TestScalarConstants:
     def test_field_rejects_a_bad_declared_constant(self, name, bad):
         dom = CubeDomain(1, 3.0, 1 / 4, "periodic")
         constants = {"declared_theta1": 1.0, "declared_theta2": 0.0, name: bad}
-        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= "):
+        floor = 1 if name == "declared_theta1" else 0
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= {floor}, got "):
             CoefficientField(dom, np.ones(dom.shape + (1, 1)), np.zeros(dom.shape + (1,)),
                              np.zeros(dom.shape), np.zeros(dom.shape), **constants)
 
@@ -164,14 +165,15 @@ class TestScalarConstants:
     ])
     def test_random_synthesis_rejects_a_bad_constant(self, name, bad):
         dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
-        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= "):
+        floor = 1 if name == "target_theta1" else 0
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= {floor}, got "):
             synthesize_random_field(0, dom, **{"target_theta1": 1.3, name: bad})
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"norm_V": math.nan}, "norm_V must be finite"),
-        ({"norm_V": -1.0}, "norm_V must be finite"),
-        ({"theta1": math.nan}, "needs a finite theta1 > 1"),
-        ({"theta1": math.inf}, "needs a finite theta1 > 1"),
+        ({"norm_V": math.nan}, "norm_V must be a finite number >= 0, got nan"),
+        ({"norm_V": -1.0}, "norm_V must be a finite number >= 0, got -1.0"),
+        ({"theta1": math.nan}, "theta1 must be a finite number > 1, got nan"),
+        ({"theta1": math.inf}, "theta1 must be a finite number > 1, got inf"),
     ])
     def test_cross_synthesis_rejects_a_bad_constant(self, kwargs, message):
         dom = CubeDomain(2, 3.0, 1 / 8, "dirichlet")
@@ -180,7 +182,7 @@ class TestScalarConstants:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_potential_rejects_a_bad_bound(self, bad):
-        with pytest.raises(ValueError, match="^norm_V must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^norm_V must be a finite number >= 0, got "):
             _bounded_potential(np.random.default_rng(0), bad, (4,))
 
 

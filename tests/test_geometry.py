@@ -31,7 +31,7 @@ class TestCubeDomain:
     @pytest.mark.parametrize("name", ["L", "h"])
     def test_non_finite_rejected_naming_the_field(self, name, bad):
         args = {"d": 2, "L": 3.0, "h": 0.1, name: bad}
-        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, got "):
             CubeDomain(**args)
 
     @pytest.mark.parametrize("bad", [2.5, math.nan, 2.0, 0, -1, "2"])
@@ -42,6 +42,14 @@ class TestCubeDomain:
 
     def test_numpy_integer_dimension_accepted(self):
         assert CubeDomain(np.int64(2), 3.0, 0.5).shape == (6, 6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_center_grid_is_the_meshgrid_of_the_axis_centers(self, d):
+        dom = CubeDomain(d, 3.0, 1 / 8)
+        want = np.stack(np.meshgrid(*[dom.centers_1d()] * d, indexing="ij"), -1)
+        got = dom.center_grid()
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_norm_sq_rejects_a_boolean_where_off_the_grid(self):
         dom = CubeDomain(2, 3.0, 0.5)

@@ -1,18 +1,21 @@
-"""The three input rules: one finite-number test, one dimension rule and one
-ball-radius rule, each defined once in ``uclab.constants``.  A ball
-sequence's G and L must also be finite and positive.
+"""The four input rules: one finite-number test, one bound rule (a finite
+number >= or > a floor), one dimension rule and one ball-radius rule, each
+defined once in ``uclab.constants``.
 
-The behavioural tests hold every caller of a rule to its one message.  No
-linter ships with the project, so the scan tests stand in for one: each rule
-message occurs once in ``src/uclab``, the command line has no finite test
-of its own (no ``sys.float_info`` or ``numbers.Real``) and imports
-``is_finite``, and no module calls ``math.isfinite``, which raises
-OverflowError on an integer past the double range and takes a bool for a
-number.
+The behavioural tests hold every caller of a rule to its one message, raised
+by the function given the value.  No linter ships with the project, so the
+scan tests stand in for one: each rule message occurs once in
+``src/uclab``, no module outside ``constants`` writes an
+``is_finite(x) and x <cmp> ...`` test or defines a bound helper of its own,
+the command line has no finite test of its own (no ``sys.float_info`` or
+``numbers.Real``) and imports ``is_finite``, and no module calls
+``math.isfinite``, which raises OverflowError on an integer past the double
+range and takes a bool for a number.
 """
 
 import ast
 import math
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -21,18 +24,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uclab.carleman import WeightFunction
+from uclab.carleman import WeightFunction, carleman_trial, check_carleman_inequality, phi
+from uclab.cli import load_config
 from uclab.constants import (
     FreeConstants,
     LocalGeometry,
     ModelParams,
+    cacciopoli_prefactor,
+    is_above,
+    is_at_least,
     is_finite,
     log_c_sfuc,
     log_gamma_window,
     sampling_report,
+    side_length_T,
 )
-from uclab.fields import synthesize_dir_cross_field, synthesize_random_field
-from uclab.geometry import CubeDomain, EquidistributedSequence, generate_sequence
+from uclab.fields import (
+    CoefficientField,
+    _bounded_potential,
+    synthesize_dir_cross_field,
+    synthesize_random_field,
+)
+from uclab.geometry import (
+    CubeDomain,
+    EquidistributedSequence,
+    feasible_window_side,
+    generate_sequence,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src/uclab"
 
@@ -50,47 +68,156 @@ def test_the_finite_number_test(value, finite):
     assert is_finite(value) == finite
 
 
-@pytest.mark.parametrize("bad", [True, HUGE], ids=["bool", "huge"])
-@pytest.mark.parametrize("cls, name", [
-    (ModelParams, "theta1"), (ModelParams, "G"), (ModelParams, "L"),
-    (FreeConstants, "K1"), (FreeConstants, "M"), (LocalGeometry, "beta"),
+@pytest.mark.parametrize("value, floor, at_least, above", [
+    (1, 1, True, False), (1.5, 1, True, True), (0.0, 0, True, False), (-0.0, 0, True, False),
+    (0.5, 1, False, False), (Fraction(3, 2), 1, True, True), (sys.float_info.max, 1, True, True),
+    (True, 0, False, False), (HUGE, 0, False, False), (math.nan, 0, False, False),
+    (math.inf, 0, False, False), (-math.inf, 0, False, False), ("1", 0, False, False),
+    (None, 0, False, False),
 ])
+def test_the_bound_rule(value, floor, at_least, above):
+    assert is_at_least(value, floor) == at_least
+    assert is_above(value, floor) == above
+
+
+def _bound_message(name: str, bound: str) -> str:
+    """The anchored pattern of the bound rule's message for ``name`` and
+    ``bound`` (">= 1", "> 0", ...)."""
+    return rf"^{name} must be a finite number {re.escape(bound)}, got "
+
+
+def _past(bound: str) -> float:
+    """A number that fails ``bound``: the floor of "> f", half below that of ">= f"."""
+    cmp, floor = bound.split()
+    return float(floor) - (0.5 if cmp == ">=" else 0.0)
+
+
+# each dataclass field under the bound rule, by (class, field): a build
+# that gives the field the value, and the field's bound
+UNIT_GEOMETRY = {"R": 1.0, "D0": 0.5, "K_V": 0.0, "beta": 2.0}
+WEIGHT = {"rho": 1.0, "mu": 1.0, "A0": np.eye(1), "theta1": 1.0}
+FIELD_DOMAIN = CubeDomain(1, 3.0, 0.5, "periodic")
+FIELD_BOUNDS = {
+    **{(ModelParams, name): (lambda v, name=name: ModelParams(d=1, **{name: v}), bound)
+       for name, bound in (("theta1", ">= 1"), ("theta2", ">= 0"), ("norm_V", ">= 0"),
+                           ("norm_b", ">= 0"), ("norm_c", ">= 0"), ("G", "> 0"),
+                           ("delta", "> 0"), ("L", "> 0"))},
+    **{(FreeConstants, name): (lambda v, name=name: FreeConstants(**{name: v}), bound)
+       for name, bound in (("K1", "> 0"), ("K2", "> 0"), ("M", ">= 1"), ("Cprime", ">= 1"))},
+    **{(LocalGeometry, name): (lambda v, name=name: LocalGeometry(**{**UNIT_GEOMETRY, name: v}),
+                               bound)
+       for name, bound in (("R", "> 0"), ("D0", "> 0"), ("K_V", ">= 0"), ("beta", ">= 1"))},
+    (CubeDomain, "L"): (lambda v: CubeDomain(1, v, 1.0), "> 0"),
+    (CubeDomain, "h"): (lambda v: CubeDomain(1, 3.0, v), "> 0"),
+    (EquidistributedSequence, "G"): (lambda v: EquidistributedSequence(
+        G=v, delta=0.25, L=3.0, d=1, centers=np.zeros((3, 1))), "> 0"),
+    (EquidistributedSequence, "L"): (lambda v: EquidistributedSequence(
+        G=1.0, delta=0.25, L=v, d=1, centers=np.zeros((3, 1))), "> 0"),
+    **{(WeightFunction, name): (lambda v, name=name: WeightFunction(**{**WEIGHT, name: v}),
+                                bound)
+       for name, bound in (("rho", "> 0"), ("mu", "> 0"), ("theta1", ">= 1"))},
+    **{(CoefficientField, name): (lambda v, name=name: CoefficientField(
+        FIELD_DOMAIN, np.ones((1, 1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros(1),
+        **{"declared_theta1": 1.0, "declared_theta2": 0.0, name: v}), bound)
+       for name, bound in (("declared_theta1", ">= 1"), ("declared_theta2", ">= 0"))},
+}
+
+
+@pytest.mark.parametrize("bad", [True, HUGE], ids=["bool", "huge"])
+@pytest.mark.parametrize("cls, name", sorted(FIELD_BOUNDS, key=lambda k: (k[0].__name__, k[1])))
 def test_a_dataclass_field_takes_no_bool_and_no_huge_integer(cls, name, bad):
     # a bool read as 0 or 1, and math.isfinite raised OverflowError on HUGE
-    required = {ModelParams: {"d": 1}, LocalGeometry: {"R": 1.0, "D0": 0.5, "K_V": 0.0,
-                                                       "beta": 2.0}}.get(cls, {})
-    with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
-        cls(**{**required, name: bad})
+    build, bound = FIELD_BOUNDS[cls, name]
+    with pytest.raises(ValueError, match=_bound_message(name, bound)):
+        build(bad)
 
 
-# (the input check, what it raises on a bad value): the seven scalar checks
-# that called math.isfinite, each reached through the function that uses it;
-# math.isfinite passed True and raised OverflowError on HUGE, as in
-# CubeDomain(1, 10**400, 1.0)
+# every check of a caller-supplied number against its floor, by the function
+# given the value and the argument it names: (a call that passes it the
+# value, the argument's bound); a dataclass is given it by __post_init__
+_H = 0.125
+_CHECK = dict(u=np.zeros(8), A=np.ones((1, 1, 1)), b=None, c=None, h=_H,
+              weight=WeightFunction(**WEIGHT), alpha=1.0, carleman_C=1.0)
+BOUND_CHECKS = {
+    **{("__post_init__", f"{cls.__name__}.{name}"): entry
+       for (cls, name), entry in FIELD_BOUNDS.items()},
+    ("side_length_T", "theta1"): (lambda v: side_length_T(1, v), ">= 1"),
+    ("feasible_window_side", "theta1"): (lambda v: feasible_window_side(1, v), ">= 1"),
+    ("cacciopoli_prefactor", "r"): (lambda v: cacciopoli_prefactor(v), "> 0"),
+    ("generate_sequence", "G"): (lambda v: generate_sequence(v, 0.25, 3.0, 1), "> 0"),
+    ("generate_sequence", "L"): (lambda v: generate_sequence(1.0, 0.25, v, 1), "> 0"),
+    ("_bounded_potential", "norm_V"): (
+        lambda v: _bounded_potential(np.random.default_rng(0), v, (4,)), ">= 0"),
+    **{("synthesize_random_field", name): (
+        lambda v, name=name: synthesize_random_field(0, CubeDomain(1, 3.0, 0.5), **{name: v}),
+        bound)
+       for name, bound in (("target_theta1", ">= 1"), ("target_theta2", ">= 0"),
+                           ("norm_V", ">= 0"), ("norm_b", ">= 0"), ("norm_c", ">= 0"))},
+    ("synthesize_dir_cross_field", "theta1"): (
+        lambda v: synthesize_dir_cross_field(0, CubeDomain(2, 3.0, 0.5), theta1=v), "> 1"),
+    ("_radii_ein", "mu"): (lambda v: phi(0.5, v), ">= 0"),
+    **{("check_carleman_inequality", name): (
+        lambda v, name=name: check_carleman_inequality(**{**_CHECK, name: v}), "> 0")
+       for name in ("h", "alpha", "carleman_C")},
+    ("carleman_trial", "h"): (lambda v: carleman_trial(0, 2, v), "> 0"),
+    **{("carleman_trial", name): (
+        lambda v, name=name: carleman_trial(0, 1, _H, **{name: v}), bound)
+       for name, bound in (("rho", "> 0"), ("mu", "> 0"), ("alpha_mult", ">= 1"))},
+}
+
+
+# the command line's keys under the bound rule: (key, what each value must
+# be, a number past its floor); the last two are lists
+CLI_BOUND_KEYS = [("rho", "a finite number > 0", 0.0), ("mu", "a finite number > 0", 0.0),
+                  ("alpha_mult", "a finite number >= 1", 0.5),
+                  ("grids", "finite numbers > 0", 0.0), ("norm_Vs", "finite numbers >= 0", -0.5)]
+
+
+@pytest.mark.parametrize("bad", [True, HUGE, math.nan, math.inf, "past"],
+                         ids=["bool", "huge", "nan", "inf", "past"])
+@pytest.mark.parametrize("key, need, past", CLI_BOUND_KEYS, ids=[k[0] for k in CLI_BOUND_KEYS])
+def test_every_command_line_bound_key_is_one_config_error(key, need, past, bad):
+    value = past if bad == "past" else bad
+    if key in ("grids", "norm_Vs"):
+        want = f"{key}={[value]} is not a non-empty list of {need}"
+        value = [value]
+    else:
+        want = f"{key}={value!r} is not {need}"
+    assert load_config(None, {key: value}).validate() == [want]
+
+
+# (the input check, what it raises on a bad value): the finite-number checks
+# of energy, which has no floor, and every bound check, each reached through
+# the function that uses it; math.isfinite passed True and raised
+# OverflowError on HUGE
 INPUT_CHECKS = {
-    "_require_finite": (lambda v: FreeConstants(K2=v), "^K2 must be finite"),
     "_sfuc_log_terms": (lambda v: log_c_sfuc(ModelParams(d=1), FreeConstants(), energy=v),
                         "^energy must be finite"),
     "sampling_report": (lambda v: sampling_report(ModelParams(d=1, theta2=1.0), energy=v),
                         "^energy must be finite"),
-    "_require_at_least": (
-        lambda v: synthesize_random_field(0, CubeDomain(1, 3.0, 0.5), target_theta1=v),
-        "^target_theta1 must be finite and >= 1"),
-    "synthesize_dir_cross_field": (
-        lambda v: synthesize_dir_cross_field(0, CubeDomain(2, 3.0, 0.5), theta1=v),
-        "^needs a finite theta1 > 1"),
-    "_require_positive": (lambda v: WeightFunction(rho=v, mu=1.0, A0=np.eye(1), theta1=1.0),
-                          "^rho must be positive and finite"),
-    "CubeDomain": (lambda v: CubeDomain(1, v, 1.0), "^L must be finite and positive"),
+    **{f"{raiser} {name}": (evaluate, _bound_message(name.rpartition(".")[2], bound))
+       for (raiser, name), (evaluate, bound) in BOUND_CHECKS.items()},
 }
 
 
-@pytest.mark.parametrize("bad", [True, HUGE, math.nan], ids=["bool", "huge", "nan"])
+@pytest.mark.parametrize("bad", [True, HUGE, math.nan, math.inf],
+                         ids=["bool", "huge", "nan", "inf"])
 @pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
 def test_every_scalar_input_check_rejects_a_bool_and_a_huge_integer(check, bad):
+    # carleman_trial and check_carleman_inequality took any h (a NaN one
+    # failed converting to an integer, 0 divided by zero, and inf was blamed
+    # on L); side_length_T, feasible_window_side and cacciopoli_prefactor
+    # let a NaN or inf through
     evaluate, message = INPUT_CHECKS[check]
     with pytest.raises(ValueError, match=message):
         evaluate(bad)
+
+
+@pytest.mark.parametrize("raiser, name", sorted(BOUND_CHECKS))
+def test_every_bound_check_rejects_a_number_past_its_floor(raiser, name):
+    evaluate, bound = BOUND_CHECKS[raiser, name]
+    with pytest.raises(ValueError, match=INPUT_CHECKS[f"{raiser} {name}"][1]):
+        evaluate(_past(bound))
 
 
 # one builder per caller of the dimension rule
@@ -139,6 +266,7 @@ RAISED_IN = {
     ("sampling_report", "ball"): "sampling_report",
     ("EquidistributedSequence", "ball"): "__post_init__",
     ("generate_sequence", "ball"): "generate_sequence",
+    **{(f"{raiser} {name}", "bound"): raiser for raiser, name in BOUND_CHECKS},
 }
 
 
@@ -152,36 +280,20 @@ def _raiser(info) -> str:
 
 @pytest.mark.parametrize("caller, rule", sorted(RAISED_IN))
 def test_a_rule_error_is_raised_by_the_function_given_the_value(caller, rule):
-    evaluate, bad = {"dimension": (DIMENSION_CALLERS.get(caller), 2.0),
-                     "ball": (BALL_RADIUS_CALLERS.get(caller), 0.5)}[rule]
-    with pytest.raises(ValueError) as info:
-        evaluate(bad)
-    assert _raiser(info) == RAISED_IN[caller, rule]
+    if rule == "bound":
+        evaluate, bound = BOUND_CHECKS[tuple(caller.split())]
+        bads = [math.nan, math.inf, True, HUGE, _past(bound)]
+    else:
+        evaluate = {"dimension": DIMENSION_CALLERS, "ball": BALL_RADIUS_CALLERS}[rule][caller]
+        bads = [{"dimension": 2.0, "ball": 0.5}[rule]]
+    for bad in bads:
+        with pytest.raises(ValueError) as info:
+            evaluate(bad)
+        assert _raiser(info) == RAISED_IN[caller, rule], bad
 
 
-# (the function given G and L, the one that raises a bad G or L)
-SEQUENCE_BUILDERS = {
-    "generate_sequence": (lambda G, L: generate_sequence(G, 0.25, L, 1), "generate_sequence"),
-    "EquidistributedSequence": (lambda G, L: EquidistributedSequence(
-        G=G, delta=0.25, L=L, d=1, centers=np.zeros((3, 1))), "__post_init__"),
-}
-
-
-@pytest.mark.parametrize("name, G, L", [
-    ("G", True, 3.0),  # generate_sequence returned a sequence with G=True
-    ("G", math.nan, 3.0),  # reported as "delta must lie in (0, G/2)"
-    ("L", 1.0, HUGE + 1),  # OverflowError at L / G
-    ("L", 1.0, math.inf),  # OverflowError at round(L / G)
-], ids=["G-bool", "G-nan", "L-huge", "L-inf"])
-@pytest.mark.parametrize("builder", sorted(SEQUENCE_BUILDERS))
-def test_a_sequence_takes_a_finite_positive_G_and_L(builder, name, G, L):
-    build, raiser = SEQUENCE_BUILDERS[builder]
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got ") as info:
-        build(G, L)
-    assert _raiser(info) == raiser
-
-
-@pytest.mark.parametrize("message", ["delta must lie in (0, G/2)", "must be an integer >= 1"])
+@pytest.mark.parametrize("message", ["delta must lie in (0, G/2)", "must be an integer >= 1",
+                                     "must be a finite number"])
 def test_each_rule_message_is_written_once(message):
     hits = [p.name for p in sorted(SRC.glob("*.py")) for _ in
             range(p.read_text().count(message))]
@@ -212,3 +324,33 @@ def test_no_module_calls_math_isfinite():
              for node in ast.walk(ast.parse(path.read_text()))
              if _dotted(node) == "math.isfinite"]
     assert not calls, f"math.isfinite called at {calls}"
+
+
+def _finite_then_compared(tree) -> list[int]:
+    """Lines of each ``is_finite(x) and ... x <cmp> ...`` expression: an
+    ``and`` that tests x with is_finite and then compares x."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+            continue
+        tested = {ast.dump(v.args[0]) for v in node.values if isinstance(v, ast.Call)
+                  and _dotted(v.func).endswith("is_finite") and v.args}
+        if any(isinstance(v, ast.Compare) and tested & {ast.dump(x) for x in
+                                                        (v.left, *v.comparators)}
+               for v in node.values):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_constants_writes_a_bound_test():
+    # cli._RULES and synthesize_dir_cross_field wrote their own
+    # "is_finite(v) and v > ..." and three modules had a helper of their own
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "constants.py":
+            found += [f"{path.name}:{line}" for line in _finite_then_compared(tree)]
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name in
+                  ("_require_positive", "_require_at_least", "_bad_length")]
+    assert not found, f"a bound test of its own at {found}"
