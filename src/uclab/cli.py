@@ -10,8 +10,10 @@ Exit codes: 0 when the run completed and every hard assertion passed
 (``sweep``, whose bounds evaluate the configured model, requires it
 admissible in the one dimension it reads; the other subcommands read no
 admissibility), 1 when an assertion failed, 2 on usage errors and on every
-``config error: <key>...``; ``carleman-check`` gives one such line, naming
-the trial, when a pinned mu puts a constant or alpha past what doubles
+``config error: <key>...``; a ``--h`` that does not divide ``model.G``, or
+whose ratio G/h leaves the double range, is one such line naming
+``h_per_G=`` with the lattice rule's message; ``carleman-check`` gives one,
+naming the trial, when a pinned mu puts a constant or alpha past what doubles
 resolve, and ``cacciopoli-check`` one naming ``h_per_G=`` or
 ``field_file=`` when the grid is too coarse for its fattened annulus.
 
@@ -64,9 +66,11 @@ from uclab.constants import (
     is_ball_radius,
     is_dimension,
     is_finite,
+    lattice_error,
     log_c_sfuc,
     sampling_epsilon,
     sampling_report,
+    whole_cells,
 )
 
 __all__ = ["ExperimentConfig", "main", "to_json", "write_rows_jsonl", "write_rows_csv"]
@@ -556,11 +560,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(path, args)
         if h is not None:
-            # a non-positive or NaN h leaves ratio 0, which validate reports
-            ratio = cfg.model["G"] / h if h > 0.0 else 0.0
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(f"h_per_G: h={h} does not divide model.G={cfg.model['G']}")
-            cfg.h_per_G = round(ratio)
+            if (n := whole_cells(cfg.model["G"], h)) is None or n < 1:
+                raise ValueError(f"h_per_G=G/h: {lattice_error(1, G=cfg.model['G'], h=h)}")
+            cfg.h_per_G = n
         problems = cfg.validate(command)
         if problems:
             for p in problems:

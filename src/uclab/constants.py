@@ -21,14 +21,15 @@ enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
 ``G^2*norm_V`` and the ratio ``delta/G``.  Rescaling to unit cell size with
 :func:`scale_parameters` therefore reproduces them bit for bit.
 
-The four input rules live here, and each check of their quantities, in the
+The five input rules live here, and each check of their quantities, in the
 library and on the command line, calls them: :func:`is_finite` (a real
 number, not a bool, that a double holds), the bound rule :func:`is_at_least`
 and :func:`is_above` (a finite number >= or > a floor, with its one message
-from :func:`bound_error`), :func:`is_dimension` (an integer >= 1) and
-:func:`is_ball_radius` (0 < delta < G/2).  A function given a bad number,
-dimension or radius raises the rule's message itself, so the error's
-innermost frame is the function that received the value.
+from :func:`bound_error`), :func:`is_dimension` (an integer >= 1),
+:func:`is_ball_radius` (0 < delta < G/2) and the lattice rule
+:func:`whole_cells` (whole cells in a length; message :func:`lattice_error`).
+A function given a bad value raises the rule's message itself, so the
+error's innermost frame is the function that received the value.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "is_above",
     "is_dimension",
     "is_ball_radius",
+    "whole_cells",
     "ModelParams",
     "FreeConstants",
     "LocalGeometry",
@@ -117,8 +119,25 @@ def is_ball_radius(delta: float, G: float) -> bool:
     return 0.0 < delta < G / 2.0
 
 
-# the ValueError messages of the two rules; DIMENSION_ERROR takes the value
-DIMENSION_ERROR = "d must be an integer >= 1, got {!r}"
+def whole_cells(length, spacing) -> Optional[int]:
+    """The lattice rule: the whole number of cells of side ``spacing`` in
+    ``length``, or None when either is not :func:`is_finite`, or their ratio
+    leaves the double range or lies more than 1e-9 from an integer."""
+    if not (is_finite(length) and is_finite(spacing)) or spacing == 0:
+        return None
+    ratio = length / spacing
+    return round(ratio) if is_finite(ratio) and abs(ratio - round(ratio)) <= 1e-9 else None
+
+
+def lattice_error(least: int, **values) -> str:
+    """The lattice rule's message for a length and a spacing, given by name in
+    that order, whose ratio is not a whole number >= ``least``."""
+    (a, length), (b, spacing) = values.items()
+    return f"{a}/{b} must be a whole number >= {least}, got {a}={length!r} and {b}={spacing!r}"
+
+
+# the ValueError messages of two rules; DIMENSION_ERROR takes the name and the value
+DIMENSION_ERROR = "{} must be an integer >= 1, got {!r}"
 BALL_RADIUS_ERROR = "delta must lie in (0, G/2)"
 
 
@@ -145,7 +164,7 @@ class ModelParams:
         if isinstance(self.d, float):  # a NaN or inf d is named as not finite
             _require_finite(d=self.d)
         if not is_dimension(self.d):
-            raise ValueError(DIMENSION_ERROR.format(self.d))
+            raise ValueError(DIMENSION_ERROR.format("d", self.d))
         if bad := (bound_error(">=", 1, theta1=self.theta1)
                    or bound_error(">=", 0, theta2=self.theta2, norm_V=self.norm_V,
                                   norm_b=self.norm_b, norm_c=self.norm_c)
@@ -244,7 +263,7 @@ def carleman_mu_rho(
     p: ModelParams, geo: LocalGeometry, eps0: float
 ) -> tuple[float, float, float]:
     """Weight parameters (mu, mu1, rho) used by the local estimate."""
-    if eps0 <= 0.0:
+    if not eps0 > 0.0:  # a NaN eps0 too
         raise ValueError("admissibility margin eps0 must be positive")
     rho = 2.0 * EULER * p.theta1 * geo.R + 2.0 * geo.D0
     mu = carleman_mu_floor(p.d, p.theta1, p.theta2, rho) + rho * eps0 / (
@@ -319,16 +338,20 @@ def cacciopoli_prefactor(
     theta1: float = 1.0,
     cprime: float = 1.0,
 ) -> float:
-    """Prefactor of the interior gradient estimate on a fattened annulus."""
+    """Prefactor of the interior gradient estimate on a fattened annulus;
+    math.inf when r**2 underflows to 0, past the double range."""
     if bad := bound_error(">", 0, r=r):
         raise ValueError(bad)
-    return (
-        2.0 * norm_V**2
-        + 1.0
-        + 2.0 * norm_b**2
-        + 8.0 * theta1**2 * cprime / r**2
-        + 2.0 * norm_c
-    )
+    try:
+        return (
+            2.0 * norm_V**2
+            + 1.0
+            + 2.0 * norm_b**2
+            + 8.0 * theta1**2 * cprime / r**2
+            + 2.0 * norm_c
+        )
+    except ZeroDivisionError:
+        return math.inf
 
 
 def _cutoff_bracket(p: ModelParams, fc: FreeConstants, middle: float, r: float) -> float:

@@ -351,6 +351,10 @@ def extend(
     """
     dom = field.domain
     d, bc = dom.d, dom.bc
+    for name, u in (("psi", psi), ("zeta", zeta)):
+        if u is not None and np.shape(u) != dom.shape:
+            raise ValueError(f"grid function shape mismatch: {name} has shape {np.shape(u)}, "
+                             f"not the field's grid {dom.shape}")
     rep = check_boundary_conditions(field)
     if not rep["ok"]:
         name = "periodic" if bc == "periodic" else "Dirichlet"

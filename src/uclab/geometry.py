@@ -41,7 +41,8 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, EULER, bound_error,
-                             is_ball_radius, is_dimension, sampling_radius, side_length_T)
+                             is_ball_radius, is_dimension, lattice_error, sampling_radius,
+                             side_length_T, whole_cells)
 
 __all__ = [
     "CubeDomain",
@@ -89,12 +90,11 @@ class CubeDomain:
 
     def __post_init__(self):
         if not is_dimension(self.d):
-            raise ValueError(DIMENSION_ERROR.format(self.d))
+            raise ValueError(DIMENSION_ERROR.format("d", self.d))
         if bad := bound_error(">", 0, L=self.L, h=self.h):
             raise ValueError(bad)
-        n = self.L / self.h
-        if abs(n - round(n)) > 1e-9 or round(n) < 2:
-            raise ValueError("L/h must be an integer >= 2")
+        if (n := whole_cells(self.L, self.h)) is None or n < 2:
+            raise ValueError(lattice_error(2, L=self.L, h=self.h))
         if self.bc not in ("dirichlet", "periodic"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
@@ -121,9 +121,8 @@ class CubeDomain:
     def block_cells(self, G: float) -> int:
         """Cells per axis in one cell of the G-lattice, c = G/h; raises
         unless the grid spacing divides G and the blocks tile the cube."""
-        c = round(G / self.h)
-        if c < 1 or abs(G / self.h - c) > 1e-9:
-            raise ValueError(f"grid spacing h={self.h} must divide G={G}")
+        if (c := whole_cells(G, self.h)) is None or c < 1:
+            raise ValueError(lattice_error(1, G=G, h=self.h))
         if self.n % c:
             raise ValueError(f"G-blocks of {c} cells do not tile the {self.n} cells "
                              "per axis of the cube")
@@ -155,7 +154,7 @@ class EquidistributedSequence:
 
     def __post_init__(self):
         if not is_dimension(self.d):
-            raise ValueError(DIMENSION_ERROR.format(self.d))
+            raise ValueError(DIMENSION_ERROR.format("d", self.d))
         if bad := bound_error(">", 0, G=self.G, L=self.L):
             raise ValueError(bad)
         if not is_ball_radius(self.delta, self.G):
@@ -171,10 +170,9 @@ class EquidistributedSequence:
 
     @property
     def cells_per_axis(self) -> int:
-        m = self.L / self.G
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError("L/G must be an integer")
-        return round(m)
+        if (m := whole_cells(self.L, self.G)) is None or m < 1:
+            raise ValueError(lattice_error(1, L=self.L, G=self.G))
+        return m
 
     def containment_margin(self) -> float:
         """min over cells of G/2 - delta - ||z_j - cell center||_inf; a
@@ -208,12 +206,11 @@ def generate_sequence(
         raise ValueError(bad)
     if not is_ball_radius(delta, G):
         raise ValueError(BALL_RADIUS_ERROR)
-    m = L / G
-    if abs(m - round(m)) > 1e-9 or round(m) % 2 != 1:
-        raise ValueError("L/G must be an odd positive integer")
+    if (m := whole_cells(L, G)) is None or m % 2 != 1:  # L, G > 0, so m >= 0
+        raise ValueError(f"L/G={m} must be odd" if m else lattice_error(1, L=L, G=G))
     if not is_dimension(d):
-        raise ValueError(DIMENSION_ERROR.format(d))
-    lattice = _lattice(G, L, d, round(m))
+        raise ValueError(DIMENSION_ERROR.format("d", d))
+    lattice = _lattice(G, L, d, m)
     if mode == "centered":
         centers = lattice
     elif mode == "uniform_random":
@@ -399,11 +396,12 @@ def classify_sites(
     d = psi_ext.ndim
     if L % 2 != 1:
         raise ValueError("L must be an odd integer")
-    c = round(1.0 / h)
-    if abs(1.0 / h - c) > 1e-9:
-        raise ValueError("h must divide 1")
+    if (c := whole_cells(1.0, h)) is None or c < 1:
+        raise ValueError(lattice_error(1, unit=1.0, h=h))
     if psi_ext.shape != (3 * L * c,) * d:
         raise ValueError("extended grid shape mismatch")
+    if not is_dimension(T):
+        raise ValueError(DIMENSION_ERROR.format("T", T))
     if T > 2 * L + 1:
         raise ValueError("window side T exceeds the 3L extension")
     # the window is centered on its site's unit cube, (T - 1)/2 units lower
@@ -441,8 +439,12 @@ def window_containment_margin(
     printed side is too small for the containment as stated, which
     :func:`feasible_window_side` repairs.
     """
+    if bad := bound_error(">=", 1, theta1=theta1):
+        raise ValueError(bad)
     if T is None:
         T = side_length_T(d, theta1)
+    elif not is_dimension(T):
+        raise ValueError(DIMENSION_ERROR.format("T", T))
     return T / 2.0 - _window_reach(d, theta1, center_offset)
 
 
@@ -459,7 +461,7 @@ def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> flo
     d = psi_ext.ndim
     dec = classify_sites(psi_ext, T, L, h)
     lhs = float(dec.window_mass.sum())
-    cells_per_unit = round(1.0 / h)
+    cells_per_unit = whole_cells(1.0, h)
     lo = L * cells_per_unit
     hi = 2 * L * cells_per_unit
     sl = tuple(slice(lo, hi) for _ in range(d))

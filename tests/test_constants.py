@@ -205,10 +205,12 @@ class TestMuRho:
         lip = 33.0 * p.d * p.theta1**5.5 * p.theta2 * rho
         assert rel_err(mu - lip, rho * eps0 / (2.0 * E * UNIT.R)) < 1e-12
 
-    def test_rejects_nonpositive_eps(self):
+    @pytest.mark.parametrize("eps0", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_eps(self, eps0):
+        # a NaN eps0 returned (nan, nan, rho)
         p = ModelParams(d=1)
-        with pytest.raises(ValueError):
-            carleman_mu_rho(p, UNIT, eps0=0.0)
+        with pytest.raises(ValueError, match="^admissibility margin eps0 must be positive$"):
+            carleman_mu_rho(p, UNIT, eps0=eps0)
 
 
 class TestCarlemanConstants:
@@ -276,6 +278,13 @@ class TestCacciopoli:
             a = cacciopoli_prefactor(r, theta1=1.3, cprime=2.0) - 1.0
             b = cacciopoli_prefactor(2.0 * r, theta1=1.3, cprime=2.0) - 1.0
             assert rel_err(a, 4.0 * b) < 1e-12
+
+    def test_a_radius_whose_square_underflows_is_past_the_double_range(self):
+        # r**2 underflowed to 0.0 and 8 theta1^2 Cprime / r**2 raised
+        # ZeroDivisionError; a subnormal r**2 already gave inf
+        for r in (1e-300, 1e-170, 5e-324, 1e-160):
+            assert cacciopoli_prefactor(r) == math.inf
+        assert cacciopoli_prefactor(1e-150) == 1.0 + 8.0 / 1e-150**2
 
     def test_monotone(self):
         base = cacciopoli_prefactor(0.5, 1.0, 1.0, 1.0)

@@ -463,6 +463,17 @@ class TestPeriodicExtension:
             extend(np.ones(dom.shape), fld)
 
 
+    @pytest.mark.parametrize("name", ["psi", "zeta"])
+    def test_rejects_a_grid_function_off_the_field_grid(self, name):
+        # a 5-cell psi on a 24-cell periodic field came back as a 60-cell
+        # psi3 next to a 72-cell field3
+        dom = CubeDomain(1, 3.0, 1 / 8, "periodic")
+        grid_functions = {"psi": np.ones(dom.shape), "zeta": np.ones(dom.shape), name: np.ones(5)}
+        with pytest.raises(ValueError, match=rf"^grid function shape mismatch: {name} has "
+                                             r"shape \(5,\), not the field's grid \(24,\)$"):
+            extend(grid_functions["psi"], laplacian_field(dom), zeta=grid_functions["zeta"])
+
+
 class TestDirichletExtension:
     def test_sine_mode_becomes_global_sine(self):
         L, h = 3.0, 1 / 16

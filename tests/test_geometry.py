@@ -1,6 +1,7 @@
 """Cube, sequence, mask and site-decomposition tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,7 +76,8 @@ class TestCubeDomain:
         # 0.5 divides 2.0, but blocks of 4 cells do not tile the 6 of the cube
         with pytest.raises(ValueError, match="^G-blocks of 4 cells do not tile the 6 cells"):
             CubeDomain(1, 3.0, 0.5).block_cells(2.0)
-        with pytest.raises(ValueError, match=r"^grid spacing h=0.5 must divide G=0.7"):
+        with pytest.raises(ValueError,
+                           match=r"^G/h must be a whole number >= 1, got G=0.7 and h=0.5$"):
             CubeDomain(1, 3.0, 0.5).block_cells(0.7)
 
 
@@ -441,6 +443,16 @@ class TestSites:
             classify_sites(np.ones(3 * L * 3), 2, L, 1 / 3)
         assert classify_sites(np.ones(3 * L * 3), 3, L, 1 / 3).dominating.all()
 
+    @pytest.mark.parametrize("T", [0, -1, True, 2.0, np.float64(3.0)])
+    def test_window_side_must_be_an_integer_at_least_one(self, T):
+        # T = 0 warned and marked every site weak, T = -1 gave negative window
+        # masses, and True was read as 1
+        psi = periodic_extension_1d(np.sin(np.arange(24.0)))  # L = 3, h = 1/8
+        want = rf"^T must be an integer >= 1, got {re.escape(repr(T))}$"
+        for check in (classify_sites, tiling_identity_defect):
+            with pytest.raises(ValueError, match=want):
+                check(psi, T, 3, 1 / 8)
+
     def test_window_exceeding_extension_rejected(self):
         L, h = 3, 1 / 4
         psi = np.ones(3 * L * 4)
@@ -463,6 +475,14 @@ class TestWindowContainment:
                 T_ok = feasible_window_side(d, t1)
                 assert window_containment_margin(d, t1, T=T_ok) >= 0.0
                 assert window_containment_margin(d, t1, T=T_ok - 1) < 0.0
+
+    def test_a_given_side_is_checked_with_theta1(self):
+        # theta1 was checked only when T was left to side_length_T
+        with pytest.raises(ValueError, match=r"^theta1 must be a finite number >= 1, got nan$"):
+            window_containment_margin(1, math.nan, T=39)
+        for T in (0, -1, True, 39.0):
+            with pytest.raises(ValueError, match=rf"^T must be an integer >= 1, got {T!r}$"):
+                window_containment_margin(1, 1.0, T=T)
 
     def test_ball_in_window_numerically(self):
         # direct geometric check with the repaired side: every point of the

@@ -1,16 +1,18 @@
-"""The four input rules: one finite-number test, one bound rule (a finite
-number >= or > a floor), one dimension rule and one ball-radius rule, each
-defined once in ``uclab.constants``.
+"""The five input rules: one finite-number test, one bound rule (a finite
+number >= or > a floor), one dimension rule, one ball-radius rule and one
+lattice rule (a length holds a whole number of cells), each defined once in
+``uclab.constants``.
 
 The behavioural tests hold every caller of a rule to its one message, raised
 by the function given the value.  No linter ships with the project, so the
 scan tests stand in for one: each rule message occurs once in
 ``src/uclab``, no module outside ``constants`` writes an
-``is_finite(x) and x <cmp> ...`` test or defines a bound helper of its own,
-the command line has no finite test of its own (no ``sys.float_info`` or
-``numbers.Real``) and imports ``is_finite``, and no module calls
-``math.isfinite``, which raises OverflowError on an integer past the double
-range and takes a bool for a number.
+``is_finite(x) and x <cmp> ...`` test, a whole-ratio test
+``abs(x - y) <cmp> 1e-9`` or a bound helper of its own, the command line has
+no finite test of its own (no ``sys.float_info`` or ``numbers.Real``) and
+imports ``is_finite``, and no module calls ``math.isfinite``, which raises
+OverflowError on an integer past the double range and takes a bool for a
+number.
 """
 
 import ast
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from uclab.carleman import WeightFunction, carleman_trial, check_carleman_inequality, phi
-from uclab.cli import load_config
+from uclab.cli import load_config, main
 from uclab.constants import (
     FreeConstants,
     LocalGeometry,
@@ -38,6 +40,7 @@ from uclab.constants import (
     log_gamma_window,
     sampling_report,
     side_length_T,
+    whole_cells,
 )
 from uclab.fields import (
     CoefficientField,
@@ -48,8 +51,10 @@ from uclab.fields import (
 from uclab.geometry import (
     CubeDomain,
     EquidistributedSequence,
+    classify_sites,
     feasible_window_side,
     generate_sequence,
+    tiling_identity_defect,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src/uclab"
@@ -78,6 +83,83 @@ def test_the_finite_number_test(value, finite):
 def test_the_bound_rule(value, floor, at_least, above):
     assert is_at_least(value, floor) == at_least
     assert is_above(value, floor) == above
+
+
+@pytest.mark.parametrize("length, spacing, cells", [
+    (3.0, 0.5, 6), (1.0, 1 / 3, 3), (3, 1, 3), (Fraction(3, 2), Fraction(1, 2), 3),
+    (np.float64(1.0), np.float64(0.125), 8), (-1.0, 0.5, -2), (0.0, 0.5, 0),
+    (1.0, 1 / 3 * (1 + 1e-12), 3), (0.7, 0.5, None), (1.0, 0.3, None),
+    (math.nan, 0.5, None), (1.0, math.nan, None), (math.inf, 1.0, None), (1.0, math.inf, None),
+    (1e300, 1e-300, None), (1.0, 1e-320, None), (1.0, 0.0, None), (0.0, 0.0, None),
+    (True, 1.0, None), (1.0, True, None), (HUGE, 1.0, None), ("1", 1.0, None), (None, 1.0, None),
+])
+def test_the_lattice_rule(length, spacing, cells):
+    # the ratio of 1e300 and 1e-300, of 1 and 1e-320 and of 1 and 0 leaves the
+    # double range, where round() raised OverflowError or the division
+    # ZeroDivisionError
+    got = whole_cells(length, spacing)
+    assert got == cells and (got is None or type(got) is int)
+
+
+# each check of the lattice rule: the function that raises it, the ratio and
+# least count its message names, a call that gives it a length and a spacing,
+# and the pairs it refuses: a ratio past the double range, a value that is
+# not finite, a ratio that is not whole, and a whole one below the least
+_PSI = np.tile(np.sin(np.arange(24.0)), 3)  # L = 3, h = 1/8
+LATTICE_CHECKS = {
+    "CubeDomain": ("__post_init__", "L/h", 2, lambda L, h: CubeDomain(1, L, h),
+                   [(1e300, 1e-300), (3.0, 1e-320), (3.0, 0.7), (3.0, 3.0)]),
+    "block_cells": ("block_cells", "G/h", 1, lambda G, h: CubeDomain(1, 3.0, h).block_cells(G),
+                    [(math.nan, 0.5), (math.inf, 0.5), (True, 0.5), (HUGE, 0.5), (0.7, 0.5),
+                     (-1.0, 0.5), (0.0, 0.5)]),
+    "EquidistributedSequence": (
+        "cells_per_axis", "L/G", 1, lambda L, G: EquidistributedSequence(
+            G=G, delta=G / 10, L=L, d=1, centers=np.zeros((3, 1))),
+        [(1e300, 1e-300), (3.5, 1.0), (1e-12, 1.0)]),
+    "generate_sequence": ("generate_sequence", "L/G", 1,
+                          lambda L, G: generate_sequence(G, G / 10, L, 1),
+                          [(1e300, 1e-300), (3.5, 1.0), (1e-12, 1.0)]),
+    "classify_sites": ("classify_sites", "unit/h", 1,
+                       lambda unit, h: classify_sites(_PSI, 3, 3, h),
+                       [(1.0, 0.0), (1.0, 1e-320), (1.0, math.nan), (1.0, 0.3), (1.0, 1e10),
+                        (1.0, -0.125)]),
+    "tiling_identity_defect": ("classify_sites", "unit/h", 1,
+                               lambda unit, h: tiling_identity_defect(_PSI, 3, 3, h),
+                               [(1.0, 0.0), (1.0, 1e-320)]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LATTICE_CHECKS))
+def test_every_lattice_check_gives_the_one_message(check):
+    # CubeDomain(1, 1e300, 1e-300), generate_sequence(1e-300, 1e-301, 1e300, 1)
+    # and classify_sites at h = 1e-320 raised OverflowError, classify_sites at
+    # h = 0 ZeroDivisionError, and block_cells(nan) "cannot convert float NaN
+    # to integer", which names no length
+    raiser, ratio, least, evaluate, pairs = LATTICE_CHECKS[check]
+    a, b = ratio.split("/")
+    for length, spacing in pairs:
+        with pytest.raises(ValueError) as info:
+            evaluate(length, spacing)
+        want = (f"{ratio} must be a whole number >= {least}, "
+                f"got {a}={length!r} and {b}={spacing!r}")
+        assert str(info.value) == want
+        assert _raiser(info) == raiser, (length, spacing)
+
+
+def test_an_even_cell_count_is_refused_by_generate_sequence():
+    with pytest.raises(ValueError, match=r"^L/G=4 must be odd$") as info:
+        generate_sequence(1.0, 0.25, 4.0, 1)
+    assert _raiser(info) == "generate_sequence"
+
+
+@pytest.mark.parametrize("h", ["1e-320", "0.3", "nan", "inf", "-0.125", "0"])
+def test_a_command_line_h_off_the_lattice_is_one_config_error(tmp_path, capsys, h):
+    # --h 1e-320 ended in an OverflowError traceback and exit 1
+    out = tmp_path / "o"
+    assert main(["verify", "--h", h, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: h_per_G=G/h: G/h must be a whole "
+                                       f"number >= 1, got G=1.0 and h={float(h)!r}\n")
+    assert not out.exists()
 
 
 def _bound_message(name: str, bound: str) -> str:
@@ -293,7 +375,7 @@ def test_a_rule_error_is_raised_by_the_function_given_the_value(caller, rule):
 
 
 @pytest.mark.parametrize("message", ["delta must lie in (0, G/2)", "must be an integer >= 1",
-                                     "must be a finite number"])
+                                     "must be a finite number", "must be a whole number"])
 def test_each_rule_message_is_written_once(message):
     hits = [p.name for p in sorted(SRC.glob("*.py")) for _ in
             range(p.read_text().count(message))]
@@ -340,6 +422,26 @@ def _finite_then_compared(tree) -> list[int]:
                for v in node.values):
             lines.append(node.lineno)
     return lines
+
+
+def _whole_ratio_tests(tree) -> list[int]:
+    """Lines of each ``abs(x - y) <cmp> 1e-9`` comparison, the lattice rule's
+    whole-ratio test."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call) and _dotted(node.left.func) == "abs"
+            and node.left.args and isinstance(node.left.args[0], ast.BinOp)
+            and isinstance(node.left.args[0].op, ast.Sub)
+            and any(isinstance(c, ast.Constant) and c.value == 1e-9 for c in node.comparators)]
+
+
+def test_only_constants_writes_a_whole_ratio_test():
+    # CubeDomain, block_cells, cells_per_axis, generate_sequence,
+    # classify_sites and cli.main each wrote their own
+    found = {path.name: _whole_ratio_tests(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found.pop("constants.py")) == 1
+    outside = [f"{name}:{line}" for name, lines in found.items() for line in lines]
+    assert not outside, f"a whole-ratio test outside constants at {outside}"
 
 
 def test_only_constants_writes_a_bound_test():

@@ -120,7 +120,7 @@ class TestObservabilityRatio:
         prefix, total = mass_prefix(psi, dom, 3.0)
         with pytest.raises(ValueError, match="G-blocks"):
             observability_ratio(prefix, [seq], dom, total)
-        with pytest.raises(ValueError, match="divide G"):
+        with pytest.raises(ValueError, match=r"^G/h must be a whole number >= 1, got G=0.7 and h"):
             mass_prefix(psi, dom, 0.7)
 
     # psi is checked where it enters: in a trial record and in a delta sweep
