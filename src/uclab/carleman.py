@@ -648,13 +648,13 @@ def carleman_trial(
     # the bump plus the checker's two-cell zero margin on every side
     n = 2 * (math.ceil(r_out / h) + 2)
     dom = CubeDomain(d, n * h, h, "periodic")
-    # the cell centres as an open grid: x[k] varies along axis k only
-    x = np.ix_(*[dom.centers_1d()] * d)
+    # the first coordinate of the cell centres, varying along axis 0 only
+    x0 = dom.centers_1d().reshape((-1,) + (1,) * (d - 1))
     unit = (None,) * d  # a constant broadcasts to the grid with unit leading axes
     if variable_A:
         amp = theta2 * 2.0 * rho / math.pi  # slope pi/(2 rho) times amp
         base = 0.5 * (theta1 + 1.0 / theta1)
-        a_scalar = base + amp * np.sin(math.pi * x[0] / (2.0 * rho))
+        a_scalar = base + amp * np.sin(math.pi * x0 / (2.0 * rho))
         A = a_scalar[..., None, None] * np.eye(d)  # (n, 1, ..., 1, d, d)
         A0 = np.eye(d) * base
     else:
@@ -663,10 +663,9 @@ def carleman_trial(
     b, c = ((norm_b * direction)[unit], np.full((1,) * d, norm_c)) if with_drift \
         else (None, None)
 
-    # the radius of each cell centre, its squares summed over the axes in order
-    u = annular_bump(np.sqrt(sum(xk**2 for xk in x)), r_in, r_out)
+    u = annular_bump(dom.center_radius(), r_in, r_out)
     if d >= 2:
-        u *= 1.0 + 0.3 * np.cos(2.0 * math.pi * x[0] / rho)
+        u *= 1.0 + 0.3 * np.cos(2.0 * math.pi * x0 / rho)
 
     mu1 = mu_one(theta1, mu)
     p = ModelParams(d=d, theta1=theta1, theta2=theta2, norm_b=norm_b, norm_c=norm_c)

@@ -373,7 +373,7 @@ def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
-    from uclab.fields import CoefficientField, load_field
+    from uclab.fields import load_field, synthesize_random_field
     from uclab.geometry import CubeDomain
     from uclab.verifier import annulus_fits, cacciopoli_check
 
@@ -395,14 +395,8 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
 
         psi = eigensolve(assemble(fld), count=1, seed=cfg.seeds[0]).grid_vector(0)
     else:
-        k = 2
-        sine = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
-        psi = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
-        unit = (1,) * d  # constants store one cell
-        fld = CoefficientField(
-            domain=dom, A=np.eye(d).reshape(unit + (d, d)), b=np.zeros(unit + (d,)),
-            c=np.zeros(unit), V=np.zeros(unit), declared_theta1=1.0, declared_theta2=0.0,
-        )
+        psi = math.prod(np.meshgrid(*[dom.sine_mode(2)] * d, indexing="ij", sparse=True))
+        fld = synthesize_random_field(cfg.seeds[0], dom)  # A = I, no b, c or V
     res = cacciopoli_check(psi, fld, r1, r2, r, cprime=cfg.free.Cprime)
     print(f"lhs {res['lhs']:.6g} <= rhs {res['rhs']:.6g}: {res['holds']}; "
           f"min C' {res['min_cprime']:.4g}")

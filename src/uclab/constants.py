@@ -61,6 +61,7 @@ __all__ = [
     "carleman_mu_floor",
     "mu_one",
     "carleman_constants",
+    "cacciopoli_gradient_term",
     "cacciopoli_prefactor",
     "alpha_star",
     "log_c_quc",
@@ -330,6 +331,14 @@ def carleman_constants(
     return C, alpha0
 
 
+def cacciopoli_gradient_term(r: float, theta1: float = 1.0, cprime: float = 1.0) -> float:
+    """The gradient term 8 theta1^2 C'/r^2 of the Cacciopoli prefactor."""
+    try:
+        return 8.0 * theta1**2 * cprime / r**2
+    except (OverflowError, ZeroDivisionError):  # past the double range
+        return math.inf
+
+
 def cacciopoli_prefactor(
     r: float,
     norm_V: float = 0.0,
@@ -339,19 +348,17 @@ def cacciopoli_prefactor(
     cprime: float = 1.0,
 ) -> float:
     """Prefactor of the interior gradient estimate on a fattened annulus;
-    math.inf when r**2 underflows to 0, past the double range."""
+    math.inf when theta1**2 overflows or r**2 underflows to 0, past the
+    double range."""
     if bad := bound_error(">", 0, r=r):
         raise ValueError(bad)
-    try:
-        return (
-            2.0 * norm_V**2
-            + 1.0
-            + 2.0 * norm_b**2
-            + 8.0 * theta1**2 * cprime / r**2
-            + 2.0 * norm_c
-        )
-    except ZeroDivisionError:
-        return math.inf
+    return (
+        2.0 * norm_V**2
+        + 1.0
+        + 2.0 * norm_b**2
+        + cacciopoli_gradient_term(r, theta1, cprime)
+        + 2.0 * norm_c
+    )
 
 
 def _cutoff_bracket(p: ModelParams, fc: FreeConstants, middle: float, r: float) -> float:

@@ -361,9 +361,8 @@ def synthesize_dir_cross_field(
     if bad := bound_error(">", 1, theta1=theta1):  # off-diagonals need theta1 > 1
         raise ValueError(bad)
     V = _bounded_potential(np.random.default_rng(seed), norm_V, domain.shape)
-    d, L = domain.d, domain.L
-    sine = np.sin(math.pi * (domain.centers_1d() + L / 2.0) / L)
-    envelope = math.prod(np.meshgrid(*[sine] * d, indexing="ij", sparse=True))
+    d = domain.d
+    envelope = math.prod(np.meshgrid(*[domain.sine_mode(1)] * d, indexing="ij", sparse=True))
     mid = 0.5 * (theta1 + 1.0 / theta1)
     smax = 0.5 * (theta1 - 1.0 / theta1)
     A = np.zeros(domain.shape + (d, d))

@@ -3,10 +3,12 @@ dominating/weak site decomposition.
 
 Conventions: the cube of side ``L`` is centered at the origin; grids are
 cell-centered with spacing ``h`` (``L/h`` an integer) and discrete norms are
-``h^d * sum(|psi|^2)`` over cell centers.  One ball of radius ``delta`` sits
-in each cell of the ``G``-lattice, and a sequence whose ball leaves its cell
-is rejected, so a grid point can only be covered by the ball of its own
-lattice cell: its block of ``G/h`` cells per axis.
+``h^d * sum(|psi|^2)`` over cell centers.  The Dirichlet sine mode
+sin(k pi (x + L/2)/L) has one home, ``CubeDomain.sine_mode``, and so has the
+radius of the cell centers, ``CubeDomain.center_radius``.  One ball of
+radius ``delta`` sits in each cell of the ``G``-lattice, and a sequence
+whose ball leaves its cell is rejected, so a grid point can only be covered
+by the ball of its own lattice cell: its block of ``G/h`` cells per axis.
 
 :func:`ball_runs` is the one home of the ball predicate.  Along the grid's
 last axis the covered cells of one block row form a single run, so a
@@ -117,6 +119,19 @@ class CubeDomain:
     def center_grid(self) -> np.ndarray:
         """Array of shape ``shape + (d,)`` with the cell-center coordinates."""
         return _lattice(self.h, self.L, self.d, self.n)
+
+    def center_radius(self) -> np.ndarray:
+        """Distance of each cell center from the origin, shape ``shape``: the
+        squares of the coordinates summed over the axes in order."""
+        return np.sqrt(sum(xk**2 for xk in np.ix_(*[self.centers_1d()] * self.d)))
+
+    def sine_mode(self, k) -> np.ndarray:
+        """sin(k pi (x + L/2)/L) = sin(pi k (m + 1/2)/n) at the cell centers
+        x_m of one axis, shape (n,) + the shape of the integer (array) k; the
+        phase is reduced exactly, as (2m + 1) k mod 4n, before the sine."""
+        k, n = np.asarray(k), self.n
+        cells = 2 * np.arange(n).reshape((n,) + (1,) * k.ndim) + 1
+        return np.sin(2.0 * np.pi * (cells * k % (4 * n)) / (4 * n))
 
     def block_cells(self, G: float) -> int:
         """Cells per axis in one cell of the G-lattice, c = G/h; raises
@@ -391,11 +406,14 @@ def classify_sites(
 
     ``psi_ext`` lives on the cell-centered grid of (-3L/2, 3L/2)^d.  A site is
     dominating when its unit-cube mass is at least ``1/(2 T^d)`` of its
-    T-window mass; ties count as dominating.
+    T-window mass; ties count as dominating.  L and T are integers >= 1 (a
+    bool is not one), L odd; a ValueError names the one that is not.
     """
     d = psi_ext.ndim
+    if not is_dimension(L):
+        raise ValueError(DIMENSION_ERROR.format("L", L))
     if L % 2 != 1:
-        raise ValueError("L must be an odd integer")
+        raise ValueError(f"L must be odd, got {L!r}")
     if (c := whole_cells(1.0, h)) is None or c < 1:
         raise ValueError(lattice_error(1, unit=1.0, h=h))
     if psi_ext.shape != (3 * L * c,) * d:

@@ -6,15 +6,15 @@ constant c + V, and a diagonal A0 on a Dirichlet cube) is translation
 invariant, so its eigenpairs are written down in closed form.  Both boundary
 conditions take lambda(k) = sum_i 4 a_ii sin^2(pi k_i/P)/h^2
 + sum_{i != j} a_ij sin(2 pi k_i/P) sin(2 pi k_j/P)/h^2 + shift, the symbol
-of the torus of period P:
+of the torus of period P (:func:`torus_symbol`, its one home):
 
 - periodic, P = n, modes k in {0..n-1}^d.  The pair {k, -k mod n} gives one
   cos and one sin mode of the phase 2 pi ((m.k) mod n)/n at cell index m, a
   self-conjugate k only the cos mode; both members take lambda from the
   row-major smaller of the two, so the pair is bit-equal;
-- Dirichlet, P = 2n, modes k in {1..n}^d, with the product of
-  sin(pi k_i (m_i + 1/2)/n), the odd reflection of the assembly; A0 is
-  diagonal, so the mixed terms add exact zeros.
+- Dirichlet, P = 2n, modes k in {1..n}^d, with the product of the sine
+  modes sin(pi k_i (m_i + 1/2)/n) (``CubeDomain.sine_mode``), the odd
+  reflection of the assembly; A0 is diagonal, so mixed terms add exact zeros.
 
 All N eigenvalues are formed and sorted by (lambda, row-major mode index);
 vectors are formed only for the ``count`` lowest, with integer phases and
@@ -82,7 +82,7 @@ import numpy as np
 from uclab.constants import is_dimension
 from uclab.discretization import DiscreteOperator
 
-__all__ = ["SpectrumSlice", "eigensolve", "projector_sample"]
+__all__ = ["SpectrumSlice", "eigensolve", "projector_sample", "torus_symbol"]
 
 DENSE_CUTOFF = 256      # dense and Lanczos cost about the same here (README)
 HERMITICITY_TOL = 1e-9  # allowed |H - H^*| relative to the largest entry
@@ -166,37 +166,45 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def torus_symbol(domain, A0: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major modes k, shape (d, N), and the eigenvalues lambda(k) of
+    -div(A0 grad) + shift on a ``CubeDomain``: the torus symbol of period n,
+    k in {0..n-1}^d, when periodic and 2n, k in {1..n}^d, when Dirichlet,
+    where an A0 that is not diagonal raises a ValueError naming it."""
+    d, n, periodic = domain.d, domain.n, domain.bc == "periodic"
+    if not periodic and np.any(A0 - np.diag(np.diag(A0))):
+        raise ValueError(f"A0 must be diagonal on a Dirichlet cube, got {A0.tolist()}")
+    P, k = (n, np.arange(n)) if periodic else (2 * n, np.arange(1, n + 1))
+    idx = np.indices((n,) * d).reshape(d, n**d)  # row-major
+    s2 = np.sin(np.pi * k / P) ** 2
+    t = np.sin(2.0 * np.pi * k / P)
+    lam = (sum(4.0 * A0[i, i] * s2[idx[i]] for i in range(d)) + sum(
+        A0[i, j] * t[idx[i]] * t[idx[j]]
+        for i in range(d) for j in range(d) if i != j)) / domain.h**2 + shift
+    return k[idx], lam
+
+
 def _closed_form_pairs(op: DiscreteOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` lowest eigenpairs of a constant-coefficient operator
     (module docstring), sorted by (eigenvalue, row-major mode index)."""
-    A0, shift = op.constant_coefficients
     dom = op.domain
-    d, n, h = dom.d, dom.n, dom.h
-    N = n**d
-    modes = np.indices((n,) * d).reshape(d, N)  # row-major; also the cell indices
-    periodic = dom.bc == "periodic"
-    P, k = (n, np.arange(n)) if periodic else (2 * n, np.arange(1, n + 1))  # period, modes
-    s2 = np.sin(np.pi * k / P) ** 2
-    t = np.sin(2.0 * np.pi * k / P)
-    lam = (sum(4.0 * A0[i, i] * s2[modes[i]] for i in range(d)) + sum(
-        A0[i, j] * t[modes[i]] * t[modes[j]]
-        for i in range(d) for j in range(d) if i != j)) / h**2 + shift
+    d, n, periodic = dom.d, dom.n, dom.bc == "periodic"
+    modes, lam = torus_symbol(dom, *op.constant_coefficients)
+    N = lam.size
     if periodic:
         conj = np.ravel_multi_index(-modes % n, (n,) * d)
         rep = np.minimum(np.arange(N), conj)
         lam = lam[rep]
     sel = np.argsort(lam, kind="stable")[:count]
-    if periodic:
+    if periodic:  # the modes and the cell indices both run over {0..n-1}^d
         phase = 2.0 * np.pi * ((modes.T @ modes[:, rep[sel]]) % n) / n
         vecs = np.where(sel > rep[sel], np.sin(phase), np.cos(phase))
         vecs /= np.sqrt(np.where(conj[sel] == sel, N, N / 2))
     else:
         vecs = np.ones((N, len(sel)))
-        cells = 2 * np.arange(n)[:, None] + 1
-        for i in range(d):
-            ki = k[modes[i, sel]]
-            table = np.sin(2.0 * np.pi * (cells * ki % (4 * n)) / (4 * n))
-            vecs *= table[modes[i]] / np.sqrt(np.where(ki == n, n, n / 2))
+        for i in range(d):  # the cell index along axis i is k_i - 1
+            ki = modes[i, sel]
+            vecs *= dom.sine_mode(ki)[modes[i] - 1] / np.sqrt(np.where(ki == n, n, n / 2))
     return lam[sel], vecs
 
 

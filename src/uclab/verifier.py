@@ -51,6 +51,7 @@ from uclab.constants import (
     FreeConstants,
     ModelParams,
     c_sfuc_exponent,
+    cacciopoli_gradient_term,
     cacciopoli_prefactor,
     is_finite,
     log_c_sfuc,
@@ -553,8 +554,7 @@ def cacciopoli_check(
         raise ValueError(f"the annulus needs 0 <= r1 < r2, got r1={r1}, r2={r2}")
     if not annulus_fits(dom.L, dom.h, r2, r):
         raise ValueError("fattened annulus must stay inside the cube")
-    # the radius of each cell centre, its squares summed over the axes in order
-    s = np.sqrt(sum(xk**2 for xk in np.ix_(*[dom.centers_1d()] * dom.d)))
+    s = dom.center_radius()
     S = (s > r1) & (s < r2)
     S_plus = (s > max(r1 - r, 0.0)) & (s < r2 + r)
     energy = periodic_gradient_energy(periodic_gradient(psi, dom.h), fld.A)
@@ -568,7 +568,7 @@ def cacciopoli_check(
     base = cacciopoli_prefactor(
         r, fld.norm_V, fld.norm_b, fld.norm_c, fld.declared_theta1, cprime=0.0
     )
-    grad_coeff = 8.0 * fld.declared_theta1**2 / r**2
+    grad_coeff = cacciopoli_gradient_term(r, fld.declared_theta1)
     min_cprime = (lhs - zeta_plus - base * mass_plus) / (grad_coeff * mass_plus) \
         if mass_plus > 0 else math.nan
     return {

@@ -511,6 +511,26 @@ class TestCommands:
         assert main(["cacciopoli-check", "--config", path,
                      "--out", str(out)]) == 0
 
+    def test_cacciopoli_check_builds_no_field_by_hand(self):
+        # it built its identity field inline; synthesize_random_field at its
+        # defaults gives A = I in one cell and no b, c or V for any seed
+        import numpy as np
+
+        from uclab.fields import synthesize_random_field
+        from uclab.geometry import CubeDomain
+
+        tree = ast.parse(inspect.getsource(uclab.cli))
+        built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "CoefficientField"]
+        assert built == []
+        for d in (1, 2, 3):
+            dom = CubeDomain(d, 3.0, 1 / 4, "dirichlet")
+            for seed in (0, 7):
+                fld = synthesize_random_field(seed, dom)
+                assert np.array_equal(fld.A, np.eye(d).reshape((1,) * d + (d, d)))
+                assert not (fld.b.any() or fld.c.any() or fld.V.any())
+                assert (fld.declared_theta1, fld.declared_theta2) == (1.0, 0.0)
+
     def test_extend_check_command(self, tmp_path):
         path = write_cfg(tmp_path, {"ds": [2], "seeds": [0, 1], "h_per_G": 16})
         out = tmp_path / "out"

@@ -14,6 +14,7 @@ from uclab.constants import (
     ModelParams,
     alpha_star,
     c_sfuc_exponent,
+    cacciopoli_gradient_term,
     cacciopoli_prefactor,
     carleman_constants,
     carleman_mu_rho,
@@ -285,6 +286,17 @@ class TestCacciopoli:
         for r in (1e-300, 1e-170, 5e-324, 1e-160):
             assert cacciopoli_prefactor(r) == math.inf
         assert cacciopoli_prefactor(1e-150) == 1.0 + 8.0 / 1e-150**2
+
+    def test_a_theta1_whose_square_overflows_is_past_the_double_range(self):
+        # theta1**2 raised OverflowError; an r**2 that underflows gave inf
+        assert cacciopoli_prefactor(1.0, theta1=1e200) == math.inf
+        assert cacciopoli_gradient_term(1.0, 1e200) == math.inf
+
+    def test_the_prefactor_reads_the_gradient_term(self):
+        for r, theta1, cprime in ((0.3, 1.0, 1.0), (0.7, 1.3, 2.5), (1e-150, 1.0, 1.0)):
+            assert cacciopoli_prefactor(r, theta1=theta1, cprime=cprime) == \
+                1.0 + cacciopoli_gradient_term(r, theta1, cprime)
+        assert cacciopoli_gradient_term(0.5, 1.3) == 8.0 * 1.3**2 / 0.5**2
 
     def test_monotone(self):
         base = cacciopoli_prefactor(0.5, 1.0, 1.0, 1.0)

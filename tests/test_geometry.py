@@ -52,6 +52,48 @@ class TestCubeDomain:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_center_radius_is_the_norm_of_the_center_grid(self, d):
+        dom = CubeDomain(d, 3.0, 1 / 8)
+        want = np.linalg.norm(dom.center_grid(), axis=-1)
+        got = dom.center_radius()
+        assert got.shape == dom.shape
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+    @pytest.mark.parametrize("L, h", [(3.0, 1 / 8), (3.0, 3 / 64), (3.0, 0.05),
+                                      (5.0, 0.1), (3.0, 1 / 32)])
+    def test_sine_mode_is_the_exact_sine(self, L, h):
+        # against sin(k pi (x + L/2)/L) at x + L/2 = (m + 1/2) h in 40 digits:
+        # the double formula itself loses about k ulps of its argument
+        mpmath = pytest.importorskip("mpmath")
+        dom = CubeDomain(1, L, h)
+        n = dom.n
+        k = np.arange(1, n + 1)
+        got = dom.sine_mode(k)
+        assert got.shape == (n, n) and dom.sine_mode(3).shape == (n,)
+        with mpmath.workdps(40):
+            want = np.array([[float(mpmath.sin(mpmath.pi * int(kk) * (2 * m + 1) / (2 * n)))
+                              for kk in k] for m in range(n)])
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("L", [3.0, 5.0])
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+    def test_sine_mode_is_bit_equal_to_the_float_formula_on_dyadic_grids(self, L, h):
+        # the k = 1 field envelope and the k = 2 Cacciopoli mode keep their bits
+        dom = CubeDomain(1, L, h)
+        for k in (1, 2):
+            want = np.sin(k * math.pi * (dom.centers_1d() + L / 2.0) / L)
+            assert np.array_equal(dom.sine_mode(k), want)
+
+    @pytest.mark.parametrize("h", [1 / 8, 3 / 64, 0.1])
+    def test_sine_modes_are_orthogonal_with_the_closed_form_norms(self, h):
+        # sum_m s_k s_k' = (n/2) delta_kk', and n at k = k' = n
+        dom = CubeDomain(1, 3.0, h)
+        n = dom.n
+        s = dom.sine_mode(np.arange(1, n + 1))
+        want = np.diag(np.where(np.arange(1, n + 1) == n, n, n / 2))
+        assert np.abs(s.T @ s - want).max() <= 1e-12
+
     def test_norm_sq_rejects_a_boolean_where_off_the_grid(self):
         dom = CubeDomain(2, 3.0, 0.5)
         psi = np.ones(dom.shape)
@@ -452,6 +494,17 @@ class TestSites:
         for check in (classify_sites, tiling_identity_defect):
             with pytest.raises(ValueError, match=want):
                 check(psi, T, 3, 1 / 8)
+
+    @pytest.mark.parametrize("L", [True, 3.0, np.float64(3.0), 0, -3, 2])
+    def test_site_count_must_be_an_odd_integer_at_least_one(self, L):
+        # L = True returned a decomposition and L = 3.0 ended in numpy's
+        # casting TypeError
+        psi = np.ones(3 * 8 * max(int(L), 1))  # h = 1/8
+        want = (rf"^L must be odd, got {L!r}$" if L == 2
+                else rf"^L must be an integer >= 1, got {re.escape(repr(L))}$")
+        for check in (classify_sites, tiling_identity_defect):
+            with pytest.raises(ValueError, match=want):
+                check(psi, 1, L, 1 / 8)
 
     def test_window_exceeding_extension_rejected(self):
         L, h = 3, 1 / 4

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from uclab.fields import (
     synthesize_random_field,
 )
 from uclab.geometry import CubeDomain
-from uclab.spectral import SpectrumSlice, eigensolve, projector_sample
+from uclab.spectral import SpectrumSlice, eigensolve, projector_sample, torus_symbol
 from uclab.verifier import placement_gram
 
 
@@ -297,6 +298,29 @@ class TestClosedForm:
         assert sl.residual_bound <= 1e-10
         assert sl.orthonormality_defect() <= 1e-12
 
+    @pytest.mark.parametrize("bc,d,h", [("periodic", 2, 1 / 4), ("periodic", 3, 1 / 2),
+                                        ("dirichlet", 1, 1 / 16), ("dirichlet", 2, 1 / 4)])
+    def test_symbol_is_the_spectrum_of_the_assembled_matrix(self, bc, d, h):
+        # a rotated A0 with theta1 > 1 on the periodic cubes, a diagonal one
+        # on the Dirichlet cubes, and a shift
+        dom = CubeDomain(d, 3.0, h, bc)
+        grid = constant_spd_field(5, dom, 1.7)
+        A0 = grid[(0,) * d]
+        if bc == "periodic":
+            assert np.any(A0[0, 1])
+        modes, lam = torus_symbol(dom, A0, 0.7)
+        first = 0 if bc == "periodic" else 1
+        assert np.array_equal(modes, np.indices(dom.shape).reshape(d, -1) + first)
+        dense = np.linalg.eigvalsh(assemble(constant_field(dom, grid, shift=0.7)).matrix.toarray())
+        assert np.abs(np.sort(lam) - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_symbol_refuses_a_non_diagonal_matrix_on_a_dirichlet_cube(self):
+        A0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert torus_symbol(CubeDomain(2, 3.0, 1 / 4, "periodic"), A0)[1].size == 144
+        with pytest.raises(ValueError, match=r"^A0 must be diagonal on a Dirichlet cube, got "
+                                             r"\[\[2.0, 0.5\], \[0.5, 1.0\]\]$"):
+            torus_symbol(CubeDomain(2, 3.0, 1 / 4, "dirichlet"), A0)
+
     def test_clusters_are_bit_equal_and_canonical(self):
         # A = I, d = 2, periodic: the lowest cluster above 0 holds the four
         # modes (+-1, 0), (0, +-1), one cos and one sin mode per pair
@@ -351,6 +375,25 @@ class TestClosedForm:
         assert sl.eigenvectors.shape == (H.matrix.shape[0], 5)
         dense = np.linalg.eigvalsh(H.matrix.toarray())[:5]
         assert np.abs(sl.eigenvalues - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+# one pattern per formula that had more than one home: the Dirichlet sine
+# phase, the radius of the cell centres and the Cacciopoli gradient term
+ONE_HOME = {
+    "sine phase": r"% \(4 \* n\)|\+ L / 2\.0\) / L",
+    "centre radius": r"centers_1d\(\)\] \* ",
+    "gradient term": r"\b8\.0 \* [\w.]*theta1\*\*2",
+}
+
+
+@pytest.mark.parametrize("formula", sorted(ONE_HOME))
+def test_each_closed_form_is_written_once(formula):
+    # the sine phase was written in spectral, fields and cli, the radius in
+    # verifier and carleman, the gradient term in constants and verifier
+    src = Path(spectral.__file__).parent
+    hits = [p.name for p in sorted(src.glob("*.py"))
+            for _ in re.findall(ONE_HOME[formula], p.read_text())]
+    assert len(hits) == 1, f"the {formula} is written in {hits}"
 
 
 def _variable_fields():
