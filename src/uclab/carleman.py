@@ -51,8 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from uclab.constants import (EULER, ModelParams, bound_error, carleman_constants,
-                             carleman_mu_floor, is_finite, mu_one)
+from uclab.constants import (EULER, ModelParams, annulus_radius, bound_error,
+                             carleman_constants, carleman_mu_floor, is_finite, mu_one)
 from uclab.discretization import apply_operator
 from uclab.fields import (
     _require_finite,
@@ -312,10 +312,10 @@ def build_radial_cutoff(
 ) -> RadialCutoff:
     """Cutoff vanishing on B(delta/4) and outside B(2 e theta1 R + D0), equal
     to one on the annulus between delta/2 and 2 e theta1 R."""
-    if delta > D0 or delta > 2.0 * EULER * theta1 * R:
+    r3 = annulus_radius(theta1, R)
+    if delta > D0 or delta > r3:
         raise ValueError("radius ordering requires delta <= D0 and delta <= 2e*theta1*R")
     r1, r2 = delta / 4.0, delta / 2.0
-    r3 = 2.0 * EULER * theta1 * R
     r4 = r3 + D0
     if not (r1 < r2 < r3 < r4):
         raise ValueError("cutoff radii must be strictly ordered")

@@ -8,7 +8,9 @@ scale-free sampling constant ``C_sfUC`` and the spectral half-width ``gamma``.
 
 The local (vanishing-order) formulas take their R, D0, K_V and beta as a
 :class:`LocalGeometry`, which the sampling route derives once
-(:func:`sampling_geometry`) and any other caller builds itself.
+(:func:`sampling_geometry`) and any other caller builds itself.  Its
+2 e theta1 R, (2 e theta1 + 1) R and beta = 2 T^d, at which ``classify_sites``
+splits, are :func:`annulus_radius`, :func:`window_ball_radius`, :func:`site_beta`.
 
 The tiny constants underflow double precision for realistic parameters (their
 natural logs reach -1e9), so each one is computed and reported only as its
@@ -54,6 +56,9 @@ __all__ = [
     "UcConstantReport",
     "sampling_radius",
     "sampling_geometry",
+    "annulus_radius",
+    "window_ball_radius",
+    "site_beta",
     "sampling_epsilon",
     "local_epsilon",
     "side_length_T",
@@ -234,10 +239,23 @@ def sampling_geometry(p: ModelParams) -> LocalGeometry:
     rescaled ``p`` (:func:`scale_parameters`), as :func:`sampling_report`
     passes it."""
     R = sampling_radius(p.d)
-    T = side_length_T(p.d, p.theta1)
-    # 2 T^d; float ** and ldexp raise OverflowError past the double range
-    beta = math.ldexp(float(T) ** p.d, 1)
+    beta = site_beta(p.d, side_length_T(p.d, p.theta1))
     return LocalGeometry(R=R, D0=R / 2.0, K_V=p.norm_V, beta=beta)
+
+
+def annulus_radius(theta1: float, R: float) -> float:
+    """Outer radius 2 e theta1 R of the local estimate's annulus."""
+    return 2.0 * EULER * theta1 * R
+
+
+def window_ball_radius(d: int, theta1: float) -> float:
+    """Radius (2 e theta1 + 1) R, R = sqrt(d) + 2, of the ball a T-window holds."""
+    return (2.0 * EULER * theta1 + 1.0) * sampling_radius(d)
+
+
+def site_beta(d: int, T: int) -> float:
+    """beta = 2 T^d of a dominating site; ** and ldexp raise OverflowError past doubles."""
+    return math.ldexp(float(T) ** d, 1)
 
 
 def sampling_epsilon(p: ModelParams) -> float:
@@ -255,9 +273,11 @@ def local_epsilon(p: ModelParams, geo: LocalGeometry) -> float:
 
 def side_length_T(d: int, theta1: float) -> int:
     """Side length of the comparison window in the dominating-site argument."""
+    if not is_dimension(d):
+        raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
         raise ValueError(bad)
-    return math.ceil(2.0 * sampling_radius(d) * (2.0 * EULER * theta1 + 1.0))
+    return math.ceil(2.0 * window_ball_radius(d, theta1))
 
 
 def carleman_mu_rho(
@@ -266,7 +286,7 @@ def carleman_mu_rho(
     """Weight parameters (mu, mu1, rho) used by the local estimate."""
     if not eps0 > 0.0:  # a NaN eps0 too
         raise ValueError("admissibility margin eps0 must be positive")
-    rho = 2.0 * EULER * p.theta1 * geo.R + 2.0 * geo.D0
+    rho = annulus_radius(p.theta1, geo.R) + 2.0 * geo.D0
     mu = carleman_mu_floor(p.d, p.theta1, p.theta2, rho) + rho * eps0 / (
         2.0 * EULER * geo.R * math.sqrt(p.theta1)
     )
@@ -348,17 +368,15 @@ def cacciopoli_prefactor(
     cprime: float = 1.0,
 ) -> float:
     """Prefactor of the interior gradient estimate on a fattened annulus;
-    math.inf when theta1**2 overflows or r**2 underflows to 0, past the
-    double range."""
+    math.inf when a norm**2 or theta1**2 overflows or r**2 underflows to 0,
+    past the double range."""
     if bad := bound_error(">", 0, r=r):
         raise ValueError(bad)
-    return (
-        2.0 * norm_V**2
-        + 1.0
-        + 2.0 * norm_b**2
-        + cacciopoli_gradient_term(r, theta1, cprime)
-        + 2.0 * norm_c
-    )
+    try:
+        return (2.0 * norm_V**2 + 1.0 + 2.0 * norm_b**2
+                + cacciopoli_gradient_term(r, theta1, cprime) + 2.0 * norm_c)
+    except OverflowError:  # raised by a float power
+        return math.inf
 
 
 def _cutoff_bracket(p: ModelParams, fc: FreeConstants, middle: float, r: float) -> float:
@@ -393,7 +411,7 @@ def alpha_star(
         raise ValueError("rho/(sqrt(theta1)*e*R*mu) must exceed 1 (needs eps0 > 0)")
     alpha1 = (16.0 * rho**4 * carleman_C * geo.K_V**2 * p.theta1**1.5) ** (1.0 / 3.0)
     bracket = _cutoff_bracket(
-        p, fc, 3.0 * p.theta1**2 * p.d**2 / (2.0 * EULER * p.theta1 * geo.R) ** 2, geo.D0 / 2.0
+        p, fc, 3.0 * p.theta1**2 * p.d**2 / annulus_radius(p.theta1, geo.R) ** 2, geo.D0 / 2.0
     )
     log_arg = (
         math.log(8.0 * carleman_C * rho**3 * math.sqrt(p.theta1) * geo.R * geo.beta)

@@ -79,6 +79,7 @@ __all__ = [
     "DiscreteOperator",
     "assemble",
     "apply_operator",
+    "closed_form_covers",
     "extend",
     "extension_check",
     "reflect_block",
@@ -115,6 +116,11 @@ class DiscreteOperator:
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
 
+def closed_form_covers(domain: CubeDomain, A0: np.ndarray) -> bool:
+    """The closed-form rule for a constant A0: any A0 periodic, a diagonal one Dirichlet."""
+    return domain.bc == "periodic" or not np.any(A0 - np.diag(np.diag(A0)))
+
+
 def _constant_coefficients(
     field: CoefficientField, lower: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
@@ -123,9 +129,8 @@ def _constant_coefficients(
     diagonal A0; None otherwise."""
     A0 = field.A[(0,) * field.domain.d]
     shift = lower.flat[0]
-    if not (np.all(field.A == A0) and np.all(lower == shift) and shift.imag == 0.0):
-        return None
-    if field.domain.bc == "dirichlet" and np.any(A0 - np.diag(np.diag(A0))):
+    if not (np.all(field.A == A0) and np.all(lower == shift) and shift.imag == 0.0
+            and closed_form_covers(field.domain, A0)):
         return None
     return A0.copy(), float(shift.real)
 
@@ -300,20 +305,12 @@ def reflect_block(arr: np.ndarray, axis: int, kind: str) -> np.ndarray:
     matrix block is its dimension d.
     """
     flipped = np.flip(arr, axis=axis)
-    if kind == "psi":
+    if kind == "psi":  # negated: * -1.0 gives another sign to a complex zero imaginary part
         return -flipped
     if kind == "scalar":
         return flipped
-    if kind == "vector":
-        sign = np.ones(arr.shape[-1])
-        sign[axis] = -1.0
-        return flipped * sign
-    if kind == "matrix":
-        sign = np.ones(arr.shape[-2:])
-        sign[axis, :] *= -1.0
-        sign[:, axis] *= -1.0
-        return flipped * sign
-    raise ValueError(kind)
+    normal = np.where(np.arange(arr.shape[-1]) == axis, -1.0, 1.0)  # -1 on the normal component
+    return flipped * {"vector": normal, "matrix": np.outer(normal, normal)}[kind]
 
 
 def _jump_allowance(psi: np.ndarray, h: float) -> float:

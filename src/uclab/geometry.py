@@ -42,9 +42,9 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, EULER, bound_error,
-                             is_ball_radius, is_dimension, lattice_error, sampling_radius,
-                             side_length_T, whole_cells)
+from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, is_ball_radius,
+                             is_dimension, lattice_error, side_length_T, site_beta,
+                             whole_cells, window_ball_radius)
 
 __all__ = [
     "CubeDomain",
@@ -405,9 +405,9 @@ def classify_sites(
     """Dominating/weak partition from a grid function extended to the 3L cube.
 
     ``psi_ext`` lives on the cell-centered grid of (-3L/2, 3L/2)^d.  A site is
-    dominating when its unit-cube mass is at least ``1/(2 T^d)`` of its
-    T-window mass; ties count as dominating.  L and T are integers >= 1 (a
-    bool is not one), L odd; a ValueError names the one that is not.
+    dominating when its unit-cube mass is >= 1/beta of its T-window mass, beta
+    = 2 T^d (``site_beta``) as in the local estimate; ties count as dominating.
+    L and T are integers >= 1, not bools, L odd; a ValueError names the bad one.
     """
     d = psi_ext.ndim
     if not is_dimension(L):
@@ -431,7 +431,7 @@ def classify_sites(
     unit_starts = (L + np.arange(L)) * c
     unit_mass = _window_sums(dens, c, unit_starts)
     window_mass = _window_sums(dens, T * c, unit_starts - (T - 1) * c // 2)
-    dominating = unit_mass >= window_mass / (2.0 * float(T) ** d)
+    dominating = unit_mass >= window_mass / site_beta(d, T)
     return SiteDecomposition(dominating=dominating, unit_mass=unit_mass,
                              window_mass=window_mass)
 
@@ -439,10 +439,8 @@ def classify_sites(
 def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:
     """Worst-case reach of the shifted ball (see
     :func:`window_containment_margin`); the offset defaults to sqrt(d)/2."""
-    if center_offset is None:
-        center_offset = math.sqrt(d) / 2.0
-    ball_radius = (2.0 * EULER * theta1 + 1.0) * sampling_radius(d)
-    return NEAR_NEIGHBOR_SHIFT + center_offset + ball_radius
+    offset = math.sqrt(d) / 2.0 if center_offset is None else center_offset
+    return NEAR_NEIGHBOR_SHIFT + offset + window_ball_radius(d, theta1)
 
 
 def window_containment_margin(
@@ -457,6 +455,8 @@ def window_containment_margin(
     printed side is too small for the containment as stated, which
     :func:`feasible_window_side` repairs.
     """
+    if not is_dimension(d):
+        raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
         raise ValueError(bad)
     if T is None:
@@ -468,6 +468,8 @@ def window_containment_margin(
 
 def feasible_window_side(d: int, theta1: float) -> int:
     """Smallest integer window side making the containment margin >= 0."""
+    if not is_dimension(d):
+        raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
         raise ValueError(bad)
     return math.ceil(2.0 * _window_reach(d, theta1))
@@ -479,10 +481,8 @@ def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> flo
     d = psi_ext.ndim
     dec = classify_sites(psi_ext, T, L, h)
     lhs = float(dec.window_mass.sum())
-    cells_per_unit = whole_cells(1.0, h)
-    lo = L * cells_per_unit
-    hi = 2 * L * cells_per_unit
-    sl = tuple(slice(lo, hi) for _ in range(d))
-    base = float((np.abs(psi_ext[sl]) ** 2).sum() * h**d)
+    c = whole_cells(1.0, h)
+    base_cube = (slice(L * c, 2 * L * c),) * d
+    base = float((np.abs(psi_ext[base_cube]) ** 2).sum() * h**d)
     rhs = float(T) ** d * base
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)

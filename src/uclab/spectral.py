@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uclab.constants import is_dimension
-from uclab.discretization import DiscreteOperator
+from uclab.discretization import DiscreteOperator, closed_form_covers
 
 __all__ = ["SpectrumSlice", "eigensolve", "projector_sample", "torus_symbol"]
 
@@ -172,7 +172,7 @@ def torus_symbol(domain, A0: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray
     k in {0..n-1}^d, when periodic and 2n, k in {1..n}^d, when Dirichlet,
     where an A0 that is not diagonal raises a ValueError naming it."""
     d, n, periodic = domain.d, domain.n, domain.bc == "periodic"
-    if not periodic and np.any(A0 - np.diag(np.diag(A0))):
+    if not closed_form_covers(domain, A0):
         raise ValueError(f"A0 must be diagonal on a Dirichlet cube, got {A0.tolist()}")
     P, k = (n, np.arange(n)) if periodic else (2 * n, np.arange(1, n + 1))
     idx = np.indices((n,) * d).reshape(d, n**d)  # row-major

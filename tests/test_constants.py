@@ -13,6 +13,7 @@ from uclab.constants import (
     LocalGeometry,
     ModelParams,
     alpha_star,
+    annulus_radius,
     c_sfuc_exponent,
     cacciopoli_gradient_term,
     cacciopoli_prefactor,
@@ -29,6 +30,8 @@ from uclab.constants import (
     sampling_report,
     scale_parameters,
     side_length_T,
+    site_beta,
+    window_ball_radius,
 )
 
 E = math.e
@@ -171,6 +174,20 @@ class TestLocalGeometry:
                                         beta=2.0 * side_length_T(d, t1) ** d)
         assert sampling_geometry(ModelParams(d=2, theta1=1.2)).beta == 2 * 52**2
 
+    def test_the_dominating_site_geometry_reads_its_homes(self):
+        # 2 e theta1 R, (2 e theta1 + 1) R and 2 T^d, bit for bit as each
+        # caller wrote them before they had one home
+        for d, t1 in ((1, 1.0), (2, 1.3), (3, 1.7), (5, 40.0)):
+            R = math.sqrt(d) + 2.0
+            assert annulus_radius(t1, R) == 2.0 * E * t1 * R
+            assert window_ball_radius(d, t1) == (2.0 * E * t1 + 1.0) * R
+            T = side_length_T(d, t1)
+            assert T == math.ceil(2.0 * R * (2.0 * E * t1 + 1.0))
+            assert site_beta(d, T) == 2.0 * float(T) ** d
+            assert sampling_geometry(ModelParams(d=d, theta1=t1)).beta == site_beta(d, T)
+        with pytest.raises(OverflowError):
+            site_beta(400, 39)
+
 
 class TestSideLength:
     def test_hand_values(self):
@@ -291,6 +308,17 @@ class TestCacciopoli:
         # theta1**2 raised OverflowError; an r**2 that underflows gave inf
         assert cacciopoli_prefactor(1.0, theta1=1e200) == math.inf
         assert cacciopoli_gradient_term(1.0, 1e200) == math.inf
+
+    def test_a_norm_whose_square_overflows_is_past_the_double_range(self):
+        # norm_V**2 and norm_b**2 raised OverflowError
+        assert cacciopoli_prefactor(1.0, norm_V=1e200) == math.inf
+        assert cacciopoli_prefactor(1.0, norm_b=1e200) == math.inf
+        assert cacciopoli_prefactor(1.0, norm_V=10**400) == math.inf
+        assert cacciopoli_prefactor(0.3, 1.5, 0.7, 2.0, 1.7, 2.0) == (
+            2.0 * 1.5**2 + 1.0 + 2.0 * 0.7**2 + 8.0 * 1.7**2 * 2.0 / 0.3**2 + 2.0 * 2.0)
+        # the report still names the first constant of the chain that left the range
+        assert sampling_report(ModelParams(d=1, norm_V=1e200)).out_of_range == "alpha1"
+        assert sampling_report(ModelParams(d=1, norm_b=1e200)).out_of_range == "carleman_C"
 
     def test_the_prefactor_reads_the_gradient_term(self):
         for r, theta1, cprime in ((0.3, 1.0, 1.0), (0.7, 1.3, 2.5), (1e-150, 1.0, 1.0)):

@@ -518,6 +518,22 @@ class TestDirichletExtension:
             )
         assert np.array_equal(a_e, A3)
 
+    def test_each_parity_is_one_sign_on_the_flipped_block(self):
+        # psi is negated, which flips the sign of a zero imaginary part as
+        # well; scalars keep theirs; the normal drift component and the mixed
+        # normal-tangential entries of A change sign
+        rng = np.random.default_rng(0)
+        psi = rng.standard_normal((4, 5, 3)) + 0j
+        b, A = rng.standard_normal((4, 5, 3, 3)), rng.standard_normal((4, 5, 3, 3, 3))
+        ax = 1
+        sign = np.array([1.0, -1.0, 1.0])
+        assert reflect_block(psi, ax, "psi").tobytes() == np.negative(np.flip(psi, ax)).tobytes()
+        assert np.all(np.signbit(reflect_block(psi, ax, "psi").imag))
+        assert reflect_block(psi, ax, "scalar").tobytes() == np.flip(psi, ax).tobytes()
+        assert np.array_equal(reflect_block(b, ax, "vector"), np.flip(b, ax) * sign)
+        assert np.array_equal(reflect_block(A, ax, "matrix"),
+                              np.flip(A, ax) * sign[:, None] * sign[None, :])
+
     def test_drift_parities_preserve_the_operator(self):
         # with the orientation-consistent drift parities, the discrete
         # operator of the extension is the odd extension of the operator

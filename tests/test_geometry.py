@@ -9,6 +9,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import site_masses_by_slices
+from uclab.constants import ModelParams, sampling_report, side_length_T
 from uclab.geometry import (
     NEAR_NEIGHBOR_SHIFT,
     CubeDomain,
@@ -399,6 +400,19 @@ class TestSites:
         assert np.allclose(dec.unit_mass, 1.0)
         # comparison threshold for |c|^2 = 1: window/(2 T^d) = |c|^2 / 2
         assert np.allclose(dec.window_mass / (2.0 * T**1), 0.5 * dec.unit_mass)
+
+    def test_the_split_is_at_the_beta_of_the_local_estimate(self):
+        # d = 1, theta1 = 1: the printed T = 39 fits the 3L cube from L = 19
+        # on; a site dominates exactly when its unit mass is >= 1/beta of its
+        # window mass, beta the one sampling_report gives the local estimate
+        L, h = 19, 1 / 2
+        T = side_length_T(1, 1.0)
+        beta = sampling_report(ModelParams(d=1)).beta
+        psi = np.tile(np.random.default_rng(2).standard_normal(L * 2) ** 3, 3)
+        dec = classify_sites(psi, T, L, h)
+        assert (T, beta) == (39, 78.0)
+        assert np.array_equal(dec.dominating, dec.unit_mass >= dec.window_mass / beta)
+        assert 0 < dec.dominating.sum() < L
 
     def test_single_cube_support_against_brute_force(self):
         L, T = 5, 3

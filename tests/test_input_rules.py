@@ -55,6 +55,7 @@ from uclab.geometry import (
     feasible_window_side,
     generate_sequence,
     tiling_identity_defect,
+    window_containment_margin,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src/uclab"
@@ -309,16 +310,32 @@ DIMENSION_CALLERS = {
     "EquidistributedSequence": lambda d: EquidistributedSequence(
         G=1.0, delta=0.25, L=3.0, d=d, centers=np.zeros((3, 1))),
     "generate_sequence": lambda d: generate_sequence(1.0, 0.25, 3.0, d),
+    "side_length_T": lambda d: side_length_T(d, 1.0),
+    "feasible_window_side": lambda d: feasible_window_side(d, 1.0),
+    "window_containment_margin": lambda d: window_containment_margin(d, 1.0),
 }
 
 
-@pytest.mark.parametrize("bad", [True, False, 2.0, 0, "2"])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 0, -1, "2"])
 @pytest.mark.parametrize("caller", sorted(DIMENSION_CALLERS))
 def test_every_dimension_check_gives_the_one_message(caller, bad):
     # ModelParams(d=True) and (d=2.0) built a report; CubeDomain took True,
-    # and generate_sequence then failed with "an integer is required"
-    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+    # and generate_sequence then failed with "an integer is required";
+    # side_length_T, feasible_window_side and window_containment_margin
+    # returned a side for d = 0 (26), True (39) and 2.5 (47), and d = -1
+    # raised "math domain error"
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got ") as info:
         DIMENSION_CALLERS[caller](bad)
+    assert str(info.value).endswith(repr(bad))
+
+
+@pytest.mark.parametrize("window_side", [side_length_T, feasible_window_side,
+                                         window_containment_margin],
+                         ids=lambda f: f.__name__)
+def test_a_window_side_function_checks_d_before_theta1(window_side):
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 0$") as info:
+        window_side(0, 0.5)
+    assert _raiser(info) == window_side.__name__
 
 
 # one evaluation per caller of the ball-radius rule, at G = 1
@@ -344,6 +361,8 @@ def test_every_ball_radius_check_gives_the_one_message(caller, delta):
 RAISED_IN = {
     **{(caller, "dimension"): "__post_init__" for caller in DIMENSION_CALLERS},
     ("generate_sequence", "dimension"): "generate_sequence",
+    **{(name, "dimension"): name
+       for name in ("side_length_T", "feasible_window_side", "window_containment_margin")},
     ("log_c_sfuc", "ball"): "_sfuc_log_terms", ("log_gamma_window", "ball"): "_sfuc_log_terms",
     ("sampling_report", "ball"): "sampling_report",
     ("EquidistributedSequence", "ball"): "__post_init__",

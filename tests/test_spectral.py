@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 import uclab.spectral as spectral
-from uclab.discretization import assemble
+from uclab.discretization import assemble, closed_form_covers
 from uclab.fields import (
     CoefficientField,
     constant_spd_field,
@@ -321,6 +321,21 @@ class TestClosedForm:
                                              r"\[\[2.0, 0.5\], \[0.5, 1.0\]\]$"):
             torus_symbol(CubeDomain(2, 3.0, 1 / 4, "dirichlet"), A0)
 
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_one_rule_decides_the_symbol_and_the_closed_form_path(self, bc):
+        # a constant rotated A0 on a Dirichlet cube takes the numerical path
+        # and the symbol refuses it; a diagonal one, or any periodic one, takes both
+        dom = CubeDomain(2, 3.0, 1 / 4, bc)
+        for A0 in (np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([2.0, 1.0])):
+            covered = closed_form_covers(dom, A0)
+            assert covered == (bc == "periodic" or not A0[0, 1])
+            grid = np.broadcast_to(A0, dom.shape + (2, 2))
+            op = assemble(constant_field(dom, grid))
+            assert (op.constant_coefficients is not None) == covered
+            if not covered:
+                with pytest.raises(ValueError, match="^A0 must be diagonal"):
+                    torus_symbol(dom, A0)
+
     def test_clusters_are_bit_equal_and_canonical(self):
         # A = I, d = 2, periodic: the lowest cluster above 0 holds the four
         # modes (+-1, 0), (0, +-1), one cos and one sin mode per pair
@@ -378,18 +393,27 @@ class TestClosedForm:
 
 
 # one pattern per formula that had more than one home: the Dirichlet sine
-# phase, the radius of the cell centres and the Cacciopoli gradient term
+# phase, the radius of the cell centres, the Cacciopoli gradient term, the
+# dominating-site argument's 2 e theta1 R, (2 e theta1 + 1) R and 2 T^d, and
+# the test that A0 is diagonal on a Dirichlet cube
 ONE_HOME = {
     "sine phase": r"% \(4 \* n\)|\+ L / 2\.0\) / L",
     "centre radius": r"centers_1d\(\)\] \* ",
     "gradient term": r"\b8\.0 \* [\w.]*theta1\*\*2",
+    "annulus radius": r"2\.0 \* EULER \* [\w.]*theta1 \* ",
+    "window ball radius": r"2\.0 \* EULER \* [\w.]*theta1 \+ 1\.0",
+    "site beta": r"ldexp\(float\(T\)|2\.0 \* float\(T\) \*\* ",
+    "dirichlet diagonal test": r"np\.diag\(np\.diag\(",
 }
 
 
 @pytest.mark.parametrize("formula", sorted(ONE_HOME))
 def test_each_closed_form_is_written_once(formula):
     # the sine phase was written in spectral, fields and cli, the radius in
-    # verifier and carleman, the gradient term in constants and verifier
+    # verifier and carleman, the gradient term in constants and verifier;
+    # 2 e theta1 R twice in constants and twice in carleman, (2 e theta1 + 1) R
+    # and 2 T^d in constants and geometry, the diagonal test in discretization
+    # and spectral
     src = Path(spectral.__file__).parent
     hits = [p.name for p in sorted(src.glob("*.py"))
             for _ in re.findall(ONE_HOME[formula], p.read_text())]
