@@ -54,6 +54,7 @@ __all__ = [
     "FreeConstants",
     "LocalGeometry",
     "UcConstantReport",
+    "dimension_root",
     "sampling_radius",
     "sampling_geometry",
     "annulus_radius",
@@ -228,9 +229,16 @@ def _margin(d: int, R: float, theta1: float, t2: float) -> float:
         return -math.inf
 
 
+def dimension_root(d: int) -> float:
+    """sqrt(d) of a dimension: ``math.sqrt`` wherever a double holds d, and
+    the integer square root past that, where a double cannot tell the two
+    apart."""
+    return math.sqrt(d) if d <= sys.float_info.max else float(math.isqrt(d))
+
+
 def sampling_radius(d: int) -> float:
     """Annulus radius R = sqrt(d) + 2 of the sampling route, in units of G."""
-    return math.sqrt(d) + 2.0
+    return dimension_root(d) + 2.0
 
 
 def sampling_geometry(p: ModelParams) -> LocalGeometry:

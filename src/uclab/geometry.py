@@ -42,9 +42,9 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, is_ball_radius,
-                             is_dimension, lattice_error, side_length_T, site_beta,
-                             whole_cells, window_ball_radius)
+from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, dimension_root,
+                             is_ball_radius, is_dimension, lattice_error, side_length_T,
+                             site_beta, whole_cells, window_ball_radius)
 
 __all__ = [
     "CubeDomain",
@@ -436,24 +436,21 @@ def classify_sites(
                              window_mass=window_mass)
 
 
-def _window_reach(d: int, theta1: float, center_offset: Optional[float] = None) -> float:
+def _window_reach(d: int, theta1: float) -> float:
     """Worst-case reach of the shifted ball (see
-    :func:`window_containment_margin`); the offset defaults to sqrt(d)/2."""
-    offset = math.sqrt(d) / 2.0 if center_offset is None else center_offset
-    return NEAR_NEIGHBOR_SHIFT + offset + window_ball_radius(d, theta1)
+    :func:`window_containment_margin`)."""
+    return NEAR_NEIGHBOR_SHIFT + dimension_root(d) / 2.0 + window_ball_radius(d, theta1)
 
 
-def window_containment_margin(
-    d: int, theta1: float, T: Optional[int] = None, center_offset: Optional[float] = None
-) -> float:
+def window_containment_margin(d: int, theta1: float, T: Optional[int] = None) -> float:
     """Signed slack of the ball-in-window containment used by the site
     argument: T/2 minus the worst-case reach of the shifted ball.
 
-    The reach is ``2 + offset + (2 e theta1 + 1) R`` with ``R = sqrt(d) + 2``
-    (near-neighbor shift, center wobble within its cell, ball radius).  With
-    the printed window side this is negative by about ``2 + sqrt(d)/2``: the
-    printed side is too small for the containment as stated, which
-    :func:`feasible_window_side` repairs.
+    The reach is ``2 + sqrt(d)/2 + (2 e theta1 + 1) R`` with
+    ``R = sqrt(d) + 2`` (near-neighbor shift, center wobble within its cell,
+    ball radius).  With the printed window side this is negative by about
+    ``2 + sqrt(d)/2``: the printed side is too small for the containment as
+    stated, which :func:`feasible_window_side` repairs.
     """
     if not is_dimension(d):
         raise ValueError(DIMENSION_ERROR.format("d", d))
@@ -463,7 +460,7 @@ def window_containment_margin(
         T = side_length_T(d, theta1)
     elif not is_dimension(T):
         raise ValueError(DIMENSION_ERROR.format("T", T))
-    return T / 2.0 - _window_reach(d, theta1, center_offset)
+    return T / 2.0 - _window_reach(d, theta1)
 
 
 def feasible_window_side(d: int, theta1: float) -> int:

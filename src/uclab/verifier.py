@@ -31,15 +31,21 @@ Rayleigh quotient of M at psi's coefficients in the slice basis, and
 lowest eigenvalue of the window's minor of M, which no choice of basis
 inside a degenerate eigenspace moves.  A delta sweep measures many
 placements of one grid function instead: it squares the function once, into
-one :func:`mass_prefix` table and its norm, and at each delta finds the
-:func:`~uclab.geometry.ball_runs` of all that delta's placements in one pass
-and reads each placement's mass from the table over its own runs.  So it
-costs one pass over the grid per grid function and one run search per
-delta, not one per placement.
+one :func:`mass_prefix` table and its norm, and at each delta reads each
+placement's mass from the table over its own runs.  The runs of all that
+delta's placements come from one :func:`~uclab.geometry.ball_runs` pass,
+kept as a run table of prefix-table indices.  The table depends on the grid
+and the placements, not on psi, so the last ``RUN_TABLE_CACHE_SIZE`` tables
+are kept and another grid function swept on the same placements searches no
+runs.  So a sweep costs one pass over the grid per grid function and at most
+one run search per delta, not one per placement.  A table holds 17 bytes
+per run (two intp indices and a flag): 1.2 MB for 4 placements of 27 balls
+of radius 14.4 cells on a 96**3 grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -99,6 +105,7 @@ __all__ = [
 _SUITE_ENTROPY = 743829124
 EIGEN_COUNT = 6  # lowest eigenpairs solved per benchmark field
 THETA1_RANGE = (1.0, 1.4)  # benchmark fields draw theta1 uniformly from it
+RUN_TABLE_CACHE_SIZE = 16  # run tables kept: one sweep's deltas (9 in perfbench, 5 in the CLI)
 
 # what solve_field returns: the field, its operator and the eigenpair slice
 Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
@@ -228,6 +235,61 @@ def mass_prefix(
     return prefix, total
 
 
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Where a placement stack's runs read a :func:`mass_prefix` table.
+
+    Run ``k`` adds the flat entry ``last[k]``, of its last cell, less the
+    entry ``before[k]``, of the cell before its first, when ``inner[k]``;
+    a run that starts its G-block adds ``last[k]`` alone.  Placement ``i``
+    sums runs ``ends[i]:ends[i + 1]`` in order.  Every array is read-only."""
+
+    last: np.ndarray
+    before: np.ndarray
+    inner: np.ndarray
+    ends: np.ndarray
+
+
+class _Stack:
+    """A placement stack on a grid, equal to another exactly when their runs
+    are: same grid d, L and h, and per placement the same G, delta, L, d and
+    center bytes.  The boundary condition does not enter."""
+
+    __slots__ = ("seqs", "domain", "key")
+
+    def __init__(self, seqs: Sequence[EquidistributedSequence], domain: CubeDomain):
+        self.seqs, self.domain = seqs, domain
+        self.key = (domain.d, domain.L, domain.h, tuple(
+            (s.G, s.delta, s.L, s.d, s.centers.dtype.str, s.centers.tobytes())
+            for s in seqs))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=RUN_TABLE_CACHE_SIZE)
+def _run_table(stack: _Stack) -> RunTable:
+    """The :class:`RunTable` of one :func:`~uclab.geometry.ball_runs` pass,
+    kept for the last ``RUN_TABLE_CACHE_SIZE`` stacks."""
+    seqs, domain = stack.seqs, stack.domain
+    placement, rows, lo, hi = ball_runs(seqs, domain)
+    # cell i of grid row r sits at flat index r*n + i; the indices stay intp,
+    # which numpy gathers by without a cast
+    start = rows * domain.n
+    table = RunTable(
+        last=start + hi - 1,
+        before=start + lo - 1,
+        inner=lo % domain.block_cells(seqs[0].G) != 0,
+        ends=np.searchsorted(placement, np.arange(len(seqs) + 1)),
+    )
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
+
+
 def observability_ratio(
     prefix: np.ndarray,
     seqs: Sequence[EquidistributedSequence],
@@ -237,23 +299,20 @@ def observability_ratio(
     """Mass fraction of psi captured by the union of the delta-balls of each
     placement in ``seqs``, a stack that shares G, delta, L and d, from
     psi's :func:`mass_prefix` table; ``total`` is psi's squared norm on the
-    whole cube.  One :func:`~uclab.geometry.ball_runs` pass finds the runs
-    of every placement.  Each run of covered cells adds the difference of
-    two entries of its block's prefix row, and each placement sums its own
-    runs in their one-placement order, so its ratio has the bits it has
-    when measured alone."""
-    placement, rows, lo, hi = ball_runs(seqs, domain)
+    whole cube.  The stack's :class:`RunTable` comes from one
+    :func:`~uclab.geometry.ball_runs` pass, or from the tables kept for the
+    last ``RUN_TABLE_CACHE_SIZE`` stacks.  Each run of covered cells adds the
+    difference of two entries of its block's prefix row, and each placement
+    sums its own runs in their one-placement order, so its ratio has the bits
+    it has when measured alone."""
+    table = _run_table(_Stack(seqs, domain))
     c = domain.block_cells(seqs[0].G)
     if prefix.shape != (domain.n ** (domain.d - 1), seqs[0].cells_per_axis, c):
         raise ValueError("prefix table does not match the sequence's G-blocks")
-    # cell i of grid row r sits at flat index r*n + i: a run [lo, hi) adds
-    # the entry of its last cell less the entry of the cell before it, or
-    # 0.0 when it starts its block
-    start = rows * domain.n
     flat = prefix.reshape(-1)
-    mass = flat[start + hi - 1] - np.where(lo % c, flat[start + lo - 1], 0.0)
-    ends = np.searchsorted(placement, np.arange(len(seqs) + 1))
-    return np.array([mass[a:b].sum() for a, b in itertools.pairwise(ends)]) / total
+    mass = flat[table.last]
+    np.subtract(mass, flat[table.before], out=mass, where=table.inner)
+    return np.array([mass[a:b].sum() for a, b in itertools.pairwise(table.ends)]) / total
 
 
 @_one_blas_thread()

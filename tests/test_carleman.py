@@ -23,7 +23,7 @@ from uclab.carleman import (
     log_phi,
     phi,
 )
-from uclab.constants import ModelParams, carleman_constants, mu_one
+from uclab.constants import ModelParams, carleman_constants, carleman_mu_floor, mu_one
 from uclab.geometry import CubeDomain
 
 E = math.e
@@ -762,6 +762,23 @@ class TestPinnedTrialParameters:
         assert rec["rho"] == 1.0 and rec["mu"] == 0.08
         assert abs(rec["alpha"] / rec["alpha0"] - 1.5) < 1e-12
         assert rec["ratio"] <= 1.0 + 10.0 / 64.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mu_pinned_at_the_floor_drops_the_variable_A(self, d):
+        # seed 0 draws a variable A (theta2 > 0); a pinned mu at or below its
+        # floor 33 d theta1^(11/2) theta2 rho keeps the trial admissible with
+        # the constant A instead
+        rng = np.random.default_rng(0)
+        theta1, rho = 1.0 + 0.12 * rng.random(), 0.8 + 0.45 * rng.random()
+        assert rng.random() < 0.25  # the variable-A draw
+        theta2 = 4e-4 * rng.random()
+        floor = carleman_mu_floor(d, theta1, theta2, rho)
+        assert carleman_trial(0, d, 1 / 64)["theta2"] == theta2 > 0.0
+        assert carleman_trial(0, d, 1 / 64, mu=2.0 * floor)["theta2"] == theta2
+        for mu in (floor, 0.5 * floor):
+            rec = carleman_trial(0, d, 1 / 64, mu=mu)
+            assert rec["mu"] == mu and rec["theta2"] == 0.0
+            assert rec["ratio"] <= 1.0 + 10.0 / 64.0 and rec["alpha"] >= rec["alpha0"]
 
     def test_alpha_mult_below_one_rejected(self):
         with pytest.raises(ValueError):

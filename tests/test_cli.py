@@ -748,6 +748,29 @@ class TestFieldFileFlag:
         assert main(["extend-check", "--out", str(out), "--field-file", str(ff)]) == 1
         assert strict_json((out / "report.json").read_text())["worst"]["residual"] > 1e-3
 
+    def test_cacciopoli_check_eigensolves_a_saved_field(self, tmp_path):
+        # the loaded field's ground state, not the built-in sine mode, is the
+        # function the inequality is checked on
+        from uclab.discretization import assemble
+        from uclab.fields import save_field, synthesize_dir_cross_field
+        from uclab.geometry import CubeDomain
+        from uclab.spectral import eigensolve
+        from uclab.verifier import cacciopoli_check
+
+        dom = CubeDomain(2, 3.0, 1 / 16, "dirichlet")
+        fld = synthesize_dir_cross_field(3, dom, 1.4)
+        ff = tmp_path / "field.npz"
+        save_field(ff, fld)
+        cfg = write_cfg(tmp_path, {"seeds": [5]})
+        out = tmp_path / "out"
+        assert main(["cacciopoli-check", "--config", cfg, "--out", str(out),
+                     "--field-file", str(ff)]) == 0
+        rep = strict_json((out / "report.json").read_text())
+        psi = eigensolve(assemble(fld), count=1, seed=5).grid_vector(0)
+        want = cacciopoli_check(psi, fld, 0.1 * 3.0, 0.27 * 3.0, 0.13 * 3.0)
+        assert rep["check"]["holds"] is True
+        assert rep["check"]["lhs"] == want["lhs"] and rep["check"]["rhs"] == want["rhs"]
+
     def test_cacciopoli_check_rejects_a_coarse_field_file(self, tmp_path, capsys):
         import numpy as np
 

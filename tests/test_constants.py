@@ -19,6 +19,7 @@ from uclab.constants import (
     cacciopoli_prefactor,
     carleman_constants,
     carleman_mu_rho,
+    dimension_root,
     local_epsilon,
     log_c_quc,
     log_c_quc_lower_bound,
@@ -200,6 +201,15 @@ class TestSideLength:
             T = side_length_T(2, t1)
             assert T >= prev
             prev = T
+
+    def test_dimension_past_the_double_range(self):
+        # sqrt(d) of an integer no double holds is its integer square root,
+        # and every d a double holds keeps the bits of math.sqrt
+        assert dimension_root(10**400) == 1e200
+        for d in (1, 2, 3, 10**6, 2**53 + 1, 10**300):
+            assert dimension_root(d) == math.sqrt(d)
+        R = 1e200 + 2.0
+        assert side_length_T(10**400, 1.0) == math.ceil(2.0 * R * (2.0 * E + 1.0))
 
 
 class TestMuRho:
@@ -548,6 +558,13 @@ class TestReport:
         assert rep.alpha_star == max(
             rep.carleman_alpha0, rep.alpha1, rep.alpha2, rep.alpha3
         )
+
+    @pytest.mark.parametrize("d", [10**6, 10**400])
+    def test_huge_dimension_flags_beta(self, d):
+        # beta = 2 T^d leaves the double range, whether or not d fits in one
+        rep = sampling_report(ModelParams(d=d))
+        assert rep.epsilon == 1.0 and rep.T == side_length_T(d, 1.0)
+        assert not rep.admissible and rep.out_of_range == "beta"
 
     def test_inadmissible_flagged_report(self):
         rep = sampling_report(ModelParams(d=1, theta2=1.0))

@@ -9,7 +9,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import site_masses_by_slices
-from uclab.constants import ModelParams, sampling_report, side_length_T
+from uclab.constants import ModelParams, sampling_report, side_length_T, window_ball_radius
 from uclab.geometry import (
     NEAR_NEIGHBOR_SHIFT,
     CubeDomain,
@@ -534,7 +534,16 @@ class TestWindowContainment:
         for d in (1, 2, 3):
             for t1 in (1.0, 2.0):
                 assert window_containment_margin(d, t1) < 0.0
-                assert window_containment_margin(d, t1, center_offset=0.0) < 0.0
+                reach = NEAR_NEIGHBOR_SHIFT + window_ball_radius(d, t1)  # no wobble
+                assert side_length_T(d, t1) / 2.0 - reach < 0.0
+
+    def test_printed_side_falls_short_past_the_double_range(self):
+        assert window_containment_margin(10**400, 1.0) < 0.0
+
+    def test_repaired_side_past_the_double_range(self):
+        T_ok = feasible_window_side(10**400, 1.0)
+        assert T_ok > side_length_T(10**400, 1.0)
+        assert window_containment_margin(10**400, 1.0, T=T_ok) >= 0.0
 
     def test_repaired_side_is_feasible_and_minimal(self):
         for d in (1, 2, 3):

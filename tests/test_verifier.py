@@ -427,6 +427,84 @@ class TestSweepBitIdentity:
             psi, dom, 1.0, deltas, "uniform_random", range(4))
 
 
+class TestRunTables:
+    """A sweep keeps the run tables of its last ``RUN_TABLE_CACHE_SIZE``
+    placement stacks, keyed by the grid and the placements: another grid
+    function on the same placements searches no runs, and every ratio
+    keeps its bits."""
+
+    DELTAS = [0.125, 0.2, 0.3, 0.45]
+
+    @staticmethod
+    def count_run_searches(monkeypatch):
+        verifier._run_table.cache_clear()
+        calls = []
+
+        def counted(seqs, domain):
+            calls.append(len(seqs))
+            return geometry.ball_runs(seqs, domain)
+
+        monkeypatch.setattr(verifier, "ball_runs", counted)
+        return calls
+
+    @staticmethod
+    def stack(G=1.0, delta=0.2, L=3.0, d=2, seed=0, h=1 / 20):
+        seqs = [generate_sequence(G, delta, L, d, "uniform_random", seed=s)
+                for s in (seed, seed + 1)]
+        return seqs, CubeDomain(d, L, h, "periodic")
+
+    def test_second_grid_function_searches_no_runs(self, monkeypatch):
+        calls = self.count_run_searches(monkeypatch)
+        L = 3.0
+        p = ModelParams(d=2, theta1=1.0, theta2=0.0, G=1.0, delta=0.2, L=L)
+        dom = CubeDomain(2, L, 1 / 16, "periodic")
+        delta_sweep(np.ones(dom.shape), dom, 1.0, self.DELTAS, p,
+                    seq_mode="uniform_random", seq_seeds=range(3))
+        assert calls == [3] * len(self.DELTAS)
+        # the boundary condition does not move a run: a Dirichlet cube of
+        # the same geometry reads the same tables
+        dom = CubeDomain(2, L, 1 / 16, "dirichlet")
+        psi = 0.5 + np.prod(np.cos(np.pi * dom.center_grid() / L) ** 2, axis=-1)
+        res = delta_sweep(psi, dom, 1.0, self.DELTAS, p,
+                          seq_mode="uniform_random", seq_seeds=range(3))
+        assert calls == [3] * len(self.DELTAS)
+        assert res.ratios == oracles.delta_sweep_ratios_per_placement(
+            psi, dom, 1.0, self.DELTAS, "uniform_random", range(3))
+
+    @pytest.mark.parametrize("change", [
+        dict(delta=0.3), dict(seed=2), dict(G=0.6), dict(h=1 / 40),
+        dict(L=5.0), dict(d=1),
+    ])
+    def test_another_stack_misses(self, monkeypatch, change):
+        calls = self.count_run_searches(monkeypatch)
+        ratios = []
+        for kw in ({}, {}, change):
+            seqs, dom = self.stack(**kw)
+            prefix, total = mass_prefix(np.ones(dom.shape), dom, seqs[0].G)
+            ratios.append(observability_ratio(prefix, seqs, dom, total))
+        assert calls == [2, 2]  # the repeated stack hits, the changed one misses
+        verifier._run_table.cache_clear()
+        assert np.array_equal(ratios[2], observability_ratio(prefix, seqs, dom, total))
+
+    def test_tables_are_read_only(self):
+        seqs, dom = self.stack()
+        table = verifier._run_table(verifier._Stack(seqs, dom))
+        for array in vars(table).values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_cache_never_exceeds_its_bound(self):
+        verifier._run_table.cache_clear()
+        bound = verifier.RUN_TABLE_CACHE_SIZE
+        assert bound >= 9  # one sweep's deltas: 9 in the benchmark, 5 in the CLI
+        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
+        prefix, total = mass_prefix(np.ones(dom.shape), dom, 1.0)
+        for seed in range(bound + 3):
+            seq = generate_sequence(1.0, 0.2, 3.0, 1, "uniform_random", seed=seed)
+            observability_ratio(prefix, [seq], dom, total)
+            assert verifier._run_table.cache_info().currsize == min(seed + 1, bound)
+
+
 class TestMaskFraction:
     def test_mask_fraction_L_independent_exactly(self):
         fr = []
@@ -641,6 +719,7 @@ class TestInputsComputedOnce:
 
     @staticmethod
     def spy(monkeypatch):
+        verifier._run_table.cache_clear()  # count from no kept run tables
         calls = {"ball_cells": 0, "ball_runs": 0, "mask": 0, "placement_gram": 0,
                  "worst_ratio": 0, "mass_prefix": 0, "norm_sq": 0, "norm_sq_where": 0}
 
