@@ -153,7 +153,7 @@ def log_phi(r: np.ndarray, mu: float) -> np.ndarray:
         return np.log(r) - e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightFunction:
     """w(x) = phi(sigma(x)/rho) with sigma the A0^{-1} quadratic-form radius."""
 

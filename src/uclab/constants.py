@@ -222,7 +222,10 @@ def _margin(d: int, R: float, theta1: float, t2: float) -> float:
     """
     if t2 == 0.0:
         return 1.0
-    log_product = math.log(33.0 * EULER * d * R) + 6.0 * math.log(theta1) + math.log(t2)
+    # a d that no double holds enters as the log of the integer
+    log_dR = (math.log(33.0 * EULER * d * R) if d <= sys.float_info.max
+              else math.log(33.0 * EULER * R) + math.log(d))
+    log_product = log_dR + 6.0 * math.log(theta1) + math.log(t2)
     try:
         return 1.0 - math.exp(log_product)
     except OverflowError:
@@ -230,10 +233,13 @@ def _margin(d: int, R: float, theta1: float, t2: float) -> float:
 
 
 def dimension_root(d: int) -> float:
-    """sqrt(d) of a dimension: ``math.sqrt`` wherever a double holds d, and
-    the integer square root past that, where a double cannot tell the two
-    apart."""
-    return math.sqrt(d) if d <= sys.float_info.max else float(math.isqrt(d))
+    """sqrt(d) of a dimension: ``math.sqrt`` wherever a double holds d, the
+    integer square root past that, where a double cannot tell the two apart,
+    and inf where no double holds the root either."""
+    if d <= sys.float_info.max:
+        return math.sqrt(d)
+    root = math.isqrt(d)
+    return float(root) if root <= sys.float_info.max else math.inf
 
 
 def sampling_radius(d: int) -> float:
@@ -280,7 +286,8 @@ def local_epsilon(p: ModelParams, geo: LocalGeometry) -> float:
 
 
 def side_length_T(d: int, theta1: float) -> int:
-    """Side length of the comparison window in the dominating-site argument."""
+    """Side length of the comparison window in the dominating-site argument;
+    ``math.ceil`` raises OverflowError where the window ball radius is inf."""
     if not is_dimension(d):
         raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
@@ -560,7 +567,7 @@ class UcConstantReport:
     and ``beta`` are the local geometry the chain used, in units of G."""
 
     epsilon: float
-    T: int
+    T: int  # NaN, flagged as out_of_range "T", past the double range
     R: float = math.nan
     D0: float = math.nan
     K_V: float = math.nan
@@ -600,7 +607,10 @@ def sampling_report(
 ) -> UcConstantReport:
     """End-to-end constant evaluation along the sampling route.
 
-    Rescales to unit cell size and evaluates the whole chain there, whose
+    The window side T comes first: past the double range (d beyond about
+    1e615, or theta1 near the largest double) the report is flagged with
+    ``out_of_range == "T"``, T NaN and the chain not run.  Otherwise it
+    rescales to unit cell size and evaluates the whole chain there, whose
     first step derives the local geometry (:func:`sampling_geometry`).
     Inadmissible parameters (epsilon <= 0) yield a flagged report with NaN
     constants rather than an exception, so sweeps can chart the
@@ -614,9 +624,14 @@ def sampling_report(
     if not is_ball_radius(p.delta, p.G):
         raise ValueError(BALL_RADIUS_ERROR)
     _require_finite(energy=energy)
-    T = side_length_T(p.d, p.theta1)
+    try:
+        T = side_length_T(p.d, p.theta1)
+    except OverflowError:
+        T = math.nan
     eps2 = sampling_epsilon(p)
     base = dict(epsilon=eps2, T=T, params=asdict(p), free_constants=asdict(fc))
+    if math.isnan(T):
+        return UcConstantReport(admissible=False, out_of_range="T", **base)
     if eps2 <= 0.0:
         return UcConstantReport(admissible=False, **base)
 

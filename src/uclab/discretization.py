@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Sparse operator with its grid and a lower bound on its spectrum.
 

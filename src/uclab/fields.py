@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """(A, b, c, V), each stored on the grid axes it varies on, with declared constants."""
 

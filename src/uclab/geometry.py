@@ -9,6 +9,9 @@ radius of the cell centers, ``CubeDomain.center_radius``.  One ball of
 radius ``delta`` sits in each cell of the ``G``-lattice, and a sequence
 whose ball leaves its cell is rejected, so a grid point can only be covered
 by the ball of its own lattice cell: its block of ``G/h`` cells per axis.
+A placement is a value: its centers are a read-only float copy taken once,
+and two placements are equal, and hash alike, when their G, delta, L, d and
+center bytes are, so equal placements have equal runs on one grid.
 
 :func:`ball_runs` is the one home of the ball predicate.  Along the grid's
 last axis the covered cells of one block row form a single run, so a
@@ -157,17 +160,21 @@ class CubeDomain:
         return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquidistributedSequence:
-    """One ball center per cell of the G-lattice inside the cube."""
+    """One ball center per cell of the G-lattice inside the cube; a value."""
 
     G: float
     delta: float
     L: float
     d: int
-    centers: np.ndarray  # shape (m,)*d + (d,), m = L/G
+    centers: np.ndarray  # shape (m,)*d + (d,), m = L/G; read-only
 
     def __post_init__(self):
+        # a complex center is refused, not cast to its real part
+        centers = np.asarray(self.centers).astype(float, casting="same_kind")
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format("d", self.d))
         if bad := bound_error(">", 0, G=self.G, L=self.L):
@@ -182,6 +189,15 @@ class EquidistributedSequence:
         margin = self.containment_margin()
         if margin < 0.0:
             raise ValueError(f"a ball leaves its G-cell (containment margin {margin:.6g})")
+
+    def _key(self) -> tuple:
+        return self.G, self.delta, self.L, self.d, self.centers.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EquidistributedSequence) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def cells_per_axis(self) -> int:
@@ -365,7 +381,7 @@ def mask(seq: EquidistributedSequence, domain: CubeDomain) -> np.ndarray:
     return flags.reshape(domain.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteDecomposition:
     """Partition of the integer sites of the cube into dominating and weak;
     the arrays have shape (L,)*d, site ``-(L - 1)/2 + j`` at index j."""

@@ -90,7 +90,7 @@ RESIDUAL_TOL = 1e-9     # allowed ||H v - lambda v|| relative to the largest ent
 ORTHONORMALITY_TOL = 1e-10  # allowed max |V^* V - I|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumSlice:
     """Sorted eigenpairs with their solver residual bound."""
 

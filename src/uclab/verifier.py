@@ -34,11 +34,12 @@ placements of one grid function instead: it squares the function once, into
 one :func:`mass_prefix` table and its norm, and at each delta reads each
 placement's mass from the table over its own runs.  The runs of all that
 delta's placements come from one :func:`~uclab.geometry.ball_runs` pass,
-kept as a run table of prefix-table indices.  The table depends on the grid
-and the placements, not on psi, so the last ``RUN_TABLE_CACHE_SIZE`` tables
-are kept and another grid function swept on the same placements searches no
-runs.  So a sweep costs one pass over the grid per grid function and at most
-one run search per delta, not one per placement.  A table holds 17 bytes
+kept as a run table of prefix-table indices.  The table depends on the
+placements, which are values, and the grid's d, L and h, not on psi or the
+boundary condition: the last ``RUN_TABLE_CACHE_SIZE`` tables are kept by
+that key, and another grid function swept on the same placements searches
+no runs.  So a sweep costs one pass over the grid per grid function and at
+most one run search per delta, not one per placement.  A table holds 17 bytes
 per run (two intp indices and a flag): 1.2 MB for 4 placements of 27 balls
 of radius 14.4 cells on a 96**3 grid.
 """
@@ -250,31 +251,11 @@ class RunTable:
     ends: np.ndarray
 
 
-class _Stack:
-    """A placement stack on a grid, equal to another exactly when their runs
-    are: same grid d, L and h, and per placement the same G, delta, L, d and
-    center bytes.  The boundary condition does not enter."""
-
-    __slots__ = ("seqs", "domain", "key")
-
-    def __init__(self, seqs: Sequence[EquidistributedSequence], domain: CubeDomain):
-        self.seqs, self.domain = seqs, domain
-        self.key = (domain.d, domain.L, domain.h, tuple(
-            (s.G, s.delta, s.L, s.d, s.centers.dtype.str, s.centers.tobytes())
-            for s in seqs))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 @functools.lru_cache(maxsize=RUN_TABLE_CACHE_SIZE)
-def _run_table(stack: _Stack) -> RunTable:
-    """The :class:`RunTable` of one :func:`~uclab.geometry.ball_runs` pass,
-    kept for the last ``RUN_TABLE_CACHE_SIZE`` stacks."""
-    seqs, domain = stack.seqs, stack.domain
+def _run_table(seqs: tuple[EquidistributedSequence, ...], d: int, L: float, h: float) -> RunTable:
+    """The :class:`RunTable` of one :func:`~uclab.geometry.ball_runs` pass on
+    the grid of d, L and h, kept for the last ``RUN_TABLE_CACHE_SIZE`` keys."""
+    domain = CubeDomain(d, L, h)
     placement, rows, lo, hi = ball_runs(seqs, domain)
     # cell i of grid row r sits at flat index r*n + i; the indices stay intp,
     # which numpy gathers by without a cast
@@ -305,10 +286,12 @@ def observability_ratio(
     difference of two entries of its block's prefix row, and each placement
     sums its own runs in their one-placement order, so its ratio has the bits
     it has when measured alone."""
-    table = _run_table(_Stack(seqs, domain))
+    if not seqs:
+        raise ValueError("need at least one placement")
     c = domain.block_cells(seqs[0].G)
     if prefix.shape != (domain.n ** (domain.d - 1), seqs[0].cells_per_axis, c):
         raise ValueError("prefix table does not match the sequence's G-blocks")
+    table = _run_table(tuple(seqs), domain.d, domain.L, domain.h)
     flat = prefix.reshape(-1)
     mass = flat[table.last]
     np.subtract(mass, flat[table.before], out=mass, where=table.inner)

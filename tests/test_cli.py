@@ -370,6 +370,17 @@ class TestCommands:
         assert rep["admissible"] is False and rep["out_of_range"] == out_of_range
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_constants_report_flags_a_window_side_overflow(self, tmp_path, capsys):
+        # 2 e theta1 is no double, so neither is the window side T
+        path = write_cfg(tmp_path, {"model.theta1": 1e308})
+        out = tmp_path / "out"
+        assert main(["constants", "--config", path, "--out", str(out)]) == 0
+        rep = strict_json((out / "report.json").read_text())["report"]
+        assert rep["epsilon"] == 1.0
+        assert rep["admissible"] is False and rep["out_of_range"] == "T"
+        assert rep["T"] is None and rep["beta"] is None
+        assert "T leaves the double range" in capsys.readouterr().out
+
     def test_constants_report_gives_the_geometry_it_used(self, tmp_path):
         path = write_cfg(tmp_path, {"ds": [2], "model.theta1": 1.2, "norm_Vs": [0.5]})
         out = tmp_path / "out"

@@ -211,6 +211,15 @@ class TestSideLength:
         R = 1e200 + 2.0
         assert side_length_T(10**400, 1.0) == math.ceil(2.0 * R * (2.0 * E + 1.0))
 
+    def test_root_past_the_double_range_is_inf(self):
+        # the integer root of 10**617 is no double; the window side of
+        # 10**615 is not one either, though its root is
+        assert dimension_root(10**617) == math.inf
+        assert dimension_root(10**616) == 1e308
+        for d in (10**615, 10**617):
+            with pytest.raises(OverflowError):
+                side_length_T(d, 1.0)
+
 
 class TestMuRho:
     def test_hand_values_unit_case(self):
@@ -565,6 +574,25 @@ class TestReport:
         rep = sampling_report(ModelParams(d=d))
         assert rep.epsilon == 1.0 and rep.T == side_length_T(d, 1.0)
         assert not rep.admissible and rep.out_of_range == "beta"
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(d=10**615), ModelParams(d=10**616), ModelParams(d=10**617),
+        ModelParams(d=10**617, theta2=0.5), ModelParams(d=1, theta1=1e308),
+    ], ids=["1e615", "1e616", "1e617", "1e617-theta2", "theta1"])
+    def test_window_side_past_the_double_range_flags_T(self, p):
+        # T comes first: its overflow is flagged like any later constant's
+        rep = sampling_report(p)
+        assert not rep.admissible and rep.out_of_range == "T"
+        assert math.isnan(rep.T) and math.isnan(rep.beta) and math.isnan(rep.log_c_sfuc)
+        assert rep.epsilon == (1.0 if p.theta2 == 0.0 else -math.inf)
+
+    def test_margin_of_a_dimension_past_the_double_range(self):
+        # 33 e d R theta2 is a double for d = 10**400 and theta2 = 1e-300,
+        # and past the range for theta2 = 0.5
+        eps = sampling_report(ModelParams(d=10**400, theta2=1e-300)).epsilon
+        assert eps == pytest.approx(1.0 - 33.0 * E * 1e300, rel=1e-12)
+        rep = sampling_report(ModelParams(d=10**400, theta2=0.5))
+        assert rep.epsilon == -math.inf and not rep.admissible and rep.out_of_range == ""
 
     def test_inadmissible_flagged_report(self):
         rep = sampling_report(ModelParams(d=1, theta2=1.0))

@@ -203,6 +203,57 @@ class TestSequences:
                 assert s.containment_margin() >= 0.0
 
 
+class TestPlacementValue:
+    """A placement is a value: equal, and hashed alike, exactly when G,
+    delta, L, d and the center bytes are, with read-only centers."""
+
+    @staticmethod
+    def placement(G=1.0, delta=0.2, L=3.0, d=2, seed=0):
+        return generate_sequence(G, delta, L, d, "uniform_random", seed=seed)
+
+    def test_same_arguments_give_one_value(self):
+        a, b = self.placement(), self.placement()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and a != a.centers
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=1), dict(delta=0.3), dict(G=0.6), dict(L=5.0),
+    ])
+    def test_another_placement_differs(self, change):
+        assert self.placement() != self.placement(**change)
+
+    def test_centers_are_read_only(self):
+        seq = self.placement()
+        with pytest.raises(ValueError, match="read-only"):
+            seq.centers[0, 0, 0] += 0.3
+
+    def test_callers_array_stays_writable_and_unaliased(self):
+        centers = _lattice(1.0, 3.0, 2, 3)
+        seq = EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2, centers=centers)
+        assert centers.flags.writeable and not np.shares_memory(centers, seq.centers)
+        centers[0, 0, 0] += 0.3  # would move the ball out of its G-cell
+        assert seq.containment_margin() == 0.25
+
+    def test_nested_list_centers_accepted(self):
+        centers = _lattice(1.0, 3.0, 2, 3)
+        seq = EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2,
+                                      centers=centers.tolist())
+        assert seq == EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=2, centers=centers)
+
+    def test_complex_centers_refused(self):
+        with pytest.raises(TypeError, match="same_kind"):
+            EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=1,
+                                    centers=_lattice(1.0, 3.0, 1, 3) + 0.2j)
+
+    def test_float32_centers_cover_the_float64_cells(self):
+        narrow = self.placement(d=3).centers.astype(np.float32)
+        seqs = [EquidistributedSequence(G=1.0, delta=0.2, L=3.0, d=3, centers=centers)
+                for centers in (narrow, narrow.astype(np.float64))]
+        dom = CubeDomain(3, 3.0, 1 / 16)
+        assert seqs[0].centers.dtype == np.float64 and seqs[0] == seqs[1]
+        assert np.array_equal(ball_cells(seqs[0], dom), ball_cells(seqs[1], dom))
+
+
 def gather_mask(seq, dom: CubeDomain) -> np.ndarray:
     idx = np.arange(dom.n) // round(seq.G / dom.h)
     own = seq.centers[np.ix_(*([idx] * dom.d))]

@@ -488,10 +488,21 @@ class TestRunTables:
 
     def test_tables_are_read_only(self):
         seqs, dom = self.stack()
-        table = verifier._run_table(verifier._Stack(seqs, dom))
+        table = verifier._run_table(tuple(seqs), dom.d, dom.L, dom.h)
         for array in vars(table).values():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
+
+    def test_mismatched_prefix_searches_no_runs(self, monkeypatch):
+        # the prefix table is checked before the run table is looked up
+        calls = self.count_run_searches(monkeypatch)
+        seqs, dom = self.stack()
+        prefix, total = mass_prefix(np.ones(dom.shape), dom, 0.5)  # half the stack's G
+        with pytest.raises(ValueError, match="prefix table does not match"):
+            observability_ratio(prefix, seqs, dom, total)
+        with pytest.raises(ValueError, match="need at least one placement"):
+            observability_ratio(prefix, [], dom, total)
+        assert calls == [] and verifier._run_table.cache_info().currsize == 0
 
     def test_cache_never_exceeds_its_bound(self):
         verifier._run_table.cache_clear()
