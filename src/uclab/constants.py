@@ -10,7 +10,8 @@ The local (vanishing-order) formulas take their R, D0, K_V and beta as a
 :class:`LocalGeometry`, which the sampling route derives once
 (:func:`sampling_geometry`) and any other caller builds itself.  Its
 2 e theta1 R, (2 e theta1 + 1) R and beta = 2 T^d, at which ``classify_sites``
-splits, are :func:`annulus_radius`, :func:`window_ball_radius`, :func:`site_beta`.
+splits, are :func:`annulus_radius`, :func:`window_ball_radius`, :func:`site_beta`;
+a window side is rounded up from twice a radius by :func:`window_side`.
 
 The tiny constants underflow double precision for realistic parameters (their
 natural logs reach -1e9), so each one is computed and reported only as its
@@ -59,6 +60,7 @@ __all__ = [
     "sampling_geometry",
     "annulus_radius",
     "window_ball_radius",
+    "window_side",
     "site_beta",
     "sampling_epsilon",
     "local_epsilon",
@@ -267,6 +269,18 @@ def window_ball_radius(d: int, theta1: float) -> float:
     return (2.0 * EULER * theta1 + 1.0) * sampling_radius(d)
 
 
+def window_side(radius: float, d: int, theta1: float) -> int:
+    """Side ceil(2 radius) of a window holding a ball of ``radius``; where no
+    double holds 2 radius, an OverflowError names it, d and theta1."""
+    try:
+        return math.ceil(2.0 * radius)
+    except OverflowError:
+        # str() refuses an int of over 4300 digits: a d no double holds is named by its log
+        d_text = format(d, ".6g") if d <= sys.float_info.max else f"10**{math.log10(d):.6g}"
+        raise OverflowError(f"window side 2*{radius} is past the double range "
+                            f"at d={d_text}, theta1={theta1}") from None
+
+
 def site_beta(d: int, T: int) -> float:
     """beta = 2 T^d of a dominating site; ** and ldexp raise OverflowError past doubles."""
     return math.ldexp(float(T) ** d, 1)
@@ -287,12 +301,12 @@ def local_epsilon(p: ModelParams, geo: LocalGeometry) -> float:
 
 def side_length_T(d: int, theta1: float) -> int:
     """Side length of the comparison window in the dominating-site argument;
-    ``math.ceil`` raises OverflowError where the window ball radius is inf."""
+    :func:`window_side` raises OverflowError where the window ball radius is inf."""
     if not is_dimension(d):
         raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
         raise ValueError(bad)
-    return math.ceil(2.0 * window_ball_radius(d, theta1))
+    return window_side(window_ball_radius(d, theta1), d, theta1)
 
 
 def carleman_mu_rho(

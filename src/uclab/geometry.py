@@ -47,7 +47,7 @@ import numpy as np
 
 from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, dimension_root,
                              is_ball_radius, is_dimension, lattice_error, side_length_T,
-                             site_beta, whole_cells, window_ball_radius)
+                             site_beta, whole_cells, window_ball_radius, window_side)
 
 __all__ = [
     "CubeDomain",
@@ -287,10 +287,10 @@ def ball_runs(
         values = sorted({getattr(seq, name) for seq in seqs})
         if len(values) > 1:
             raise ValueError(f"the placements of one stack must share {name}, got {values}")
-    if domain.d != first_seq.d or abs(domain.L - first_seq.L) > 1e-12:
-        raise ValueError("sequence and domain are incompatible")
     m = first_seq.cells_per_axis
     c = domain.block_cells(first_seq.G)
+    if domain.d != first_seq.d or m * c != domain.n:  # one lattice of G-cells
+        raise ValueError("sequence and domain are incompatible")
     d = domain.d
     x = domain.centers_1d()
     r2 = first_seq.delta**2
@@ -480,12 +480,13 @@ def window_containment_margin(d: int, theta1: float, T: Optional[int] = None) ->
 
 
 def feasible_window_side(d: int, theta1: float) -> int:
-    """Smallest integer window side making the containment margin >= 0."""
+    """Smallest integer window side making the containment margin >= 0;
+    :func:`~uclab.constants.window_side` raises OverflowError past doubles."""
     if not is_dimension(d):
         raise ValueError(DIMENSION_ERROR.format("d", d))
     if bad := bound_error(">=", 1, theta1=theta1):
         raise ValueError(bad)
-    return math.ceil(2.0 * _window_reach(d, theta1))
+    return window_side(_window_reach(d, theta1), d, theta1)
 
 
 def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> float:

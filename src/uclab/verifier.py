@@ -10,11 +10,11 @@ union of delta-balls with the theoretical lower bound at the same parameters.
 a dict the caller may pass and read.  ``uclab.cli`` writes a run's files.
 
 The bounds underflow double precision by design (their logs reach -1e6), so
-records carry only their natural log ``log_bound``.  The margin is the log
-headroom ``log(ratio) - log_bound`` on the ball mass alone (``-inf`` when the
-ratio is zero); it is positive exactly when the ratio clears the bound and
-says by how many e-folds it does.  The residual term
-``delta^2 G^2 ||zeta||^2`` is computed and reported separately so trials
+records carry only their natural log ``log_bound``.  A record derives its
+margin, the log headroom ``log(ratio) - log_bound`` on the ball mass alone
+(``-inf`` when the ratio is zero), which is positive exactly when the ratio
+clears the bound and says by how many e-folds it does.  It also derives the
+residual term ``delta^2 G^2 ||zeta||^2``, reported separately so trials
 where it dominates the left-hand side are distinguishable from genuine ball
 mass.  Records are reproducible bit for bit from (config, seed): the
 eigensolve, the projector sample and :func:`placement_gram` run their BLAS
@@ -116,8 +116,9 @@ Solve = tuple[CoefficientField, DiscreteOperator, SpectrumSlice]
 class ObservabilityRecord:
     """One experiment: measured ball fraction against the theoretical bound.
 
-    A projector sample's ``zeta_norm_sq``, ``zeta_term`` and ``zeta_dominates``
-    read the eigensolver's residual: its window members agree with E to
+    It derives ``margin``, ``zeta_term`` and ``zeta_dominates`` from its
+    other fields.  A projector sample's three ``zeta`` fields read the
+    eigensolver's residual: its window members agree with E to
     1e-8 (1 + |E|), and ||zeta||^2 <= 7.4e-24 on all 160 criterion-7 samples."""
 
     psi_kind: str
@@ -136,13 +137,21 @@ class ObservabilityRecord:
     ratio: float
     worst_ratio: float
     log_bound: float
-    margin: float
+    margin: float = field(init=False)
     zeta_norm_sq: float
-    zeta_term: float
-    zeta_dominates: bool
+    zeta_term: float = field(init=False)
+    zeta_dominates: bool = field(init=False)
     residual_violation: float
     log_gamma: float = math.nan
     free_constants: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        ratio = self.ratio
+        margin = math.log(ratio) - self.log_bound if ratio > 0.0 else -math.inf
+        zeta_term = self.delta**2 * self.G**2 * self.zeta_norm_sq
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "zeta_term", zeta_term)
+        object.__setattr__(self, "zeta_dominates", bool(zeta_term > ratio))
 
     def to_dict(self) -> dict:
         out = {}
@@ -339,40 +348,6 @@ def solve_field(tc: TrialConfig) -> Solve:
     return fld, H, eigensolve(H, count=EIGEN_COUNT, seed=tc.seed)
 
 
-def _record(
-    tc: TrialConfig,
-    fc: FreeConstants,
-    fld: CoefficientField,
-    psi_kind: str,
-    psi: np.ndarray,
-    zeta: np.ndarray,
-    energy: float,
-    eigen_index: int,
-    log_bound: float,
-    ratio: float,
-    residual_violation: float,
-    window_worst: float,
-    log_gamma: float,
-) -> ObservabilityRecord:
-    total = _checked_norm_sq(fld.domain.norm_sq(psi))
-    zeta_sq = fld.domain.norm_sq(zeta) / total
-    zeta_term = tc.delta**2 * tc.G**2 * zeta_sq
-    return ObservabilityRecord(
-        psi_kind=psi_kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L,
-        h=tc.h, theta1=fld.declared_theta1, theta2=fld.declared_theta2, norm_V=tc.norm_V,
-        energy=energy, eigen_index=eigen_index, seed=tc.seed,
-        ratio=float(ratio),
-        worst_ratio=window_worst,
-        log_bound=float(log_bound),
-        margin=math.log(ratio) - log_bound if ratio > 0.0 else -math.inf,
-        zeta_norm_sq=float(zeta_sq), zeta_term=float(zeta_term),
-        zeta_dominates=bool(zeta_term > ratio),
-        residual_violation=float(residual_violation),
-        log_gamma=float(log_gamma),
-        free_constants=asdict(fc),
-    )
-
-
 def run_trial(
     tc: TrialConfig,
     solved: Solve,
@@ -421,8 +396,16 @@ def run_trial(
         op_psi = H.apply(psi)
         zeta = op_psi - compare * psi
         viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
-        records.append(_record(tc, fc, fld, kind, psi, zeta, E, idx, log_bound,
-                               ratio, viol, window_worst, log_gamma))
+        total = _checked_norm_sq(fld.domain.norm_sq(psi))
+        records.append(ObservabilityRecord(
+            psi_kind=kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L, h=tc.h,
+            theta1=fld.declared_theta1, theta2=fld.declared_theta2, norm_V=tc.norm_V,
+            energy=E, eigen_index=idx, seed=tc.seed, ratio=float(ratio),
+            worst_ratio=window_worst, log_bound=float(log_bound),
+            zeta_norm_sq=float(fld.domain.norm_sq(zeta) / total),
+            residual_violation=float(viol), log_gamma=float(log_gamma),
+            free_constants=asdict(fc),
+        ))
     return records
 
 

@@ -220,6 +220,16 @@ class TestSideLength:
             with pytest.raises(OverflowError):
                 side_length_T(d, 1.0)
 
+    def test_a_side_past_the_double_range_is_named(self):
+        with pytest.raises(OverflowError, match=r"^window side 2\*inf is past the double "
+                           r"range at d=10\*\*615, theta1=1\.0$"):
+            side_length_T(10**615, 1.0)
+        # a d past the int-to-str digit limit is named by its log, so the
+        # report still reads the OverflowError as its T flag
+        with pytest.raises(OverflowError, match=r"at d=10\*\*5000, theta1=1\.0$"):
+            side_length_T(10**5000, 1.0)
+        assert sampling_report(ModelParams(d=10**5000)).out_of_range == "T"
+
 
 class TestMuRho:
     def test_hand_values_unit_case(self):

@@ -437,6 +437,21 @@ class TestStackedRuns:
         with pytest.raises(ValueError, match="at least one placement"):
             ball_runs([], dom)
 
+    def test_a_sequence_on_the_domains_lattice_is_accepted(self):
+        # L = 3 + 3e-12 is 3 G-cells of 16 cells, as the lattice rule reads
+        # it; a second tolerance of 1e-12 on L refused it
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        near = generate_sequence(1.0, 0.25, 3.0 + 3e-12, 2, "centered")
+        exact = generate_sequence(1.0, 0.25, 3.0, 2, "centered")
+        np.testing.assert_array_equal(ball_cells(near, dom), ball_cells(exact, dom))
+
+    @pytest.mark.parametrize("L, d", [(5.0, 2), (3.0, 1)])
+    def test_a_sequence_off_the_domains_lattice_is_refused(self, L, d):
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        seq = generate_sequence(1.0, 0.25, L, d, "centered")
+        with pytest.raises(ValueError, match="^sequence and domain are incompatible$"):
+            ball_runs([seq], dom)
+
 
 def periodic_extension_1d(base: np.ndarray) -> np.ndarray:
     return np.tile(base, 3)
@@ -590,6 +605,20 @@ class TestWindowContainment:
 
     def test_printed_side_falls_short_past_the_double_range(self):
         assert window_containment_margin(10**400, 1.0) < 0.0
+
+    @pytest.mark.parametrize("window, d, theta1, named", [
+        (feasible_window_side, 10**615, 1.0, r"d=10\*\*615, theta1=1\.0"),
+        (feasible_window_side, 3, 1e308, r"d=3, theta1=1e\+308"),
+        (window_containment_margin, 10**617, 1.0, r"d=10\*\*617, theta1=1\.0"),
+    ], ids=["feasible-d", "feasible-theta1", "margin-d"])
+    def test_a_side_past_the_double_range_is_named(self, window, d, theta1, named):
+        # math.ceil of an infinite radius raised a bare OverflowError
+        with pytest.raises(OverflowError,
+                           match=rf"^window side 2\*inf is past the double range at {named}$"):
+            window(d, theta1)
+
+    def test_a_given_side_past_the_double_range_has_minus_infinite_margin(self):
+        assert window_containment_margin(10**617, 1.0, T=5) == -math.inf
 
     def test_repaired_side_past_the_double_range(self):
         T_ok = feasible_window_side(10**400, 1.0)

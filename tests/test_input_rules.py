@@ -444,18 +444,20 @@ def _finite_then_compared(tree) -> list[int]:
 
 
 def _whole_ratio_tests(tree) -> list[int]:
-    """Lines of each ``abs(x - y) <cmp> 1e-9`` comparison, the lattice rule's
-    whole-ratio test."""
+    """Lines of each ``abs(x - y) <cmp> <number>`` comparison, the form of the
+    lattice rule's whole-ratio test, whatever tolerance it writes."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
             and isinstance(node.left, ast.Call) and _dotted(node.left.func) == "abs"
             and node.left.args and isinstance(node.left.args[0], ast.BinOp)
             and isinstance(node.left.args[0].op, ast.Sub)
-            and any(isinstance(c, ast.Constant) and c.value == 1e-9 for c in node.comparators)]
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, (int, float))
+                    and not isinstance(c.value, bool) for c in node.comparators)]
 
 
 def test_only_constants_writes_a_whole_ratio_test():
     # CubeDomain, block_cells, cells_per_axis, generate_sequence,
-    # classify_sites and cli.main each wrote their own
+    # classify_sites and cli.main each wrote their own, and ball_runs
+    # compared L with a tolerance of 1e-12
     found = {path.name: _whole_ratio_tests(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert len(found.pop("constants.py")) == 1

@@ -394,8 +394,9 @@ class TestClosedForm:
 
 # one pattern per formula that had more than one home: the Dirichlet sine
 # phase, the radius of the cell centres, the Cacciopoli gradient term, the
-# dominating-site argument's 2 e theta1 R, (2 e theta1 + 1) R and 2 T^d, and
-# the test that A0 is diagonal on a Dirichlet cube
+# dominating-site argument's 2 e theta1 R, (2 e theta1 + 1) R and 2 T^d, the
+# test that A0 is diagonal on a Dirichlet cube, a record's margin and the
+# rounding of a window side
 ONE_HOME = {
     "sine phase": r"% \(4 \* n\)|\+ L / 2\.0\) / L",
     "centre radius": r"centers_1d\(\)\] \* ",
@@ -404,6 +405,8 @@ ONE_HOME = {
     "window ball radius": r"2\.0 \* EULER \* [\w.]*theta1 \+ 1\.0",
     "site beta": r"ldexp\(float\(T\)|2\.0 \* float\(T\) \*\* ",
     "dirichlet diagonal test": r"np\.diag\(np\.diag\(",
+    "record margin": r"math\.log\([\w.]*ratio\) - [\w.]*log_bound",
+    "window side rounding": r"math\.ceil\(2\.0 \* ",
 }
 
 
@@ -413,7 +416,7 @@ def test_each_closed_form_is_written_once(formula):
     # verifier and carleman, the gradient term in constants and verifier;
     # 2 e theta1 R twice in constants and twice in carleman, (2 e theta1 + 1) R
     # and 2 T^d in constants and geometry, the diagonal test in discretization
-    # and spectral
+    # and spectral, the window side's rounding in constants and geometry
     src = Path(spectral.__file__).parent
     hits = [p.name for p in sorted(src.glob("*.py"))
             for _ in re.findall(ONE_HOME[formula], p.read_text())]

@@ -1,5 +1,6 @@
 """End-to-end observability experiment tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from uclab.fields import CoefficientField, periodic_centered_diff, synthesize_ra
 from uclab.geometry import CubeDomain, ball_cells, generate_sequence, mask
 from uclab.spectral import SpectrumSlice
 from uclab.verifier import (
+    ObservabilityRecord,
     TrialConfig,
     cacciopoli_check,
     delta_sweep,
@@ -35,14 +37,14 @@ def ratio_of(psi, seq, dom):
     return ratio
 
 
-def entry_record(psi):
-    """The inequality-pair record of ``psi`` on the d=1, L=3, h=1/16 cube."""
-    tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
-                     delta_over_G=0.25, seed=0, h_per_G=16)
-    fld = verifier.benchmark_field(tc)
-    return verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                            np.zeros(fld.domain.shape), 0.0, 0, -1e6, 0.5,
-                            0.0, 0.5, math.nan)
+def make_record(**fields):
+    """An inequality-pair record on the d=1, L=3, h=1/16 cube, with ``fields``
+    in place of the defaults."""
+    base = dict(psi_kind="inequality_pair", d=1, bc="periodic", G=1.0, delta=0.25,
+                L=3.0, h=1 / 16, theta1=1.0, theta2=0.0, norm_V=0.0, energy=0.0,
+                eigen_index=0, seed=0, ratio=0.5, worst_ratio=0.5, log_bound=-1e6,
+                zeta_norm_sq=0.0, residual_violation=0.0)
+    return ObservabilityRecord(**{**base, **fields})
 
 
 def entry_sweep(psi):
@@ -123,19 +125,18 @@ class TestObservabilityRatio:
         with pytest.raises(ValueError, match=r"^G/h must be a whole number >= 1, got G=0.7 and h"):
             mass_prefix(psi, dom, 0.7)
 
-    # psi is checked where it enters: in a trial record and in a delta sweep
+    # psi is checked where it enters a delta sweep; a record's psi comes
+    # from a solve only
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_psi_rejected(self, bad):
         psi = np.ones(48)
         psi[5] = bad
-        for entry in (entry_record, entry_sweep):
-            with pytest.raises(ValueError, match="^psi must be finite"):
-                entry(psi)
+        with pytest.raises(ValueError, match="^psi must be finite"):
+            entry_sweep(psi)
 
     def test_zero_function_rejected(self):
-        for entry in (entry_record, entry_sweep):
-            with pytest.raises(ValueError, match="^zero grid function"):
-                entry(np.zeros(48))
+        with pytest.raises(ValueError, match="^zero grid function"):
+            entry_sweep(np.zeros(48))
 
 
 class TestWorstRatio:
@@ -302,17 +303,13 @@ class TestTrials:
         assert pair.log_bound < log_c_sfuc(replace(p, theta2=0.0), FreeConstants())
 
     def test_zero_ratio_margin_is_minus_infinity(self):
-        tc = TrialConfig(d=1, bc="periodic", L_over_G=3, norm_V=0.0,
-                         delta_over_G=0.25, seed=0, h_per_G=16)
-        fld = verifier.benchmark_field(tc)
-        dom = fld.domain
+        dom = CubeDomain(1, 3.0, 1 / 16, "periodic")
         seq = generate_sequence(1.0, 0.25, 3.0, 1, "centered")
         psi = np.where(mask(seq, dom), 0.0, 1.0)
         vec = (psi / np.linalg.norm(psi)).reshape(-1, 1)
         gram = placement_gram(vec, ball_cells(seq, dom))
-        rec = verifier._record(tc, FreeConstants(), fld, "inequality_pair", psi,
-                               np.zeros(dom.shape), 0.0, 0, -1e6, gram[0, 0],
-                               0.0, worst_ratio(gram), math.nan)
+        assert gram[0, 0] == 0.0
+        rec = make_record(ratio=0.0, worst_ratio=worst_ratio(gram))
         assert rec.ratio == 0.0 and rec.worst_ratio == 0.0
         assert rec.margin == -math.inf
 
@@ -694,6 +691,35 @@ class TestCacciopoli:
         args = (psi, fld, 0.3, 0.8, 0.39)
         assert cacciopoli_check(*args, zeta=zeta, cprime=0.7) == \
             self.reference_check(*args, zeta=zeta, cprime=0.7)
+
+
+class TestDerivedFields:
+    """A record derives its margin and residual term from its own fields."""
+
+    @pytest.mark.parametrize("ratio, log_bound, delta, G, zeta_norm_sq", [
+        (0.5, -1e6, 0.25, 1.0, 0.0),
+        (0.0355, -5.1e6, 0.125, 1.0, 7.4e-24),
+        (1e-3, -2.0, 0.3, 2.5, 0.9),
+        (0.0, -1e6, 0.25, 1.0, 1.0),
+        (math.nan, -1e6, 0.25, 1.0, 0.5),
+    ])
+    def test_derives_the_three_expressions(self, ratio, log_bound, delta, G, zeta_norm_sq):
+        rec = make_record(ratio=ratio, log_bound=log_bound, delta=delta, G=G,
+                          zeta_norm_sq=zeta_norm_sq)
+        margin = math.log(ratio) - log_bound if ratio > 0.0 else -math.inf
+        zeta_term = delta**2 * G**2 * zeta_norm_sq
+        assert rec.margin.hex() == margin.hex()
+        assert rec.zeta_term.hex() == zeta_term.hex()
+        assert rec.zeta_dominates is bool(zeta_term > ratio)
+
+    @pytest.mark.parametrize("name", ["margin", "zeta_term", "zeta_dominates"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=name):
+            make_record(**{name: 1.0})
+
+    def test_a_changed_ratio_moves_the_margin(self):
+        rec = dataclasses.replace(make_record(), ratio=0.25)
+        assert rec.margin == math.log(0.25) + 1e6
 
 
 class TestRecordIO:
