@@ -332,12 +332,6 @@ def build_radial_cutoff(
     return cut
 
 
-@dataclass(frozen=True)
-class CutoffBoundCheck:
-    worst_slack: float
-    flagged: int
-
-
 def cutoff_operator_value(
     cutoff: RadialCutoff,
     A: Callable[[np.ndarray], np.ndarray],
@@ -377,17 +371,16 @@ def check_pointwise_cutoff_bound(
     theta2: float,
     norm_b: float = 0.0,
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> CutoffBoundCheck:
-    """Slack of the pointwise bound on the cutoff under the principal part:
+) -> float:
+    """Worst slack of the pointwise bound on the cutoff under the principal part:
 
         |Op_c eta|^2 <= 3 t1^2 |lap eta|^2 + 3 t1^2 (2d-1)^2 |grad eta|^2/|x|^2
                         + 3 (t2 d^2 + |b|_inf)^2 |grad eta|^2
 
     with |grad eta| = |eta'| for the radial cutoff.  ``A`` (and optionally
     ``b``) are smooth synthetic fields given as callables on point arrays;
-    coefficient derivatives are centered finite differences of ``A``.
-    Points within two finite-difference steps of the profile breakpoints are
-    flagged (one-sided second derivatives there).
+    coefficient derivatives are centered finite differences of ``A``.  Every
+    point counts, the breakpoints r1..r4 too: eta' and eta'' are exact there.
     """
     pts = np.asarray(points, dtype=float)
     d = cutoff.d
@@ -403,13 +396,7 @@ def check_pointwise_cutoff_bound(
         + 3.0 * theta1**2 * (2.0 * d - 1.0) ** 2 * g2 / s**2
         + 3.0 * (theta2 * d**2 + norm_b) ** 2 * g2
     )
-    slack = rhs - lhs
-    breakpoints = np.array([cutoff.r1, cutoff.r2, cutoff.r3, cutoff.r4])
-    flagged = np.min(np.abs(s[..., None] - breakpoints), axis=-1) < 2.0 * FD_STEP
-    return CutoffBoundCheck(
-        worst_slack=float(slack[~flagged].min() if np.any(~flagged) else slack.min()),
-        flagged=int(flagged.sum()),
-    )
+    return float((rhs - lhs).min())
 
 
 @dataclass(frozen=True)

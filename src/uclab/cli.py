@@ -172,7 +172,7 @@ def _as_int(v):
 _RULES = {
     "h_per_G": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
     "seeds": ("integers >= 0", lambda v: _whole(v) and v >= 0),
-    "ds": ("integers >= 1", lambda v: is_finite(v) and is_dimension(v)),
+    "ds": ("integers >= 1", is_dimension),
     "trials": ("an integer >= 1", lambda v: _whole(v) and v >= 1),
     "L_over_Gs": ("odd integers >= 1", lambda v: _whole(v) and v >= 1 and v % 2 == 1),
     "deltas_over_G": ("numbers in (0, 1/2)", lambda v: is_finite(v) and is_ball_radius(v, 1.0)),
@@ -513,7 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _finite_or_null(obj):
-    """``obj`` with each non-finite float, in nested dicts, lists and tuples too, as None."""
+    """``obj`` with each numpy scalar as its value and each non-finite float as
+    None, in nested dicts, lists and tuples too."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         return obj if is_finite(obj) else None
     if isinstance(obj, dict):

@@ -28,8 +28,8 @@ The five input rules live here, and each check of their quantities, in the
 library and on the command line, calls them: :func:`is_finite` (a real
 number, not a bool, that a double holds), the bound rule :func:`is_at_least`
 and :func:`is_above` (a finite number >= or > a floor, with its one message
-from :func:`bound_error`), :func:`is_dimension` (an integer >= 1),
-:func:`is_ball_radius` (0 < delta < G/2) and the lattice rule
+from :func:`bound_error`), :func:`is_dimension` (an integer >= 1 that a
+double holds), :func:`is_ball_radius` (0 < delta < G/2) and the lattice rule
 :func:`whole_cells` (whole cells in a length; message :func:`lattice_error`).
 A function given a bad value raises the rule's message itself, so the
 error's innermost frame is the function that received the value.
@@ -55,7 +55,6 @@ __all__ = [
     "FreeConstants",
     "LocalGeometry",
     "UcConstantReport",
-    "dimension_root",
     "sampling_radius",
     "sampling_geometry",
     "annulus_radius",
@@ -119,8 +118,8 @@ def _require_finite(**values) -> None:
 
 
 def is_dimension(d) -> bool:
-    """The dimension rule: an integer >= 1; a numpy integer is one, a bool is not."""
-    return isinstance(d, Integral) and not isinstance(d, bool) and d >= 1
+    """The dimension rule: an integer >= 1 that :func:`is_finite` accepts (numpy's too)."""
+    return is_finite(d) and isinstance(d, Integral) and d >= 1
 
 
 def is_ball_radius(delta: float, G: float) -> bool:
@@ -146,7 +145,7 @@ def lattice_error(least: int, **values) -> str:
 
 
 # the ValueError messages of two rules; DIMENSION_ERROR takes the name and the value
-DIMENSION_ERROR = "{} must be an integer >= 1, got {!r}"
+DIMENSION_ERROR = "{} must be an integer >= 1 that a double holds, got {!r}"
 BALL_RADIUS_ERROR = "delta must lie in (0, G/2)"
 
 
@@ -170,8 +169,6 @@ class ModelParams:
     L: float = 3.0
 
     def __post_init__(self):
-        if isinstance(self.d, float):  # a NaN or inf d is named as not finite
-            _require_finite(d=self.d)
         if not is_dimension(self.d):
             raise ValueError(DIMENSION_ERROR.format("d", self.d))
         if bad := (bound_error(">=", 1, theta1=self.theta1)
@@ -224,29 +221,16 @@ def _margin(d: int, R: float, theta1: float, t2: float) -> float:
     """
     if t2 == 0.0:
         return 1.0
-    # a d that no double holds enters as the log of the integer
-    log_dR = (math.log(33.0 * EULER * d * R) if d <= sys.float_info.max
-              else math.log(33.0 * EULER * R) + math.log(d))
-    log_product = log_dR + 6.0 * math.log(theta1) + math.log(t2)
+    log_product = math.log(33.0 * EULER * d * R) + 6.0 * math.log(theta1) + math.log(t2)
     try:
         return 1.0 - math.exp(log_product)
     except OverflowError:
         return -math.inf
 
 
-def dimension_root(d: int) -> float:
-    """sqrt(d) of a dimension: ``math.sqrt`` wherever a double holds d, the
-    integer square root past that, where a double cannot tell the two apart,
-    and inf where no double holds the root either."""
-    if d <= sys.float_info.max:
-        return math.sqrt(d)
-    root = math.isqrt(d)
-    return float(root) if root <= sys.float_info.max else math.inf
-
-
 def sampling_radius(d: int) -> float:
     """Annulus radius R = sqrt(d) + 2 of the sampling route, in units of G."""
-    return dimension_root(d) + 2.0
+    return math.sqrt(d) + 2.0
 
 
 def sampling_geometry(p: ModelParams) -> LocalGeometry:
@@ -271,14 +255,12 @@ def window_ball_radius(d: int, theta1: float) -> float:
 
 def window_side(radius: float, d: int, theta1: float) -> int:
     """Side ceil(2 radius) of a window holding a ball of ``radius``; where no
-    double holds 2 radius, an OverflowError names it, d and theta1."""
+    double holds 2 radius (theta1 ~ 1e308), an OverflowError names it, d and theta1."""
     try:
         return math.ceil(2.0 * radius)
     except OverflowError:
-        # str() refuses an int of over 4300 digits: a d no double holds is named by its log
-        d_text = format(d, ".6g") if d <= sys.float_info.max else f"10**{math.log10(d):.6g}"
         raise OverflowError(f"window side 2*{radius} is past the double range "
-                            f"at d={d_text}, theta1={theta1}") from None
+                            f"at d={d:.6g}, theta1={theta1}") from None
 
 
 def site_beta(d: int, T: int) -> float:
@@ -621,8 +603,8 @@ def sampling_report(
 ) -> UcConstantReport:
     """End-to-end constant evaluation along the sampling route.
 
-    The window side T comes first: past the double range (d beyond about
-    1e615, or theta1 near the largest double) the report is flagged with
+    The window side T comes first: past the double range (theta1 near the
+    largest double; no admitted d gets there) the report is flagged with
     ``out_of_range == "T"``, T NaN and the chain not run.  Otherwise it
     rescales to unit cell size and evaluates the whole chain there, whose
     first step derives the local geometry (:func:`sampling_geometry`).

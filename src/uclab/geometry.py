@@ -45,9 +45,9 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, dimension_root,
-                             is_ball_radius, is_dimension, lattice_error, side_length_T,
-                             site_beta, whole_cells, window_ball_radius, window_side)
+from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, is_ball_radius,
+                             is_dimension, lattice_error, side_length_T, site_beta,
+                             whole_cells, window_ball_radius, window_side)
 
 __all__ = [
     "CubeDomain",
@@ -455,7 +455,7 @@ def classify_sites(
 def _window_reach(d: int, theta1: float) -> float:
     """Worst-case reach of the shifted ball (see
     :func:`window_containment_margin`)."""
-    return NEAR_NEIGHBOR_SHIFT + dimension_root(d) / 2.0 + window_ball_radius(d, theta1)
+    return NEAR_NEIGHBOR_SHIFT + math.sqrt(d) / 2.0 + window_ball_radius(d, theta1)
 
 
 def window_containment_margin(d: int, theta1: float, T: Optional[int] = None) -> float:

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uclab.constants import is_dimension
+from uclab.constants import DIMENSION_ERROR, is_dimension
 from uclab.discretization import DiscreteOperator, closed_form_covers
 
 __all__ = ["SpectrumSlice", "eigensolve", "projector_sample", "torus_symbol"]
@@ -216,17 +216,17 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     DENSE_CUTOFF unknowns or for a ``count`` of N or more, shift-invert
     Lanczos otherwise (module docstring); min(count, N) pairs on every path.
     Runs on one BLAS thread and is deterministic for a fixed matrix and
-    seed.  Raises ``ValueError`` when ``count`` is not an integer >= 1 (a
-    bool is not one), the operator is not Hermitian, a returned pair's
-    residual exceeds RESIDUAL_TOL times the largest entry of H, or the
-    vectors' orthonormality defect exceeds ORTHONORMALITY_TOL.
+    seed.  Raises ``ValueError`` when ``count`` fails the dimension rule, the
+    operator is not Hermitian, a returned pair's residual exceeds RESIDUAL_TOL
+    times the largest entry of H, or the vectors' orthonormality defect
+    exceeds ORTHONORMALITY_TOL.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if not is_dimension(count):  # the dimension rule: an integer >= 1, not a bool
-        raise ValueError(f"count must be at least 1 and an integer, got {count!r}")
+    if not is_dimension(count):
+        raise ValueError(DIMENSION_ERROR.format("count", count))
     H = op.matrix
     N = H.shape[0]
     scale = float(np.abs(H.data).max()) if H.nnz else 1.0

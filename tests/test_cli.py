@@ -11,8 +11,8 @@ import pytest
 
 import uclab.cli
 import uclab.verifier
-from uclab.cli import build_parser, load_config, main
-from uclab.constants import FreeConstants, ModelParams, log_c_sfuc
+from uclab.cli import build_parser, load_config, main, to_json
+from uclab.constants import FreeConstants, ModelParams, log_c_sfuc, sampling_report
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -693,6 +693,14 @@ class TestStrictJson:
         assert all(r["ratio"] is None and r["lhs_log"] is None
                    for r in parsed["carleman.rows"])
         assert parsed["carleman"]["worst_by_h"] == {"0.015625": None}
+
+    def test_a_numpy_scalar_is_written_as_its_value(self):
+        # the dimension rule accepts a numpy integer, and the report passed it
+        # to json.dumps, which raised "Object of type int64 is not JSON serializable"
+        import numpy as np
+
+        want = to_json(sampling_report(ModelParams(d=2)).to_dict())
+        assert to_json(sampling_report(ModelParams(d=np.int64(2))).to_dict()) == want
 
 
 class TestFlagsAreKeys:

@@ -1,6 +1,7 @@
 """Constant-evaluation tests against hand values and the mpmath oracle."""
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -19,7 +20,6 @@ from uclab.constants import (
     cacciopoli_prefactor,
     carleman_constants,
     carleman_mu_rho,
-    dimension_root,
     local_epsilon,
     log_c_quc,
     log_c_quc_lower_bound,
@@ -133,7 +133,7 @@ class TestFiniteInput:
     ])
     def test_non_finite_rejected_naming_the_field(self, cls, name, bad):
         required = {ModelParams: {"d": 2}, LocalGeometry: UNIT.__dict__}.get(cls, {})
-        message = r"^d must be finite, got " if name == "d" else \
+        message = r"^d must be an integer >= 1 that a double holds, got " if name == "d" else \
             rf"^{name} must be a finite number {FIELD_BOUNDS[name]}, got "
         with pytest.raises(ValueError, match=message):
             cls(**{**required, name: bad})
@@ -202,33 +202,25 @@ class TestSideLength:
             assert T >= prev
             prev = T
 
-    def test_dimension_past_the_double_range(self):
-        # sqrt(d) of an integer no double holds is its integer square root,
-        # and every d a double holds keeps the bits of math.sqrt
-        assert dimension_root(10**400) == 1e200
-        for d in (1, 2, 3, 10**6, 2**53 + 1, 10**300):
-            assert dimension_root(d) == math.sqrt(d)
-        R = 1e200 + 2.0
-        assert side_length_T(10**400, 1.0) == math.ceil(2.0 * R * (2.0 * E + 1.0))
-
-    def test_root_past_the_double_range_is_inf(self):
-        # the integer root of 10**617 is no double; the window side of
-        # 10**615 is not one either, though its root is
-        assert dimension_root(10**617) == math.inf
-        assert dimension_root(10**616) == 1e308
-        for d in (10**615, 10**617):
-            with pytest.raises(OverflowError):
-                side_length_T(d, 1.0)
+    def test_largest_dimension(self):
+        # the dimension rule stops at the largest double, whose root is a double
+        R = math.sqrt(sys.float_info.max) + 2.0
+        assert side_length_T(int(sys.float_info.max), 1.0) == math.ceil(2.0 * R * (2.0 * E + 1.0))
 
     def test_a_side_past_the_double_range_is_named(self):
         with pytest.raises(OverflowError, match=r"^window side 2\*inf is past the double "
-                           r"range at d=10\*\*615, theta1=1\.0$"):
-            side_length_T(10**615, 1.0)
-        # a d past the int-to-str digit limit is named by its log, so the
-        # report still reads the OverflowError as its T flag
-        with pytest.raises(OverflowError, match=r"at d=10\*\*5000, theta1=1\.0$"):
-            side_length_T(10**5000, 1.0)
-        assert sampling_report(ModelParams(d=10**5000)).out_of_range == "T"
+                           r"range at d=1, theta1=1e\+308$"):
+            side_length_T(1, 1e308)
+
+    def test_a_dimension_past_the_digit_limit_is_refused(self):
+        # repr() refuses an int of over 4300 digits: the refusal carries
+        # Python's digit-limit message, as for any other key of such a value
+        with pytest.raises(ValueError) as d_info:
+            ModelParams(d=10**5000)
+        with pytest.raises(ValueError) as g_info:
+            ModelParams(d=1, G=10**5000)
+        assert str(d_info.value) == str(g_info.value)
+        assert str(d_info.value).startswith("Exceeds the limit (4300 digits)")
 
 
 class TestMuRho:
@@ -578,30 +570,31 @@ class TestReport:
             rep.carleman_alpha0, rep.alpha1, rep.alpha2, rep.alpha3
         )
 
-    @pytest.mark.parametrize("d", [10**6, 10**400])
+    @pytest.mark.parametrize("d", [10**6, int(sys.float_info.max)], ids=["1e6", "largest"])
     def test_huge_dimension_flags_beta(self, d):
-        # beta = 2 T^d leaves the double range, whether or not d fits in one
+        # beta = 2 T^d leaves the double range, up to the largest dimension
         rep = sampling_report(ModelParams(d=d))
         assert rep.epsilon == 1.0 and rep.T == side_length_T(d, 1.0)
         assert not rep.admissible and rep.out_of_range == "beta"
 
     @pytest.mark.parametrize("p", [
-        ModelParams(d=10**615), ModelParams(d=10**616), ModelParams(d=10**617),
-        ModelParams(d=10**617, theta2=0.5), ModelParams(d=1, theta1=1e308),
-    ], ids=["1e615", "1e616", "1e617", "1e617-theta2", "theta1"])
+        ModelParams(d=1, theta1=1e308), ModelParams(d=1, theta1=1e308, theta2=0.5),
+    ], ids=["theta1", "theta1-theta2"])
     def test_window_side_past_the_double_range_flags_T(self, p):
-        # T comes first: its overflow is flagged like any later constant's
+        # T comes first: its overflow is flagged like any later constant's;
+        # theta1 reaches it, and a d that would is refused
         rep = sampling_report(p)
         assert not rep.admissible and rep.out_of_range == "T"
         assert math.isnan(rep.T) and math.isnan(rep.beta) and math.isnan(rep.log_c_sfuc)
         assert rep.epsilon == (1.0 if p.theta2 == 0.0 else -math.inf)
+        for d in (10**615, 10**616, 10**617):
+            with pytest.raises(ValueError,
+                               match=r"^d must be an integer >= 1 that a double holds"):
+                ModelParams(d=d)
 
-    def test_margin_of_a_dimension_past_the_double_range(self):
-        # 33 e d R theta2 is a double for d = 10**400 and theta2 = 1e-300,
-        # and past the range for theta2 = 0.5
-        eps = sampling_report(ModelParams(d=10**400, theta2=1e-300)).epsilon
-        assert eps == pytest.approx(1.0 - 33.0 * E * 1e300, rel=1e-12)
-        rep = sampling_report(ModelParams(d=10**400, theta2=0.5))
+    def test_margin_of_the_largest_dimension(self):
+        # 33 e d R theta2 is past the double range for theta2 = 0.5
+        rep = sampling_report(ModelParams(d=int(sys.float_info.max), theta2=0.5))
         assert rep.epsilon == -math.inf and not rep.admissible and rep.out_of_range == ""
 
     def test_inadmissible_flagged_report(self):

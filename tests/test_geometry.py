@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ class TestCubeDomain:
     @pytest.mark.parametrize("bad", [2.5, math.nan, 2.0, 0, -1, "2"])
     def test_dimension_must_be_an_integer_at_least_one(self, bad):
         # 2.5 and NaN passed a d < 1 check and failed later in .shape
-        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+        with pytest.raises(ValueError,
+                           match=r"^d must be an integer >= 1 that a double holds, got"):
             CubeDomain(bad, 3.0, 0.5)
 
     def test_numpy_integer_dimension_accepted(self):
@@ -158,9 +160,10 @@ class TestSequences:
     @pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan])
     def test_dimension_must_be_an_integer_at_least_one(self, bad):
         # d = 0 gave an empty sequence, d = -1 a numpy shape error
-        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+        want = r"^d must be an integer >= 1 that a double holds, got"
+        with pytest.raises(ValueError, match=want):
             generate_sequence(1.0, 0.25, 3.0, bad)
-        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+        with pytest.raises(ValueError, match=want):
             EquidistributedSequence(G=1.0, delta=0.25, L=3.0, d=bad, centers=np.empty(0))
 
     def test_numpy_integer_dimension_accepted(self):
@@ -570,7 +573,7 @@ class TestSites:
         # T = 0 warned and marked every site weak, T = -1 gave negative window
         # masses, and True was read as 1
         psi = periodic_extension_1d(np.sin(np.arange(24.0)))  # L = 3, h = 1/8
-        want = rf"^T must be an integer >= 1, got {re.escape(repr(T))}$"
+        want = rf"^T must be an integer >= 1 that a double holds, got {re.escape(repr(T))}$"
         for check in (classify_sites, tiling_identity_defect):
             with pytest.raises(ValueError, match=want):
                 check(psi, T, 3, 1 / 8)
@@ -581,7 +584,7 @@ class TestSites:
         # casting TypeError
         psi = np.ones(3 * 8 * max(int(L), 1))  # h = 1/8
         want = (rf"^L must be odd, got {L!r}$" if L == 2
-                else rf"^L must be an integer >= 1, got {re.escape(repr(L))}$")
+                else rf"^L must be an integer >= 1 that a double holds, got {re.escape(repr(L))}$")
         for check in (classify_sites, tiling_identity_defect):
             with pytest.raises(ValueError, match=want):
                 check(psi, 1, L, 1 / 8)
@@ -603,27 +606,28 @@ class TestWindowContainment:
                 reach = NEAR_NEIGHBOR_SHIFT + window_ball_radius(d, t1)  # no wobble
                 assert side_length_T(d, t1) / 2.0 - reach < 0.0
 
-    def test_printed_side_falls_short_past_the_double_range(self):
-        assert window_containment_margin(10**400, 1.0) < 0.0
+    def test_printed_side_falls_short_at_the_largest_dimension(self):
+        assert window_containment_margin(int(sys.float_info.max), 1.0) < 0.0
 
-    @pytest.mark.parametrize("window, d, theta1, named", [
-        (feasible_window_side, 10**615, 1.0, r"d=10\*\*615, theta1=1\.0"),
-        (feasible_window_side, 3, 1e308, r"d=3, theta1=1e\+308"),
-        (window_containment_margin, 10**617, 1.0, r"d=10\*\*617, theta1=1\.0"),
-    ], ids=["feasible-d", "feasible-theta1", "margin-d"])
-    def test_a_side_past_the_double_range_is_named(self, window, d, theta1, named):
-        # math.ceil of an infinite radius raised a bare OverflowError
-        with pytest.raises(OverflowError,
-                           match=rf"^window side 2\*inf is past the double range at {named}$"):
-            window(d, theta1)
+    @pytest.mark.parametrize("window", [feasible_window_side, window_containment_margin],
+                             ids=["feasible-theta1", "margin-theta1"])
+    def test_a_side_past_the_double_range_is_named(self, window):
+        # math.ceil of an infinite radius raised a bare OverflowError; theta1
+        # reaches it, and a d that would is refused
+        with pytest.raises(OverflowError, match=r"^window side 2\*inf is past the double "
+                           r"range at d=3, theta1=1e\+308$"):
+            window(3, 1e308)
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1 that a double holds"):
+            window(10**615, 1.0)
 
     def test_a_given_side_past_the_double_range_has_minus_infinite_margin(self):
-        assert window_containment_margin(10**617, 1.0, T=5) == -math.inf
+        assert window_containment_margin(1, 1e308, T=5) == -math.inf
 
-    def test_repaired_side_past_the_double_range(self):
-        T_ok = feasible_window_side(10**400, 1.0)
-        assert T_ok > side_length_T(10**400, 1.0)
-        assert window_containment_margin(10**400, 1.0, T=T_ok) >= 0.0
+    def test_repaired_side_at_the_largest_dimension(self):
+        d = int(sys.float_info.max)
+        T_ok = feasible_window_side(d, 1.0)
+        assert T_ok > side_length_T(d, 1.0)
+        assert window_containment_margin(d, 1.0, T=T_ok) >= 0.0
 
     def test_repaired_side_is_feasible_and_minimal(self):
         for d in (1, 2, 3):
@@ -637,7 +641,8 @@ class TestWindowContainment:
         with pytest.raises(ValueError, match=r"^theta1 must be a finite number >= 1, got nan$"):
             window_containment_margin(1, math.nan, T=39)
         for T in (0, -1, True, 39.0):
-            with pytest.raises(ValueError, match=rf"^T must be an integer >= 1, got {T!r}$"):
+            want = rf"^T must be an integer >= 1 that a double holds, got {T!r}$"
+            with pytest.raises(ValueError, match=want):
                 window_containment_margin(1, 1.0, T=T)
 
     def test_ball_in_window_numerically(self):

@@ -6,9 +6,11 @@ lattice rule (a length holds a whole number of cells), each defined once in
 The behavioural tests hold every caller of a rule to its one message, raised
 by the function given the value.  No linter ships with the project, so the
 scan tests stand in for one: each rule message occurs once in
-``src/uclab``, no module outside ``constants`` writes an
-``is_finite(x) and x <cmp> ...`` test, a whole-ratio test
-``abs(x - y) <cmp> 1e-9`` or a bound helper of its own, the command line has
+``src/uclab``, only ``constants.is_finite`` reads the double range
+(``sys.float_info``; no module calls ``math.isqrt``), no module outside
+``constants`` writes an ``is_finite(x) and x <cmp> ...`` test, a
+whole-ratio test ``abs(x - y) <cmp> 1e-9`` or a bound helper of its own,
+the command line has
 no finite test of its own (no ``sys.float_info`` or ``numbers.Real``) and
 imports ``is_finite``, and no module calls ``math.isfinite``, which raises
 OverflowError on an integer past the double range and takes a bool for a
@@ -316,15 +318,18 @@ DIMENSION_CALLERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 0, -1, "2"])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, 0, -1, "2", pytest.param(HUGE, id="huge"),
+                                 pytest.param(int(sys.float_info.max) + 1, id="max+1")])
 @pytest.mark.parametrize("caller", sorted(DIMENSION_CALLERS))
 def test_every_dimension_check_gives_the_one_message(caller, bad):
     # ModelParams(d=True) and (d=2.0) built a report; CubeDomain took True,
     # and generate_sequence then failed with "an integer is required";
     # side_length_T, feasible_window_side and window_containment_margin
     # returned a side for d = 0 (26), True (39) and 2.5 (47), and d = -1
-    # raised "math domain error"
-    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got ") as info:
+    # raised "math domain error"; an integer past the largest double was
+    # accepted
+    with pytest.raises(ValueError,
+                       match=r"^d must be an integer >= 1 that a double holds, got ") as info:
         DIMENSION_CALLERS[caller](bad)
     assert str(info.value).endswith(repr(bad))
 
@@ -333,7 +338,8 @@ def test_every_dimension_check_gives_the_one_message(caller, bad):
                                          window_containment_margin],
                          ids=lambda f: f.__name__)
 def test_a_window_side_function_checks_d_before_theta1(window_side):
-    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 0$") as info:
+    with pytest.raises(ValueError,
+                       match=r"^d must be an integer >= 1 that a double holds, got 0$") as info:
         window_side(0, 0.5)
     assert _raiser(info) == window_side.__name__
 
@@ -393,7 +399,8 @@ def test_a_rule_error_is_raised_by_the_function_given_the_value(caller, rule):
         assert _raiser(info) == RAISED_IN[caller, rule], bad
 
 
-@pytest.mark.parametrize("message", ["delta must lie in (0, G/2)", "must be an integer >= 1",
+@pytest.mark.parametrize("message", ["delta must lie in (0, G/2)",
+                                     "must be an integer >= 1 that a double holds",
                                      "must be a finite number", "must be a whole number"])
 def test_each_rule_message_is_written_once(message):
     hits = [p.name for p in sorted(SRC.glob("*.py")) for _ in
@@ -416,6 +423,20 @@ def test_the_command_line_has_no_finite_test_of_its_own():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == "uclab.constants" for alias in node.names}
     assert "is_finite" in imported
+
+
+def test_only_is_finite_reads_the_double_range():
+    # dimension_root, _margin and window_side each compared d with the
+    # largest double, and dimension_root took math.isqrt past it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = [node for node in tree.body if path.name == "constants.py"
+                and isinstance(node, ast.FunctionDef) and node.name == "is_finite"]
+        inside = {id(node) for function in rule for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _dotted(node) in ("sys.float_info", "math.isqrt") and id(node) not in inside]
+    assert not found, f"the double range is read outside is_finite at {found}"
 
 
 def test_no_module_calls_math_isfinite():

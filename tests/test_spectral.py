@@ -126,11 +126,14 @@ def _dense_operator():
 
 class TestCount:
     @pytest.mark.parametrize("path", ["closed form", "dense", "lanczos"])
-    @pytest.mark.parametrize("count", [2.5, 0, -2, True])  # True had given one pair
+    @pytest.mark.parametrize("count", [2.5, 0, -2, True,  # True had given one pair
+                                       pytest.param(10**400, id="huge")])
     def test_bad_count_is_one_error_on_every_path(self, path, count):
+        # the dimension rule's message, not a wording of its own
         H = {"closed form": periodic_laplacian, "dense": _dense_operator,
              "lanczos": _lanczos_operator}[path]()
-        with pytest.raises(ValueError, match=r"^count must be at least 1 and an integer"):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 1 that a double "
+                           rf"holds, got {re.escape(repr(count))}$"):
             eigensolve(H, count=count)
 
     def test_numpy_integer_count_accepted(self):
@@ -655,7 +658,7 @@ class TestOneBlasThread:
         with pytest.raises(ValueError, match="residual"):
             eigensolve(wrong, count=4)
         assert _blas_counts() == [2] * two_threads
-        with pytest.raises(ValueError, match="count must be at least 1"):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
             eigensolve(variable, count=0)
         assert _blas_counts() == [2] * two_threads
 
