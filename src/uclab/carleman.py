@@ -268,7 +268,8 @@ def _plateau(r: np.ndarray, lo: float, hi: float, w_up: float, w_dn: float) -> n
 class RadialCutoff:
     """Radial plateau cutoff eta(s) of the radius s = |x|: 0 near the origin
     and far out, 1 on the working annulus, quintic-smoothstep transitions
-    (twice continuously differentiable)."""
+    (twice continuously differentiable).  It measures its own M: the largest
+    scale sqrt(max |eta'|, |lap eta|) on 4001 points of each transition."""
 
     delta: float
     D0: float
@@ -277,7 +278,16 @@ class RadialCutoff:
     r2: float
     r3: float
     r4: float
-    measured_M: float
+    measured_M: float = field(init=False)
+
+    def __post_init__(self):
+        measured = 0.0
+        for lo, hi, scale in ((self.r1, self.r2, self.delta), (self.r3, self.r4, self.D0)):
+            s = np.linspace(lo, hi, 4001)
+            grad = np.abs(self.radial_derivative(s))
+            lap = np.abs(self.radial_laplacian(s))
+            measured = max(measured, scale * math.sqrt(float(np.maximum(grad, lap).max())))
+        object.__setattr__(self, "measured_M", measured)
 
     def value(self, s: np.ndarray) -> np.ndarray:
         return _plateau(s, self.r1, self.r4, self.r2 - self.r1, self.r4 - self.r3)
@@ -311,7 +321,7 @@ def build_radial_cutoff(
     delta: float, R: float, D0: float, theta1: float, d: int = 1
 ) -> RadialCutoff:
     """Cutoff vanishing on B(delta/4) and outside B(2 e theta1 R + D0), equal
-    to one on the annulus between delta/2 and 2 e theta1 R."""
+    to one on the annulus between delta/2 and 2 e theta1 R, its radii checked."""
     r3 = annulus_radius(theta1, R)
     if delta > D0 or delta > r3:
         raise ValueError("radius ordering requires delta <= D0 and delta <= 2e*theta1*R")
@@ -319,17 +329,7 @@ def build_radial_cutoff(
     r4 = r3 + D0
     if not (r1 < r2 < r3 < r4):
         raise ValueError("cutoff radii must be strictly ordered")
-    cut = RadialCutoff(
-        delta=delta, D0=D0, d=d, r1=r1, r2=r2, r3=r3, r4=r4, measured_M=math.nan
-    )
-    measured = 0.0
-    for lo, hi, scale in ((r1, r2, delta), (r3, r4, D0)):
-        s = np.linspace(lo, hi, 4001)
-        grad = np.abs(cut.radial_derivative(s))
-        lap = np.abs(cut.radial_laplacian(s))
-        measured = max(measured, scale * math.sqrt(float(np.maximum(grad, lap).max())))
-    object.__setattr__(cut, "measured_M", measured)
-    return cut
+    return RadialCutoff(delta=delta, D0=D0, d=d, r1=r1, r2=r2, r3=r3, r4=r4)
 
 
 def cutoff_operator_value(

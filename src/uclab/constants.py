@@ -41,7 +41,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
-from operator import attrgetter
 from typing import Optional
 
 __all__ = [
@@ -584,11 +583,14 @@ class UcConstantReport:
     log_c_sfuc: float = math.nan
     log_gamma: float = math.nan
     sfuc_exponent: float = math.nan
-    admissible: bool = True
+    admissible: bool = field(init=False)
     # the first constant of the chain that left the double range ("" if none)
     out_of_range: str = ""
     params: dict = field(default_factory=dict)
     free_constants: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "admissible", self.epsilon > 0.0 and not self.out_of_range)
 
     def to_dict(self) -> dict:
         """Flat JSON-ready mapping with every intermediate value."""
@@ -606,16 +608,16 @@ def sampling_report(
     The window side T comes first: past the double range (theta1 near the
     largest double; no admitted d gets there) the report is flagged with
     ``out_of_range == "T"``, T NaN and the chain not run.  Otherwise it
-    rescales to unit cell size and evaluates the whole chain there, whose
-    first step derives the local geometry (:func:`sampling_geometry`).
+    rescales to unit cell size, derives the local geometry there
+    (:func:`sampling_geometry`) and evaluates the chain on it.
     Inadmissible parameters (epsilon <= 0) yield a flagged report with NaN
     constants rather than an exception, so sweeps can chart the
-    admissibility boundary.  So does a chain that leaves the double range
-    (an ``OverflowError``, as beta = 2 T^d raises for d in the hundreds, or
+    admissibility boundary.  So does a value that leaves the double range
+    (beta = 2 T^d, whose ``OverflowError`` comes for d in the hundreds, or
     a constant that comes out infinite or NaN, as happens for theta1 in the
-    forties and beyond): the report is not admissible, ``out_of_range``
-    names the first such constant, and it and the constants after it stay
-    NaN.
+    forties and beyond): ``out_of_range`` names the first such value, and
+    it and the constants after it stay NaN.  The report derives its
+    ``admissible`` from epsilon and ``out_of_range``.
     """
     if not is_ball_radius(p.delta, p.G):
         raise ValueError(BALL_RADIUS_ERROR)
@@ -627,33 +629,29 @@ def sampling_report(
     eps2 = sampling_epsilon(p)
     base = dict(epsilon=eps2, T=T, params=asdict(p), free_constants=asdict(fc))
     if math.isnan(T):
-        return UcConstantReport(admissible=False, out_of_range="T", **base)
+        return UcConstantReport(out_of_range="T", **base)
     if eps2 <= 0.0:
-        return UcConstantReport(admissible=False, **base)
+        return UcConstantReport(**base)
 
     ps = scale_parameters(p)
-    got: dict = {}
-    # beta = 2 T^d first: it is the one value of the geometry that can
-    # overflow, and an OverflowError names the first constant of its step
-    geo_names = ("beta", "R", "D0", "K_V")
-
-    def geo() -> LocalGeometry:  # the geometry the chain's first step derived
-        return LocalGeometry(**{name: got[name] for name in geo_names})
-
+    try:
+        geo = sampling_geometry(ps)
+    except OverflowError:  # T is finite here, so this is beta = 2 T^d
+        return UcConstantReport(out_of_range="beta", **base)
+    got = asdict(geo)
     chain = (
-        (geo_names, lambda: attrgetter(*geo_names)(sampling_geometry(ps))),
-        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, geo(), eps2)),
+        (("mu", "mu1", "rho"), lambda: carleman_mu_rho(ps, geo, eps2)),
         (("carleman_C", "carleman_alpha0"),
          lambda: carleman_constants(ps, got["rho"], got["mu"], got["mu1"])),
         (("alpha1", "alpha3", "alpha_star"), lambda: alpha_star(
-            ps, geo(), fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
+            ps, geo, fc, got["carleman_C"], got["carleman_alpha0"], got["mu"], got["rho"])),
         (("cac_delta_half",), lambda: (cacciopoli_prefactor(
             ps.delta / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("cac_D0_half",), lambda: (cacciopoli_prefactor(
-            got["D0"] / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
+            geo.D0 / 2.0, ps.norm_V, ps.norm_b, ps.norm_c, ps.theta1, fc.Cprime),)),
         (("log_c_quc",), lambda: (log_c_quc(
-            ps, geo(), fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
-        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, geo(), fc),)),
+            ps, geo, fc, got["mu1"], got["rho"], got["carleman_C"], got["alpha_star"]),)),
+        (("log_c_quc_lower",), lambda: (log_c_quc_lower_bound(ps, geo, fc),)),
         (("log_c_sfuc",), lambda: (log_c_sfuc(p, fc),)),
         (("log_gamma",), lambda: (log_gamma_window(p, fc, energy),)),
         (("sfuc_exponent",), lambda: (c_sfuc_exponent(p, fc),)),
@@ -665,6 +663,6 @@ def sampling_report(
             values = (math.inf,) * len(names)
         bad = [name for name, x in zip(names, values) if not is_finite(x)]
         if bad:
-            return UcConstantReport(admissible=False, out_of_range=bad[0], **got, **base)
+            return UcConstantReport(out_of_range=bad[0], **got, **base)
         got.update(zip(names, values))
     return UcConstantReport(**got, **base)

@@ -24,7 +24,7 @@ depend on the BLAS thread count, and inside a degenerate eigenspace the basis
 is this canonical one rather than a solver's round-off.
 
 Any other operator takes the dense Hermitian path (LAPACK ``evr``, only the
-``count`` lowest pairs) up to DENSE_CUTOFF unknowns or for a ``count`` of N
+``count`` lowest pairs) up to DENSE_CUTOFF unknowns or for a ``count`` of N - 1
 or more, and otherwise ARPACK shift-invert Lanczos, deterministic through a
 seeded start vector; each path returns min(count, N) pairs.  The shift is
 ``spectral_floor - 1``, below the lower bound on the spectrum that
@@ -213,7 +213,7 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
     """The ``count`` lowest eigenpairs of a Hermitian operator.
 
     Closed form for a constant-coefficient operator, dense up to
-    DENSE_CUTOFF unknowns or for a ``count`` of N or more, shift-invert
+    DENSE_CUTOFF unknowns or for a ``count`` of N - 1 or more, shift-invert
     Lanczos otherwise (module docstring); min(count, N) pairs on every path.
     Runs on one BLAS thread and is deterministic for a fixed matrix and
     seed.  Raises ``ValueError`` when ``count`` fails the dimension rule, the
@@ -235,7 +235,7 @@ def eigensolve(op: DiscreteOperator, count: int, seed: int = 0) -> SpectrumSlice
 
     if op.constant_coefficients is not None:
         vals, vecs = _closed_form_pairs(op, count)
-    elif N <= DENSE_CUTOFF or count >= N:
+    elif N <= DENSE_CUTOFF or count >= N - 1:  # eigsh takes k < N - 1 on complex H
         vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, min(count, N) - 1],
                               driver="evr")
     else:

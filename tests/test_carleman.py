@@ -12,6 +12,7 @@ import uclab.carleman as carleman
 from uclab.carleman import (
     _EIN_CUT,
     SUPPORT_TOL,
+    RadialCutoff,
     WeightFunction,
     annular_bump,
     build_radial_cutoff,
@@ -313,6 +314,18 @@ class TestRadialCutoff:
             for delta in (0.1, 0.2, 0.4)
         ]
         assert max(ms) - min(ms) < 1e-6 * max(ms)
+
+    def test_a_direct_cutoff_measures_the_same_M(self):
+        for args in ((0.25, 3.0, 1.5, 1.0, 2), (0.3, 2.0, 1.0, 1.1, 3)):
+            built = build_radial_cutoff(*args)
+            radii = dict(r1=built.r1, r2=built.r2, r3=built.r3, r4=built.r4)
+            direct = RadialCutoff(delta=built.delta, D0=built.D0, d=built.d, **radii)
+            assert direct.measured_M == built.measured_M and repr(direct) == repr(built)
+
+    def test_measured_M_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'measured_M'"):
+            RadialCutoff(delta=0.25, D0=1.5, d=2, r1=0.0625, r2=0.125, r3=16.3, r4=17.8,
+                         measured_M=1.0)
 
     def test_derivative_bound_normalization(self):
         # sup of max(|grad|, |lap|) stays within (M/width)^2 on each annulus

@@ -13,6 +13,7 @@ from uclab.constants import (
     FreeConstants,
     LocalGeometry,
     ModelParams,
+    UcConstantReport,
     alpha_star,
     annulus_radius,
     c_sfuc_exponent,
@@ -601,6 +602,10 @@ class TestReport:
         rep = sampling_report(ModelParams(d=1, theta2=1.0))
         assert not rep.admissible and rep.epsilon < 0
         assert math.isnan(rep.mu)
+
+    def test_admissible_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'admissible'"):
+            UcConstantReport(epsilon=1.0, T=5, admissible=False)
 
     def test_report_dict_is_flat(self):
         d = sampling_report(canonical_params()).to_dict()

@@ -5,13 +5,18 @@ raises ``ValueError`` for an ``np.ndarray`` field, and its generated hash
 raises ``TypeError``.  So such a type either declares ``eq=False``, and two
 instances are equal only when they are one object, or defines its own
 ``__eq__`` and ``__hash__`` and compares by value, as a placement does.
+
+A frozen value is set only by its own ``__post_init__``: no module calls
+``object.__setattr__`` on anything but ``self``.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -72,3 +77,31 @@ def test_scan_flags_a_generated_equality():
     assert holds_array(Generated) and holds_array(Identity)
     assert not states_equality(Generated) and not states_equality(EqualOnly)
     assert states_equality(Identity)
+
+
+def patched_frozen_values(source: str) -> list[int]:
+    """Lines of ``source`` that call ``object.__setattr__`` on an argument
+    other than ``self``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+            and not (node.args and ast.unparse(node.args[0]) == "self")]
+
+
+def test_no_frozen_value_is_patched_from_outside():
+    found = {path.name: lines for path in sorted(Path(uclab.__file__).parent.glob("*.py"))
+             if (lines := patched_frozen_values(path.read_text()))}
+    assert found == {}
+
+
+def test_scan_flags_a_patched_value():
+    source = """
+def build():
+    cut = Cut()
+    object.__setattr__(cut, "M", 1.0)
+    return cut
+
+class Cut:
+    def __post_init__(self):
+        object.__setattr__(self, "M", 0.0)
+"""
+    assert patched_frozen_values(source) == [4]

@@ -116,6 +116,14 @@ def _lanczos_operator():
     return H
 
 
+def _complex_lanczos_operator():
+    """A complex Hermitian field above DENSE_CUTOFF (N = 289)."""
+    dom = CubeDomain(2, 17 / 16, 1 / 16, "periodic")
+    H = assemble(synthesize_random_field(3, dom, 1.2, norm_V=0.5, norm_b=0.3, sa=True))
+    assert H.matrix.shape[0] > spectral.DENSE_CUTOFF and np.iscomplexobj(H.matrix.data)
+    return H
+
+
 def _dense_operator():
     """A potential field below DENSE_CUTOFF (N = 48): the dense path."""
     H = assemble(synthesize_random_field(0, CubeDomain(1, 3.0, 1 / 16, "periodic"),
@@ -140,10 +148,12 @@ class TestCount:
         sl = eigensolve(periodic_laplacian(), count=np.int64(3))
         assert len(sl) == 3
 
-    def test_count_of_n_or_more_gives_every_pair_on_the_lanczos_path(self):
-        # Lanczos cannot serve count >= N: such a count takes the dense solve
-        # (at the parent, ARPACK warned and scipy raised a TypeError)
-        H = _lanczos_operator()
+    @pytest.mark.parametrize("operator", ["real", "complex"])
+    def test_count_of_n_or_more_gives_every_pair_on_the_lanczos_path(self, operator):
+        # Lanczos cannot serve count >= N, nor count = N - 1 on a complex
+        # operator: such a count takes the dense solve (else ARPACK warned
+        # and scipy raised a TypeError)
+        H = _lanczos_operator() if operator == "real" else _complex_lanczos_operator()
         N = H.matrix.shape[0]
         lower = eigensolve(H, count=N - 1)
         scale = np.abs(H.matrix.data).max()
