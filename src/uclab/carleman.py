@@ -61,7 +61,7 @@ from uclab.fields import (
     periodic_gradient,
     periodic_gradient_energy,
 )
-from uclab.geometry import CubeDomain
+from uclab.geometry import CubeDomain, abs_sq, euclidean_radius
 
 __all__ = [
     "ein",
@@ -215,7 +215,7 @@ class WeightFunction:
         when no sample lands there).
         """
         x = np.asarray(x, dtype=float)
-        r_eucl = np.sqrt((x**2).sum(axis=-1))
+        r_eucl = euclidean_radius(np.moveaxis(x, -1, 0))
         inside = r_eucl < self.rho
         sig = self.sigma(x[inside])
         w = phi(sig / self.rho, self.mu)
@@ -347,7 +347,7 @@ def cutoff_operator_value(
     ``FD_STEP``.
     """
     pts = np.asarray(points, dtype=float)
-    s = np.sqrt((pts**2).sum(axis=-1))
+    s = euclidean_radius(np.moveaxis(pts, -1, 0))
     u = pts / s[..., None]
     der = cutoff.radial_derivative(s)
     Axx = A(pts)
@@ -384,12 +384,12 @@ def check_pointwise_cutoff_bound(
     """
     pts = np.asarray(points, dtype=float)
     d = cutoff.d
-    s = np.sqrt((pts**2).sum(axis=-1))
+    s = euclidean_radius(np.moveaxis(pts, -1, 0))
     if np.any(s <= 0.0):
         raise ValueError("sample points must avoid the origin")
     lap = cutoff.radial_laplacian(s)
     op_c = cutoff_operator_value(cutoff, A, pts, b=b)
-    lhs = np.abs(op_c) ** 2
+    lhs = abs_sq(op_c)
     g2 = cutoff.radial_derivative(s) ** 2
     rhs = (
         3.0 * theta1**2 * lap**2
@@ -451,28 +451,24 @@ def _logsum(terms_log: np.ndarray, weights: np.ndarray) -> float:
     return float(out)
 
 
-def _abs_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2; z * z for real z, which is the same number."""
-    return np.abs(z) ** 2 if np.iscomplexobj(z) else np.square(z)
-
-
 def _active_integrands(u, A, b, c, h):
     """The cells where the gradient energy, |u|^2 or |Op u|^2 is positive,
     as ``np.nonzero`` index arrays, and the three integrands there.
 
     The whole-cube arrays live only inside this function, each freed once it
     is consumed: the centred differences once the operator image and the
-    gradient energy exist, each integrand once it is gathered.  A real
-    operator image is squared in place.
+    gradient energy exist, each integrand once it is gathered.  The
+    operator image is freed once it is squared, so five whole-cube arrays
+    meet there, fewer than the seven inside the operator.
     """
     grad = periodic_gradient(u, h)
     # the operator first: its stencil temporaries then do not meet the energy
     op = apply_operator(A, b, c, u, h, grad=grad)
     grad_energy = periodic_gradient_energy(grad, A)
     del grad
-    op_sq = _abs_sq(op) if np.iscomplexobj(op) else np.square(op, out=op)
+    op_sq = abs_sq(op)
     del op
-    u_sq = _abs_sq(u)
+    u_sq = abs_sq(u)
     positive = grad_energy > 0.0
     positive |= op_sq > 0.0
     positive |= u_sq > 0.0
@@ -540,7 +536,7 @@ def check_carleman_inequality(
         return CarlemanCheck(-math.inf, -math.inf, 0.0)
     u = u / umax  # ratio is scale-invariant; normalize for conditioning
     big = np.nonzero(np.abs(u) > SUPPORT_TOL)
-    r = np.sqrt(sum(centers[i] ** 2 for i in big))
+    r = euclidean_radius(centers[i] for i in big)
     if np.any(r >= rho):
         raise ValueError("u must vanish outside the rho-ball")
     if np.any(r <= 2.0 * h):

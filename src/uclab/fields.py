@@ -20,7 +20,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from uclab.constants import bound_error
-from uclab.geometry import CubeDomain
+from uclab.geometry import CubeDomain, euclidean_radius
 
 __all__ = [
     "CoefficientField",
@@ -77,7 +77,7 @@ class CoefficientField:
 
     @property
     def norm_b(self) -> float:
-        return float(np.sqrt((np.abs(self.b) ** 2).sum(axis=-1)).max())
+        return float(euclidean_radius(np.moveaxis(self.b, -1, 0)).max())
 
     @property
     def norm_c(self) -> float:

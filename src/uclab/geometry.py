@@ -5,13 +5,14 @@ Conventions: the cube of side ``L`` is centered at the origin; grids are
 cell-centered with spacing ``h`` (``L/h`` an integer) and discrete norms are
 ``h^d * sum(|psi|^2)`` over cell centers.  The Dirichlet sine mode
 sin(k pi (x + L/2)/L) has one home, ``CubeDomain.sine_mode``, and so has the
-radius of the cell centers, ``CubeDomain.center_radius``.  One ball of
-radius ``delta`` sits in each cell of the ``G``-lattice, and a sequence
-whose ball leaves its cell is rejected, so a grid point can only be covered
-by the ball of its own lattice cell: its block of ``G/h`` cells per axis.
-A placement is a value: its centers are a read-only float copy taken once,
-and two placements are equal, and hash alike, when their G, delta, L, d and
-center bytes are, so equal placements have equal runs on one grid.
+radius of the cell centers, ``CubeDomain.center_radius``; |z|^2 has one,
+:func:`abs_sq`, and the radius of a point set one, :func:`euclidean_radius`.
+One ball of radius ``delta`` sits in each cell of the ``G``-lattice, and a
+sequence whose ball leaves its cell is rejected, so a grid point can only be
+covered by the ball of its own lattice cell: its block of ``G/h`` cells per
+axis.  A placement is a value: its centers are a read-only float copy taken
+once, and two placements are equal, and hash alike, when their G, delta, L,
+d and center bytes are, so equal placements have equal runs on one grid.
 
 :func:`ball_runs` is the one home of the ball predicate.  Along the grid's
 last axis the covered cells of one block row form a single run, so a
@@ -50,6 +51,8 @@ from uclab.constants import (BALL_RADIUS_ERROR, DIMENSION_ERROR, bound_error, is
                              whole_cells, window_ball_radius, window_side)
 
 __all__ = [
+    "abs_sq",
+    "euclidean_radius",
     "CubeDomain",
     "EquidistributedSequence",
     "SiteDecomposition",
@@ -68,6 +71,23 @@ BoundaryCondition = Literal["dirichlet", "periodic"]
 # the site argument moves each ball to a near neighbor two units along the
 # first axis; the window containment must cover that shift
 NEAR_NEIGHBOR_SHIFT = 2.0
+
+
+def abs_sq(z) -> np.ndarray:
+    """|z|^2 as a float array for any numeric ``z``: a real z squared as a
+    double, so an integer one does not wrap, and a complex z's modulus, a
+    new array, squared in place."""
+    if np.iscomplexobj(z):
+        mod = np.abs(z)
+        mod *= mod
+        return mod
+    return np.square(z, dtype=float)
+
+
+def euclidean_radius(coords) -> np.ndarray:
+    """sqrt of the sum of :func:`abs_sq` over ``coords``, coordinate arrays
+    that broadcast together, added in their order."""
+    return np.sqrt(sum(abs_sq(x) for x in coords))
 
 
 def _lattice_axis(spacing: float, L: float, m: int) -> np.ndarray:
@@ -126,7 +146,7 @@ class CubeDomain:
     def center_radius(self) -> np.ndarray:
         """Distance of each cell center from the origin, shape ``shape``: the
         squares of the coordinates summed over the axes in order."""
-        return np.sqrt(sum(xk**2 for xk in np.ix_(*[self.centers_1d()] * self.d)))
+        return euclidean_radius(np.ix_(*[self.centers_1d()] * self.d))
 
     def sine_mode(self, k) -> np.ndarray:
         """sin(k pi (x + L/2)/L) = sin(pi k (m + 1/2)/n) at the cell centers
@@ -157,7 +177,7 @@ class CubeDomain:
                 raise ValueError(f"where of dtype {where.dtype} and shape {where.shape} "
                                  f"is not a boolean grid of shape {self.shape}")
             psi = psi[where]
-        return self.cell_volume * float(np.sum(np.abs(psi) ** 2))
+        return self.cell_volume * float(np.sum(abs_sq(psi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +462,7 @@ def classify_sites(
     if (T - 1) * c % 2:
         raise ValueError("T-window faces must align with the grid")
 
-    dens = (np.abs(psi_ext) ** 2) * h**d
+    dens = abs_sq(psi_ext) * h**d
     # the unit cube of the j-th site starts L + j units into the 3L cube
     unit_starts = (L + np.arange(L)) * c
     unit_mass = _window_sums(dens, c, unit_starts)
@@ -497,6 +517,6 @@ def tiling_identity_defect(psi_ext: np.ndarray, T: int, L: int, h: float) -> flo
     lhs = float(dec.window_mass.sum())
     c = whole_cells(1.0, h)
     base_cube = (slice(L * c, 2 * L * c),) * d
-    base = float((np.abs(psi_ext[base_cube]) ** 2).sum() * h**d)
+    base = float(abs_sq(psi_ext[base_cube]).sum() * h**d)
     rhs = float(T) ** d * base
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)

@@ -77,6 +77,7 @@ from uclab.fields import (
 from uclab.geometry import (
     CubeDomain,
     EquidistributedSequence,
+    abs_sq,
     ball_cells,
     ball_runs,
     generate_sequence,
@@ -210,11 +211,13 @@ class TrialConfig:
 
 
 def _checked_norm_sq(total: float) -> float:
-    """Squared norm of psi on the whole cube, checked where psi enters."""
+    """Squared norm of psi on the whole cube, checked to be finite and > 0."""
     if not is_finite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
         raise ValueError("zero grid function has no observability ratio")
+    if total < 0.0:
+        raise ValueError(f"psi's squared norm must be > 0, got {total}")
     return total
 
 
@@ -237,7 +240,7 @@ def mass_prefix(
     if psi.shape != domain.shape:
         raise ValueError("grid function shape mismatch")
     c = domain.block_cells(G)
-    dens = np.abs(psi) ** 2.0  # a float array for any numeric psi
+    dens = abs_sq(psi)
     total = domain.cell_volume * float(np.sum(dens))
     dens *= domain.cell_volume
     prefix = dens.reshape(-1, domain.n // c, c)
@@ -289,17 +292,18 @@ def observability_ratio(
     """Mass fraction of psi captured by the union of the delta-balls of each
     placement in ``seqs``, a stack that shares G, delta, L and d, from
     psi's :func:`mass_prefix` table; ``total`` is psi's squared norm on the
-    whole cube.  The stack's :class:`RunTable` comes from one
-    :func:`~uclab.geometry.ball_runs` pass, or from the tables kept for the
-    last ``RUN_TABLE_CACHE_SIZE`` stacks.  Each run of covered cells adds the
-    difference of two entries of its block's prefix row, and each placement
-    sums its own runs in their one-placement order, so its ratio has the bits
-    it has when measured alone."""
+    whole cube, finite and > 0.  The stack's :class:`RunTable` comes from
+    one :func:`~uclab.geometry.ball_runs` pass, or from the tables kept for
+    the last ``RUN_TABLE_CACHE_SIZE`` stacks.  Each run of covered cells adds
+    the difference of two entries of its block's prefix row, and each
+    placement sums its own runs in their one-placement order, so its ratio
+    has the bits it has when measured alone."""
     if not seqs:
         raise ValueError("need at least one placement")
     c = domain.block_cells(seqs[0].G)
     if prefix.shape != (domain.n ** (domain.d - 1), seqs[0].cells_per_axis, c):
         raise ValueError("prefix table does not match the sequence's G-blocks")
+    _checked_norm_sq(total)
     table = _run_table(tuple(seqs), domain.d, domain.L, domain.h)
     flat = prefix.reshape(-1)
     mass = flat[table.last]

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,18 @@ from uclab.geometry import (
     CubeDomain,
     EquidistributedSequence,
     _lattice,
+    abs_sq,
     ball_cells,
     ball_runs,
     classify_sites,
+    euclidean_radius,
     feasible_window_side,
     generate_sequence,
     mask,
     tiling_identity_defect,
     window_containment_margin,
 )
+from uclab.verifier import mass_prefix
 
 E = math.e
 
@@ -124,6 +128,74 @@ class TestCubeDomain:
         with pytest.raises(ValueError,
                            match=r"^G/h must be a whole number >= 1, got G=0.7 and h=0.5$"):
             CubeDomain(1, 3.0, 0.5).block_cells(0.7)
+
+
+class TestSquares:
+    """abs_sq and euclidean_radius against the expressions they replaced."""
+
+    @staticmethod
+    def points(d, kind):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((7,) * d + (d,)) * 1e150
+        return x + 1j * rng.standard_normal(x.shape) if kind == "complex" else x
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_abs_sq_has_the_bits_of_the_squared_modulus(self, d, kind):
+        z = self.points(d, kind)
+        got = abs_sq(z)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.abs(z) ** 2)
+        assert np.array_equal(got, np.abs(z) ** 2.0)
+        if kind == "real":
+            assert np.array_equal(got, np.square(z))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_euclidean_radius_has_the_bits_of_the_axis_sum(self, d, kind):
+        x = self.points(d, kind)
+        got = euclidean_radius(np.moveaxis(x, -1, 0))
+        assert np.array_equal(got, np.sqrt((np.abs(x) ** 2).sum(axis=-1)))
+        if kind == "real":
+            assert np.array_equal(got, np.sqrt((x**2).sum(axis=-1)))
+            axes = np.ix_(*[x[(0,) * (d - 1) + (slice(None), 0)]] * d)
+            assert np.array_equal(euclidean_radius(axes),
+                                  np.sqrt(sum(xk**2 for xk in axes)))
+
+    def test_a_complex_modulus_is_squared_in_place(self):
+        # np.abs(z) ** 2 would hold the modulus and its square at once
+        z = np.full(1 << 16, 3.0 + 4.0j)
+        tracemalloc.start()
+        got = abs_sq(z)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.all(got == 25.0)
+        assert peak < 1.5 * got.nbytes
+
+    @pytest.mark.parametrize("z", [np.array([4_000_000_000, -3]), np.array([True, False])],
+                             ids=["int64", "bool"])
+    def test_abs_sq_of_an_integer_or_bool_is_a_double(self, z):
+        got = abs_sq(z)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, z.astype(float) ** 2)
+
+
+# each grid-function mass read as a double: the square of 4e9 is 1.6e19,
+# past the int64 range, and an int64 psi wrapped to -2.45e18
+INT_MASS_READERS = {
+    "norm_sq": lambda psi: CubeDomain(1, 6.0, 1.0).norm_sq(psi),
+    "unit_mass": lambda psi: classify_sites(psi, 1, 1, 0.5).unit_mass,
+    "window_mass": lambda psi: classify_sites(psi, 3, 1, 0.5).window_mass,
+    "mass_prefix_total": lambda psi: mass_prefix(psi, CubeDomain(1, 6.0, 1.0), 1.0)[1],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INT_MASS_READERS))
+def test_an_integer_grid_function_has_the_mass_of_its_doubles(reader):
+    psi = np.array([5, -3_000_000_000, 4_000_000_000, 4_000_000_000, 0, 1])
+    read = INT_MASS_READERS[reader]
+    got, want = read(psi), read(psi.astype(float))
+    assert np.array_equal(got, want) and np.all(np.asarray(want) > 0.0)
 
 
 class TestSequences:

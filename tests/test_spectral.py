@@ -420,6 +420,8 @@ ONE_HOME = {
     "dirichlet diagonal test": r"np\.diag\(np\.diag\(",
     "record margin": r"math\.log\([\w.]*ratio\) - [\w.]*log_bound",
     "window side rounding": r"math\.ceil\(2\.0 \* ",
+    "squared magnitude": r"np\.abs\([^()]*\) ?\*\* ?2|np\.square\(",
+    "point radius": r"\*\* ?2\)\.sum\(axis=-1\)|\*\* ?2 for |np\.sqrt\(sum\(",
 }
 
 
@@ -429,7 +431,9 @@ def test_each_closed_form_is_written_once(formula):
     # verifier and carleman, the gradient term in constants and verifier;
     # 2 e theta1 R twice in constants and twice in carleman, (2 e theta1 + 1) R
     # and 2 T^d in constants and geometry, the diagonal test in discretization
-    # and spectral, the window side's rounding in constants and geometry
+    # and spectral, the window side's rounding in constants and geometry;
+    # |z|^2 in geometry, verifier, fields and carleman, the radius of a point
+    # set in carleman and geometry
     src = Path(spectral.__file__).parent
     hits = [p.name for p in sorted(src.glob("*.py"))
             for _ in re.findall(ONE_HOME[formula], p.read_text())]

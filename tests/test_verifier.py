@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ class TestObservabilityRatio:
             observability_ratio(prefix, [seq], dom, total)
         with pytest.raises(ValueError, match=r"^G/h must be a whole number >= 1, got G=0.7 and h"):
             mass_prefix(psi, dom, 0.7)
+
+    @pytest.mark.parametrize("total, message", [
+        (0.0, "^zero grid function"), (-1.0, r"^psi's squared norm must be > 0, got -1\.0$"),
+        (math.nan, "^psi must be finite"), (math.inf, "^psi must be finite")],
+        ids=["zero", "negative", "nan", "inf"])
+    def test_a_total_that_is_no_squared_norm_is_rejected(self, monkeypatch, total, message):
+        # it gave [inf] with a divide-by-zero warning, [nan] and [-1.754]; the
+        # total is checked before a run table is looked up
+        calls = []
+        monkeypatch.setattr(verifier, "ball_runs", lambda *a: calls.append(a))
+        verifier._run_table.cache_clear()
+        dom = CubeDomain(2, 3.0, 1 / 16, "periodic")
+        seq = generate_sequence(1.0, 0.25, 3.0, 2, "centered")
+        prefix, _ = mass_prefix(np.ones(dom.shape), dom, 1.0)
+        with pytest.raises(ValueError, match=message):
+            observability_ratio(prefix, [seq], dom, total)
+        assert calls == []
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_mass_prefix_holds_one_grid(self, dtype):
+        # the squares, the masses and their prefix sums share one float grid
+        dom = CubeDomain(2, 3.0, 3.0 / 240, "periodic")
+        psi = np.ones(dom.shape, dtype=dtype)
+        tracemalloc.start()
+        prefix, _ = mass_prefix(psi, dom, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * prefix.nbytes
 
     # psi is checked where it enters a delta sweep; a record's psi comes
     # from a solve only
