@@ -13,7 +13,7 @@ import numpy as np
 
 from uclab.constants import FreeConstants, ModelParams
 from uclab.discretization import assemble
-from uclab.fields import CoefficientField
+from uclab.fields import synthesize_random_field
 from uclab.geometry import CubeDomain
 from uclab.spectral import eigensolve
 from uclab.verifier import delta_sweep
@@ -38,10 +38,7 @@ print("Ground state of the Dirichlet operator, d=1")
 print("=" * 70)
 L = 3.0
 dom = CubeDomain(1, L, 1 / 128, "dirichlet")
-fld = CoefficientField(
-    dom, np.ones(dom.shape + (1, 1)), np.zeros(dom.shape + (1,)),
-    np.zeros(dom.shape), np.zeros(dom.shape), 1.0, 0.0,
-)
+fld = synthesize_random_field(0, dom)  # A = I, no b, c or V
 psi = eigensolve(assemble(fld), count=1).grid_vector(0)
 p = ModelParams(d=1, theta1=1.0, theta2=0.0, G=1.0, delta=0.2, L=L)
 res = delta_sweep(psi, dom, 1.0, DELTAS, p, FC,

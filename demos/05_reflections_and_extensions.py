@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from uclab.discretization import assemble, extend, extension_check
-from uclab.fields import CoefficientField, synthesize_dir_cross_field
+from uclab.fields import synthesize_dir_cross_field, synthesize_random_field
 from uclab.geometry import CubeDomain, tiling_identity_defect
 from uclab.spectral import eigensolve
 
@@ -33,10 +33,7 @@ print("=" * 70)
 dom = CubeDomain(1, L, h, "dirichlet")
 x = dom.centers_1d()
 psi = np.sin(math.pi * (x + L / 2) / L)
-fld = CoefficientField(
-    dom, np.ones(dom.shape + (1, 1)), np.zeros(dom.shape + (1,)),
-    np.zeros(dom.shape), np.zeros(dom.shape), 1.0, 0.0,
-)
+fld = synthesize_random_field(0, dom)  # A = I, no b, c or V
 psi3, fld3, _ = extend(psi, fld)
 x3 = fld3.domain.centers_1d()
 err = np.abs(psi3 - np.sin(math.pi * (x3 + L / 2) / L)).max()
@@ -64,11 +61,7 @@ print("=" * 70)
 domp = CubeDomain(1, 5.0, 1 / 8, "periodic")
 rng = np.random.default_rng(1)
 base = rng.standard_normal(domp.shape)
-fldp = CoefficientField(
-    domp, np.ones(domp.shape + (1, 1)), np.zeros(domp.shape + (1,)),
-    np.zeros(domp.shape), np.zeros(domp.shape), 1.0, 0.0,
-)
-psi3, _, _ = extend(base, fldp)
+psi3, _, _ = extend(base, synthesize_random_field(0, domp))
 for T in (2, 3, 7):
     defect = tiling_identity_defect(psi3, T, 5, 1 / 8)
     print(f"window side T={T}: relative resummation defect = {defect:.2e}")

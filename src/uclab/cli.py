@@ -26,6 +26,8 @@ header line), each ``.csv`` table (``summary.csv``, ``plot.csv``,
 ``eigenpairs/eigenpairs_NNN.csv``; LF line ends), each ``.npy`` table, an
 array (``eigenpairs/eigenpairs_NNN.npy``), and a ``FAIL: <message>`` line on
 stderr per failure.  JSON outputs write a NaN or infinity as ``null``.
+Each gate is a function of a run's outputs (``record_failures`` and the
+like), which the acceptance suite applies too: one home per bound.
 
 The model's d, L, delta and norm_V each have one key, a list: ``ds``,
 ``L_over_Gs``, ``deltas_over_G`` and ``norm_Vs`` (L and delta in units of
@@ -284,6 +286,54 @@ _RECORD_CHECKS = (
 )
 
 
+def record_failures(records) -> list[str]:
+    """Criterion 7's gate: per check of ``_RECORD_CHECKS`` that a record
+    fails, a message naming the first such record in order of margin."""
+    ranked = sorted(records, key=lambda r: r.margin)
+    failures = []
+    for broken, check in _RECORD_CHECKS:
+        r = next((r for r in ranked if not check(r)), None)
+        if r is not None:
+            failures.append(f"{broken} for record (kind={r.psi_kind}, d={r.d}, bc={r.bc}, "
+                            f"L={r.L}, delta={r.delta}, seed={r.seed})")
+    return failures
+
+
+def sweep_failures(res, d: int) -> list[str]:
+    """Criterion 8's gate on a :class:`~uclab.verifier.SweepResult` in d."""
+    ok = res.slope_in_bracket(d) and res.r_squared >= 0.99 and not res.degenerate
+    return [] if ok else ["sweep slope outside bracket or degenerate fit"]
+
+
+def carleman_allowed(h: float) -> float:
+    """Criterion 4's cap on a ratio at grid spacing h: 1 plus 10h of slack."""
+    return 1.0 + 10.0 * h
+
+
+def carleman_failures(worst_by_h: dict) -> list[str]:
+    """Criterion 4's gate on the worst ratio per grid spacing; a NaN fails."""
+    bad = [h for h, w in worst_by_h.items() if not w <= carleman_allowed(h)]
+    return [f"ratio exceeded tolerance at h={bad[0]}"] if bad else []
+
+
+def weight_failures(slacks: dict) -> list[str]:
+    """Criterion 3's gate: the envelope slacks are at least -1e-10; a NaN
+    outer floor, no sample beyond sqrt(theta1) rho/mu, passes."""
+    floor = -1e-10
+    failed = [k for k in ("lower", "upper") if not slacks[k] >= floor]
+    if slacks["outer_floor"] < floor:  # False for NaN
+        failed.append("outer_floor")
+    return [f"weight {k} slack {slacks[k]:.3e} is below {floor:g}" for k in failed]
+
+
+def extension_failures(worst: dict) -> list[str]:
+    """Criterion 6's gate: the interface jump within its allowance
+    10h |grad psi|_sup and the residual excess within 1e-8; a NaN fails."""
+    limits = {"interface_jump_rel": 1.0, "residual": 1e-8}
+    return [f"extension {k} {worst[k]:.3g} exceeds {limit:g}"
+            for k, limit in limits.items() if not worst[k] <= limit]
+
+
 def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     from uclab.verifier import benchmark_configs, verify_equidistribution
 
@@ -295,17 +345,8 @@ def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     solves: dict = {}
     records = verify_equidistribution(configs, cfg.free, solves)
     rows = [dict(sorted(r.to_dict().items())) for r in records]  # sorted CSV columns
-    # worst margin first: each check names the first record it fails in this
-    # order, so the margin check names the record of min_margin
-    ranked = sorted(records, key=lambda r: r.margin)
-    worst = ranked[0]
+    worst = min(records, key=lambda r: r.margin)
     print(f"{len(records)} records, min margin {worst.margin:.6g}")
-    failures = []
-    for broken, check in _RECORD_CHECKS:
-        r = next((r for r in ranked if not check(r)), None)
-        if r is not None:
-            failures.append(f"{broken} for record (kind={r.psi_kind}, d={r.d}, bc={r.bc}, "
-                            f"L={r.L}, delta={r.delta}, seed={r.seed})")
     report = {"n_records": len(records), "min_margin": worst.margin,
               "worst_record": worst.to_dict()}
     tables = {"records.jsonl": rows, "summary.csv": rows}
@@ -315,7 +356,7 @@ def cmd_verify(cfg: ExperimentConfig) -> Outcome:
             tables[f"{name}.csv"] = [{"index": j, "eigenvalue": float(lam)}
                                      for j, lam in enumerate(sl.eigenvalues)]
             tables[f"{name}.npy"] = sl.eigenvectors
-    return report, tables, failures
+    return report, tables, record_failures(records)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Outcome:
@@ -334,12 +375,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> Outcome:
     plot = [{"delta": dd, "ratio": rr,
              "log_bound": log_c_sfuc(replace(model, delta=dd), cfg.free)}
             for dd, rr in zip(res.deltas, res.ratios)]
-    ok = res.slope_in_bracket(model.d) and res.r_squared >= 0.99 and not res.degenerate
     print(f"slope {res.slope:.4f} (floor {model.d}, cap {res.exponent_bound:.4g}), "
           f"R^2 {res.r_squared:.6f}")
-    failures = [] if ok else ["sweep slope outside bracket or degenerate fit"]
     report = {k: v for k, v in asdict(res).items() if k != "degenerate"}
-    return report, {"plot.csv": plot}, failures
+    return report, {"plot.csv": plot}, sweep_failures(res, model.d)
 
 
 def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
@@ -358,18 +397,16 @@ def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
                 except ValueError as exc:
                     raise ConfigError(f"{exc} (trial seed={seed}, d={d}, h={h})") from exc
                 rows.append(rec)
-                # np.maximum keeps a NaN ratio, which fails the gate below
+                # np.maximum keeps a NaN ratio, which fails the gate
                 worst_by_h[h] = float(np.maximum(worst_by_h.get(h, 0.0), rec["ratio"]))
-    allowed = {h: 1.0 + 10.0 * h for h in worst_by_h}  # discretization slack
-    summary = [{"h": h, "worst_ratio": worst_by_h[h], "allowed": allowed[h]}
+    summary = [{"h": h, "worst_ratio": worst_by_h[h], "allowed": carleman_allowed(h)}
                for h in sorted(worst_by_h, reverse=True)]
     for row in summary:
         print(f"h={row['h']:.6g}: worst ratio {row['worst_ratio']:.3e} "
               f"(allowed {row['allowed']:.4f})")
-    bad = [h for h, w in worst_by_h.items() if not w <= allowed[h]]
-    failures = [f"ratio exceeded tolerance at h={bad[0]}"] if bad else []
     report = {"worst_by_h": {str(k): v for k, v in worst_by_h.items()}}
-    return report, {"records.jsonl": rows, "summary.csv": summary}, failures
+    tables = {"records.jsonl": rows, "summary.csv": summary}
+    return report, tables, carleman_failures(worst_by_h)
 
 
 def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
@@ -436,10 +473,7 @@ def cmd_extend_check(cfg: ExperimentConfig) -> Outcome:
         worst = {k: float(np.maximum(worst[k], res[k])) for k in worst}  # keeps a NaN
     print(f"extension interface jump {worst['interface_jump_rel']:.3f} of "
           f"allowance, residual excess {worst['residual']:.3g}")
-    limits = {"interface_jump_rel": 1.0, "residual": 1e-8}
-    failures = [f"extension {k} {worst[k]:.3g} exceeds {limits[k]:g}"
-                for k in limits if not worst[k] <= limits[k]]
-    return {"worst": worst}, {}, failures
+    return {"worst": worst}, {}, extension_failures(worst)
 
 
 def cmd_weight(cfg: ExperimentConfig) -> Outcome:
@@ -455,12 +489,8 @@ def cmd_weight(cfg: ExperimentConfig) -> Outcome:
     slacks = wf.bound_slacks(pts)
     print(f"weight bound slacks: lower {slacks['lower']:.3e} "
           f"upper {slacks['upper']:.3e}")
-    failed = [k for k in ("lower", "upper") if not slacks[k] >= -1e-10]
-    if slacks["outer_floor"] < -1e-10:  # a NaN (no sample beyond sqrt(theta1) rho/mu) passes
-        failed.append("outer_floor")
-    failures = [f"weight {k} slack {slacks[k]:.3e} is below -1e-10" for k in failed]
     table = [{"r": r, "phi": p} for r, p in zip(rs, phi(rs, mu))]
-    return {"bound_slacks": slacks}, {"summary.csv": table}, failures
+    return {"bound_slacks": slacks}, {"summary.csv": table}, weight_failures(slacks)
 
 
 # flag -> argparse keywords; the dest is the ExperimentConfig key the flag

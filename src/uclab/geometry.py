@@ -33,9 +33,9 @@ covered cells of the row are contiguous.  The ends come from
 the runs cover exactly the cells the expression admits.
 
 :func:`classify_sites` sums ``h^d |psi|^2`` over each site's unit cube and
-T-window one axis at a time: along each axis the prefix sums, with a zero in
-front, are differenced at the box ends.  :func:`tiling_identity_defect`
-compares the window sums with a direct sum over the base cube.
+T-window one axis at a time, each box on its own, as ``mass_prefix`` restarts
+per G-block, so a small site's mass is not lost beside large ones.
+:func:`tiling_identity_defect` compares the window sums with a direct sum.
 """
 
 from __future__ import annotations
@@ -426,12 +426,11 @@ class SiteDecomposition:
 
 def _window_sums(dens: np.ndarray, cells: int, starts: np.ndarray) -> np.ndarray:
     """Sums of ``dens`` over the boxes of ``cells`` cells per axis that start
-    at ``starts`` on every axis, shape (len(starts),)*ndim: per axis, its
-    prefix sums with a zero in front, differenced at the box ends."""
+    at ``starts`` on every axis, shape (len(starts),)*ndim, each box summed
+    on its own, so a mass carries the rounding of its own box only."""
     out = dens
-    for ax in range(dens.ndim):
-        prefix = np.insert(np.cumsum(out, axis=ax), 0, 0.0, axis=ax)
-        out = np.take(prefix, starts + cells, axis=ax) - np.take(prefix, starts, axis=ax)
+    for _ in range(dens.ndim):  # sum the leading axis, stack its boxes last
+        out = np.stack([out[s:s + cells].sum(axis=0) for s in starts], axis=-1)
     return out
 
 

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test prints one ``criterion NN <name>: PASS/FAIL (x s)`` line (visible
-with ``pytest -s`` or in the captured output) and then asserts.  Tolerances
-are pinned here, not deferred: relative 1e-10 against the high-precision
-oracle for the constants chain, 1e-12 for the scaling identity, -1e-10 slack
-for the weight envelope, 1 + 10h for the weighted-inequality ratio, 1e-10 for
-the resummation identity, and the stated runtime budgets.
+with ``pytest -s`` or in the captured output) and then asserts.  A bound the
+command line also applies lives in its gate function in ``uclab.cli``:
+criteria 3, 6 and 7 apply those to their own runs, and criteria 4 and 8 run
+``carleman-check`` and ``sweep``.  The other tolerances are pinned here:
+relative 1e-10 against the high-precision oracle for the constants chain,
+1e-12 for the scaling identity, 1e-10 for the resummation identity, and the
+stated runtime budgets.
 
 The two opaque constants (the local and the scale-free one) underflow double
 precision by design, so their acceptance comparisons run on natural logs;
@@ -27,8 +29,9 @@ import pytest
 import oracles
 import uclab
 import uclab.verifier as verifier
-from uclab.carleman import WeightFunction, carleman_trial
-from uclab.cli import write_rows_jsonl
+from uclab.carleman import WeightFunction
+from uclab.cli import (cmd_carleman_check, cmd_sweep, extension_failures, load_config,
+                       record_failures, weight_failures, write_rows_jsonl)
 from uclab.constants import (
     FreeConstants,
     ModelParams,
@@ -45,12 +48,7 @@ from uclab.fields import (
 )
 from uclab.geometry import CubeDomain, classify_sites, tiling_identity_defect
 from uclab.spectral import eigensolve
-from uclab.verifier import (
-    benchmark_configs,
-    delta_sweep,
-    scaling_identity,
-    verify_equidistribution,
-)
+from uclab.verifier import benchmark_configs, scaling_identity, verify_equidistribution
 
 FC = FreeConstants()
 
@@ -66,8 +64,6 @@ FROZEN = {
     "log_c_quc": -2275720429.7675717,
     "log_c_sfuc": -4531830.3498610481,
 }
-
-_SWEEP_FIT_TOL = 0.02  # finite-grid allowance on the analytic slope floor
 
 
 def report(num: int, name: str, ok: bool, t0: float, detail: str = "") -> None:
@@ -156,10 +152,8 @@ def test_criterion_03_weight_bounds():
         )
         pts = rng.uniform(-wf.rho, wf.rho, size=(10_000, d))
         res = wf.bound_slacks(pts)
-        ok &= res["lower"] >= -1e-10 and res["upper"] >= -1e-10
-        if not math.isnan(res["outer_floor"]):
-            floors_checked += 1
-            ok &= res["outer_floor"] >= -1e-10
+        ok &= weight_failures(res) == []
+        floors_checked += not math.isnan(res["outer_floor"])
     ok &= floors_checked > 0
     ok &= (time.time() - t0) < 10.0
     report(3, "weight-bounds", ok, t0, f"outer floor sampled {floors_checked}x")
@@ -167,23 +161,17 @@ def test_criterion_03_weight_bounds():
 
 def test_criterion_04_carleman_inequality():
     t0 = time.time()
-    grids = (1 / 64, 1 / 128, 1 / 256)
-    worst = {h: 0.0 for h in grids}
-    ok = True
-    n_trials = 0
-    for d in (1, 2):
-        for seed in range(25):
-            for h in grids:
-                rec = carleman_trial(seed, d, h)
-                n_trials += 1
-                worst[h] = max(worst[h], rec["ratio"])
-                ok &= rec["ratio"] <= 1.0 + 10.0 * h
-                ok &= rec["alpha"] >= rec["alpha0"]
-    ok &= worst[grids[0]] >= worst[grids[1]] >= worst[grids[2]]
+    cfg = load_config(None, {"ds": [1, 2], "trials": 25, "seeds": [0],
+                             "grids": [1 / 64, 1 / 128, 1 / 256]})
+    ok = cfg.validate("carleman-check") == []
+    _, tables, failures = cmd_carleman_check(cfg)
+    rows = tables["records.jsonl"]
+    worst = [row["worst_ratio"] for row in tables["summary.csv"]]  # coarsest grid first
+    ok &= failures == [] and len(rows) == 150 and all(r["alpha"] >= r["alpha0"] for r in rows)
+    ok &= worst[0] >= worst[1] >= worst[2]
     ok &= (time.time() - t0) < 300.0
     report(4, "carleman-inequality", ok, t0,
-           f"{n_trials // 3} trials, worst ratios "
-           + " -> ".join(f"{worst[h]:.2e}" for h in grids))
+           f"{len(rows) // 3} trials, worst ratios " + " -> ".join(f"{w:.2e}" for w in worst))
 
 
 def test_criterion_05_mass_splitting_and_tiling():
@@ -252,10 +240,8 @@ def test_criterion_06_extension_correctness():
             mirror = np.linalg.eigvalsh(np.flip(fld3.A[:n], axis=0))
             ok &= np.abs(mirror - np.linalg.eigvalsh(fld.A)).max() < 1e-12
 
-        # interface jump within 10 h |grad psi|_sup, residual inequality kept
         res = extension_check(fld, psi, float(sl.eigenvalues[k]))
-        ok &= res["interface_jump_rel"] <= 1.0
-        ok &= res["residual"] <= 1e-8
+        ok &= extension_failures(res) == []
     ok &= (time.time() - t0) < 60.0
     report(6, "extension-correctness", ok, t0)
 
@@ -298,12 +284,7 @@ def criterion7_run(tmp_path_factory):
 def test_criterion_07_equidistribution_benchmark(criterion7_run):
     t0 = time.time() - criterion7_run["elapsed"]
     records = criterion7_run["records"]
-    ok = len(records) == 320
-    ok &= all(r.margin > 0.0 for r in records)
-    ok &= all(r.residual_violation <= 1e-10 for r in records)
-    # the worst case over the window's span bounds each sampled solution
-    ok &= all(r.log_bound < math.log(r.worst_ratio) and r.worst_ratio <= r.ratio + 1e-12
-              for r in records)
+    ok = len(records) == 320 and record_failures(records) == []
     by_kind = {k: sum(1 for r in records if r.psi_kind == k)
                for k in ("inequality_pair", "projector_sample")}
     ok &= by_kind["inequality_pair"] == by_kind["projector_sample"] == 160
@@ -365,16 +346,9 @@ def test_criterion_07_ratios_match_the_gathered_reference(criterion7_run, criter
 def test_criterion_08_vanishing_order_sweep():
     t0 = time.time()
     ok = True
-    for d in (1, 2):
-        dom = CubeDomain(d, 3.0, 1 / 128, "periodic")
-        p = ModelParams(d=d, theta1=1.0, theta2=0.0, G=1.0, delta=0.2, L=3.0)
-        res = delta_sweep(
-            np.ones(dom.shape), dom, 1.0, [0.125, 0.175, 0.25, 0.35, 0.45],
-            p, FC, seq_mode="uniform_random", seq_seeds=range(5),
-        )
-        ok &= not res.degenerate
-        ok &= res.r_squared >= 0.99
-        ok &= d * (1.0 - _SWEEP_FIT_TOL) <= res.slope <= res.exponent_bound
+    for d in (1, 2):  # psi = 1 on the periodic cube of side 3G, h = G/128
+        cfg = load_config(None, {"ds": [d], "h_per_G": 128, "seeds": list(range(5))})
+        ok &= cfg.validate("sweep") == [] and cmd_sweep(cfg)[2] == []
     ok &= (time.time() - t0) < 60.0
     report(8, "vanishing-order-sweep", ok, t0)
 

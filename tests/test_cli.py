@@ -664,6 +664,86 @@ class TestOutputs:
         assert len([ln for ln in err if ln.startswith("FAIL: ")]) == 1, err
 
 
+
+def _record(ratio=0.5, worst_ratio=0.4, log_bound=math.log(0.1), residual=0.0, seed=0):
+    return uclab.verifier.ObservabilityRecord(
+        psi_kind="inequality_pair", d=1, bc="dirichlet", G=1.0, delta=0.25, L=3.0,
+        h=1 / 32, theta1=1.0, theta2=0.0, norm_V=0.0, energy=0.0, eigen_index=0, seed=seed,
+        ratio=ratio, worst_ratio=worst_ratio, log_bound=log_bound, zeta_norm_sq=0.0,
+        residual_violation=residual)
+
+
+def _sweep(slope=1.0, r_squared=1.0, degenerate=False):
+    return uclab.verifier.SweepResult(slope, 0.0, r_squared, 100.0, [], [], degenerate)
+
+
+_NAMED = " for record (kind=inequality_pair, d=1, bc=dirichlet, L=3.0, delta=0.25, seed="
+_SWEEP_FAIL = ["sweep slope outside bracket or degenerate fit"]
+_SLACKS = {"lower": 0.0, "upper": 0.0, "outer_floor": 0.0}
+
+# gate id -> (the gate applied to a minimal input, the messages it must
+# return); an empty list marks an input on the boundary, which passes
+GATE_CASES = {
+    "record_worst_ratio_zero": (lambda: uclab.cli.record_failures([_record(worst_ratio=0.0)]),
+                                [f"worst_ratio <= exp(log_bound){_NAMED}0)"]),
+    "record_margin_zero": (lambda: uclab.cli.record_failures(
+        [_record(worst_ratio=0.5 + 5e-13, log_bound=math.log(0.5))]),
+        [f"margin <= 0{_NAMED}0)"]),
+    "record_worst_above_ratio": (lambda: uclab.cli.record_failures(
+        [_record(worst_ratio=0.5 + 2e-12)]), [f"worst_ratio > ratio + 1e-12{_NAMED}0)"]),
+    "record_worst_at_ratio_plus_1e-12": (lambda: uclab.cli.record_failures(
+        [_record(worst_ratio=0.5 + 1e-12)]), []),
+    "record_residual_2e-10": (lambda: uclab.cli.record_failures([_record(residual=2e-10)]),
+                              [f"residual_violation > 1e-10{_NAMED}0)"]),
+    "record_residual_1e-10": (lambda: uclab.cli.record_failures([_record(residual=1e-10)]), []),
+    "record_names_the_least_margin": (lambda: uclab.cli.record_failures(
+        [_record(ratio=0.9, worst_ratio=0.0, seed=1), _record(worst_ratio=0.0, seed=2)]),
+        [f"worst_ratio <= exp(log_bound){_NAMED}2)"]),
+    "sweep_slope_below_floor": (lambda: uclab.cli.sweep_failures(_sweep(slope=1.94), 2),
+                                _SWEEP_FAIL),
+    "sweep_slope_at_floor": (lambda: uclab.cli.sweep_failures(_sweep(slope=2 * 0.98), 2), []),
+    "sweep_slope_above_cap": (lambda: uclab.cli.sweep_failures(_sweep(slope=101.0), 1),
+                              _SWEEP_FAIL),
+    "sweep_r_squared_0.99": (lambda: uclab.cli.sweep_failures(_sweep(r_squared=0.99), 1), []),
+    "sweep_r_squared_0.98": (lambda: uclab.cli.sweep_failures(_sweep(r_squared=0.98), 1),
+                             _SWEEP_FAIL),
+    "sweep_degenerate": (lambda: uclab.cli.sweep_failures(_sweep(degenerate=True), 1),
+                         _SWEEP_FAIL),
+    "carleman_ratio_at_cap": (lambda: uclab.cli.carleman_failures({0.5: 6.0}), []),
+    "carleman_ratio_above_cap": (lambda: uclab.cli.carleman_failures(
+        {1 / 64: 1.15625, 0.5: math.nextafter(6.0, 7.0)}),
+        ["ratio exceeded tolerance at h=0.5"]),
+    "carleman_nan_ratio": (lambda: uclab.cli.carleman_failures({0.5: math.nan}),
+                           ["ratio exceeded tolerance at h=0.5"]),
+    "weight_slacks_at_-1e-10": (lambda: uclab.cli.weight_failures(
+        dict.fromkeys(_SLACKS, -1e-10)), []),
+    "weight_nan_outer_floor": (lambda: uclab.cli.weight_failures(
+        _SLACKS | {"outer_floor": math.nan}), []),
+    "weight_lower_below": (lambda: uclab.cli.weight_failures(_SLACKS | {"lower": -2e-10}),
+                           ["weight lower slack -2.000e-10 is below -1e-10"]),
+    "weight_nan_upper": (lambda: uclab.cli.weight_failures(_SLACKS | {"upper": math.nan}),
+                         ["weight upper slack nan is below -1e-10"]),
+    "weight_outer_floor_below": (lambda: uclab.cli.weight_failures(
+        _SLACKS | {"outer_floor": -2e-10}),
+        ["weight outer_floor slack -2.000e-10 is below -1e-10"]),
+    "extension_at_limits": (lambda: uclab.cli.extension_failures(
+        {"interface_jump_rel": 1.0, "residual": 1e-8}), []),
+    "extension_residual_2e-8": (lambda: uclab.cli.extension_failures(
+        {"interface_jump_rel": 0.5, "residual": 2e-8}),
+        ["extension residual 2e-08 exceeds 1e-08"]),
+    "extension_nan_jump": (lambda: uclab.cli.extension_failures(
+        {"interface_jump_rel": math.nan, "residual": 0.0}),
+        ["extension interface_jump_rel nan exceeds 1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_each_gate_fails_exactly_past_its_bound(case):
+    gate, messages = GATE_CASES[case]
+    assert gate() == messages
+
+
+
 class TestStrictJson:
     def test_non_finite_values_are_written_as_null(self, tmp_path, monkeypatch):
         # an inadmissible constants report (its constants are NaN), verify

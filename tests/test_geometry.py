@@ -576,6 +576,12 @@ class TestSites:
         center = (L - 1) // 2
         assert dec.dominating[center]
 
+    def test_a_small_site_keeps_its_mass_beside_large_ones(self):
+        # cells 0 and 5 hold the one site's mass 12.5; differenced prefix
+        # sums along the whole axis lost it to the rounding of 1.6e19
+        psi = np.array([4e9, -3e9, 0, 5, 4e9, 1])
+        assert classify_sites(psi, 1, 1, 0.5).unit_mass.tolist() == [12.5]
+
     def test_mass_splitting_random_functions(self):
         L, T, h = 5, 3, 1 / 8
         rng = np.random.default_rng(7)

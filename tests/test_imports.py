@@ -9,7 +9,9 @@ Every name in a ``uclab`` module's ``__all__`` must resolve on that module,
 so a deleted function cannot leave a stale export behind, and each function
 or class there must be defined by that module, the package's ``__init__``
 aside, so an exported name has one home.  A process that never solves an
-eigenproblem, and one that runs weighted-inequality trials, loads no scipy.
+eigenproblem, and one that runs weighted-inequality trials, loads no scipy,
+and importing the library modules that the benchmark's workloads run loads
+no ``uclab.cli``, the home of the acceptance gates.
 """
 
 import ast
@@ -126,6 +128,19 @@ def test_a_sweep_loads_no_scipy_and_a_solve_does():
     assert out["after_sweep"] == []
     assert out["variable"] and out["pairs"] == 3
     assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(out["after_solve"])
+
+
+
+def test_the_library_modules_load_no_cli():
+    # with PYTHONDONTWRITEBYTECODE=1 each module a run loads is compiled
+    # within its start-up time, so the gates stay off the library's path
+    code = ("import sys, uclab.verifier, uclab.carleman, uclab.geometry; "
+            "print('uclab.cli' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # a d = 1 and a d = 2 weighted-inequality trial, then Ein on both sides of
