@@ -12,10 +12,13 @@ admissible in the one dimension it reads; the other subcommands read no
 admissibility), 1 when an assertion failed, 2 on usage errors and on every
 ``config error: <key>...``; a ``--h`` that does not divide ``model.G``, or
 whose ratio G/h leaves the double range, is one such line naming
-``h_per_G=`` with the lattice rule's message; ``carleman-check`` gives one,
-naming the trial, when a pinned mu puts a constant or alpha past what doubles
-resolve, and ``cacciopoli-check`` one naming ``h_per_G=`` or
-``field_file=`` when the grid is too coarse for its fattened annulus.
+``h_per_G=`` with the lattice rule's message, and so is an ``h_per_G`` that
+leaves a cube the run builds without a whole number >= 2 of cells per axis
+(``CubeDomain``'s rule; a ``--field-file`` run takes its grid from the
+file); ``carleman-check`` gives one, naming the trial, when a pinned mu puts
+a constant or alpha past what doubles resolve, and ``cacciopoli-check`` one
+naming ``h_per_G=`` or ``field_file=`` when the grid is too coarse for its
+fattened annulus.
 
 Each ``cmd_*`` returns its report, its tables and one message per failed gate
 (:data:`Outcome`), and :func:`main` alone writes a run's files to ``--out``,
@@ -73,6 +76,7 @@ from uclab.constants import (
     sampling_epsilon,
     sampling_report,
     whole_cells,
+    window_tolerance,
 )
 
 __all__ = ["ExperimentConfig", "main", "to_json", "write_rows_jsonl", "write_rows_csv"]
@@ -147,9 +151,10 @@ class ExperimentConfig:
             problems.append(f"model.G={G!r} makes L_over_Gs G or deltas_over_G G infinite")
             return problems
         m = self.params()
-        if "--h" in flags and min(self.L_over_Gs) * self.h_per_G < 2:
-            problems.append(f"h_per_G={self.h_per_G} gives fewer than two cells per "
-                            f"axis on a cube of side {min(self.L_over_Gs)} G")
+        h = G / self.h_per_G  # CubeDomain's rule on each cube of a --h run; a file fixes its grid
+        bad = [v * G for v in self.L_over_Gs if (whole_cells(v * G, h) or 0) < 2]
+        if bad and "--h" in flags and not ("--field-file" in flags and self.field_file):
+            problems.append(f"h_per_G={self.h_per_G}: {lattice_error(2, L=bad[0], h=h)}")
         if command == "sweep":  # its bounds use the model
             eps = sampling_epsilon(m)
             if eps <= 0.0:
@@ -283,6 +288,10 @@ _RECORD_CHECKS = (
      lambda r: r.worst_ratio > 0.0 and r.log_bound < math.log(r.worst_ratio)),
     ("worst_ratio > ratio + 1e-12", lambda r: r.worst_ratio <= r.ratio + 1e-12),
     ("residual_violation > 1e-10", lambda r: r.residual_violation <= 1e-10),
+    # a projector sample's zeta is (H - E) psi: the window's spread plus the solve's residual
+    ("sqrt(zeta_norm_sq) > window_tolerance + 1e-8 (1 + |energy|)",
+     lambda r: r.psi_kind != "projector_sample" or math.sqrt(r.zeta_norm_sq)
+     <= window_tolerance(r.log_gamma, r.energy) + 1e-8 * (1.0 + abs(r.energy))),
 )
 
 
@@ -409,24 +418,30 @@ def cmd_carleman_check(cfg: ExperimentConfig) -> Outcome:
     return report, tables, carleman_failures(worst_by_h)
 
 
-def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
-    from uclab.fields import load_field, synthesize_random_field
+def _check_grid(cfg: ExperimentConfig, field_file: Optional[str], h_per_G: int) -> tuple:
+    """The saved field's domain and the field, or the Dirichlet cube at h = G/h_per_G and None."""
+    from uclab.fields import load_field
     from uclab.geometry import CubeDomain
+
+    if field_file is not None:
+        fld = load_field(field_file)
+        return fld.domain, fld
+    m = cfg.params()
+    return CubeDomain(m.d, m.L, m.G / h_per_G, "dirichlet"), None
+
+
+def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
+    from uclab.fields import synthesize_random_field
     from uclab.verifier import annulus_fits, cacciopoli_check
 
-    if cfg.field_file is not None:
-        fld = load_field(cfg.field_file)
-        dom, key = fld.domain, f"field_file={cfg.field_file!r}"
-    else:
-        m = cfg.params()
-        dom = CubeDomain(m.d, m.L, m.G / cfg.h_per_G, "dirichlet")
-        key = f"h_per_G={cfg.h_per_G}"
+    dom, fld = _check_grid(cfg, cfg.field_file, cfg.h_per_G)
+    key = f"field_file={cfg.field_file!r}" if fld is not None else f"h_per_G={cfg.h_per_G}"
     L, d = dom.L, dom.d
     r1, r2, r = (f * L for f in _ANNULUS)
     if not annulus_fits(L, dom.h, r2, r):
         raise ConfigError(f"{key} gives h={dom.h:.4g}; the fattened annulus needs "
                           f"2h < L/2 - r2 - r = {L / 2.0 - r2 - r:.4g}")
-    if cfg.field_file is not None:
+    if fld is not None:
         from uclab.discretization import assemble
         from uclab.spectral import eigensolve
 
@@ -445,15 +460,10 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
 
 def cmd_extend_check(cfg: ExperimentConfig) -> Outcome:
     from uclab.discretization import assemble, extension_check
-    from uclab.fields import load_field, synthesize_dir_cross_field, synthesize_random_field
-    from uclab.geometry import CubeDomain
+    from uclab.fields import synthesize_dir_cross_field, synthesize_random_field
     from uclab.spectral import eigensolve
 
-    loaded = load_field(cfg.field_file) if cfg.field_file is not None else None
-    m = cfg.params()
-    dom = loaded.domain if loaded is not None else CubeDomain(
-        m.d, m.L, m.G / cfg.h_per_G, "dirichlet"
-    )
+    dom, loaded = _check_grid(cfg, cfg.field_file, cfg.h_per_G)
 
     def field(seed: int):
         theta1 = 1.0 + 0.5 * (1 + seed % 3) / 3

@@ -75,6 +75,7 @@ __all__ = [
     "log_c_sfuc",
     "c_sfuc_exponent",
     "log_gamma_window",
+    "window_tolerance",
     "scale_parameters",
     "sampling_report",
 ]
@@ -534,6 +535,12 @@ def log_gamma_window(p: ModelParams, fc: FreeConstants, energy: float) -> float:
     log_D1, expo, log_delta_D2 = _sfuc_log_terms(p, fc, energy)
     log_gamma_sq = log_D1 - 4.0 * math.log(p.G) + expo * log_delta_D2
     return 0.5 * log_gamma_sq
+
+
+def window_tolerance(log_gamma: float, energy: float) -> float:
+    """The energy window's half-width about ``energy``: exp(log_gamma), which
+    underflows to 0.0, floored at the degeneracy tolerance 1e-8 (1 + |E|)."""
+    return max(math.exp(log_gamma), 1e-8 * (1.0 + abs(energy)))
 
 
 def scale_parameters(p: ModelParams) -> ModelParams:

@@ -64,6 +64,7 @@ from uclab.constants import (
     log_c_sfuc,
     log_gamma_window,
     scale_parameters,
+    window_tolerance,
 )
 from uclab.discretization import DiscreteOperator, assemble, residual_inequality_check
 from uclab.fields import (
@@ -371,8 +372,8 @@ def run_trial(
     )
 
     # the energy window about the drawn eigenvalue: slice members within
-    # the spectral half-width exp(lg) (it underflows to 0.0, so the numerical
-    # degeneracy tolerance provides the working floor)
+    # the spectral half-width exp(lg) or, where that underflows, the
+    # numerical degeneracy tolerance
     idx = int(rng.integers(0, min(4, len(sl))))
     E = float(sl.eigenvalues[idx])
     p = ModelParams(
@@ -380,8 +381,7 @@ def run_trial(
         G=tc.G, delta=tc.delta, L=tc.L,
     )
     lg = log_gamma_window(p, fc, E)
-    atol = max(math.exp(lg), 1e-8 * (1.0 + abs(E)))
-    members = np.flatnonzero(np.abs(sl.eigenvalues - E) <= atol)
+    members = np.flatnonzero(np.abs(sl.eigenvalues - E) <= window_tolerance(lg, E))
     gram = placement_gram(sl.eigenvectors, ball_cells(seq, fld.domain))
     window_gram = gram[np.ix_(members, members)]
     window_worst = worst_ratio(window_gram)

@@ -12,7 +12,8 @@ import pytest
 import uclab.cli
 import uclab.verifier
 from uclab.cli import build_parser, load_config, main, to_json
-from uclab.constants import FreeConstants, ModelParams, log_c_sfuc, sampling_report
+from uclab.constants import (FreeConstants, ModelParams, lattice_error, log_c_sfuc,
+                             sampling_report)
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -136,6 +137,9 @@ class TestExitCodes:
         pytest.param("constants", {"energy": math.nan}, [], "energy", id="constants-energy"),
         pytest.param("verify", {"L_over_Gs": [1], "h_per_G": 1}, [], "h_per_G",
                      id="verify-one-cell-grid"),
+        # verify builds a cube per side, the last one here of one cell
+        pytest.param("verify", {"L_over_Gs": [3, 1], "h_per_G": 1}, [], "h_per_G",
+                     id="verify-one-cell-grid-on-a-later-side"),
         pytest.param("cacciopoli-check", {"L_over_Gs": [1], "h_per_G": 1}, [], "h_per_G",
                      id="cacciopoli-one-cell-grid"),
         pytest.param("constants", [1, 2], [], "--config", id="constants-config-array"),
@@ -202,6 +206,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(f"config error: {key}="), err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "cacciopoli-check",
+                                         "extend-check"])
+    def test_a_cube_off_the_lattice_is_one_config_error(self, tmp_path, capsys, command):
+        # L = 3 G and h = G/32 are subnormal at G = 1e-320, and L/h is no
+        # whole number: the run's CubeDomain had raised this as a traceback
+        path = write_cfg(tmp_path, {"model.G": 1e-320})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        rule = lattice_error(2, L=3 * 1e-320, h=1e-320 / 32)
+        assert capsys.readouterr().err.splitlines() == [f"config error: h_per_G=32: {rule}"]
         assert not (tmp_path / "o").exists()
 
     def test_sweep_model_must_be_admissible_in_its_dimension(self, tmp_path, capsys):
@@ -665,12 +680,18 @@ class TestOutputs:
 
 
 
-def _record(ratio=0.5, worst_ratio=0.4, log_bound=math.log(0.1), residual=0.0, seed=0):
+def _record(ratio=0.5, worst_ratio=0.4, log_bound=math.log(0.1), residual=0.0, seed=0,
+            kind="inequality_pair", zeta_norm_sq=0.0, log_gamma=math.nan):
     return uclab.verifier.ObservabilityRecord(
-        psi_kind="inequality_pair", d=1, bc="dirichlet", G=1.0, delta=0.25, L=3.0,
+        psi_kind=kind, d=1, bc="dirichlet", G=1.0, delta=0.25, L=3.0,
         h=1 / 32, theta1=1.0, theta2=0.0, norm_V=0.0, energy=0.0, eigen_index=0, seed=seed,
-        ratio=ratio, worst_ratio=worst_ratio, log_bound=log_bound, zeta_norm_sq=0.0,
-        residual_violation=residual)
+        ratio=ratio, worst_ratio=worst_ratio, log_bound=log_bound, zeta_norm_sq=zeta_norm_sq,
+        residual_violation=residual, log_gamma=log_gamma)
+
+
+# a projector sample at E = 0 whose window is exp(0) = 1 wide: sqrt(zeta_norm_sq)
+# may reach 1 + 1e-8, and the square root of a double's square is that double
+_ZETA_BOUND = 1.0 + 1e-8
 
 
 def _sweep(slope=1.0, r_squared=1.0, degenerate=False):
@@ -696,6 +717,16 @@ GATE_CASES = {
     "record_residual_2e-10": (lambda: uclab.cli.record_failures([_record(residual=2e-10)]),
                               [f"residual_violation > 1e-10{_NAMED}0)"]),
     "record_residual_1e-10": (lambda: uclab.cli.record_failures([_record(residual=1e-10)]), []),
+    "record_zeta_at_window_plus_residual": (lambda: uclab.cli.record_failures(
+        [_record(kind="projector_sample", zeta_norm_sq=_ZETA_BOUND**2, log_gamma=0.0)]), []),
+    "record_zeta_past_window_plus_residual": (lambda: uclab.cli.record_failures(
+        [_record(kind="projector_sample", log_gamma=0.0,
+                 zeta_norm_sq=math.nextafter(_ZETA_BOUND, 2.0)**2)]),
+        ["sqrt(zeta_norm_sq) > window_tolerance + 1e-8 (1 + |energy|) for record "
+         "(kind=projector_sample, d=1, bc=dirichlet, L=3.0, delta=0.25, seed=0)"]),
+    # an inequality pair's zeta is (H - V) psi, which the window does not bound
+    "record_zeta_of_a_pair_is_unchecked": (lambda: uclab.cli.record_failures(
+        [_record(zeta_norm_sq=1e6)]), []),
     "record_names_the_least_margin": (lambda: uclab.cli.record_failures(
         [_record(ratio=0.9, worst_ratio=0.0, seed=1), _record(worst_ratio=0.0, seed=2)]),
         [f"worst_ratio <= exp(log_bound){_NAMED}2)"]),
@@ -869,6 +900,18 @@ class TestFieldFileFlag:
         want = cacciopoli_check(psi, fld, 0.1 * 3.0, 0.27 * 3.0, 0.13 * 3.0)
         assert rep["check"]["holds"] is True
         assert rep["check"]["lhs"] == want["lhs"] and rep["check"]["rhs"] == want["rhs"]
+
+    @pytest.mark.parametrize("command", ["cacciopoli-check", "extend-check"])
+    def test_a_field_file_run_ignores_the_configured_grid(self, tmp_path, command):
+        # one cell per axis on the configured cube, which a field-file run never builds
+        from uclab.fields import save_field, synthesize_dir_cross_field
+        from uclab.geometry import CubeDomain
+
+        ff = tmp_path / "field.npz"
+        save_field(ff, synthesize_dir_cross_field(3, CubeDomain(2, 3.0, 1 / 16, "dirichlet"), 1.4))
+        cfg = write_cfg(tmp_path, {"L_over_Gs": [1], "h_per_G": 1})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--field-file", str(ff)]) == 0
 
     def test_cacciopoli_check_rejects_a_coarse_field_file(self, tmp_path, capsys):
         import numpy as np
