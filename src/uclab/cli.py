@@ -288,6 +288,10 @@ _RECORD_CHECKS = (
      lambda r: r.worst_ratio > 0.0 and r.log_bound < math.log(r.worst_ratio)),
     ("worst_ratio > ratio + 1e-12", lambda r: r.worst_ratio <= r.ratio + 1e-12),
     ("residual_violation > 1e-10", lambda r: r.residual_violation <= 1e-10),
+    # an inequality pair's eigenvector solves (H - E) psi = 0 to the solver's tolerance
+    ("sqrt(residual_norm_sq) > 1e-8 (1 + |energy|)",
+     lambda r: r.psi_kind != "inequality_pair"
+     or math.sqrt(r.residual_norm_sq) <= 1e-8 * (1.0 + abs(r.energy))),
     # a projector sample's zeta is (H - E) psi: the window's spread plus the solve's residual
     ("sqrt(zeta_norm_sq) > window_tolerance + 1e-8 (1 + |energy|)",
      lambda r: r.psi_kind != "projector_sample" or math.sqrt(r.zeta_norm_sq)
@@ -341,6 +345,14 @@ def extension_failures(worst: dict) -> list[str]:
     limits = {"interface_jump_rel": 1.0, "residual": 1e-8}
     return [f"extension {k} {worst[k]:.3g} exceeds {limit:g}"
             for k, limit in limits.items() if not worst[k] <= limit]
+
+
+def cacciopoli_failures(res: dict, cprime: float) -> list[str]:
+    """``cacciopoli-check``'s gate on a :func:`~uclab.verifier.cacciopoli_check`
+    result at C' = ``cprime``: lhs <= rhs; a NaN fails."""
+    return [] if res["lhs"] <= res["rhs"] else [
+        f"cacciopoli inequality fails: lhs {res['lhs']:.6g} > rhs {res['rhs']:.6g} "
+        f"at C' = {cprime:.4g}"]
 
 
 def cmd_verify(cfg: ExperimentConfig) -> Outcome:
@@ -452,10 +464,7 @@ def cmd_cacciopoli_check(cfg: ExperimentConfig) -> Outcome:
     res = cacciopoli_check(psi, fld, r1, r2, r, cprime=cfg.free.Cprime)
     print(f"lhs {res['lhs']:.6g} <= rhs {res['rhs']:.6g}: {res['holds']}; "
           f"min C' {res['min_cprime']:.4g}")
-    failures = [] if res["holds"] else [
-        f"cacciopoli inequality fails: lhs {res['lhs']:.6g} > rhs {res['rhs']:.6g} "
-        f"at C' = {cfg.free.Cprime:.4g}"]
-    return {"check": res}, {}, failures
+    return {"check": res}, {}, cacciopoli_failures(res, cfg.free.Cprime)
 
 
 def cmd_extend_check(cfg: ExperimentConfig) -> Outcome:

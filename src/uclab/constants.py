@@ -20,9 +20,11 @@ exposed in :class:`FreeConstants`; all claims are relative to a choice of
 those.
 
 ``log_c_sfuc``/``log_gamma_window`` are written so that the length scale ``G``
-enters only through the products ``G*theta2``, ``G*norm_b``, ``G^2*norm_c``,
-``G^2*norm_V`` and the ratio ``delta/G``.  Rescaling to unit cell size with
-:func:`scale_parameters` therefore reproduces them bit for bit.
+enters only through the products ``G*theta2``, ``G*norm_b``, ``G*(G*norm_c)``,
+``G*(G*norm_V)`` and the ratio ``delta/G``.  Rescaling to unit cell size with
+:func:`scale_parameters` therefore reproduces them bit for bit.  A squared
+scale multiplies in that order, so a zero norm stays zero where ``G*G``
+alone would leave the double range.
 
 The five input rules live here, and each check of their quantities, in the
 library and on the command line, calls them: :func:`is_finite` (a real
@@ -512,8 +514,8 @@ def _sfuc_log_terms(
     D2 = fc.K2 * p.theta1**2
     if eps2 <= 0.0:
         raise ValueError("inadmissible parameters: eps2 <= 0")
-    v_term = (p.G * p.G * (p.norm_V if energy is None else abs(energy))) ** (2.0 / 3.0)
-    lower_order = 1.0 + v_term + (p.G * p.norm_b) ** 2 + (p.G * p.G * p.norm_c) ** (2.0 / 3.0)
+    v_term = (p.G * (p.G * (p.norm_V if energy is None else abs(energy)))) ** (2.0 / 3.0)
+    lower_order = 1.0 + v_term + (p.G * p.norm_b) ** 2 + (p.G * (p.G * p.norm_c)) ** (2.0 / 3.0)
     expo = D3 / eps2 * lower_order - math.log(eps2)
     return log_D1, expo, math.log((p.delta / p.G) / D2)
 
@@ -557,8 +559,8 @@ def scale_parameters(p: ModelParams) -> ModelParams:
         L=p.L / p.G,
         theta2=p.G * p.theta2,
         norm_b=p.G * p.norm_b,
-        norm_c=p.G * p.G * p.norm_c,
-        norm_V=p.G * p.G * p.norm_V,
+        norm_c=p.G * (p.G * p.norm_c),
+        norm_V=p.G * (p.G * p.norm_V),
     )
 
 

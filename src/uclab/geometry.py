@@ -24,13 +24,13 @@ placement's runs do not depend on the rest of the stack.
 the sorted flat indices of the covered cells: a trial gathers its
 eigenvector rows by them, and :func:`mask` sets them in a boolean grid.
 A delta sweep reads the runs of all the placements of one radius against
-row prefix sums instead.  The run is exact: with ``p`` the squared distance
-over the first ``d - 1`` axes, accumulated in axis order, a cell is covered
-when ``fl(p + fl((x - z)^2)) < delta^2``; rounding is monotone, so that
-expression does not increase as ``x`` approaches the center ``z`` and the
-covered cells of the row are contiguous.  The ends come from
-``sqrt(delta^2 - p)`` and are confirmed with the same float expression, so
-the runs cover exactly the cells the expression admits.
+row prefix sums instead.  Lengths are in cells, divided by h before any is
+squared, so no square leaves the double range.  The run is exact: with
+``p`` the squared distance over the first ``d - 1`` axes in axis order, a
+cell is covered when ``fl(p + fl((x - z)^2)) < r^2``, ``r = delta/h``;
+rounding is monotone, so the expression does not increase as ``x`` nears
+the center ``z`` and the covered cells of a row are contiguous.  The ends
+start from ``sqrt(r^2 - p)``, confirmed by the same expression.
 
 :func:`classify_sites` sums ``h^d |psi|^2`` over each site's unit cube and
 T-window one axis at a time, each box on its own, as ``mass_prefix`` restarts
@@ -290,15 +290,15 @@ def ball_runs(
     of its ball, so the runs of one placement are disjoint.  A placement's
     runs, their order and their ends do not depend on the rest of the stack.
 
-    Per ball and block row, ``p`` is the squared distance over the first
-    ``d - 1`` axes, accumulated one axis at a time in axis order.  A cell at
-    ``x`` is covered when ``p + (x - z)**2 < delta**2`` in floating point (a
-    center at exactly distance ``delta`` is outside).  Rows with
-    ``p >= delta**2`` are empty.  On the others the cells left of the center
-    ``z`` (``x < z``) are covered on a suffix and the cells right of it on a
-    prefix, since the float expression is monotone in ``|x - z|``; each end
-    starts from ``sqrt(delta**2 - p)`` and moves until the predicate confirms
-    it.
+    Lengths are in cells: ``x``, ``z`` and ``r = delta/h`` are divided by h
+    before any is squared.  Per ball and block row, ``p`` is the squared
+    distance over the first ``d - 1`` axes, accumulated in axis order.  A
+    cell at ``x`` is covered when ``p + (x - z)**2 < r**2`` in floating
+    point (a center at exactly distance ``r`` is outside).  Rows with
+    ``p >= r**2`` are empty.  On the others the cells left of the center ``z`` (``x < z``)
+    are covered on a suffix and the cells right of it on a prefix, since the
+    float expression is monotone in ``|x - z|``; each end starts from
+    ``sqrt(r**2 - p)`` and moves until the predicate confirms it.
     """
     if not seqs:
         raise ValueError("need at least one placement")
@@ -312,15 +312,16 @@ def ball_runs(
     if domain.d != first_seq.d or m * c != domain.n:  # one lattice of G-cells
         raise ValueError("sequence and domain are incompatible")
     d = domain.d
-    x = domain.centers_1d()
-    r2 = first_seq.delta**2
+    h = domain.h
+    x = np.arange(domain.n) + (1 - domain.n) / 2  # the cell centers over h, unrounded
+    r2 = (first_seq.delta / h) ** 2
     # one entry per (placement, ball's block on the last axis, grid row):
     # axes (P, m) and then (m, c) per leading grid axis, so the inner axis
     # is a block row
     shape = (len(seqs), m) + (m, c) * (d - 1)
     ball_shape = [len(seqs), m] + [m, 1] * (d - 1)
     # the balls in that order: placement, then block on the last axis
-    centers = np.stack([seq.centers for seq in seqs])
+    centers = np.stack([seq.centers for seq in seqs]) / h
     centers = centers.transpose((0, d, *range(1, d), d + 1)).reshape(-1, d)
     p = 0.0
     for k in range(d - 1):
@@ -364,10 +365,9 @@ def ball_runs(
             e = e - down + up
 
     w = np.sqrt(r2 - p)
-    hi = edge(np.ceil((z + w - x[0]) / domain.h).astype(np.intp),
-              split, first + c, covered)
-    lo = edge(np.floor((z - w - x[0]) / domain.h).astype(np.intp) + 1,
-              first, split, lambda i: ~covered(i))
+    hi = edge(np.ceil(z + w - x[0]).astype(np.intp), split, first + c, covered)
+    lo = edge(np.floor(z - w - x[0]).astype(np.intp) + 1, first, split,
+              lambda i: ~covered(i))
     keep = lo < hi
     return placement[keep], rows[keep], lo[keep], hi[keep]
 

@@ -31,7 +31,7 @@ Rayleigh quotient of M at psi's coefficients in the slice basis, and
 lowest eigenvalue of the window's minor of M, which no choice of basis
 inside a degenerate eigenspace moves.  A delta sweep measures many
 placements of one grid function instead: it squares the function once, into
-one :func:`mass_prefix` table and its norm, and at each delta reads each
+one :func:`mass_prefix` table and its total, and at each delta reads each
 placement's mass from the table over its own runs.  The runs of all that
 delta's placements come from one :func:`~uclab.geometry.ball_runs` pass,
 kept as a run table of prefix-table indices.  The table depends on the
@@ -121,7 +121,9 @@ class ObservabilityRecord:
     It derives ``margin``, ``zeta_term`` and ``zeta_dominates`` from its
     other fields.  A projector sample's three ``zeta`` fields read the
     eigensolver's residual: its window members agree with E to
-    1e-8 (1 + |E|), and ||zeta||^2 <= 7.4e-24 on all 160 criterion-7 samples."""
+    1e-8 (1 + |E|), and ||zeta||^2 <= 7.4e-24 on all 160 criterion-7 samples.
+    An inequality pair reads its eigenvector's in ``residual_norm_sq``,
+    ||(H - E) psi||^2 / ||psi||^2, which is NaN for a projector sample."""
 
     psi_kind: str
     d: int
@@ -144,6 +146,7 @@ class ObservabilityRecord:
     zeta_term: float = field(init=False)
     zeta_dominates: bool = field(init=False)
     residual_violation: float
+    residual_norm_sq: float
     log_gamma: float = math.nan
     free_constants: dict = field(default_factory=dict)
 
@@ -212,7 +215,7 @@ class TrialConfig:
 
 
 def _checked_norm_sq(total: float) -> float:
-    """Squared norm of psi on the whole cube, checked to be finite and > 0."""
+    """psi's squared norm on the whole cube, or its cell sum, checked to be finite and > 0."""
     if not is_finite(total):
         raise ValueError(f"psi must be finite, got squared norm {total}")
     if total == 0.0:
@@ -225,25 +228,24 @@ def _checked_norm_sq(total: float) -> float:
 def mass_prefix(
     psi: np.ndarray, domain: CubeDomain, G: float
 ) -> tuple[np.ndarray, float]:
-    """Row prefix sums of ``h^d |psi|^2``, restarted at each G-cell block,
-    and psi's squared norm on the whole cube, from one squaring of psi.
+    """Row prefix sums of ``|psi|^2``, restarted at each G-cell block, and
+    their total over the whole cube, from one squaring of psi.
 
     The table has shape ``(n**(d-1), m, c)`` with ``m = L/G`` blocks of
     ``c = G/h`` cells along the last axis: entry ``[r, j, k]`` is the mass
     of the first ``k + 1`` cells of block ``j`` of grid row ``r``, so it
     lies in memory as psi's cells do.  Restarting per block keeps the
-    cancellation in a difference of two entries to ``c`` cells.  The norm
-    is ``h^d`` times the sum of the squares, the bits of
-    :meth:`~uclab.geometry.CubeDomain.norm_sq`.  The squares, the masses
-    and their prefix sums take one grid of memory in turn.
+    cancellation in a difference of two entries to ``c`` cells.  Table and
+    total are in cell units, sums of |psi|^2: the cell volume ``h^d``
+    cancels in a ratio, which must take its total from this same call.  The
+    squares and their prefix sums take one grid of memory in turn.
     """
     psi = np.asarray(psi)
     if psi.shape != domain.shape:
         raise ValueError("grid function shape mismatch")
     c = domain.block_cells(G)
     dens = abs_sq(psi)
-    total = domain.cell_volume * float(np.sum(dens))
-    dens *= domain.cell_volume
+    total = float(np.sum(dens))
     prefix = dens.reshape(-1, domain.n // c, c)
     np.cumsum(prefix, axis=-1, out=prefix)
     return prefix, total
@@ -292,9 +294,9 @@ def observability_ratio(
 ) -> np.ndarray:
     """Mass fraction of psi captured by the union of the delta-balls of each
     placement in ``seqs``, a stack that shares G, delta, L and d, from
-    psi's :func:`mass_prefix` table; ``total`` is psi's squared norm on the
-    whole cube, finite and > 0.  The stack's :class:`RunTable` comes from
-    one :func:`~uclab.geometry.ball_runs` pass, or from the tables kept for
+    psi's :func:`mass_prefix` table and ``total``, that same call's total,
+    finite and > 0.  The stack's :class:`RunTable` comes from one
+    :func:`~uclab.geometry.ball_runs` pass, or from the tables kept for
     the last ``RUN_TABLE_CACHE_SIZE`` stacks.  Each run of covered cells adds
     the difference of two entries of its block's prefix row, and each
     placement sums its own runs in their one-placement order, so its ratio
@@ -401,13 +403,16 @@ def run_trial(
         zeta = op_psi - compare * psi
         viol = residual_inequality_check(psi, compare, np.abs(zeta), op_psi)
         total = _checked_norm_sq(fld.domain.norm_sq(psi))
+        residual_sq = (fld.domain.norm_sq(op_psi - E * psi) / total
+                       if kind == "inequality_pair" else math.nan)
         records.append(ObservabilityRecord(
             psi_kind=kind, d=tc.d, bc=tc.bc, G=tc.G, delta=tc.delta, L=tc.L, h=tc.h,
             theta1=fld.declared_theta1, theta2=fld.declared_theta2, norm_V=tc.norm_V,
             energy=E, eigen_index=idx, seed=tc.seed, ratio=float(ratio),
             worst_ratio=window_worst, log_bound=float(log_bound),
             zeta_norm_sq=float(fld.domain.norm_sq(zeta) / total),
-            residual_violation=float(viol), log_gamma=float(log_gamma),
+            residual_violation=float(viol), residual_norm_sq=float(residual_sq),
+            log_gamma=float(log_gamma),
             free_constants=asdict(fc),
         ))
     return records

@@ -303,23 +303,27 @@ def _random_eigenvectors(sl, rng):
 
 
 _ZETA_FAILURE = "sqrt(zeta_norm_sq) > window_tolerance + 1e-8 (1 + |energy|)"
+_PAIR_RESIDUAL_FAILURE = "sqrt(residual_norm_sq) > 1e-8 (1 + |energy|)"
 
 
 @pytest.mark.parametrize("defect", [_shifted_eigenvalues, _random_eigenvectors])
 def test_criterion_07_gate_fails_a_planted_solve_defect(monkeypatch, defect):
     # the d = 1 half of the suite on a solve that is wrong: each projector
-    # sample's zeta = (H - E) psi then leaves the window by far, though the
-    # margins, the worst ratios and the triangle inequality all still pass
+    # sample's zeta = (H - E) psi then leaves the window by far, and so does
+    # each inequality pair's residual (H - E) psi, though the margins, the
+    # worst ratios and the triangle inequality all still pass
     rng = np.random.default_rng(0)
     solve = verifier.eigensolve
     monkeypatch.setattr(verifier, "eigensolve", lambda *a, **kw: defect(solve(*a, **kw), rng))
     records = verify_equidistribution(benchmark_configs(ds=(1,)), FC)
-    samples = [r for r in records if r.psi_kind == "projector_sample"]
-    assert len(samples) == 80
-    assert any(f.startswith(_ZETA_FAILURE) for f in record_failures(records))
-    assert all(record_failures([r]) == [f"{_ZETA_FAILURE} for record (kind={r.psi_kind}, "
-                                        f"d={r.d}, bc={r.bc}, L={r.L}, delta={r.delta}, "
-                                        f"seed={r.seed})"] for r in samples)
+    for kind, failure in (("projector_sample", _ZETA_FAILURE),
+                          ("inequality_pair", _PAIR_RESIDUAL_FAILURE)):
+        of_kind = [r for r in records if r.psi_kind == kind]
+        assert len(of_kind) == 80
+        assert any(f.startswith(failure) for f in record_failures(records))
+        assert all(record_failures([r]) == [f"{failure} for record (kind={r.psi_kind}, "
+                                            f"d={r.d}, bc={r.bc}, L={r.L}, delta={r.delta}, "
+                                            f"seed={r.seed})"] for r in of_kind)
 
 
 @pytest.fixture(scope="module")

@@ -473,6 +473,32 @@ class TestCommands:
                 for dd in deltas]
         assert got == want
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sweep_reads_the_same_ratios_at_a_tiny_scale(self, tmp_path, d):
+        # a placement is measured in cells and a sweep's masses carry no h^d,
+        # so neither underflows at G = 1e-300: the ratios are the G = 1 ones
+        ratios = []
+        for G in (1.0, 1e-300):
+            out = tmp_path / f"G{G}"
+            path = write_cfg(tmp_path, {"model.G": G, "ds": [d], "h_per_G": 16})
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            rows = (out / "plot.csv").read_text().splitlines()[1:]
+            ratios.append([row.split(",")[1] for row in rows])
+        assert ratios[0] == ratios[1]
+
+    @pytest.mark.parametrize("command", ["constants", "sweep"])
+    def test_a_huge_scale_keeps_the_unit_scale_constant(self, tmp_path, command):
+        # G*(G*norm) keeps a zero norm zero where G*G overflows
+        path = write_cfg(tmp_path, {"model.G": 1e200, "h_per_G": 16})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        want = log_c_sfuc(ModelParams(d=1), FreeConstants())
+        if command == "constants":
+            assert strict_json((out / "report.json").read_text())["report"]["log_c_sfuc"] == want
+        else:
+            rows = (out / "plot.csv").read_text().splitlines()[1:]
+            assert float(rows[2].split(",")[2]) == want  # delta = G/4
+
     @pytest.mark.parametrize("given,swept", [
         ([0.25], [0.125, 0.175, 0.25, 0.35, 0.45]),
         ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]),
@@ -681,12 +707,12 @@ class TestOutputs:
 
 
 def _record(ratio=0.5, worst_ratio=0.4, log_bound=math.log(0.1), residual=0.0, seed=0,
-            kind="inequality_pair", zeta_norm_sq=0.0, log_gamma=math.nan):
+            kind="inequality_pair", zeta_norm_sq=0.0, log_gamma=math.nan, residual_norm_sq=0.0):
     return uclab.verifier.ObservabilityRecord(
         psi_kind=kind, d=1, bc="dirichlet", G=1.0, delta=0.25, L=3.0,
         h=1 / 32, theta1=1.0, theta2=0.0, norm_V=0.0, energy=0.0, eigen_index=0, seed=seed,
         ratio=ratio, worst_ratio=worst_ratio, log_bound=log_bound, zeta_norm_sq=zeta_norm_sq,
-        residual_violation=residual, log_gamma=log_gamma)
+        residual_violation=residual, residual_norm_sq=residual_norm_sq, log_gamma=log_gamma)
 
 
 # a projector sample at E = 0 whose window is exp(0) = 1 wide: sqrt(zeta_norm_sq)
@@ -699,6 +725,9 @@ def _sweep(slope=1.0, r_squared=1.0, degenerate=False):
 
 
 _NAMED = " for record (kind=inequality_pair, d=1, bc=dirichlet, L=3.0, delta=0.25, seed="
+# an inequality pair at E = 0: sqrt(residual_norm_sq) may reach 1e-8 (1 + |E|) = 1e-8
+_PAIR_RESIDUAL_FAIL = f"sqrt(residual_norm_sq) > 1e-8 (1 + |energy|){_NAMED}0)"
+_CACCIOPOLI = {"lhs": 2.0, "rhs": 2.0}
 _SWEEP_FAIL = ["sweep slope outside bracket or degenerate fit"]
 _SLACKS = {"lower": 0.0, "upper": 0.0, "outer_floor": 0.0}
 
@@ -727,6 +756,15 @@ GATE_CASES = {
     # an inequality pair's zeta is (H - V) psi, which the window does not bound
     "record_zeta_of_a_pair_is_unchecked": (lambda: uclab.cli.record_failures(
         [_record(zeta_norm_sq=1e6)]), []),
+    "record_pair_residual_at_bound": (lambda: uclab.cli.record_failures(
+        [_record(residual_norm_sq=1e-8**2)]), []),
+    "record_pair_residual_past_bound": (lambda: uclab.cli.record_failures(
+        [_record(residual_norm_sq=math.nextafter(1e-8, 1.0)**2)]), [_PAIR_RESIDUAL_FAIL]),
+    "record_pair_nan_residual": (lambda: uclab.cli.record_failures(
+        [_record(residual_norm_sq=math.nan)]), [_PAIR_RESIDUAL_FAIL]),
+    # a projector sample's residual is its zeta, so its residual_norm_sq is NaN
+    "record_residual_of_a_sample_is_unchecked": (lambda: uclab.cli.record_failures(
+        [_record(kind="projector_sample", log_gamma=0.0, residual_norm_sq=math.nan)]), []),
     "record_names_the_least_margin": (lambda: uclab.cli.record_failures(
         [_record(ratio=0.9, worst_ratio=0.0, seed=1), _record(worst_ratio=0.0, seed=2)]),
         [f"worst_ratio <= exp(log_bound){_NAMED}2)"]),
@@ -757,6 +795,13 @@ GATE_CASES = {
     "weight_outer_floor_below": (lambda: uclab.cli.weight_failures(
         _SLACKS | {"outer_floor": -2e-10}),
         ["weight outer_floor slack -2.000e-10 is below -1e-10"]),
+    "cacciopoli_lhs_at_rhs": (lambda: uclab.cli.cacciopoli_failures(_CACCIOPOLI, 1.0), []),
+    "cacciopoli_lhs_past_rhs": (lambda: uclab.cli.cacciopoli_failures(
+        _CACCIOPOLI | {"lhs": math.nextafter(2.0, 3.0)}, 0.5),
+        ["cacciopoli inequality fails: lhs 2 > rhs 2 at C' = 0.5"]),
+    "cacciopoli_nan_lhs": (lambda: uclab.cli.cacciopoli_failures(
+        _CACCIOPOLI | {"lhs": math.nan}, 1.0),
+        ["cacciopoli inequality fails: lhs nan > rhs 2 at C' = 1"]),
     "extension_at_limits": (lambda: uclab.cli.extension_failures(
         {"interface_jump_rel": 1.0, "residual": 1e-8}), []),
     "extension_residual_2e-8": (lambda: uclab.cli.extension_failures(
@@ -801,6 +846,8 @@ class TestStrictJson:
         assert parsed["constants"]["report"]["log_c_sfuc"] is None
         pairs = [r for r in parsed["verify.rows"] if r["psi_kind"] == "inequality_pair"]
         assert pairs and all(r["log_gamma"] is None for r in pairs)
+        samples = [r for r in parsed["verify.rows"] if r["psi_kind"] == "projector_sample"]
+        assert samples and all(r["residual_norm_sq"] is None for r in samples)
         assert all(r["ratio"] is None and r["lhs_log"] is None
                    for r in parsed["carleman.rows"])
         assert parsed["carleman"]["worst_by_h"] == {"0.015625": None}

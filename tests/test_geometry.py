@@ -405,6 +405,20 @@ class TestMask:
                                         L=3.0, d=2, centers=s.centers)
         assert mask(wider, dom)[i, j]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("G", [2.0**-600, 2.0**-100, 2.0**100, 2.0**600, 1e-300])
+    def test_a_placement_covers_the_same_cells_at_every_scale(self, G, d):
+        # lengths are in cells before any is squared, so no square leaves the
+        # double range; a power-of-two G scales every step of generate_sequence
+        # and of the predicate exactly, and at 1e-300 no cell center of these
+        # placements lies within the rounding of a ball's edge
+        def cells(G, sd):
+            seq = generate_sequence(G, G / 5, 3 * G, d, "uniform_random", seed=sd)
+            return ball_cells(seq, CubeDomain(d, 3 * G, G / 16, "periodic"))
+
+        for sd in range(20):
+            assert np.array_equal(cells(G, sd), cells(1.0, sd))
+
     @pytest.mark.parametrize("d, L_over_G, h_per_G", [(1, 5, 16), (2, 3, 16), (3, 3, 8)])
     def test_runs_disjoint_inside_their_block(self, d, L_over_G, h_per_G):
         dom = CubeDomain(d, float(L_over_G), 1 / h_per_G, "periodic")

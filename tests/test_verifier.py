@@ -44,7 +44,7 @@ def make_record(**fields):
     base = dict(psi_kind="inequality_pair", d=1, bc="periodic", G=1.0, delta=0.25,
                 L=3.0, h=1 / 16, theta1=1.0, theta2=0.0, norm_V=0.0, energy=0.0,
                 eigen_index=0, seed=0, ratio=0.5, worst_ratio=0.5, log_bound=-1e6,
-                zeta_norm_sq=0.0, residual_violation=0.0)
+                zeta_norm_sq=0.0, residual_violation=0.0, residual_norm_sq=0.0)
     return ObservabilityRecord(**{**base, **fields})
 
 
@@ -91,7 +91,8 @@ class TestObservabilityRatio:
         if complex_psi:
             psi = psi + 1j * rng.standard_normal(dom.shape)
         prefix, total = mass_prefix(psi, dom, 1.0)
-        assert total == dom.norm_sq(psi)
+        # the table and the total are sums of |psi|^2: the cell volume cancels in a ratio
+        assert total * dom.cell_volume == dom.norm_sq(psi)
         for frac in (1e-3, 0.125, 0.3, 0.499):
             seqs = [generate_sequence(1.0, frac, 3.0, d, "centered")]
             seqs += [generate_sequence(1.0, frac, 3.0, d, "uniform_random", seed=sd)
@@ -101,7 +102,7 @@ class TestObservabilityRatio:
             for seq, ratio in zip(seqs, ratios):
                 m = mask(seq, dom)
                 want = dom.norm_sq(psi, where=m)
-                assert abs(ratio * total - want) <= 1e-12 * want
+                assert abs(ratio * total * dom.cell_volume - want) <= 1e-12 * want
                 assert np.array_equal(ball_cells(seq, dom), np.flatnonzero(m))
         # a boolean where is read against the grid, so it must have its shape
         for wrong in (m[None], m[..., :-1]):
@@ -824,12 +825,12 @@ class TestInputsComputedOnce:
         calls = self.spy(monkeypatch)
         run_trial(tc, solved)
         # the covered cells and their gram once for the trial's placement,
-        # one minimum over the window, and one norm for psi and one for zeta
-        # in each of the two records; no gather by where, no mask, no prefix
-        # table
+        # one minimum over the window, one norm for psi and one for zeta in
+        # each of the two records and one for the inequality pair's residual;
+        # no gather by where, no mask, no prefix table
         assert calls == {"ball_cells": 1, "ball_runs": 1, "mask": 0,
                          "placement_gram": 1, "worst_ratio": 1, "mass_prefix": 0,
-                         "norm_sq": 4, "norm_sq_where": 0}
+                         "norm_sq": 5, "norm_sq_where": 0}
 
     def test_verify_equidistribution(self, monkeypatch):
         # each field recurs non-adjacently: the two delta values are the
